@@ -22,15 +22,24 @@ Red and gray dots depend only on the sum of their legs mod D; when
 their dense form would be large they are expanded through a rank-D
 character decomposition instead.  Contraction order is greedy: always
 merge a pair of factors sharing an index so that the merged rank is
-minimal.
+minimal.  For each index the candidate pair is its two lowest-rank
+factors; an index shared by three or more factors (a hub, such as a
+fan-out dot) keeps them in a lazy min-heap instead of sorting its
+factors on every step.  The planner reads only ranks, so dense node
+factors are built only when a contraction first needs their array and
+are dropped once merged; a fan-out's many selector boxes never all
+exist at once.  Every contraction result is checked against
+``_MAX_RESULT`` entries before it is allocated, and a larger one raises
+``OverflowGuardError``.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -51,6 +60,7 @@ Edge = tuple[Port, Port]
 
 _RESERVED = ("in", "out")
 _MAX_DENSE = 2_000_000  # entries; beyond this red/gray decompose, others refuse
+_MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any contraction result
 
 
 class DiagramError(ValueError):
@@ -202,44 +212,49 @@ class _UnionFind:
 
 
 def _node_factors(
-    ctx: MeasureContext, name: str, gen: Generator, leg_labels: list[int]
-) -> list[tuple[np.ndarray, list[int]]]:
-    """Dense or decomposed factors for one non-diagonal node."""
+    ctx: MeasureContext, name: str, gen: Generator, leg_labels: list[int], fresh: Iterator[int]
+) -> list[tuple[Any, list[int]]]:
+    """Factors for one non-diagonal node.
+
+    A dense factor is returned unbuilt, as a zero-argument function that
+    makes its array; ``fresh`` yields labels for decomposition indices.
+    """
     D, deg, nu = ctx.dim, gen.degree, ctx.nu
     if gen.kind in ("hplus", "hminus", "not", "hbox"):
         if D**deg > _MAX_DENSE:
             raise OverflowGuardError(f"node {name!r}: {gen.kind} of degree {deg} too large at D={D}")
-        return [(generator_entries(ctx, gen), leg_labels)]
+        return [(lambda: generator_entries(ctx, gen), leg_labels)]
     if gen.kind in ("red", "gray"):
         if deg == 0 or D**deg <= _MAX_DENSE:
-            return [(generator_entries(ctx, gen), leg_labels)]
+            return [(lambda: generator_entries(ctx, gen), leg_labels)]
         # character decomposition: entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j)
         sv = ctx.residues()
         if gen.kind == "red":
             w = red_weight_vector(ctx, gen.amp, deg)
         else:
             w = np.where(sv % D == 0, complex(nu ** (deg - 2)), 0j)
-        tv = ctx.residues()
-        phase = ctx._omega_table()[np.outer(tv, sv) % D]  # [t, s]
+        phase = ctx._omega_table()[np.outer(sv, sv) % D]  # [t, s] = omega^(t s)
         coeff = (phase.conj() @ w) / D  # c(t) = (1/D) sum_s w(s) omega^(-t s)
-        t_label = -_fresh_label()  # negative, disjoint from wire labels
-        factors = [(coeff, [t_label])]
-        leg_mat = ctx._omega_table()[np.outer(tv, sv) % D]  # omega^(t x)
-        for lab in leg_labels:
-            factors.append((leg_mat, [t_label, lab]))
-        return factors
+        t_label = -next(fresh)  # negative, disjoint from wire labels
+        return [(coeff, [t_label])] + [(phase, [t_label, lab]) for lab in leg_labels]
     raise AssertionError(f"unexpected kind {gen.kind}")
 
 
-_fresh_counter = [0]
+def _einsum(dim: int, *operands):
+    """``np.einsum`` in sublist form, refused if its result would pass the budget."""
+    rank = len(operands[-1])
+    if dim**rank > _MAX_RESULT:
+        raise OverflowGuardError(
+            f"contraction result of rank {rank} at D={dim} exceeds {_MAX_RESULT} entries"
+        )
+    return np.einsum(*operands)
 
 
-def _fresh_label() -> int:
-    _fresh_counter[0] += 1
-    return _fresh_counter[0]
+def _dense(arr) -> np.ndarray:
+    return arr() if callable(arr) else arr
 
 
-def _simplify(arr: np.ndarray, labels: list[int], keep: set[int]) -> tuple[np.ndarray, list[int]]:
+def _simplify(dim: int, arr, labels: list[int], keep: set[int]) -> tuple[Any, list[int]]:
     """Trace/sum out labels that occur only inside this factor and are not kept."""
     out_labels: list[int] = []
     for lab in labels:
@@ -248,21 +263,27 @@ def _simplify(arr: np.ndarray, labels: list[int], keep: set[int]) -> tuple[np.nd
     if out_labels == labels:
         return arr, labels
     relabel = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-    res = np.einsum(arr, [relabel[l] for l in labels], [relabel[l] for l in out_labels])
+    res = _einsum(dim, _dense(arr), [relabel[l] for l in labels], [relabel[l] for l in out_labels])
     return res, out_labels
 
 
 def _contract_pair(
-    fa: tuple[np.ndarray, list[int]],
-    fb: tuple[np.ndarray, list[int]],
+    dim: int,
+    fa: tuple[Any, list[int]],
+    fb: tuple[Any, list[int]],
     keep: set[int],
 ) -> tuple[np.ndarray, list[int]]:
     arr_a, la = fa
     arr_b, lb = fb
     out_labels = [l for l in dict.fromkeys(la + lb) if l in keep]
     names = {lab: i for i, lab in enumerate(dict.fromkeys(la + lb))}
-    res = np.einsum(
-        arr_a, [names[l] for l in la], arr_b, [names[l] for l in lb], [names[l] for l in out_labels]
+    res = _einsum(
+        dim,
+        _dense(arr_a),
+        [names[l] for l in la],
+        _dense(arr_b),
+        [names[l] for l in lb],
+        [names[l] for l in out_labels],
     )
     return res, out_labels
 
@@ -287,7 +308,9 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     def wire_label(edge_idx: int) -> int:
         return uf.find(edge_idx)
 
-    factors: list[tuple[np.ndarray, list[int]]] = []
+    # a factor is (array or unbuilt array, labels); its rank is len(labels)
+    factors: list[tuple[Any, list[int]]] = []
+    fresh = itertools.count(1)
     for name, gen in d.nodes.items():
         if gen.kind in ("green", "white"):
             amp: AmplitudeFn = gen.amp if gen.kind == "green" else One()
@@ -300,7 +323,7 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
                 factors.append((np.asarray(vec, dtype=complex), [lab]))
         else:
             labs = [wire_label(port_edge[(name, leg)]) for leg in range(gen.degree)]
-            factors.extend(_node_factors(ctx, name, gen, labs))
+            factors.extend(_node_factors(ctx, name, gen, labs, fresh))
 
     # boundary deltas give every input/output its own final axis label
     E = len(d.edges)
@@ -332,8 +355,34 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     keep_global = required | {lab for lab, fids in index.items() if len(fids) >= 2}
     for i in list(live):
         arr, labs = factors[i]
-        factors[i] = _simplify(arr, labs, keep_global)
+        factors[i] = _simplify(D, arr, labs, keep_global)
     index = build_index()
+
+    def rank(k: int) -> int:
+        return len(factors[k][1])
+
+    # hub labels (3+ users) keep a lazy min-heap of (rank, factor id);
+    # an entry is stale once its factor left the label or changed rank
+    hub_heaps: dict[int, list[tuple[int, int]]] = {}
+
+    def hub_pair(lab: int, fids: set[int]) -> tuple[int, int]:
+        # the first two of sorted(fids, key=lambda k: (rank(k), k))
+        heap = hub_heaps.get(lab)
+        if heap is None:
+            heap = hub_heaps[lab] = [(rank(k), k) for k in fids]
+            heapq.heapify(heap)
+
+        def stale(entry: tuple[int, int]) -> bool:
+            return entry[1] not in fids or entry[0] != rank(entry[1])
+
+        while stale(heap[0]):
+            heapq.heappop(heap)
+        first = heapq.heappop(heap)
+        while stale(heap[0]) or heap[0][1] == first[1]:
+            heapq.heappop(heap)
+        second = heap[0]
+        heapq.heappush(heap, first)
+        return first[1], second[1]
 
     def externals(i: int, j: int) -> int:
         # rank of the factor produced by merging i and j
@@ -348,12 +397,20 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
         fids = index.get(lab)
         if fids is None or len(fids) < 2:
             return None
-        si, sj = sorted(fids, key=lambda k: (factors[k][0].ndim, k))[:2]
         # labels with exactly two users vanish when merged; finish those
         # clusters before touching high-multiplicity hub labels, else the
         # hubs weave unrelated clusters into high-rank intermediates
-        hub = 0 if len(fids) == 2 else 1
-        return (hub, externals(si, sj), factors[si][0].ndim + factors[sj][0].ndim), si, sj
+        if len(fids) == 2:
+            hub = 0
+            si, sj = fids
+            ri, rj = len(factors[si][1]), len(factors[sj][1])
+            if (rj, sj) < (ri, si):
+                si, sj, ri, rj = sj, si, rj, ri
+        else:
+            hub = 1
+            si, sj = hub_pair(lab, fids)
+            ri, rj = len(factors[si][1]), len(factors[sj][1])
+        return (hub, externals(si, sj), ri + rj), si, sj
 
     # pair selection via a lazy heap; stale entries are revalidated on pop
     heap: list[tuple[tuple[int, int, int], int, int]] = []
@@ -380,7 +437,7 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
             break
         if choice is None:
             # disconnected pieces: outer-product the two smallest
-            i, j = sorted(live, key=lambda k: (factors[k][0].ndim, k))[:2]
+            i, j = sorted(live, key=lambda k: (rank(k), k))[:2]
         else:
             i, j = choice
         touched = list(dict.fromkeys(factors[i][1] + factors[j][1]))
@@ -389,7 +446,7 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
             fids = index.get(lab, ())
             if len(fids) - (i in fids) - (j in fids) > 0:
                 keep.add(lab)
-        arr, labs = _contract_pair(factors[i], factors[j], keep)
+        arr, labs = _contract_pair(D, factors[i], factors[j], keep)
         for lab in touched:
             fids = index.get(lab)
             if fids is not None:
@@ -398,10 +455,12 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
                 if not fids:
                     del index[lab]
         live.discard(j)
-        factors[j] = (np.asarray(0j), [])
+        factors[j] = (None, [])
         factors[i] = (arr, labs)
         for lab in set(labs):
             index.setdefault(lab, set()).add(i)
+            if lab in hub_heaps:
+                heapq.heappush(hub_heaps[lab], (len(labs), i))
         for lab in touched:
             entry = label_cost(lab)
             if entry is not None:
@@ -412,7 +471,7 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     arr, labs = factors[last]
     names = {lab: k for k, lab in enumerate(labs)}
     target = [names[l] for l in boundary_labels]
-    res = np.einsum(arr, [names[l] for l in labs], target)
+    res = _einsum(D, _dense(arr), [names[l] for l in labs], target)
     return Tensor(D, d.n_inputs, d.n_outputs, res.reshape((D,) * (d.n_outputs + d.n_inputs)))
 
 

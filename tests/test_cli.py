@@ -274,6 +274,17 @@ def test_normal_form_overflow_is_semantic_error(runner, tmp_path):
     assert res.exit_code == 3
 
 
+def test_eval_result_past_size_budget_is_semantic_error(runner, tmp_path, monkeypatch):
+    b = DiagramBuilder(2)
+    for _ in range(3):
+        b.wire("in", "out")
+    path = write_diagram(tmp_path / "d.json", b.build())
+    monkeypatch.setattr(diagram, "_MAX_RESULT", 2**6 - 1)
+    res = runner.invoke(cli.main, ["eval", path])
+    assert res.exit_code == 3
+    assert "exceeds" in res.stderr
+
+
 def test_normal_form_bad_input_is_usage_error(runner, tmp_path):
     src = tmp_path / "t.json"
     src.write_text("[1, 2, 3]")

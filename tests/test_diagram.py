@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import quditzx.diagram as dg
+from quditzx.construct import normal_form
 from quditzx.diagram import (
     Diagram,
     DiagramBuilder,
@@ -25,8 +30,9 @@ from quditzx.generators import (
     Stab,
     UnitPow,
     eval_generator,
+    generator_entries,
 )
-from quditzx.measure import MeasureContext, residue
+from quditzx.measure import MeasureContext, OverflowGuardError, residue
 from quditzx.tensor import Tensor, compose, max_abs_diff, tensor_product
 
 
@@ -371,6 +377,205 @@ def test_character_decomposition_agrees_with_dense(monkeypatch) -> None:
         decomposed = evaluate(d, ctx)
         monkeypatch.undo()
         assert max_abs_diff(decomposed, dense) < 1e-10, gen
+
+
+# -- planner, deferred factors and the result budget ----------------------
+
+
+def flat_einsum(d: Diagram, ctx: MeasureContext, fuse_white: bool = False) -> Tensor:
+    """The diagram's tensor as one ``np.einsum`` over dense generator tensors.
+
+    Every wire is one index, and each boundary position gets its own
+    output axis through an identity.  With ``fuse_white`` every white dot
+    enters as the diagonal of its dense tensor on one index that all its
+    wires share, which is the same tensor written with a repeated index;
+    this keeps large normal forms under numpy's limit of 52 indices.
+    """
+    D = d.dim
+    port_edge = d.port_edges()
+    parent = list(range(len(d.edges)))
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    if fuse_white:
+        for name, gen in d.nodes.items():
+            if gen.kind == "white":
+                for leg in range(1, gen.degree):
+                    parent[find(port_edge[(name, leg)])] = find(port_edge[(name, 0)])
+    labels: dict[int, int] = {}
+
+    def label(e: int) -> int:
+        return labels.setdefault(find(e), len(labels))
+
+    operands: list = []
+    for name, gen in d.nodes.items():
+        arr = generator_entries(ctx, gen)
+        legs = [label(port_edge[(name, leg)]) for leg in range(gen.degree)]
+        if fuse_white and gen.kind == "white" and gen.degree:
+            arr, legs = arr[(np.arange(D),) * gen.degree], legs[:1]
+        operands += [arr, legs]
+    sides = (("out", d.n_outputs), ("in", d.n_inputs))
+    wires = [label(port_edge[(side, pos)]) for side, count in sides for pos in range(count)]
+    axes = list(range(len(labels), len(labels) + len(wires)))
+    for axis, wire in zip(axes, wires):
+        operands += [np.eye(D), [axis, wire]]
+    return Tensor(D, d.n_inputs, d.n_outputs, np.einsum(*operands, axes, optimize=True))
+
+
+def hub_diagram(rng: np.random.Generator, dim: int, n_hubs: int, n_users: int, n_in: int, n_out: int):
+    """White hubs joined by rank-2 and rank-3 users that tie on rank."""
+    makers = [
+        Generator.hplus,
+        Generator.hminus,
+        lambda: Generator.not_dot(1),
+        lambda: Generator.hbox(Phase(0.4), 0, 2),
+        lambda: Generator.gray(0, 3),
+        lambda: Generator.red(Stab(1, 1), 0, 3),
+    ]
+    b = DiagramBuilder(dim)
+    attach: list[list] = [[] for _ in range(n_hubs)]
+    for _ in range(n_users):
+        gen = makers[int(rng.integers(len(makers)))]()
+        name = b.node(gen)
+        for leg in range(gen.degree):
+            attach[int(rng.integers(n_hubs))].append((name, leg))
+    for side, count in (("out", n_out), ("in", n_in)):
+        for pos in range(count):
+            attach[int(rng.integers(n_hubs))].append((side, pos))
+    for ports in attach:
+        hub = b.node(Generator.white(0, len(ports)))
+        for port in ports:
+            b.wire(hub, port)
+    return b.build()
+
+
+def tied_hub_diagram(dim: int) -> Diagram:
+    """Two white hubs sharing six rank-2 users, plus one boundary leg each."""
+    b = DiagramBuilder(dim)
+    users = [
+        Generator.hplus(),
+        Generator.hminus(),
+        Generator.not_dot(1),
+        Generator.not_dot(dim - 1),
+        Generator.hbox(Phase(0.9), 1, 1),
+        Generator.red(Stab(1, 0), 1, 1),
+    ]
+    top = b.node(Generator.white(1, len(users)))
+    bottom = b.node(Generator.white(len(users), 1))
+    b.wire("out", top)
+    for gen in users:
+        name = b.node(gen)
+        b.wire(top, name)
+        b.wire(name, bottom)
+    b.wire(bottom, "in")
+    return b.build()
+
+
+def random_tensor(rng: np.random.Generator, dim: int, n_in: int, n_out: int) -> Tensor:
+    shape = (dim,) * (n_in + n_out)
+    return Tensor(dim, n_in, n_out, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_in,n_out", [(0, 1), (1, 0), (1, 1), (0, 2), (2, 0)])
+def test_normal_forms_match_flat_einsum(dim: int, n_in: int, n_out: int) -> None:
+    ctx = MeasureContext(dim)
+    rng = np.random.default_rng([17, dim, n_in, n_out])
+    d = normal_form(random_tensor(rng, dim, n_in, n_out), ctx)
+    want = flat_einsum(d, ctx, fuse_white=len(d.edges) + n_in + n_out > 52)
+    got = evaluate(d, ctx)
+    assert max_abs_diff(got, want) / np.max(np.abs(want.data)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hub_diagrams_match_flat_einsum(dim: int) -> None:
+    ctx = MeasureContext(dim)
+    d = tied_hub_diagram(dim)
+    assert max_abs_diff(evaluate(d, ctx), flat_einsum(d, ctx)) < 1e-10
+    rng = np.random.default_rng(40 + dim)
+    for trial in range(6):
+        d = hub_diagram(rng, dim, int(rng.integers(3, 6)), int(rng.integers(3, 7)), 1, 1)
+        want = flat_einsum(d, ctx)
+        assert max_abs_diff(evaluate(d, ctx), want) < 1e-10 * max(1.0, np.max(np.abs(want.data)))
+
+
+def test_contraction_order_is_pinned(monkeypatch) -> None:
+    # digests of every einsum's operand shapes and index lists under the
+    # greedy order; the order fixes the tensor bits, so a change of order
+    # must update these knowingly
+    ctx = MeasureContext(3)
+    cases = [
+        (tied_hub_diagram(3), "b684ee0207ac4ace"),
+        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "d61e47e4a9d7aedb"),
+        (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "b4671235e05472a9"),
+        (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "d07d987ec7e25319"),
+    ]
+    calls: list = []
+    real = np.einsum
+
+    def recording(*operands):
+        calls.append([op if isinstance(op, list) else op.shape for op in operands])
+        return real(*operands)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    for d, digest in cases:
+        calls.clear()
+        evaluate(d, ctx)
+        assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == digest
+
+
+def test_dense_factors_are_built_once(monkeypatch) -> None:
+    ctx = MeasureContext(3)
+    rng = np.random.default_rng(5)
+    diagrams = [
+        normal_form(random_tensor(rng, 3, 1, 1), ctx),
+        tied_hub_diagram(3),
+        hub_diagram(rng, 3, 3, 8, 1, 1),
+    ]
+    built: Counter = Counter()
+    real = dg.generator_entries
+
+    def counting(ctx, gen):
+        built[id(gen)] += 1
+        return real(ctx, gen)
+
+    monkeypatch.setattr(dg, "generator_entries", counting)
+    for d in diagrams:
+        built.clear()
+        evaluate(d, ctx)
+        assert built == Counter(id(g) for g in d.nodes.values() if g.kind not in ("white", "green"))
+
+
+def test_normal_form_evaluation_memory_stays_small() -> None:
+    # 81 selectors, each with a 6561-entry H-box; built on first use, only
+    # a few of them exist at once
+    ctx = MeasureContext(3)
+    t = random_tensor(np.random.default_rng(9), 3, 2, 2)
+    d = normal_form(t, ctx)
+    tracemalloc.start()
+    try:
+        got = evaluate(d, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max_abs_diff(got, t) / np.max(np.abs(t.data)) < 1e-8
+    assert peak < 4_000_000
+
+
+def test_result_budget_refuses_wide_results(monkeypatch) -> None:
+    b = DiagramBuilder(2)
+    for _ in range(3):
+        b.wire("in", "out")
+    d = b.build()
+    ctx = MeasureContext(2)
+    monkeypatch.setattr(dg, "_MAX_RESULT", 2**6)
+    assert np.allclose(evaluate(d, ctx).as_matrix(), np.eye(8))
+    monkeypatch.setattr(dg, "_MAX_RESULT", 2**6 - 1)
+    with pytest.raises(OverflowGuardError):
+        evaluate(d, ctx)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
