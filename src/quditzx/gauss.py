@@ -4,6 +4,8 @@ Provides the Jacobi symbol, the companion unit epsilon_m, the quadratic
 Gauss sum G(r,s,N) = sum_{x=0}^{N-1} e^(2 pi i (r x^2 + s x)/N) with its
 half-exponent variant, and the measure-weighted integral
 Gamma(a,b,D) = integral of tau^(2ax + bx^2) over the residue window.
+The Jacobi symbol is computed in-house by the binary algorithm, so the
+module needs no computer-algebra package.
 Every closed form is paired with a brute-force oracle; the oracles are
 the ground truth in the test suite, so a transcription slip in a phase
 formula is caught rather than trusted.
@@ -17,18 +19,35 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-
-from sympy import jacobi_symbol as _sympy_jacobi
 
 from quditzx.measure import MeasureContext, integrate, tau_pow
 
 
 def jacobi(k: int, m: int) -> int:
-    """Jacobi symbol (k/m) for odd m >= 1."""
+    """Jacobi symbol (k/m) for odd m >= 1.
+
+    Binary algorithm (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.4.10): strip factors of 2 from k, each flipping the
+    sign when m = 3, 5 mod 8, then swap k and m by quadratic reciprocity,
+    flipping the sign when both are 3 mod 4.  Non-integers raise TypeError.
+    """
+    k, m = operator.index(k), operator.index(m)
     if m < 1 or m % 2 == 0:
         raise ValueError(f"Jacobi symbol needs odd m >= 1, got {m}")
-    return int(_sympy_jacobi(k, m))
+    k %= m
+    sign = 1
+    while k:
+        while k % 2 == 0:
+            k //= 2
+            if m % 8 in (3, 5):
+                sign = -sign
+        k, m = m, k
+        if k % 4 == 3 and m % 4 == 3:
+            sign = -sign
+        k %= m
+    return sign if m == 1 else 0
 
 
 def epsilon(m: int) -> complex:

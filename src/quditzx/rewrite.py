@@ -61,9 +61,9 @@ class MatchError(RewriteError):
 
 
 Params = dict[str, Any]
-Builder = Callable[[Params, MeasureContext], Diagram]
 PairBuilder = Callable[[Params, MeasureContext], tuple[Diagram, Diagram]]
-Sampler = Callable[[int, np.random.Generator], Params | None]
+# A string, so that loading the module does not import numpy.random.
+Sampler = Callable[[int, "np.random.Generator"], Params | None]
 Validator = Callable[[Params, int], None]
 
 
@@ -71,11 +71,10 @@ Validator = Callable[[Params, int], None]
 class RuleSpec:
     """One rewrite rule: both sides, domain, and sampling.
 
-    `build_lhs` / `build_rhs` construct the two sides for a valid
-    parameter assignment.  `param_domain` is the boolean form of the
-    validator.  `dim_cap` marks rules whose diagrams grow with D
-    (parallel-edge and branch-per-residue shapes); the checker skips
-    larger dimensions.
+    `build_pair` constructs both sides for a valid parameter assignment.
+    `param_domain` is the boolean form of the validator.  `dim_cap` marks
+    rules whose diagrams grow with D (parallel-edge and branch-per-residue
+    shapes); the checker skips larger dimensions.
     """
 
     id: str
@@ -85,14 +84,6 @@ class RuleSpec:
     validate: Validator
     sample: Sampler
     dim_cap: int | None = None
-
-    @property
-    def build_lhs(self) -> Builder:
-        return lambda p, ctx: self.build_pair(p, ctx)[0]
-
-    @property
-    def build_rhs(self) -> Builder:
-        return lambda p, ctx: self.build_pair(p, ctx)[1]
 
     def param_domain(self, params: Params, dim: int) -> bool:
         try:
@@ -1861,10 +1852,6 @@ def check_all(
 # ---------------------------------------------------------------- application
 
 
-def _gens_equal(a: Generator, b: Generator) -> bool:
-    return a == b
-
-
 def apply(
     d: Diagram,
     rule: RuleSpec | str,
@@ -1907,7 +1894,7 @@ def apply(
             raise MatchError(
                 f"node {hid!r} has arity {hg.m}->{hg.n}, rule wants {lg.m}->{lg.n}"
             )
-        if not _gens_equal(lg, hg):
+        if lg != hg:
             raise MatchError(f"node {hid!r} does not carry the rule's label/amplitude")
 
     host_port_edge = d.port_edges()

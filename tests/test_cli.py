@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,33 @@ def test_info_custom_nu(runner):
 def test_info_rejects_small_dim(runner):
     res = runner.invoke(cli.main, ["info", "--dim", "1"])
     assert res.exit_code == 2
+
+
+def run_fresh_python(*args):
+    # a new interpreter, so modules imported by this test session do not count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    proc = run_fresh_python(
+        "-c",
+        "import sys, quditzx.cli; "
+        "print(sorted(m for m in ('sympy', 'numpy.random') if m in sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_module_runs_info():
+    proc = run_fresh_python("-m", "quditzx.cli", "info", "--dim", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8
+    assert lines[0] == "dim            5"
 
 
 # -- eval ---------------------------------------------------------------

@@ -46,6 +46,51 @@ def test_jacobi_is_multiplicative_in_the_denominator() -> None:
         assert jacobi(k, 21) == jacobi(k, 3) * jacobi(k, 7)
 
 
+def prime_factors(m: int) -> list[int]:
+    # trial division, with multiplicity
+    out, p = [], 2
+    while p * p <= m:
+        while m % p == 0:
+            out.append(p)
+            m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def test_jacobi_matches_legendre_product_over_factorization() -> None:
+    # prime-power and multi-factor moduli reach the reciprocity and
+    # power-of-two branches that prime moduli alone do not
+    for m in range(1, 400, 2):
+        primes = prime_factors(m)
+        for k in range(-2 * m, 2 * m + 1):
+            want = math.prod(legendre_brute(k % p, p) for p in primes)
+            assert jacobi(k, m) == want, (k, m)
+
+
+def test_jacobi_on_big_integers() -> None:
+    p, q = 2**61 - 1, 2**89 - 1  # Mersenne primes
+    ks = [2, 3, -1, 10**30 + 7, -(10**30) - 3, 3**70, 2**100 + 1]
+    for k in ks:
+        lp, lq = legendre_brute(k % p, p), legendre_brute(k % q, q)
+        assert jacobi(k, p) == lp
+        assert jacobi(k, q) == lq
+        assert jacobi(k, p * q) == lp * lq
+        assert jacobi(k, p * p * q) == (lq if k % p else 0)
+    m = 10**30 + 57
+    for k1, k2 in [(10**30 + 7, 10**29 + 3), (-(3**60), 2**97), (5, 10**31 + 1)]:
+        assert jacobi(k1 * k2, m) == jacobi(k1, m) * jacobi(k2, m)
+    assert jacobi(m + 2, m) == jacobi(2, m)
+
+
+def test_jacobi_rejects_non_integers() -> None:
+    with pytest.raises(TypeError):
+        jacobi(1.0, 3)
+    with pytest.raises(TypeError):
+        jacobi(1, 3.0)
+
+
 def test_jacobi_rejects_even_or_nonpositive_modulus() -> None:
     with pytest.raises(ValueError):
         jacobi(1, 4)
