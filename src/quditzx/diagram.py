@@ -13,6 +13,10 @@ Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
 factor; all normalization lives in the generator tensors.
 
+Serial composition and anchored rewriting (``rewrite.apply``) share one
+splice, ``_splice``: both cut wires at a seam and join the pieces back
+into edges, and a closed chain of cut wires becomes a free loop worth D.
+
 Evaluation notes: white and green dots are diagonal, so instead of
 materializing a dense rank-deg tensor the evaluator unifies all wires
 incident to such a dot into a single summation index carrying the dot's
@@ -44,11 +48,10 @@ from typing import Any, Iterator
 import numpy as np
 
 from quditzx.generators import (
-    AmplitudeFn,
     Generator,
-    One,
     amp_from_json,
     amp_to_json,
+    diagonal_weight,
     generator_entries,
     red_weight_vector,
 )
@@ -313,14 +316,8 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     fresh = itertools.count(1)
     for name, gen in d.nodes.items():
         if gen.kind in ("green", "white"):
-            amp: AmplitudeFn = gen.amp if gen.kind == "green" else One()
-            if gen.degree == 0:
-                val = ctx.nu**2 * sum(amp.eval(ctx, int(x)) for x in ctx.residues())
-                factors.append((np.asarray(complex(val)), []))
-            else:
-                vec = amp.eval_arr(ctx, ctx.residues()) * ctx.nu ** (2 - gen.degree)
-                lab = wire_label(port_edge[(name, 0)])
-                factors.append((np.asarray(vec, dtype=complex), [lab]))
+            labs = [wire_label(port_edge[(name, 0)])] if gen.degree else []
+            factors.append((diagonal_weight(ctx, gen), labs))
         else:
             labs = [wire_label(port_edge[(name, leg)]) for leg in range(gen.degree)]
             factors.extend(_node_factors(ctx, name, gen, labs, fresh))
@@ -503,6 +500,60 @@ def compose_parallel(a: Diagram, b: Diagram) -> Diagram:
     )
 
 
+def _splice(halves: list[tuple[Any, Any]], nodes: dict[str, Generator], loop_prefix: str) -> list[Edge]:
+    """Join half-edges through their junctions into edges.
+
+    A half-edge end is ``("T", port)``, a port that stays, or
+    ``("J", key)``, a junction where a wire was cut at a seam.  Every
+    junction must sit on exactly two half-edge ends, so each chain of
+    junctions is either a path between two ports, which becomes one
+    edge, or a closed cycle: a free wire loop, worth a scalar D.  Each
+    loop becomes a self-looped white dot (which evaluates to exactly D)
+    named ``loop_prefix`` plus a count, added to ``nodes``.
+    """
+    adj: dict[Any, list[Any]] = {}
+    for u, v in halves:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for u, nbrs in adj.items():
+        if u[0] == "J" and len(nbrs) != 2:
+            raise DiagramError(f"cut point {u[1]} is wired {len(nbrs)} times, expected 2")
+
+    visited: set[Any] = set()
+
+    def follow(cur: Any, back: Any) -> Any:
+        # walk the chain from junction `cur`, entered from `back`, to its
+        # far port, or around a cycle back to `cur`
+        start = cur
+        while True:
+            visited.add(cur)
+            nbrs = list(adj[cur])
+            nbrs.remove(back)
+            cur, back = nbrs[0], cur
+            if cur[0] != "J" or cur == start:
+                return cur
+
+    edges: list[Edge] = []
+    for u, v in halves:
+        if u[0] == "T" and v[0] == "T":
+            edges.append((u[1], v[1]))
+        for t_end, j_end in ((u, v), (v, u)):
+            if t_end[0] == "T" and j_end[0] == "J" and j_end not in visited:
+                edges.append((t_end[1], follow(j_end, t_end)[1]))
+    loops = 0
+    for u, v in halves:
+        for j_end in (u, v):
+            if j_end[0] == "J" and j_end not in visited:
+                follow(j_end, adj[j_end][1])
+                name = f"{loop_prefix}{loops}"
+                loops += 1
+                while name in nodes:
+                    name += "_"
+                nodes[name] = Generator.white(1, 1)
+                edges.append(((name, 0), (name, 1)))
+    return edges
+
+
 def compose_serial(a: Diagram, b: Diagram) -> Diagram:
     """Run a, then b: a's outputs are fused pairwise to b's inputs."""
     if a.dim != b.dim:
@@ -511,64 +562,21 @@ def compose_serial(a: Diagram, b: Diagram) -> Diagram:
         raise DiagramError(f"cannot fuse {a.n_outputs} outputs into {b.n_inputs} inputs")
     a2, b2 = a.with_fresh_ids("a."), b.with_fresh_ids("b.")
 
-    # terminals keep their identity; junction k glues a.out:k to b.in:k
+    # terminals keep their identity; a junction glues a.out:k to b.in:k
     def a_end(p: Port):
-        return ("J", p[1]) if p[0] == "out" else ("T", p)
+        return ("J", p) if p[0] == "out" else ("T", p)
 
     def b_end(p: Port):
-        if p[0] == "in":
-            return ("J", p[1])
-        if p[0] == "out":
-            return ("T", ("out", p[1]))
-        return ("T", p)
+        return ("J", ("out", p[1])) if p[0] == "in" else ("T", p)
 
-    adj: dict[Any, list[Any]] = {}
-    halves: list[tuple[Any, Any]] = []
-    for x, y in a2.edges:
-        halves.append((a_end(x), a_end(y)))
-    for x, y in b2.edges:
-        halves.append((b_end(x), b_end(y)))
-    for u, v in halves:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
+    halves = [(a_end(x), a_end(y)) for x, y in a2.edges]
+    halves += [(b_end(x), b_end(y)) for x, y in b2.edges]
+    ends = {end for half in halves for end in half}
+    for k in range(a.n_outputs):
+        if ("J", ("out", k)) not in ends:
+            raise DiagramError(f"cut point {('out', k)} is wired 0 times, expected 2")
     nodes = {**a2.nodes, **b2.nodes}
-    # every junction has degree exactly 2 (one edge on each side of the
-    # seam), so each connected chain of junctions is either a path between
-    # two terminals or a closed cycle
-    edges: list[Edge] = [(u[1], v[1]) for u, v in halves if u[0] == "T" and v[0] == "T"]
-    junction_edges = [(u, v) for u, v in halves if u[0] == "J" or v[0] == "J"]
-    visited: set[Any] = set()
-    for u, v in junction_edges:
-        for t_end, j_end in ((u, v), (v, u)):
-            if t_end[0] == "T" and j_end[0] == "J" and j_end not in visited:
-                cur, back = j_end, t_end
-                while cur[0] == "J":
-                    visited.add(cur)
-                    nbrs = list(adj[cur])
-                    nbrs.remove(back)
-                    cur, back = nbrs[0], cur
-                edges.append((t_end[1], cur[1]))
-    # pure junction cycles (closed loops of wire) contribute a scalar D;
-    # a self-looped weightless dot evaluates to exactly that
-    loop_count = 0
-    for u, v in junction_edges:
-        for j_end in (u, v):
-            if j_end[0] == "J" and j_end not in visited:
-                visited.add(j_end)
-                cur, back = adj[j_end][0], j_end
-                while cur != j_end:
-                    visited.add(cur)
-                    nbrs = list(adj[cur])
-                    nbrs.remove(back)
-                    cur, back = nbrs[0], cur
-                name = f"loop{loop_count}"
-                loop_count += 1
-                while name in nodes:
-                    name = name + "_"
-                nodes[name] = Generator.white(0, 2)
-                edges.append(((name, 0), (name, 1)))
-
+    edges = _splice(halves, nodes, "loop")
     out = Diagram(a.dim, nodes, tuple(edges), a.n_inputs, b.n_outputs)
     out.validate()
     return out

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -282,11 +282,6 @@ class Indicator(AmplitudeFn):
         return self
 
 
-AnyAmp = Union[
-    One, Zero, Phase, PhaseVec, Stab, Char, UnitPow, Table, MBox, Sign, Indicator
-]
-
-
 def amp_eval(ctx: MeasureContext, a: AmplitudeFn, t: int) -> complex:
     """Evaluate an amplitude function at an integer argument."""
     return a.eval(ctx, t)
@@ -358,89 +353,64 @@ def amp_reflect_conjugate(a: AmplitudeFn, dim: int) -> AmplitudeFn:
     return Table(tuple(a.eval(ctx, rho_neg(x)).conjugate() for x in window))
 
 
-def amp_close(a: AmplitudeFn, b: AmplitudeFn, tol: float = 1e-12) -> bool:
-    """Structural equality up to float tolerance in parameters (used by rule matching)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (One, Zero)):
-        return True
-    if isinstance(a, Phase):
-        return abs(a.theta - b.theta) <= tol
-    if isinstance(a, PhaseVec):
-        return len(a.thetas) == len(b.thetas) and all(
-            abs(x - y) <= tol for x, y in zip(a.thetas, b.thetas)
-        )
-    if isinstance(a, Stab):
-        return (a.a, a.b) == (b.a, b.b)
-    if isinstance(a, Char):
-        return a.c == b.c
-    if isinstance(a, UnitPow):
-        return abs(a.alpha - b.alpha) <= tol
-    if isinstance(a, Table):
-        return len(a.values) == len(b.values) and all(
-            abs(x - y) <= tol for x, y in zip(a.values, b.values)
-        )
-    if isinstance(a, MBox):
-        return a.k == b.k and abs(a.alpha - b.alpha) <= tol
-    if isinstance(a, (Sign, Indicator)):
-        return a.members == b.members
-    return False
-
-
 # -- JSON encoding (format shared with the diagram file format) --------
 
 
+def _pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+# value codecs: (to JSON, from JSON)
+_FLOAT = (lambda v: v, float)
+_INT = (lambda v: v, int)
+_FLOATS = (list, lambda v: tuple(float(x) for x in v))
+_COMPLEX = (_pair, lambda v: complex(v[0], v[1]))
+_COMPLEXES = (lambda v: [_pair(z) for z in v], lambda v: tuple(complex(re, im) for re, im in v))
+_SET = (sorted, frozenset)
+
+# JSON tag -> (variant, its fields as (attribute, JSON key, codec)); a
+# tuple of keys spreads the encoded value over several keys, in order
+_AMP_JSON: dict[str, tuple[type, tuple]] = {
+    "one": (One, ()),
+    "zero": (Zero, ()),
+    "phase": (Phase, (("theta", "theta", _FLOAT),)),
+    "phasevec": (PhaseVec, (("thetas", "thetas", _FLOATS),)),
+    "stab": (Stab, (("a", "a", _INT), ("b", "b", _INT))),
+    "char": (Char, (("c", "c", _INT),)),
+    "unit": (UnitPow, (("alpha", ("re", "im"), _COMPLEX),)),
+    "table": (Table, (("values", "values", _COMPLEXES),)),
+    "mbox": (MBox, (("k", "k", _INT), ("alpha", "alpha", _COMPLEX))),
+    "sign": (Sign, (("members", "set", _SET),)),
+    "indicator": (Indicator, (("members", "set", _SET),)),
+}
+_AMP_TAG = {cls: tag for tag, (cls, _) in _AMP_JSON.items()}
+
+
 def amp_to_json(a: AmplitudeFn) -> dict[str, Any]:
-    if isinstance(a, One):
-        return {"type": "one"}
-    if isinstance(a, Zero):
-        return {"type": "zero"}
-    if isinstance(a, Phase):
-        return {"type": "phase", "theta": a.theta}
-    if isinstance(a, PhaseVec):
-        return {"type": "phasevec", "thetas": list(a.thetas)}
-    if isinstance(a, Stab):
-        return {"type": "stab", "a": a.a, "b": a.b}
-    if isinstance(a, Char):
-        return {"type": "char", "c": a.c}
-    if isinstance(a, UnitPow):
-        return {"type": "unit", "re": a.alpha.real, "im": a.alpha.imag}
-    if isinstance(a, Table):
-        return {"type": "table", "values": [[v.real, v.imag] for v in a.values]}
-    if isinstance(a, MBox):
-        return {"type": "mbox", "k": a.k, "alpha": [a.alpha.real, a.alpha.imag]}
-    if isinstance(a, Sign):
-        return {"type": "sign", "set": sorted(a.members)}
-    if isinstance(a, Indicator):
-        return {"type": "indicator", "set": sorted(a.members)}
-    raise TypeError(f"not an amplitude function: {a!r}")
+    tag = _AMP_TAG.get(type(a))
+    if tag is None:
+        raise TypeError(f"not an amplitude function: {a!r}")
+    out: dict[str, Any] = {"type": tag}
+    for attr, key, (encode, _) in _AMP_JSON[tag][1]:
+        value = encode(getattr(a, attr))
+        if isinstance(key, tuple):
+            out.update(zip(key, value))
+        else:
+            out[key] = value
+    return out
 
 
 def amp_from_json(obj: dict[str, Any]) -> AmplitudeFn:
     kind = obj["type"]
-    if kind == "one":
-        return One()
-    if kind == "zero":
-        return Zero()
-    if kind == "phase":
-        return Phase(float(obj["theta"]))
-    if kind == "phasevec":
-        return PhaseVec(tuple(float(x) for x in obj["thetas"]))
-    if kind == "stab":
-        return Stab(int(obj["a"]), int(obj["b"]))
-    if kind == "char":
-        return Char(int(obj["c"]))
-    if kind == "unit":
-        return UnitPow(complex(obj["re"], obj["im"]))
-    if kind == "table":
-        return Table(tuple(complex(re, im) for re, im in obj["values"]))
-    if kind == "mbox":
-        return MBox(int(obj["k"]), complex(obj["alpha"][0], obj["alpha"][1]))
-    if kind == "sign":
-        return Sign(frozenset(obj["set"]))
-    if kind == "indicator":
-        return Indicator(frozenset(obj["set"]))
-    raise ValueError(f"unknown amplitude type {kind!r}")
+    entry = _AMP_JSON.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValueError(f"unknown amplitude type {kind!r}")
+    cls, fields = entry
+    kwargs = {}
+    for attr, key, (_, decode) in fields:
+        value = [obj[k] for k in key] if isinstance(key, tuple) else obj[key]
+        kwargs[attr] = decode(value)
+    return cls(**kwargs)
 
 
 # =====================================================================
@@ -573,16 +543,27 @@ def red_weight_vector(ctx: MeasureContext, amp: AmplitudeFn, deg: int) -> np.nda
     return ctx.nu ** (2 + deg) * (amps @ mat)
 
 
+def diagonal_weight(ctx: MeasureContext, g: Generator) -> np.ndarray:
+    """A green or white dot's entries where all legs equal v, for v = L_D..U_D.
+
+    With no legs the dot integrates out, and this is the scalar
+    nu^2 * sum_v T(v) as a 0-d array.
+    """
+    amp = g.amp if g.kind == "green" else One()
+    if g.degree == 0:
+        return np.asarray(complex(ctx.nu**2 * sum(amp.eval(ctx, int(x)) for x in ctx.residues())))
+    return np.asarray(amp.eval_arr(ctx, ctx.residues()) * ctx.nu ** (2 - g.degree), dtype=complex)
+
+
 def generator_entries(ctx: MeasureContext, g: Generator) -> np.ndarray:
     """Dense entry array over all deg legs (order-symmetric formulas)."""
     D, deg, nu = ctx.dim, g.degree, ctx.nu
     if g.kind in ("green", "white"):
-        amp = g.amp if g.kind == "green" else One()
+        w = diagonal_weight(ctx, g)
         if deg == 0:
-            return np.asarray(nu**2 * sum(amp.eval(ctx, int(x)) for x in ctx.residues()))
-        vals = amp.eval_arr(ctx, ctx.residues()) * nu ** (2 - deg)
+            return w
         arr = np.zeros((D,) * deg, dtype=complex)
-        arr[(np.arange(D),) * deg] = vals
+        arr[(np.arange(D),) * deg] = w
         return arr
     if g.kind == "red":
         w = red_weight_vector(ctx, g.amp, deg)

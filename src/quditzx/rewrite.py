@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from quditzx.diagram import Diagram, DiagramBuilder, DiagramError, evaluate
+from quditzx.diagram import Diagram, DiagramBuilder, DiagramError, _splice, evaluate
 from quditzx.gauss import gamma
 from quditzx.generators import (
     AmplitudeFn,
@@ -1943,9 +1943,6 @@ def apply(
     # behind it to whatever the right side plugs into that position
     cut_by_port = {hp: bp for bp, hp in cut.items()}
 
-    def junction(p) -> tuple:
-        return ("J", p)
-
     def end_of(port) -> tuple:
         """Half-edge endpoint for a host port: a junction if the port
         belongs to a matched node (it must then sit behind a left-side
@@ -1956,62 +1953,23 @@ def apply(
                 raise MatchError(
                     f"host wire at {port} has no counterpart on the rule's left side"
                 )
-            return junction(bp)
+            return ("J", bp)
         return ("T", port)
 
-    halves: list[tuple] = []
-    for idx, (a, b) in enumerate(d.edges):
-        if idx in internal_host_edges:
-            continue
-        halves.append((end_of(a), end_of(b)))
-    for a, b in rhs.edges:
-        ea = junction(a) if a[0] in ("in", "out") else ("T", a)
-        eb = junction(b) if b[0] in ("in", "out") else ("T", b)
-        halves.append((ea, eb))
+    def rhs_end(port) -> tuple:
+        return ("J", port) if port[0] in ("in", "out") else ("T", port)
 
-    adj: dict[tuple, list[tuple]] = {}
-    for u, v in halves:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for u, nbrs in adj.items():
-        if u[0] == "J" and len(nbrs) != 2:
-            raise MatchError(f"cut point {u[1]} is wired {len(nbrs)} times, expected 2")
+    halves = [
+        (end_of(a), end_of(b))
+        for idx, (a, b) in enumerate(d.edges)
+        if idx not in internal_host_edges
+    ]
+    halves += [(rhs_end(a), rhs_end(b)) for a, b in rhs.edges]
 
-    new_edges: list[tuple] = []
-    visited: set[tuple] = set()
-    for u, v in halves:
-        if u[0] == "T" and v[0] == "T":
-            new_edges.append((u[1], v[1]))
-            continue
-        for t_end, j_end in ((u, v), (v, u)):
-            if t_end[0] == "T" and j_end[0] == "J" and j_end not in visited:
-                cur, back = j_end, t_end
-                while cur[0] == "J":
-                    visited.add(cur)
-                    nbrs = list(adj[cur])
-                    nbrs.remove(back)
-                    cur, back = nbrs[0], cur
-                new_edges.append((t_end[1], cur[1]))
-    loops = 0
-    for u, v in halves:
-        for j_end in (u, v):
-            if j_end[0] == "J" and j_end not in visited:
-                visited.add(j_end)
-                cur, back = adj[j_end][0], j_end
-                while cur != j_end:
-                    visited.add(cur)
-                    nbrs = list(adj[cur])
-                    nbrs.remove(back)
-                    cur, back = nbrs[0], cur
-                loops += 1
-    for i in range(loops):
-        # a closed cut cycle is a free wire loop, worth a factor of D;
-        # a self-looped white dot carries exactly that value
-        name = f"rw.loop{i}"
-        while name in new_nodes:
-            name += "_"
-        new_nodes[name] = Generator.white(1, 1)
-        new_edges.append(((name, 0), (name, 1)))
+    try:
+        new_edges = _splice(halves, new_nodes, "rw.loop")
+    except DiagramError as exc:
+        raise MatchError(str(exc)) from exc
 
     out = Diagram(d.dim, new_nodes, tuple(new_edges), d.n_inputs, d.n_outputs)
     out.validate()

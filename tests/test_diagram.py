@@ -329,6 +329,47 @@ def test_cup_then_cap_makes_closed_loop() -> None:
     assert abs(complex(t.data) - dim) < 1e-12
 
 
+def _side_by_side(k: int, dim: int, side: str) -> Diagram:
+    one = DiagramBuilder(dim)
+    one.wire((side, 0), (side, 1))
+    d = one.build()
+    for _ in range(k - 1):
+        d = compose_parallel(d, one.build())
+    return d
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_cups_then_caps_make_k_closed_loops(dim: int, k: int) -> None:
+    loops = compose_serial(_side_by_side(k, dim, "out"), _side_by_side(k, dim, "in"))
+    assert len(loops.nodes) == k
+    for name, gen in loops.nodes.items():
+        assert gen.kind == "white" and ((name, 0), (name, 1)) in loops.edges
+    t = evaluate(loops, MeasureContext(dim))
+    assert abs(complex(t.data) - dim**k) < 1e-9
+
+
+def test_serial_composition_rejects_bad_seam() -> None:
+    b = DiagramBuilder(3)
+    b.wire("in", "out")
+    b.wire("in", "out")
+    pair = b.build()
+    # out:1 is never wired, so its seam point has one end
+    dangling = Diagram(3, {}, ((("in", 0), ("out", 0)),), 1, 2)
+    with pytest.raises(DiagramError, match="wired 1 times"):
+        compose_serial(dangling, pair)
+    # out:0 is wired twice, so its seam point has three ends
+    double = Diagram(
+        3, {}, ((("in", 0), ("out", 0)), (("in", 1), ("out", 0)), (("in", 2), ("out", 1))), 3, 2
+    )
+    with pytest.raises(DiagramError, match="wired 3 times"):
+        compose_serial(double, pair)
+    # out:1 of a and in:1 of b are both unwired, so its seam point has no end
+    half = Diagram(3, {}, ((("in", 0), ("out", 0)),), 2, 1)
+    with pytest.raises(DiagramError, match="wired 0 times"):
+        compose_serial(dangling, half)
+
+
 def test_evaluation_independent_of_node_order() -> None:
     dim = 3
     ctx = MeasureContext(dim)

@@ -4,6 +4,8 @@ Oracle values were computed by independent brute force (explicit sums
 over the residue window) and frozen into the assertions.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from quditzx.generators import (
     Table,
     UnitPow,
     Zero,
-    amp_close,
     amp_eval,
     amp_from_json,
     amp_multiply,
@@ -150,7 +151,38 @@ def test_amp_json_round_trip():
         Indicator(frozenset({0})),
     ]
     for a in amps:
-        assert amp_close(amp_from_json(amp_to_json(a)), a)
+        assert amp_from_json(amp_to_json(a)) == a
+
+
+# the diagram file format embeds these dicts verbatim and does not sort keys
+AMP_JSON_FORMAT = [
+    (One(), {"type": "one"}),
+    (Zero(), {"type": "zero"}),
+    (Phase(1.25), {"type": "phase", "theta": 1.25}),
+    (PhaseVec((0.0, 0.5)), {"type": "phasevec", "thetas": [0.0, 0.5]}),
+    (Stab(-1, 2), {"type": "stab", "a": -1, "b": 2}),
+    (Char(3), {"type": "char", "c": 3}),
+    (UnitPow(1 - 2j), {"type": "unit", "re": 1.0, "im": -2.0}),
+    (Table((1 + 0j, 2j)), {"type": "table", "values": [[1.0, 0.0], [0.0, 2.0]]}),
+    (MBox(3, 0.5 + 0.5j), {"type": "mbox", "k": 3, "alpha": [0.5, 0.5]}),
+    (Sign(frozenset({2, -1})), {"type": "sign", "set": [-1, 2]}),
+    (Indicator(frozenset({0})), {"type": "indicator", "set": [0]}),
+]
+
+
+@pytest.mark.parametrize("amp, literal", AMP_JSON_FORMAT, ids=lambda x: type(x).__name__)
+def test_amp_json_format_is_pinned(amp, literal):
+    got = amp_to_json(amp)
+    assert list(got.items()) == list(literal.items())
+    assert json.dumps(got) == json.dumps(literal)  # also pins int vs float
+    assert amp_from_json(literal) == amp
+
+
+def test_amp_json_rejects_unknown_input():
+    with pytest.raises(ValueError, match="unknown amplitude type"):
+        amp_from_json({"type": "bogus"})
+    with pytest.raises(TypeError):
+        amp_to_json(1.5)
 
 
 # ---------------------------------------------------------------- generators

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from quditzx.diagram import DiagramBuilder, evaluate
+from quditzx.diagram import Diagram, DiagramBuilder, evaluate
 from quditzx.generators import Char, Generator, One, Phase, Stab
 from quditzx.measure import MeasureContext
 from quditzx.rewrite import (
@@ -338,6 +338,24 @@ def test_apply_self_loop_becomes_free_loop():
     ctx = MeasureContext(5)
     out = apply(host, "ZX-GI", {}, {"n0": "gloop"}, ctx)
     assert any(name.startswith("rw.loop") for name in out.nodes)
+    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-12
+
+
+def test_apply_free_loop_name_avoids_host_names():
+    b = DiagramBuilder(5)
+    g = b.node(Generator.green(One(), 1, 1), "gloop")
+    b.wire((g, 0), (g, 1))
+    w = b.node(Generator.green(Phase(0.4), 1, 1), "rw.loop0")
+    b.wire("in", w)
+    b.wire(w, "out")
+    host = b.build()
+    ctx = MeasureContext(5)
+    out = apply(host, "ZX-GI", {}, {"n0": "gloop"}, ctx)
+    assert out.nodes["rw.loop0"] == host.nodes["rw.loop0"]
+    (loop,) = set(out.nodes) - {"rw.loop0"}
+    assert loop.startswith("rw.loop") and out.nodes[loop] == Generator.white(1, 1)
+    free = Diagram(5, {loop: out.nodes[loop]}, (((loop, 0), (loop, 1)),), 0, 0)
+    assert abs(complex(evaluate(free, ctx).data) - 5) < 1e-12
     assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-12
 
 
