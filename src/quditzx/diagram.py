@@ -35,6 +35,17 @@ are dropped once merged; a fan-out's many selector boxes never all
 exist at once.  Every contraction result is checked against
 ``_MAX_RESULT`` entries before it is allocated, and a larger one raises
 ``OverflowGuardError``.
+
+The plan depends on the diagram's shape alone, so it is made once per
+shape and cached.  The key (``_structure``) is exact, not a hash: the
+boundary sizes, each node's degree and factor kind (diagonal, dense, or
+split, which is where D and ``_MAX_DENSE`` enter) in node order, and the
+edges as port numbers; generator parameters, node names and ``nu`` are
+not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` einsum steps
+over all plans, dropping the oldest first, and only integers, never a
+diagram or an array.  Every call, cached plan or not, still validates
+the diagram, builds the factor arrays from the context, and checks
+each einsum result against the budget.
 """
 
 from __future__ import annotations
@@ -42,8 +53,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import threading
+from array import array
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -64,6 +77,11 @@ Edge = tuple[Port, Port]
 _RESERVED = ("in", "out")
 _MAX_DENSE = 2_000_000  # entries; beyond this red/gray decompose, others refuse
 _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any contraction result
+_MAX_PLAN_STEPS = 1 << 15  # einsum steps in all cached contraction plans
+
+# how a node's factor is made: its diagonal, its dense array, or its
+# character decomposition (red and gray dots too large to be dense)
+_DIAGONAL, _DENSE, _SPLIT = range(3)
 
 
 class DiagramError(ValueError):
@@ -214,149 +232,136 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _node_factors(
-    ctx: MeasureContext, name: str, gen: Generator, leg_labels: list[int], fresh: Iterator[int]
-) -> list[tuple[Any, list[int]]]:
-    """Factors for one non-diagonal node.
-
-    A dense factor is returned unbuilt, as a zero-argument function that
-    makes its array; ``fresh`` yields labels for decomposition indices.
-    """
-    D, deg, nu = ctx.dim, gen.degree, ctx.nu
+def _factor_mode(name: str, gen: Generator, dim: int) -> int:
+    """How a node enters the contraction: diagonal, dense, or split by characters."""
+    deg = gen.degree
+    if gen.kind in ("green", "white"):
+        return _DIAGONAL
     if gen.kind in ("hplus", "hminus", "not", "hbox"):
-        if D**deg > _MAX_DENSE:
-            raise OverflowGuardError(f"node {name!r}: {gen.kind} of degree {deg} too large at D={D}")
-        return [(lambda: generator_entries(ctx, gen), leg_labels)]
+        if dim**deg > _MAX_DENSE:
+            raise OverflowGuardError(f"node {name!r}: {gen.kind} of degree {deg} too large at D={dim}")
+        return _DENSE
     if gen.kind in ("red", "gray"):
-        if deg == 0 or D**deg <= _MAX_DENSE:
-            return [(lambda: generator_entries(ctx, gen), leg_labels)]
-        # character decomposition: entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j)
-        sv = ctx.residues()
-        if gen.kind == "red":
-            w = red_weight_vector(ctx, gen.amp, deg)
-        else:
-            w = np.where(sv % D == 0, complex(nu ** (deg - 2)), 0j)
-        phase = ctx._omega_table()[np.outer(sv, sv) % D]  # [t, s] = omega^(t s)
-        coeff = (phase.conj() @ w) / D  # c(t) = (1/D) sum_s w(s) omega^(-t s)
-        t_label = -next(fresh)  # negative, disjoint from wire labels
-        return [(coeff, [t_label])] + [(phase, [t_label, lab]) for lab in leg_labels]
+        return _DENSE if deg == 0 or dim**deg <= _MAX_DENSE else _SPLIT
     raise AssertionError(f"unexpected kind {gen.kind}")
 
 
-def _einsum(dim: int, *operands):
-    """``np.einsum`` in sublist form, refused if its result would pass the budget."""
-    rank = len(operands[-1])
-    if dim**rank > _MAX_RESULT:
-        raise OverflowGuardError(
-            f"contraction result of rank {rank} at D={dim} exceeds {_MAX_RESULT} entries"
-        )
-    return np.einsum(*operands)
+def _structure(d: Diagram) -> list[int]:
+    """The diagram's shape as integers: all that its contraction plan reads.
+
+    ``[n_inputs, n_outputs, n_nodes]``, then ``3 * degree + mode`` for
+    each node in order, then the two port numbers of each edge in order.
+    Ports are numbered leg by leg through the nodes in order, then the
+    outputs, then the inputs.  For a valid diagram this is a one-to-one
+    encoding of its shape, so equal lists always mean equal plans.
+    """
+    first: dict[str, int] = {}
+    codes = [d.n_inputs, d.n_outputs, len(d.nodes)]
+    n = 0
+    for name, gen in d.nodes.items():
+        first[name] = n
+        n += gen.degree
+        codes.append(3 * gen.degree + _factor_mode(name, gen, d.dim))
+    first["out"] = n
+    first["in"] = n + d.n_outputs
+    for a, b in d.edges:
+        codes.append(first[a[0]] + a[1])
+        codes.append(first[b[0]] + b[1])
+    return codes
 
 
-def _dense(arr) -> np.ndarray:
-    return arr() if callable(arr) else arr
+def _plan(codes: list[int]) -> tuple[int, array]:
+    """Greedy contraction plan for the shape ``codes`` (see ``_structure``).
 
-
-def _simplify(dim: int, arr, labels: list[int], keep: set[int]) -> tuple[Any, list[int]]:
-    """Trace/sum out labels that occur only inside this factor and are not kept."""
-    out_labels: list[int] = []
-    for lab in labels:
-        if lab not in out_labels and lab in keep:
-            out_labels.append(lab)
-    if out_labels == labels:
-        return arr, labels
-    relabel = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-    res = _einsum(dim, _dense(arr), [relabel[l] for l in labels], [relabel[l] for l in out_labels])
-    return res, out_labels
-
-
-def _contract_pair(
-    dim: int,
-    fa: tuple[Any, list[int]],
-    fb: tuple[Any, list[int]],
-    keep: set[int],
-) -> tuple[np.ndarray, list[int]]:
-    arr_a, la = fa
-    arr_b, lb = fb
-    out_labels = [l for l in dict.fromkeys(la + lb) if l in keep]
-    names = {lab: i for i, lab in enumerate(dict.fromkeys(la + lb))}
-    res = _einsum(
-        dim,
-        _dense(arr_a),
-        [names[l] for l in la],
-        _dense(arr_b),
-        [names[l] for l in lb],
-        [names[l] for l in out_labels],
-    )
-    return res, out_labels
-
-
-def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Contract the diagram to its tensor; boundary order follows positions."""
-    if ctx.dim != d.dim:
-        raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
-    d.validate()
-    D = d.dim
-
-    uf = _UnionFind(len(d.edges))
-    port_edge = d.port_edges()
+    Factor slots are numbered in the order ``_execute`` makes them: each
+    node's factors in node order (a split node gives its coefficient
+    vector, then one phase matrix per leg), then one boundary delta per
+    output and per input.  Returns the number of einsum steps and the
+    steps, flat: each step is ``i, j`` followed by its sublists, each
+    preceded by its length.  With ``j >= 0`` the step contracts slots i
+    and j into slot i (three sublists); with ``j == -1`` it sums or
+    reorders slot i alone (two sublists).  The last step leaves the
+    result in its slot.
+    """
+    n_in, n_out, n_nodes = codes[:3]
+    node_codes = codes[3 : 3 + n_nodes]
+    ports = codes[3 + n_nodes :]
+    E = len(ports) // 2
+    port_edge = [0] * len(ports)
+    for k, port in enumerate(ports):
+        port_edge[port] = k // 2
+    wires: list[list[int]] = []
+    port = 0
+    for code in node_codes:
+        wires.append(port_edge[port : port + code // 3])
+        port += code // 3
 
     # diagonal dots unify all their wires into one index
-    for name, gen in d.nodes.items():
-        if gen.kind in ("green", "white") and gen.degree >= 2:
-            legs = [port_edge[(name, leg)] for leg in range(gen.degree)]
+    uf = _UnionFind(E)
+    for code, legs in zip(node_codes, wires):
+        if code % 3 == _DIAGONAL:
             for other in legs[1:]:
                 uf.union(legs[0], other)
 
-    def wire_label(edge_idx: int) -> int:
-        return uf.find(edge_idx)
-
-    # a factor is (array or unbuilt array, labels); its rank is len(labels)
-    factors: list[tuple[Any, list[int]]] = []
+    # each factor slot's labels; its rank is len(labels)
+    labels: list[list[int]] = []
     fresh = itertools.count(1)
-    for name, gen in d.nodes.items():
-        if gen.kind in ("green", "white"):
-            labs = [wire_label(port_edge[(name, 0)])] if gen.degree else []
-            factors.append((diagonal_weight(ctx, gen), labs))
+    for code, legs in zip(node_codes, wires):
+        mode = code % 3
+        if mode == _DIAGONAL:
+            labels.append([uf.find(legs[0])] if legs else [])
+        elif mode == _DENSE:
+            labels.append([uf.find(w) for w in legs])
         else:
-            labs = [wire_label(port_edge[(name, leg)]) for leg in range(gen.degree)]
-            factors.extend(_node_factors(ctx, name, gen, labs, fresh))
+            t_label = -next(fresh)  # negative, disjoint from wire labels
+            labels.append([t_label])
+            labels.extend([t_label, uf.find(w)] for w in legs)
 
-    # boundary deltas give every input/output its own final axis label
-    E = len(d.edges)
-    boundary_labels: list[int] = []
-    eye = np.eye(D, dtype=complex)
-    next_label = E + 1_000_000
-    for side, count in (("out", d.n_outputs), ("in", d.n_inputs)):
-        for pos in range(count):
-            b = next_label
-            next_label += 1
-            boundary_labels.append(b)
-            factors.append((eye, [b, wire_label(port_edge[(side, pos)])]))
+    # boundary deltas give every output/input its own final axis label
+    boundary_labels = [E + 1_000_000 + k for k in range(n_out + n_in)]
+    for b, port in zip(boundary_labels, range(len(ports) - n_out - n_in, len(ports))):
+        labels.append([b, uf.find(port_edge[port])])
+
+    steps = array("i")
+    if not labels:
+        return 0, steps
+    n_steps = 0
+
+    def emit(i: int, j: int, *sublists: list[int]) -> None:
+        nonlocal n_steps
+        n_steps += 1
+        steps.extend((i, j))
+        for sub in sublists:
+            steps.append(len(sub))
+            steps.extend(sub)
 
     required = set(boundary_labels)
-    if not factors:
-        return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
-
-    live = set(range(len(factors)))
+    live = set(range(len(labels)))
 
     def build_index() -> dict[int, set[int]]:
         index: dict[int, set[int]] = {}
         for i in live:
-            for lab in set(factors[i][1]):
+            for lab in set(labels[i]):
                 index.setdefault(lab, set()).add(i)
         return index
 
-    # drop summation indices that touch only one factor
+    # trace or sum out labels that occur only inside one factor
     index = build_index()
     keep_global = required | {lab for lab, fids in index.items() if len(fids) >= 2}
     for i in list(live):
-        arr, labs = factors[i]
-        factors[i] = _simplify(D, arr, labs, keep_global)
+        labs = labels[i]
+        out_labels: list[int] = []
+        for lab in labs:
+            if lab not in out_labels and lab in keep_global:
+                out_labels.append(lab)
+        if out_labels != labs:
+            relabel = {lab: k for k, lab in enumerate(dict.fromkeys(labs))}
+            emit(i, -1, [relabel[l] for l in labs], [relabel[l] for l in out_labels])
+            labels[i] = out_labels
     index = build_index()
 
     def rank(k: int) -> int:
-        return len(factors[k][1])
+        return len(labels[k])
 
     # hub labels (3+ users) keep a lazy min-heap of (rank, factor id);
     # an entry is stale once its factor left the label or changed rank
@@ -384,7 +389,7 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     def externals(i: int, j: int) -> int:
         # rank of the factor produced by merging i and j
         n = 0
-        for lab in dict.fromkeys(factors[i][1] + factors[j][1]):
+        for lab in dict.fromkeys(labels[i] + labels[j]):
             fids = index[lab]
             if lab in required or len(fids) - (i in fids) - (j in fids) > 0:
                 n += 1
@@ -400,13 +405,13 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
         if len(fids) == 2:
             hub = 0
             si, sj = fids
-            ri, rj = len(factors[si][1]), len(factors[sj][1])
+            ri, rj = len(labels[si]), len(labels[sj])
             if (rj, sj) < (ri, si):
                 si, sj, ri, rj = sj, si, rj, ri
         else:
             hub = 1
             si, sj = hub_pair(lab, fids)
-            ri, rj = len(factors[si][1]), len(factors[sj][1])
+            ri, rj = len(labels[si]), len(labels[sj])
         return (hub, externals(si, sj), ri + rj), si, sj
 
     # pair selection via a lazy heap; stale entries are revalidated on pop
@@ -437,13 +442,16 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
             i, j = sorted(live, key=lambda k: (rank(k), k))[:2]
         else:
             i, j = choice
-        touched = list(dict.fromkeys(factors[i][1] + factors[j][1]))
+        la, lb = labels[i], labels[j]
+        touched = list(dict.fromkeys(la + lb))
         keep = set(required)
         for lab in touched:
             fids = index.get(lab, ())
             if len(fids) - (i in fids) - (j in fids) > 0:
                 keep.add(lab)
-        arr, labs = _contract_pair(D, factors[i], factors[j], keep)
+        names = {lab: k for k, lab in enumerate(touched)}
+        labs = [l for l in touched if l in keep]
+        emit(i, j, [names[l] for l in la], [names[l] for l in lb], [names[l] for l in labs])
         for lab in touched:
             fids = index.get(lab)
             if fids is not None:
@@ -452,8 +460,8 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
                 if not fids:
                     del index[lab]
         live.discard(j)
-        factors[j] = (None, [])
-        factors[i] = (arr, labs)
+        labels[j] = []
+        labels[i] = labs
         for lab in set(labs):
             index.setdefault(lab, set()).add(i)
             if lab in hub_heaps:
@@ -465,11 +473,121 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
                 heapq.heappush(heap, (entry[0], seq, lab))
 
     (last,) = live
-    arr, labs = factors[last]
+    labs = labels[last]
     names = {lab: k for k, lab in enumerate(labs)}
-    target = [names[l] for l in boundary_labels]
-    res = _einsum(D, _dense(arr), [names[l] for l in labs], target)
-    return Tensor(D, d.n_inputs, d.n_outputs, res.reshape((D,) * (d.n_outputs + d.n_inputs)))
+    emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
+    return n_steps, steps
+
+
+class _PlanCache:
+    """Plans by shape, oldest out first, at most ``_MAX_PLAN_STEPS`` steps in all.
+
+    A plan larger than the whole budget is not stored.
+    """
+
+    def __init__(self) -> None:
+        self.plans: dict[bytes, tuple[int, array]] = {}
+        self.steps = 0
+        self._lock = threading.Lock()
+
+    def put(self, key: bytes, plan: tuple[int, array]) -> None:
+        size = plan[0]
+        with self._lock:
+            if size > _MAX_PLAN_STEPS or key in self.plans:
+                return
+            while self.steps + size > _MAX_PLAN_STEPS:
+                self.steps -= self.plans.pop(next(iter(self.plans)))[0]
+            self.plans[key] = plan
+            self.steps += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self.plans.clear()
+            self.steps = 0
+
+
+_PLANS = _PlanCache()
+
+
+def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
+    """A red or gray node by its character decomposition.
+
+    Entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j): the vector
+    c, then the matrix omega^(t x) once per leg, all on one index t.
+    """
+    D, deg = ctx.dim, gen.degree
+    sv = ctx.residues()
+    if gen.kind == "red":
+        w = red_weight_vector(ctx, gen.amp, deg)
+    else:
+        w = np.where(sv % D == 0, complex(ctx.nu ** (deg - 2)), 0j)
+    phase = ctx._omega_table()[np.outer(sv, sv) % D]  # [t, s] = omega^(t s)
+    coeff = (phase.conj() @ w) / D  # c(t) = (1/D) sum_s w(s) omega^(-t s)
+    return [coeff] + [phase] * deg
+
+
+def _einsum(dim: int, *operands):
+    """``np.einsum`` in sublist form, refused if its result would pass the budget."""
+    rank = len(operands[-1])
+    if dim**rank > _MAX_RESULT:
+        raise OverflowGuardError(
+            f"contraction result of rank {rank} at D={dim} exceeds {_MAX_RESULT} entries"
+        )
+    return np.einsum(*operands)
+
+
+def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContext) -> Tensor:
+    """Build the factors of ``d`` in slot order and run the plan's steps."""
+    D = d.dim
+    if not steps:
+        return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
+    # a dense factor stays its Generator until a step first needs its array
+    factors: list[Any] = []
+    for gen, code in zip(d.nodes.values(), node_codes):
+        mode = code % 3
+        if mode == _DIAGONAL:
+            factors.append(diagonal_weight(ctx, gen))
+        elif mode == _DENSE:
+            factors.append(gen)
+        else:
+            factors.extend(_split_factors(ctx, gen))
+    factors.extend([np.eye(D, dtype=complex)] * (d.n_outputs + d.n_inputs))
+
+    def operand(k: int) -> np.ndarray:
+        arr = factors[k]
+        return generator_entries(ctx, arr) if isinstance(arr, Generator) else arr
+
+    pos = 0
+
+    def sublist() -> list[int]:
+        nonlocal pos
+        n = steps[pos]
+        pos += n + 1
+        return steps[pos - n : pos].tolist()
+
+    while pos < len(steps):
+        i, j = steps[pos], steps[pos + 1]
+        pos += 2
+        if j < 0:
+            factors[i] = _einsum(D, operand(i), sublist(), sublist())
+        else:
+            factors[i] = _einsum(D, operand(i), sublist(), operand(j), sublist(), sublist())
+            factors[j] = None
+    return Tensor(D, d.n_inputs, d.n_outputs, factors[i].reshape((D,) * (d.n_outputs + d.n_inputs)))
+
+
+def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
+    """Contract the diagram to its tensor; boundary order follows positions."""
+    if ctx.dim != d.dim:
+        raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
+    d.validate()
+    codes = _structure(d)
+    key = array("i", codes).tobytes()
+    plan = _PLANS.plans.get(key)
+    if plan is None:
+        plan = _plan(codes)
+        _PLANS.put(key, plan)
+    return _execute(plan[1], codes[3 : 3 + codes[2]], d, ctx)
 
 
 # =====================================================================
@@ -633,6 +751,8 @@ def to_json_obj(d: Diagram) -> dict[str, Any]:
 
 def from_json_obj(obj: dict[str, Any]) -> Diagram:
     dim = int(obj["dimension"])
+    if dim < 2:
+        raise DiagramError(f"dimension must be at least 2, got {dim}")
     nodes: dict[str, Generator] = {}
     for name, entry in obj.get("nodes", {}).items():
         kind = entry["kind"]

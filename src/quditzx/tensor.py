@@ -36,6 +36,10 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.dim < 2:
+            raise ShapeError(f"dimension must be at least 2, got {self.dim}")
+        if self.in_legs < 0 or self.out_legs < 0:
+            raise ShapeError(f"leg counts must be nonnegative, got {self.in_legs}->{self.out_legs}")
         expected = (self.dim,) * (self.in_legs + self.out_legs)
         arr = np.asarray(self.data, dtype=np.complex128)
         if arr.shape != expected:

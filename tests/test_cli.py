@@ -70,7 +70,7 @@ def test_cli_import_leaves_heavy_modules_out():
     proc = run_fresh_python(
         "-c",
         "import sys, quditzx.cli; "
-        "print(sorted(m for m in ('sympy', 'numpy.random') if m in sys.modules))",
+        "print(sorted(m for m in ('sympy', 'numpy.random', 'hashlib') if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -321,6 +321,29 @@ def test_normal_form_bad_input_is_usage_error(runner, tmp_path):
     src.write_text("[1, 2, 3]")
     res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 3, "in_legs": -1, "out_legs": 1, "entries": [[1, 0]]}',
+        '{"dim": 1, "in_legs": 1, "out_legs": 1, "entries": [[1, 0]]}',
+    ],
+)
+def test_normal_form_rejects_bad_shape_as_usage_error(runner, tmp_path, text):
+    src = tmp_path / "t.json"
+    src.write_text(text)
+    res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src)])
+    assert res.exit_code == 2
+    assert res.output.startswith("Usage")
+
+
+def test_eval_rejects_unit_dimension_as_usage_error(runner, tmp_path):
+    src = tmp_path / "d.json"
+    src.write_text('{"dimension": 1, "nodes": {}, "edges": [], "inputs": [], "outputs": []}')
+    res = runner.invoke(cli.main, ["eval", str(src)])
+    assert res.exit_code == 2
+    assert "dimension must be at least 2" in res.output
 
 
 # -- gamma-table --------------------------------------------------------

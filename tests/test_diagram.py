@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import sys
+import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -619,6 +623,211 @@ def test_result_budget_refuses_wide_results(monkeypatch) -> None:
         evaluate(d, ctx)
 
 
+# -- the plan cache -------------------------------------------------------
+
+
+@pytest.fixture()
+def plan_calls(monkeypatch) -> list:
+    """An empty plan cache for the test, and a list that grows per plan made."""
+    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
+    calls: list = []
+    real = dg._plan
+
+    def counting(codes):
+        calls.append(len(codes))
+        return real(codes)
+
+    monkeypatch.setattr(dg, "_plan", counting)
+    return calls
+
+
+def test_cached_plan_replays_the_pinned_order(monkeypatch, plan_calls) -> None:
+    ctx = MeasureContext(3)
+    cases = [
+        (tied_hub_diagram(3), "b684ee0207ac4ace"),
+        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "d61e47e4a9d7aedb"),
+        (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "b4671235e05472a9"),
+        (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "d07d987ec7e25319"),
+    ]
+    calls: list = []
+    real = np.einsum
+
+    def recording(*operands):
+        calls.append([op if isinstance(op, list) else op.shape for op in operands])
+        return real(*operands)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    for k, (d, digest) in enumerate(cases):
+        tensors = []
+        for _ in range(2):
+            calls.clear()
+            tensors.append(evaluate(d, ctx).data)
+            assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == digest
+        assert len(plan_calls) == k + 1  # the second run planned nothing
+        assert tensors[0].tobytes() == tensors[1].tobytes()
+
+
+def param_diagram(dim: int, theta: float, stab: tuple[int, int], c: int, z: complex) -> Diagram:
+    """One fixed shape; the arguments change only generator parameters."""
+    b = DiagramBuilder(dim)
+    g = b.node(Generator.green(Phase(theta), 1, 2))
+    r = b.node(Generator.red(Stab(*stab), 2, 1))
+    x = b.node(Generator.not_dot(c))
+    h = b.node(Generator.hbox(UnitPow(z), 1, 1))
+    p = b.node(Generator.hplus())
+    q = b.node(Generator.gray(1, 2))
+    b.wire("in", g)
+    b.wire(g, r)
+    b.wire(g, r)
+    b.wire(r, x)
+    b.wire(x, h)
+    b.wire(h, p)
+    b.wire(p, q)
+    b.wire(q, "out")
+    b.wire(q, "out")
+    return b.build()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_same_shape_reuses_plan_bit_for_bit(plan_calls, dim: int) -> None:
+    rng = np.random.default_rng(60 + dim)
+    variants = [
+        (param_diagram(dim, *args), MeasureContext(dim, nu))
+        for args, nu in [
+            ((0.3, (1, 0), 0, 0.5 + 0.5j), None),
+            ((1.7, (0, 1), 1, -2.0), 0.7),
+            ((float(rng.normal()), (1, 1), dim - 1, complex(*rng.normal(size=2))), 1.3),
+        ]
+    ]
+    warm = [evaluate(d, ctx).data.tobytes() for d, ctx in variants]
+    assert len(plan_calls) == 1  # one shape, one plan
+    for (d, ctx), got in zip(variants, warm):
+        dg._PLANS.clear()
+        assert evaluate(d, ctx).data.tobytes() == got
+    assert len(warm) == len(set(warm))  # the parameters did reach the tensor
+
+
+def test_cached_plan_still_checks_result_budget(monkeypatch, plan_calls) -> None:
+    b = DiagramBuilder(2)
+    for _ in range(3):
+        b.wire("in", "out")
+    d = b.build()
+    ctx = MeasureContext(2)
+    evaluate(d, ctx)
+    monkeypatch.setattr(dg, "_MAX_RESULT", 2**6 - 1)
+    with pytest.raises(OverflowGuardError):
+        evaluate(d, ctx)
+    assert len(plan_calls) == 1  # refused on the cached plan
+
+
+def test_dense_limit_change_gets_its_own_plan(monkeypatch, plan_calls) -> None:
+    ctx = MeasureContext(5, nu=0.8)
+    d = node_diagram(5, Generator.gray(1, 3))
+    dense = evaluate(d, ctx)
+    built: list = []
+    real = dg.generator_entries
+
+    def counting(ctx, gen):
+        built.append(gen)
+        return real(ctx, gen)
+
+    monkeypatch.setattr(dg, "generator_entries", counting)
+    monkeypatch.setattr(dg, "_MAX_DENSE", 1)
+    split = evaluate(d, ctx)
+    assert len(plan_calls) == 2
+    assert built == []  # decomposed, not the cached dense plan
+    assert max_abs_diff(split, dense) < 1e-10
+
+
+def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
+    ctx = MeasureContext(3)
+    arrays: list = []
+    for name in ("generator_entries", "diagonal_weight"):
+        real = getattr(dg, name)
+
+        def keeping(ctx, gen, real=real):
+            arr = real(ctx, gen)
+            arrays.append(weakref.ref(arr))
+            return arr
+
+        monkeypatch.setattr(dg, name, keeping)
+    real_einsum = np.einsum
+
+    def keeping_einsum(*operands):
+        arr = real_einsum(*operands)
+        arrays.append(weakref.ref(arr))
+        return arr
+
+    monkeypatch.setattr(np, "einsum", keeping_einsum)
+    d = normal_form(random_tensor(np.random.default_rng(2), 3, 1, 1), ctx)
+    evaluate(d, ctx)
+    refs = [weakref.ref(d)] + [weakref.ref(g) for g in d.nodes.values()]
+    assert dg._PLANS.plans and arrays
+    del d
+    gc.collect()
+    assert all(ref() is None for ref in refs + arrays)
+
+
+def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
+    ctx = MeasureContext(3)
+    rng = np.random.default_rng(4)
+    first = normal_form(random_tensor(rng, 3, 0, 1), ctx)  # 14 steps
+    second = tied_hub_diagram(3)  # 10 steps
+    third = param_diagram(3, 0.1, (1, 0), 1, 1.0)  # 10 steps
+    big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 67 steps
+    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 30)
+
+    def stored() -> int:
+        assert dg._PLANS.steps == sum(size for size, _ in dg._PLANS.plans.values())
+        return dg._PLANS.steps
+
+    for d in (first, second, third):
+        evaluate(d, ctx)
+        assert stored() <= 30
+    assert stored() == 20  # the third plan pushed the first out, oldest first
+    evaluate(second, ctx)
+    evaluate(third, ctx)
+    assert len(plan_calls) == 3
+    evaluate(first, ctx)
+    assert len(plan_calls) == 4
+    before = dict(dg._PLANS.plans)
+    evaluate(big, ctx)
+    evaluate(big, ctx)
+    assert len(plan_calls) == 6  # larger than the budget: used, never stored
+    assert dg._PLANS.plans == before and stored() <= 30
+
+
+def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
+    ctx = MeasureContext(3)
+    rng = np.random.default_rng(6)
+    diagrams = [normal_form(random_tensor(rng, 3, 0, 1), ctx), tied_hub_diagram(3)]
+    diagrams += [param_diagram(3, 0.2 * k, (1, k % 3), k, 1.0 + k) for k in range(3)]
+    want = [evaluate(d, ctx).data.tobytes() for d in diagrams]
+    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 20)  # every round evicts
+    dg._PLANS.clear()
+    wrong: list = []
+
+    def work(seed: int) -> None:
+        order = np.random.default_rng(seed).permutation(len(diagrams) * 20) % len(diagrams)
+        for k in order:
+            if evaluate(diagrams[k], ctx).data.tobytes() != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert dg._PLANS.steps == sum(size for size, _ in dg._PLANS.plans.values()) <= 20
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_adjoint_evaluates_to_conjugate_transpose(dim: int) -> None:
     ctx = MeasureContext(dim)
@@ -681,6 +890,13 @@ def test_validation_rejects_unknown_node() -> None:
     d = Diagram(3, {}, ((("in", 0), ("ghost", 0)),), 1, 0)
     with pytest.raises(DiagramError):
         d.validate()
+
+
+@pytest.mark.parametrize("dim", [1, 0, -3])
+def test_json_rejects_dimension_below_two(dim: int) -> None:
+    obj = {"dimension": dim, "nodes": {}, "edges": [], "inputs": [], "outputs": []}
+    with pytest.raises(DiagramError):
+        dg.from_json_obj(obj)
 
 
 def test_evaluate_rejects_dimension_mismatch() -> None:

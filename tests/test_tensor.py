@@ -104,6 +104,14 @@ def test_shape_errors():
         max_abs_diff(a, b)
 
 
+@pytest.mark.parametrize("dim,m,n", [(1, 1, 1), (0, 0, 0), (-2, 0, 0), (3, -1, 1), (3, 1, -1)])
+def test_rejects_small_dimension_and_negative_legs(dim, m, n):
+    with pytest.raises(ShapeError):
+        Tensor(dim, m, n, np.ones(()))
+    with pytest.raises(ShapeError):
+        load_json(f'{{"dim": {dim}, "in_legs": {m}, "out_legs": {n}, "entries": [[1, 0]]}}')
+
+
 @settings(max_examples=30)
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
 def test_interchange_law(D, seed):
