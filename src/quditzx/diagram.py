@@ -69,7 +69,7 @@ from quditzx.generators import (
     red_weight_vector,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError
-from quditzx.tensor import Tensor
+from quditzx.tensor import Tensor, strict_int
 
 Port = tuple[str, int]
 Edge = tuple[Port, Port]
@@ -750,15 +750,15 @@ def to_json_obj(d: Diagram) -> dict[str, Any]:
 
 
 def from_json_obj(obj: dict[str, Any]) -> Diagram:
-    dim = int(obj["dimension"])
+    dim = strict_int(obj["dimension"], "dimension", DiagramError)
     if dim < 2:
         raise DiagramError(f"dimension must be at least 2, got {dim}")
     nodes: dict[str, Generator] = {}
     for name, entry in obj.get("nodes", {}).items():
         kind = entry["kind"]
-        legs = int(entry["legs"])
+        legs = strict_int(entry["legs"], f"legs of node {name!r}", DiagramError)
         amp = amp_from_json(entry["amp"]) if "amp" in entry and entry["amp"] is not None else None
-        c = int(entry.get("c", 0))
+        c = strict_int(entry.get("c", 0), f"c of node {name!r}", DiagramError)
         nodes[name] = Generator(kind, 0, legs, amp=amp, c=c)
     edges = [tuple(map(_parse_port, pair)) for pair in obj.get("edges", [])]
     inputs = [str(x) for x in obj.get("inputs", [])]

@@ -127,11 +127,6 @@ def residue(ctx: MeasureContext, t: int) -> int:
     return (int(t) - ctx.lower) % ctx.dim + ctx.lower
 
 
-def residue_arr(ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
-    """Vectorized `residue`."""
-    return (t - ctx.lower) % ctx.dim + ctx.lower
-
-
 def negate(ctx: MeasureContext, x: int) -> int:
     """The involution x -> sigma - x on [D] (plain negation for odd D)."""
     return residue(ctx, ctx.sigma - x)

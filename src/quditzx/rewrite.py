@@ -1,9 +1,15 @@
 """Rule catalog, soundness checking, and anchored rewriting.
 
-Every rule is a :class:`RuleSpec`: a pair of parameterized diagram
-builders (left side, right side), a parameter validator, and a sampler
-used by the soundness matrix.  Rule ids follow the standard short names
-(ZX-*, ZXH-*, ZH-*).
+Every rule is a :class:`RuleSpec`: a pair builder for its two sides and
+its parameters, declared once in order, each with a :class:`Kind`:
+``INT`` (any integer), ``UNIT`` (an integer prime to D), ``REAL`` (an
+angle), ``AMP`` (an amplitude function) or ``NAT(hi)`` (an arity).  A
+kind pairs the domain check with the draw the soundness matrix samples
+from, so a rule's validator and sampler both follow from that one
+declaration.  Only ZX-ZCP and ZX-ZSP, whose domains are not a product
+of kinds, add a hand-written check and draw; ZH-EC declares one kind of
+its own, a nonzero complex alpha.  Rule ids follow the standard short
+names (ZX-*, ZXH-*, ZH-*).
 
 Scalar bookkeeping: many rules balance only up to a closed-form scalar
 (typically an integer power of D*nu^4, which is 1 at the default
@@ -25,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,23 +73,121 @@ Sampler = Callable[[int, "np.random.Generator"], Params | None]
 Validator = Callable[[Params, int], None]
 
 
+# =====================================================================
+# Parameter kinds
+# =====================================================================
+
+
+class Kind(NamedTuple):
+    """What one parameter may be: `check(params, key, dim)` raises
+    ParamError outside the domain, `draw(rng, dim)` samples inside it."""
+
+    check: Callable[[Params, str, int], Any]
+    draw: Callable[["np.random.Generator", int], Any]
+
+
+def _need(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ParamError(msg)
+
+
+def _need_keys(p: Params, names: tuple[str, ...]) -> None:
+    missing = [k for k in names if k not in p]
+    _need(not missing, f"missing parameter(s): {', '.join(missing)}")
+    extra = [k for k in p if k not in names]
+    _need(not extra, f"unexpected parameter(s): {', '.join(extra)}")
+
+
+def _need_int(p: Params, k: str, dim: int) -> int:
+    v = p[k]
+    _need(isinstance(v, (int, np.integer)) and not isinstance(v, bool), f"{k} must be an integer")
+    return int(v)
+
+
+def _need_nat(p: Params, k: str, dim: int) -> None:
+    v = _need_int(p, k, dim)
+    _need(v >= 0, f"{k} must be nonnegative, got {v}")
+
+
+def _need_unit(p: Params, k: str, dim: int) -> None:
+    v = _need_int(p, k, dim)
+    _need(math.gcd(v % dim, dim) == 1, f"{k}={v} is not a unit mod {dim}")
+
+
+def _need_real(p: Params, k: str, dim: int) -> None:
+    v = p[k]
+    _need(isinstance(v, (int, float, np.floating)) and not isinstance(v, bool), f"{k} must be real")
+
+
+def _need_amp(p: Params, k: str, dim: int) -> None:
+    _need(isinstance(p[k], AmplitudeFn), f"{k} must be an amplitude function")
+
+
+def _draw_unit(rng: np.random.Generator, dim: int) -> int:
+    units = [u for u in range(1, dim) if math.gcd(u, dim) == 1]
+    return units[int(rng.integers(len(units)))]
+
+
+def _draw_angle(rng: np.random.Generator, dim: int) -> float:
+    return float(rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _draw_amp(rng: np.random.Generator, dim: int) -> AmplitudeFn:
+    return PhaseVec(tuple(float(x) for x in rng.uniform(0.0, 2.0 * math.pi, dim)))
+
+
+INT = Kind(_need_int, lambda rng, dim: int(rng.integers(-dim, dim + 1)))
+UNIT = Kind(_need_unit, _draw_unit)
+REAL = Kind(_need_real, _draw_angle)
+AMP = Kind(_need_amp, _draw_amp)
+
+
+def NAT(hi: int | Callable[[int], int]) -> Kind:
+    """A nonnegative arity, drawn from 0..hi (`hi` may be a function of D)."""
+    top = hi if callable(hi) else lambda dim: hi
+    return Kind(_need_nat, lambda rng, dim: int(rng.integers(0, top(dim) + 1)))
+
+
+# =====================================================================
+# Rules
+# =====================================================================
+
+
 @dataclass(frozen=True)
 class RuleSpec:
-    """One rewrite rule: both sides, domain, and sampling.
+    """One rewrite rule: both sides, parameter kinds, domain, and sampling.
 
-    `build_pair` constructs both sides for a valid parameter assignment.
-    `param_domain` is the boolean form of the validator.  `dim_cap` marks
-    rules whose diagrams grow with D (parallel-edge and branch-per-residue
-    shapes); the checker skips larger dimensions.
+    `build` makes both sides of a valid assignment (`instantiate`
+    validates first).  `validate` checks the key set against `params`, then each value by
+    its kind in declaration order, then the rule's own cross-parameter
+    `check` if it has one.  `sample` draws each value by its kind in
+    the same order, unless the rule brings its own `draw`; None means
+    the rule has no valid parameters at that D.  `param_domain` is the
+    boolean form of `validate`.  `dim_cap` marks rules whose diagrams
+    grow with D (parallel-edge and branch-per-residue shapes); the
+    checker skips larger dimensions.
     """
 
     id: str
     params: tuple[str, ...]
+    kinds: tuple[Kind, ...]
     nu_requirement: str  # "any" | "well_tempered"
-    build_pair: PairBuilder
-    validate: Validator
-    sample: Sampler
+    build: PairBuilder
+    check: Validator | None = None
+    draw: Sampler | None = None
     dim_cap: int | None = None
+
+    def validate(self, params: Params, dim: int) -> None:
+        _need_keys(params, self.params)
+        for k, kind in zip(self.params, self.kinds):
+            kind.check(params, k, dim)
+        if self.check is not None:
+            self.check(params, dim)
+
+    def sample(self, dim: int, rng: np.random.Generator) -> Params | None:
+        if self.draw is not None:
+            return self.draw(dim, rng)
+        return {k: kind.draw(rng, dim) for k, kind in zip(self.params, self.kinds)}
 
     def param_domain(self, params: Params, dim: int) -> bool:
         try:
@@ -93,15 +197,32 @@ class RuleSpec:
         return True
 
 
+_SPECS: list[RuleSpec] = []
+
+
+def _rule(
+    rule_id: str,
+    kinds: dict[str, Kind],
+    nu: str = "well_tempered",
+    dim_cap: int | None = None,
+    check: Validator | None = None,
+    draw: Sampler | None = None,
+) -> Callable[[PairBuilder], PairBuilder]:
+    """Register the decorated pair builder as rule `rule_id` whose
+    parameters, in order, are the keys of `kinds`."""
+
+    def register(pair: PairBuilder) -> PairBuilder:
+        _SPECS.append(
+            RuleSpec(rule_id, tuple(kinds), tuple(kinds.values()), nu, pair, check, draw, dim_cap)
+        )
+        return pair
+
+    return register
+
+
 # =====================================================================
 # Small construction helpers
 # =====================================================================
-
-
-def _wire(dim: int) -> Diagram:
-    b = DiagramBuilder(dim)
-    b.wire("in", "out")
-    return b.build()
 
 
 def _empty(dim: int) -> Diagram:
@@ -119,8 +240,9 @@ def _dnu4(ctx: MeasureContext) -> float:
     return ctx.dim * ctx.nu**4
 
 
-def _chain(dim: int, gens: Iterable[Generator]) -> Diagram:
-    """1 -> 1 chain of two-leg pieces; empty chain is a bare wire."""
+def _chain(dim: int, gens: Iterable[Generator], scale: complex = 1.0) -> Diagram:
+    """1 -> 1 chain of two-leg pieces and the balancing scalar; an empty
+    chain is a bare wire."""
     b = DiagramBuilder(dim)
     prev = "in"
     for i, gen in enumerate(gens):
@@ -128,29 +250,36 @@ def _chain(dim: int, gens: Iterable[Generator]) -> Diagram:
         b.wire(prev, name)
         prev = name
     b.wire(prev, "out")
+    _scale(b, scale)
     return b.build()
 
 
 def _dressed_spider(
-    dim: int, core: Generator, dress: Generator | None, m: int, n: int
+    dim: int,
+    core: Generator,
+    dress: Generator | None = None,
+    scale: complex = 1.0,
+    name: str = "g0",
 ) -> Diagram:
-    """core with an optional two-leg piece on every boundary leg."""
+    """core on core.m inputs and core.n outputs, with an optional two-leg
+    piece on every boundary leg and the balancing scalar."""
     b = DiagramBuilder(dim)
-    g = b.node(core, "g0")
-    for i in range(m):
+    g = b.node(core, name)
+    for i in range(core.m):
         if dress is None:
             b.wire("in", g)
         else:
             d = b.node(dress, f"di{i}")
             b.wire("in", d)
             b.wire(d, g)
-    for j in range(n):
+    for j in range(core.n):
         if dress is None:
             b.wire(g, "out")
         else:
             d = b.node(dress, f"do{j}")
             b.wire(g, d)
             b.wire(d, "out")
+    _scale(b, scale)
     return b.build()
 
 
@@ -161,157 +290,31 @@ def _uinv(u: int, dim: int) -> int:
     return pow(u % mod, -1, mod)
 
 
-# =====================================================================
-# Parameter validation / sampling helpers
-# =====================================================================
-
-
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParamError(msg)
-
-
-def _need_keys(p: Params, names: tuple[str, ...]) -> None:
-    missing = [k for k in names if k not in p]
-    _need(not missing, f"missing parameter(s): {', '.join(missing)}")
-    extra = [k for k in p if k not in names]
-    _need(not extra, f"unexpected parameter(s): {', '.join(extra)}")
-
-
-def _need_int(p: Params, k: str) -> int:
-    v = p[k]
-    _need(isinstance(v, (int, np.integer)) and not isinstance(v, bool), f"{k} must be an integer")
-    return int(v)
-
-
-def _need_nat(p: Params, k: str, hi: int | None = None) -> int:
-    v = _need_int(p, k)
-    _need(v >= 0, f"{k} must be nonnegative, got {v}")
-    if hi is not None:
-        _need(v <= hi, f"{k}={v} too large (max {hi})")
-    return v
-
-
-def _need_real(p: Params, k: str) -> float:
-    v = p[k]
-    _need(isinstance(v, (int, float, np.floating)) and not isinstance(v, bool), f"{k} must be real")
-    return float(v)
-
-def _need_amp(p: Params, k: str) -> AmplitudeFn:
-    v = p[k]
-    _need(isinstance(v, AmplitudeFn), f"{k} must be an amplitude function")
-    return v
-
-
-def _need_unit(p: Params, k: str, dim: int) -> int:
-    v = _need_int(p, k)
-    _need(math.gcd(v % dim, dim) == 1, f"{k}={v} is not a unit mod {dim}")
-    return v
-
-
-def _units(dim: int) -> list[int]:
-    return [u for u in range(1, dim) if math.gcd(u, dim) == 1]
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _ri(rng: np.random.Generator, dim: int) -> int:
-    return int(rng.integers(-dim, dim + 1))
-
-
-def _runit(rng: np.random.Generator, dim: int) -> int:
-    us = _units(dim)
-    return us[int(rng.integers(len(us)))]
-
-
-def _rtheta(rng: np.random.Generator) -> float:
-    return float(rng.uniform(0.0, 2.0 * math.pi))
-
-
-def _rarity(rng: np.random.Generator, hi: int = 2) -> int:
-    return int(rng.integers(0, hi + 1))
-
-
-def _ramp(rng: np.random.Generator, dim: int) -> AmplitudeFn:
-    return PhaseVec(tuple(float(x) for x in rng.uniform(0.0, 2.0 * math.pi, dim)))
-
-
-# =====================================================================
-# Rule builders
-# =====================================================================
-
-_SPECS: list[RuleSpec] = []
-
-
-def _register(
-    rule_id: str,
-    params: tuple[str, ...],
-    pair: PairBuilder,
-    validate: Validator,
-    sample: Sampler,
-    nu: str = "well_tempered",
-    dim_cap: int | None = None,
-) -> None:
-    def checked_validate(p: Params, dim: int) -> None:
-        _need_keys(p, params)
-        validate(p, dim)
-
-    def checked_pair(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-        checked_validate(p, ctx.dim)
-        return pair(p, ctx)
-
-    _SPECS.append(RuleSpec(rule_id, params, nu, checked_pair, checked_validate, sample, dim_cap))
-
-
-def _v_none(p: Params, dim: int) -> None:
-    pass
-
-
-def _s_none(dim: int, rng: np.random.Generator) -> Params:
-    return {}
-
-
 # ----------------------------------------------------------------- ZX
 
 
+@_rule("ZX-GI", {})
 def _zx_gi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    return _chain(ctx.dim, [Generator.green(One(), 1, 1)]), _wire(ctx.dim)
+    return _chain(ctx.dim, [Generator.green(One(), 1, 1)]), _chain(ctx.dim, [])
 
 
-_register("ZX-GI", (), _zx_gi, _v_none, _s_none)
-
-
+@_rule("ZX-RI", {})
 def _zx_ri(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.red(One(), 1, 1), Generator.red(One(), 1, 1)])
-    b = DiagramBuilder(ctx.dim)
-    b.wire("in", "out")
-    _scale(b, _dnu4(ctx) ** 2)
-    return lhs, b.build()
+    return lhs, _chain(ctx.dim, [], _dnu4(ctx) ** 2)
 
 
-_register("ZX-RI", (), _zx_ri, _v_none, _s_none)
-
-
+@_rule("ZX-HI", {})
 def _zx_hi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.hplus(), Generator.hminus()])
-    b = DiagramBuilder(ctx.dim)
-    b.wire("in", "out")
-    _scale(b, _dnu4(ctx))
-    return lhs, b.build()
+    return lhs, _chain(ctx.dim, [], _dnu4(ctx))
 
 
-_register("ZX-HI", (), _zx_hi, _v_none, _s_none)
-
-
-def _v_zx_gf(p: Params, dim: int) -> None:
-    _need_amp(p, "Theta")
-    _need_amp(p, "Phi")
-    for k in ("m1", "n1", "m2", "n2"):
-        _need_nat(p, k)
-
-
+@_rule(
+    "ZX-GF",
+    {"Theta": AMP, "Phi": AMP, "m1": NAT(1), "n1": NAT(1), "m2": NAT(1), "n2": NAT(1)},
+    nu="any",
+)
 def _zx_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m1, n1, m2, n2 = (int(p[k]) for k in ("m1", "n1", "m2", "n2"))
     b = DiagramBuilder(ctx.dim)
@@ -326,35 +329,11 @@ def _zx_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
         b.wire((g1, m1 + j), "out")
     for j in range(n2):
         b.wire((g2, m2 + 1 + j), "out")
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    g = b2.node(Generator.green(amp_multiply(p["Theta"], p["Phi"], ctx), m1 + m2, n1 + n2), "g0")
-    for _ in range(m1 + m2):
-        b2.wire("in", g)
-    for _ in range(n1 + n2):
-        b2.wire(g, "out")
-    return lhs, b2.build()
+    fused = Generator.green(amp_multiply(p["Theta"], p["Phi"], ctx), m1 + m2, n1 + n2)
+    return b.build(), _dressed_spider(ctx.dim, fused)
 
 
-def _s_zx_gf(dim: int, rng: np.random.Generator) -> Params:
-    return {
-        "Theta": _ramp(rng, dim),
-        "Phi": _ramp(rng, dim),
-        "m1": _rarity(rng, 1),
-        "n1": _rarity(rng, 1),
-        "m2": _rarity(rng, 1),
-        "n2": _rarity(rng, 1),
-    }
-
-
-_register("ZX-GF", ("Theta", "Phi", "m1", "n1", "m2", "n2"), _zx_gf, _v_zx_gf, _s_zx_gf, nu="any")
-
-
-def _v_zx_gfp(p: Params, dim: int) -> None:
-    _need_real(p, "theta")
-    _need_real(p, "phi")
-
-
+@_rule("ZX-GFP", {"theta": REAL, "phi": REAL})
 def _zx_gfp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     th, ph = float(p["theta"]), float(p["phi"])
     lhs = _chain(ctx.dim, [Generator.green(Phase(th), 1, 1), Generator.green(Phase(ph), 1, 1)])
@@ -362,20 +341,7 @@ def _zx_gfp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-_register(
-    "ZX-GFP",
-    ("theta", "phi"),
-    _zx_gfp,
-    _v_zx_gfp,
-    lambda dim, rng: {"theta": _rtheta(rng), "phi": _rtheta(rng)},
-)
-
-
-def _v_zx_gfs(p: Params, dim: int) -> None:
-    for k in ("a1", "b1", "a2", "b2"):
-        _need_int(p, k)
-
-
+@_rule("ZX-GFS", {"a1": INT, "b1": INT, "a2": INT, "b2": INT})
 def _zx_gfs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a1, b1, a2, b2 = (int(p[k]) for k in ("a1", "b1", "a2", "b2"))
     lhs = _chain(ctx.dim, [Generator.green(Stab(a1, b1), 1, 1), Generator.green(Stab(a2, b2), 1, 1)])
@@ -383,46 +349,15 @@ def _zx_gfs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-_register(
-    "ZX-GFS",
-    ("a1", "b1", "a2", "b2"),
-    _zx_gfs,
-    _v_zx_gfs,
-    lambda dim, rng: {k: _ri(rng, dim) for k in ("a1", "b1", "a2", "b2")},
-)
-
-
-def _v_amp_mn(p: Params, dim: int) -> None:
-    _need_amp(p, "Theta")
-    _need_nat(p, "m")
-    _need_nat(p, "n")
-
-
+@_rule("ZX-RGC", {"Theta": AMP, "m": NAT(2), "n": NAT(2)})
 def _zx_rgc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
-    lhs = _dressed_spider(ctx.dim, Generator.red(p["Theta"], m, n), None, m, n)
-    rhs = _dressed_spider(ctx.dim, Generator.green(p["Theta"], m, n), Generator.hplus(), m, n)
+    lhs = _dressed_spider(ctx.dim, Generator.red(p["Theta"], m, n))
+    rhs = _dressed_spider(ctx.dim, Generator.green(p["Theta"], m, n), Generator.hplus())
     return lhs, rhs
 
 
-_register(
-    "ZX-RGC",
-    ("Theta", "m", "n"),
-    _zx_rgc,
-    _v_amp_mn,
-    lambda dim, rng: {"Theta": _ramp(rng, dim), "m": _rarity(rng), "n": _rarity(rng)},
-)
-
-
-def _v_mn(p: Params, dim: int) -> None:
-    _need_nat(p, "m")
-    _need_nat(p, "n")
-
-
-def _s_mn(dim: int, rng: np.random.Generator) -> Params:
-    return {"m": _rarity(rng), "n": _rarity(rng)}
-
-
+@_rule("ZX-RGB", {"m": NAT(2), "n": NAT(2)})
 def _zx_rgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
     b = DiagramBuilder(ctx.dim)
@@ -449,14 +384,7 @@ def _zx_rgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZX-RGB", ("m", "n"), _zx_rgb, _v_mn, _s_mn)
-
-
-def _v_zx_cpy(p: Params, dim: int) -> None:
-    _need_int(p, "a")
-    _need_nat(p, "n")
-
-
+@_rule("ZX-CPY", {"a": INT, "n": NAT(2)}, nu="any")
 def _zx_cpy(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a, n = int(p["a"]), int(p["n"])
     b = DiagramBuilder(ctx.dim)
@@ -474,161 +402,83 @@ def _zx_cpy(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register(
-    "ZX-CPY",
-    ("a", "n"),
-    _zx_cpy,
-    _v_zx_cpy,
-    lambda dim, rng: {"a": _ri(rng, dim), "n": _rarity(rng)},
-    nu="any",
-)
-
-
-def _v_zx_ns(p: Params, dim: int) -> None:
-    _need_real(p, "theta")
-    _need_nat(p, "m")
-    _need_nat(p, "n")
-
-
+@_rule("ZX-NS", {"theta": REAL, "m": NAT(2), "n": NAT(2)})
 def _zx_ns(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     th, m, n = float(p["theta"]), int(p["m"]), int(p["n"])
     neg = Generator.red(Char(-ctx.sigma), 1, 1)
-    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(th), m, n), neg, m, n)
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.green(Phase(-th), m, n), "g0")
-    for _ in range(m):
-        b.wire("in", g)
-    for _ in range(n):
-        b.wire(g, "out")
-    _scale(b, cmath.exp(1j * th * ctx.sigma) * _dnu4(ctx) ** (m + n))
-    return lhs, b.build()
+    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(th), m, n), neg)
+    scale = cmath.exp(1j * th * ctx.sigma) * _dnu4(ctx) ** (m + n)
+    return lhs, _dressed_spider(ctx.dim, Generator.green(Phase(-th), m, n), scale=scale)
 
 
-_register(
-    "ZX-NS",
-    ("theta", "m", "n"),
-    _zx_ns,
-    _v_zx_ns,
-    lambda dim, rng: {"theta": _rtheta(rng), "m": _rarity(rng), "n": _rarity(rng)},
-)
-
-
-def _v_zx_rs(p: Params, dim: int) -> None:
-    for k in ("a", "b", "c"):
-        _need_int(p, k)
-
-
+@_rule("ZX-RS", {"a": INT, "b": INT, "c": INT})
 def _zx_rs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a, bb, c = int(p["a"]), int(p["b"]), int(p["c"])
+    a, b, c = int(p["a"]), int(p["b"]), int(p["c"])
     lhs = _chain(
         ctx.dim,
         [
             Generator.green(Char(c), 1, 1),
-            Generator.red(Stab(a, bb), 1, 1),
+            Generator.red(Stab(a, b), 1, 1),
             Generator.green(Char(c), 1, 1),
         ],
     )
-    b = DiagramBuilder(ctx.dim)
-    r = b.node(Generator.red(Stab(a - bb * c, bb), 1, 1), "n0")
-    b.wire("in", r)
-    b.wire(r, "out")
-    _scale(b, tau_pow(ctx, bb * c * c - 2 * a * c))
-    return lhs, b.build()
+    rhs = _chain(ctx.dim, [Generator.red(Stab(a - b * c, b), 1, 1)], tau_pow(ctx, b * c * c - 2 * a * c))
+    return lhs, rhs
 
 
-_register(
-    "ZX-RS",
-    ("a", "b", "c"),
-    _zx_rs,
-    _v_zx_rs,
-    lambda dim, rng: {"a": _ri(rng, dim), "b": _ri(rng, dim), "c": _ri(rng, dim)},
-)
-
-
+@_rule("ZX-Z", {"n": NAT(3)})
 def _zx_z(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     n = int(p["n"])
-    out = []
-    for kind in ("green", "red"):
-        b = DiagramBuilder(ctx.dim)
-        g = b.node(Generator(kind, 0, n, amp=Zero()), "z0")
-        for _ in range(n):
-            b.wire(g, "out")
-        out.append(b.build())
-    return out[0], out[1]
+    green, red = (
+        _dressed_spider(ctx.dim, Generator(kind, 0, n, amp=Zero()), name="z0")
+        for kind in ("green", "red")
+    )
+    return green, red
 
 
-_register(
-    "ZX-Z",
-    ("n",),
-    _zx_z,
-    lambda p, dim: (_need_nat(p, "n"), None)[1],
-    lambda dim, rng: {"n": _rarity(rng, 3)},
-)
-
-
-def _v_zx_zcp(p: Params, dim: int) -> None:
-    a = _need_int(p, "a")
+def _zx_zcp_check(p: Params, dim: int) -> None:
+    a = int(p["a"])
     _need(a % dim != 0, f"a={a} must not be a multiple of {dim}")
 
 
-def _zx_zcp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    b = DiagramBuilder(ctx.dim)
-    b.node(Generator.green(Char(int(p["a"])), 0, 0), "z0")
-    b2 = DiagramBuilder(ctx.dim)
-    b2.node(Generator.green(Zero(), 0, 0), "z0")
-    return b.build(), b2.build()
-
-
-def _s_zx_zcp(dim: int, rng: np.random.Generator) -> Params:
+def _zx_zcp_draw(dim: int, rng: np.random.Generator) -> Params:
     while True:
-        a = _ri(rng, dim)
+        a = INT.draw(rng, dim)
         if a % dim != 0:
             return {"a": a}
 
 
-_register("ZX-ZCP", ("a",), _zx_zcp, _v_zx_zcp, _s_zx_zcp)
+@_rule("ZX-ZCP", {"a": INT}, check=_zx_zcp_check, draw=_zx_zcp_draw)
+def _zx_zcp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+    lhs = _dressed_spider(ctx.dim, Generator.green(Char(int(p["a"])), 0, 0), name="z0")
+    return lhs, _dressed_spider(ctx.dim, Generator.green(Zero(), 0, 0), name="z0")
 
 
-def _v_zx_zsp(p: Params, dim: int) -> None:
-    _need_unit(p, "u", dim)
-    t = _need_int(p, "t")
-    tp = _need_int(p, "tp")
+def _zx_zsp_check(p: Params, dim: int) -> None:
+    t, tp = int(p["t"]), int(p["tp"])
     _need(1 < t < dim and dim % t == 0, f"t={t} must be a proper divisor of {dim} with 1 < t < {dim}")
     _need(1 < tp < t and t % tp == 0, f"tp={tp} must be a proper divisor of t={t} with 1 < tp < t")
 
 
-def _zx_zsp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u, t, tp = int(p["u"]), int(p["t"]), int(p["tp"])
-    b = DiagramBuilder(ctx.dim)
-    b.node(Generator.green(Stab(u * tp, t), 0, 0), "z0")
-    b2 = DiagramBuilder(ctx.dim)
-    b2.node(Generator.green(Zero(), 0, 0), "z0")
-    return b.build(), b2.build()
-
-
-def _s_zx_zsp(dim: int, rng: np.random.Generator) -> Params | None:
+def _zx_zsp_draw(dim: int, rng: np.random.Generator) -> Params | None:
     pairs = [
         (t, tp)
-        for t in _divisors(dim)
-        if 1 < t < dim
-        for tp in _divisors(t)
-        if 1 < tp < t
+        for t in range(2, dim)
+        if dim % t == 0
+        for tp in range(2, t)
+        if t % tp == 0
     ]
     if not pairs:
         return None
     t, tp = pairs[int(rng.integers(len(pairs)))]
-    return {"u": _runit(rng, dim), "t": t, "tp": tp}
+    return {"u": UNIT.draw(rng, dim), "t": t, "tp": tp}
 
 
-_register("ZX-ZSP", ("u", "t", "tp"), _zx_zsp, _v_zx_zsp, _s_zx_zsp)
-
-
-def _v_unit_only(p: Params, dim: int) -> None:
-    _need_unit(p, "u", dim)
-
-
-def _s_unit_only(dim: int, rng: np.random.Generator) -> Params:
-    return {"u": _runit(rng, dim)}
+@_rule("ZX-ZSP", {"u": UNIT, "t": INT, "tp": INT}, check=_zx_zsp_check, draw=_zx_zsp_draw)
+def _zx_zsp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+    u, t, tp = int(p["u"]), int(p["t"]), int(p["tp"])
+    lhs = _dressed_spider(ctx.dim, Generator.green(Stab(u * tp, t), 0, 0), name="z0")
+    return lhs, _dressed_spider(ctx.dim, Generator.green(Zero(), 0, 0), name="z0")
 
 
 def _multiedge(b: DiagramBuilder, k: int, tail: bool = False) -> tuple[str, str]:
@@ -644,6 +494,7 @@ def _multiedge(b: DiagramBuilder, k: int, tail: bool = False) -> tuple[str, str]
     return g, r
 
 
+@_rule("ZX-MH", {"u": UNIT})
 def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u = int(p["u"])
     b = DiagramBuilder(ctx.dim)
@@ -666,15 +517,7 @@ def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZX-MH", ("u",), _zx_mh, _v_unit_only, _s_unit_only)
-
-
-def _v_zx_me(p: Params, dim: int) -> None:
-    _need_int(p, "a")
-    _need_int(p, "b")
-    _need_unit(p, "u", dim)
-
-
+@_rule("ZX-ME", {"a": INT, "b": INT, "u": UNIT})
 def _zx_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a, bb, u = int(p["a"]), int(p["b"]), int(p["u"])
     b = DiagramBuilder(ctx.dim)
@@ -684,22 +527,11 @@ def _zx_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = b.build()
 
     ui = _uinv(u, ctx.dim)
-    b2 = DiagramBuilder(ctx.dim)
-    lolly2 = b2.node(Generator.red(Stab(-a * ui, bb * ui * ui), 1, 0), "q0")
-    b2.wire("in", lolly2)
-    _scale(b2, _dnu4(ctx))
-    return lhs, b2.build()
+    lolly2 = Generator.red(Stab(-a * ui, bb * ui * ui), 1, 0)
+    return lhs, _dressed_spider(ctx.dim, lolly2, scale=_dnu4(ctx), name="q0")
 
 
-_register(
-    "ZX-ME",
-    ("a", "b", "u"),
-    _zx_me,
-    _v_zx_me,
-    lambda dim, rng: {"a": _ri(rng, dim), "b": _ri(rng, dim), "u": _runit(rng, dim)},
-)
-
-
+@_rule("ZX-MEH", {}, dim_cap=7)
 def _zx_meh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     _multiedge(b, ctx.dim)
@@ -712,9 +544,7 @@ def _zx_meh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZX-MEH", (), _zx_meh, _v_none, _s_none, dim_cap=7)
-
-
+@_rule("ZX-A", {})
 def _zx_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     g = b.node(Generator.green(One(), 1, 2), "g0")
@@ -735,9 +565,7 @@ def _zx_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZX-A", (), _zx_a, _v_none, _s_none)
-
-
+@_rule("ZX-PU", {"theta": REAL}, nu="any")
 def _zx_pu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     th = float(p["theta"])
     b = DiagramBuilder(ctx.dim)
@@ -748,21 +576,7 @@ def _zx_pu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return b.build(), _empty(ctx.dim)
 
 
-_register(
-    "ZX-PU",
-    ("theta",),
-    _zx_pu,
-    lambda p, dim: (_need_real(p, "theta"), None)[1],
-    lambda dim, rng: {"theta": _rtheta(rng)},
-    nu="any",
-)
-
-
-def _v_zx_su(p: Params, dim: int) -> None:
-    _need_int(p, "a")
-    _need_int(p, "b")
-
-
+@_rule("ZX-SU", {"a": INT, "b": INT})
 def _zx_su(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a, bb = int(p["a"]), int(p["b"])
     b = DiagramBuilder(ctx.dim)
@@ -773,20 +587,7 @@ def _zx_su(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return b.build(), _empty(ctx.dim)
 
 
-_register(
-    "ZX-SU",
-    ("a", "b"),
-    _zx_su,
-    _v_zx_su,
-    lambda dim, rng: {"a": _ri(rng, dim), "b": _ri(rng, dim)},
-)
-
-
-def _v_zx_gu(p: Params, dim: int) -> None:
-    _need_int(p, "a")
-    _need_unit(p, "u", dim)
-
-
+@_rule("ZX-GU", {"a": INT, "u": UNIT})
 def _zx_gu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a, u = int(p["a"]), int(p["u"])
     b = DiagramBuilder(ctx.dim)
@@ -796,53 +597,27 @@ def _zx_gu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return b.build(), _empty(ctx.dim)
 
 
-_register(
-    "ZX-GU",
-    ("a", "u"),
-    _zx_gu,
-    _v_zx_gu,
-    lambda dim, rng: {"a": _ri(rng, dim), "u": _runit(rng, dim)},
-)
-
-
 # ----------------------------------------------------------------- ZXH
 
 
+@_rule("ZXH-GW", {"m": NAT(2), "n": NAT(2)})
 def _zxh_gw(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
-    lhs = _dressed_spider(ctx.dim, Generator.green(One(), m, n), None, m, n)
-    rhs = _dressed_spider(ctx.dim, Generator.white(m, n), None, m, n)
-    return lhs, rhs
+    lhs = _dressed_spider(ctx.dim, Generator.green(One(), m, n))
+    return lhs, _dressed_spider(ctx.dim, Generator.white(m, n))
 
 
-_register("ZXH-GW", ("m", "n"), _zxh_gw, _v_mn, _s_mn)
-
-
+@_rule("ZXH-RG", {"m": NAT(2), "n": NAT(2)})
 def _zxh_rg(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
-    lhs = _dressed_spider(ctx.dim, Generator.red(One(), m, n), None, m, n)
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.gray(m, n), "g0")
-    for _ in range(m):
-        b.wire("in", g)
-    for _ in range(n):
-        b.wire(g, "out")
-    _scale(b, _dnu4(ctx))
-    return lhs, b.build()
+    lhs = _dressed_spider(ctx.dim, Generator.red(One(), m, n))
+    return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n), scale=_dnu4(ctx))
 
 
-_register("ZXH-RG", ("m", "n"), _zxh_rg, _v_mn, _s_mn)
-
-
-def _v_zxh_gp(p: Params, dim: int) -> None:
-    _need_real(p, "theta")
-    _need_nat(p, "m")
-    _need_nat(p, "n")
-
-
+@_rule("ZXH-GP", {"theta": REAL, "m": NAT(2), "n": NAT(2)})
 def _zxh_gp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     th, m, n = float(p["theta"]), int(p["m"]), int(p["n"])
-    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(th), m, n), None, m, n)
+    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(th), m, n))
     b = DiagramBuilder(ctx.dim)
     w = b.node(Generator.white(m, n + 1), "w0")
     h = b.node(Generator.hbox(Phase(th), 1, 0), "h0")
@@ -854,99 +629,45 @@ def _zxh_gp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b.build()
 
 
-_register(
-    "ZXH-GP",
-    ("theta", "m", "n"),
-    _zxh_gp,
-    _v_zxh_gp,
-    lambda dim, rng: {"theta": _rtheta(rng), "m": _rarity(rng), "n": _rarity(rng)},
-)
-
-
+@_rule("ZXH-WH", {"Theta": AMP})
 def _zxh_wh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.green(p["Theta"], 0, 1), "g0")
-    b.wire(g, "out")
-    b2 = DiagramBuilder(ctx.dim)
-    h = b2.node(Generator.hbox(p["Theta"], 0, 1), "h0")
-    b2.wire(h, "out")
-    return b.build(), b2.build()
+    lhs = _dressed_spider(ctx.dim, Generator.green(p["Theta"], 0, 1))
+    return lhs, _dressed_spider(ctx.dim, Generator.hbox(p["Theta"], 0, 1), name="h0")
 
 
-_register(
-    "ZXH-WH",
-    ("Theta",),
-    _zxh_wh,
-    lambda p, dim: (_need_amp(p, "Theta"), None)[1],
-    lambda dim, rng: {"Theta": _ramp(rng, dim)},
-)
-
-
+@_rule("ZXH-RN", {"c": INT})
 def _zxh_rn(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     c = int(p["c"])
     lhs = _chain(ctx.dim, [Generator.red(Char(c), 1, 1)])
-    b = DiagramBuilder(ctx.dim)
-    nd = b.node(Generator.not_dot(c), "n0")
-    b.wire("in", nd)
-    b.wire(nd, "out")
-    _scale(b, _dnu4(ctx))
-    return lhs, b.build()
+    return lhs, _chain(ctx.dim, [Generator.not_dot(c)], _dnu4(ctx))
 
 
-_register(
-    "ZXH-RN",
-    ("c",),
-    _zxh_rn,
-    lambda p, dim: (_need_int(p, "c"), None)[1],
-    lambda dim, rng: {"c": _ri(rng, dim)},
-)
-
-
+@_rule("ZXH-RA", {})
 def _zxh_ra(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.red(One(), 1, 1)])
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.gray(1, 1), "g0")
-    b.wire("in", g)
-    b.wire(g, "out")
-    _scale(b, _dnu4(ctx))
-    return lhs, b.build()
+    return lhs, _dressed_spider(ctx.dim, Generator.gray(1, 1), scale=_dnu4(ctx))
 
 
-_register("ZXH-RA", (), _zxh_ra, _v_none, _s_none)
-
-
+@_rule("ZXH-HP", {})
 def _zxh_hp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.hplus()]), _chain(ctx.dim, [Generator.hbox(Char(1), 1, 1)])
 
 
-_register("ZXH-HP", (), _zxh_hp, _v_none, _s_none)
-
-
+@_rule("ZXH-HM", {})
 def _zxh_hm(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.hminus()]), _chain(ctx.dim, [Generator.hbox(Char(-1), 1, 1)])
 
 
-_register("ZXH-HM", (), _zxh_hm, _v_none, _s_none)
-
-
 def _gh_pair(amp: AmplitudeFn, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
-    b.node(Generator.green(amp, 0, 0), "g0")
-    b2 = DiagramBuilder(ctx.dim)
-    w = b2.node(Generator.white(0, 1), "w0")
-    h = b2.node(Generator.hbox(amp, 1, 0), "h0")
-    b2.wire(w, h)
-    return b.build(), b2.build()
+    w = b.node(Generator.white(0, 1), "w0")
+    h = b.node(Generator.hbox(amp, 1, 0), "h0")
+    b.wire(w, h)
+    return _dressed_spider(ctx.dim, Generator.green(amp, 0, 0)), b.build()
 
 
-_register("ZXH-GH0", (), lambda p, ctx: _gh_pair(One(), ctx), _v_none, _s_none)
-_register(
-    "ZXH-GH",
-    ("Theta",),
-    lambda p, ctx: _gh_pair(p["Theta"], ctx),
-    lambda p, dim: (_need_amp(p, "Theta"), None)[1],
-    lambda dim, rng: {"Theta": _ramp(rng, dim)},
-)
+_rule("ZXH-GH0", {})(lambda p, ctx: _gh_pair(One(), ctx))
+_rule("ZXH-GH", {"Theta": AMP})(lambda p, ctx: _gh_pair(p["Theta"], ctx))
 
 
 def _scalar_gadget_pair(
@@ -972,39 +693,21 @@ def _scalar_gadget_pair(
     return lhs, b2.build()
 
 
-_register(
-    "ZXH-S0",
-    ("Theta",),
-    lambda p, ctx: _scalar_gadget_pair(p["Theta"], None, ctx),
-    lambda p, dim: (_need_amp(p, "Theta"), None)[1],
-    lambda dim, rng: {"Theta": _ramp(rng, dim)},
-)
-
-
-def _v_zxh_s(p: Params, dim: int) -> None:
-    _need_amp(p, "Theta")
-    _need_int(p, "c")
-
-
-_register(
-    "ZXH-S",
-    ("Theta", "c"),
-    lambda p, ctx: _scalar_gadget_pair(p["Theta"], int(p["c"]), ctx),
-    _v_zxh_s,
-    lambda dim, rng: {"Theta": _ramp(rng, dim), "c": _ri(rng, dim)},
+_rule("ZXH-S0", {"Theta": AMP})(lambda p, ctx: _scalar_gadget_pair(p["Theta"], None, ctx))
+_rule("ZXH-S", {"Theta": AMP, "c": INT})(
+    lambda p, ctx: _scalar_gadget_pair(p["Theta"], int(p["c"]), ctx)
 )
 
 
 # ----------------------------------------------------------------- ZH
 
 
+@_rule("ZH-WI", {})
 def _zh_wi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    return _chain(ctx.dim, [Generator.white(1, 1)]), _wire(ctx.dim)
+    return _chain(ctx.dim, [Generator.white(1, 1)]), _chain(ctx.dim, [])
 
 
-_register("ZH-WI", (), _zh_wi, _v_none, _s_none)
-
-
+@_rule("ZH-WQS", {})
 def _zh_wqs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     w1 = b.node(Generator.white(1, 2), "w0")
@@ -1014,40 +717,23 @@ def _zh_wqs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b.wire((w1, 2), (w2, 1))
     b.wire((w2, 2), "out")
     _scale(b, ctx.nu**2)
-    return b.build(), _wire(ctx.dim)
+    return b.build(), _chain(ctx.dim, [])
 
 
-_register("ZH-WQS", (), _zh_wqs, _v_none, _s_none)
-
-
+@_rule("ZH-AI", {}, nu="any")
 def _zh_ai(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.gray(1, 1), Generator.gray(1, 1)])
-    return lhs, _wire(ctx.dim)
+    return lhs, _chain(ctx.dim, [])
 
 
-_register("ZH-AI", (), _zh_ai, _v_none, _s_none, nu="any")
-
-
+@_rule("ZH-HI", {"u": UNIT})
 def _zh_hi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u = int(p["u"])
-    b = DiagramBuilder(ctx.dim)
-    h1 = b.node(Generator.hbox(Char(u), 1, 1), "n0")
-    h2 = b.node(Generator.hbox(Char(-u), 1, 1), "n1")
-    b.wire("in", h1)
-    b.wire(h1, h2)
-    b.wire(h2, "out")
-    _scale(b, 1.0 / _dnu4(ctx))
-    return b.build(), _wire(ctx.dim)
+    boxes = [Generator.hbox(Char(u), 1, 1), Generator.hbox(Char(-u), 1, 1)]
+    return _chain(ctx.dim, boxes, 1.0 / _dnu4(ctx)), _chain(ctx.dim, [])
 
 
-_register("ZH-HI", ("u",), _zh_hi, _v_unit_only, _s_unit_only)
-
-
-def _v_zh_wf(p: Params, dim: int) -> None:
-    for k in ("k", "m", "l", "n"):
-        _need_nat(p, k)
-
-
+@_rule("ZH-WF", {"k": NAT(1), "m": NAT(1), "l": NAT(1), "n": NAT(1)})
 def _zh_wf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     k, m, l, n = (int(p[x]) for x in ("k", "m", "l", "n"))
     b = DiagramBuilder(ctx.dim)
@@ -1062,80 +748,25 @@ def _zh_wf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
         b.wire((w1, k + j), "out")
     for j in range(n):
         b.wire((w2, l + 1 + j), "out")
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    w = b2.node(Generator.white(k + l, m + n), "w0")
-    for _ in range(k + l):
-        b2.wire("in", w)
-    for _ in range(m + n):
-        b2.wire(w, "out")
-    return lhs, b2.build()
+    return b.build(), _dressed_spider(ctx.dim, Generator.white(k + l, m + n), name="w0")
 
 
-_register(
-    "ZH-WF",
-    ("k", "m", "l", "n"),
-    _zh_wf,
-    _v_zh_wf,
-    lambda dim, rng: {x: _rarity(rng, 1) for x in ("k", "m", "l", "n")},
-)
-
-
-def _v_umn(p: Params, dim: int) -> None:
-    _need_unit(p, "u", dim)
-    _need_nat(p, "m")
-    _need_nat(p, "n")
-
-
-def _s_umn(dim: int, rng: np.random.Generator) -> Params:
-    return {"u": _runit(rng, dim), "m": _rarity(rng), "n": _rarity(rng)}
-
-
+@_rule("ZH-GWC", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
 def _zh_gwc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
     box = Generator.hbox(Char(u), 1, 1)
-    lhs = _dressed_spider(ctx.dim, Generator.gray(m, n), box, m, n)
-    b = DiagramBuilder(ctx.dim)
-    w = b.node(Generator.white(m, n), "g0")
-    for _ in range(m):
-        b.wire("in", w)
-    for _ in range(n):
-        b.wire(w, "out")
-    _scale(b, _dnu4(ctx) ** (m + n - 1))
-    return lhs, b.build()
+    lhs = _dressed_spider(ctx.dim, Generator.gray(m, n), box)
+    return lhs, _dressed_spider(ctx.dim, Generator.white(m, n), scale=_dnu4(ctx) ** (m + n - 1))
 
 
-_register("ZH-GWC", ("u", "m", "n"), _zh_gwc, _v_umn, _s_umn)
-
-
-def _v_cmn(p: Params, dim: int) -> None:
-    _need_int(p, "c")
-    _need_nat(p, "m")
-    _need_nat(p, "n")
-
-
+@_rule("ZH-WNS", {"c": INT, "m": NAT(2), "n": NAT(2)}, nu="any")
 def _zh_wns(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     c, m, n = int(p["c"]), int(p["m"]), int(p["n"])
-    lhs = _dressed_spider(ctx.dim, Generator.white(m, n), Generator.not_dot(c), m, n)
-    rhs = _dressed_spider(ctx.dim, Generator.white(m, n), None, m, n)
-    return lhs, rhs
+    lhs = _dressed_spider(ctx.dim, Generator.white(m, n), Generator.not_dot(c))
+    return lhs, _dressed_spider(ctx.dim, Generator.white(m, n))
 
 
-_register(
-    "ZH-WNS",
-    ("c", "m", "n"),
-    _zh_wns,
-    _v_cmn,
-    lambda dim, rng: {"c": _ri(rng, dim), "m": _rarity(rng), "n": _rarity(rng)},
-    nu="any",
-)
-
-
-def _v_zh_gf(p: Params, dim: int) -> None:
-    for k in ("a1", "a2", "b1", "b2"):
-        _need_nat(p, k)
-
-
+@_rule("ZH-GF", {"a1": NAT(1), "a2": NAT(1), "b1": NAT(1), "b2": NAT(1)})
 def _zh_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a1, a2, b1, b2 = (int(p[k]) for k in ("a1", "a2", "b1", "b2"))
     bl = DiagramBuilder(ctx.dim)
@@ -1152,25 +783,10 @@ def _zh_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
         bl.wire((g1, a1 + j), "out")
     for j in range(b2):
         bl.wire((g2, b1 + 1 + j), "out")
-    lhs = bl.build()
-    br = DiagramBuilder(ctx.dim)
-    g = br.node(Generator.gray(a1 + b1, a2 + b2), "g0")
-    for _ in range(a1 + b1):
-        br.wire("in", g)
-    for _ in range(a2 + b2):
-        br.wire(g, "out")
-    return lhs, br.build()
+    return bl.build(), _dressed_spider(ctx.dim, Generator.gray(a1 + b1, a2 + b2))
 
 
-_register(
-    "ZH-GF",
-    ("a1", "a2", "b1", "b2"),
-    _zh_gf,
-    _v_zh_gf,
-    lambda dim, rng: {k: _rarity(rng, 1) for k in ("a1", "a2", "b1", "b2")},
-)
-
-
+@_rule("ZH-GL", {"m": NAT(2), "n": NAT(2)})
 def _zh_gl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
     b = DiagramBuilder(ctx.dim)
@@ -1181,31 +797,18 @@ def _zh_gl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     for j in range(n):
         b.wire((g, m + j), "out")
     b.wire((g, m + n), lolly)
-    lhs = b.build()
-    rhs = _dressed_spider(ctx.dim, Generator.gray(m, n), None, m, n)
-    return lhs, rhs
+    return b.build(), _dressed_spider(ctx.dim, Generator.gray(m, n))
 
 
-_register("ZH-GL", ("m", "n"), _zh_gl, _v_mn, _s_mn)
-
-
+@_rule("ZH-WGC", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
 def _zh_wgc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
     box = Generator.hbox(Char(u), 1, 1)
-    lhs = _dressed_spider(ctx.dim, Generator.white(m, n), box, m, n)
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.gray(m, n), "g0")
-    for _ in range(m):
-        b.wire("in", g)
-    for _ in range(n):
-        b.wire(g, "out")
-    _scale(b, _dnu4(ctx))
-    return lhs, b.build()
+    lhs = _dressed_spider(ctx.dim, Generator.white(m, n), box)
+    return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n), scale=_dnu4(ctx))
 
 
-_register("ZH-WGC", ("u", "m", "n"), _zh_wgc, _v_umn, _s_umn)
-
-
+@_rule("ZH-MEH", {}, dim_cap=7)
 def _zh_meh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     D = ctx.dim
     b = DiagramBuilder(D)
@@ -1224,9 +827,7 @@ def _zh_meh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZH-MEH", (), _zh_meh, _v_none, _s_none, dim_cap=7)
-
-
+@_rule("ZH-A", {})
 def _zh_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     w = b.node(Generator.white(1, 2), "g0")
@@ -1246,9 +847,7 @@ def _zh_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZH-A", (), _zh_a, _v_none, _s_none)
-
-
+@_rule("ZH-WGB", {"m": NAT(2), "n": NAT(2)}, nu="any")
 def _zh_wgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
     b = DiagramBuilder(ctx.dim)
@@ -1274,14 +873,7 @@ def _zh_wgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZH-WGB", ("m", "n"), _zh_wgb, _v_mn, _s_mn, nu="any")
-
-
-def _v_zh_hm(p: Params, dim: int) -> None:
-    _need_amp(p, "A")
-    _need_amp(p, "B")
-
-
+@_rule("ZH-HM", {"A": AMP, "B": AMP}, nu="any")
 def _zh_hm(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     ha = b.node(Generator.hbox(p["A"], 0, 1), "h0")
@@ -1290,42 +882,34 @@ def _zh_hm(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b.wire(ha, (w, 0))
     b.wire(hb, (w, 1))
     b.wire((w, 2), "out")
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    h = b2.node(Generator.hbox(amp_multiply(p["A"], p["B"], ctx), 0, 1), "h0")
-    b2.wire(h, "out")
-    return lhs, b2.build()
+    product = Generator.hbox(amp_multiply(p["A"], p["B"], ctx), 0, 1)
+    return b.build(), _dressed_spider(ctx.dim, product, name="h0")
 
 
-_register(
-    "ZH-HM",
-    ("A", "B"),
-    _zh_hm,
-    _v_zh_hm,
-    lambda dim, rng: {"A": _ramp(rng, dim), "B": _ramp(rng, dim)},
-    nu="any",
-)
-
-
+@_rule("ZH-HU", {})
 def _zh_hu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    b = DiagramBuilder(ctx.dim)
-    h = b.node(Generator.hbox(Char(0), 0, 1), "h0")
-    b.wire(h, "out")
-    b2 = DiagramBuilder(ctx.dim)
-    w = b2.node(Generator.white(0, 1), "w0")
-    b2.wire(w, "out")
-    return b.build(), b2.build()
+    lhs = _dressed_spider(ctx.dim, Generator.hbox(Char(0), 0, 1), name="h0")
+    return lhs, _dressed_spider(ctx.dim, Generator.white(0, 1), name="w0")
 
 
-_register("ZH-HU", (), _zh_hu, _v_none, _s_none)
+def _need_nonzero_complex(p: Params, k: str, dim: int) -> None:
+    v = p[k]
+    _need(
+        isinstance(v, (int, float, complex, np.complexfloating))
+        and not isinstance(v, bool)
+        and complex(v) != 0,
+        f"{k} must be a nonzero complex number",
+    )
 
 
-def _v_zh_ec(p: Params, dim: int) -> None:
-    v = p.get("alpha")
-    _need(isinstance(v, (int, float, complex, np.complexfloating)) and complex(v) != 0, "alpha must be a nonzero complex number")
-    _need_nat(p, "m")
+def _draw_alpha(rng: np.random.Generator, dim: int) -> complex:
+    """A modulus in [0.8, 1.25] times a phase, so UnitPow(alpha)
+    raised to products of legs stays in range."""
+    mod = float(rng.uniform(0.8, 1.25))
+    return mod * cmath.exp(1j * REAL.draw(rng, dim))
 
 
+@_rule("ZH-EC", {"alpha": Kind(_need_nonzero_complex, _draw_alpha), "m": NAT(2)})
 def _zh_ec(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     alpha, m = complex(p["alpha"]), int(p["m"])
     sg = ctx.sigma
@@ -1351,22 +935,10 @@ def _zh_ec(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-def _s_zh_ec(dim: int, rng: np.random.Generator) -> Params:
-    mod = float(rng.uniform(0.8, 1.25))
-    return {"alpha": mod * cmath.exp(1j * _rtheta(rng)), "m": _rarity(rng)}
-
-
-_register("ZH-EC", ("alpha", "m"), _zh_ec, _v_zh_ec, _s_zh_ec)
-
-
-def _v_zh_mf(p: Params, dim: int) -> None:
-    _need_int(p, "c1")
-    _need_int(p, "c2")
-    _need_unit(p, "u", dim)
-    for k in ("k", "l", "m", "n"):
-        _need_nat(p, k)
-
-
+@_rule(
+    "ZH-MF",
+    {"c1": INT, "c2": INT, "u": UNIT, "k": NAT(1), "l": NAT(1), "m": NAT(1), "n": NAT(1)},
+)
 def _zh_mf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     c1, c2, u = int(p["c1"]), int(p["c2"]), int(p["u"])
     k, l, m, n = (int(p[x]) for x in ("k", "l", "m", "n"))
@@ -1387,37 +959,11 @@ def _zh_mf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = b.build()
 
     ui = pow(u % ctx.dim, -1, ctx.dim)
-    b2 = DiagramBuilder(ctx.dim)
-    h = b2.node(Generator.hbox(Char(residue(ctx, ui * c1 * c2)), k + l, m + n), "h0")
-    for _ in range(k + l):
-        b2.wire("in", h)
-    for _ in range(m + n):
-        b2.wire(h, "out")
-    _scale(b2, _dnu4(ctx))
-    return lhs, b2.build()
+    merged = Generator.hbox(Char(residue(ctx, ui * c1 * c2)), k + l, m + n)
+    return lhs, _dressed_spider(ctx.dim, merged, scale=_dnu4(ctx), name="h0")
 
 
-def _s_zh_mf(dim: int, rng: np.random.Generator) -> Params:
-    return {
-        "c1": _ri(rng, dim),
-        "c2": _ri(rng, dim),
-        "u": _runit(rng, dim),
-        "k": _rarity(rng, 1),
-        "l": _rarity(rng, 1),
-        "m": _rarity(rng, 1),
-        "n": _rarity(rng, 1),
-    }
-
-
-_register("ZH-MF", ("c1", "c2", "u", "k", "l", "m", "n"), _zh_mf, _v_zh_mf, _s_zh_mf)
-
-
-def _v_zh_mca(p: Params, dim: int) -> None:
-    _need_int(p, "c1")
-    _need_int(p, "c2")
-    _need_nat(p, "m")
-
-
+@_rule("ZH-MCA", {"c1": INT, "c2": INT, "m": NAT(2)})
 def _zh_mca(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     c1, c2, m = int(p["c1"]), int(p["c2"]), int(p["m"])
     b = DiagramBuilder(ctx.dim)
@@ -1438,15 +984,6 @@ def _zh_mca(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register(
-    "ZH-MCA",
-    ("c1", "c2", "m"),
-    _zh_mca,
-    _v_zh_mca,
-    lambda dim, rng: {"c1": _ri(rng, dim), "c2": _ri(rng, dim), "m": _rarity(rng)},
-)
-
-
 def _unit_test_gadget(b: DiagramBuilder, tag: str, in_port) -> None:
     """One multiplicative-unit tester: a degree-3 box probing its input
     against a free white leg, capped by a [-1] box."""
@@ -1458,6 +995,7 @@ def _unit_test_gadget(b: DiagramBuilder, tag: str, in_port) -> None:
     b.wire((h, 2), cap)
 
 
+@_rule("ZH-UM", {})
 def _zh_um(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     _unit_test_gadget(b, "0", ("in", 0))
@@ -1476,9 +1014,7 @@ def _zh_um(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZH-UM", (), _zh_um, _v_none, _s_none)
-
-
+@_rule("ZH-O", {}, dim_cap=7)
 def _zh_o(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     D = ctx.dim
     b = DiagramBuilder(D)
@@ -1509,9 +1045,7 @@ def _zh_o(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZH-O", (), _zh_o, _v_none, _s_none, dim_cap=7)
-
-
+@_rule("ZH-HWB", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
 def _zh_hwb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
     b = DiagramBuilder(ctx.dim)
@@ -1541,9 +1075,7 @@ def _zh_hwb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZH-HWB", ("u", "m", "n"), _zh_hwb, _v_umn, _s_umn)
-
-
+@_rule("ZH-HMB", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
 def _zh_hmb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
     b = DiagramBuilder(ctx.dim)
@@ -1569,14 +1101,7 @@ def _zh_hmb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, b2.build()
 
 
-_register("ZH-HMB", ("u", "m", "n"), _zh_hmb, _v_umn, _s_umn)
-
-
-def _v_zh_me(p: Params, dim: int) -> None:
-    _need_nat(p, "k")
-    _need_unit(p, "u", dim)
-
-
+@_rule("ZH-ME", {"k": NAT(lambda dim: dim + 1), "u": UNIT})
 def _zh_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     k, u = int(p["k"]), int(p["u"])
     b = DiagramBuilder(ctx.dim)
@@ -1601,20 +1126,7 @@ def _zh_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-_register(
-    "ZH-ME",
-    ("k", "u"),
-    _zh_me,
-    _v_zh_me,
-    lambda dim, rng: {"k": int(rng.integers(0, dim + 2)), "u": _runit(rng, dim)},
-)
-
-
-def _v_zh_nd(p: Params, dim: int) -> None:
-    _need_int(p, "c1")
-    _need_int(p, "c2")
-
-
+@_rule("ZH-ND", {"c1": INT, "c2": INT})
 def _zh_nd(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     c1, c2 = int(p["c1"]), int(p["c2"])
     lhs = _chain(ctx.dim, [Generator.not_dot(c1), Generator.not_dot(c2)])
@@ -1622,20 +1134,7 @@ def _zh_nd(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, rhs
 
 
-_register(
-    "ZH-ND",
-    ("c1", "c2"),
-    _zh_nd,
-    _v_zh_nd,
-    lambda dim, rng: {"c1": _ri(rng, dim), "c2": _ri(rng, dim)},
-)
-
-
-def _v_zh_nh(p: Params, dim: int) -> None:
-    _need_unit(p, "u", dim)
-    _need_int(p, "c")
-
-
+@_rule("ZH-NH", {"u": UNIT, "c": INT})
 def _zh_nh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u, c = int(p["u"]), int(p["c"])
     b = DiagramBuilder(ctx.dim)
@@ -1651,44 +1150,22 @@ def _zh_nh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = b.build()
 
     ui = pow(u % ctx.dim, -1, ctx.dim)
-    b2 = DiagramBuilder(ctx.dim)
-    nd = b2.node(Generator.not_dot(residue(ctx, ui * c)), "n0")
-    b2.wire("in", nd)
-    b2.wire(nd, "out")
-    _scale(b2, _dnu4(ctx))
-    return lhs, b2.build()
+    return lhs, _chain(ctx.dim, [Generator.not_dot(residue(ctx, ui * c))], _dnu4(ctx))
 
 
-_register(
-    "ZH-NH",
-    ("u", "c"),
-    _zh_nh,
-    _v_zh_nh,
-    lambda dim, rng: {"u": _runit(rng, dim), "c": _ri(rng, dim)},
-)
-
-
+@_rule("ZH-NA", {})
 def _zh_na(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.not_dot(0)]), _chain(ctx.dim, [Generator.gray(1, 1)])
 
 
-_register("ZH-NA", (), _zh_na, _v_none, _s_none)
-
-
+@_rule("ZH-DH", {"u": UNIT})
 def _zh_dh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u = int(p["u"])
     lhs = _chain(ctx.dim, [Generator.hbox(Char(u), 1, 1), Generator.hbox(Char(u), 1, 1)])
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.gray(1, 1), "g0")
-    b.wire("in", g)
-    b.wire(g, "out")
-    _scale(b, _dnu4(ctx))
-    return lhs, b.build()
+    return lhs, _dressed_spider(ctx.dim, Generator.gray(1, 1), scale=_dnu4(ctx))
 
 
-_register("ZH-DH", ("u",), _zh_dh, _v_unit_only, _s_unit_only)
-
-
+@_rule("ZH-ZPL", {}, dim_cap=7)
 def _zh_zpl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     D = ctx.dim
 
@@ -1715,9 +1192,6 @@ def _zh_zpl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
         return b.build()
 
     return half(True), half(False)
-
-
-_register("ZH-ZPL", (), _zh_zpl, _v_none, _s_none, dim_cap=7)
 
 
 # =====================================================================
@@ -1757,7 +1231,8 @@ def instantiate(
     scalar boxes appear.
     """
     spec = get_rule(rule) if isinstance(rule, str) else rule
-    lhs, rhs = spec.build_pair(params, ctx)
+    spec.validate(params, ctx.dim)
+    lhs, rhs = spec.build(params, ctx)
     if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs):
         raise RewriteError(
             f"{spec.id}: boundary mismatch "

@@ -154,9 +154,18 @@ def to_dump(t: Tensor) -> dict[str, Any]:
     }
 
 
+def strict_int(value: Any, what: str, error: type[ValueError] = ShapeError) -> int:
+    """An integer field read from a file, never truncated: bools, strings
+    and non-integral numbers raise `error`."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def from_dump(obj: dict[str, Any]) -> Tensor:
-    dim = int(obj["dim"])
-    m, n = int(obj["in_legs"]), int(obj["out_legs"])
+    dim = strict_int(obj["dim"], "dim")
+    m, n = strict_int(obj["in_legs"], "in_legs"), strict_int(obj["out_legs"], "out_legs")
     entries = obj["entries"]
     if len(entries) != dim ** (m + n):
         raise ShapeError(f"entry count {len(entries)} != {dim}^{m + n}")

@@ -346,6 +346,61 @@ def test_eval_rejects_unit_dimension_as_usage_error(runner, tmp_path):
     assert "dimension must be at least 2" in res.output
 
 
+def hplus_file(dimension="3", legs="2", c=None):
+    node = f'"kind": "hplus", "legs": {legs}' if c is None else f'"kind": "not", "legs": {legs}, "c": {c}'
+    return (f'{{"dimension": {dimension}, "nodes": {{"h": {{{node}}}}}, "edges": [], '
+            '"inputs": ["h:0"], "outputs": ["h:1"]}')
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        (hplus_file(dimension="3.9"), "dimension"),
+        (hplus_file(dimension="true"), "dimension"),
+        (hplus_file(dimension='"3"'), "dimension"),
+        (hplus_file(dimension="null"), "dimension"),
+        (hplus_file(legs="2.5"), "legs"),
+        (hplus_file(legs="false"), "legs"),
+        (hplus_file(legs="2", c="1.5"), "c of node"),
+        (hplus_file(legs="2", c='"1"'), "c of node"),
+    ],
+)
+def test_eval_rejects_non_integer_fields_as_usage_error(runner, tmp_path, text, what):
+    src = tmp_path / "d.json"
+    src.write_text(text)
+    res = runner.invoke(cli.main, ["eval", str(src)])
+    assert res.exit_code == 2
+    assert what in res.output and "must be an integer" in res.output
+
+
+def test_eval_reads_integral_float_fields(runner, tmp_path):
+    out = []
+    for text in (hplus_file(), hplus_file(dimension="3.0", legs="2.0")):
+        src = tmp_path / "d.json"
+        src.write_text(text)
+        res = runner.invoke(cli.main, ["eval", str(src)])
+        assert res.exit_code == 0
+        out.append(res.output)
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 2.5, "in_legs": 1, "out_legs": 0, "entries": [[1, 0], [0, 0]]}',
+        '{"dim": 2, "in_legs": 1.9, "out_legs": 0, "entries": [[1, 0], [0, 0]]}',
+        '{"dim": 2, "in_legs": 1, "out_legs": true, "entries": [[1, 0], [0, 0]]}',
+        '{"dim": "2", "in_legs": 1, "out_legs": 0, "entries": [[1, 0], [0, 0]]}',
+    ],
+)
+def test_normal_form_rejects_non_integer_shape_as_usage_error(runner, tmp_path, text):
+    src = tmp_path / "t.json"
+    src.write_text(text)
+    res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src)])
+    assert res.exit_code == 2
+    assert "must be an integer" in res.output
+
+
 # -- gamma-table --------------------------------------------------------
 
 

@@ -7,13 +7,14 @@ invariants (id inventory, boundary arities, normalization-free subset)
 are frozen here so accidental edits to the rule table fail loudly.
 """
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from quditzx.diagram import Diagram, DiagramBuilder, evaluate
+from quditzx.diagram import Diagram, DiagramBuilder, dump_json, evaluate
 from quditzx.generators import Char, Generator, One, Phase, Stab
 from quditzx.measure import MeasureContext
 from quditzx.rewrite import (
@@ -27,6 +28,7 @@ from quditzx.rewrite import (
     check_soundness,
     get_rule,
     instantiate,
+    params_jsonable,
     rule_ids,
 )
 from quditzx.tensor import max_abs_diff
@@ -131,6 +133,19 @@ def test_param_errors_misc():
         instantiate("ZH-EC", {"alpha": 0, "m": 1}, ctx)
     assert not get_rule("ZX-MH").param_domain({"u": 2}, 4)
     assert get_rule("ZX-MH").param_domain({"u": 3}, 4)
+    # every declared parameter of every rule: a bool, a string, or a
+    # missing key is a ParamError naming it (D=8 has a ZX-ZSP domain)
+    ctx8 = MeasureContext(8)
+    for rid in ALL_RULE_IDS:
+        spec = get_rule(rid)
+        valid = spec.sample(8, np.random.default_rng(0))
+        assert spec.param_domain(valid, 8)
+        for k in spec.params:
+            for bad in (True, False, "1"):
+                with pytest.raises(ParamError, match=rf"^{k} must be"):
+                    instantiate(spec, {**valid, k: bad}, ctx8)
+            with pytest.raises(ParamError, match=rf"^missing parameter\(s\): {k}$"):
+                instantiate(spec, {j: v for j, v in valid.items() if j != k}, ctx8)
 
 
 def test_sampled_params_always_valid():
@@ -141,6 +156,34 @@ def test_sampled_params_always_valid():
             params = spec.sample(dim, rng)
             if params is not None:
                 assert spec.param_domain(params, dim), (rid, dim, params)
+
+
+def test_catalog_instances_are_pinned():
+    """Sampled parameters and both sides of every rule, byte for byte.
+
+    Each (rule, D) is seeded as check_all seeds it; D=2..9 up to the
+    rule's cap, well-tempered and nu=0.83, three samples each.  The
+    digest was recorded from the rule table before its parameter kinds
+    were declared in one place.
+    """
+    h = hashlib.sha256()
+    pairs = 0
+    for rule_key, rid in enumerate(sorted(CATALOG)):
+        spec = CATALOG[rid]
+        for dim in range(2, 10 if spec.dim_cap is None else spec.dim_cap + 1):
+            for nu in (None, 0.83):
+                rng = np.random.default_rng([0, rule_key, dim])
+                ctx = MeasureContext(dim, nu)
+                for _ in range(3):
+                    params = spec.sample(dim, rng)
+                    if params is None:
+                        break
+                    lhs, rhs = instantiate(spec, params, ctx)
+                    for text in (dump_json(lhs), dump_json(rhs), json.dumps(params_jsonable(params))):
+                        h.update(text.encode())
+                    pairs += 1
+    assert pairs == 2838
+    assert h.hexdigest() == "d6496e2b147bf81a29d4e459e2165eba5117297a3eb834d5392e48049bcf6dec"
 
 
 # ---------------------------------------------------------------------
