@@ -43,9 +43,13 @@ split, which is where D and ``_MAX_DENSE`` enter) in node order, and the
 edges as port numbers; generator parameters, node names and ``nu`` are
 not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` einsum steps
 over all plans, dropping the oldest first, and only integers, never a
-diagram or an array.  Every call, cached plan or not, still validates
-the diagram, builds the factor arrays from the context, and checks
-each einsum result against the budget.
+diagram or an array.  Every call, cached plan or not, builds the factor
+arrays from the context and checks each einsum result against the
+budget.  Each diagram instance is validated once: ``validate`` marks a
+diagram that passes, so ``evaluate`` checks a hand-made diagram on its
+first call and a built or loaded one not again.  Within one call, equal
+parameter-free generators (white, gray, not, hplus, hminus) share one
+factor array; factors with an amplitude are built per node.
 """
 
 from __future__ import annotations
@@ -101,8 +105,17 @@ class Diagram:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
+        """Raise ``DiagramError`` unless every leg and boundary position is wired once.
+
+        A diagram that passes is marked and not checked again, so its
+        node dict must not change after that.
+        """
+        if getattr(self, "_valid", False):
+            return
         seen: dict[Port, int] = {}
         for edge in self.edges:
+            if len(edge) != 2:
+                raise DiagramError(f"edge {edge!r} does not join two ports")
             for port in edge:
                 owner, idx = port
                 if owner == "in":
@@ -128,6 +141,7 @@ class Diagram:
             for pos in range(count):
                 if (side, pos) not in seen:
                     raise DiagramError(f"boundary port {side}:{pos} is dangling")
+        object.__setattr__(self, "_valid", True)
 
     def port_edges(self) -> dict[Port, int]:
         """Map each port to the index of the edge containing it."""
@@ -541,21 +555,47 @@ def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContex
     D = d.dim
     if not steps:
         return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
-    # a dense factor stays its Generator until a step first needs its array
+    # a dense factor stays its Generator until a step first needs its array.
+    # Equal parameter-free generators, keyed by their fields, share one
+    # array: a diagonal one for the whole call, a dense one until its last
+    # slot has taken it.  Factors with an amplitude are built per node
     factors: list[Any] = []
+    shared: dict[tuple, np.ndarray] = {}
+    slots_left: dict[tuple, int] = {}
     for gen, code in zip(d.nodes.values(), node_codes):
         mode = code % 3
         if mode == _DIAGONAL:
-            factors.append(diagonal_weight(ctx, gen))
+            if gen.amp is None:
+                key = (gen.kind, gen.m, gen.n, gen.c)
+                arr = shared.get(key)
+                if arr is None:
+                    arr = shared[key] = diagonal_weight(ctx, gen)
+            else:
+                arr = diagonal_weight(ctx, gen)
+            factors.append(arr)
         elif mode == _DENSE:
             factors.append(gen)
+            if gen.amp is None:
+                key = (gen.kind, gen.m, gen.n, gen.c)
+                slots_left[key] = slots_left.get(key, 0) + 1
         else:
             factors.extend(_split_factors(ctx, gen))
     factors.extend([np.eye(D, dtype=complex)] * (d.n_outputs + d.n_inputs))
 
     def operand(k: int) -> np.ndarray:
-        arr = factors[k]
-        return generator_entries(ctx, arr) if isinstance(arr, Generator) else arr
+        gen = factors[k]
+        if not isinstance(gen, Generator):
+            return gen
+        if gen.amp is not None:
+            return generator_entries(ctx, gen)
+        key = (gen.kind, gen.m, gen.n, gen.c)
+        arr = shared.get(key)
+        if arr is None:
+            arr = shared[key] = generator_entries(ctx, gen)
+        slots_left[key] -= 1
+        if not slots_left[key]:
+            del shared[key]
+        return arr
 
     pos = 0
 
@@ -720,33 +760,23 @@ def adjoint(d: Diagram) -> Diagram:
 # =====================================================================
 
 
-def _port_str(p: Port) -> str:
-    return f"{p[0]}:{p[1]}"
+def _parse_port(s: Any) -> Port:
+    """``"owner:index"`` as a port; anything else is a ``DiagramError``."""
+    owner, _, idx = s.rpartition(":") if isinstance(s, str) else ("", "", "")
+    if owner:
+        try:
+            return (owner, int(idx))
+        except ValueError:
+            pass
+    raise DiagramError(f"bad port reference {s!r}")
 
 
-def _parse_port(s: str) -> Port:
-    owner, _, idx = s.rpartition(":")
-    if not owner:
-        raise DiagramError(f"bad port reference {s!r}")
-    return (owner, int(idx))
-
-
-def to_json_obj(d: Diagram) -> dict[str, Any]:
-    nodes: dict[str, Any] = {}
-    for name, gen in d.nodes.items():
-        entry: dict[str, Any] = {"kind": gen.kind, "legs": gen.degree}
-        if gen.amp is not None:
-            entry["amp"] = amp_to_json(gen.amp)
-        if gen.kind == "not":
-            entry["c"] = gen.c
-        nodes[name] = entry
-    return {
-        "dimension": d.dim,
-        "nodes": nodes,
-        "edges": [[_port_str(a), _port_str(b)] for a, b in d.edges],
-        "inputs": [f"in:{i}" for i in range(d.n_inputs)],
-        "outputs": [f"out:{i}" for i in range(d.n_outputs)],
-    }
+def _json_block(items: list[str], level: int, brackets: str = "[]") -> str:
+    """Encoded items as ``json.dumps(..., indent=1)`` lays out a container at depth ``level``."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * level
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}{pad[:-1]}{brackets[1]}"
 
 
 def from_json_obj(obj: dict[str, Any]) -> Diagram:
@@ -778,7 +808,37 @@ def from_json_obj(obj: dict[str, Any]) -> Diagram:
 
 
 def dump_json(d: Diagram) -> str:
-    return json.dumps(to_json_obj(d), indent=1)
+    """The diagram file: the bytes of ``json.dumps(obj, indent=1)`` for its object.
+
+    An indent makes the json module use its pure-Python encoder, so the
+    fixed layout is written here; strings and amplitudes still go
+    through json.  Ints go through ``int.__repr__``, which refuses
+    non-ints as json did.
+    """
+    enc = json.encoder.encode_basestring_ascii
+    nodes = []
+    for name, gen in d.nodes.items():
+        text = enc(name) + ': {\n   "kind": ' + enc(gen.kind) + ',\n   "legs": ' + int.__repr__(gen.degree)
+        if gen.amp is not None:
+            # nested three deep; a JSON string never holds a raw newline
+            text += ',\n   "amp": ' + json.dumps(amp_to_json(gen.amp), indent=1).replace("\n", "\n   ")
+        if gen.kind == "not":
+            text += ',\n   "c": ' + int.__repr__(gen.c)
+        nodes.append(text + "\n  }")
+    edges = [
+        "[\n   " + enc(f"{a[0]}:{a[1]}") + ",\n   " + enc(f"{b[0]}:{b[1]}") + "\n  ]" for a, b in d.edges
+    ]
+    return _json_block(
+        [
+            '"dimension": ' + int.__repr__(d.dim),
+            '"nodes": ' + _json_block(nodes, 2, "{}"),
+            '"edges": ' + _json_block(edges, 2),
+            '"inputs": ' + _json_block([f'"in:{i}"' for i in range(d.n_inputs)], 2),
+            '"outputs": ' + _json_block([f'"out:{i}"' for i in range(d.n_outputs)], 2),
+        ],
+        1,
+        "{}",
+    )
 
 
 def load_json(text: str) -> Diagram:

@@ -895,7 +895,7 @@ def _zh_hu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 def _need_nonzero_complex(p: Params, k: str, dim: int) -> None:
     v = p[k]
     _need(
-        isinstance(v, (int, float, complex, np.complexfloating))
+        isinstance(v, (int, float, complex, np.integer, np.floating, np.complexfloating))
         and not isinstance(v, bool)
         and complex(v) != 0,
         f"{k} must be a nonzero complex number",

@@ -373,6 +373,27 @@ def test_eval_rejects_non_integer_fields_as_usage_error(runner, tmp_path, text, 
     assert what in res.output and "must be an integer" in res.output
 
 
+@pytest.mark.parametrize(
+    "edges, n_boundary, what",
+    [
+        ([["in:0", "out:0", "a:0"]], 1, "does not join two ports"),
+        ([["a:0"]], 0, "does not join two ports"),
+        ([[5, "out:0"]], 1, "bad port reference 5"),
+        ([["in:x", "out:0"]], 1, "bad port reference 'in:x'"),
+        ([["in:0", None]], 1, "bad port reference None"),
+    ],
+)
+def test_eval_rejects_bad_edges_as_usage_error(runner, tmp_path, edges, n_boundary, what):
+    # every other port is wired once, so only the named edge is at fault
+    src = tmp_path / "d.json"
+    src.write_text(json.dumps({"dimension": 3, "nodes": {"a": {"kind": "white", "legs": 1}},
+                               "edges": edges, "inputs": ["in:0"] * n_boundary,
+                               "outputs": ["out:0"] * n_boundary}))
+    res = runner.invoke(cli.main, ["eval", str(src)])
+    assert res.exit_code == 2
+    assert res.output.startswith("Usage") and what in res.output
+
+
 def test_eval_reads_integral_float_fields(runner, tmp_path):
     out = []
     for text in (hplus_file(), hplus_file(dimension="3.0", legs="2.0")):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import sys
 import threading
 import tracemalloc
@@ -29,14 +30,21 @@ from quditzx.diagram import (
 from quditzx.generators import (
     Char,
     Generator,
+    Indicator,
+    MBox,
     One,
     Phase,
+    PhaseVec,
+    Sign,
     Stab,
+    Table,
     UnitPow,
+    Zero,
     eval_generator,
     generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, residue
+from quditzx.rewrite import CATALOG, instantiate
 from quditzx.tensor import Tensor, compose, max_abs_diff, tensor_product
 
 
@@ -573,6 +581,9 @@ def test_contraction_order_is_pinned(monkeypatch) -> None:
 
 
 def test_dense_factors_are_built_once(monkeypatch) -> None:
+    # a dense node with an amplitude is built once; equal parameter-free
+    # generators (not, hplus, hminus, gray) share one array, built once
+    # per evaluation
     ctx = MeasureContext(3)
     rng = np.random.default_rng(5)
     diagrams = [
@@ -584,14 +595,39 @@ def test_dense_factors_are_built_once(monkeypatch) -> None:
     real = dg.generator_entries
 
     def counting(ctx, gen):
-        built[id(gen)] += 1
+        built[id(gen) if gen.amp is not None else gen] += 1
         return real(ctx, gen)
 
     monkeypatch.setattr(dg, "generator_entries", counting)
     for d in diagrams:
-        built.clear()
-        evaluate(d, ctx)
-        assert built == Counter(id(g) for g in d.nodes.values() if g.kind not in ("white", "green"))
+        dense = [g for g in d.nodes.values() if g.kind not in ("white", "green")]
+        want = Counter(id(g) for g in dense if g.amp is not None)
+        want.update({g for g in dense if g.amp is None})
+        for _ in range(2):
+            built.clear()
+            evaluate(d, ctx)
+            assert built == want
+    # the normal form has many equal not-dots
+    dense = [g for g in diagrams[0].nodes.values() if g.kind == "not"]
+    assert len(dense) > 3 * len(set(dense))
+
+
+def test_equal_diagonal_dots_share_one_weight(monkeypatch) -> None:
+    ctx = MeasureContext(3)
+    d = normal_form(random_tensor(np.random.default_rng(6), 3, 1, 1), ctx)
+    want = evaluate(d, ctx)
+    built: Counter = Counter()
+    real = dg.diagonal_weight
+
+    def counting(ctx, gen):
+        built[gen] += 1
+        return real(ctx, gen)
+
+    monkeypatch.setattr(dg, "diagonal_weight", counting)
+    got = evaluate(d, ctx)
+    assert np.array_equal(got.data, want.data)
+    whites = [g for g in d.nodes.values() if g.kind == "white"]
+    assert built == Counter(set(whites)) and len(whites) > len(set(whites))
 
 
 def test_normal_form_evaluation_memory_stays_small() -> None:
@@ -852,6 +888,81 @@ def test_json_round_trip_preserves_value() -> None:
         assert max_abs_diff(evaluate(back, ctx), evaluate(d, ctx)) < 1e-12
 
 
+AMP_VARIANTS = [
+    One(),
+    Zero(),
+    Phase(1.25),
+    Phase(-0.0),
+    PhaseVec((0.0, float("nan"), float("inf"), -float("inf"), 1e-300)),
+    Stab(-1, 2),
+    Char(3),
+    UnitPow(1 - 2j),
+    Table((1 + 0j, 2j, complex(0.1, -7e22))),
+    MBox(3, 0.5 + 0.5j),
+    Sign(frozenset({-1, 2})),
+    Indicator(frozenset()),
+]
+
+
+def dump_cases():
+    """Diagrams whose files cover the whole layout, named for the failure message."""
+    rng = np.random.default_rng(9)
+    for dim in (2, 3, 4):
+        ctx = MeasureContext(dim)
+        for n_in, n_out in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 1)):
+            yield f"normal form D={dim} {n_in}->{n_out}", normal_form(random_tensor(rng, dim, n_in, n_out), ctx)
+    for rule_key, rid in enumerate(sorted(CATALOG)):
+        spec = CATALOG[rid]
+        for dim in (2, 3, 5, 8):
+            if spec.dim_cap is not None and dim > spec.dim_cap:
+                continue
+            params = spec.sample(dim, np.random.default_rng([rule_key, dim]))
+            if params is not None:
+                for side, d in zip("lr", instantiate(spec, params, MeasureContext(dim))):
+                    yield f"{rid} D={dim} {side}", d
+    yield "empty", Diagram(2, {}, (), 0, 0)
+    yield "bare wire", Diagram(3, {}, ((("in", 0), ("out", 0)),), 1, 1)
+    yield "state", node_diagram(3, Generator.green(Phase(0.5), 0, 2))
+    yield "effect", node_diagram(3, Generator.red(Stab(1, 1), 2, 0))
+    names = ['q"uote', "back\\slash", "co:lon", "ctl\x01\n\t\x7f", "\u00fcn\u00efc\u00f6de \u20ac \U0001f600"]
+    nodes = {name: Generator.white(1, 1) for name in names}
+    ports = [("in", 0)] + [(name, leg) for name in names for leg in (0, 1)] + [("out", 0)]
+    yield "odd names", Diagram(3, nodes, tuple(zip(ports[::2], ports[1::2])), 1, 1)
+    b = DiagramBuilder(3)
+    for amp in AMP_VARIANTS:
+        b.wire(b.node(Generator.green(amp, 0, 1)), "out")
+    for c in (0, -4, 7):
+        nd = b.node(Generator.not_dot(c))
+        b.wire(nd, b.node(Generator.hbox(UnitPow(2j), 0, 1)))
+        b.wire(nd, "in")
+    for gen in (Generator.gray(0, 0), Generator.hplus(), Generator.hminus()):
+        name = b.node(gen)
+        for _ in range(gen.degree):
+            b.wire(name, "in")
+    yield "every kind and amplitude", b.build()
+
+
+def test_dump_json_is_json_dumps_with_indent_one() -> None:
+    # the file is written by hand; it must be the bytes json.dumps writes
+    n = 0
+    for label, d in dump_cases():
+        text = dump_json(d)
+        assert text == json.dumps(json.loads(text), indent=1), label
+        assert dump_json(load_json(text)) == text, label
+        n += 1
+    assert n > 150
+
+
+@pytest.mark.parametrize("ref", [5, None, ["in", 0], "in:x", "in:", "nocolon", ":3", "a:1.5"])
+def test_json_rejects_bad_port_references(ref) -> None:
+    obj = {"dimension": 2, "nodes": {"a": {"kind": "white", "legs": 1}}, "edges": [["a:0", ref]]}
+    with pytest.raises(DiagramError, match="bad port reference"):
+        dg.from_json_obj(obj)
+    obj = {"dimension": 2, "nodes": {}, "edges": [], "inputs": [], "outputs": [ref]}
+    with pytest.raises(DiagramError, match="bad port reference"):
+        dg.from_json_obj(obj)
+
+
 def test_json_inputs_may_point_at_node_ports() -> None:
     obj = {
         "dimension": 2,
@@ -890,6 +1001,60 @@ def test_validation_rejects_unknown_node() -> None:
     d = Diagram(3, {}, ((("in", 0), ("ghost", 0)),), 1, 0)
     with pytest.raises(DiagramError):
         d.validate()
+
+
+@pytest.mark.parametrize(
+    "edge", [(("in", 0),), (("in", 0), ("out", 0), ("w", 0)), ()], ids=["one", "three", "none"]
+)
+def test_validation_rejects_edges_that_are_not_pairs(edge) -> None:
+    d = Diagram(3, {"w": Generator.white(0, 1)}, (edge, (("w", 0), ("out", 0))), 1, 1)
+    with pytest.raises(DiagramError, match="does not join two ports"):
+        d.validate()
+    with pytest.raises(DiagramError, match="does not join two ports"):
+        evaluate(d, MeasureContext(3))
+
+
+def dangling_diagram() -> Diagram:
+    """Made by hand, never validated: leg 1 of ``w`` is not wired."""
+    return Diagram(3, {"w": Generator.white(1, 1)}, ((("in", 0), ("w", 0)),), 1, 0)
+
+
+def test_invalid_diagram_fails_every_evaluation() -> None:
+    d = dangling_diagram()
+    ctx = MeasureContext(3)
+    for _ in range(3):
+        with pytest.raises(DiagramError, match="dangling"):
+            evaluate(d, ctx)
+        with pytest.raises(DiagramError, match="dangling"):
+            d.validate()
+
+
+def test_derived_diagrams_are_validated_on_first_evaluation() -> None:
+    ctx = MeasureContext(3)
+    b = DiagramBuilder(3)
+    b.wire("in", "out")
+    good, bad = b.build(), dangling_diagram()
+    for d in (compose_parallel(good, bad), compose_parallel(bad, good), adjoint(bad), bad.with_fresh_ids("p.")):
+        for _ in range(2):
+            with pytest.raises(DiagramError, match="dangling"):
+                evaluate(d, ctx)
+    for d in (compose_parallel(good, good), adjoint(good), good.with_fresh_ids("p.")):
+        assert evaluate(d, ctx).data.shape == (3,) * (d.n_inputs + d.n_outputs)
+
+
+def test_validated_diagram_is_not_checked_again() -> None:
+    # a diagram that passed is marked (by build, load_json or a first
+    # evaluate) and not walked again, so a later edit of its node dict,
+    # which diagrams do not allow, goes unseen; an unmarked copy sees it
+    ctx = MeasureContext(3)
+    made = Diagram(3, {"h": Generator.hplus()}, ((("in", 0), ("h", 0)), (("h", 1), ("out", 0))), 1, 1)
+    evaluate(made, ctx)
+    for d in (node_diagram(3, Generator.hplus()), load_json(dump_json(made)), made):
+        d.nodes["extra"] = Generator.white(0, 1)
+        d.validate()
+        copy = Diagram(d.dim, d.nodes, d.edges, d.n_inputs, d.n_outputs)
+        with pytest.raises(DiagramError, match="dangling"):
+            copy.validate()
 
 
 @pytest.mark.parametrize("dim", [1, 0, -3])

@@ -148,6 +148,17 @@ def test_param_errors_misc():
                 instantiate(spec, {j: v for j, v in valid.items() if j != k}, ctx8)
 
 
+def test_zh_ec_alpha_accepts_numpy_numbers():
+    # like INT and REAL, alpha takes numpy scalars; booleans stay out
+    spec = get_rule("ZH-EC")
+    for alpha in (np.float32(1.0), np.float64(-0.5), np.int64(2), np.int8(-1), np.complex64(1j)):
+        assert spec.param_domain({"alpha": alpha, "m": 1}, 3), alpha
+    for alpha in (np.float32(0.0), np.int64(0), np.bool_(True), np.bool_(False), True):
+        assert not spec.param_domain({"alpha": alpha, "m": 1}, 3), alpha
+    ctx = MeasureContext(3)
+    assert check_soundness(spec, {"alpha": np.float32(1.25), "m": 2}, ctx)["pass"]
+
+
 def test_sampled_params_always_valid():
     rng = np.random.default_rng(5)
     for rid in ALL_RULE_IDS:
