@@ -36,15 +36,27 @@ exist at once.  Every contraction result is checked against
 ``_MAX_RESULT`` entries before it is allocated, and a larger one raises
 ``OverflowGuardError``.
 
+Each pairwise step runs on one of two kernels, picked by its size; the
+order and the budget check are the same for both.  A step over u
+distinct labels loops over D^u entries.  From ``_MATMUL_MIN`` entries on
+it runs as one batched ``np.matmul`` (``_pairwise``): the labels split
+into batch, summed and free ones, each operand is transposed and
+reshaped to three axes, and BLAS does the sums.  A smaller step runs as
+one ``np.einsum`` call, which has a lower fixed cost and reads the
+operands in place, where matmul first copies them.  Steps on one
+factor (sum, trace, reorder) always use ``np.einsum``.  Both kernels
+get the same operands in the same contraction order, so their tensors
+differ only by rounding: BLAS sums in another order.
+
 The plan depends on the diagram's shape alone, so it is made once per
 shape and cached.  The key (``_structure``) is exact, not a hash: the
 boundary sizes, each node's degree and factor kind (diagonal, dense, or
 split, which is where D and ``_MAX_DENSE`` enter) in node order, and the
 edges as port numbers; generator parameters, node names and ``nu`` are
-not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` einsum steps
+not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` steps
 over all plans, dropping the oldest first, and only integers, never a
 diagram or an array.  Every call, cached plan or not, builds the factor
-arrays from the context and checks each einsum result against the
+arrays from the context and checks each step's result against the
 budget.  Each diagram instance is validated once: ``validate`` marks a
 diagram that passes, so ``evaluate`` checks a hand-made diagram on its
 first call and a built or loaded one not again.  Within one call, equal
@@ -81,7 +93,12 @@ Edge = tuple[Port, Port]
 _RESERVED = ("in", "out")
 _MAX_DENSE = 2_000_000  # entries; beyond this red/gray decompose, others refuse
 _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any contraction result
-_MAX_PLAN_STEPS = 1 << 15  # einsum steps in all cached contraction plans
+_MAX_PLAN_STEPS = 1 << 15  # steps in all cached contraction plans
+# loop entries D^u from which a pairwise step runs as matmul.  Warm,
+# matmul wins from about 2^12; but below 2^17 (a normal form's widest
+# steps at D=4 are 2^16) its operand copies cost more in fresh pages
+# than BLAS saves
+_MATMUL_MIN = 1 << 17
 
 # how a node's factor is made: its diagonal, its dense array, or its
 # character decomposition (red and gray dots too large to be dense)
@@ -290,7 +307,7 @@ def _plan(codes: list[int]) -> tuple[int, array]:
     Factor slots are numbered in the order ``_execute`` makes them: each
     node's factors in node order (a split node gives its coefficient
     vector, then one phase matrix per leg), then one boundary delta per
-    output and per input.  Returns the number of einsum steps and the
+    output and per input.  Returns the number of steps and the
     steps, flat: each step is ``i, j`` followed by its sublists, each
     preceded by its length.  With ``j >= 0`` the step contracts slots i
     and j into slot i (three sublists); with ``j == -1`` it sums or
@@ -540,14 +557,34 @@ def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
     return [coeff] + [phase] * deg
 
 
-def _einsum(dim: int, *operands):
-    """``np.einsum`` in sublist form, refused if its result would pass the budget."""
-    rank = len(operands[-1])
-    if dim**rank > _MAX_RESULT:
-        raise OverflowGuardError(
-            f"contraction result of rank {rank} at D={dim} exceeds {_MAX_RESULT} entries"
-        )
-    return np.einsum(*operands)
+def _pairwise(dim: int, a: np.ndarray, sa: list[int], b: np.ndarray, sb: list[int], so: list[int]) -> np.ndarray:
+    """``np.einsum(a, sa, b, sb, so)``, as one batched ``np.matmul`` if the step is large.
+
+    The planner numbers a step's labels 0..u-1, so it loops over D^u
+    entries; below ``_MATMUL_MIN`` of them it runs as one ``np.einsum``.
+    The matmul path needs what the planner's steps give: distinct labels
+    in each operand, and every label in ``so`` or in both operands.  The
+    labels split into batch (shared, kept), summed (shared, dropped) and
+    free in a or in b; a becomes ``(batch, free a, summed)``, b becomes
+    ``(batch, summed, free b)``, and the product comes back as a view in
+    the order ``so``.  The reshaped copies replace a and b, so an
+    operand the caller has let go of is freed before the product is
+    allocated.
+    """
+    # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
+    if dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN:
+        return np.einsum(a, sa, b, sb, so)
+    in_a, in_b, keep = set(sa), set(sb), set(so)
+    batch = [l for l in sa if l in in_b and l in keep]
+    summed = [l for l in sa if l in in_b and l not in keep]
+    free_a = [l for l in sa if l not in in_b]
+    free_b = [l for l in sb if l not in in_a]
+    nb, ns = dim ** len(batch), dim ** len(summed)
+    a = a.transpose([sa.index(l) for l in batch + free_a + summed]).reshape(nb, -1, ns)
+    b = b.transpose([sb.index(l) for l in batch + summed + free_b]).reshape(nb, ns, -1)
+    order = batch + free_a + free_b
+    c = np.matmul(a, b).reshape((dim,) * len(order))
+    return c.transpose([order.index(l) for l in so])
 
 
 def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContext) -> Tensor:
@@ -583,7 +620,8 @@ def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContex
     factors.extend([np.eye(D, dtype=complex)] * (d.n_outputs + d.n_inputs))
 
     def operand(k: int) -> np.ndarray:
-        gen = factors[k]
+        # the slot lets go, so a step's kernel holds the last reference
+        gen, factors[k] = factors[k], None
         if not isinstance(gen, Generator):
             return gen
         if gen.amp is not None:
@@ -608,11 +646,17 @@ def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContex
     while pos < len(steps):
         i, j = steps[pos], steps[pos + 1]
         pos += 2
-        if j < 0:
-            factors[i] = _einsum(D, operand(i), sublist(), sublist())
+        sa = sublist()
+        sb = sublist() if j >= 0 else None
+        so = sublist()
+        if D ** len(so) > _MAX_RESULT:
+            raise OverflowGuardError(
+                f"contraction result of rank {len(so)} at D={D} exceeds {_MAX_RESULT} entries"
+            )
+        if sb is None:
+            factors[i] = np.einsum(operand(i), sa, so)
         else:
-            factors[i] = _einsum(D, operand(i), sublist(), operand(j), sublist(), sublist())
-            factors[j] = None
+            factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
     return Tensor(D, d.n_inputs, d.n_outputs, factors[i].reshape((D,) * (d.n_outputs + d.n_inputs)))
 
 

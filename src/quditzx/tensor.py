@@ -167,6 +167,10 @@ def from_dump(obj: dict[str, Any]) -> Tensor:
     dim = strict_int(obj["dim"], "dim")
     m, n = strict_int(obj["in_legs"], "in_legs"), strict_int(obj["out_legs"], "out_legs")
     entries = obj["entries"]
+    # D >= 2, so more legs than this would need more entries than there
+    # are; refuse them before D^(m+n) can grow into a huge integer
+    if m + n > len(entries).bit_length():
+        raise ShapeError(f"{m + n} legs need more than the {len(entries)} entries given")
     if len(entries) != dim ** (m + n):
         raise ShapeError(f"entry count {len(entries)} != {dim}^{m + n}")
     flat = np.array([complex(re, im) for re, im in entries])

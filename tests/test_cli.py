@@ -188,6 +188,15 @@ def test_check_report_is_byte_identical_across_runs(runner, tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_check_of_widest_rule_is_byte_identical_across_runs(runner):
+    # ZH-O's large contraction steps run as matmul; the report must not move
+    args = ["check", "ZH-O", "--dims", "5..6", "--seed", "3"]
+    a = runner.invoke(cli.main, args)
+    b = runner.invoke(cli.main, args)
+    assert a.exit_code == 0 and b.exit_code == 0
+    assert a.stdout_bytes == b.stdout_bytes
+
+
 def test_check_rejects_conflicting_dim_flags(runner):
     res = runner.invoke(cli.main, ["check", "--dim", "3", "--dims", "2..4"])
     assert res.exit_code == 2
@@ -314,6 +323,14 @@ def test_eval_result_past_size_budget_is_semantic_error(runner, tmp_path, monkey
     res = runner.invoke(cli.main, ["eval", path])
     assert res.exit_code == 3
     assert "exceeds" in res.stderr
+
+
+def test_normal_form_refuses_huge_leg_count_as_usage_error(runner, tmp_path):
+    src = tmp_path / "t.json"
+    src.write_text('{"dim": 3, "in_legs": 1000000000000, "out_legs": 0, "entries": [[1, 0]]}')
+    res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src)])
+    assert res.exit_code == 2
+    assert "legs need more" in res.output
 
 
 def test_normal_form_bad_input_is_usage_error(runner, tmp_path):

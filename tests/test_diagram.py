@@ -555,29 +555,42 @@ def test_hub_diagrams_match_flat_einsum(dim: int) -> None:
         assert max_abs_diff(evaluate(d, ctx), want) < 1e-10 * max(1.0, np.max(np.abs(want.data)))
 
 
-def test_contraction_order_is_pinned(monkeypatch) -> None:
-    # digests of every einsum's operand shapes and index lists under the
-    # greedy order; the order fixes the tensor bits, so a change of order
-    # must update these knowingly
-    ctx = MeasureContext(3)
-    cases = [
-        (tied_hub_diagram(3), "b684ee0207ac4ace"),
-        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "d61e47e4a9d7aedb"),
-        (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "b4671235e05472a9"),
-        (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "d07d987ec7e25319"),
+def plan_steps(steps) -> list:
+    """A flat plan from ``_plan`` as a list of ``(i, j, sublists)``."""
+    out, pos = [], 0
+    while pos < len(steps):
+        i, j = steps[pos], steps[pos + 1]
+        pos += 2
+        subs = []
+        for _ in range(3 if j >= 0 else 2):
+            n = steps[pos]
+            subs.append(steps[pos + 1 : pos + 1 + n].tolist())
+            pos += n + 1
+        out.append((i, j, subs))
+    return out
+
+
+def order_digest(steps) -> str:
+    return hashlib.sha256(repr(plan_steps(steps)).encode()).hexdigest()[:16]
+
+
+def pinned_order_cases(ctx: MeasureContext) -> list:
+    return [
+        (tied_hub_diagram(3), "438659fbf65de7f6"),
+        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "9935189a0a376747"),
+        (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "9df939d467e8262c"),
+        (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "fa66a8dad705a71a"),
     ]
-    calls: list = []
-    real = np.einsum
 
-    def recording(*operands):
-        calls.append([op if isinstance(op, list) else op.shape for op in operands])
-        return real(*operands)
 
-    monkeypatch.setattr(np, "einsum", recording)
-    for d, digest in cases:
-        calls.clear()
-        evaluate(d, ctx)
-        assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == digest
+def test_contraction_order_is_pinned() -> None:
+    # digests of every step (slots and index lists) of the greedy plan;
+    # the order fixes the tensor bits, so a change of order must update
+    # these knowingly
+    for d, digest in pinned_order_cases(MeasureContext(3)):
+        n_steps, steps = dg._plan(dg._structure(d))
+        assert len(plan_steps(steps)) == n_steps
+        assert order_digest(steps) == digest
 
 
 def test_dense_factors_are_built_once(monkeypatch) -> None:
@@ -646,17 +659,121 @@ def test_normal_form_evaluation_memory_stays_small() -> None:
     assert peak < 4_000_000
 
 
-def test_result_budget_refuses_wide_results(monkeypatch) -> None:
+@pytest.mark.parametrize("matmul_min", [1, None], ids=["all-matmul", "default"])
+def test_result_budget_refuses_wide_results(monkeypatch, matmul_min) -> None:
+    # one guard for both kernels, checked before either allocates
+    if matmul_min is not None:
+        monkeypatch.setattr(dg, "_MATMUL_MIN", matmul_min)
     b = DiagramBuilder(2)
     for _ in range(3):
         b.wire("in", "out")
     d = b.build()
     ctx = MeasureContext(2)
+    sizes: list = []
+    for name in ("einsum", "matmul"):
+        real = getattr(np, name)
+
+        def recording(*args, _real=real, _name=name, **kwargs):
+            out = _real(*args, **kwargs)
+            sizes.append((_name, np.size(out)))
+            return out
+
+        monkeypatch.setattr(np, name, recording)
     monkeypatch.setattr(dg, "_MAX_RESULT", 2**6)
     assert np.allclose(evaluate(d, ctx).as_matrix(), np.eye(8))
+    kernels = {name for name, _ in sizes}
+    assert ("matmul" in kernels) == (matmul_min == 1)
+    sizes.clear()
     monkeypatch.setattr(dg, "_MAX_RESULT", 2**6 - 1)
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(OverflowGuardError, match="exceeds"):
         evaluate(d, ctx)
+    assert all(size <= 2**6 - 1 for _, size in sizes)
+
+
+def kernel_cases():
+    """Both sides of one sampled instance of every rule at D=2..6, hub
+    diagrams, and normal forms at D=2..4."""
+    for rule_key, rid in enumerate(sorted(CATALOG)):
+        spec = CATALOG[rid]
+        for dim in range(2, 7):
+            if spec.dim_cap is not None and dim > spec.dim_cap:
+                continue
+            params = spec.sample(dim, np.random.default_rng([rule_key, dim]))
+            if params is not None:
+                ctx = MeasureContext(dim)
+                for side, d in zip("lr", instantiate(spec, params, ctx)):
+                    yield f"{rid} D={dim} {side}", d, ctx
+    for dim in (2, 3):
+        ctx = MeasureContext(dim)
+        yield f"tied hub D={dim}", tied_hub_diagram(dim), ctx
+        rng = np.random.default_rng(70 + dim)
+        for k in range(3):
+            yield f"hub D={dim} #{k}", hub_diagram(rng, dim, 3, 8, 1, 1), ctx
+    rng = np.random.default_rng(71)
+    for dim in (2, 3, 4):
+        ctx = MeasureContext(dim)
+        for n_in, n_out in ((1, 0), (0, 2), (1, 1), (2, 1)):
+            d = normal_form(random_tensor(rng, dim, n_in, n_out), ctx)
+            yield f"normal form D={dim} {n_in}->{n_out}", d, ctx
+
+
+def test_matmul_and_einsum_kernels_agree(monkeypatch) -> None:
+    # every pairwise step as matmul, then every one as einsum: the same
+    # order and operands, so the tensors differ only by rounding
+    n = 0
+    for label, d, ctx in kernel_cases():
+        monkeypatch.setattr(dg, "_MATMUL_MIN", 1)
+        wide = evaluate(d, ctx).data
+        monkeypatch.setattr(dg, "_MATMUL_MIN", 1 << 200)
+        narrow = evaluate(d, ctx).data
+        # relative to the largest entry, or to 1 for a side that is 0 up
+        # to rounding
+        scale = max(np.max(np.abs(narrow)), 1.0)
+        assert np.max(np.abs(wide - narrow)) <= 1e-12 * scale, label
+        n += 1
+    assert n > 500
+
+
+@pytest.mark.parametrize(
+    "sa,sb,so",
+    [
+        ([0, 1, 2, 3], [2, 0, 4, 1], [4, 0, 3]),  # batch 0, summed 1 2, free 3 | 4
+        ([0, 1, 2], [2, 1], [0]),  # free labels in a only
+        ([0], [1, 0, 2], [2, 1]),  # free labels in b only
+        ([0, 1], [2], [2, 0, 1]),  # no shared label: an outer product
+        ([0, 1], [1, 2, 0], [2, 1, 0]),  # batch and free, nothing summed
+        ([], [0, 1], [1, 0]),  # rank-0 a
+        ([0, 1], [], [1, 0]),  # rank-0 b
+        ([], [], []),  # two scalars
+        ([0, 1], [1, 0], []),  # all summed: a scalar result
+        ([0, 1, 2], [1, 2, 0], [2, 0, 1]),  # all batch: an entrywise product
+    ],
+)
+def test_matmul_kernel_matches_einsum(monkeypatch, sa, sb, so) -> None:
+    monkeypatch.setattr(dg, "_MATMUL_MIN", 1)
+    rng = np.random.default_rng(3)
+    dim = 3
+
+    def operand(rank):
+        shape = (dim,) * rank
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b = operand(len(sa)), operand(len(sb))
+    want = np.einsum(a, sa, b, sb, so)
+    # contiguous operands, then transposed views of them
+    for x, sx, y, sy in ((a, sa, b, sb), (a.T, sa[::-1], b.T, sb[::-1])):
+        got = dg._pairwise(dim, x, sx, y, sy, so)
+        assert got.shape == (dim,) * len(so)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
+def test_widest_rules_evaluate_byte_identically(rid) -> None:
+    spec = CATALOG[rid]
+    ctx = MeasureContext(6)
+    params = spec.sample(6, np.random.default_rng(0))
+    for d in instantiate(spec, params, ctx):
+        assert evaluate(d, ctx).data.tobytes() == evaluate(d, ctx).data.tobytes()
 
 
 # -- the plan cache -------------------------------------------------------
@@ -679,26 +796,20 @@ def plan_calls(monkeypatch) -> list:
 
 def test_cached_plan_replays_the_pinned_order(monkeypatch, plan_calls) -> None:
     ctx = MeasureContext(3)
-    cases = [
-        (tied_hub_diagram(3), "b684ee0207ac4ace"),
-        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "d61e47e4a9d7aedb"),
-        (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "b4671235e05472a9"),
-        (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "d07d987ec7e25319"),
-    ]
-    calls: list = []
-    real = np.einsum
+    run: list = []
+    real = dg._execute
 
-    def recording(*operands):
-        calls.append([op if isinstance(op, list) else op.shape for op in operands])
-        return real(*operands)
+    def recording(steps, *args):
+        run.append(order_digest(steps))
+        return real(steps, *args)
 
-    monkeypatch.setattr(np, "einsum", recording)
-    for k, (d, digest) in enumerate(cases):
+    monkeypatch.setattr(dg, "_execute", recording)
+    for k, (d, digest) in enumerate(pinned_order_cases(ctx)):
         tensors = []
         for _ in range(2):
-            calls.clear()
+            run.clear()
             tensors.append(evaluate(d, ctx).data)
-            assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == digest
+            assert run == [digest]
         assert len(plan_calls) == k + 1  # the second run planned nothing
         assert tensors[0].tobytes() == tensors[1].tobytes()
 

@@ -13,6 +13,7 @@ from quditzx.tensor import (
     compose,
     cup,
     dump_json,
+    from_dump,
     identity_wire,
     load_json,
     max_abs_diff,
@@ -110,6 +111,16 @@ def test_rejects_small_dimension_and_negative_legs(dim, m, n):
         Tensor(dim, m, n, np.ones(()))
     with pytest.raises(ShapeError):
         load_json(f'{{"dim": {dim}, "in_legs": {m}, "out_legs": {n}, "entries": [[1, 0]]}}')
+
+
+@pytest.mark.parametrize("legs", [4_000_000, 10**12])
+def test_from_dump_refuses_huge_leg_counts_before_the_power(legs):
+    # dim^legs would be a huge integer; the leg count is bounded first
+    for dim in (3, -3):
+        with pytest.raises(ShapeError, match="legs need more"):
+            from_dump({"dim": dim, "in_legs": legs, "out_legs": 0, "entries": [[1, 0]]})
+        with pytest.raises(ShapeError, match="legs need more"):
+            from_dump({"dim": dim, "in_legs": 1, "out_legs": legs, "entries": [[1, 0]] * 9})
 
 
 @settings(max_examples=30)
