@@ -22,17 +22,27 @@ materializing a dense rank-deg tensor the evaluator unifies all wires
 incident to such a dot into a single summation index carrying the dot's
 diagonal weight.  This keeps very high-degree copy dots (the
 normal-form synthesizer builds fan-outs of degree D^(m+n)+1) cheap.
-Red and gray dots depend only on the sum of their legs mod D; when
-their dense form would be large they are expanded through a rank-D
-character decomposition instead.  Contraction order is greedy: always
-merge a pair of factors sharing an index so that the merged rank is
-minimal.  For each index the candidate pair is its two lowest-rank
-factors; an index shared by three or more factors (a hub, such as a
-fan-out dot) keeps them in a lazy min-heap instead of sorting its
-factors on every step.  The planner reads only ranks, so dense node
-factors are built only when a contraction first needs their array and
-are dropped once merged; a fan-out's many selector boxes never all
-exist at once.  Every contraction result is checked against
+Red and gray dots depend only on the sum of their legs mod D, so a dot
+is also a sum over one character index t: w(sum x) = sum_t c(t) prod_j
+omega^(t x_j).  A dot with more than ``_SPLIT_ABOVE`` dense entries
+enters split this way, as the vector c and one D x D phase matrix per
+leg, all on t; the planner can then merge its legs one at a time
+instead of carrying a rank-deg block through every step.  Other dense
+factors larger than ``_MAX_DENSE`` are refused.
+
+Contraction order is greedy: always merge a pair of factors sharing an
+index so that the merged rank is minimal.  Scalars come first: every
+factor of rank 0 (a scalar box, a closed loop, a dot with no legs) is
+folded into the lowest-rank factor that has an index before the greedy
+loop starts, since a scalar shares no index and would otherwise be
+merged last, against the full-size result.  For each index the
+candidate pair is its two lowest-rank factors; an index shared by
+three or more factors (a hub, such as a fan-out dot) keeps them in a
+lazy min-heap instead of sorting its factors on every step.  The
+planner reads only ranks, so dense node factors are built only when a
+contraction first needs their array and are dropped once merged; a
+fan-out's many selector boxes never all exist at once.  Every
+contraction result is checked against
 ``_MAX_RESULT`` entries before it is allocated, and a larger one raises
 ``OverflowGuardError``.
 
@@ -51,7 +61,7 @@ differ only by rounding: BLAS sums in another order.
 The plan depends on the diagram's shape alone, so it is made once per
 shape and cached.  The key (``_structure``) is exact, not a hash: the
 boundary sizes, each node's degree and factor kind (diagonal, dense, or
-split, which is where D and ``_MAX_DENSE`` enter) in node order, and the
+split, which is where D and ``_SPLIT_ABOVE`` enter) in node order, and the
 edges as port numbers; generator parameters, node names and ``nu`` are
 not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` steps
 over all plans, dropping the oldest first, and only integers, never a
@@ -91,17 +101,23 @@ Port = tuple[str, int]
 Edge = tuple[Port, Port]
 
 _RESERVED = ("in", "out")
-_MAX_DENSE = 2_000_000  # entries; beyond this red/gray decompose, others refuse
+_MAX_DENSE = 2_000_000  # entries; a larger dense factor (not red or gray) is refused
+# entries; a red or gray dot with more is split by characters.  From 64
+# to 4096 the soundness matrix at D=2..9 ran equally fast within noise;
+# from 10^5 it ran slower at D=2..6, and from 7^7 ZH-O's gray hub stays
+# dense at D=7, where it costs ten times its output
+_SPLIT_ABOVE = 512
 _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any contraction result
 _MAX_PLAN_STEPS = 1 << 15  # steps in all cached contraction plans
 # loop entries D^u from which a pairwise step runs as matmul.  Warm,
 # matmul wins from about 2^12; but below 2^17 (a normal form's widest
 # steps at D=4 are 2^16) its operand copies cost more in fresh pages
-# than BLAS saves
+# than BLAS saves.  In the soundness matrix at D=2..9, only the last hub
+# step of each side of ZH-O and ZH-ZPL at D=5..7 reaches it
 _MATMUL_MIN = 1 << 17
 
 # how a node's factor is made: its diagonal, its dense array, or its
-# character decomposition (red and gray dots too large to be dense)
+# character decomposition (red and gray dots above _SPLIT_ABOVE entries)
 _DIAGONAL, _DENSE, _SPLIT = range(3)
 
 
@@ -273,7 +289,7 @@ def _factor_mode(name: str, gen: Generator, dim: int) -> int:
             raise OverflowGuardError(f"node {name!r}: {gen.kind} of degree {deg} too large at D={dim}")
         return _DENSE
     if gen.kind in ("red", "gray"):
-        return _DENSE if deg == 0 or dim**deg <= _MAX_DENSE else _SPLIT
+        return _SPLIT if dim**deg > _SPLIT_ABOVE else _DENSE
     raise AssertionError(f"unexpected kind {gen.kind}")
 
 
@@ -390,6 +406,18 @@ def _plan(codes: list[int]) -> tuple[int, array]:
             emit(i, -1, [relabel[l] for l in labs], [relabel[l] for l in out_labels])
             labels[i] = out_labels
     index = build_index()
+
+    # fold every scalar into the lowest-rank labelled factor now: it shares
+    # no label, so the greedy loop would merge it last, as an outer
+    # product with the full-size result
+    ranked = sorted(live, key=lambda k: (len(labels[k]), k))
+    scalars = [k for k in ranked if not labels[k]]
+    if len(scalars) < len(ranked):
+        target = ranked[len(scalars)]
+        names = list(range(len(labels[target])))
+        for k in scalars:
+            emit(target, k, names, [], names)
+            live.discard(k)
 
     def rank(k: int) -> int:
         return len(labels[k])

@@ -22,6 +22,9 @@ import numpy as np
 from quditzx.measure import MeasureContext
 
 
+_DIFF_BLOCK = 1 << 16  # entries per block in max_abs_diff
+
+
 class ShapeError(ValueError):
     """Leg-count or dimension mismatch between tensors."""
 
@@ -133,11 +136,30 @@ def compose(first: Tensor, second: Tensor) -> Tensor:
 
 
 def max_abs_diff(a: Tensor, b: Tensor) -> float:
+    """The largest entrywise ``|a - b|``, or NaN if any of them is NaN.
+
+    A tensor of more than ``_DIFF_BLOCK`` entries is compared in blocks
+    of at most that many, one for each index of its widest-strided axes,
+    so no temporary is as large as the tensors and each block reads
+    short runs of memory in both.  The max of the same abs values is
+    exact, so the result is bit for bit
+    ``float(np.max(np.abs(a.data - b.data)))``; ``np.maximum`` carries a
+    NaN from any block to the end.
+    """
     if (a.dim, a.in_legs, a.out_legs) != (b.dim, b.in_legs, b.out_legs):
         raise ShapeError("tensors differ in dimension or leg counts")
-    if a.data.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a.data - b.data)))
+    x, y = a.data, b.data
+    if x.size <= _DIFF_BLOCK:
+        return float(np.max(np.abs(x - y)))
+    order = sorted(range(x.ndim), key=lambda k: -abs(x.strides[k]) - abs(y.strides[k]))
+    x, y = x.transpose(order), y.transpose(order)
+    lead = 0
+    while x.size // a.dim**lead > _DIFF_BLOCK:
+        lead += 1
+    worst = -np.inf
+    for idx in np.ndindex(x.shape[:lead]):
+        worst = np.maximum(worst, np.max(np.abs(x[idx] - y[idx])))
+    return float(worst)
 
 
 # ---------------------------------------------------------------- dump format

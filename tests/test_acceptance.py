@@ -76,6 +76,14 @@ def test_soundness_matrix_all_rules():
     assert time.monotonic() - start < 300.0
 
 
+def test_size_capped_rules_pass_at_their_cap():
+    capped = ["ZX-MEH", "ZH-MEH", "ZH-O", "ZH-ZPL"]
+    assert all(rewrite.CATALOG[rid].dim_cap == 7 for rid in capped)
+    rows = rewrite.check_all([7], samples=1, rules=capped)
+    assert [row["rule"] for row in rows] == sorted(capped)
+    assert all(row["status"] == "pass" for row in rows)
+
+
 # -- 3: normalization-independent subset -------------------------------
 
 

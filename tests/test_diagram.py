@@ -10,9 +10,12 @@ import threading
 import tracemalloc
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditzx.diagram as dg
 from quditzx.construct import normal_form
@@ -425,11 +428,29 @@ def test_character_decomposition_agrees_with_dense(monkeypatch) -> None:
     ]
     for gen in cases:
         d = node_diagram(dim, gen)
+        monkeypatch.setattr(dg, "_SPLIT_ABOVE", dg._MAX_DENSE)
         dense = evaluate(d, ctx)
-        monkeypatch.setattr(dg, "_MAX_DENSE", 1)
+        monkeypatch.setattr(dg, "_SPLIT_ABOVE", 0)
         decomposed = evaluate(d, ctx)
-        monkeypatch.undo()
         assert max_abs_diff(decomposed, dense) < 1e-10, gen
+
+
+def test_split_and_dense_red_gray_agree(monkeypatch) -> None:
+    # every red and gray dot split by characters, then every one dense
+    # that a dense factor may hold at all (up to _MAX_DENSE), on both
+    # sides of every rule at D=2..7
+    n = 0
+    for label, d, ctx in catalog_cases(range(2, 8)):
+        if not any(g.kind in ("red", "gray") for g in d.nodes.values()):
+            continue
+        monkeypatch.setattr(dg, "_SPLIT_ABOVE", 0)
+        split = evaluate(d, ctx).data
+        monkeypatch.setattr(dg, "_SPLIT_ABOVE", dg._MAX_DENSE)
+        dense = evaluate(d, ctx).data
+        scale = max(np.max(np.abs(dense)), 1.0)
+        assert np.max(np.abs(split - dense)) <= 1e-12 * scale, label
+        n += 1
+    assert n > 200
 
 
 # -- planner, deferred factors and the result budget ----------------------
@@ -555,6 +576,54 @@ def test_hub_diagrams_match_flat_einsum(dim: int) -> None:
         assert max_abs_diff(evaluate(d, ctx), want) < 1e-10 * max(1.0, np.max(np.abs(want.data)))
 
 
+AMPS = [One(), Phase(0.7), Stab(1, 2), Char(1), UnitPow(1.1 - 0.2j)]
+KINDS = ["white", "green", "red", "gray", "hbox", "hplus", "hminus", "not"]
+
+
+@st.composite
+def small_diagrams(draw) -> Diagram:
+    """A valid diagram at D=2..4: a red or gray dot and up to four more
+    nodes, wired at random.  It can hold rank-0 nodes of every kind, red
+    and gray dots of degree 0..6, self-loops, parallel edges and
+    boundary-to-boundary wires."""
+    dim = draw(st.integers(2, 4))
+    kinds = [draw(st.sampled_from(["red", "gray"]))] + draw(st.lists(st.sampled_from(KINDS), max_size=4))
+    nodes: dict = {}
+    for k, kind in enumerate(kinds):
+        if kind in ("hplus", "hminus", "not"):
+            gen = Generator.not_dot(draw(st.integers(0, dim - 1))) if kind == "not" else Generator(kind, 1, 1)
+        else:
+            deg = draw(st.integers(0, 6 if kind in ("red", "gray") else 3))
+            m = draw(st.integers(0, deg))
+            amp = draw(st.sampled_from(AMPS)) if kind in ("green", "red", "hbox") else None
+            gen = Generator(kind, m, deg - m, amp=amp)
+        nodes[f"{kind}{k}"] = gen
+    n_in, n_out = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    ports = [(name, leg) for name, gen in nodes.items() for leg in range(gen.degree)]
+    ports += [("in", i) for i in range(n_in)] + [("out", j) for j in range(n_out)]
+    if len(ports) % 2:
+        nodes["pad"] = Generator.white(0, 1)
+        ports.append(("pad", 0))
+    ports = draw(st.permutations(ports))
+    return Diagram(dim, nodes, tuple(zip(ports[::2], ports[1::2])), n_in, n_out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_diagrams(), st.booleans(), st.sampled_from([None, 0.8]))
+def test_random_diagrams_match_flat_einsum(d: Diagram, split_all: bool, nu: float | None) -> None:
+    # on a cold plan cache, then on the plan it cached; with the default
+    # factor modes and with every red and gray dot split
+    ctx = MeasureContext(d.dim, nu)
+    want = flat_einsum(d, ctx)
+    split_above = 0 if split_all else dg._SPLIT_ABOVE
+    with mock.patch.object(dg, "_PLANS", dg._PlanCache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
+        cold = evaluate(d, ctx)
+        assert len(dg._PLANS.plans) == 1
+        warm = evaluate(d, ctx)
+    assert warm.data.tobytes() == cold.data.tobytes()
+    assert max_abs_diff(cold, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data)))
+
+
 def plan_steps(steps) -> list:
     """A flat plan from ``_plan`` as a list of ``(i, j, sublists)``."""
     out, pos = [], 0
@@ -580,6 +649,7 @@ def pinned_order_cases(ctx: MeasureContext) -> list:
         (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "9935189a0a376747"),
         (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "9df939d467e8262c"),
         (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "fa66a8dad705a71a"),
+        (instantiate("ZH-O", {}, ctx)[0], "01012de14178567a"),  # a scalar box and a gray hub
     ]
 
 
@@ -591,6 +661,22 @@ def test_contraction_order_is_pinned() -> None:
         n_steps, steps = dg._plan(dg._structure(d))
         assert len(plan_steps(steps)) == n_steps
         assert order_digest(steps) == digest
+
+
+@pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
+def test_widest_rules_plan_about_their_output(rid) -> None:
+    # integers only: each step writes D^len(out) entries, and the 8-leg
+    # output alone is 7^8 = 5.76 M of them
+    spec = CATALOG[rid]
+    ctx = MeasureContext(7)
+    for d in instantiate(spec, spec.sample(7, np.random.default_rng(0)), ctx):
+        written = 0
+        for i, j, subs in plan_steps(dg._plan(dg._structure(d))[1]):
+            written += 7 ** len(subs[-1])
+            if j >= 0:
+                low, high = sorted(map(len, subs[:2]))
+                assert low > 0 or high <= 2, (i, j, subs)  # a scalar meets only a small factor
+        assert written <= 13_000_000
 
 
 def test_dense_factors_are_built_once(monkeypatch) -> None:
@@ -690,12 +776,11 @@ def test_result_budget_refuses_wide_results(monkeypatch, matmul_min) -> None:
     assert all(size <= 2**6 - 1 for _, size in sizes)
 
 
-def kernel_cases():
-    """Both sides of one sampled instance of every rule at D=2..6, hub
-    diagrams, and normal forms at D=2..4."""
+def catalog_cases(dims):
+    """Both sides of one sampled instance of every rule at each D in ``dims``."""
     for rule_key, rid in enumerate(sorted(CATALOG)):
         spec = CATALOG[rid]
-        for dim in range(2, 7):
+        for dim in dims:
             if spec.dim_cap is not None and dim > spec.dim_cap:
                 continue
             params = spec.sample(dim, np.random.default_rng([rule_key, dim]))
@@ -703,6 +788,12 @@ def kernel_cases():
                 ctx = MeasureContext(dim)
                 for side, d in zip("lr", instantiate(spec, params, ctx)):
                     yield f"{rid} D={dim} {side}", d, ctx
+
+
+def kernel_cases():
+    """Both sides of one sampled instance of every rule at D=2..6, hub
+    diagrams, and normal forms at D=2..4."""
+    yield from catalog_cases(range(2, 7))
     for dim in (2, 3):
         ctx = MeasureContext(dim)
         yield f"tied hub D={dim}", tied_hub_diagram(dim), ctx
@@ -869,7 +960,7 @@ def test_cached_plan_still_checks_result_budget(monkeypatch, plan_calls) -> None
 
 def test_dense_limit_change_gets_its_own_plan(monkeypatch, plan_calls) -> None:
     ctx = MeasureContext(5, nu=0.8)
-    d = node_diagram(5, Generator.gray(1, 3))
+    d = node_diagram(5, Generator.gray(1, 2))  # 125 entries: dense by default
     dense = evaluate(d, ctx)
     built: list = []
     real = dg.generator_entries
@@ -879,7 +970,7 @@ def test_dense_limit_change_gets_its_own_plan(monkeypatch, plan_calls) -> None:
         return real(ctx, gen)
 
     monkeypatch.setattr(dg, "generator_entries", counting)
-    monkeypatch.setattr(dg, "_MAX_DENSE", 1)
+    monkeypatch.setattr(dg, "_SPLIT_ABOVE", 0)
     split = evaluate(d, ctx)
     assert len(plan_calls) == 2
     assert built == []  # decomposed, not the cached dense plan

@@ -14,6 +14,8 @@ import math
 import numpy as np
 import pytest
 
+import quditzx.rewrite as rw
+import quditzx.tensor as tn
 from quditzx.diagram import Diagram, DiagramBuilder, dump_json, evaluate
 from quditzx.generators import Char, Generator, One, Phase, Stab
 from quditzx.measure import MeasureContext
@@ -31,7 +33,7 @@ from quditzx.rewrite import (
     params_jsonable,
     rule_ids,
 )
-from quditzx.tensor import max_abs_diff
+from quditzx.tensor import Tensor, max_abs_diff
 
 ALL_RULE_IDS = [
     "ZX-GI", "ZX-RI", "ZX-HI", "ZX-GF", "ZX-GFP", "ZX-GFS", "ZX-RGC",
@@ -257,6 +259,31 @@ def test_check_soundness_honest_tolerance():
     # rounding noise is nonzero, so an absurd tolerance must fail
     rep = check_soundness("ZX-MH", {"u": 3}, MeasureContext(5), tol=1e-30)
     assert rep["max_err"] > 0 and not rep["pass"]
+
+
+@pytest.mark.parametrize("block", [tn._DIFF_BLOCK, 25])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("entry", [0, -1])
+def test_check_soundness_fails_a_nan_side(monkeypatch, block, side, entry):
+    # a NaN at the first or last entry of either side, compared in one
+    # go or in blocks, is an error that no tolerance passes
+    monkeypatch.setattr(tn, "_DIFF_BLOCK", block)
+    real = rw.evaluate
+    calls: list = []
+
+    def poisoned(d, ctx):
+        t = real(d, ctx)
+        if len(calls) == side:
+            data = t.data.copy()
+            data.flat[entry] = np.nan
+            t = Tensor(t.dim, t.in_legs, t.out_legs, data)
+        calls.append(d)
+        return t
+
+    monkeypatch.setattr(rw, "evaluate", poisoned)
+    rep = check_soundness("ZH-O", {}, MeasureContext(5), tol=1.0)
+    assert len(calls) == 2
+    assert math.isnan(rep["max_err"]) and rep["pass"] is False
 
 
 def test_check_all_matrix_default():

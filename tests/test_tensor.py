@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quditzx.measure import MeasureContext
 from quditzx.tensor import (
+    _DIFF_BLOCK,
     ShapeError,
     Tensor,
     cap,
@@ -103,6 +104,52 @@ def test_shape_errors():
         tensor_product(b, c)
     with pytest.raises(ShapeError):
         max_abs_diff(a, b)
+
+
+NAN, INF = float("nan"), float("inf")
+# (edits to a, edits to b): (entry, value) with entry 0 the first, -1 the last
+DIFF_EDITS = [
+    ([], []),
+    ([(0, NAN)], []),
+    ([(-1, NAN)], []),
+    ([], [(0, NAN)]),
+    ([], [(-1, NAN)]),
+    ([(-1, INF)], []),
+    ([(0, -INF)], [(0, INF)]),
+    ([(-1, INF)], [(-1, INF)]),  # inf - inf is NaN
+    ([(0, complex(1, -INF))], []),
+    ([], [(-1, complex(0, NAN))]),
+]
+
+
+@pytest.mark.parametrize("rank", [0, 8])
+@pytest.mark.parametrize("layouts", ["CC", "CT", "TC", "TT"])
+@pytest.mark.parametrize("edits", DIFF_EDITS, ids=range(len(DIFF_EDITS)))
+def test_max_abs_diff_is_the_one_shot_formula_bit_for_bit(rank, layouts, edits):
+    # compared block by block, the result must still be the one-shot
+    # max: the same bits, and NaN wherever a NaN occurs
+    dim = 5
+    rng = np.random.default_rng(rank)
+    perm = rng.permutation(rank)
+
+    def operand(layout, changes):
+        shape = (dim,) * rank
+        base = np.asarray(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        arr = base.transpose(perm) if layout == "T" else base
+        for entry, value in changes:
+            arr[(entry,) * rank] = value
+        return Tensor(dim, 0, rank, arr)
+
+    a, b = operand(layouts[0], edits[0]), operand(layouts[1], edits[1])
+    if rank:
+        assert a.data.size > _DIFF_BLOCK
+        assert a.data.flags.c_contiguous == (layouts[0] == "C")
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = max_abs_diff(a, b)
+        want = float(np.max(np.abs(a.data - b.data)))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    has_nan = any(np.isnan(complex(v)) for side in edits for _, v in side)
+    assert np.isnan(got) == (has_nan or edits == DIFF_EDITS[7])
 
 
 @pytest.mark.parametrize("dim,m,n", [(1, 1, 1), (0, 0, 0), (-2, 0, 0), (3, -1, 1), (3, 1, -1)])
