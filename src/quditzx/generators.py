@@ -282,11 +282,6 @@ class Indicator(AmplitudeFn):
         return self
 
 
-def amp_eval(ctx: MeasureContext, a: AmplitudeFn, t: int) -> complex:
-    """Evaluate an amplitude function at an integer argument."""
-    return a.eval(ctx, t)
-
-
 def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext | None = None) -> AmplitudeFn:
     """Pointwise product, in closed form when the variants match.
 

@@ -11,6 +11,16 @@ of kinds, add a hand-written check and draw; ZH-EC declares one kind of
 its own, a nonzero complex alpha.  Rule ids follow the standard short
 names (ZX-*, ZXH-*, ZH-*).
 
+The ZX and ZH fragments state many rules as one diagram shape over
+different generators, so rule sides are built from shared shapes:
+`_chain` (every input into a first piece, a chain, every output from a
+last piece: a wire, a chain of two-leg pieces, or a bialgebra's
+funnel), `_dressed_spider`, `_multiedge` (copy and sum joined by k
+parallel wires), `_cut_wire`, `_antipode_loop`, `_joined` (two spiders
+fused by one wire), `_bipartite`, `_capped` (a spider with one leg
+into a cap) and `_oracle` (ZH-O and ZH-ZPL's D-branch diagram).  A
+shape with one user stays hand-wired.
+
 Scalar bookkeeping: many rules balance only up to a closed-form scalar
 (typically an integer power of D*nu^4, which is 1 at the default
 normalization).  Builders compute that factor from the context and, when
@@ -36,7 +46,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from quditzx.diagram import Diagram, DiagramBuilder, DiagramError, _splice, evaluate
-from quditzx.gauss import gamma
+# Unused here: bench/tracer.py patches quditzx.rewrite.gamma, so the
+# traced benchmark run fails if this import goes.
+from quditzx.gauss import gamma  # noqa: F401
 from quditzx.generators import (
     AmplitudeFn,
     Char,
@@ -240,16 +252,25 @@ def _dnu4(ctx: MeasureContext) -> float:
     return ctx.dim * ctx.nu**4
 
 
-def _chain(dim: int, gens: Iterable[Generator], scale: complex = 1.0) -> Diagram:
-    """1 -> 1 chain of two-leg pieces and the balancing scalar; an empty
-    chain is a bare wire."""
+def _chain(
+    dim: int, gens: list[Generator], scale: complex = 1.0, names: Iterable[str] | None = None
+) -> Diagram:
+    """Every input into the first piece, one wire from each piece to the
+    next, every output of the last piece out, and the balancing scalar.
+    Pieces are n0, n1, ... unless `names` says otherwise; an empty chain
+    is a bare wire."""
     b = DiagramBuilder(dim)
-    prev = "in"
-    for i, gen in enumerate(gens):
-        name = b.node(gen, f"n{i}")
-        b.wire(prev, name)
-        prev = name
-    b.wire(prev, "out")
+    names = names or [f"n{i}" for i in range(len(gens))]
+    ids = [b.node(gen, name) for gen, name in zip(gens, names)]
+    if not ids:
+        b.wire("in", "out")
+    else:
+        for _ in range(gens[0].m):
+            b.wire("in", ids[0])
+        for a, c in zip(ids, ids[1:]):
+            b.wire(a, c)
+        for _ in range(gens[-1].n):
+            b.wire(ids[-1], "out")
     _scale(b, scale)
     return b.build()
 
@@ -290,6 +311,151 @@ def _uinv(u: int, dim: int) -> int:
     return pow(u % mod, -1, mod)
 
 
+# =====================================================================
+# Shared diagram shapes
+# =====================================================================
+#
+# A copy dot is a ZX green or a ZH white and a sum dot a ZX red or a ZH
+# gray, so each builder takes its generators as arguments.  `_joined`,
+# `_bipartite` and `_capped` name a spider by its kind's initial and an
+# index; the rest use fixed ids.
+
+
+def _green(m: int, n: int) -> Generator:
+    return Generator.green(One(), m, n)
+
+
+def _red(m: int, n: int) -> Generator:
+    return Generator.red(One(), m, n)
+
+
+def _multiedge(
+    b: DiagramBuilder, copy: Generator, total: Generator, tail: bool = False
+) -> str:
+    """in -> copy (1 -> k) -(k parallel wires)-> total (k -> 1); the
+    total's last leg goes out unless `tail`, in which case the caller
+    wires it.  Returns the total's id."""
+    k = copy.n
+    g = b.node(copy, "g0")
+    r = b.node(total, "r0")
+    b.wire("in", (g, 0))
+    for i in range(k):
+        b.wire((g, 1 + i), (r, i))
+    if not tail:
+        b.wire((r, k), "out")
+    return r
+
+
+def _cut_wire(dim: int, effect: Generator, state: Generator, scale: complex = 1.0) -> Diagram:
+    """The input into a one-leg `effect`, a one-leg `state` onto the output."""
+    b = DiagramBuilder(dim)
+    b.wire("in", b.node(effect, "g0"))
+    b.wire(b.node(state, "r0"), "out")
+    _scale(b, scale)
+    return b.build()
+
+
+def _antipode_loop(dim: int, copy: Generator, anti: Generator, total: Generator) -> Diagram:
+    """in -> copy (1 -> 2); one branch straight, the other through the
+    two-leg `anti`, both into total (2 -> 1) -> out."""
+    b = DiagramBuilder(dim)
+    g = b.node(copy, "g0")
+    mid = b.node(anti, "s0")
+    r = b.node(total, "r0")
+    b.wire("in", (g, 0))
+    b.wire((g, 1), (r, 0))
+    b.wire((g, 2), (mid, 0))
+    b.wire((mid, 1), (r, 1))
+    b.wire((r, 2), "out")
+    return b.build()
+
+
+def _joined(
+    dim: int, first: Generator, second: Generator, mid: tuple[str, Generator] | None = None
+) -> Diagram:
+    """`first`'s last leg wired to `second`'s leg 0, through the two-leg
+    `mid` (id, generator) if given; every other leg on the boundary."""
+    m1, n1, m2, n2 = first.m, first.n - 1, second.m - 1, second.n
+    b = DiagramBuilder(dim)
+    g1 = b.node(first, f"{first.kind[0]}0")
+    link = b.node(mid[1], mid[0]) if mid else None
+    g2 = b.node(second, f"{second.kind[0]}1")
+    for _ in range(m1):
+        b.wire("in", g1)
+    for i in range(m2):
+        b.wire("in", (g2, 1 + i))
+    if link is None:
+        b.wire((g1, m1 + n1), (g2, 0))
+    else:
+        b.wire((g1, m1 + n1), (link, 0))
+        b.wire((link, 1), (g2, 0))
+    for j in range(n1):
+        b.wire((g1, m1 + j), "out")
+    for j in range(n2):
+        b.wire((g2, m2 + 1 + j), "out")
+    return b.build()
+
+
+def _bipartite(dim: int, top: Generator, bottom: Generator) -> Diagram:
+    """m copies of `top` (1 -> n) over n copies of `bottom` (m -> 1),
+    every top wired to every bottom."""
+    m, n = bottom.m, top.n
+    b = DiagramBuilder(dim)
+    tops = [b.node(top, f"{top.kind[0]}{i}") for i in range(m)]
+    bottoms = [b.node(bottom, f"{bottom.kind[0]}{j}") for j in range(n)]
+    for t in tops:
+        b.wire("in", (t, 0))
+    for i, t in enumerate(tops):
+        for j, s in enumerate(bottoms):
+            b.wire((t, 1 + j), (s, i))
+    for s in bottoms:
+        b.wire((s, m), "out")
+    return b.build()
+
+
+def _capped(dim: int, spider: Generator, cap: Generator, cap_id: str) -> Diagram:
+    """`spider` (m -> n+1) on the boundary, its last leg into a one-leg `cap`."""
+    b = DiagramBuilder(dim)
+    g = b.node(spider, f"{spider.kind[0]}0")
+    c = b.node(cap, cap_id)
+    for _ in range(spider.m):
+        b.wire("in", g)
+    for _ in range(spider.n - 1):
+        b.wire(g, "out")
+    b.wire(g, c)
+    return b.build()
+
+
+def _oracle(
+    dim: int, mid: Generator | None, end: Generator | tuple[str, Generator], scale: complex = 1.0
+) -> Diagram:
+    """D branches j: (in, j) -> [1] box h{j} -> not-dot n{j} -> leg j of
+    white(D, 1) -> out.  Each box's third leg runs through `mid` (m{j})
+    when given, into `end`: one shared D-leg sink given as (id,
+    generator), or a one-leg cap q{j} per branch."""
+    b = DiagramBuilder(dim)
+    w = b.node(Generator.white(dim, 1), "w0")
+    sink = b.node(end[1], end[0]) if isinstance(end, tuple) else None
+    for j in range(dim):
+        h = b.node(Generator.hbox(Char(1), 1, 2), f"h{j}")
+        nd = b.node(Generator.not_dot(j), f"n{j}")
+        b.wire(("in", j), (h, 0))
+        b.wire((h, 1), (nd, 0))
+        b.wire((nd, 1), (w, j))
+        leg = (h, 2)
+        if mid is not None:
+            mb = b.node(mid, f"m{j}")
+            b.wire(leg, (mb, 0))
+            leg = (mb, 1)
+        if sink is None:
+            b.wire(leg, b.node(end, f"q{j}"))
+        else:
+            b.wire(leg, (sink, j))
+    b.wire((w, dim), ("out", 0))
+    _scale(b, scale)
+    return b.build()
+
+
 # ----------------------------------------------------------------- ZX
 
 
@@ -317,20 +483,10 @@ def _zx_hi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 )
 def _zx_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m1, n1, m2, n2 = (int(p[k]) for k in ("m1", "n1", "m2", "n2"))
-    b = DiagramBuilder(ctx.dim)
-    g1 = b.node(Generator.green(p["Theta"], m1, n1 + 1), "g0")
-    g2 = b.node(Generator.green(p["Phi"], m2 + 1, n2), "g1")
-    for _ in range(m1):
-        b.wire("in", g1)
-    for i in range(m2):
-        b.wire("in", (g2, 1 + i))
-    b.wire((g1, m1 + n1), (g2, 0))  # the fusing wire
-    for j in range(n1):
-        b.wire((g1, m1 + j), "out")
-    for j in range(n2):
-        b.wire((g2, m2 + 1 + j), "out")
+    g1 = Generator.green(p["Theta"], m1, n1 + 1)
+    g2 = Generator.green(p["Phi"], m2 + 1, n2)
     fused = Generator.green(amp_multiply(p["Theta"], p["Phi"], ctx), m1 + m2, n1 + n2)
-    return b.build(), _dressed_spider(ctx.dim, fused)
+    return _joined(ctx.dim, g1, g2), _dressed_spider(ctx.dim, fused)
 
 
 @_rule("ZX-GFP", {"theta": REAL, "phi": REAL})
@@ -360,41 +516,15 @@ def _zx_rgc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 @_rule("ZX-RGB", {"m": NAT(2), "n": NAT(2)})
 def _zx_rgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
-    b = DiagramBuilder(ctx.dim)
-    greens = [b.node(Generator.green(One(), 1, n), f"g{i}") for i in range(m)]
-    reds = [b.node(Generator.red(One(), m, 1), f"r{j}") for j in range(n)]
-    for g in greens:
-        b.wire("in", (g, 0))
-    for i, g in enumerate(greens):
-        for j, r in enumerate(reds):
-            b.wire((g, 1 + j), (r, i))
-    for r in reds:
-        b.wire((r, m), "out")
-    lhs = b.build()
-
-    b2 = DiagramBuilder(ctx.dim)
-    r = b2.node(Generator.red(One(), m, 1), "r0")
-    g = b2.node(Generator.green(One(), 1, n), "g0")
-    for _ in range(m):
-        b2.wire("in", r)
-    b2.wire((r, m), (g, 0))
-    for j in range(n):
-        b2.wire((g, 1 + j), "out")
-    _scale(b2, _dnu4(ctx) ** (n - 1))
-    return lhs, b2.build()
+    lhs = _bipartite(ctx.dim, _green(1, n), _red(m, 1))
+    return lhs, _chain(ctx.dim, [_red(m, 1), _green(1, n)], _dnu4(ctx) ** (n - 1), ("r0", "g0"))
 
 
 @_rule("ZX-CPY", {"a": INT, "n": NAT(2)}, nu="any")
 def _zx_cpy(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a, n = int(p["a"]), int(p["n"])
-    b = DiagramBuilder(ctx.dim)
-    r = b.node(Generator.red(Char(a), 0, 1), "r0")
-    g = b.node(Generator.green(One(), 1, n), "g0")
-    b.wire(r, (g, 0))
-    for j in range(n):
-        b.wire((g, 1 + j), "out")
-    _scale(b, _dnu4(ctx) ** (n - 1))
-    lhs = b.build()
+    copied = [Generator.red(Char(a), 0, 1), _green(1, n)]
+    lhs = _chain(ctx.dim, copied, _dnu4(ctx) ** (n - 1), ("r0", "g0"))
     b2 = DiagramBuilder(ctx.dim)
     for j in range(n):
         r = b2.node(Generator.red(Char(a), 0, 1), f"r{j}")
@@ -454,19 +584,28 @@ def _zx_zcp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, _dressed_spider(ctx.dim, Generator.green(Zero(), 0, 0), name="z0")
 
 
+def _zx_zsp_error(t: int, tp: int, dim: int) -> str | None:
+    """Why (t, tp) is outside ZX-ZSP's domain at D, or None.  The scalar
+    green [u*tp | t] is 0 on the divisor tower except where t == 2*tp
+    and D/t is odd; there it has modulus sqrt(t)."""
+    if not (1 < t < dim and dim % t == 0):
+        return f"t={t} must be a proper divisor of {dim} with 1 < t < {dim}"
+    if not (1 < tp < t and t % tp == 0):
+        return f"tp={tp} must be a proper divisor of t={t} with 1 < tp < t"
+    if t == 2 * tp and (dim // t) % 2 == 1:
+        return f"t={t} = 2*tp with {dim}/t odd leaves the left side nonzero"
+    return None
+
+
 def _zx_zsp_check(p: Params, dim: int) -> None:
-    t, tp = int(p["t"]), int(p["tp"])
-    _need(1 < t < dim and dim % t == 0, f"t={t} must be a proper divisor of {dim} with 1 < t < {dim}")
-    _need(1 < tp < t and t % tp == 0, f"tp={tp} must be a proper divisor of t={t} with 1 < tp < t")
+    err = _zx_zsp_error(int(p["t"]), int(p["tp"]), dim)
+    if err is not None:
+        raise ParamError(err)
 
 
 def _zx_zsp_draw(dim: int, rng: np.random.Generator) -> Params | None:
     pairs = [
-        (t, tp)
-        for t in range(2, dim)
-        if dim % t == 0
-        for tp in range(2, t)
-        if t % tp == 0
+        (t, tp) for t in range(2, dim) for tp in range(2, t) if _zx_zsp_error(t, tp, dim) is None
     ]
     if not pairs:
         return None
@@ -481,24 +620,11 @@ def _zx_zsp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, _dressed_spider(ctx.dim, Generator.green(Zero(), 0, 0), name="z0")
 
 
-def _multiedge(b: DiagramBuilder, k: int, tail: bool = False) -> tuple[str, str]:
-    """in -> green -(k parallel wires)-> red; red keeps one extra leg
-    (wired to out unless `tail`, in which case the caller wires it)."""
-    g = b.node(Generator.green(One(), 1, k), "g0")
-    r = b.node(Generator.red(One(), k, 1), "r0")
-    b.wire("in", (g, 0))
-    for i in range(k):
-        b.wire((g, 1 + i), (r, i))
-    if not tail:
-        b.wire((r, k), "out")
-    return g, r
-
-
 @_rule("ZX-MH", {"u": UNIT})
 def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u = int(p["u"])
     b = DiagramBuilder(ctx.dim)
-    _multiedge(b, u)
+    _multiedge(b, _green(1, u), _red(u, 1))
     _scale(b, _dnu4(ctx))
     lhs = b.build()
 
@@ -521,7 +647,7 @@ def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 def _zx_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a, bb, u = int(p["a"]), int(p["b"]), int(p["u"])
     b = DiagramBuilder(ctx.dim)
-    _, r = _multiedge(b, u, tail=True)
+    r = _multiedge(b, _green(1, u), _red(u, 1), tail=True)
     lolly = b.node(Generator.red(Stab(a, bb), 1, 0), "q0")
     b.wire((r, u), (lolly, 0))
     lhs = b.build()
@@ -531,60 +657,34 @@ def _zx_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, _dressed_spider(ctx.dim, lolly2, scale=_dnu4(ctx), name="q0")
 
 
-@_rule("ZX-MEH", {}, dim_cap=7)
-def _zx_meh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _meh_pair(
+    copy: Callable[[int, int], Generator],
+    total: Callable[[int, int], Generator],
+    ctx: MeasureContext,
+) -> tuple[Diagram, Diagram]:
+    """D parallel wires between a copy and a sum dot cut the wire."""
     b = DiagramBuilder(ctx.dim)
-    _multiedge(b, ctx.dim)
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    g = b2.node(Generator.green(One(), 1, 0), "g0")
-    r = b2.node(Generator.red(One(), 0, 1), "r0")
-    b2.wire("in", g)
-    b2.wire(r, "out")
-    return lhs, b2.build()
+    _multiedge(b, copy(1, ctx.dim), total(ctx.dim, 1))
+    return b.build(), _cut_wire(ctx.dim, copy(1, 0), total(0, 1))
+
+
+_rule("ZX-MEH", {}, dim_cap=7)(lambda p, ctx: _meh_pair(_green, _red, ctx))
 
 
 @_rule("ZX-A", {})
 def _zx_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.green(One(), 1, 2), "g0")
-    mid = b.node(Generator.red(One(), 1, 1), "s0")
-    r = b.node(Generator.red(One(), 2, 1), "r0")
-    b.wire("in", (g, 0))
-    b.wire((g, 1), (r, 0))
-    b.wire((g, 2), (mid, 0))
-    b.wire((mid, 1), (r, 1))
-    b.wire((r, 2), "out")
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    g2 = b2.node(Generator.green(One(), 1, 0), "g0")
-    r2 = b2.node(Generator.red(One(), 0, 1), "r0")
-    b2.wire("in", g2)
-    b2.wire(r2, "out")
-    _scale(b2, _dnu4(ctx))
-    return lhs, b2.build()
+    lhs = _antipode_loop(ctx.dim, _green(1, 2), _red(1, 1), _red(2, 1))
+    return lhs, _cut_wire(ctx.dim, _green(1, 0), _red(0, 1), _dnu4(ctx))
 
 
-@_rule("ZX-PU", {"theta": REAL}, nu="any")
-def _zx_pu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    th = float(p["theta"])
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.green(Phase(th), 0, 1), "g0")
-    r = b.node(Generator.red(One(), 1, 0), "r0")
-    b.wire(g, r)
-    _scale(b, 1.0 / _dnu4(ctx))
-    return b.build(), _empty(ctx.dim)
+def _unit_pair(amp: AmplitudeFn, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+    """A green state with amplitude `amp` into the red unit effect."""
+    lhs = _chain(ctx.dim, [Generator.green(amp, 0, 1), _red(1, 0)], 1.0 / _dnu4(ctx), ("g0", "r0"))
+    return lhs, _empty(ctx.dim)
 
 
-@_rule("ZX-SU", {"a": INT, "b": INT})
-def _zx_su(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a, bb = int(p["a"]), int(p["b"])
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.green(Stab(a, bb), 0, 1), "g0")
-    r = b.node(Generator.red(One(), 1, 0), "r0")
-    b.wire(g, r)
-    _scale(b, 1.0 / _dnu4(ctx))
-    return b.build(), _empty(ctx.dim)
+_rule("ZX-PU", {"theta": REAL}, nu="any")(lambda p, ctx: _unit_pair(Phase(float(p["theta"])), ctx))
+_rule("ZX-SU", {"a": INT, "b": INT})(lambda p, ctx: _unit_pair(Stab(int(p["a"]), int(p["b"])), ctx))
 
 
 @_rule("ZX-GU", {"a": INT, "u": UNIT})
@@ -618,15 +718,7 @@ def _zxh_rg(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 def _zxh_gp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     th, m, n = float(p["theta"]), int(p["m"]), int(p["n"])
     lhs = _dressed_spider(ctx.dim, Generator.green(Phase(th), m, n))
-    b = DiagramBuilder(ctx.dim)
-    w = b.node(Generator.white(m, n + 1), "w0")
-    h = b.node(Generator.hbox(Phase(th), 1, 0), "h0")
-    for _ in range(m):
-        b.wire("in", w)
-    for j in range(n):
-        b.wire((w, m + j), "out")
-    b.wire((w, m + n), h)
-    return lhs, b.build()
+    return lhs, _capped(ctx.dim, Generator.white(m, n + 1), Generator.hbox(Phase(th), 1, 0), "h0")
 
 
 @_rule("ZXH-WH", {"Theta": AMP})
@@ -659,11 +751,8 @@ def _zxh_hm(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 def _gh_pair(amp: AmplitudeFn, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    b = DiagramBuilder(ctx.dim)
-    w = b.node(Generator.white(0, 1), "w0")
-    h = b.node(Generator.hbox(amp, 1, 0), "h0")
-    b.wire(w, h)
-    return _dressed_spider(ctx.dim, Generator.green(amp, 0, 0)), b.build()
+    rhs = _chain(ctx.dim, [Generator.white(0, 1), Generator.hbox(amp, 1, 0)], names=("w0", "h0"))
+    return _dressed_spider(ctx.dim, Generator.green(amp, 0, 0)), rhs
 
 
 _rule("ZXH-GH0", {})(lambda p, ctx: _gh_pair(One(), ctx))
@@ -675,22 +764,19 @@ def _scalar_gadget_pair(
 ) -> tuple[Diagram, Diagram]:
     """Degree-0 gadget equality: point a char state at an amplitude cap,
     against the sharp-state form of the same evaluation."""
+    state = Generator.red(One() if c is None else Char(c), 0, 1)
+    lhs = _chain(ctx.dim, [state, Generator.green(amp, 1, 0)], names=("r0", "g0"))
     b = DiagramBuilder(ctx.dim)
-    r = b.node(Generator.red(One() if c is None else Char(c), 0, 1), "r0")
-    g = b.node(Generator.green(amp, 1, 0), "g0")
-    b.wire(r, g)
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    gr = b2.node(Generator.gray(0, 1), "z0")
-    h = b2.node(Generator.hbox(amp, 1, 0), "h0")
+    gr = b.node(Generator.gray(0, 1), "z0")
+    h = b.node(Generator.hbox(amp, 1, 0), "h0")
     if c is None:
-        b2.wire(gr, h)
+        b.wire(gr, h)
     else:
-        nd = b2.node(Generator.not_dot(c), "n0")
-        b2.wire(gr, nd)
-        b2.wire(nd, h)
-    _scale(b2, _dnu4(ctx))
-    return lhs, b2.build()
+        nd = b.node(Generator.not_dot(c), "n0")
+        b.wire(gr, nd)
+        b.wire(nd, h)
+    _scale(b, _dnu4(ctx))
+    return lhs, b.build()
 
 
 _rule("ZXH-S0", {"Theta": AMP})(lambda p, ctx: _scalar_gadget_pair(p["Theta"], None, ctx))
@@ -736,19 +822,8 @@ def _zh_hi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 @_rule("ZH-WF", {"k": NAT(1), "m": NAT(1), "l": NAT(1), "n": NAT(1)})
 def _zh_wf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     k, m, l, n = (int(p[x]) for x in ("k", "m", "l", "n"))
-    b = DiagramBuilder(ctx.dim)
-    w1 = b.node(Generator.white(k, m + 1), "w0")
-    w2 = b.node(Generator.white(l + 1, n), "w1")
-    for _ in range(k):
-        b.wire("in", w1)
-    for _ in range(l):
-        b.wire("in", (w2, 1 + _))
-    b.wire((w1, k + m), (w2, 0))
-    for j in range(m):
-        b.wire((w1, k + j), "out")
-    for j in range(n):
-        b.wire((w2, l + 1 + j), "out")
-    return b.build(), _dressed_spider(ctx.dim, Generator.white(k + l, m + n), name="w0")
+    lhs = _joined(ctx.dim, Generator.white(k, m + 1), Generator.white(l + 1, n))
+    return lhs, _dressed_spider(ctx.dim, Generator.white(k + l, m + n), name="w0")
 
 
 @_rule("ZH-GWC", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
@@ -769,35 +844,16 @@ def _zh_wns(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 @_rule("ZH-GF", {"a1": NAT(1), "a2": NAT(1), "b1": NAT(1), "b2": NAT(1)})
 def _zh_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a1, a2, b1, b2 = (int(p[k]) for k in ("a1", "a2", "b1", "b2"))
-    bl = DiagramBuilder(ctx.dim)
-    g1 = bl.node(Generator.gray(a1, a2 + 1), "g0")
-    anti = bl.node(Generator.gray(1, 1), "s0")
-    g2 = bl.node(Generator.gray(b1 + 1, b2), "g1")
-    for _ in range(a1):
-        bl.wire("in", g1)
-    for i in range(b1):
-        bl.wire("in", (g2, 1 + i))
-    bl.wire((g1, a1 + a2), (anti, 0))
-    bl.wire((anti, 1), (g2, 0))
-    for j in range(a2):
-        bl.wire((g1, a1 + j), "out")
-    for j in range(b2):
-        bl.wire((g2, b1 + 1 + j), "out")
-    return bl.build(), _dressed_spider(ctx.dim, Generator.gray(a1 + b1, a2 + b2))
+    anti = ("s0", Generator.gray(1, 1))
+    lhs = _joined(ctx.dim, Generator.gray(a1, a2 + 1), Generator.gray(b1 + 1, b2), anti)
+    return lhs, _dressed_spider(ctx.dim, Generator.gray(a1 + b1, a2 + b2))
 
 
 @_rule("ZH-GL", {"m": NAT(2), "n": NAT(2)})
 def _zh_gl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
-    b = DiagramBuilder(ctx.dim)
-    g = b.node(Generator.gray(m, n + 1), "g0")
-    lolly = b.node(Generator.gray(1, 0), "q0")
-    for _ in range(m):
-        b.wire("in", g)
-    for j in range(n):
-        b.wire((g, m + j), "out")
-    b.wire((g, m + n), lolly)
-    return b.build(), _dressed_spider(ctx.dim, Generator.gray(m, n))
+    lhs = _capped(ctx.dim, Generator.gray(m, n + 1), Generator.gray(1, 0), "q0")
+    return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n))
 
 
 @_rule("ZH-WGC", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
@@ -808,69 +864,20 @@ def _zh_wgc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n), scale=_dnu4(ctx))
 
 
-@_rule("ZH-MEH", {}, dim_cap=7)
-def _zh_meh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    D = ctx.dim
-    b = DiagramBuilder(D)
-    w = b.node(Generator.white(1, D), "g0")
-    g = b.node(Generator.gray(D, 1), "r0")
-    b.wire("in", (w, 0))
-    for i in range(D):
-        b.wire((w, 1 + i), (g, i))
-    b.wire((g, D), "out")
-    lhs = b.build()
-    b2 = DiagramBuilder(D)
-    w2 = b2.node(Generator.white(1, 0), "g0")
-    g2 = b2.node(Generator.gray(0, 1), "r0")
-    b2.wire("in", w2)
-    b2.wire(g2, "out")
-    return lhs, b2.build()
+_rule("ZH-MEH", {}, dim_cap=7)(lambda p, ctx: _meh_pair(Generator.white, Generator.gray, ctx))
 
 
 @_rule("ZH-A", {})
 def _zh_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    b = DiagramBuilder(ctx.dim)
-    w = b.node(Generator.white(1, 2), "g0")
-    anti = b.node(Generator.gray(1, 1), "s0")
-    g = b.node(Generator.gray(2, 1), "r0")
-    b.wire("in", (w, 0))
-    b.wire((w, 1), (g, 0))
-    b.wire((w, 2), (anti, 0))
-    b.wire((anti, 1), (g, 1))
-    b.wire((g, 2), "out")
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    w2 = b2.node(Generator.white(1, 0), "g0")
-    g2 = b2.node(Generator.gray(0, 1), "r0")
-    b2.wire("in", w2)
-    b2.wire(g2, "out")
-    return lhs, b2.build()
+    lhs = _antipode_loop(ctx.dim, Generator.white(1, 2), Generator.gray(1, 1), Generator.gray(2, 1))
+    return lhs, _cut_wire(ctx.dim, Generator.white(1, 0), Generator.gray(0, 1))
 
 
 @_rule("ZH-WGB", {"m": NAT(2), "n": NAT(2)}, nu="any")
 def _zh_wgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     m, n = int(p["m"]), int(p["n"])
-    b = DiagramBuilder(ctx.dim)
-    whites = [b.node(Generator.white(1, n), f"w{i}") for i in range(m)]
-    grays = [b.node(Generator.gray(m, 1), f"g{j}") for j in range(n)]
-    for w in whites:
-        b.wire("in", (w, 0))
-    for i, w in enumerate(whites):
-        for j, g in enumerate(grays):
-            b.wire((w, 1 + j), (g, i))
-    for g in grays:
-        b.wire((g, m), "out")
-    lhs = b.build()
-
-    b2 = DiagramBuilder(ctx.dim)
-    g = b2.node(Generator.gray(m, 1), "g0")
-    w = b2.node(Generator.white(1, n), "w0")
-    for _ in range(m):
-        b2.wire("in", g)
-    b2.wire((g, m), (w, 0))
-    for _ in range(n):
-        b2.wire((w, 1 + _), "out")
-    return lhs, b2.build()
+    lhs = _bipartite(ctx.dim, Generator.white(1, n), Generator.gray(m, 1))
+    return lhs, _chain(ctx.dim, [Generator.gray(m, 1), Generator.white(1, n)], names=("g0", "w0"))
 
 
 @_rule("ZH-HM", {"A": AMP, "B": AMP}, nu="any")
@@ -942,22 +949,8 @@ def _zh_ec(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 def _zh_mf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     c1, c2, u = int(p["c1"]), int(p["c2"]), int(p["u"])
     k, l, m, n = (int(p[x]) for x in ("k", "l", "m", "n"))
-    b = DiagramBuilder(ctx.dim)
-    h1 = b.node(Generator.hbox(Char(c1), k, m + 1), "h0")
-    mid = b.node(Generator.hbox(Char(-u), 1, 1), "n0")
-    h2 = b.node(Generator.hbox(Char(c2), l + 1, n), "h1")
-    for _ in range(k):
-        b.wire("in", h1)
-    for _ in range(l):
-        b.wire("in", (h2, 1 + _))
-    b.wire((h1, k + m), (mid, 0))
-    b.wire((mid, 1), (h2, 0))
-    for j in range(m):
-        b.wire((h1, k + j), "out")
-    for j in range(n):
-        b.wire((h2, l + 1 + j), "out")
-    lhs = b.build()
-
+    h1, h2 = Generator.hbox(Char(c1), k, m + 1), Generator.hbox(Char(c2), l + 1, n)
+    lhs = _joined(ctx.dim, h1, h2, ("n0", Generator.hbox(Char(-u), 1, 1)))
     ui = pow(u % ctx.dim, -1, ctx.dim)
     merged = Generator.hbox(Char(residue(ctx, ui * c1 * c2)), k + l, m + n)
     return lhs, _dressed_spider(ctx.dim, merged, scale=_dnu4(ctx), name="h0")
@@ -1017,32 +1010,8 @@ def _zh_um(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 @_rule("ZH-O", {}, dim_cap=7)
 def _zh_o(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     D = ctx.dim
-    b = DiagramBuilder(D)
-    w = b.node(Generator.white(D, 1), "w0")
-    g = b.node(Generator.gray(D, 0), "g0")
-    for j in range(D):
-        h = b.node(Generator.hbox(Char(1), 1, 2), f"h{j}")
-        nd = b.node(Generator.not_dot(j), f"n{j}")
-        b.wire(("in", j), (h, 0))
-        b.wire((h, 1), (nd, 0))
-        b.wire((nd, 1), (w, j))
-        b.wire((h, 2), (g, j))
-    b.wire((w, D), ("out", 0))
-    _scale(b, D * ctx.nu**2)
-    lhs = b.build()
-
-    b2 = DiagramBuilder(D)
-    w2 = b2.node(Generator.white(D, 1), "w0")
-    for j in range(D):
-        h = b2.node(Generator.hbox(Char(1), 1, 2), f"h{j}")
-        nd = b2.node(Generator.not_dot(j), f"n{j}")
-        lolly = b2.node(Generator.white(1, 0), f"q{j}")
-        b2.wire(("in", j), (h, 0))
-        b2.wire((h, 1), (nd, 0))
-        b2.wire((nd, 1), (w2, j))
-        b2.wire((h, 2), lolly)
-    b2.wire((w2, D), ("out", 0))
-    return lhs, b2.build()
+    lhs = _oracle(D, None, ("g0", Generator.gray(D, 0)), D * ctx.nu**2)
+    return lhs, _oracle(D, None, Generator.white(1, 0))
 
 
 @_rule("ZH-HWB", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
@@ -1061,57 +1030,25 @@ def _zh_hwb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
         b.wire((c, 1), ("out", j))
     lhs = b.build()
 
-    b2 = DiagramBuilder(ctx.dim)
-    h = b2.node(Generator.hbox(Char(u), m, 1), "h0")
-    c = b2.node(Generator.hbox(Char(-u), 1, 1), "c0")
-    w = b2.node(Generator.white(1, n), "w0")
-    for _ in range(m):
-        b2.wire("in", h)
-    b2.wire((h, m), (c, 0))
-    b2.wire((c, 1), (w, 0))
-    for j in range(n):
-        b2.wire((w, 1 + j), "out")
-    _scale(b2, _dnu4(ctx) ** (n - 1))
-    return lhs, b2.build()
+    funnel = [Generator.hbox(Char(u), m, 1), Generator.hbox(Char(-u), 1, 1), Generator.white(1, n)]
+    return lhs, _chain(ctx.dim, funnel, _dnu4(ctx) ** (n - 1), ("h0", "c0", "w0"))
 
 
 @_rule("ZH-HMB", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
 def _zh_hmb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
-    b = DiagramBuilder(ctx.dim)
-    whites = [b.node(Generator.white(1, n), f"w{i}") for i in range(m)]
-    boxes = [b.node(Generator.hbox(Char(u), m, 1), f"h{j}") for j in range(n)]
-    for w in whites:
-        b.wire("in", (w, 0))
-    for i, w in enumerate(whites):
-        for j, h in enumerate(boxes):
-            b.wire((w, 1 + j), (h, i))
-    for h in boxes:
-        b.wire((h, m), "out")
-    lhs = b.build()
-
-    b2 = DiagramBuilder(ctx.dim)
-    h = b2.node(Generator.hbox(Char(-u), m, 1), "h0")
-    g = b2.node(Generator.gray(1, n), "g0")
-    for _ in range(m):
-        b2.wire("in", h)
-    b2.wire((h, m), (g, 0))
-    for j in range(n):
-        b2.wire((g, 1 + j), "out")
-    return lhs, b2.build()
+    lhs = _bipartite(ctx.dim, Generator.white(1, n), Generator.hbox(Char(u), m, 1))
+    funnel = [Generator.hbox(Char(-u), m, 1), Generator.gray(1, n)]
+    return lhs, _chain(ctx.dim, funnel, names=("h0", "g0"))
 
 
 @_rule("ZH-ME", {"k": NAT(lambda dim: dim + 1), "u": UNIT})
 def _zh_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     k, u = int(p["k"]), int(p["u"])
     b = DiagramBuilder(ctx.dim)
-    w = b.node(Generator.white(1, k), "g0")
-    g1 = b.node(Generator.gray(k, 1), "r0")
+    r = _multiedge(b, Generator.white(1, k), Generator.gray(k, 1), tail=True)
     anti = b.node(Generator.gray(1, 1), "s0")
-    b.wire("in", (w, 0))
-    for i in range(k):
-        b.wire((w, 1 + i), (g1, i))
-    b.wire((g1, k), (anti, 0))
+    b.wire((r, k), (anti, 0))
     b.wire((anti, 1), "out")
     _scale(b, _dnu4(ctx))
     lhs = b.build()
@@ -1167,31 +1104,9 @@ def _zh_dh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 @_rule("ZH-ZPL", {}, dim_cap=7)
 def _zh_zpl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    D = ctx.dim
-
-    def half(shared_sink: bool) -> Diagram:
-        b = DiagramBuilder(D)
-        w = b.node(Generator.white(D, 1), "w0")
-        sink = b.node(Generator.white(D, 0), "z0") if shared_sink else None
-        for j in range(D):
-            h = b.node(Generator.hbox(Char(1), 1, 2), f"h{j}")
-            nd = b.node(Generator.not_dot(j), f"n{j}")
-            mb = b.node(Generator.hbox(Char(-1), 1, 1), f"m{j}")
-            b.wire(("in", j), (h, 0))
-            b.wire((h, 1), (nd, 0))
-            b.wire((nd, 1), (w, j))
-            b.wire((h, 2), (mb, 0))
-            if shared_sink:
-                b.wire((mb, 1), (sink, j))
-            else:
-                lolly = b.node(Generator.gray(1, 0), f"q{j}")
-                b.wire((mb, 1), lolly)
-        b.wire((w, D), ("out", 0))
-        if not shared_sink:
-            _scale(b, ctx.nu**2)
-        return b.build()
-
-    return half(True), half(False)
+    D, minus = ctx.dim, Generator.hbox(Char(-1), 1, 1)
+    lhs = _oracle(D, minus, ("z0", Generator.white(D, 0)))
+    return lhs, _oracle(D, minus, Generator.gray(1, 0), ctx.nu**2)
 
 
 # =====================================================================

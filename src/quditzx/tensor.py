@@ -55,10 +55,6 @@ class Tensor:
     def scalar(dim: int, value: complex) -> "Tensor":
         return Tensor(dim, 0, 0, np.asarray(complex(value)))
 
-    @staticmethod
-    def zeros(dim: int, in_legs: int, out_legs: int) -> "Tensor":
-        return Tensor(dim, in_legs, out_legs, np.zeros((dim,) * (in_legs + out_legs)))
-
     # -- views -------------------------------------------------------------
 
     def as_matrix(self) -> np.ndarray:
@@ -70,9 +66,6 @@ class Tensor:
         n, m = self.out_legs, self.in_legs
         perm = tuple(range(n, n + m)) + tuple(range(n))
         return Tensor(self.dim, n, m, np.conj(np.transpose(self.data, perm)))
-
-    def scaled(self, factor: complex) -> "Tensor":
-        return Tensor(self.dim, self.in_legs, self.out_legs, self.data * factor)
 
 
 # ---------------------------------------------------------------- wires

@@ -197,6 +197,13 @@ def test_check_of_widest_rule_is_byte_identical_across_runs(runner):
     assert a.stdout_bytes == b.stdout_bytes
 
 
+def test_check_zx_zsp_at_d12_passes(runner):
+    # seed 1 draws t=4, tp=2 at D=12 unless the rule's domain excludes it
+    res = runner.invoke(cli.main, ["check", "ZX-ZSP", "--dims", "12..12", "--seed", "1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["failures"] == 0
+
+
 def test_check_rejects_conflicting_dim_flags(runner):
     res = runner.invoke(cli.main, ["check", "--dim", "3", "--dims", "2..4"])
     assert res.exit_code == 2

@@ -1,6 +1,8 @@
 """Declared runtime dependencies match what the package imports."""
 
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from collections import Counter
@@ -65,3 +67,26 @@ def test_no_module_level_definition_is_dead() -> None:
         and words[node.name] < 2
     ]
     assert dead == []
+
+
+def test_bench_tracer_restores_every_target() -> None:
+    """The benchmark's tracer patches module attributes by name, among
+    them quditzx.rewrite.gamma, which rewrite imports only for it: every
+    target must exist, be wrapped while installed, and come back after."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    owners = []
+    for target, attr, _ in tracer.TARGETS:
+        modname, _, clsname = target.partition(":")
+        owner = importlib.import_module(modname)
+        owners.append((getattr(owner, clsname) if clsname else owner, attr))
+    before = [getattr(owner, attr) for owner, attr in owners]
+    t = tracer.Tracer()
+    try:
+        t.install()
+        wrapped = [getattr(owner, attr) is not fn for (owner, attr), fn in zip(owners, before)]
+    finally:
+        t.uninstall()
+    assert all(wrapped)
+    assert [getattr(owner, attr) for owner, attr in owners] == before

@@ -119,6 +119,34 @@ def test_param_errors_divisor_tower():
     assert lhs.nodes["z0"].amp == Stab(6, 4)
 
 
+def test_zx_zsp_holds_on_its_whole_domain():
+    """Every divisor-tower tuple up to D=48: sound where the rule accepts
+    it; outside, a ParamError, and a left side of modulus sqrt(t)."""
+    spec = get_rule("ZX-ZSP")
+    sound = excluded = 0
+    for dim in range(2, 49):
+        ctx = MeasureContext(dim)
+        for t in range(2, dim):
+            for tp in range(2, t):
+                if dim % t or t % tp:
+                    continue
+                for u in (u for u in range(1, dim) if math.gcd(u, dim) == 1):
+                    params = {"u": u, "t": t, "tp": tp}
+                    if t == 2 * tp and (dim // t) % 2 == 1:
+                        assert not spec.param_domain(params, dim)
+                        with pytest.raises(ParamError):
+                            instantiate(spec, params, ctx)
+                        b = DiagramBuilder(dim)
+                        b.node(Generator.green(Stab(u * tp, t), 0, 0), "z0")
+                        value = complex(evaluate(b.build(), ctx).data)
+                        assert abs(abs(value) - math.sqrt(t)) < 1e-9, (dim, params)
+                        excluded += 1
+                    else:
+                        assert check_soundness(spec, params, ctx)["pass"], (dim, params)
+                        sound += 1
+    assert (sound, excluded) == (978, 154)
+
+
 def test_param_errors_misc():
     ctx = MeasureContext(4)
     with pytest.raises(ParamError, match="multiple"):
@@ -169,6 +197,13 @@ def test_sampled_params_always_valid():
             params = spec.sample(dim, rng)
             if params is not None:
                 assert spec.param_domain(params, dim), (rid, dim, params)
+    zsp = get_rule("ZX-ZSP")
+    for dim in range(2, 49):
+        for _ in range(20):
+            params = zsp.sample(dim, rng)
+            if params is None:
+                break
+            assert zsp.param_domain(params, dim), (dim, params)
 
 
 def test_catalog_instances_are_pinned():
