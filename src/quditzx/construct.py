@@ -8,6 +8,14 @@ defining basis sums directly and never touches diagram code, so
 agreement between the two routes is a genuine check rather than a
 tautology.
 
+Gadgets are built from shared shapes: one ``DiagramBuilder.chain``
+(``_CHAINS``: kets, Paulis, Fourier pieces, multipliers, scalar and
+diagonal), k control copy dots feeding a chain (``_CONTROLLED``: the
+cz and cx families and ``diag_a2``; an x-type chain ends in a summing
+red dot on the target, then an antipode), and
+``DiagramBuilder.multiedge`` (``m_mult``).  Only ``ccz_pow`` is
+hand-wired, as its box precedes its copy dots.
+
 Also here: the coefficient-selector gadget (``mbox_gadget``), whose
 H-box fires a chosen amplitude exactly on the all-``U_D`` basis input,
 and ``normal_form``, which writes an arbitrary small tensor as a
@@ -18,7 +26,7 @@ per coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -134,9 +142,80 @@ def _amp_param(gid: GadgetId) -> AmplitudeFn:
 # =====================================================================
 
 
-def _antipode(b: DiagramBuilder) -> str:
-    """Degree-2 flat red dot: D*nu^4 times the negation permutation."""
-    return b.node(Generator.red(One(), 1, 1))
+def _a2_amp(gid: GadgetId) -> AmplitudeFn:
+    amp = _amp_param(gid)
+    if amp.residues_only:
+        raise GadgetError("diag_a2 needs an all-integers amplitude (its argument is a product)")
+    return amp
+
+
+def _scalar_amp(gid: GadgetId) -> AmplitudeFn:
+    alpha = _complex_param(gid, "alpha")
+    # UnitPow rejects 0; the selector amplitude covers that case
+    return UnitPow(alpha) if alpha != 0 else MBox(0, alpha)
+
+
+def _box(gid: GadgetId, m: int, n: int) -> Generator:
+    """The multiplier H-box: character amplitude omega^(c t)."""
+    return Generator.hbox(Char(_int_param(gid, "c")), m, n)
+
+
+# degree-2 flat red dot: D*nu^4 times the negation permutation
+_ANTIPODE = Generator.red(One(), 1, 1)
+# the summing red dot of the x-type gadgets; it negates the sum
+_SUM = Generator.red(One(), 2, 1)
+
+# gadgets that are one chain of pieces (DiagramBuilder.chain)
+_CHAINS: dict[str, Callable[[GadgetId], list[Generator]]] = {
+    # basis state through an antipode; red state alone lands on -a
+    "ket_a": lambda gid: [Generator.red(Char(_int_param(gid, "a")), 0, 1), _ANTIPODE],
+    # green phase state through an antipode gives the Fourier vector
+    "ket_omega_a": lambda gid: [Generator.green(Char(_int_param(gid, "a")), 0, 1), _ANTIPODE],
+    # antipode then a phased red dot: the cyclic shift |t> -> |t+1>
+    "pauli_x": lambda gid: [_ANTIPODE, Generator.red(Char(-1), 1, 1)],
+    "pauli_z": lambda gid: [Generator.green(Char(1), 1, 1)],
+    "s_gate": lambda gid: [Generator.green(Stab(0, 1), 1, 1)],
+    "fourier": lambda gid: [Generator.hminus()],
+    "multiplier": lambda gid: [_box(gid, 1, 1), Generator.hminus()],
+    "fourier_box": lambda gid: [_box(gid, 1, 1)],
+    "scalar": lambda gid: [Generator.hbox(_scalar_amp(gid), 0, 0)],
+    "diag_theta": lambda gid: [Generator.green(_amp_param(gid), 1, 1)],
+}
+
+# controlled gadgets: (number of control copy dots, the chain they feed)
+_CONTROLLED: dict[str, tuple[int, Callable[[GadgetId], list[Generator]]]] = {
+    "cz": (2, lambda gid: [Generator.hplus()]),
+    "cz_pow": (2, lambda gid: [_box(gid, 1, 1)]),
+    "diag_a2": (2, lambda gid: [Generator.hbox(_a2_amp(gid), 2, 0)]),
+    "cx": (1, lambda gid: [_SUM]),
+    # control copy -> multiplier bridge -> summing red dot on target
+    "cx_pow": (1, lambda gid: [_box(gid, 1, 1), Generator.hminus(), _SUM]),
+    "ccx_pow": (2, lambda gid: [_box(gid, 2, 1), Generator.hminus(), _SUM]),
+}
+
+
+def _antipode_out(b: DiagramBuilder, src: str) -> None:
+    """src through an antipode to the next output, undoing a sum's negation."""
+    anti = b.node(_ANTIPODE)
+    b.wire(src, anti)
+    b.wire(anti, "out")
+
+
+def _controlled(b: DiagramBuilder, k: int, pieces: list[Generator]) -> None:
+    """k copy dots, input j to output j, each feeding the first of a
+    chain of pieces.  A chain that ends in the summing red dot takes
+    the target input there and leaves through an antipode."""
+    copies = [b.node(Generator.white(1, 2)) for _ in range(k)]
+    ids = [b.node(gen) for gen in pieces]
+    for j, w in enumerate(copies):
+        b.wire(("in", j), w)
+        b.wire(w, ("out", j))
+        b.wire(w, ids[0])
+    for a, c in zip(ids, ids[1:]):
+        b.wire(a, c)
+    if pieces[-1] == _SUM:
+        b.wire("in", ids[-1])
+        _antipode_out(b, ids[-1])
 
 
 def build(gid: GadgetId, ctx: MeasureContext) -> Diagram:
@@ -148,181 +227,23 @@ def build(gid: GadgetId, ctx: MeasureContext) -> Diagram:
     """
     b = DiagramBuilder(ctx.dim)
     name = gid.name
-
-    if name == "ket_a":
-        # basis state through an antipode; red state alone lands on -a
-        st = b.node(Generator.red(Char(_int_param(gid, "a")), 0, 1))
-        anti = _antipode(b)
-        b.wire(st, anti)
-        b.wire(anti, "out")
-
-    elif name == "ket_omega_a":
-        # green phase state through an antipode gives the Fourier vector
-        st = b.node(Generator.green(Char(_int_param(gid, "a")), 0, 1))
-        anti = _antipode(b)
-        b.wire(st, anti)
-        b.wire(anti, "out")
-
-    elif name == "pauli_x":
-        # antipode then a phased red dot: the cyclic shift |t> -> |t+1>
-        anti = _antipode(b)
-        sh = b.node(Generator.red(Char(-1), 1, 1))
-        b.wire("in", anti)
-        b.wire(anti, sh)
-        b.wire(sh, "out")
-
-    elif name == "pauli_z":
-        g = b.node(Generator.green(Char(1), 1, 1))
-        b.wire("in", g)
-        b.wire(g, "out")
-
-    elif name == "s_gate":
-        g = b.node(Generator.green(Stab(0, 1), 1, 1))
-        b.wire("in", g)
-        b.wire(g, "out")
-
-    elif name == "fourier":
-        h = b.node(Generator.hminus())
-        b.wire("in", h)
-        b.wire(h, "out")
-
+    if name in _CHAINS:
+        b.chain(_CHAINS[name](gid))
+    elif name in _CONTROLLED:
+        k, pieces = _CONTROLLED[name]
+        _controlled(b, k, pieces(gid))
     elif name == "m_mult":
         u = _int_param(gid, "u")
-        copy = b.node(Generator.white(1, abs(u)))
-        tot = b.node(Generator.red(One(), abs(u), 1))
-        b.wire("in", copy)
-        for _ in range(abs(u)):
-            b.wire(copy, tot)
+        tot = b.multiedge(Generator.white(1, abs(u)), Generator.red(One(), abs(u), 1), tail=u > 0)
         if u > 0:
-            # the summing red dot negates, so undo that with an antipode
-            anti = _antipode(b)
-            b.wire(tot, anti)
-            b.wire(anti, "out")
-        else:
-            b.wire(tot, "out")
-
-    elif name == "cx":
-        ctrl = b.node(Generator.white(1, 2))
-        tot = b.node(Generator.red(One(), 2, 1))
-        anti = _antipode(b)
-        b.wire(("in", 0), ctrl)
-        b.wire(ctrl, ("out", 0))
-        b.wire(ctrl, tot)
-        b.wire(("in", 1), tot)
-        b.wire(tot, anti)
-        b.wire(anti, ("out", 1))
-
-    elif name == "cz":
-        c1 = b.node(Generator.white(1, 2))
-        c2 = b.node(Generator.white(1, 2))
-        h = b.node(Generator.hplus())
-        b.wire(("in", 0), c1)
-        b.wire(c1, ("out", 0))
-        b.wire(c1, h)
-        b.wire(("in", 1), c2)
-        b.wire(c2, ("out", 1))
-        b.wire(c2, h)
-
-    elif name == "cx_pow":
-        # control copy -> multiplier bridge -> summing red dot on target
-        c = _int_param(gid, "c")
-        ctrl = b.node(Generator.white(1, 2))
-        box = b.node(Generator.hbox(Char(c), 1, 1))
-        hm = b.node(Generator.hminus())
-        tot = b.node(Generator.red(One(), 2, 1))
-        anti = _antipode(b)
-        b.wire(("in", 0), ctrl)
-        b.wire(ctrl, ("out", 0))
-        b.wire(ctrl, box)
-        b.wire(box, hm)
-        b.wire(hm, tot)
-        b.wire(("in", 1), tot)
-        b.wire(tot, anti)
-        b.wire(anti, ("out", 1))
-
-    elif name == "cz_pow":
-        c = _int_param(gid, "c")
-        c1 = b.node(Generator.white(1, 2))
-        c2 = b.node(Generator.white(1, 2))
-        box = b.node(Generator.hbox(Char(c), 1, 1))
-        b.wire(("in", 0), c1)
-        b.wire(c1, ("out", 0))
-        b.wire(c1, box)
-        b.wire(("in", 1), c2)
-        b.wire(c2, ("out", 1))
-        b.wire(c2, box)
-
-    elif name == "ccx_pow":
-        c = _int_param(gid, "c")
-        w1 = b.node(Generator.white(1, 2))
-        w2 = b.node(Generator.white(1, 2))
-        box = b.node(Generator.hbox(Char(c), 2, 1))
-        hm = b.node(Generator.hminus())
-        tot = b.node(Generator.red(One(), 2, 1))
-        anti = _antipode(b)
-        b.wire(("in", 0), w1)
-        b.wire(w1, ("out", 0))
-        b.wire(w1, box)
-        b.wire(("in", 1), w2)
-        b.wire(w2, ("out", 1))
-        b.wire(w2, box)
-        b.wire(box, hm)
-        b.wire(hm, tot)
-        b.wire(("in", 2), tot)
-        b.wire(tot, anti)
-        b.wire(anti, ("out", 2))
-
-    elif name == "ccz_pow":
-        c = _int_param(gid, "c")
-        box = b.node(Generator.hbox(Char(c), 3, 0))
+            _antipode_out(b, tot)
+    else:  # ccz_pow: its box comes before its copy dots
+        box = b.node(_box(gid, 3, 0))
         for j in range(3):
             w = b.node(Generator.white(1, 2))
             b.wire(("in", j), w)
             b.wire(w, ("out", j))
             b.wire(w, box)
-
-    elif name == "multiplier":
-        c = _int_param(gid, "c")
-        box = b.node(Generator.hbox(Char(c), 1, 1))
-        hm = b.node(Generator.hminus())
-        b.wire("in", box)
-        b.wire(box, hm)
-        b.wire(hm, "out")
-
-    elif name == "fourier_box":
-        c = _int_param(gid, "c")
-        box = b.node(Generator.hbox(Char(c), 1, 1))
-        b.wire("in", box)
-        b.wire(box, "out")
-
-    elif name == "scalar":
-        alpha = _complex_param(gid, "alpha")
-        # UnitPow rejects 0; the selector amplitude covers that case
-        amp = UnitPow(alpha) if alpha != 0 else MBox(0, alpha)
-        b.node(Generator.hbox(amp, 0, 0))
-
-    elif name == "diag_theta":
-        g = b.node(Generator.green(_amp_param(gid), 1, 1))
-        b.wire("in", g)
-        b.wire(g, "out")
-
-    elif name == "diag_a2":
-        amp = _amp_param(gid)
-        if amp.residues_only:
-            raise GadgetError("diag_a2 needs an all-integers amplitude (its argument is a product)")
-        c1 = b.node(Generator.white(1, 2))
-        c2 = b.node(Generator.white(1, 2))
-        box = b.node(Generator.hbox(amp, 2, 0))
-        b.wire(("in", 0), c1)
-        b.wire(c1, ("out", 0))
-        b.wire(c1, box)
-        b.wire(("in", 1), c2)
-        b.wire(c2, ("out", 1))
-        b.wire(c2, box)
-
-    else:  # pragma: no cover - names are validated by GadgetId
-        raise GadgetError(f"unknown gadget {name!r}")
-
     return b.build()
 
 
@@ -492,9 +413,7 @@ def target_tensor(gid: GadgetId, ctx: MeasureContext) -> Tensor:
         return Tensor(D, 1, 1, arr)
 
     if name == "diag_a2":
-        amp = _amp_param(gid)
-        if amp.residues_only:
-            raise GadgetError("diag_a2 needs an all-integers amplitude (its argument is a product)")
+        amp = _a2_amp(gid)
         arr = np.zeros((D,) * 4, dtype=complex)
         for x in res:
             for y in res:
@@ -520,21 +439,22 @@ def mbox_gadget(m: int, alpha: complex, ctx: MeasureContext) -> Diagram:
     if m < 0:
         raise GadgetError(f"selector needs m >= 0, got {m}")
     checked_i64(ctx.upper ** (2 * m), "selector pivot U_D^(2m)")
-    alpha = complex(alpha)
     b = DiagramBuilder(ctx.dim)
-    if m == 0:
-        b.node(Generator.hbox(MBox(0, alpha), 0, 0))
-        return b.build()
-    box = b.node(Generator.hbox(MBox(2 * m, alpha), 2 * m, 0))
-    flip = 1 - ctx.sigma
+    box = b.node(Generator.hbox(MBox(2 * m, complex(alpha)), 2 * m, 0))
     for j in range(m):
-        copy = b.node(Generator.white(1, 2))
-        nd = b.node(Generator.not_dot(flip))
-        b.wire(("in", j), copy)
-        b.wire(copy, box)
-        b.wire(copy, nd)
-        b.wire(nd, box)
+        _selector_branch(b, ctx, ("in", j), box)
     return b.build()
+
+
+def _selector_branch(b: DiagramBuilder, ctx: MeasureContext, src, box: str) -> None:
+    """src into a white copy dot whose two branches meet the selector
+    box, one straight and one through a (1 - sigma)-not-dot."""
+    copy = b.node(Generator.white(1, 2))
+    nd = b.node(Generator.not_dot(1 - ctx.sigma))
+    b.wire(src, copy)
+    b.wire(copy, box)
+    b.wire(copy, nd)
+    b.wire(nd, box)
 
 
 def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
@@ -571,23 +491,14 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
 
     scale = complex(ctx.nu) ** (-wires)
     flat = omega.data.reshape(-1)
-    flip = 1 - ctx.sigma
-    U = ctx.upper
     for k in range(n_coeffs):
         alpha = complex(flat[k]) * scale
-        if wires == 0:
-            b.node(Generator.hbox(MBox(0, alpha), 0, 0))
-            continue
         point = np.unravel_index(k, omega.data.shape)
-        box = b.node(Generator.hbox(MBox(2 * wires, alpha), 2 * wires, 0), name=f"sel{k}")
+        # a scalar's one box keeps an automatic id
+        box = b.node(Generator.hbox(MBox(2 * wires, alpha), 2 * wires, 0), f"sel{k}" if wires else None)
         for w in range(wires):
             t_star = ctx.lower + int(point[w])
-            shift = b.node(Generator.not_dot(residue(ctx, -t_star - U)))
-            copy = b.node(Generator.white(1, 2))
-            nd = b.node(Generator.not_dot(flip))
+            shift = b.node(Generator.not_dot(residue(ctx, -t_star - ctx.upper)))
             b.wire(fans[w], shift)
-            b.wire(shift, copy)
-            b.wire(copy, box)
-            b.wire(copy, nd)
-            b.wire(nd, box)
+            _selector_branch(b, ctx, shift, box)
     return b.build()

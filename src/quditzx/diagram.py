@@ -82,7 +82,7 @@ import json
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -92,7 +92,6 @@ from quditzx.generators import (
     amp_to_json,
     diagonal_weight,
     generator_entries,
-    red_weight_vector,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import Tensor, strict_int
@@ -208,6 +207,12 @@ class DiagramBuilder:
     strings ``"in"`` / ``"out"`` (the next boundary position is
     allocated).  ``build`` validates that every leg and boundary
     position is wired exactly once.
+
+    Two shapes that gadgets and rule sides share are built here:
+    :meth:`chain` (every input into the first piece, one wire from each
+    piece to the next, every output from the last) and :meth:`multiedge`
+    (a copy dot and a sum dot joined by k parallel wires).  Pieces get
+    the given names, else automatic ids.
     """
 
     def __init__(self, dim: int):
@@ -251,6 +256,38 @@ class DiagramBuilder:
 
     def wire(self, a, b) -> None:
         self._edges.append((self._resolve(a), self._resolve(b)))
+
+    def chain(self, gens: list[Generator], names: Iterable[str] = ()) -> list[str]:
+        """Every input into the first piece, one wire from each piece to
+        the next, every output of the last piece out; an empty chain is a
+        bare wire.  Returns the pieces' ids."""
+        names = list(names) or [None] * len(gens)
+        ids = [self.node(gen, name) for gen, name in zip(gens, names)]
+        if not ids:
+            self.wire("in", "out")
+            return ids
+        for _ in range(gens[0].m):
+            self.wire("in", ids[0])
+        for a, c in zip(ids, ids[1:]):
+            self.wire(a, c)
+        for _ in range(gens[-1].n):
+            self.wire(ids[-1], "out")
+        return ids
+
+    def multiedge(
+        self, copy: Generator, total: Generator, names: Iterable[str] = (), tail: bool = False
+    ) -> str:
+        """in -> copy (1 -> k) -(k parallel wires)-> total (k -> 1); the
+        total's last leg goes out unless `tail`, in which case the caller
+        wires it.  Returns the total's id."""
+        names = list(names) or [None, None]
+        g, r = self.node(copy, names[0]), self.node(total, names[1])
+        self.wire("in", g)
+        for _ in range(copy.n):
+            self.wire(g, r)
+        if not tail:
+            self.wire(r, "out")
+        return r
 
     def build(self) -> Diagram:
         d = Diagram(self.dim, dict(self._nodes), tuple(self._edges), self._n_in, self._n_out)
@@ -573,15 +610,16 @@ def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
 
     Entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j): the vector
     c, then the matrix omega^(t x) once per leg, all on one index t.
+    From the generator formulas, c(t) = nu^(2+deg) * A(t) for a red dot
+    and nu^(deg-2) / D for a gray one.
     """
     D, deg = ctx.dim, gen.degree
     sv = ctx.residues()
     if gen.kind == "red":
-        w = red_weight_vector(ctx, gen.amp, deg)
+        coeff = ctx.nu ** (2 + deg) * np.asarray(gen.amp.eval_arr(ctx, sv), dtype=complex)
     else:
-        w = np.where(sv % D == 0, complex(ctx.nu ** (deg - 2)), 0j)
+        coeff = np.full(D, ctx.nu ** (deg - 2) / D, dtype=complex)
     phase = ctx._omega_table()[np.outer(sv, sv) % D]  # [t, s] = omega^(t s)
-    coeff = (phase.conj() @ w) / D  # c(t) = (1/D) sum_s w(s) omega^(-t s)
     return [coeff] + [phase] * deg
 
 
@@ -856,7 +894,10 @@ def from_json_obj(obj: dict[str, Any]) -> Diagram:
     if dim < 2:
         raise DiagramError(f"dimension must be at least 2, got {dim}")
     nodes: dict[str, Generator] = {}
-    for name, entry in obj.get("nodes", {}).items():
+    entries = obj.get("nodes", {})
+    if not isinstance(entries, dict):
+        raise DiagramError("nodes must be an object of node entries")
+    for name, entry in entries.items():
         kind = entry["kind"]
         legs = strict_int(entry["legs"], f"legs of node {name!r}", DiagramError)
         amp = amp_from_json(entry["amp"]) if "amp" in entry and entry["amp"] is not None else None

@@ -26,6 +26,7 @@ red 0-leg = nu^2 * sum T, hbox 0-leg = A(1), gray 0-leg = nu^(-2).
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,7 +41,7 @@ from quditzx.measure import (
     tau_pow,
     tau_pow_arr,
 )
-from quditzx.tensor import Tensor
+from quditzx.tensor import Tensor, strict_int
 
 
 class DomainError(ValueError):
@@ -155,8 +156,10 @@ class Stab(AmplitudeFn):
         return tau_pow(ctx, 2 * self.a * tr + self.b * tr * tr)
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
+        # 2at and bt^2 mod 2D depend only on a mod D and b mod 2D; reduced
+        # labels keep the int64 products exact
         tr = t.astype(np.int64) % (2 * ctx.dim)
-        return tau_pow_arr(ctx, 2 * self.a * tr + self.b * tr * tr)
+        return tau_pow_arr(ctx, 2 * (self.a % ctx.dim) * tr + (self.b % (2 * ctx.dim)) * tr * tr)
 
     def conjugate(self) -> AmplitudeFn:
         return Stab(-self.a, -self.b)
@@ -172,7 +175,7 @@ class Char(AmplitudeFn):
         return omega_pow(ctx, self.c * (checked_i64(int(t), "Char argument") % ctx.dim))
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
-        return omega_pow_arr(ctx, self.c * (t.astype(np.int64) % ctx.dim))
+        return omega_pow_arr(ctx, (self.c % ctx.dim) * (t.astype(np.int64) % ctx.dim))
 
     def conjugate(self) -> AmplitudeFn:
         return Char(-self.c)
@@ -355,13 +358,25 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _real(v: Any) -> float:
+    """A JSON number as a float; strings, bools and out-of-range ints raise."""
+    in_range_int = isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    if not (isinstance(v, float) or in_range_int):
+        raise ValueError(f"amplitude field must be a real number, got {v!r}")
+    return float(v)
+
+
+def _integer(v: Any) -> int:
+    return strict_int(v, "amplitude field", ValueError)
+
+
 # value codecs: (to JSON, from JSON)
-_FLOAT = (lambda v: v, float)
-_INT = (lambda v: v, int)
-_FLOATS = (list, lambda v: tuple(float(x) for x in v))
-_COMPLEX = (_pair, lambda v: complex(v[0], v[1]))
-_COMPLEXES = (lambda v: [_pair(z) for z in v], lambda v: tuple(complex(re, im) for re, im in v))
-_SET = (sorted, frozenset)
+_FLOAT = (lambda v: v, _real)
+_INT = (lambda v: v, _integer)
+_FLOATS = (list, lambda v: tuple(_real(x) for x in v))
+_COMPLEX = (_pair, lambda v: complex(_real(v[0]), _real(v[1])))
+_COMPLEXES = (lambda v: [_pair(z) for z in v], lambda v: tuple(complex(_real(re), _real(im)) for re, im in v))
+_SET = (sorted, lambda v: frozenset(_integer(x) for x in v))
 
 # JSON tag -> (variant, its fields as (attribute, JSON key, codec)); a
 # tuple of keys spreads the encoded value over several keys, in order
@@ -529,15 +544,6 @@ def _leg_prod_array(ctx: MeasureContext, deg: int) -> np.ndarray:
     return p
 
 
-def red_weight_vector(ctx: MeasureContext, amp: AmplitudeFn, deg: int) -> np.ndarray:
-    """w[s] for s = L_D..U_D: nu^(2+deg) * sum_j amp(j) * omega^(j*s)."""
-    jv = ctx.residues()
-    sv = ctx.residues()
-    amps = np.array([amp.eval(ctx, int(j)) for j in jv])
-    mat = omega_pow_arr(ctx, np.outer(jv, sv))
-    return ctx.nu ** (2 + deg) * (amps @ mat)
-
-
 def diagonal_weight(ctx: MeasureContext, g: Generator) -> np.ndarray:
     """A green or white dot's entries where all legs equal v, for v = L_D..U_D.
 
@@ -561,7 +567,10 @@ def generator_entries(ctx: MeasureContext, g: Generator) -> np.ndarray:
         arr[(np.arange(D),) * deg] = w
         return arr
     if g.kind == "red":
-        w = red_weight_vector(ctx, g.amp, deg)
+        # w[s] for s = L_D..U_D: nu^(2+deg) * sum_j A(j) * omega^(j*s)
+        jv = ctx.residues()
+        amps = np.array([g.amp.eval(ctx, int(j)) for j in jv])
+        w = nu ** (2 + deg) * (amps @ omega_pow_arr(ctx, np.outer(jv, jv)))
         if deg == 0:
             return np.asarray(w[(0 - ctx.lower) % D])
         s = _leg_sum_array(ctx, deg)
@@ -584,7 +593,7 @@ def generator_entries(ctx: MeasureContext, g: Generator) -> np.ndarray:
         return nu**deg * g.amp.eval_arr(ctx, p)
     if g.kind == "not":
         s = _leg_sum_array(ctx, 2)
-        return np.where((s + g.c) % D == 0, 1.0 + 0j, 0j)
+        return np.where((s + g.c % D) % D == 0, 1.0 + 0j, 0j)
     raise ValueError(f"unknown kind {g.kind!r}")
 
 

@@ -13,13 +13,14 @@ names (ZX-*, ZXH-*, ZH-*).
 
 The ZX and ZH fragments state many rules as one diagram shape over
 different generators, so rule sides are built from shared shapes:
-`_chain` (every input into a first piece, a chain, every output from a
-last piece: a wire, a chain of two-leg pieces, or a bialgebra's
-funnel), `_dressed_spider`, `_multiedge` (copy and sum joined by k
-parallel wires), `_cut_wire`, `_antipode_loop`, `_joined` (two spiders
-fused by one wire), `_bipartite`, `_capped` (a spider with one leg
-into a cap) and `_oracle` (ZH-O and ZH-ZPL's D-branch diagram).  A
-shape with one user stays hand-wired.
+`_chain` (``DiagramBuilder.chain``, every input into a first piece, a
+chain, every output from a last piece: a wire, a chain of two-leg
+pieces, or a bialgebra's funnel), `_dressed_spider`,
+``DiagramBuilder.multiedge`` (copy and sum joined by k parallel wires),
+`_cut_wire`, `_antipode_loop`, `_joined` (two spiders fused by one
+wire), `_bipartite`, `_capped` (a spider with one leg into a cap) and
+`_oracle` (ZH-O and ZH-ZPL's D-branch diagram).  A shape with one user
+stays hand-wired.
 
 Scalar bookkeeping: many rules balance only up to a closed-form scalar
 (typically an integer power of D*nu^4, which is 1 at the default
@@ -255,22 +256,10 @@ def _dnu4(ctx: MeasureContext) -> float:
 def _chain(
     dim: int, gens: list[Generator], scale: complex = 1.0, names: Iterable[str] | None = None
 ) -> Diagram:
-    """Every input into the first piece, one wire from each piece to the
-    next, every output of the last piece out, and the balancing scalar.
-    Pieces are n0, n1, ... unless `names` says otherwise; an empty chain
-    is a bare wire."""
+    """``DiagramBuilder.chain`` with the balancing scalar.  Pieces are
+    n0, n1, ... unless `names` says otherwise."""
     b = DiagramBuilder(dim)
-    names = names or [f"n{i}" for i in range(len(gens))]
-    ids = [b.node(gen, name) for gen, name in zip(gens, names)]
-    if not ids:
-        b.wire("in", "out")
-    else:
-        for _ in range(gens[0].m):
-            b.wire("in", ids[0])
-        for a, c in zip(ids, ids[1:]):
-            b.wire(a, c)
-        for _ in range(gens[-1].n):
-            b.wire(ids[-1], "out")
+    b.chain(gens, names or [f"n{i}" for i in range(len(gens))])
     _scale(b, scale)
     return b.build()
 
@@ -327,23 +316,6 @@ def _green(m: int, n: int) -> Generator:
 
 def _red(m: int, n: int) -> Generator:
     return Generator.red(One(), m, n)
-
-
-def _multiedge(
-    b: DiagramBuilder, copy: Generator, total: Generator, tail: bool = False
-) -> str:
-    """in -> copy (1 -> k) -(k parallel wires)-> total (k -> 1); the
-    total's last leg goes out unless `tail`, in which case the caller
-    wires it.  Returns the total's id."""
-    k = copy.n
-    g = b.node(copy, "g0")
-    r = b.node(total, "r0")
-    b.wire("in", (g, 0))
-    for i in range(k):
-        b.wire((g, 1 + i), (r, i))
-    if not tail:
-        b.wire((r, k), "out")
-    return r
 
 
 def _cut_wire(dim: int, effect: Generator, state: Generator, scale: complex = 1.0) -> Diagram:
@@ -624,21 +596,17 @@ def _zx_zsp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     u = int(p["u"])
     b = DiagramBuilder(ctx.dim)
-    _multiedge(b, _green(1, u), _red(u, 1))
+    b.multiedge(_green(1, u), _red(u, 1), ("g0", "r0"))
     _scale(b, _dnu4(ctx))
     lhs = b.build()
 
     ui = _uinv(u, ctx.dim)
     b2 = DiagramBuilder(ctx.dim)
-    names = []
+    pieces, names = [], []
     for i, q in enumerate((u, ui, u)):
-        names.append(b2.node(Generator.green(Stab(0, q), 1, 1), f"s{i}"))
-        names.append(b2.node(Generator.hminus(), f"h{i}"))
-    prev = "in"
-    for name in names:
-        b2.wire(prev, name)
-        prev = name
-    b2.wire(prev, "out")
+        pieces += [Generator.green(Stab(0, q), 1, 1), Generator.hminus()]
+        names += [f"s{i}", f"h{i}"]
+    b2.chain(pieces, names)
     b2.node(Generator.green(Stab(0, -u), 0, 0), "gamma0")
     return lhs, b2.build()
 
@@ -647,7 +615,7 @@ def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 def _zx_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     a, bb, u = int(p["a"]), int(p["b"]), int(p["u"])
     b = DiagramBuilder(ctx.dim)
-    r = _multiedge(b, _green(1, u), _red(u, 1), tail=True)
+    r = b.multiedge(_green(1, u), _red(u, 1), ("g0", "r0"), tail=True)
     lolly = b.node(Generator.red(Stab(a, bb), 1, 0), "q0")
     b.wire((r, u), (lolly, 0))
     lhs = b.build()
@@ -664,7 +632,7 @@ def _meh_pair(
 ) -> tuple[Diagram, Diagram]:
     """D parallel wires between a copy and a sum dot cut the wire."""
     b = DiagramBuilder(ctx.dim)
-    _multiedge(b, copy(1, ctx.dim), total(ctx.dim, 1))
+    b.multiedge(copy(1, ctx.dim), total(ctx.dim, 1), ("g0", "r0"))
     return b.build(), _cut_wire(ctx.dim, copy(1, 0), total(0, 1))
 
 
@@ -796,12 +764,7 @@ def _zh_wi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 @_rule("ZH-WQS", {})
 def _zh_wqs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
-    w1 = b.node(Generator.white(1, 2), "w0")
-    w2 = b.node(Generator.white(2, 1), "w1")
-    b.wire("in", (w1, 0))
-    b.wire((w1, 1), (w2, 0))
-    b.wire((w1, 2), (w2, 1))
-    b.wire((w2, 2), "out")
+    b.multiedge(Generator.white(1, 2), Generator.white(2, 1), ("w0", "w1"))
     _scale(b, ctx.nu**2)
     return b.build(), _chain(ctx.dim, [])
 
@@ -920,14 +883,7 @@ def _draw_alpha(rng: np.random.Generator, dim: int) -> complex:
 def _zh_ec(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     alpha, m = complex(p["alpha"]), int(p["m"])
     sg = ctx.sigma
-    b = DiagramBuilder(ctx.dim)
-    h = b.node(Generator.hbox(UnitPow(alpha), m, 1), "h0")
-    nd = b.node(Generator.not_dot(-sg), "n0")
-    for _ in range(m):
-        b.wire("in", h)
-    b.wire((h, m), nd)
-    b.wire(nd, "out")
-    lhs = b.build()
+    lhs = _chain(ctx.dim, [Generator.hbox(UnitPow(alpha), m, 1), Generator.not_dot(-sg)], names=("h0", "n0"))
 
     b2 = DiagramBuilder(ctx.dim)
     whites = [b2.node(Generator.white(1, 2), f"w{i}") for i in range(m)]
@@ -1046,7 +1002,7 @@ def _zh_hmb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 def _zh_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     k, u = int(p["k"]), int(p["u"])
     b = DiagramBuilder(ctx.dim)
-    r = _multiedge(b, Generator.white(1, k), Generator.gray(k, 1), tail=True)
+    r = b.multiedge(Generator.white(1, k), Generator.gray(k, 1), ("g0", "r0"), tail=True)
     anti = b.node(Generator.gray(1, 1), "s0")
     b.wire((r, k), (anti, 0))
     b.wire((anti, 1), "out")

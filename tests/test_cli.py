@@ -258,6 +258,18 @@ def test_gadget_with_integer_param(runner):
     assert tensor.max_abs_diff(got, want) < 1e-9
 
 
+def test_gadget_with_huge_integer_param(runner):
+    # labels past int64 reduce to their residue: 10^23 = 1 and 2^62 + 1 = 2 mod 3
+    def emit(a):
+        args = ["gadget", "ket_omega_a", "--dim", "3", "--param", f"a={a}", "--emit-tensor"]
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 0, res.output
+        return res.output
+
+    assert emit(10**23) == emit(1) != emit(2) == emit(2**62 + 1)
+    assert emit(-(10**23)) == emit(-1)
+
+
 def test_gadget_with_complex_param(runner):
     res = runner.invoke(
         cli.main,
@@ -416,6 +428,32 @@ def test_eval_rejects_bad_edges_as_usage_error(runner, tmp_path, edges, n_bounda
     res = runner.invoke(cli.main, ["eval", str(src)])
     assert res.exit_code == 2
     assert res.output.startswith("Usage") and what in res.output
+
+
+@pytest.mark.parametrize(
+    "amp",
+    [
+        {"type": "char", "c": 2.5},
+        {"type": "indicator", "set": [0.5]},
+        {"type": "phase", "theta": "1.5"},
+        {"type": "phase", "theta": True},
+    ],
+)
+def test_eval_and_gadget_reject_bad_amplitude_values(runner, tmp_path, amp):
+    src = tmp_path / "d.json"
+    src.write_text(json.dumps({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": amp}},
+                               "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}))
+    res = runner.invoke(cli.main, ["eval", str(src)])
+    assert res.exit_code == 2 and "must be" in res.output
+    res = runner.invoke(cli.main, ["gadget", "diag_theta", "--dim", "3", "--param", f"amp={json.dumps(amp)}"])
+    assert res.exit_code == 2 and "must be" in res.output
+
+
+def test_eval_rejects_non_object_nodes_as_usage_error(runner, tmp_path):
+    src = tmp_path / "d.json"
+    src.write_text('{"dimension": 3, "nodes": [], "edges": []}')
+    res = runner.invoke(cli.main, ["eval", str(src)])
+    assert res.exit_code == 2 and "nodes must be an object" in res.output
 
 
 def test_eval_reads_integral_float_fields(runner, tmp_path):

@@ -6,6 +6,8 @@ values in the point tests were fixed by brute force over the residue
 window.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from quditzx.construct import (
     normal_form,
     target_tensor,
 )
-from quditzx.diagram import evaluate
+from quditzx.diagram import dump_json, evaluate
 from quditzx.generators import Char, Phase, Stab, Table, UnitPow
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import Tensor, max_abs_diff
@@ -399,3 +401,53 @@ def test_gadget_id_validation():
         build(gadget_id("scalar", alpha="big"), MeasureContext(3))
     assert str(gadget_id("ket_a", a=1)) == "ket_a(a=1)"
     assert GadgetId("cx").params == ()
+
+
+# ---------------------------------------------------------------- pinned diagrams
+
+
+PIN_GRID = {
+    "a": (-2, 0, 1, 3),
+    "u": (-2, 0, 1, 3),
+    "c": (-2, 0, 1, 3),
+    "alpha": (0, 1.5 - 2j),
+    "amp": (Char(1), Stab(1, 2), Phase(0.3), UnitPow(0.5 + 0.5j)),
+}
+PIN_KEY = {
+    "ket_a": "a", "ket_omega_a": "a", "m_mult": "u", "scalar": "alpha", "diag_theta": "amp", "diag_a2": "amp"
+}
+PIN_PLAIN = {"pauli_x", "pauli_z", "s_gate", "fourier", "cx", "cz"}
+
+
+def test_gadget_diagrams_are_pinned():
+    """Every gadget, selector and normal form, byte for byte.
+
+    Each gadget runs over PIN_GRID for its parameter, D=2..6,
+    well-tempered and nu=0.83; then the selectors for m=0..2 and the
+    normal forms of seeded random tensors.  The digest was recorded
+    from the hand-wired builders, before gadgets were built from
+    shared shapes.
+    """
+    h = hashlib.sha256()
+    count = 0
+    for D in DIMS:
+        for nu in (None, 0.83):
+            ctx = MeasureContext(D, nu)
+            for name in GADGET_NAMES:
+                key = PIN_KEY.get(name, "c")
+                if name in PIN_PLAIN:
+                    gids = [gadget_id(name)]
+                else:
+                    gids = [gadget_id(name, **{key: v}) for v in PIN_GRID[key]]
+                for gid in gids:
+                    h.update(dump_json(build(gid, ctx)).encode())
+                    count += 1
+            for m in range(3):
+                h.update(dump_json(mbox_gadget(m, 1.5 - 2j, ctx)).encode())
+            rng = np.random.default_rng([7, D])
+            for m, n in ((0, 0), (0, 1), (1, 1), (2, 0)):
+                shape = (D,) * (m + n)
+                data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                h.update(dump_json(normal_form(Tensor(D, m, n, data), ctx)).encode())
+    assert count == 520
+    assert h.hexdigest() == "a657860588c323e967cc2dd6e51cc1c924b62cab37d047f6f93a73daa3cf6c52"

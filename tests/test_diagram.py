@@ -1279,3 +1279,29 @@ def test_builder_rejects_reserved_names() -> None:
         b.node(Generator.white(1, 1), name="in")
     with pytest.raises(DiagramError):
         b.node(Generator.white(1, 1), name="a:b")
+
+
+def test_builder_chain_and_multiedge_wiring() -> None:
+    b = DiagramBuilder(3)
+    ids = b.chain([Generator.green(One(), 2, 1), Generator.hminus()])
+    assert ids == ["green0", "hminus1"]
+    assert b.build().edges == (
+        (("in", 0), ("green0", 0)),
+        (("in", 1), ("green0", 1)),
+        (("green0", 2), ("hminus1", 0)),
+        (("hminus1", 1), ("out", 0)),
+    )
+    b = DiagramBuilder(3)
+    assert b.chain([]) == []
+    assert b.build().edges == ((("in", 0), ("out", 0)),)
+
+    b = DiagramBuilder(3)
+    r = b.multiedge(Generator.white(1, 2), Generator.gray(2, 1), ("w", "s"), tail=True)
+    b.wire(r, "out")
+    assert r == "s"
+    assert b.build().edges == (
+        (("in", 0), ("w", 0)),
+        (("w", 1), ("s", 0)),
+        (("w", 2), ("s", 1)),
+        (("s", 2), ("out", 0)),
+    )

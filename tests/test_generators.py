@@ -53,6 +53,22 @@ def test_char_is_quadratic_free_stab(D):
             assert abs(Char(c).eval(ctx, t) - Stab(c, 0).eval(ctx, t)) < 1e-12
 
 
+HUGE_LABELS = (0, 1, -7, 2**62 + 1, 2**63, -(2**63) - 5, 10**23, -(10**23) + 2)
+
+
+@pytest.mark.parametrize("D", range(2, 9))
+def test_label_eval_arr_matches_eval_for_huge_labels(D):
+    # eval works in Python ints; eval_arr must reduce labels before int64
+    ctx = MeasureContext(D)
+    t = np.concatenate([ctx.residues(), [-(2**40), 3 * 2**40 + 1]])
+    for x in HUGE_LABELS:
+        for amp in (Char(x), Stab(x, 1), Stab(1, x), Stab(x, -x)):
+            want = np.array([amp.eval(ctx, int(v)) for v in t])
+            assert np.array_equal(amp.eval_arr(ctx, t), want), (amp, D)
+        assert np.array_equal(Char(x).eval_arr(ctx, t), Char(x % D).eval_arr(ctx, t))
+        assert np.array_equal(Stab(x, x).eval_arr(ctx, t), Stab(x % D, x % (2 * D)).eval_arr(ctx, t))
+
+
 def test_unitpow_integer_powers():
     ctx = MeasureContext(5)
     a = UnitPow(0.5 + 0.25j)
@@ -184,6 +200,33 @@ def test_amp_json_rejects_unknown_input():
         amp_to_json(1.5)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"type": "char", "c": 2.5},
+        {"type": "stab", "a": 1, "b": True},
+        {"type": "mbox", "k": "1", "alpha": [1.0, 0.0]},
+        {"type": "indicator", "set": [0.5]},
+        {"type": "sign", "set": [1, "2"]},
+        {"type": "phase", "theta": "1.5"},
+        {"type": "phase", "theta": True},
+        {"type": "phase", "theta": 10**400},
+        {"type": "phasevec", "thetas": [0.0, None]},
+        {"type": "unit", "re": "1", "im": 0},
+        {"type": "mbox", "k": 1, "alpha": [1.0, False]},
+        {"type": "table", "values": [[1.0, 0.0], ["2", 0.0]]},
+    ],
+)
+def test_amp_json_rejects_bad_values(obj):
+    with pytest.raises(ValueError, match="must be"):
+        amp_from_json(obj)
+
+
+def test_amp_json_reads_integral_float_labels():
+    assert amp_from_json({"type": "char", "c": 2.0}) == Char(2)
+    assert amp_from_json({"type": "indicator", "set": [1.0, -2]}) == Indicator(frozenset({1, -2}))
+
+
 # ---------------------------------------------------------------- generators
 
 
@@ -242,6 +285,11 @@ def test_not_dot_label_reduced_mod_D():
     a = eval_generator(ctx, Generator.not_dot(1))
     b = eval_generator(ctx, Generator.not_dot(5))
     assert max_abs_diff(a, b) < 1e-12
+    for c in HUGE_LABELS:
+        for D in (3, 4):
+            ctx = MeasureContext(D)
+            got = eval_generator(ctx, Generator.not_dot(c)).data
+            assert np.array_equal(got, eval_generator(ctx, Generator.not_dot(c % D)).data), (c, D)
 
 
 def test_gray_dot_zero_sum_support():
