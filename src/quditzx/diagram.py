@@ -9,6 +9,13 @@ position.  Every generator leg and every boundary position must appear
 in exactly one edge endpoint; self-loops and parallel edges are
 allowed.
 
+Ports are numbered once, when a diagram is validated: legs node by
+node, then the outputs, then the inputs.  The diagram keeps the two
+numbers of each edge as its port table, an ``array('i')`` built in one
+pass and checked by one count (every port used exactly once), and is
+not checked again.  ``DiagramBuilder.build`` and the JSON loader
+validate what they make, so their diagrams come with a table.
+
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
 factor; all normalization lives in the generator tensors.
@@ -62,16 +69,14 @@ The plan depends on the diagram's shape alone, so it is made once per
 shape and cached.  The key (``_structure``) is exact, not a hash: the
 boundary sizes, each node's degree and factor kind (diagonal, dense, or
 split, which is where D and ``_SPLIT_ABOVE`` enter) in node order, and the
-edges as port numbers; generator parameters, node names and ``nu`` are
-not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` steps
+port table, which ``_structure`` reads; generator parameters, node names
+and ``nu`` are not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` steps
 over all plans, dropping the oldest first, and only integers, never a
 diagram or an array.  Every call, cached plan or not, builds the factor
 arrays from the context and checks each step's result against the
-budget.  Each diagram instance is validated once: ``validate`` marks a
-diagram that passes, so ``evaluate`` checks a hand-made diagram on its
-first call and a built or loaded one not again.  Within one call, equal
-parameter-free generators (white, gray, not, hplus, hminus) share one
-factor array; factors with an amplitude are built per node.
+budget.  Within one call, equal parameter-free generators (white, gray,
+not, hplus, hminus) share one factor array, and H-boxes of one degree
+share one leg-product array; factors with an amplitude are built per node.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ import itertools
 import json
 import threading
 from array import array
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
@@ -133,47 +139,52 @@ class Diagram:
     edges: tuple[Edge, ...]
     n_inputs: int
     n_outputs: int
+    # the two port numbers of each edge, in edge order, once validated
+    _ports: array | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
         """Raise ``DiagramError`` unless every leg and boundary position is wired once.
 
-        A diagram that passes is marked and not checked again, so its
-        node dict must not change after that.
+        A diagram that passes keeps its port table and is not checked
+        again, so its node dict must not change after that.
         """
-        if getattr(self, "_valid", False):
+        if self._ports is not None:
             return
-        seen: dict[Port, int] = {}
+        spans, n_legs = {}, 0  # each owner's first port number and port count
+        for name, gen in self.nodes.items():
+            spans[name] = (n_legs, gen.degree)
+            n_legs += gen.degree
+        spans["out"] = (n_legs, self.n_outputs)
+        spans["in"] = (n_legs + self.n_outputs, self.n_inputs)
+        ports = array("i")
         for edge in self.edges:
             if len(edge) != 2:
                 raise DiagramError(f"edge {edge!r} does not join two ports")
-            for port in edge:
-                owner, idx = port
-                if owner == "in":
-                    if not 0 <= idx < self.n_inputs:
-                        raise DiagramError(f"input position {idx} out of range")
-                elif owner == "out":
-                    if not 0 <= idx < self.n_outputs:
-                        raise DiagramError(f"output position {idx} out of range")
-                else:
-                    if owner not in self.nodes:
-                        raise DiagramError(f"edge references unknown node {owner!r}")
-                    if not 0 <= idx < self.nodes[owner].degree:
-                        raise DiagramError(f"leg {idx} out of range for node {owner!r}")
-                seen[port] = seen.get(port, 0) + 1
-        for port, count in seen.items():
+            for owner, idx in edge:
+                span = spans.get(owner)
+                if span is None:
+                    raise DiagramError(f"edge references unknown node {owner!r}")
+                if not 0 <= idx < span[1]:
+                    if owner in _RESERVED:
+                        raise DiagramError(f"{'input' if owner == 'in' else 'output'} position {idx} out of range")
+                    raise DiagramError(f"leg {idx} out of range for node {owner!r}")
+                ports.append(span[0] + idx)
+        n_ports = sum(spans["in"])
+        if len(ports) == n_ports == len(set(ports)):
+            object.__setattr__(self, "_ports", ports)
+            return
+        names = [(name, leg) for name, gen in self.nodes.items() for leg in range(gen.degree)]
+        names += [("out", k) for k in range(self.n_outputs)] + [("in", k) for k in range(self.n_inputs)]
+        counts = Counter(ports)
+        for port, count in counts.items():
             if count > 1:
-                raise DiagramError(f"port {port} used {count} times")
-        for name, gen in self.nodes.items():
-            for leg in range(gen.degree):
-                if (name, leg) not in seen:
-                    raise DiagramError(f"leg {leg} of node {name!r} is dangling")
-        for side, count in (("in", self.n_inputs), ("out", self.n_outputs)):
-            for pos in range(count):
-                if (side, pos) not in seen:
-                    raise DiagramError(f"boundary port {side}:{pos} is dangling")
-        object.__setattr__(self, "_valid", True)
+                raise DiagramError(f"port {names[port]} used {count} times")
+        port = min(set(range(n_ports)) - counts.keys())
+        owner, idx = names[port]
+        what = f"leg {idx} of node {owner!r}" if port < n_legs else f"boundary port {owner}:{idx}"
+        raise DiagramError(f"{what} is dangling")
 
     def port_edges(self) -> dict[Port, int]:
         """Map each port to the index of the edge containing it."""
@@ -185,18 +196,9 @@ class Diagram:
 
     def with_fresh_ids(self, prefix: str) -> "Diagram":
         """Copy with every node id prefixed (disjoint-union helper)."""
+        nodes = {prefix + name: gen for name, gen in self.nodes.items()}
         rename = {name: prefix + name for name in self.nodes}
-
-        def rn(p: Port) -> Port:
-            return (rename.get(p[0], p[0]), p[1])
-
-        return Diagram(
-            self.dim,
-            {rename[k]: v for k, v in self.nodes.items()},
-            tuple((rn(a), rn(b)) for a, b in self.edges),
-            self.n_inputs,
-            self.n_outputs,
-        )
+        return Diagram(self.dim, nodes, _moved(self.edges, rename, {}), self.n_inputs, self.n_outputs)
 
 
 class DiagramBuilder:
@@ -330,31 +332,21 @@ def _factor_mode(name: str, gen: Generator, dim: int) -> int:
     raise AssertionError(f"unexpected kind {gen.kind}")
 
 
-def _structure(d: Diagram) -> list[int]:
+def _structure(d: Diagram) -> array:
     """The diagram's shape as integers: all that its contraction plan reads.
 
     ``[n_inputs, n_outputs, n_nodes]``, then ``3 * degree + mode`` for
-    each node in order, then the two port numbers of each edge in order.
-    Ports are numbered leg by leg through the nodes in order, then the
-    outputs, then the inputs.  For a valid diagram this is a one-to-one
-    encoding of its shape, so equal lists always mean equal plans.
+    each node in order, then the port table of ``d``, validated here.
+    For a valid diagram this is a one-to-one encoding of its shape, so
+    equal lists always mean equal plans.
     """
-    first: dict[str, int] = {}
-    codes = [d.n_inputs, d.n_outputs, len(d.nodes)]
-    n = 0
-    for name, gen in d.nodes.items():
-        first[name] = n
-        n += gen.degree
-        codes.append(3 * gen.degree + _factor_mode(name, gen, d.dim))
-    first["out"] = n
-    first["in"] = n + d.n_outputs
-    for a, b in d.edges:
-        codes.append(first[a[0]] + a[1])
-        codes.append(first[b[0]] + b[1])
-    return codes
+    d.validate()
+    codes = array("i", [d.n_inputs, d.n_outputs, len(d.nodes)])
+    codes.extend([3 * gen.degree + _factor_mode(name, gen, d.dim) for name, gen in d.nodes.items()])
+    return codes + d._ports
 
 
-def _plan(codes: list[int]) -> tuple[int, array]:
+def _plan(codes: array) -> tuple[int, array]:
     """Greedy contraction plan for the shape ``codes`` (see ``_structure``).
 
     Factor slots are numbered in the order ``_execute`` makes them: each
@@ -653,7 +645,7 @@ def _pairwise(dim: int, a: np.ndarray, sa: list[int], b: np.ndarray, sb: list[in
     return c.transpose([order.index(l) for l in so])
 
 
-def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContext) -> Tensor:
+def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -> Tensor:
     """Build the factors of ``d`` in slot order and run the plan's steps."""
     D = d.dim
     if not steps:
@@ -661,7 +653,8 @@ def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContex
     # a dense factor stays its Generator until a step first needs its array.
     # Equal parameter-free generators, keyed by their fields, share one
     # array: a diagonal one for the whole call, a dense one until its last
-    # slot has taken it.  Factors with an amplitude are built per node
+    # slot has taken it.  Factors with an amplitude are built per node,
+    # from one H-box leg-product array per degree for the whole call
     factors: list[Any] = []
     shared: dict[tuple, np.ndarray] = {}
     slots_left: dict[tuple, int] = {}
@@ -691,7 +684,7 @@ def _execute(steps: array, node_codes: list[int], d: Diagram, ctx: MeasureContex
         if not isinstance(gen, Generator):
             return gen
         if gen.amp is not None:
-            return generator_entries(ctx, gen)
+            return generator_entries(ctx, gen, shared)
         key = (gen.kind, gen.m, gen.n, gen.c)
         arr = shared.get(key)
         if arr is None:
@@ -730,9 +723,8 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     """Contract the diagram to its tensor; boundary order follows positions."""
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
-    d.validate()
     codes = _structure(d)
-    key = array("i", codes).tobytes()
+    key = codes.tobytes()
     plan = _PLANS.plans.get(key)
     if plan is None:
         plan = _plan(codes)
@@ -745,20 +737,18 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
 # =====================================================================
 
 
+def _moved(edges: tuple[Edge, ...], owners: dict[str, str], shift: dict[str, int]) -> tuple[Edge, ...]:
+    """``edges`` with each port's owner renamed by ``owners`` and its index
+    shifted by ``shift``, both keyed by the old owner."""
+    return tuple(tuple((owners.get(o, o), i + shift.get(o, 0)) for o, i in edge) for edge in edges)
+
+
 def compose_parallel(a: Diagram, b: Diagram) -> Diagram:
     """Disjoint union; b's boundary positions follow a's."""
     if a.dim != b.dim:
         raise DiagramError("dimension mismatch")
     a2, b2 = a.with_fresh_ids("a."), b.with_fresh_ids("b.")
-
-    def shift(p: Port) -> Port:
-        if p[0] == "in":
-            return ("in", p[1] + a.n_inputs)
-        if p[0] == "out":
-            return ("out", p[1] + a.n_outputs)
-        return p
-
-    edges = a2.edges + tuple((shift(x), shift(y)) for x, y in b2.edges)
+    edges = a2.edges + _moved(b2.edges, {}, {"in": a.n_inputs, "out": a.n_outputs})
     return Diagram(
         a.dim,
         {**a2.nodes, **b2.nodes},
@@ -852,17 +842,8 @@ def compose_serial(a: Diagram, b: Diagram) -> Diagram:
 
 def adjoint(d: Diagram) -> Diagram:
     """Swap inputs with outputs and conjugate every node."""
-
-    def flip(p: Port) -> Port:
-        if p[0] == "in":
-            return ("out", p[1])
-        if p[0] == "out":
-            return ("in", p[1])
-        return p
-
     nodes = {k: g.conjugate(d.dim) for k, g in d.nodes.items()}
-    edges = tuple((flip(a), flip(b)) for a, b in d.edges)
-    return Diagram(d.dim, nodes, edges, d.n_outputs, d.n_inputs)
+    return Diagram(d.dim, nodes, _moved(d.edges, {"in": "out", "out": "in"}, {}), d.n_outputs, d.n_inputs)
 
 
 # =====================================================================
@@ -889,32 +870,46 @@ def _json_block(items: list[str], level: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}{pad[:-1]}{brackets[1]}"
 
 
-def from_json_obj(obj: dict[str, Any]) -> Diagram:
+def from_json_obj(obj: Any) -> Diagram:
+    """The diagram a parsed diagram file holds; a malformed one raises ``DiagramError``."""
+    if not isinstance(obj, dict):
+        raise DiagramError("a diagram file must hold a JSON object")
+    if "dimension" not in obj:
+        raise DiagramError("the diagram has no 'dimension'")
     dim = strict_int(obj["dimension"], "dimension", DiagramError)
     if dim < 2:
         raise DiagramError(f"dimension must be at least 2, got {dim}")
-    nodes: dict[str, Generator] = {}
     entries = obj.get("nodes", {})
     if not isinstance(entries, dict):
         raise DiagramError("nodes must be an object of node entries")
+    lists = {key: obj.get(key, []) for key in ("edges", "inputs", "outputs")}
+    for key, value in lists.items():
+        if not isinstance(value, list):
+            raise DiagramError(f"{key} must be a list")
+    nodes: dict[str, Generator] = {}
     for name, entry in entries.items():
-        kind = entry["kind"]
-        legs = strict_int(entry["legs"], f"legs of node {name!r}", DiagramError)
-        amp = amp_from_json(entry["amp"]) if "amp" in entry and entry["amp"] is not None else None
-        c = strict_int(entry.get("c", 0), f"c of node {name!r}", DiagramError)
+        if not isinstance(entry, dict):
+            raise DiagramError(f"node {name!r} must be an object")
+        try:
+            kind, legs = entry["kind"], entry["legs"]
+        except KeyError as exc:
+            raise DiagramError(f"node {name!r} has no {exc.args[0]!r}") from None
+        legs = strict_int(legs, f"legs of node {name!r}", DiagramError)
+        amp = amp_from_json(entry["amp"]) if entry.get("amp") is not None else None
+        c = strict_int(entry["c"], f"c of node {name!r}", DiagramError) if "c" in entry else 0
         nodes[name] = Generator(kind, 0, legs, amp=amp, c=c)
-    edges = [tuple(map(_parse_port, pair)) for pair in obj.get("edges", [])]
-    inputs = [str(x) for x in obj.get("inputs", [])]
-    outputs = [str(x) for x in obj.get("outputs", [])]
+    edges: list[Edge] = []
+    for pair in lists["edges"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DiagramError(f"edge {pair!r} does not join two ports")
+        edges.append((_parse_port(pair[0]), _parse_port(pair[1])))
     # boundary lists may reference node ports directly; turn those into edges
-    for pos, ref in enumerate(inputs):
-        port = _parse_port(ref)
-        if port[0] != "in":
-            edges.append((("in", pos), port))
-    for pos, ref in enumerate(outputs):
-        port = _parse_port(ref)
-        if port[0] != "out":
-            edges.append((("out", pos), port))
+    inputs, outputs = [str(x) for x in lists["inputs"]], [str(x) for x in lists["outputs"]]
+    for side, refs in (("in", inputs), ("out", outputs)):
+        for pos, ref in enumerate(refs):
+            port = _parse_port(ref)
+            if port[0] != side:
+                edges.append(((side, pos), port))
     d = Diagram(dim, nodes, tuple(edges), len(inputs), len(outputs))
     d.validate()
     return d

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from quditzx.measure import (
     MeasureContext,
+    OverflowGuardError,
     checked_i64,
     omega_pow,
     omega_pow_arr,
@@ -233,6 +234,9 @@ class MBox(AmplitudeFn):
         object.__setattr__(self, "alpha", complex(self.alpha))
 
     def _pivot(self, ctx: MeasureContext) -> int:
+        # U_D^k has at least k * (bits of U_D - 1) bits: refuse before computing it
+        if (abs(ctx.upper).bit_length() - 1) * self.k >= 63:
+            raise OverflowGuardError(f"MBox pivot U_D^k = {ctx.upper}^k exceeds the checked 64-bit range")
         return checked_i64(ctx.upper**self.k, "MBox pivot U_D^k")
 
     def eval(self, ctx: MeasureContext, t: int) -> complex:
@@ -246,43 +250,35 @@ class MBox(AmplitudeFn):
 
 
 @dataclass(frozen=True)
-class Sign(AmplitudeFn):
+class _Members(AmplitudeFn):
+    """t -> HIT when t is a member of the set, else MISS (literal membership)."""
+
+    members: frozenset[int]
+    HIT, MISS = 1.0 + 0j, 0j
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", frozenset(int(x) for x in self.members))
+
+    def eval(self, ctx: MeasureContext, t: int) -> complex:
+        return self.HIT if int(t) in self.members else self.MISS
+
+    def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
+        # an int64 argument never equals a member outside int64
+        inside = sorted(x for x in self.members if -(1 << 63) <= x < 1 << 63)
+        return np.where(np.isin(t, np.array(inside, dtype=np.int64)), self.HIT, self.MISS)
+
+    def conjugate(self) -> AmplitudeFn:
+        return self
+
+
+class Sign(_Members):
     """t -> -1 when t is a member of the set, else +1 (literal membership)."""
 
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(int(x) for x in self.members))
-
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return -1.0 + 0j if int(t) in self.members else 1.0 + 0j
-
-    def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
-        mask = np.isin(t, np.array(sorted(self.members), dtype=np.int64))
-        return np.where(mask, -1.0 + 0j, 1.0 + 0j)
-
-    def conjugate(self) -> AmplitudeFn:
-        return self
+    HIT, MISS = -1.0 + 0j, 1.0 + 0j
 
 
-@dataclass(frozen=True)
-class Indicator(AmplitudeFn):
+class Indicator(_Members):
     """t -> 1 when t is a member of the set, else 0 (literal membership)."""
-
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(int(x) for x in self.members))
-
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return 1.0 + 0j if int(t) in self.members else 0j
-
-    def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
-        mask = np.isin(t, np.array(sorted(self.members), dtype=np.int64))
-        return np.where(mask, 1.0 + 0j, 0j)
-
-    def conjugate(self) -> AmplitudeFn:
-        return self
 
 
 def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext | None = None) -> AmplitudeFn:
@@ -556,8 +552,10 @@ def diagonal_weight(ctx: MeasureContext, g: Generator) -> np.ndarray:
     return np.asarray(amp.eval_arr(ctx, ctx.residues()) * ctx.nu ** (2 - g.degree), dtype=complex)
 
 
-def generator_entries(ctx: MeasureContext, g: Generator) -> np.ndarray:
-    """Dense entry array over all deg legs (order-symmetric formulas)."""
+def generator_entries(ctx: MeasureContext, g: Generator, shared: dict | None = None) -> np.ndarray:
+    """Dense entry array over all deg legs (order-symmetric formulas).
+
+    Calls that pass one ``shared`` dict build an H-box leg-product array once per degree."""
     D, deg, nu = ctx.dim, g.degree, ctx.nu
     if g.kind in ("green", "white"):
         w = diagonal_weight(ctx, g)
@@ -587,7 +585,10 @@ def generator_entries(ctx: MeasureContext, g: Generator) -> np.ndarray:
     if g.kind == "hbox":
         if deg == 0:
             return np.asarray(complex(g.amp.eval(ctx, 1)))
-        p = _leg_prod_array(ctx, deg)
+        shared = {} if shared is None else shared
+        p = shared.get(("prod", deg))
+        if p is None:
+            p = shared[("prod", deg)] = _leg_prod_array(ctx, deg)
         if g.amp.residues_only:
             g.amp._check_domain(ctx, p)
         return nu**deg * g.amp.eval_arr(ctx, p)

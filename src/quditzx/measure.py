@@ -38,6 +38,8 @@ class OverflowGuardError(OverflowError):
 def checked_i64(value: int, what: str = "value") -> int:
     """Pass `value` through, raising OverflowGuardError if it exceeds 64-bit range."""
     if not -_I64_MAX - 1 <= value <= _I64_MAX:
+        if isinstance(value, int) and value.bit_length() > 256:  # a long decimal trips Python's digit limit
+            value = f"a {value.bit_length()}-bit integer"
         raise OverflowGuardError(f"{what} = {value} exceeds the checked 64-bit range")
     return value
 

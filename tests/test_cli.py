@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -521,3 +522,48 @@ def test_gamma_table_deterministic(runner, tmp_path):
     b = runner.invoke(cli.main, ["gamma-table", "--dims", "2..4", "-o", str(tmp_path / "b.csv")])
     assert a.exit_code == 0 and b.exit_code == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def one_hbox_file(tmp_path, dim, amp):
+    src = tmp_path / "d.json"
+    src.write_text(json.dumps({"dimension": dim, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": amp}},
+                               "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}))
+    return str(src)
+
+
+def test_eval_of_mbox_with_huge_k_is_a_quick_semantic_error(runner, tmp_path):
+    path = one_hbox_file(tmp_path, 4, {"type": "mbox", "k": 10**10, "alpha": [2.0, 0.0]})
+    start = time.perf_counter()
+    res = runner.invoke(cli.main, ["eval", path])
+    assert time.perf_counter() - start < 0.1
+    assert res.exit_code == 3
+    assert "MBox pivot" in res.output and "64-bit range" in res.output
+
+
+def test_eval_of_indicator_with_members_outside_int64(runner, tmp_path):
+    path = one_hbox_file(tmp_path, 3, {"type": "indicator", "set": [10**23, 1]})
+    res = runner.invoke(cli.main, ["eval", path])
+    assert res.exit_code == 0
+    t = tensor.load_json(res.output)
+    want = diagram.evaluate(diagram.load_json(Path(path).read_text()), MeasureContext(3))
+    assert np.array_equal(t.data, want.data)
+    assert np.count_nonzero(t.data) == 1
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("[1]", "must hold a JSON object"),
+        ('{"nodes": {}}', "has no 'dimension'"),
+        ('{"dimension": 3, "nodes": {"a": 5}}', "node 'a' must be an object"),
+        ('{"dimension": 3, "nodes": {"a": {"legs": 1}}}', "node 'a' has no 'kind'"),
+        ('{"dimension": 3, "nodes": {"a": {"kind": "white"}}}', "node 'a' has no 'legs'"),
+        ('{"dimension": 3, "edges": 5}', "edges must be a list"),
+    ],
+)
+def test_eval_names_the_bad_field_of_a_malformed_file(runner, tmp_path, text, what):
+    src = tmp_path / "d.json"
+    src.write_text(text)
+    res = runner.invoke(cli.main, ["eval", str(src)])
+    assert res.exit_code == 2
+    assert what in res.output

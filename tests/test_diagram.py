@@ -693,7 +693,7 @@ def test_dense_factors_are_built_once(monkeypatch) -> None:
     built: Counter = Counter()
     real = dg.generator_entries
 
-    def counting(ctx, gen):
+    def counting(ctx, gen, shared=None):
         built[id(gen) if gen.amp is not None else gen] += 1
         return real(ctx, gen)
 
@@ -965,7 +965,7 @@ def test_dense_limit_change_gets_its_own_plan(monkeypatch, plan_calls) -> None:
     built: list = []
     real = dg.generator_entries
 
-    def counting(ctx, gen):
+    def counting(ctx, gen, shared=None):
         built.append(gen)
         return real(ctx, gen)
 
@@ -983,7 +983,7 @@ def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
     for name in ("generator_entries", "diagonal_weight"):
         real = getattr(dg, name)
 
-        def keeping(ctx, gen, real=real):
+        def keeping(ctx, gen, shared=None, real=real):
             arr = real(ctx, gen)
             arrays.append(weakref.ref(arr))
             return arr
@@ -1305,3 +1305,126 @@ def test_builder_chain_and_multiedge_wiring() -> None:
         (("w", 2), ("s", 1)),
         (("s", 2), ("out", 0)),
     )
+
+
+# -- the port table -------------------------------------------------------
+
+
+def reference_structure(d: Diagram) -> list[int]:
+    """``_structure`` as it was computed before diagrams kept a port table:
+    the edges' ports numbered by walking the nodes on every call."""
+    first: dict[str, int] = {}
+    codes = [d.n_inputs, d.n_outputs, len(d.nodes)]
+    n = 0
+    for name, gen in d.nodes.items():
+        first[name] = n
+        n += gen.degree
+        codes.append(3 * gen.degree + dg._factor_mode(name, gen, d.dim))
+    first["out"] = n
+    first["in"] = n + d.n_outputs
+    for a, b in d.edges:
+        codes.append(first[a[0]] + a[1])
+        codes.append(first[b[0]] + b[1])
+    return codes
+
+
+def table_cases():
+    """Both sides of one sampled instance of every rule at D=2..5, and
+    normal forms at D=2..4."""
+    for label, d, ctx in catalog_cases(range(2, 6)):
+        yield label, d, ctx
+    rng = np.random.default_rng(73)
+    for dim in (2, 3, 4):
+        ctx = MeasureContext(dim)
+        for n_in, n_out in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1)):
+            yield f"normal form D={dim} {n_in}->{n_out}", normal_form(random_tensor(rng, dim, n_in, n_out), ctx), ctx
+
+
+def renamed(d: Diagram) -> Diagram:
+    """Every node under a new name, in the same order."""
+    names = {name: f"v{len(d.nodes) - k}" for k, name in enumerate(d.nodes)}
+    edges = tuple(tuple((names.get(o, o), i) for o, i in edge) for edge in d.edges)
+    return Diagram(d.dim, {names[k]: g for k, g in d.nodes.items()}, edges, d.n_inputs, d.n_outputs)
+
+
+def shuffled(d: Diagram, rng: np.random.Generator) -> Diagram:
+    """The edges in another order, each with its endpoints swapped or not."""
+    edges = [d.edges[k] for k in rng.permutation(len(d.edges))]
+    edges = tuple(edge[::-1] if rng.integers(2) else edge for edge in edges)
+    return Diagram(d.dim, d.nodes, edges, d.n_inputs, d.n_outputs)
+
+
+def assert_table_properties(d: Diagram, ctx: MeasureContext, rng: np.random.Generator, label: str = "") -> None:
+    codes = dg._structure(d)
+    assert codes.typecode == "i" and list(codes) == reference_structure(d), label
+    want = evaluate(d, ctx)
+    same = renamed(d)
+    assert list(dg._structure(same)) == list(codes), label
+    assert evaluate(same, ctx).data.tobytes() == want.data.tobytes(), label
+    back = load_json(dump_json(d))
+    assert list(dg._structure(back)) == list(codes), label
+    assert evaluate(back, ctx).data.tobytes() == want.data.tobytes(), label
+    scale = max(float(np.max(np.abs(want.data))), 1.0)
+    assert max_abs_diff(evaluate(shuffled(d, rng), ctx), want) <= 1e-12 * scale, label
+
+
+def test_port_table_on_catalog_and_normal_forms() -> None:
+    rng = np.random.default_rng(74)
+    n = 0
+    for label, d, ctx in table_cases():
+        assert_table_properties(d, ctx, rng, label)
+        n += 1
+    assert n > 400
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_diagrams(), st.integers(0, 2**32 - 1))
+def test_port_table_on_random_diagrams(d: Diagram, seed: int) -> None:
+    assert_table_properties(d, MeasureContext(d.dim), np.random.default_rng(seed))
+
+
+def test_port_table_is_built_once_per_diagram() -> None:
+    d = Diagram(3, {"h": Generator.hplus()}, ((("in", 0), ("h", 0)), (("h", 1), ("out", 0))), 1, 1)
+    d.validate()
+    table = d._ports
+    assert table.typecode == "i" and list(table) == [3, 0, 1, 2]  # legs, then out:0, then in:0
+    evaluate(d, MeasureContext(3))
+    assert d._ports is table
+
+
+def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) -> None:
+    import quditzx.generators as gens
+
+    ctx = MeasureContext(3)
+    d = normal_form(random_tensor(np.random.default_rng(75), 3, 2, 1), ctx)
+    assert sum(g.kind == "hbox" for g in d.nodes.values()) == 27
+    built: list = []
+    real = gens._leg_prod_array
+
+    def counting(ctx, deg):
+        built.append(deg)
+        return real(ctx, deg)
+
+    monkeypatch.setattr(gens, "_leg_prod_array", counting)
+    for _ in range(2):
+        built.clear()
+        evaluate(d, ctx)
+        assert built == [6]
+
+
+@pytest.mark.parametrize(
+    "obj, what",
+    [
+        ([1], "must hold a JSON object"),
+        ({"nodes": {}}, "has no 'dimension'"),
+        ({"dimension": 3, "nodes": {"a": 5}}, "node 'a' must be an object"),
+        ({"dimension": 3, "nodes": {"a": {"legs": 1}}}, "node 'a' has no 'kind'"),
+        ({"dimension": 3, "nodes": {"a": {"kind": "white"}}}, "node 'a' has no 'legs'"),
+        ({"dimension": 3, "edges": 5}, "edges must be a list"),
+        ({"dimension": 3, "outputs": "out:0"}, "outputs must be a list"),
+        ({"dimension": 3, "edges": [5]}, "edge 5 does not join two ports"),
+    ],
+)
+def test_json_loader_names_the_bad_field(obj, what) -> None:
+    with pytest.raises(DiagramError, match=what):
+        dg.from_json_obj(obj)

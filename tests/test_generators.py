@@ -5,6 +5,7 @@ over the residue window) and frozen into the assertions.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from quditzx.generators import (
     amp_to_json,
     eval_generator,
 )
-from quditzx.measure import MeasureContext
+from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import compose, identity_wire, max_abs_diff, tensor_product
 
 DIMS = [2, 3, 4, 5]
@@ -441,3 +442,39 @@ def test_green_phase_adjoint_example():
     lhs = eval_generator(ctx, Generator.green(Phase(0.9), 1, 1)).adjoint()
     rhs = eval_generator(ctx, Generator.green(Phase(-0.9), 1, 1))
     assert max_abs_diff(lhs, rhs) < 1e-12
+
+
+def test_mbox_pivot_refuses_huge_k_before_computing_it():
+    ctx = MeasureContext(4)
+    amp = MBox(10**10, 2)
+    start = time.perf_counter()
+    with pytest.raises(OverflowGuardError):
+        amp.eval(ctx, 2)
+    with pytest.raises(OverflowGuardError):
+        amp.eval_arr(ctx, ctx.residues())
+    assert time.perf_counter() - start < 0.1
+    # U_D = 1 at D = 2 and 3, so every k has the pivot 1
+    for dim in (2, 3):
+        assert amp.eval(MeasureContext(dim), 1) == 2
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_mbox_pivot_accepts_exactly_the_int64_powers(dim):
+    ctx = MeasureContext(dim)
+    for k in range(80):
+        fits = ctx.upper**k < 2**63
+        try:
+            MBox(k, 2).eval(ctx, 0)
+        except OverflowGuardError:
+            assert not fits, k
+        else:
+            assert fits, k
+
+
+@pytest.mark.parametrize("cls", [Indicator, Sign])
+def test_membership_ignores_members_outside_int64(cls):
+    ctx = MeasureContext(3)
+    amp = cls(frozenset({10**23, -(10**30), 2**63, 1, -(2**63)}))
+    t = np.array([-(2**63), -1, 0, 1, 2**63 - 1], dtype=np.int64)
+    assert list(amp.eval_arr(ctx, t)) == [amp.eval(ctx, int(x)) for x in t]
+    assert amp.eval(ctx, 1) != amp.eval(ctx, 0)

@@ -182,3 +182,11 @@ def test_checked_i64():
     assert checked_i64(2**62) == 2**62
     with pytest.raises(OverflowGuardError):
         checked_i64(2**63)
+
+
+def test_checked_i64_names_a_huge_value_by_its_bit_length():
+    # the decimal of 10^5000 is past Python's 4,300-digit int-to-str limit
+    with pytest.raises(OverflowGuardError, match="a 16610-bit integer exceeds"):
+        checked_i64(10**5000, "x")
+    with pytest.raises(OverflowGuardError, match="= -9223372036854775809 exceeds"):
+        checked_i64(-(2**63) - 1)

@@ -90,3 +90,12 @@ def test_bench_tracer_restores_every_target() -> None:
         t.uninstall()
     assert all(wrapped)
     assert [getattr(owner, attr) for owner, attr in owners] == before
+
+
+def test_package_parses_at_the_declared_python_floor() -> None:
+    """Syntax newer than ``requires-python`` allows fails here, with no
+    interpreter of that version needed."""
+    spec = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    floor = min(tuple(map(int, v.split("."))) for v in re.findall(r">=\s*(\d+\.\d+)", spec))
+    for path in sorted((ROOT / "src" / "quditzx").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=floor)
