@@ -11,10 +11,8 @@ allowed.
 
 Ports are numbered once, when a diagram is validated: legs node by
 node, then the outputs, then the inputs.  The diagram keeps the two
-numbers of each edge as its port table, an ``array('i')`` built in one
-pass and checked by one count (every port used exactly once), and is
-not checked again.  ``DiagramBuilder.build`` and the JSON loader
-validate what they make, so their diagrams come with a table.
+numbers of each edge as its port table, an ``array('i')`` that
+``_structure`` reads, and is not checked again.
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
@@ -152,12 +150,14 @@ class Diagram:
         """
         if self._ports is not None:
             return
-        spans, n_legs = {}, 0  # each owner's first port number and port count
-        for name, gen in self.nodes.items():
-            spans[name] = (n_legs, gen.degree)
-            n_legs += gen.degree
-        spans["out"] = (n_legs, self.n_outputs)
-        spans["in"] = (n_legs + self.n_outputs, self.n_inputs)
+        sizes = [(name, gen.degree) for name, gen in self.nodes.items()]
+        sizes += [("out", self.n_outputs), ("in", self.n_inputs)]
+        spans, n_ports = {}, 0  # each owner's first port number and port count
+        for owner, size in sizes:
+            spans[owner] = (n_ports, size)
+            n_ports += size
+        if n_ports > 1 << 29:  # port numbers and 3 * degree + mode codes must fit an array('i')
+            raise DiagramError(f"the diagram has {n_ports} ports, more than {1 << 29}")
         ports = array("i")
         for edge in self.edges:
             if len(edge) != 2:
@@ -171,20 +171,19 @@ class Diagram:
                         raise DiagramError(f"{'input' if owner == 'in' else 'output'} position {idx} out of range")
                     raise DiagramError(f"leg {idx} out of range for node {owner!r}")
                 ports.append(span[0] + idx)
-        n_ports = sum(spans["in"])
         if len(ports) == n_ports == len(set(ports)):
             object.__setattr__(self, "_ports", ports)
             return
-        names = [(name, leg) for name, gen in self.nodes.items() for leg in range(gen.degree)]
-        names += [("out", k) for k in range(self.n_outputs)] + [("in", k) for k in range(self.n_inputs)]
-        counts = Counter(ports)
-        for port, count in counts.items():
+        seen = Counter(port for edge in self.edges for port in edge)
+        for port, count in seen.items():
             if count > 1:
-                raise DiagramError(f"port {names[port]} used {count} times")
-        port = min(set(range(n_ports)) - counts.keys())
-        owner, idx = names[port]
-        what = f"leg {idx} of node {owner!r}" if port < n_legs else f"boundary port {owner}:{idx}"
-        raise DiagramError(f"{what} is dangling")
+                raise DiagramError(f"port {port} used {count} times")
+        # this walk stops at the first unwired port, so it is no longer than the edges
+        for k, (owner, size) in enumerate(sizes):
+            for idx in range(size):
+                if (owner, idx) not in seen:
+                    what = f"leg {idx} of node {owner!r}" if k < len(self.nodes) else f"boundary port {owner}:{idx}"
+                    raise DiagramError(f"{what} is dangling")
 
     def port_edges(self) -> dict[Port, int]:
         """Map each port to the index of the edge containing it."""
@@ -196,9 +195,9 @@ class Diagram:
 
     def with_fresh_ids(self, prefix: str) -> "Diagram":
         """Copy with every node id prefixed (disjoint-union helper)."""
+        moves = {name: (prefix + name, 0) for name in self.nodes}
         nodes = {prefix + name: gen for name, gen in self.nodes.items()}
-        rename = {name: prefix + name for name in self.nodes}
-        return Diagram(self.dim, nodes, _moved(self.edges, rename, {}), self.n_inputs, self.n_outputs)
+        return Diagram(self.dim, nodes, _moved(self.edges, moves), self.n_inputs, self.n_outputs)
 
 
 class DiagramBuilder:
@@ -651,29 +650,28 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
     if not steps:
         return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
     # a dense factor stays its Generator until a step first needs its array.
-    # Equal parameter-free generators, keyed by their fields, share one
-    # array: a diagonal one for the whole call, a dense one until its last
-    # slot has taken it.  Factors with an amplitude are built per node,
-    # from one H-box leg-product array per degree for the whole call
+    # Equal parameter-free generators share one array: a diagonal one for
+    # the whole call, a dense one until its last slot has taken it.
+    # Factors with an amplitude are built per node, from one H-box
+    # leg-product array per degree (`prods`) for the whole call
     factors: list[Any] = []
-    shared: dict[tuple, np.ndarray] = {}
-    slots_left: dict[tuple, int] = {}
+    shared: dict[Generator, np.ndarray] = {}
+    prods: dict[int, np.ndarray] = {}
+    slots_left: dict[Generator, int] = {}
     for gen, code in zip(d.nodes.values(), node_codes):
         mode = code % 3
         if mode == _DIAGONAL:
             if gen.amp is None:
-                key = (gen.kind, gen.m, gen.n, gen.c)
-                arr = shared.get(key)
+                arr = shared.get(gen)
                 if arr is None:
-                    arr = shared[key] = diagonal_weight(ctx, gen)
+                    arr = shared[gen] = diagonal_weight(ctx, gen)
             else:
                 arr = diagonal_weight(ctx, gen)
             factors.append(arr)
         elif mode == _DENSE:
             factors.append(gen)
             if gen.amp is None:
-                key = (gen.kind, gen.m, gen.n, gen.c)
-                slots_left[key] = slots_left.get(key, 0) + 1
+                slots_left[gen] = slots_left.get(gen, 0) + 1
         else:
             factors.extend(_split_factors(ctx, gen))
     factors.extend([np.eye(D, dtype=complex)] * (d.n_outputs + d.n_inputs))
@@ -684,14 +682,13 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
         if not isinstance(gen, Generator):
             return gen
         if gen.amp is not None:
-            return generator_entries(ctx, gen, shared)
-        key = (gen.kind, gen.m, gen.n, gen.c)
-        arr = shared.get(key)
+            return generator_entries(ctx, gen, prods)
+        arr = shared.get(gen)
         if arr is None:
-            arr = shared[key] = generator_entries(ctx, gen)
-        slots_left[key] -= 1
-        if not slots_left[key]:
-            del shared[key]
+            arr = shared[gen] = generator_entries(ctx, gen)
+        slots_left[gen] -= 1
+        if not slots_left[gen]:
+            del shared[gen]
         return arr
 
     pos = 0
@@ -737,10 +734,15 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
 # =====================================================================
 
 
-def _moved(edges: tuple[Edge, ...], owners: dict[str, str], shift: dict[str, int]) -> tuple[Edge, ...]:
-    """``edges`` with each port's owner renamed by ``owners`` and its index
-    shifted by ``shift``, both keyed by the old owner."""
-    return tuple(tuple((owners.get(o, o), i + shift.get(o, 0)) for o, i in edge) for edge in edges)
+def _moved(edges: tuple[Edge, ...], moves: dict[str, tuple[str, int]]) -> tuple[Edge, ...]:
+    """``edges`` with the ports of each owner in ``moves`` moved: an owner
+    mapped to ``(new, shift)`` becomes ``new``, its indices shifted by ``shift``."""
+
+    def move(owner: str, idx: int) -> Port:
+        new, shift = moves.get(owner, (owner, 0))
+        return (new, idx + shift)
+
+    return tuple((move(*a), move(*b)) for a, b in edges)
 
 
 def compose_parallel(a: Diagram, b: Diagram) -> Diagram:
@@ -748,7 +750,7 @@ def compose_parallel(a: Diagram, b: Diagram) -> Diagram:
     if a.dim != b.dim:
         raise DiagramError("dimension mismatch")
     a2, b2 = a.with_fresh_ids("a."), b.with_fresh_ids("b.")
-    edges = a2.edges + _moved(b2.edges, {}, {"in": a.n_inputs, "out": a.n_outputs})
+    edges = a2.edges + _moved(b2.edges, {"in": ("in", a.n_inputs), "out": ("out", a.n_outputs)})
     return Diagram(
         a.dim,
         {**a2.nodes, **b2.nodes},
@@ -843,7 +845,8 @@ def compose_serial(a: Diagram, b: Diagram) -> Diagram:
 def adjoint(d: Diagram) -> Diagram:
     """Swap inputs with outputs and conjugate every node."""
     nodes = {k: g.conjugate(d.dim) for k, g in d.nodes.items()}
-    return Diagram(d.dim, nodes, _moved(d.edges, {"in": "out", "out": "in"}, {}), d.n_outputs, d.n_inputs)
+    edges = _moved(d.edges, {"in": ("out", 0), "out": ("in", 0)})
+    return Diagram(d.dim, nodes, edges, d.n_outputs, d.n_inputs)
 
 
 # =====================================================================
@@ -904,13 +907,12 @@ def from_json_obj(obj: Any) -> Diagram:
             raise DiagramError(f"edge {pair!r} does not join two ports")
         edges.append((_parse_port(pair[0]), _parse_port(pair[1])))
     # boundary lists may reference node ports directly; turn those into edges
-    inputs, outputs = [str(x) for x in lists["inputs"]], [str(x) for x in lists["outputs"]]
-    for side, refs in (("in", inputs), ("out", outputs)):
-        for pos, ref in enumerate(refs):
+    for side, key in (("in", "inputs"), ("out", "outputs")):
+        for pos, ref in enumerate(lists[key]):
             port = _parse_port(ref)
             if port[0] != side:
                 edges.append(((side, pos), port))
-    d = Diagram(dim, nodes, tuple(edges), len(inputs), len(outputs))
+    d = Diagram(dim, nodes, tuple(edges), len(lists["inputs"]), len(lists["outputs"]))
     d.validate()
     return d
 

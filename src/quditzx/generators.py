@@ -552,10 +552,10 @@ def diagonal_weight(ctx: MeasureContext, g: Generator) -> np.ndarray:
     return np.asarray(amp.eval_arr(ctx, ctx.residues()) * ctx.nu ** (2 - g.degree), dtype=complex)
 
 
-def generator_entries(ctx: MeasureContext, g: Generator, shared: dict | None = None) -> np.ndarray:
+def generator_entries(ctx: MeasureContext, g: Generator, prods: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Dense entry array over all deg legs (order-symmetric formulas).
 
-    Calls that pass one ``shared`` dict build an H-box leg-product array once per degree."""
+    Calls that pass one ``prods`` dict build an H-box leg-product array once per degree."""
     D, deg, nu = ctx.dim, g.degree, ctx.nu
     if g.kind in ("green", "white"):
         w = diagonal_weight(ctx, g)
@@ -585,10 +585,10 @@ def generator_entries(ctx: MeasureContext, g: Generator, shared: dict | None = N
     if g.kind == "hbox":
         if deg == 0:
             return np.asarray(complex(g.amp.eval(ctx, 1)))
-        shared = {} if shared is None else shared
-        p = shared.get(("prod", deg))
+        prods = {} if prods is None else prods
+        p = prods.get(deg)
         if p is None:
-            p = shared[("prod", deg)] = _leg_prod_array(ctx, deg)
+            p = prods[deg] = _leg_prod_array(ctx, deg)
         if g.amp.residues_only:
             g.amp._check_domain(ctx, p)
         return nu**deg * g.amp.eval_arr(ctx, p)

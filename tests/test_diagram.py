@@ -7,6 +7,7 @@ import hashlib
 import json
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -693,7 +694,7 @@ def test_dense_factors_are_built_once(monkeypatch) -> None:
     built: Counter = Counter()
     real = dg.generator_entries
 
-    def counting(ctx, gen, shared=None):
+    def counting(ctx, gen, prods=None):
         built[id(gen) if gen.amp is not None else gen] += 1
         return real(ctx, gen)
 
@@ -965,7 +966,7 @@ def test_dense_limit_change_gets_its_own_plan(monkeypatch, plan_calls) -> None:
     built: list = []
     real = dg.generator_entries
 
-    def counting(ctx, gen, shared=None):
+    def counting(ctx, gen, prods=None):
         built.append(gen)
         return real(ctx, gen)
 
@@ -983,7 +984,7 @@ def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
     for name in ("generator_entries", "diagonal_weight"):
         real = getattr(dg, name)
 
-        def keeping(ctx, gen, shared=None, real=real):
+        def keeping(ctx, gen, prods=None, real=real):
             arr = real(ctx, gen)
             arrays.append(weakref.ref(arr))
             return arr
@@ -1203,6 +1204,43 @@ def test_validation_rejects_unknown_node() -> None:
     d = Diagram(3, {}, ((("in", 0), ("ghost", 0)),), 1, 0)
     with pytest.raises(DiagramError):
         d.validate()
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, n_in, n_out, message",
+    [
+        ({"e": (0, 0), "w": (1, 1)}, ((("in", 0), ("w", 0)), (("out", 0), ("w", 0)), (("w", 1), ("out", 1))),
+         1, 2, "port ('w', 0) used 2 times"),
+        ({"e": (0, 0), "w": (1, 1), "f": (0, 0)}, ((("in", 0), ("w", 0)),), 1, 0, "leg 1 of node 'w' is dangling"),
+        ({"w": (0, 2), "f": (0, 0)}, ((("w", 0), ("w", 1)),), 1, 0, "boundary port in:0 is dangling"),
+        ({}, ((("in", 0), ("out", 0)),), 2, 1, "boundary port in:1 is dangling"),
+        ({}, ((("in", 0), ("out", 0)),), 1, 2, "boundary port out:1 is dangling"),
+        ({}, (), 1, 1, "boundary port out:0 is dangling"),
+    ],
+    ids=["double", "leg-among-empty-nodes", "input", "second-input", "second-output", "lowest-first"],
+)
+def test_validation_names_the_first_bad_port(nodes, edges, n_in, n_out, message) -> None:
+    gens = {name: Generator.white(m, n) for name, (m, n) in nodes.items()}
+    with pytest.raises(DiagramError) as err:
+        Diagram(3, gens, edges, n_in, n_out).validate()
+    assert str(err.value) == message
+
+
+def test_validation_of_huge_leg_counts_is_quick() -> None:
+    # naming the bad port costs what the edges cost, not what the legs
+    # claim; past the port bound the diagram is refused outright
+    start = time.perf_counter()
+    for legs, edges, message in [
+        (5 * 10**8, (), "leg 0 of node 'a' is dangling"),
+        (5 * 10**8, ((("a", 0), ("a", 1)),), "leg 2 of node 'a' is dangling"),
+        (10**12, (), "the diagram has 1000000000002 ports, more than 536870912"),
+        (2**31, ((("b", 0), ("out", 0)),), "the diagram has 2147483650 ports, more than 536870912"),
+    ]:
+        d = Diagram(3, {"a": Generator.white(0, legs), "b": Generator.white(1, 0)}, edges, 0, 1)
+        with pytest.raises(DiagramError) as err:
+            d.validate()
+        assert str(err.value) == message
+    assert time.perf_counter() - start < 2  # a walk over the legs takes minutes
 
 
 @pytest.mark.parametrize(

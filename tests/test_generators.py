@@ -452,7 +452,7 @@ def test_mbox_pivot_refuses_huge_k_before_computing_it():
         amp.eval(ctx, 2)
     with pytest.raises(OverflowGuardError):
         amp.eval_arr(ctx, ctx.residues())
-    assert time.perf_counter() - start < 0.1
+    assert time.perf_counter() - start < 2  # computing U_D^k first takes about a minute
     # U_D = 1 at D = 2 and 3, so every k has the pivot 1
     for dim in (2, 3):
         assert amp.eval(MeasureContext(dim), 1) == 2
