@@ -78,9 +78,7 @@ def _parse_param_value(raw: str) -> Any:
             return amp_from_json(obj)
         except Exception as exc:
             raise click.UsageError(f"bad amplitude spec {raw!r}: {exc}")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
+    if isinstance(obj, (int, float)):
         return obj
     try:
         value = complex(raw)

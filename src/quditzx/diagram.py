@@ -156,6 +156,9 @@ class Diagram:
         for owner, size in sizes:
             spans[owner] = (n_ports, size)
             n_ports += size
+        if len(spans) < len(sizes):  # a node named like a boundary side
+            name = next(side for side in _RESERVED if side in self.nodes)
+            raise DiagramError(f"node name {name!r} is reserved for the boundary")
         if n_ports > 1 << 29:  # port numbers and 3 * degree + mode codes must fit an array('i')
             raise DiagramError(f"the diagram has {n_ports} ports, more than {1 << 29}")
         ports = array("i")
@@ -898,9 +901,12 @@ def from_json_obj(obj: Any) -> Diagram:
         except KeyError as exc:
             raise DiagramError(f"node {name!r} has no {exc.args[0]!r}") from None
         legs = strict_int(legs, f"legs of node {name!r}", DiagramError)
-        amp = amp_from_json(entry["amp"]) if entry.get("amp") is not None else None
         c = strict_int(entry["c"], f"c of node {name!r}", DiagramError) if "c" in entry else 0
-        nodes[name] = Generator(kind, 0, legs, amp=amp, c=c)
+        try:
+            amp = amp_from_json(entry["amp"]) if entry.get("amp") is not None else None
+            nodes[name] = Generator(kind, 0, legs, amp=amp, c=c)
+        except (TypeError, ValueError) as exc:
+            raise DiagramError(f"node {name!r}: {exc}") from None
     edges: list[Edge] = []
     for pair in lists["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:

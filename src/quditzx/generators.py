@@ -406,7 +406,12 @@ def amp_to_json(a: AmplitudeFn) -> dict[str, Any]:
     return out
 
 
-def amp_from_json(obj: dict[str, Any]) -> AmplitudeFn:
+def amp_from_json(obj: Any) -> AmplitudeFn:
+    """The amplitude a JSON object encodes; a malformed one raises ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an amplitude must be an object, got {obj!r}")
+    if "type" not in obj:
+        raise ValueError("amplitude has no 'type'")
     kind = obj["type"]
     entry = _AMP_JSON.get(kind) if isinstance(kind, str) else None
     if entry is None:
@@ -414,7 +419,10 @@ def amp_from_json(obj: dict[str, Any]) -> AmplitudeFn:
     cls, fields = entry
     kwargs = {}
     for attr, key, (_, decode) in fields:
-        value = [obj[k] for k in key] if isinstance(key, tuple) else obj[key]
+        try:
+            value = [obj[k] for k in key] if isinstance(key, tuple) else obj[key]
+        except KeyError as exc:
+            raise ValueError(f"{kind} amplitude has no {exc.args[0]!r}") from None
         kwargs[attr] = decode(value)
     return cls(**kwargs)
 

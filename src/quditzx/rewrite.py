@@ -1208,10 +1208,12 @@ def apply(
     """Rewrite `d` in place of an anchored occurrence of the rule's left side.
 
     `anchor` maps every left-side node id to a distinct host node id.
-    Kinds, labels, arities, and the left side's internal wiring must
-    match exactly; the left side's boundary legs locate the cut wires
-    where the right side is spliced in.  `ctx` selects the builder mode
-    (default: the well-tempered context for d's dimension).
+    Matched nodes must agree in kind, label and leg count, not in their
+    input/output split: generators are flexsymmetric, and a diagram file
+    stores only legs.  Every internal left-side wire must be a host
+    wire; the left side's boundary legs locate the cut wires where the
+    right side is spliced in.  `ctx` selects the builder mode (default:
+    the well-tempered context for d's dimension).
     """
     spec = get_rule(rule) if isinstance(rule, str) else rule
     if ctx is None:
@@ -1227,8 +1229,8 @@ def apply(
     extra = sorted(set(anchor) - set(lhs.nodes))
     if extra:
         raise MatchError(f"anchor binds unknown left-side node(s) {extra}")
-    host_ids = list(anchor.values())
-    if len(set(host_ids)) != len(host_ids):
+    matched = set(anchor.values())
+    if len(matched) != len(anchor):
         raise MatchError("anchor binds two left-side nodes to the same host node")
     for lid, hid in anchor.items():
         if hid not in d.nodes:
@@ -1236,82 +1238,47 @@ def apply(
         lg, hg = lhs.nodes[lid], d.nodes[hid]
         if lg.kind != hg.kind:
             raise MatchError(f"node {hid!r} has kind {hg.kind}, rule wants {lg.kind}")
-        if (lg.m, lg.n) != (hg.m, hg.n):
-            raise MatchError(
-                f"node {hid!r} has arity {hg.m}->{hg.n}, rule wants {lg.m}->{lg.n}"
-            )
-        if lg != hg:
+        if lg.degree != hg.degree:
+            raise MatchError(f"node {hid!r} has arity {hg.degree}, rule wants {lg.degree}")
+        if (lg.amp, lg.c) != (hg.amp, hg.c):
             raise MatchError(f"node {hid!r} does not carry the rule's label/amplitude")
 
+    # one pass over the left side's wires: an internal wire must be a host
+    # wire, which the rewrite drops; a boundary leg makes the host port it
+    # lands on a junction, keyed by the boundary position
     host_port_edge = d.port_edges()
-
-    def host_far(port) -> tuple:
-        e = d.edges[host_port_edge[port]]
-        return e[1] if e[0] == port else e[0]
-
-    # classify left-side edges; find the hosts of internal edges and the
-    # host cut points behind boundary legs
-    matched_ports: set[tuple] = set()
-    for lid, hid in anchor.items():
-        for leg in range(lhs.nodes[lid].degree):
-            matched_ports.add((hid, leg))
-
-    internal_host_edges: set[int] = set()
-    cut: dict[tuple, tuple] = {}  # lhs boundary port -> host port just outside
+    dropped: set[int] = set()
+    junction: dict[tuple, tuple] = {}  # matched host port -> lhs boundary port
     for a, b in lhs.edges:
-        ends = [a, b]
-        node_ends = [p for p in ends if p[0] not in ("in", "out")]
-        bnd_ends = [p for p in ends if p[0] in ("in", "out")]
-        if not node_ends:
+        if a[0] not in anchor:
+            a, b = b, a
+        if a[0] not in anchor:
             raise MatchError("left side has a wire not attached to any node; cannot anchor")
-        if len(node_ends) == 2:
-            (na, la), (nb, lb) = node_ends
-            pa, pb = (anchor[na], la), (anchor[nb], lb)
-            ea = host_port_edge.get(pa)
-            if ea is None or ea != host_port_edge.get(pb) or set(d.edges[ea]) != {pa, pb}:
-                raise MatchError(
-                    f"host is missing the rule's internal wire {pa} -- {pb}"
-                )
-            internal_host_edges.add(ea)
-        else:
-            (nn, ll) = node_ends[0]
-            cut[bnd_ends[0]] = (anchor[nn], ll)
+        pa = (anchor[a[0]], a[1])
+        if b[0] not in anchor:
+            junction[pa] = b
+            continue
+        pb = (anchor[b[0]], b[1])
+        edge = host_port_edge.get(pa)
+        if edge is None or set(d.edges[edge]) != {pa, pb}:
+            raise MatchError(f"host is missing the rule's internal wire {pa} -- {pb}")
+        dropped.add(edge)
 
     # -- splice -------------------------------------------------------------
     rhs = rhs.with_fresh_ids("rw.")
-    new_nodes = {k: v for k, v in d.nodes.items() if k not in set(anchor.values())}
+    new_nodes = {k: v for k, v in d.nodes.items() if k not in matched}
     for k, v in rhs.nodes.items():
         if k in new_nodes:
             raise MatchError(f"name collision splicing replacement node {k!r}")
         new_nodes[k] = v
 
-    # each left boundary position is a junction joining the host wire cut
-    # behind it to whatever the right side plugs into that position
-    cut_by_port = {hp: bp for bp, hp in cut.items()}
-
+    # a matched node's leg on a kept wire sits behind a boundary leg, whose
+    # junction joins that wire to what the right side plugs in there
     def end_of(port) -> tuple:
-        """Half-edge endpoint for a host port: a junction if the port
-        belongs to a matched node (it must then sit behind a left-side
-        boundary leg), otherwise a plain terminal."""
-        if port in matched_ports:
-            bp = cut_by_port.get(port)
-            if bp is None:
-                raise MatchError(
-                    f"host wire at {port} has no counterpart on the rule's left side"
-                )
-            return ("J", bp)
-        return ("T", port)
+        return ("J", junction[port]) if port[0] in matched else ("T", port)
 
-    def rhs_end(port) -> tuple:
-        return ("J", port) if port[0] in ("in", "out") else ("T", port)
-
-    halves = [
-        (end_of(a), end_of(b))
-        for idx, (a, b) in enumerate(d.edges)
-        if idx not in internal_host_edges
-    ]
-    halves += [(rhs_end(a), rhs_end(b)) for a, b in rhs.edges]
-
+    halves = [(end_of(a), end_of(b)) for i, (a, b) in enumerate(d.edges) if i not in dropped]
+    halves += [tuple(("J", p) if p[0] in ("in", "out") else ("T", p) for p in e) for e in rhs.edges]
     try:
         new_edges = _splice(halves, new_nodes, "rw.loop")
     except DiagramError as exc:

@@ -559,6 +559,15 @@ def test_eval_of_indicator_with_members_outside_int64(runner, tmp_path):
         ('{"dimension": 3, "nodes": {"a": {"legs": 1}}}', "node 'a' has no 'kind'"),
         ('{"dimension": 3, "nodes": {"a": {"kind": "white"}}}', "node 'a' has no 'legs'"),
         ('{"dimension": 3, "edges": 5}', "edges must be a list"),
+        ('{"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "phase"}}},'
+         ' "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}', "node 'h': phase amplitude has no 'theta'"),
+        ('{"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": [1]}},'
+         ' "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}', "node 'h': an amplitude must be an object, got [1]"),
+        ('{"dimension": 3, "nodes": {"in": {"kind": "white", "legs": 2}},'
+         ' "edges": [["in:0", "in:0"], ["in:1", "out:0"]], "inputs": ["in:0"], "outputs": ["out:0"]}',
+         "node name 'in' is reserved for the boundary"),
+        ('{"dimension": 3, "nodes": {"out": {"kind": "white", "legs": 1}}, "edges": [["out:0", "out:0"]],'
+         ' "outputs": ["out:0"]}', "node name 'out' is reserved for the boundary"),
     ],
 )
 def test_eval_names_the_bad_field_of_a_malformed_file(runner, tmp_path, text, what):

@@ -1461,8 +1461,27 @@ def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) ->
         ({"dimension": 3, "edges": 5}, "edges must be a list"),
         ({"dimension": 3, "outputs": "out:0"}, "outputs must be a list"),
         ({"dimension": 3, "edges": [5]}, "edge 5 does not join two ports"),
+        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "phase"}}},
+          "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}, "node 'h': phase amplitude has no 'theta'"),
+        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": [1]}},
+          "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}, "node 'h': an amplitude must be an object"),
+        ({"dimension": 3, "nodes": {"in": {"kind": "white", "legs": 2}}, "edges": [["in:0", "in:1"]]},
+         "node name 'in' is reserved"),
+        ({"dimension": 3, "nodes": {"out": {"kind": "white", "legs": 1}}, "edges": [["out:0", "out:0"]],
+          "outputs": ["out:0"]}, "node name 'out' is reserved"),
+        ({"dimension": 3, "nodes": {"a": {"kind": "foo", "legs": 1}}}, "node 'a': unknown generator kind 'foo'"),
+        ({"dimension": 3, "nodes": {"a": {"kind": "hplus", "legs": 3}}}, "node 'a': hplus has exactly 2 legs"),
     ],
 )
 def test_json_loader_names_the_bad_field(obj, what) -> None:
     with pytest.raises(DiagramError, match=what):
         dg.from_json_obj(obj)
+
+
+def test_json_loader_keeps_colons_in_node_names() -> None:
+    # the builder refuses them, but a port reference splits at the last colon
+    d = dg.from_json_obj({"dimension": 3, "nodes": {"a:b": {"kind": "white", "legs": 2}},
+                          "edges": [["a:b:0", "in:0"], ["a:b:1", "out:0"]],
+                          "inputs": ["in:0"], "outputs": ["out:0"]})
+    assert d.edges == ((("a:b", 0), ("in", 0)), (("a:b", 1), ("out", 0)))
+    assert dg.load_json(dg.dump_json(d)).edges == d.edges

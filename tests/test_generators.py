@@ -223,6 +223,23 @@ def test_amp_json_rejects_bad_values(obj):
         amp_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, what",
+    [
+        ([1], "an amplitude must be an object, got [1]"),
+        ("phase", "an amplitude must be an object, got 'phase'"),
+        ({"theta": 1.0}, "amplitude has no 'type'"),
+        ({"type": "phase"}, "phase amplitude has no 'theta'"),
+        ({"type": "unit", "re": 1.0}, "unit amplitude has no 'im'"),
+        ({"type": "mbox", "k": 1}, "mbox amplitude has no 'alpha'"),
+    ],
+)
+def test_amp_json_names_the_missing_field(obj, what):
+    with pytest.raises(ValueError) as info:
+        amp_from_json(obj)
+    assert str(info.value) == what
+
+
 def test_amp_json_reads_integral_float_labels():
     assert amp_from_json({"type": "char", "c": 2.0}) == Char(2)
     assert amp_from_json({"type": "indicator", "set": [1.0, -2]}) == Indicator(frozenset({1, -2}))

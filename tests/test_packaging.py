@@ -69,6 +69,23 @@ def test_no_module_level_definition_is_dead() -> None:
     assert dead == []
 
 
+def test_no_nested_function_is_dead() -> None:
+    """Every function defined inside a function of the package is loaded
+    by name somewhere in the function that encloses it."""
+    dead = []
+    for path in sorted((ROOT / "src" / "quditzx").glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loaded = {node.id for node in ast.walk(outer)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            dead += [f"{path.name}:{outer.name}.{inner.name}"
+                     for stmt in outer.body for inner in ast.walk(stmt)
+                     if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and inner.name not in loaded]
+    assert dead == []
+
+
 def test_bench_tracer_restores_every_target() -> None:
     """The benchmark's tracer patches module attributes by name, among
     them quditzx.rewrite.gamma, which rewrite imports only for it: every

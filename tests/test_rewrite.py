@@ -16,7 +16,7 @@ import pytest
 
 import quditzx.rewrite as rw
 import quditzx.tensor as tn
-from quditzx.diagram import Diagram, DiagramBuilder, dump_json, evaluate
+from quditzx.diagram import Diagram, DiagramBuilder, dump_json, evaluate, load_json
 from quditzx.generators import Char, Generator, One, Phase, Stab
 from quditzx.measure import MeasureContext
 from quditzx.rewrite import (
@@ -604,3 +604,22 @@ def test_apply_random_rule_instances_preserve_semantics():
         out = apply(lhs, spec, params, anchor, ctx)
         err = max_abs_diff(evaluate(lhs, ctx), evaluate(out, ctx))
         assert err <= 1e-8, (rid, params, err)
+
+
+@pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
+def test_apply_self_anchored_built_and_loaded_hosts(rule_id):
+    # each rule's left side anchored to itself, once as built and once as
+    # read back from its diagram file, which keeps legs but no in/out split
+    spec = get_rule(rule_id)
+    for dim in (2, 3, 4):
+        params = spec.sample(dim, np.random.default_rng([ALL_RULE_IDS.index(rule_id), dim]))
+        if params is None:
+            continue
+        for nu in (None, 0.8):
+            ctx = MeasureContext(dim, nu)
+            lhs, _ = instantiate(spec, params, ctx)
+            anchor = {name: name for name in lhs.nodes}
+            for host in (lhs, load_json(dump_json(lhs))):
+                out = apply(host, spec, params, anchor, ctx)
+                err = max_abs_diff(evaluate(host, ctx), evaluate(out, ctx))
+                assert err <= 1e-8, (rule_id, dim, nu, params, err)
