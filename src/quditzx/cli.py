@@ -153,7 +153,11 @@ def cmd_check(
     if rule is not None and rule not in rewrite.CATALOG:
         raise click.UsageError(f"unknown rule id {rule!r}")
     rules = None if rule is None else [rule]
-    rows = rewrite.check_all(dims, samples=samples, seed=seed, tol=tol, nu=nu, rules=rules)
+    try:
+        rows = rewrite.check_all(dims, samples=samples, seed=seed, tol=tol, nu=nu, rules=rules)
+    except OverflowGuardError as exc:
+        click.echo(f"check failed: {exc}", err=True)
+        sys.exit(SEMANTIC_EXIT)
     report = {
         "dims": dims,
         "samples": samples,

@@ -94,6 +94,7 @@ from quditzx.generators import (
     Generator,
     amp_from_json,
     amp_to_json,
+    check_amp_dim,
     diagonal_weight,
     generator_entries,
 )
@@ -122,6 +123,7 @@ _MATMUL_MIN = 1 << 17
 # how a node's factor is made: its diagonal, its dense array, or its
 # character decomposition (red and gray dots above _SPLIT_ABOVE entries)
 _DIAGONAL, _DENSE, _SPLIT = range(3)
+_DELTA = object()  # an unbuilt boundary delta slot in ``_execute``
 
 
 class DiagramError(ValueError):
@@ -351,11 +353,18 @@ def _structure(d: Diagram) -> array:
 def _plan(codes: array) -> tuple[int, array]:
     """Greedy contraction plan for the shape ``codes`` (see ``_structure``).
 
+    A boundary position is the open end of its wire, so it takes the
+    wire's label (after diagonal dots are unified) as its final axis and
+    needs no factor of its own.  It gets a boundary delta ``[b, w]``,
+    with a fresh label ``b``, only where no factor carries the wire's
+    label ``w`` yet (a bare wire, a cup or a cap) or where an earlier
+    position already took it (a diagonal dot with two boundary legs).
+
     Factor slots are numbered in the order ``_execute`` makes them: each
     node's factors in node order (a split node gives its coefficient
-    vector, then one phase matrix per leg), then one boundary delta per
-    output and per input.  Returns the number of steps and the
-    steps, flat: each step is ``i, j`` followed by its sublists, each
+    vector, then one phase matrix per leg), then the boundary deltas, in
+    boundary order (outputs, then inputs).  Returns the number of steps
+    and the steps, flat: each step is ``i, j`` followed by its sublists, each
     preceded by its length.  With ``j >= 0`` the step contracts slots i
     and j into slot i (three sublists); with ``j == -1`` it sums or
     reorders slot i alone (two sublists).  The last step leaves the
@@ -395,10 +404,22 @@ def _plan(codes: array) -> tuple[int, array]:
             labels.append([t_label])
             labels.extend([t_label, uf.find(w)] for w in legs)
 
-    # boundary deltas give every output/input its own final axis label
-    boundary_labels = [E + 1_000_000 + k for k in range(n_out + n_in)]
-    for b, port in zip(boundary_labels, range(len(ports) - n_out - n_in, len(ports))):
-        labels.append([b, uf.find(port_edge[port])])
+    # each output, then each input, takes its wire's label as its final
+    # axis; a delta gives it a fresh one where no factor carries the
+    # wire's label or an earlier position took it
+    carried = {lab for labs in labels for lab in labs}
+    taken: set[int] = set()
+    boundary_labels: list[int] = []
+    for k, port in enumerate(range(len(ports) - n_out - n_in, len(ports))):
+        w = uf.find(port_edge[port])
+        if w in carried and w not in taken:
+            taken.add(w)
+            boundary_labels.append(w)
+        else:
+            b = E + 1_000_000 + k
+            boundary_labels.append(b)
+            labels.append([b, w])
+            carried.add(w)
 
     steps = array("i")
     if not labels:
@@ -677,11 +698,14 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
                 slots_left[gen] = slots_left.get(gen, 0) + 1
         else:
             factors.extend(_split_factors(ctx, gen))
-    factors.extend([np.eye(D, dtype=complex)] * (d.n_outputs + d.n_inputs))
+    # room for the boundary deltas the plan may have, each built when a step reads it
+    factors.extend([_DELTA] * (d.n_outputs + d.n_inputs))
 
     def operand(k: int) -> np.ndarray:
         # the slot lets go, so a step's kernel holds the last reference
         gen, factors[k] = factors[k], None
+        if gen is _DELTA:
+            return np.eye(D, dtype=complex)
         if not isinstance(gen, Generator):
             return gen
         if gen.amp is not None:
@@ -901,9 +925,13 @@ def from_json_obj(obj: Any) -> Diagram:
         except KeyError as exc:
             raise DiagramError(f"node {name!r} has no {exc.args[0]!r}") from None
         legs = strict_int(legs, f"legs of node {name!r}", DiagramError)
+        if "c" in entry and kind != "not":
+            raise DiagramError(f"node {name!r}: only a 'not' node takes a 'c'")
         c = strict_int(entry["c"], f"c of node {name!r}", DiagramError) if "c" in entry else 0
         try:
             amp = amp_from_json(entry["amp"]) if entry.get("amp") is not None else None
+            if amp is not None:
+                check_amp_dim(amp, dim)
             nodes[name] = Generator(kind, 0, legs, amp=amp, c=c)
         except (TypeError, ValueError) as exc:
             raise DiagramError(f"node {name!r}: {exc}") from None

@@ -26,6 +26,7 @@ red 0-leg = nu^2 * sum T, hbox 0-leg = A(1), gray 0-leg = nu^(-2).
 from __future__ import annotations
 
 import cmath
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -136,8 +137,7 @@ class PhaseVec(AmplitudeFn):
 
     def eval(self, ctx: MeasureContext, t: int) -> complex:
         self._check_domain(ctx, t)
-        if len(self.thetas) != ctx.dim:
-            raise DomainError(f"PhaseVec has {len(self.thetas)} angles but D={ctx.dim}")
+        check_amp_dim(self, ctx.dim)
         return cmath.exp(1j * self.thetas[residue(ctx, t) - ctx.lower])
 
     def conjugate(self) -> AmplitudeFn:
@@ -215,8 +215,7 @@ class Table(AmplitudeFn):
 
     def eval(self, ctx: MeasureContext, t: int) -> complex:
         self._check_domain(ctx, t)
-        if len(self.values) != ctx.dim:
-            raise DomainError(f"Table has {len(self.values)} values but D={ctx.dim}")
+        check_amp_dim(self, ctx.dim)
         return self.values[residue(ctx, t) - ctx.lower]
 
     def conjugate(self) -> AmplitudeFn:
@@ -281,6 +280,14 @@ class Indicator(_Members):
     """t -> 1 when t is a member of the set, else 0 (literal membership)."""
 
 
+def check_amp_dim(a: AmplitudeFn, dim: int) -> None:
+    """Raise ``DomainError`` unless a residue-indexed amplitude has one entry per residue mod ``dim``."""
+    if isinstance(a, PhaseVec) and len(a.thetas) != dim:
+        raise DomainError(f"PhaseVec has {len(a.thetas)} angles but D={dim}")
+    if isinstance(a, Table) and len(a.values) != dim:
+        raise DomainError(f"Table has {len(a.values)} values but D={dim}")
+
+
 def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext | None = None) -> AmplitudeFn:
     """Pointwise product, in closed form when the variants match.
 
@@ -333,13 +340,10 @@ def amp_reflect_conjugate(a: AmplitudeFn, dim: int) -> AmplitudeFn:
     window = range(lower, lower + dim)
     if isinstance(a, Phase):
         return PhaseVec(tuple(-a.theta * rho_neg(x) for x in window))
+    check_amp_dim(a, dim)
     if isinstance(a, PhaseVec):
-        if len(a.thetas) != dim:
-            raise DomainError(f"PhaseVec has {len(a.thetas)} angles but D={dim}")
         return PhaseVec(tuple(-a.thetas[rho_neg(x) - lower] for x in window))
     if isinstance(a, Table):
-        if len(a.values) != dim:
-            raise DomainError(f"Table has {len(a.values)} values but D={dim}")
         return Table(tuple(a.values[rho_neg(x) - lower].conjugate() for x in window))
     if isinstance(a, UnitPow):
         return Table(tuple((complex(a.alpha) ** rho_neg(x)).conjugate() for x in window))
@@ -358,21 +362,33 @@ def _real(v: Any) -> float:
     """A JSON number as a float; strings, bools and out-of-range ints raise."""
     in_range_int = isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
     if not (isinstance(v, float) or in_range_int):
-        raise ValueError(f"amplitude field must be a real number, got {v!r}")
+        raise ValueError(f"value must be a real number, got {v!r}")
     return float(v)
 
 
 def _integer(v: Any) -> int:
-    return strict_int(v, "amplitude field", ValueError)
+    return strict_int(v, "value", ValueError)
+
+
+def _list(v: Any, size: int | None = None) -> list:
+    """A JSON array, of ``size`` items if given; a string or an object raises."""
+    if not isinstance(v, list) or size not in (None, len(v)):
+        raise ValueError(f"value must be a list{'' if size is None else f' of {size}'}, got {reprlib.repr(v)}")
+    return v
+
+
+def _complex(v: Any) -> complex:
+    re, im = _list(v, 2)
+    return complex(_real(re), _real(im))
 
 
 # value codecs: (to JSON, from JSON)
 _FLOAT = (lambda v: v, _real)
 _INT = (lambda v: v, _integer)
-_FLOATS = (list, lambda v: tuple(_real(x) for x in v))
-_COMPLEX = (_pair, lambda v: complex(_real(v[0]), _real(v[1])))
-_COMPLEXES = (lambda v: [_pair(z) for z in v], lambda v: tuple(complex(_real(re), _real(im)) for re, im in v))
-_SET = (sorted, lambda v: frozenset(_integer(x) for x in v))
+_FLOATS = (list, lambda v: tuple(_real(x) for x in _list(v)))
+_COMPLEX = (_pair, _complex)
+_COMPLEXES = (lambda v: [_pair(z) for z in v], lambda v: tuple(_complex(z) for z in _list(v)))
+_SET = (sorted, lambda v: frozenset(_integer(x) for x in _list(v)))
 
 # JSON tag -> (variant, its fields as (attribute, JSON key, codec)); a
 # tuple of keys spreads the encoded value over several keys, in order
@@ -423,7 +439,11 @@ def amp_from_json(obj: Any) -> AmplitudeFn:
             value = [obj[k] for k in key] if isinstance(key, tuple) else obj[key]
         except KeyError as exc:
             raise ValueError(f"{kind} amplitude has no {exc.args[0]!r}") from None
-        kwargs[attr] = decode(value)
+        try:
+            kwargs[attr] = decode(value)
+        except (TypeError, ValueError) as exc:
+            field = "/".join(key) if isinstance(key, tuple) else key
+            raise ValueError(f"{kind} amplitude field {field!r}: {exc}") from None
     return cls(**kwargs)
 
 

@@ -205,6 +205,14 @@ def test_check_zx_zsp_at_d12_passes(runner):
     assert json.loads(res.output)["failures"] == 0
 
 
+def test_check_past_a_node_size_limit_is_semantic_error(runner):
+    # ZH-UM's degree-4 H-box has 38^4 entries, past the dense limit
+    res = runner.invoke(cli.main, ["check", "--dims", "38..38", "--samples", "1"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "check failed: node 'h0': hbox of degree 4 too large at D=38\n"
+
+
 def test_check_rejects_conflicting_dim_flags(runner):
     res = runner.invoke(cli.main, ["check", "--dim", "3", "--dims", "2..4"])
     assert res.exit_code == 2
@@ -438,16 +446,21 @@ def test_eval_rejects_bad_edges_as_usage_error(runner, tmp_path, edges, n_bounda
         {"type": "indicator", "set": [0.5]},
         {"type": "phase", "theta": "1.5"},
         {"type": "phase", "theta": True},
+        {"type": "phasevec", "thetas": 5},
+        {"type": "sign", "set": "12"},
+        {"type": "table", "values": [[1.0, 0.0], [2.0]]},
     ],
 )
 def test_eval_and_gadget_reject_bad_amplitude_values(runner, tmp_path, amp):
     src = tmp_path / "d.json"
     src.write_text(json.dumps({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": amp}},
                                "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}))
+    (field,) = set(amp) - {"type"}
+    named = f"{amp['type']} amplitude field {field!r}: value must be"
     res = runner.invoke(cli.main, ["eval", str(src)])
-    assert res.exit_code == 2 and "must be" in res.output
+    assert res.exit_code == 2 and "must be" in res.output and named in res.output
     res = runner.invoke(cli.main, ["gadget", "diag_theta", "--dim", "3", "--param", f"amp={json.dumps(amp)}"])
-    assert res.exit_code == 2 and "must be" in res.output
+    assert res.exit_code == 2 and "must be" in res.output and named in res.output
 
 
 def test_eval_rejects_non_object_nodes_as_usage_error(runner, tmp_path):
@@ -568,6 +581,11 @@ def test_eval_of_indicator_with_members_outside_int64(runner, tmp_path):
          "node name 'in' is reserved for the boundary"),
         ('{"dimension": 3, "nodes": {"out": {"kind": "white", "legs": 1}}, "edges": [["out:0", "out:0"]],'
          ' "outputs": ["out:0"]}', "node name 'out' is reserved for the boundary"),
+        ('{"dimension": 3, "nodes": {"g": {"kind": "green", "legs": 1, "amp": {"type": "phasevec", "thetas": []}}},'
+         ' "edges": [["g:0", "out:0"]], "outputs": ["out:0"]}', "node 'g': PhaseVec has 0 angles but D=3"),
+        ('{"dimension": 3, "nodes": {"g": {"kind": "white", "legs": 2, "c": 4}},'
+         ' "edges": [["g:0", "in:0"], ["g:1", "out:0"]], "inputs": ["in:0"], "outputs": ["out:0"]}',
+         "node 'g': only a 'not' node takes a 'c'"),
     ],
 )
 def test_eval_names_the_bad_field_of_a_malformed_file(runner, tmp_path, text, what):
