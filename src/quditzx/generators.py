@@ -362,7 +362,7 @@ def _real(v: Any) -> float:
     """A JSON number as a float; strings, bools and out-of-range ints raise."""
     in_range_int = isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
     if not (isinstance(v, float) or in_range_int):
-        raise ValueError(f"value must be a real number, got {v!r}")
+        raise ValueError(f"value must be a real number, got {reprlib.repr(v)}")
     return float(v)
 
 
