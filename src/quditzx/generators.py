@@ -370,16 +370,18 @@ def _integer(v: Any) -> int:
     return strict_int(v, "value", ValueError)
 
 
-def _list(v: Any, size: int | None = None) -> list:
-    """A JSON array, of ``size`` items if given; a string or an object raises."""
-    if not isinstance(v, list) or size not in (None, len(v)):
-        raise ValueError(f"value must be a list{'' if size is None else f' of {size}'}, got {reprlib.repr(v)}")
+def _list(v: Any) -> list:
+    """A JSON array; a string or an object raises."""
+    if not isinstance(v, list):
+        raise ValueError(f"value must be a list, got {reprlib.repr(v)}")
     return v
 
 
 def _complex(v: Any) -> complex:
-    re, im = _list(v, 2)
-    return complex(_real(re), _real(im))
+    """A JSON ``[re, im]`` pair as a complex number."""
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValueError(f"value must be a [re, im] pair, got {reprlib.repr(v)}")
+    return complex(_real(v[0]), _real(v[1]))
 
 
 # value codecs: (to JSON, from JSON)

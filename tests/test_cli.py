@@ -588,7 +588,7 @@ def test_eval_of_indicator_with_members_outside_int64(runner, tmp_path):
          "node 'g': only a 'not' node takes a 'c'"),
         ('{"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": 1, "alpha": [1.0]}}},'
          ' "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}',
-         "node 'h': mbox amplitude field 'alpha': value must be a list of 2, got [1.0]"),
+         "node 'h': mbox amplitude field 'alpha': value must be a [re, im] pair, got [1.0]"),
     ],
 )
 def test_eval_names_the_bad_field_of_a_malformed_file(runner, tmp_path, text, what):

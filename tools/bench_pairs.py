@@ -2,22 +2,22 @@
 
 Usage (from the repository root)::
 
-    python3 tools/bench_pairs.py --workload matrix-wide --base HEAD~1 --pairs 10
+    python3 tools/bench_pairs.py --workload matrix-wide --base HEAD~1
 
 Each commit is exported with ``git archive`` into a fresh directory
 (the repository's own files and ``.git`` are not touched, and
-uncommitted changes are not measured), and
-``bench/run.py`` of that commit runs there, as ``BENCHMARK.json`` says:
-``--workload W --seed S --seconds T --trace 0``.  Pair k uses seed k
-and runs the two commits back to back, the base first in odd-numbered
-pairs and the head first in even ones, so a drift in host speed falls on
-both.
+uncommitted changes are not measured), and ``bench/run.py`` of that
+commit runs there, as ``BENCHMARK.json`` says:
+``--workload W --seed S --seconds T --trace 0``.  It runs ten pairs, the
+minimum a gain claim needs.  Pair k uses seed k and runs the two commits
+back to back, the base first in odd-numbered pairs and the head first in
+even ones, so a drift in host speed falls on both.
 
-The record, ``BENCH_<workload>.json`` at the root unless ``--out`` says
-otherwise, holds both commits, the seeds, each pair's end-to-end metrics
-(the names ``BENCHMARK.json`` lists) and operation counts, each side's
-quartiles ``[q1, median, q3]``, and for each metric the number of pairs
-in which the head was better.
+The record, ``BENCH_<workload>.json`` at the repository root, holds both
+commits, the seeds, each pair's end-to-end metrics (the names
+``BENCHMARK.json`` lists) and operation counts, each side's quartiles
+``[q1, median, q3]``, and for each metric the number of pairs in which
+the head was better.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -66,11 +67,7 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--base", required=True, help="the commit to compare against")
     ap.add_argument("--head", default="HEAD", help="the changed commit (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--out", default=None, help="record path (default BENCH_<workload>.json at the root)")
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     names = [m["name"] for m in spec["end_to_end"]]
@@ -83,7 +80,7 @@ def main() -> int:
         for side, commit in commits.items():
             export(commit, trees[side])
         pairs = []
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
@@ -112,8 +109,7 @@ def main() -> int:
         "quartiles": {"base": quartiles("base"), "head": quartiles("head")},
         "head_better_pairs": {k: sum(better(p, k) for p in pairs) for k in names},
     }
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
-    with open(out, "w") as fh:
+    with open(os.path.join(ROOT, f"BENCH_{args.workload}.json"), "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     print(json.dumps({k: record[k] for k in ("quartiles", "head_better_pairs")}, indent=1))
