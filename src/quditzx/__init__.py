@@ -19,53 +19,51 @@ The package is organized bottom-up:
 - :mod:`quditzx.cli` — command-line interface.
 """
 
-from quditzx.construct import build, gadget_id, normal_form, target_tensor
-from quditzx.diagram import Diagram, DiagramBuilder, adjoint, evaluate
-from quditzx.gauss import gamma, gauss_sum
-from quditzx.generators import (
-    Char,
-    Generator,
-    Indicator,
-    One,
-    Phase,
-    PhaseVec,
-    Stab,
-    Table,
-    UnitPow,
-    eval_generator,
-)
-from quditzx.measure import MeasureContext, OverflowGuardError
-from quditzx.rewrite import CATALOG, apply, check_all, check_soundness, get_rule
-from quditzx.tensor import Tensor
+import importlib
 
-__all__ = [
-    "CATALOG",
-    "Char",
-    "Diagram",
-    "DiagramBuilder",
-    "Generator",
-    "Indicator",
-    "MeasureContext",
-    "One",
-    "OverflowGuardError",
-    "Phase",
-    "PhaseVec",
-    "Stab",
-    "Table",
-    "Tensor",
-    "UnitPow",
-    "adjoint",
-    "apply",
-    "build",
-    "check_all",
-    "check_soundness",
-    "eval_generator",
-    "evaluate",
-    "gadget_id",
-    "gamma",
-    "gauss_sum",
-    "get_rule",
-    "normal_form",
-    "target_tensor",
-]
+# each public name and the submodule it lives in; the submodule is
+# imported on first use of one of its names (PEP 562), so a command that
+# needs only `measure` never compiles the rule catalog
+_HOMES = {
+    "CATALOG": "rewrite",
+    "Char": "generators",
+    "Diagram": "diagram",
+    "DiagramBuilder": "diagram",
+    "Generator": "generators",
+    "Indicator": "generators",
+    "MeasureContext": "measure",
+    "One": "generators",
+    "OverflowGuardError": "measure",
+    "Phase": "generators",
+    "PhaseVec": "generators",
+    "Stab": "generators",
+    "Table": "generators",
+    "Tensor": "tensor",
+    "UnitPow": "generators",
+    "adjoint": "diagram",
+    "apply": "rewrite",
+    "build": "construct",
+    "check_all": "rewrite",
+    "check_soundness": "rewrite",
+    "eval_generator": "generators",
+    "evaluate": "diagram",
+    "gadget_id": "construct",
+    "gamma": "gauss",
+    "gauss_sum": "gauss",
+    "get_rule": "rewrite",
+    "normal_form": "construct",
+    "target_tensor": "construct",
+}
+
+__all__ = sorted(_HOMES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name, or a submodule that the eager imports used to load, on first use."""
+    if name in _HOMES.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return value

@@ -6,6 +6,9 @@ Gamma table, and print the numeric constants for a dimension.
 
 Exit codes: 0 success, 1 soundness failure, 2 usage or parse error,
 3 semantic error while processing an otherwise well-formed input.
+
+Each command imports the modules it runs inside its body, so a cold
+``info`` loads only ``measure`` and never compiles the rule catalog.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from typing import Any
 
 import click
 
-from quditzx import construct, diagram, gauss, rewrite, tensor
-from quditzx.generators import amp_from_json
 from quditzx.measure import MeasureContext, OverflowGuardError
 
 SEMANTIC_EXIT = 3
@@ -74,6 +75,8 @@ def _parse_param_value(raw: str) -> Any:
     except json.JSONDecodeError:
         obj = None
     if isinstance(obj, dict):
+        from quditzx.generators import amp_from_json
+
         try:
             return amp_from_json(obj)
         except Exception as exc:
@@ -108,6 +111,8 @@ def main() -> None:
 @click.option("-o", "out_path", type=click.Path(), default=None, help="write result here")
 def cmd_eval(path: str, nu_text: str | None, out_path: str | None) -> None:
     """Evaluate a diagram file to its tensor."""
+    from quditzx import diagram, tensor
+
     nu = _parse_nu(nu_text)
     try:
         with open(path) as fh:
@@ -144,6 +149,8 @@ def cmd_check(
     out_path: str | None,
 ) -> None:
     """Run the rewrite-rule soundness matrix (optionally one RULE)."""
+    from quditzx import rewrite
+
     nu = _parse_nu(nu_text)
     dims = _parse_dims(dim, dims_text, default=(2, 6))
     if tol <= 0:
@@ -189,11 +196,19 @@ def cmd_gadget(
     out_path: str | None,
 ) -> None:
     """Build a named gadget diagram."""
+    from quditzx import construct, diagram, tensor
+    from quditzx.generators import DomainError, check_amp_dim
+
     if dim < 2:
         raise click.UsageError("--dim must be at least 2")
     nu = _parse_nu(nu_text)
     ctx = MeasureContext(dim, nu)
     params = _parse_params(param_pairs)
+    for key, value in params.items():
+        try:
+            check_amp_dim(value, dim)
+        except DomainError as exc:
+            raise click.UsageError(f"--param {key}: {exc}")
     try:
         gid = construct.gadget_id(name, **params)
         d = construct.build(gid, ctx)
@@ -217,6 +232,8 @@ def cmd_gadget(
 @click.option("-o", "out_path", type=click.Path(), default=None, help="write diagram here")
 def cmd_normal_form(tensor_path: str, nu_text: str | None, out_path: str | None) -> None:
     """Synthesize a diagram evaluating to a given tensor."""
+    from quditzx import construct, diagram, tensor
+
     nu = _parse_nu(nu_text)
     try:
         with open(tensor_path) as fh:
@@ -238,6 +255,8 @@ def cmd_normal_form(tensor_path: str, nu_text: str | None, out_path: str | None)
 @click.option("-o", "out_path", type=click.Path(), default=None, help="write CSV here")
 def cmd_gamma_table(dim: int | None, dims_text: str | None, out_path: str | None) -> None:
     """Emit the quadratic-integral table as CSV (a,b,D,re,im,magnitude_class)."""
+    from quditzx import gauss
+
     dims = _parse_dims(dim, dims_text, default=(2, 8))
     buf = io.StringIO()
     buf.write("a,b,D,re,im,magnitude_class\n")

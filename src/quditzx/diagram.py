@@ -47,9 +47,11 @@ lazy min-heap instead of sorting its factors on every step.  The
 planner reads only ranks, so dense node factors are built only when a
 contraction first needs their array and are dropped once merged; a
 fan-out's many selector boxes never all exist at once.  Every
-contraction result is checked against
-``_MAX_RESULT`` entries before it is allocated, and a larger one raises
-``OverflowGuardError``.
+contraction result, and the result of a plan with no steps, is checked
+against ``_MAX_RESULT`` entries before it is allocated, and a larger one
+raises ``OverflowGuardError``; so is a dimension above ``_MAX_RESULT``
+before any factor is built, since every factor then has at least D
+entries or sums over D residues.
 
 Each pairwise step runs on one of two kernels, picked by its size; the
 order and the budget check are the same for both.  A step over u
@@ -368,7 +370,8 @@ def _plan(codes: array) -> tuple[int, array]:
     preceded by its length.  With ``j >= 0`` the step contracts slots i
     and j into slot i (three sublists); with ``j == -1`` it sums or
     reorders slot i alone (two sublists).  The last step leaves the
-    result in its slot.
+    result in its slot.  A last factor already in boundary order takes
+    no reorder step, so a diagram of one such factor has no steps at all.
     """
     n_in, n_out, n_nodes = codes[:3]
     node_codes = codes[3 : 3 + n_nodes]
@@ -585,15 +588,17 @@ def _plan(codes: array) -> tuple[int, array]:
 
     (last,) = live
     labs = labels[last]
-    names = {lab: k for k, lab in enumerate(labs)}
-    emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
+    if labs != boundary_labels:
+        names = {lab: k for k, lab in enumerate(labs)}
+        emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
     return n_steps, steps
 
 
 class _PlanCache:
     """Plans by shape, oldest out first, at most ``_MAX_PLAN_STEPS`` steps in all.
 
-    A plan larger than the whole budget is not stored.
+    A plan of no steps counts as one, so the budget also bounds the
+    number of plans.  A plan larger than the whole budget is not stored.
     """
 
     def __init__(self) -> None:
@@ -602,12 +607,12 @@ class _PlanCache:
         self._lock = threading.Lock()
 
     def put(self, key: bytes, plan: tuple[int, array]) -> None:
-        size = plan[0]
+        size = max(plan[0], 1)
         with self._lock:
             if size > _MAX_PLAN_STEPS or key in self.plans:
                 return
             while self.steps + size > _MAX_PLAN_STEPS:
-                self.steps -= self.plans.pop(next(iter(self.plans)))[0]
+                self.steps -= max(self.plans.pop(next(iter(self.plans)))[0], 1)
             self.plans[key] = plan
             self.steps += size
 
@@ -669,10 +674,17 @@ def _pairwise(dim: int, a: np.ndarray, sa: list[int], b: np.ndarray, sb: list[in
 
 
 def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Build the factors of ``d`` in slot order and run the plan's steps."""
+    """Build the factors of ``d`` in slot order and run the plan's steps.
+
+    A plan of no steps leaves its one factor, in slot 0, as the result;
+    with no factor at all the result is the scalar 1.
+    """
     D = d.dim
+    rank = d.n_outputs + d.n_inputs
     if not steps:
-        return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
+        if not d.nodes and not rank:
+            return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
+        _check_result(D, rank)
     # a dense factor stays its Generator until a step first needs its array.
     # Equal parameter-free generators share one array: a diagonal one for
     # the whole call, a dense one until its last slot has taken it.
@@ -699,7 +711,7 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
         else:
             factors.extend(_split_factors(ctx, gen))
     # room for the boundary deltas the plan may have, each built when a step reads it
-    factors.extend([_DELTA] * (d.n_outputs + d.n_inputs))
+    factors.extend([_DELTA] * rank)
 
     def operand(k: int) -> np.ndarray:
         # the slot lets go, so a step's kernel holds the last reference
@@ -718,7 +730,7 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
             del shared[gen]
         return arr
 
-    pos = 0
+    pos = i = 0
 
     def sublist() -> list[int]:
         nonlocal pos
@@ -732,21 +744,25 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
         sa = sublist()
         sb = sublist() if j >= 0 else None
         so = sublist()
-        if D ** len(so) > _MAX_RESULT:
-            raise OverflowGuardError(
-                f"contraction result of rank {len(so)} at D={D} exceeds {_MAX_RESULT} entries"
-            )
+        _check_result(D, len(so))
         if sb is None:
             factors[i] = np.einsum(operand(i), sa, so)
         else:
             factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
-    return Tensor(D, d.n_inputs, d.n_outputs, factors[i].reshape((D,) * (d.n_outputs + d.n_inputs)))
+    return Tensor(D, d.n_inputs, d.n_outputs, operand(i).reshape((D,) * rank))
+
+
+def _check_result(dim: int, rank: int) -> None:
+    if dim**rank > _MAX_RESULT:
+        raise OverflowGuardError(f"contraction result of rank {rank} at D={dim} exceeds {_MAX_RESULT} entries")
 
 
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     """Contract the diagram to its tensor; boundary order follows positions."""
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
+    if d.dim > _MAX_RESULT and (d.nodes or d.n_inputs or d.n_outputs):
+        raise OverflowGuardError(f"dimension D={d.dim} exceeds {_MAX_RESULT} entries per wire")
     codes = _structure(d)
     key = codes.tobytes()
     plan = _PLANS.plans.get(key)

@@ -77,6 +77,54 @@ def test_cli_import_leaves_heavy_modules_out():
     assert proc.stdout.strip() == "[]"
 
 
+def loaded_modules(*args):
+    """The ``quditzx`` modules a fresh interpreter holds after the command ``args``."""
+    code = ("import atexit, sys; atexit.register(lambda: print(sorted("
+            "m for m in sys.modules if m.startswith('quditzx')), file=sys.stderr)); "
+            "from quditzx.cli import main; main(sys.argv[1:])")
+    proc = run_fresh_python("-c", code, *args)
+    assert proc.returncode == 0, proc.stderr
+    return set(eval(proc.stderr.splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    proc = run_fresh_python(
+        "-c", "import sys, quditzx; print([m for m in sys.modules if m.startswith('quditzx.')])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    base = {"quditzx", "quditzx.cli", "quditzx.measure"}
+    assert loaded_modules("info", "--dim", "5") == base
+    assert loaded_modules("gamma-table", "--dim", "3") == base | {"quditzx.gauss"}
+    gadget, tensor_file = tmp_path / "g.json", tmp_path / "t.json"
+    for args in (("gadget", "cz", "--dim", "3", "-o", str(gadget)),
+                 ("gadget", "cz", "--dim", "3", "--emit-tensor", "-o", str(tensor_file)),
+                 ("normal-form", "--tensor", str(tensor_file))):
+        mods = loaded_modules(*args)
+        assert "quditzx.construct" in mods and "quditzx.rewrite" not in mods, args
+    mods = loaded_modules("eval", str(gadget))
+    assert "quditzx.diagram" in mods and not mods & {"quditzx.rewrite", "quditzx.construct"}
+    mods = loaded_modules("check", "ZX-GF", "--dim", "3")
+    assert "quditzx.rewrite" in mods and "quditzx.construct" not in mods
+
+
+def test_package_names_resolve_to_their_home_modules():
+    import importlib
+
+    import quditzx
+
+    for name in quditzx.__all__:
+        home = importlib.import_module(f"quditzx.{quditzx._HOMES[name]}")
+        assert getattr(quditzx, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="no attribute 'rewrite_all'"):
+        quditzx.__getattr__("rewrite_all")
+    assert not hasattr(quditzx, "rewrite_all")
+    assert quditzx.__getattr__("diagram") is diagram  # the submodules the eager imports loaded
+
+
 def test_cli_module_runs_info():
     proc = run_fresh_python("-m", "quditzx.cli", "info", "--dim", "5")
     assert proc.returncode == 0, proc.stderr
@@ -289,6 +337,16 @@ def test_gadget_with_complex_param(runner):
     assert abs(got.data.reshape(()) - (2 + 1j)) < 1e-9
 
 
+@pytest.mark.parametrize("emit", [["-o", "g.json"], ["--emit-tensor"]], ids=["diagram", "tensor"])
+def test_gadget_checks_amplitudes_against_dim(runner, tmp_path, emit):
+    amp = '{"type": "phasevec", "thetas": [0.1]}'
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        res = runner.invoke(cli.main, ["gadget", "diag_theta", "--dim", "3", "--param", f"amp={amp}", *emit])
+        assert res.exit_code == 2
+        assert "--param amp: PhaseVec has 1 angles but D=3" in res.output
+        assert not os.path.exists("g.json") and res.stdout == ""
+
+
 def test_gadget_unknown_name_is_usage_error(runner):
     res = runner.invoke(cli.main, ["gadget", "warp_drive", "--dim", "3"])
     assert res.exit_code == 2
@@ -340,6 +398,14 @@ def test_normal_form_overflow_is_semantic_error(runner, tmp_path):
     src.write_text(tensor.dump_json(t))
     res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src)])
     assert res.exit_code == 3
+
+
+def test_eval_huge_dimension_is_refused_by_name(runner, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"dimension": 10**30, "nodes": {"w": {"kind": "white", "legs": 0}}}))
+    res = runner.invoke(cli.main, ["eval", str(path)])
+    assert res.exit_code == 3
+    assert f"dimension D={10**30} exceeds" in res.stderr
 
 
 def test_eval_result_past_size_budget_is_semantic_error(runner, tmp_path, monkeypatch):

@@ -647,7 +647,7 @@ def order_digest(steps) -> str:
 def pinned_order_cases(ctx: MeasureContext) -> list:
     return [
         (tied_hub_diagram(3), "4ab5ceb9c1ff0b7d"),
-        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "7712ef7ac2ddf2f4"),
+        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "0b813eb859b66ef5"),
         (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "2e4bf78177fe6ada"),
         (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "992a9bf743aa9e3c"),
         (instantiate("ZH-O", {}, ctx)[0], "e2ac29a35f198259"),  # a scalar box and a gray hub
@@ -668,11 +668,15 @@ def test_contraction_order_is_pinned() -> None:
 
 
 def delta_slots(d: Diagram) -> int:
-    """How many boundary deltas the plan of ``d`` reads: its slots past the nodes' factors."""
+    """How many boundary deltas the plan of ``d`` reads: its slots past the nodes' factors.
+
+    A plan of no steps reads its one factor, in slot 0, as the result.
+    """
     modes = [dg._factor_mode(name, gen, d.dim) for name, gen in d.nodes.items()]
     node_slots = sum(1 + gen.degree if mode == dg._SPLIT else 1 for gen, mode in zip(d.nodes.values(), modes))
     steps = plan_steps(dg._plan(dg._structure(d))[1])
-    return len({k for i, j, _ in steps for k in (i, j) if k >= node_slots})
+    read = {k for i, j, _ in steps for k in (i, j)} if steps else {0}
+    return len({k for k in read if k >= node_slots})
 
 
 def boundary_cases(dim: int) -> list:
@@ -741,9 +745,26 @@ def test_boundary_on_node_legs_builds_no_delta(monkeypatch) -> None:
 
 def test_catalog_plans_take_boundary_labels() -> None:
     # integers only: the plan steps over both sides of one draw of every
-    # rule at D=2..9.  One delta per boundary position made 3,741 steps
+    # rule at D=2..9.  One delta per boundary position made 3,741 steps,
+    # and a final reorder that left its factor as it was 2,374
     total = sum(dg._plan(dg._structure(d))[0] for _, d, _ in catalog_cases(range(2, 10)))
-    assert total == 2374
+    assert total == 1802
+
+
+def test_plans_reorder_only_to_move_axes(plan_calls) -> None:
+    # a one-factor step always sums, traces or permutes; a factor already
+    # in boundary order is the result as it stands, with no step at all
+    cases = [d for _, d, _ in catalog_cases(range(2, 7))] + [d for _, d, _ in boundary_cases(3)]
+    for d in cases:
+        for i, j, subs in plan_steps(dg._plan(dg._structure(d))[1]):
+            assert j >= 0 or subs[0] != subs[1] or len(set(subs[0])) < len(subs[0])
+    ctx = MeasureContext(3)
+    lone = [boundary_cases(3)[0][1], node_diagram(3, Generator.hbox(Phase(0.4), 1, 1)),
+            node_diagram(3, Generator.white(0, 0))]
+    for d in lone:
+        assert dg._plan(dg._structure(d))[0] == 0
+        assert evaluate(d, ctx).data.tobytes() == flat_einsum(d, ctx).data.tobytes()
+    assert len(dg._PLANS.plans) == 3 and dg._PLANS.steps == 3  # a plan of no steps costs one
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
@@ -1028,6 +1049,22 @@ def test_same_shape_reuses_plan_bit_for_bit(plan_calls, dim: int) -> None:
     assert len(warm) == len(set(warm))  # the parameters did reach the tensor
 
 
+def test_huge_dimension_is_refused_before_any_factor(monkeypatch) -> None:
+    # the residue window alone would not fit: refused by name, with no
+    # factor built, whenever the diagram has a node or a boundary position
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    for name in ("diagonal_weight", "generator_entries", "_split_factors"):
+        monkeypatch.setattr(dg, name, no_factor)
+    dim = dg._MAX_RESULT + 1
+    wire = Diagram(dim, {}, ((("in", 0), ("out", 0)),), 1, 1)
+    for d in (node_diagram(10**30, Generator.white(0, 0)), node_diagram(dim, Generator.hplus()), wire):
+        with pytest.raises(OverflowGuardError, match=f"dimension D={d.dim} exceeds"):
+            evaluate(d, MeasureContext(d.dim))
+    assert complex(evaluate(Diagram(10**30, {}, (), 0, 0), MeasureContext(10**30)).data) == 1
+
+
 def test_cached_plan_still_checks_result_budget(monkeypatch, plan_calls) -> None:
     b = DiagramBuilder(2)
     for _ in range(3):
@@ -1092,14 +1129,14 @@ def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
 def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     ctx = MeasureContext(3)
     rng = np.random.default_rng(4)
-    first = normal_form(random_tensor(rng, 3, 0, 1), ctx)  # 13 steps
+    first = normal_form(random_tensor(rng, 3, 0, 1), ctx)  # 12 steps
     second = tied_hub_diagram(3)  # 8 steps
     third = param_diagram(3, 0.1, (1, 0), 1, 1.0)  # 7 steps
-    big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 65 steps
+    big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 64 steps
     monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 24)
 
     def stored() -> int:
-        assert dg._PLANS.steps == sum(size for size, _ in dg._PLANS.plans.values())
+        assert dg._PLANS.steps == sum(max(size, 1) for size, _ in dg._PLANS.plans.values())
         return dg._PLANS.steps
 
     for d in (first, second, third):
