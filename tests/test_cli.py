@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file round-trips, and deterministic reports."""
 
+import importlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import quditzx
 from quditzx import cli, construct, diagram, gauss, tensor
 from quditzx.diagram import DiagramBuilder
 from quditzx.generators import Generator, UnitPow
@@ -79,12 +81,12 @@ def test_cli_import_leaves_heavy_modules_out():
 
 def loaded_modules(*args):
     """The ``quditzx`` modules a fresh interpreter holds after the command ``args``."""
-    code = ("import atexit, sys; atexit.register(lambda: print(sorted("
+    code = ("import atexit, sys; atexit.register(lambda: print(*("
             "m for m in sys.modules if m.startswith('quditzx')), file=sys.stderr)); "
             "from quditzx.cli import main; main(sys.argv[1:])")
     proc = run_fresh_python("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
-    return set(eval(proc.stderr.splitlines()[-1]))
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 def test_package_import_loads_no_submodule():
@@ -112,13 +114,12 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
 
 
 def test_package_names_resolve_to_their_home_modules():
-    import importlib
-
-    import quditzx
-
+    # the home module is where each name is defined (CATALOG, a dict, has no __module__)
     for name in quditzx.__all__:
         home = importlib.import_module(f"quditzx.{quditzx._HOMES[name]}")
-        assert getattr(quditzx, name) is getattr(home, name), name
+        obj = getattr(quditzx, name)
+        assert obj is getattr(home, name), name
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
     with pytest.raises(AttributeError, match="no attribute 'rewrite_all'"):
         quditzx.__getattr__("rewrite_all")
     assert not hasattr(quditzx, "rewrite_all")
