@@ -79,7 +79,7 @@ def _parse_param_value(raw: str) -> Any:
 
         try:
             return amp_from_json(obj)
-        except Exception as exc:
+        except ValueError as exc:
             raise click.UsageError(f"bad amplitude spec {raw!r}: {exc}")
     if isinstance(obj, (int, float)):
         return obj
@@ -117,13 +117,12 @@ def cmd_eval(path: str, nu_text: str | None, out_path: str | None) -> None:
     try:
         with open(path) as fh:
             d = diagram.load_json(fh.read())
-    except (OSError, json.JSONDecodeError, diagram.DiagramError,
-            KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # a JSON or diagram error is a ValueError
         raise click.UsageError(f"cannot read diagram {path!r}: {exc}")
     ctx = MeasureContext(d.dim, nu)
     try:
         result = diagram.evaluate(d, ctx)
-    except Exception as exc:
+    except OverflowGuardError as exc:
         click.echo(f"evaluation failed: {exc}", err=True)
         sys.exit(SEMANTIC_EXIT)
     _write_output(tensor.dump_json(result), out_path)
@@ -217,7 +216,7 @@ def cmd_gadget(
     if emit_tensor:
         try:
             result = diagram.evaluate(d, ctx)
-        except Exception as exc:
+        except OverflowGuardError as exc:
             click.echo(f"evaluation failed: {exc}", err=True)
             sys.exit(SEMANTIC_EXIT)
         _write_output(tensor.dump_json(result), out_path)

@@ -32,8 +32,7 @@ is also a sum over one character index t: w(sum x) = sum_t c(t) prod_j
 omega^(t x_j).  A dot with more than ``_SPLIT_ABOVE`` dense entries
 enters split this way, as the vector c and one D x D phase matrix per
 leg, all on t; the planner can then merge its legs one at a time
-instead of carrying a rank-deg block through every step.  Other dense
-factors larger than ``_MAX_DENSE`` are refused.
+instead of carrying a rank-deg block through every step.
 
 Contraction order is greedy: always merge a pair of factors sharing an
 index so that the merged rank is minimal.  Scalars come first: every
@@ -46,24 +45,19 @@ three or more factors (a hub, such as a fan-out dot) keeps them in a
 lazy min-heap instead of sorting its factors on every step.  The
 planner reads only ranks, so dense node factors are built only when a
 contraction first needs their array and are dropped once merged; a
-fan-out's many selector boxes never all exist at once.  Every
-contraction result, and the result of a plan with no steps, is checked
-against ``_MAX_RESULT`` entries before it is allocated, and a larger one
-raises ``OverflowGuardError``; so is a dimension above ``_MAX_RESULT``
-before any factor is built, since every factor then has at least D
-entries or sums over D residues.
+fan-out's many selector boxes never all exist at once.
 
 Each pairwise step runs on one of two kernels, picked by its size; the
-order and the budget check are the same for both.  A step over u
-distinct labels loops over D^u entries.  From ``_MATMUL_MIN`` entries on
-it runs as one batched ``np.matmul`` (``_pairwise``): the labels split
-into batch, summed and free ones, each operand is transposed and
-reshaped to three axes, and BLAS does the sums.  A smaller step runs as
-one ``np.einsum`` call, which has a lower fixed cost and reads the
-operands in place, where matmul first copies them.  Steps on one
-factor (sum, trace, reorder) always use ``np.einsum``.  Both kernels
-get the same operands in the same contraction order, so their tensors
-differ only by rounding: BLAS sums in another order.
+order is the same for both.  A step over u distinct labels loops over
+D^u entries.  From ``_MATMUL_MIN`` entries on it runs as one batched
+``np.matmul`` (``_pairwise``): the labels split into batch, summed and
+free ones, each operand is transposed and reshaped to three axes, and
+BLAS does the sums.  A smaller step runs as one ``np.einsum`` call,
+which has a lower fixed cost and reads the operands in place, where
+matmul first copies them.  Steps on one factor (sum, trace, reorder)
+always use ``np.einsum``.  Both kernels get the same operands in the same
+contraction order, so their tensors differ only by rounding: BLAS sums
+in another order.
 
 The plan depends on the diagram's shape alone, so it is made once per
 shape and cached.  The key (``_structure``) is exact, not a hash: the
@@ -72,11 +66,12 @@ split, which is where D and ``_SPLIT_ABOVE`` enter) in node order, and the
 port table, which ``_structure`` reads; generator parameters, node names
 and ``nu`` are not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` steps
 over all plans, dropping the oldest first, and only integers, never a
-diagram or an array.  Every call, cached plan or not, builds the factor
-arrays from the context and checks each step's result against the
-budget.  Within one call, equal parameter-free generators (white, gray,
-not, hplus, hminus) share one factor array, and H-boxes of one degree
-share one leg-product array; factors with an amplitude are built per node.
+diagram or an array.  Every call, cached plan or not, checks the plan's
+sizes against ``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any
+factor array from the context.  Within one call, equal parameter-free
+generators (white, gray, not, hplus, hminus) share one factor array, and
+H-boxes of one degree share one leg-product array; factors with an
+amplitude are built per node.
 """
 
 from __future__ import annotations
@@ -107,13 +102,13 @@ Port = tuple[str, int]
 Edge = tuple[Port, Port]
 
 _RESERVED = ("in", "out")
-_MAX_DENSE = 2_000_000  # entries; a larger dense factor (not red or gray) is refused
+_MAX_DENSE = 2_000_000  # entries; a larger dense node is refused
 # entries; a red or gray dot with more is split by characters.  From 64
 # to 4096 the soundness matrix at D=2..9 ran equally fast within noise;
 # from 10^5 it ran slower at D=2..6, and from 7^7 ZH-O's gray hub stays
 # dense at D=7, where it costs ten times its output
 _SPLIT_ABOVE = 512
-_MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any contraction result
+_MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any array but a dense node's
 _MAX_PLAN_STEPS = 1 << 15  # steps in all cached contraction plans
 # loop entries D^u from which a pairwise step runs as matmul.  Warm,
 # matmul wins from about 2^12; but below 2^17 (a normal form's widest
@@ -324,18 +319,13 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _factor_mode(name: str, gen: Generator, dim: int) -> int:
+def _factor_mode(gen: Generator, dim: int) -> int:
     """How a node enters the contraction: diagonal, dense, or split by characters."""
-    deg = gen.degree
     if gen.kind in ("green", "white"):
         return _DIAGONAL
-    if gen.kind in ("hplus", "hminus", "not", "hbox"):
-        if dim**deg > _MAX_DENSE:
-            raise OverflowGuardError(f"node {name!r}: {gen.kind} of degree {deg} too large at D={dim}")
-        return _DENSE
-    if gen.kind in ("red", "gray"):
-        return _SPLIT if dim**deg > _SPLIT_ABOVE else _DENSE
-    raise AssertionError(f"unexpected kind {gen.kind}")
+    if gen.kind in ("red", "gray") and dim**gen.degree > _SPLIT_ABOVE:
+        return _SPLIT
+    return _DENSE
 
 
 def _structure(d: Diagram) -> array:
@@ -348,11 +338,11 @@ def _structure(d: Diagram) -> array:
     """
     d.validate()
     codes = array("i", [d.n_inputs, d.n_outputs, len(d.nodes)])
-    codes.extend([3 * gen.degree + _factor_mode(name, gen, d.dim) for name, gen in d.nodes.items()])
+    codes.extend([3 * gen.degree + _factor_mode(gen, d.dim) for gen in d.nodes.values()])
     return codes + d._ports
 
 
-def _plan(codes: array) -> tuple[int, array]:
+def _plan(codes: array) -> tuple[int, array, int, int, int]:
     """Greedy contraction plan for the shape ``codes`` (see ``_structure``).
 
     A boundary position is the open end of its wire, so it takes the
@@ -365,8 +355,12 @@ def _plan(codes: array) -> tuple[int, array]:
     Factor slots are numbered in the order ``_execute`` makes them: each
     node's factors in node order (a split node gives its coefficient
     vector, then one phase matrix per leg), then the boundary deltas, in
-    boundary order (outputs, then inputs).  Returns the number of steps
-    and the steps, flat: each step is ``i, j`` followed by its sublists, each
+    boundary order (outputs, then inputs).  Returns ``(n_steps, steps,
+    top, degree, node)``.  ``top`` is the highest rank of any array held
+    but a dense node's, and at least 1 with any factor, since each has or
+    sums over D entries; ``degree`` is the highest degree of a dense node,
+    and ``node`` the index of the first node of that degree (-1 if none).
+    ``steps`` is flat: each step is ``i, j`` and its sublists, each
     preceded by its length.  With ``j >= 0`` the step contracts slots i
     and j into slot i (three sublists); with ``j == -1`` it sums or
     reorders slot i alone (two sublists).  The last step leaves the
@@ -396,16 +390,21 @@ def _plan(codes: array) -> tuple[int, array]:
     # each factor slot's labels; its rank is len(labels)
     labels: list[list[int]] = []
     fresh = itertools.count(1)
-    for code, legs in zip(node_codes, wires):
+    top = max(n_in + n_out, 1)  # the result's; a delta (rank 2) only comes with two boundary positions
+    dense = (0, -1)  # degree and node
+    for k, (code, legs) in enumerate(zip(node_codes, wires)):
         mode = code % 3
         if mode == _DIAGONAL:
             labels.append([uf.find(legs[0])] if legs else [])
         elif mode == _DENSE:
             labels.append([uf.find(w) for w in legs])
+            if len(legs) > dense[0]:
+                dense = (len(legs), k)
         else:
             t_label = -next(fresh)  # negative, disjoint from wire labels
             labels.append([t_label])
             labels.extend([t_label, uf.find(w)] for w in legs)
+            top = max(top, 2 if legs else 1)  # its phase matrices
 
     # each output, then each input, takes its wire's label as its final
     # axis; a delta gives it a fresh one where no factor carries the
@@ -426,12 +425,13 @@ def _plan(codes: array) -> tuple[int, array]:
 
     steps = array("i")
     if not labels:
-        return 0, steps
+        return 0, steps, 0, *dense
     n_steps = 0
 
     def emit(i: int, j: int, *sublists: list[int]) -> None:
-        nonlocal n_steps
+        nonlocal n_steps, top
         n_steps += 1
+        top = max(top, len(sublists[-1]))
         steps.extend((i, j))
         for sub in sublists:
             steps.append(len(sub))
@@ -591,7 +591,7 @@ def _plan(codes: array) -> tuple[int, array]:
     if labs != boundary_labels:
         names = {lab: k for k, lab in enumerate(labs)}
         emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
-    return n_steps, steps
+    return n_steps, steps, top, *dense
 
 
 class _PlanCache:
@@ -602,11 +602,11 @@ class _PlanCache:
     """
 
     def __init__(self) -> None:
-        self.plans: dict[bytes, tuple[int, array]] = {}
+        self.plans: dict[bytes, tuple[int, array, int, int, int]] = {}
         self.steps = 0
         self._lock = threading.Lock()
 
-    def put(self, key: bytes, plan: tuple[int, array]) -> None:
+    def put(self, key: bytes, plan: tuple[int, array, int, int, int]) -> None:
         size = max(plan[0], 1)
         with self._lock:
             if size > _MAX_PLAN_STEPS or key in self.plans:
@@ -681,10 +681,8 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
     """
     D = d.dim
     rank = d.n_outputs + d.n_inputs
-    if not steps:
-        if not d.nodes and not rank:
-            return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
-        _check_result(D, rank)
+    if not d.nodes and not rank:
+        return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
     # a dense factor stays its Generator until a step first needs its array.
     # Equal parameter-free generators share one array: a diagonal one for
     # the whole call, a dense one until its last slot has taken it.
@@ -744,7 +742,6 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
         sa = sublist()
         sb = sublist() if j >= 0 else None
         so = sublist()
-        _check_result(D, len(so))
         if sb is None:
             factors[i] = np.einsum(operand(i), sa, so)
         else:
@@ -752,24 +749,26 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
     return Tensor(D, d.n_inputs, d.n_outputs, operand(i).reshape((D,) * rank))
 
 
-def _check_result(dim: int, rank: int) -> None:
-    if dim**rank > _MAX_RESULT:
-        raise OverflowGuardError(f"contraction result of rank {rank} at D={dim} exceeds {_MAX_RESULT} entries")
-
-
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Contract the diagram to its tensor; boundary order follows positions."""
+    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``."""
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
-    if d.dim > _MAX_RESULT and (d.nodes or d.n_inputs or d.n_outputs):
-        raise OverflowGuardError(f"dimension D={d.dim} exceeds {_MAX_RESULT} entries per wire")
     codes = _structure(d)
     key = codes.tobytes()
     plan = _PLANS.plans.get(key)
     if plan is None:
         plan = _plan(codes)
         _PLANS.put(key, plan)
-    return _execute(plan[1], codes[3 : 3 + codes[2]], d, ctx)
+    _, steps, top, degree, node = plan
+    if d.dim**top > _MAX_RESULT:
+        raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
+    if d.dim**degree > _MAX_DENSE:
+        name = list(d.nodes)[node]
+        raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
+    try:
+        return _execute(steps, codes[3 : 3 + codes[2]], d, ctx)
+    except OverflowError as exc:  # also a power of nu or of an amplitude past the float range
+        raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
 
 
 # =====================================================================

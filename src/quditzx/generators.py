@@ -230,6 +230,8 @@ class MBox(AmplitudeFn):
     alpha: complex
 
     def __post_init__(self) -> None:
+        if self.k < 0:
+            raise ValueError(f"MBox field 'k' must be at least 0, got {self.k}")
         object.__setattr__(self, "alpha", complex(self.alpha))
 
     def _pivot(self, ctx: MeasureContext) -> int:

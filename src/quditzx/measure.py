@@ -32,7 +32,7 @@ _I64_MAX = 2**63 - 1
 
 
 class OverflowGuardError(OverflowError):
-    """An integer product or power left the checked 64-bit range."""
+    """A value or size left its checked range: 64-bit integers, floats, or an evaluation budget."""
 
 
 def checked_i64(value: int, what: str = "value") -> int:

@@ -409,6 +409,35 @@ def test_eval_huge_dimension_is_refused_by_name(runner, tmp_path):
     assert f"dimension D={10**30} exceeds" in res.stderr
 
 
+def test_eval_of_a_huge_red_state_is_a_quick_semantic_error(runner, tmp_path):
+    # its result has D entries, but each split leg's phase matrix has D^2
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"dimension": 10**5, "nodes": {"r": {"kind": "red", "legs": 1,
+                                                                   "amp": {"type": "phase", "theta": 0.5}}},
+                                "outputs": ["r:0"]}))
+    start = time.perf_counter()
+    res = runner.invoke(cli.main, ["eval", str(path)])
+    assert time.perf_counter() - start < 2
+    assert res.exit_code == 3
+    assert f"dimension D={10**5} exceeds" in res.stderr
+
+
+def test_an_entry_past_the_float_range_is_a_semantic_error(runner, tmp_path):
+    # a power of nu (0.001^-198) and one of an amplitude (inf^1) past the float range
+    b = DiagramBuilder(2)
+    w = b.node(Generator.white(1, 199))
+    b.wire("in", w)
+    for _ in range(99):
+        b.wire(w, w)
+    b.wire(w, "out")
+    path = write_diagram(tmp_path / "d.json", b.build())
+    for args in (["eval", "--nu", "0.001", path],
+                 ["gadget", "scalar", "--dim", "6", "--param", "alpha=inf", "--emit-tensor"]):
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 3, args
+        assert "a factor entry is out of range" in res.stderr
+
+
 def test_eval_result_past_size_budget_is_semantic_error(runner, tmp_path, monkeypatch):
     b = DiagramBuilder(2)
     for _ in range(3):
@@ -656,6 +685,8 @@ def test_eval_of_indicator_with_members_outside_int64(runner, tmp_path):
         ('{"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": 1, "alpha": [1.0]}}},'
          ' "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}',
          "node 'h': mbox amplitude field 'alpha': value must be a [re, im] pair, got [1.0]"),
+        ('{"dimension": 5, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": -1, "alpha": [2, 0]}}},'
+         ' "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}', "node 'h': MBox field 'k' must be at least 0, got -1"),
     ],
 )
 def test_eval_names_the_bad_field_of_a_malformed_file(runner, tmp_path, text, what):

@@ -659,7 +659,7 @@ def test_contraction_order_is_pinned() -> None:
     # the order fixes the tensor bits, so a change of order must update
     # these knowingly
     for d, digest in pinned_order_cases(MeasureContext(3)):
-        n_steps, steps = dg._plan(dg._structure(d))
+        n_steps, steps, *_ = dg._plan(dg._structure(d))
         assert len(plan_steps(steps)) == n_steps
         assert order_digest(steps) == digest
 
@@ -672,7 +672,7 @@ def delta_slots(d: Diagram) -> int:
 
     A plan of no steps reads its one factor, in slot 0, as the result.
     """
-    modes = [dg._factor_mode(name, gen, d.dim) for name, gen in d.nodes.items()]
+    modes = [dg._factor_mode(gen, d.dim) for gen in d.nodes.values()]
     node_slots = sum(1 + gen.degree if mode == dg._SPLIT else 1 for gen, mode in zip(d.nodes.values(), modes))
     steps = plan_steps(dg._plan(dg._structure(d))[1])
     read = {k for i, j, _ in steps for k in (i, j)} if steps else {0}
@@ -1065,6 +1065,25 @@ def test_huge_dimension_is_refused_before_any_factor(monkeypatch) -> None:
     assert complex(evaluate(Diagram(10**30, {}, (), 0, 0), MeasureContext(10**30)).data) == 1
 
 
+def test_disconnected_pieces_are_refused_before_any_factor(monkeypatch) -> None:
+    # each piece's result fits the budget, their outer product does not:
+    # refused from the plan's ranks, before a weight, a piece or a step exists
+    def no_factor(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    for name in ("diagonal_weight", "generator_entries", "_split_factors"):
+        monkeypatch.setattr(dg, name, no_factor)
+    monkeypatch.setattr(np, "einsum", no_factor)
+    monkeypatch.setattr(dg, "_MAX_RESULT", 2**16)
+    b = DiagramBuilder(4)
+    for k in range(8):
+        g = b.node(Generator.green(Phase(0.1 * k), 0, 8))  # 4^8 = 2^16 entries once contracted
+        for _ in range(8):
+            b.wire(g, "out")
+    with pytest.raises(OverflowGuardError, match="rank 64 at dimension D=4 exceeds"):
+        evaluate(b.build(), MeasureContext(4))
+
+
 def test_cached_plan_still_checks_result_budget(monkeypatch, plan_calls) -> None:
     b = DiagramBuilder(2)
     for _ in range(3):
@@ -1136,7 +1155,7 @@ def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 24)
 
     def stored() -> int:
-        assert dg._PLANS.steps == sum(max(size, 1) for size, _ in dg._PLANS.plans.values())
+        assert dg._PLANS.steps == sum(max(size, 1) for size, *_ in dg._PLANS.plans.values())
         return dg._PLANS.steps
 
     for d in (first, second, third):
@@ -1183,7 +1202,7 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert dg._PLANS.steps == sum(size for size, _ in dg._PLANS.plans.values()) <= 20
+    assert dg._PLANS.steps == sum(size for size, *_ in dg._PLANS.plans.values()) <= 20
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -1477,7 +1496,7 @@ def reference_structure(d: Diagram) -> list[int]:
     for name, gen in d.nodes.items():
         first[name] = n
         n += gen.degree
-        codes.append(3 * gen.degree + dg._factor_mode(name, gen, d.dim))
+        codes.append(3 * gen.degree + dg._factor_mode(gen, d.dim))
     first["out"] = n
     first["in"] = n + d.n_outputs
     for a, b in d.edges:
@@ -1600,6 +1619,8 @@ def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) ->
         ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": 1, "alpha": [1.0]}}},
           "edges": [["h:0", "out:0"]], "outputs": ["out:0"]},
          r"node 'h': mbox amplitude field 'alpha': value must be a \[re, im\] pair, got \[1.0\]"),
+        ({"dimension": 5, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": -1, "alpha": [2, 0]}}},
+          "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}, "node 'h': MBox field 'k' must be at least 0, got -1"),
         ({"dimension": 3, "nodes": {"g": {"kind": "green", "legs": 1, "amp": {"type": "phasevec", "thetas": []}}},
           "edges": [["g:0", "out:0"]], "outputs": ["out:0"]}, "node 'g': PhaseVec has 0 angles but D=3"),
         ({"dimension": 2, "nodes": {"r": {"kind": "red", "legs": 1,
