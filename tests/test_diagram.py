@@ -1619,8 +1619,6 @@ def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) ->
         ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": 1, "alpha": [1.0]}}},
           "edges": [["h:0", "out:0"]], "outputs": ["out:0"]},
          r"node 'h': mbox amplitude field 'alpha': value must be a \[re, im\] pair, got \[1.0\]"),
-        ({"dimension": 5, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": -1, "alpha": [2, 0]}}},
-          "edges": [["h:0", "out:0"]], "outputs": ["out:0"]}, "node 'h': MBox field 'k' must be at least 0, got -1"),
         ({"dimension": 3, "nodes": {"g": {"kind": "green", "legs": 1, "amp": {"type": "phasevec", "thetas": []}}},
           "edges": [["g:0", "out:0"]], "outputs": ["out:0"]}, "node 'g': PhaseVec has 0 angles but D=3"),
         ({"dimension": 2, "nodes": {"r": {"kind": "red", "legs": 1,
