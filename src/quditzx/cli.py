@@ -1,8 +1,9 @@
-"""Command-line interface.
+"""Command-line interface, on the standard library's ``argparse``.
 
 Commands mirror the library surface: evaluate diagram files, run the
 rule soundness matrix, build gadgets, synthesize normal forms, emit a
-Gamma table, and print the numeric constants for a dimension.
+Gamma table, and print the numeric constants for a dimension.  Each
+command takes ``-h``/``--help``.
 
 Exit codes: 0 success, 1 soundness failure, 2 usage or parse error,
 3 semantic error while processing an otherwise well-formed input.
@@ -13,16 +14,19 @@ Each command imports the modules it runs inside its body, so a cold
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import sys
 from typing import Any
 
-import click
-
 from quditzx.measure import MeasureContext, OverflowGuardError
 
 SEMANTIC_EXIT = 3
+
+
+class UsageError(Exception):
+    """Bad arguments or unreadable input: ``main`` prints the command's usage and exits 2."""
 
 
 def _parse_nu(text: str | None) -> float | None:
@@ -31,38 +35,35 @@ def _parse_nu(text: str | None) -> float | None:
     try:
         value = float(text)
     except ValueError:
-        raise click.UsageError(f"--nu must be a real number or 'well-tempered', got {text!r}")
+        raise UsageError(f"--nu must be a real number or 'well-tempered', got {text!r}")
     if value <= 0:
-        raise click.UsageError("--nu must be positive")
+        raise UsageError("--nu must be positive")
     return value
 
 
 def _parse_dims(dim: int | None, dims: str | None, default: tuple[int, int]) -> list[int]:
     if dim is not None and dims is not None:
-        raise click.UsageError("give either --dim or --dims, not both")
+        raise UsageError("give either --dim or --dims, not both")
     if dim is not None:
         lo = hi = dim
     elif dims is not None:
         parts = dims.split("..")
         try:
-            if len(parts) == 1:
-                lo = hi = int(parts[0])
-            elif len(parts) == 2:
-                lo, hi = int(parts[0]), int(parts[1])
-            else:
+            if len(parts) > 2:
                 raise ValueError
+            lo, hi = int(parts[0]), int(parts[-1])
         except ValueError:
-            raise click.UsageError(f"--dims expects A..B, got {dims!r}")
+            raise UsageError(f"--dims expects A..B, got {dims!r}")
     else:
         lo, hi = default
     if lo < 2 or hi < lo:
-        raise click.UsageError(f"bad dimension range {lo}..{hi}")
+        raise UsageError(f"bad dimension range {lo}..{hi}")
     return list(range(lo, hi + 1))
 
 
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
-        click.echo(text, nl=not text.endswith("\n"))
+        print(text, end="" if text.endswith("\n") else "\n")
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -80,183 +81,136 @@ def _parse_param_value(raw: str) -> Any:
         try:
             return amp_from_json(obj)
         except ValueError as exc:
-            raise click.UsageError(f"bad amplitude spec {raw!r}: {exc}")
+            raise UsageError(f"bad amplitude spec {raw!r}: {exc}")
     if isinstance(obj, (int, float)):
         return obj
     try:
         value = complex(raw)
     except ValueError:
-        raise click.UsageError(f"cannot parse parameter value {raw!r}")
+        raise UsageError(f"cannot parse parameter value {raw!r}")
     return value.real if value.imag == 0 and "j" not in raw else value
 
 
-def _parse_params(pairs: tuple[str, ...]) -> dict[str, Any]:
+def _parse_params(pairs: list[str]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise click.UsageError(f"--param expects k=v, got {pair!r}")
-        out[key] = _parse_param_value(raw)
+            raise UsageError(f"--param expects k=v, got {pair!r}")
+        try:
+            out[key] = _parse_param_value(raw)
+        except RecursionError:
+            raise UsageError(f"--param {key}: JSON value nested too deeply")
     return out
 
 
-@click.group()
-def main() -> None:
-    """Qudit diagram calculus tools."""
-
-
-@main.command("eval")
-@click.argument("path", type=click.Path())
-@click.option("--nu", "nu_text", default=None, help="normalization: real or 'well-tempered'")
-@click.option("-o", "out_path", type=click.Path(), default=None, help="write result here")
-def cmd_eval(path: str, nu_text: str | None, out_path: str | None) -> None:
+def cmd_eval(args: argparse.Namespace) -> None:
     """Evaluate a diagram file to its tensor."""
     from quditzx import diagram, tensor
 
-    nu = _parse_nu(nu_text)
+    nu = _parse_nu(args.nu)
     try:
-        with open(path) as fh:
+        with open(args.path) as fh:
             d = diagram.load_json(fh.read())
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # a JSON or diagram error is a ValueError
-        raise click.UsageError(f"cannot read diagram {path!r}: {exc}")
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:  # bad or too deep JSON, bad diagram
+        raise UsageError(f"cannot read diagram {args.path!r}: {exc}")
     ctx = MeasureContext(d.dim, nu)
     try:
         result = diagram.evaluate(d, ctx)
     except OverflowGuardError as exc:
-        click.echo(f"evaluation failed: {exc}", err=True)
+        print(f"evaluation failed: {exc}", file=sys.stderr)
         sys.exit(SEMANTIC_EXIT)
-    _write_output(tensor.dump_json(result), out_path)
+    _write_output(tensor.dump_json(result), args.out)
 
 
-@main.command("check")
-@click.argument("rule", required=False, default=None)
-@click.option("--dim", type=int, default=None, help="single dimension")
-@click.option("--dims", "dims_text", default=None, help="dimension range A..B (default 2..6)")
-@click.option("--samples", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--nu", "nu_text", default=None, help="normalization: real or 'well-tempered'")
-@click.option("-o", "out_path", type=click.Path(), default=None, help="write report here")
-def cmd_check(
-    rule: str | None,
-    dim: int | None,
-    dims_text: str | None,
-    samples: int,
-    seed: int,
-    tol: float,
-    nu_text: str | None,
-    out_path: str | None,
-) -> None:
+def cmd_check(args: argparse.Namespace) -> None:
     """Run the rewrite-rule soundness matrix (optionally one RULE)."""
     from quditzx import rewrite
 
-    nu = _parse_nu(nu_text)
-    dims = _parse_dims(dim, dims_text, default=(2, 6))
-    if tol <= 0:
-        raise click.UsageError("--tol must be positive")
-    if samples < 1:
-        raise click.UsageError("--samples must be at least 1")
-    if rule is not None and rule not in rewrite.CATALOG:
-        raise click.UsageError(f"unknown rule id {rule!r}")
-    rules = None if rule is None else [rule]
+    nu = _parse_nu(args.nu)
+    dims = _parse_dims(args.dim, args.dims, default=(2, 6))
+    if args.tol <= 0:
+        raise UsageError("--tol must be positive")
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if args.rule is not None and args.rule not in rewrite.CATALOG:
+        raise UsageError(f"unknown rule id {args.rule!r}")
+    rules = None if args.rule is None else [args.rule]
     try:
-        rows = rewrite.check_all(dims, samples=samples, seed=seed, tol=tol, nu=nu, rules=rules)
+        rows = rewrite.check_all(dims, samples=args.samples, seed=args.seed, tol=args.tol, nu=nu, rules=rules)
     except OverflowGuardError as exc:
-        click.echo(f"check failed: {exc}", err=True)
+        print(f"check failed: {exc}", file=sys.stderr)
         sys.exit(SEMANTIC_EXIT)
     report = {
         "dims": dims,
-        "samples": samples,
-        "seed": seed,
-        "tol": tol,
+        "samples": args.samples,
+        "seed": args.seed,
+        "tol": args.tol,
         "nu": "well-tempered" if nu is None else nu,
         "resolved_nu": {str(D): MeasureContext(D, nu).nu for D in dims},
         "rows": rows,
         "failures": sum(1 for r in rows if r["status"] == "fail"),
     }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", out_path)
+    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     if report["failures"]:
         sys.exit(1)
 
 
-@main.command("gadget")
-@click.argument("name")
-@click.option("--dim", type=int, required=True)
-@click.option("--nu", "nu_text", default=None, help="normalization: real or 'well-tempered'")
-@click.option("--param", "param_pairs", multiple=True, help="gadget parameter k=v")
-@click.option("--emit-tensor", is_flag=True, help="write the evaluated tensor, not the diagram")
-@click.option("-o", "out_path", type=click.Path(), default=None, help="write result here")
-def cmd_gadget(
-    name: str,
-    dim: int,
-    nu_text: str | None,
-    param_pairs: tuple[str, ...],
-    emit_tensor: bool,
-    out_path: str | None,
-) -> None:
+def cmd_gadget(args: argparse.Namespace) -> None:
     """Build a named gadget diagram."""
     from quditzx import construct, diagram, tensor
     from quditzx.generators import DomainError, check_amp_dim
 
-    if dim < 2:
-        raise click.UsageError("--dim must be at least 2")
-    nu = _parse_nu(nu_text)
-    ctx = MeasureContext(dim, nu)
-    params = _parse_params(param_pairs)
+    if args.dim < 2:
+        raise UsageError("--dim must be at least 2")
+    nu = _parse_nu(args.nu)
+    ctx = MeasureContext(args.dim, nu)
+    params = _parse_params(args.param)
     for key, value in params.items():
         try:
-            check_amp_dim(value, dim)
+            check_amp_dim(value, args.dim)
         except DomainError as exc:
-            raise click.UsageError(f"--param {key}: {exc}")
+            raise UsageError(f"--param {key}: {exc}")
     try:
-        gid = construct.gadget_id(name, **params)
+        gid = construct.gadget_id(args.name, **params)
         d = construct.build(gid, ctx)
     except construct.GadgetError as exc:
-        raise click.UsageError(str(exc))
-    if emit_tensor:
+        raise UsageError(str(exc))
+    if args.emit_tensor:
         try:
             result = diagram.evaluate(d, ctx)
         except OverflowGuardError as exc:
-            click.echo(f"evaluation failed: {exc}", err=True)
+            print(f"evaluation failed: {exc}", file=sys.stderr)
             sys.exit(SEMANTIC_EXIT)
-        _write_output(tensor.dump_json(result), out_path)
+        _write_output(tensor.dump_json(result), args.out)
     else:
-        _write_output(diagram.dump_json(d), out_path)
+        _write_output(diagram.dump_json(d), args.out)
 
 
-@main.command("normal-form")
-@click.option("--tensor", "tensor_path", type=click.Path(), required=True,
-              help="tensor dump to synthesize")
-@click.option("--nu", "nu_text", default=None, help="normalization: real or 'well-tempered'")
-@click.option("-o", "out_path", type=click.Path(), default=None, help="write diagram here")
-def cmd_normal_form(tensor_path: str, nu_text: str | None, out_path: str | None) -> None:
+def cmd_normal_form(args: argparse.Namespace) -> None:
     """Synthesize a diagram evaluating to a given tensor."""
     from quditzx import construct, diagram, tensor
 
-    nu = _parse_nu(nu_text)
+    nu = _parse_nu(args.nu)
     try:
-        with open(tensor_path) as fh:
+        with open(args.tensor) as fh:
             omega = tensor.load_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"cannot read tensor {tensor_path!r}: {exc}")
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read tensor {args.tensor!r}: {exc}")
     ctx = MeasureContext(omega.dim, nu)
     try:
         d = construct.normal_form(omega, ctx)
     except OverflowGuardError as exc:
-        click.echo(f"normal form too large: {exc}", err=True)
+        print(f"normal form too large: {exc}", file=sys.stderr)
         sys.exit(SEMANTIC_EXIT)
-    _write_output(diagram.dump_json(d), out_path)
+    _write_output(diagram.dump_json(d), args.out)
 
 
-@main.command("gamma-table")
-@click.option("--dim", type=int, default=None, help="single dimension")
-@click.option("--dims", "dims_text", default=None, help="dimension range A..B (default 2..8)")
-@click.option("-o", "out_path", type=click.Path(), default=None, help="write CSV here")
-def cmd_gamma_table(dim: int | None, dims_text: str | None, out_path: str | None) -> None:
+def cmd_gamma_table(args: argparse.Namespace) -> None:
     """Emit the quadratic-integral table as CSV (a,b,D,re,im,magnitude_class)."""
     from quditzx import gauss
 
-    dims = _parse_dims(dim, dims_text, default=(2, 8))
+    dims = _parse_dims(args.dim, args.dims, default=(2, 8))
     buf = io.StringIO()
     buf.write("a,b,D,re,im,magnitude_class\n")
     for D in dims:
@@ -267,17 +221,14 @@ def cmd_gamma_table(dim: int | None, dims_text: str | None, out_path: str | None
                 buf.write(
                     f"{a},{b},{D},{g.value.real!r},{g.value.imag!r},{g.label()}\n"
                 )
-    _write_output(buf.getvalue(), out_path)
+    _write_output(buf.getvalue(), args.out)
 
 
-@main.command("info")
-@click.option("--dim", type=int, required=True)
-@click.option("--nu", "nu_text", default=None, help="normalization: real or 'well-tempered'")
-def cmd_info(dim: int, nu_text: str | None) -> None:
+def cmd_info(args: argparse.Namespace) -> None:
     """Print the numeric constants for a dimension."""
-    if dim < 2:
-        raise click.UsageError("--dim must be at least 2")
-    ctx = MeasureContext(dim, _parse_nu(nu_text))
+    if args.dim < 2:
+        raise UsageError("--dim must be at least 2")
+    ctx = MeasureContext(args.dim, _parse_nu(args.nu))
     lines = [
         f"dim            {ctx.dim}",
         f"window         [{ctx.lower}, {ctx.upper}]",
@@ -288,7 +239,56 @@ def cmd_info(dim: int, nu_text: str | None) -> None:
         f"omega          {ctx.omega!r}",
         f"tau            {ctx.tau!r}",
     ]
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
+
+
+def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
+    """Qudit diagram calculus tools."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name: str, func: Any) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__, allow_abbrev=False)
+        sub.set_defaults(func=func)
+        return sub
+
+    p = command("eval", cmd_eval)
+    p.add_argument("path", metavar="PATH", help="diagram file")
+    p.add_argument("--nu", help="normalization: real or 'well-tempered'")
+    p.add_argument("-o", dest="out", metavar="FILE", help="write result here")
+    p = command("check", cmd_check)
+    p.add_argument("rule", nargs="?", metavar="RULE", help="one rule id (default: every rule)")
+    p.add_argument("--dim", type=int, help="single dimension")
+    p.add_argument("--dims", help="dimension range A..B (default 2..6)")
+    p.add_argument("--samples", type=int, default=5, help="draws per rule and dimension (default 5)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the draws (default 0)")
+    p.add_argument("--tol", type=float, default=1e-8, help="comparison tolerance (default 1e-08)")
+    p.add_argument("--nu", help="normalization: real or 'well-tempered'")
+    p.add_argument("-o", dest="out", metavar="FILE", help="write report here")
+    p = command("gadget", cmd_gadget)
+    p.add_argument("name", metavar="NAME", help="gadget name")
+    p.add_argument("--dim", type=int, required=True, help="dimension D")
+    p.add_argument("--nu", help="normalization: real or 'well-tempered'")
+    p.add_argument("--param", action="append", default=[], metavar="K=V", help="gadget parameter (repeatable)")
+    p.add_argument("--emit-tensor", action="store_true", help="write the evaluated tensor, not the diagram")
+    p.add_argument("-o", dest="out", metavar="FILE", help="write result here")
+    p = command("normal-form", cmd_normal_form)
+    p.add_argument("--tensor", required=True, metavar="FILE", help="tensor dump to synthesize")
+    p.add_argument("--nu", help="normalization: real or 'well-tempered'")
+    p.add_argument("-o", dest="out", metavar="FILE", help="write diagram here")
+    p = command("gamma-table", cmd_gamma_table)
+    p.add_argument("--dim", type=int, help="single dimension")
+    p.add_argument("--dims", help="dimension range A..B (default 2..8)")
+    p.add_argument("-o", dest="out", metavar="FILE", help="write CSV here")
+    p = command("info", cmd_info)
+    p.add_argument("--dim", type=int, required=True, help="dimension D")
+    p.add_argument("--nu", help="normalization: real or 'well-tempered'")
+
+    ns = parser.parse_args(args)
+    try:
+        ns.func(ns)
+    except UsageError as exc:
+        commands.choices[ns.command].error(str(exc))
 
 
 if __name__ == "__main__":

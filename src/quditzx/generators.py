@@ -597,12 +597,13 @@ def generator_entries(ctx: MeasureContext, g: Generator, prods: dict[int, np.nda
         arr[(np.arange(D),) * deg] = w
         return arr
     if g.kind == "red":
-        # w[s] for s = L_D..U_D: nu^(2+deg) * sum_j A(j) * omega^(j*s)
         jv = ctx.residues()
+        if deg == 0:
+            # only s = 0 is read, where every omega^(j*s) is 1
+            return np.asarray(nu**2 * g.amp.eval_arr(ctx, jv).sum())
+        # w[s] for s = L_D..U_D: nu^(2+deg) * sum_j A(j) * omega^(j*s)
         amps = np.array([g.amp.eval(ctx, int(j)) for j in jv])
         w = nu ** (2 + deg) * (amps @ omega_pow_arr(ctx, np.outer(jv, jv)))
-        if deg == 0:
-            return np.asarray(w[(0 - ctx.lower) % D])
         s = _leg_sum_array(ctx, deg)
         return w[(s - ctx.lower) % D]
     if g.kind == "gray":

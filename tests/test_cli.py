@@ -1,17 +1,20 @@
 """CLI behavior: exit codes, file round-trips, and deterministic reports."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import quditzx
 from quditzx import cli, construct, diagram, gauss, tensor
@@ -20,9 +23,58 @@ from quditzx.generators import Generator, UnitPow
 from quditzx.measure import MeasureContext
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, interleaved as written
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+
+class Capture(io.StringIO):
+    """A text stream that also appends each write to a log shared with another."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def write(self, text):
+        self.log.append(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs ``main(args)`` in this process with stdout and stderr captured."""
+
+    def invoke(self, main, args):
+        log = []
+        out, err = Capture(log), Capture(log)
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return Result(code, out.getvalue(), err.getvalue(), "".join(log))
+
+    @contextlib.contextmanager
+    def isolated_filesystem(self, temp_dir):
+        """Run the block in a new directory under ``temp_dir``."""
+        cwd = os.getcwd()
+        os.chdir(tempfile.mkdtemp(dir=temp_dir))
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_diagram(path, d):
@@ -73,7 +125,7 @@ def test_cli_import_leaves_heavy_modules_out():
     proc = run_fresh_python(
         "-c",
         "import sys, quditzx.cli; "
-        "print(sorted(m for m in ('sympy', 'numpy.random', 'hashlib') if m in sys.modules))",
+        "print(sorted(m for m in ('sympy', 'click', 'numpy.random', 'hashlib') if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -422,6 +474,16 @@ def test_eval_of_a_huge_red_state_is_a_quick_semantic_error(runner, tmp_path):
     assert f"dimension D={10**5} exceeds" in res.stderr
 
 
+def test_eval_of_a_legless_red_dot_at_huge_dimension(runner, tmp_path):
+    # nu^2 * sum_j A(j) at D=10^5 needs no D x D table
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"dimension": 10**5, "nodes": {"r": {"kind": "red", "legs": 0,
+                                                                   "amp": {"type": "one"}}}}))
+    res = runner.invoke(cli.main, ["eval", str(path)])
+    assert res.exit_code == 0, res.output
+    assert abs(tensor.load_json(res.output).data.reshape(()) - math.sqrt(10**5)) < 1e-9
+
+
 def test_an_entry_past_the_float_range_is_a_semantic_error(runner, tmp_path):
     # a power of nu (0.001^-198) and one of an amplitude (inf^1) past the float range
     b = DiagramBuilder(2)
@@ -476,7 +538,24 @@ def test_normal_form_rejects_bad_shape_as_usage_error(runner, tmp_path, text):
     src.write_text(text)
     res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src)])
     assert res.exit_code == 2
-    assert res.output.startswith("Usage")
+    assert res.output.startswith("usage:")
+
+
+@pytest.mark.parametrize("command, what", [("eval", "cannot read diagram"),
+                                           ("normal-form --tensor", "cannot read tensor")])
+def test_deeply_nested_json_file_is_usage_error(runner, tmp_path, command, what):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    res = runner.invoke(cli.main, [*command.split(), str(src)])
+    assert res.exit_code == 2
+    assert f"{what} {str(src)!r}" in res.stderr
+
+
+def test_deeply_nested_json_param_is_usage_error(runner):
+    amp = '{"type": "table", "values": ' + "[" * 30_000 + "]" * 30_000 + "}"
+    res = runner.invoke(cli.main, ["gadget", "diag_theta", "--dim", "3", "--param", f"amp={amp}"])
+    assert res.exit_code == 2
+    assert "--param amp: JSON value nested too deeply" in res.stderr
 
 
 def test_eval_rejects_unit_dimension_as_usage_error(runner, tmp_path):
@@ -532,7 +611,7 @@ def test_eval_rejects_bad_edges_as_usage_error(runner, tmp_path, edges, n_bounda
                                "outputs": ["out:0"] * n_boundary}))
     res = runner.invoke(cli.main, ["eval", str(src)])
     assert res.exit_code == 2
-    assert res.output.startswith("Usage") and what in res.output
+    assert res.output.startswith("usage:") and what in res.output
 
 
 @pytest.mark.parametrize(

@@ -849,6 +849,22 @@ def test_normal_form_evaluation_memory_stays_small() -> None:
     assert peak < 4_000_000
 
 
+def test_legless_red_dot_builds_no_square_table() -> None:
+    # nu^2 * sum_j A(j); the D x D phase table it once built held 275 MiB at D=3000
+    b = DiagramBuilder(3000)
+    b.node(Generator.red(One(), 0, 0))
+    d = b.build()
+    ctx = MeasureContext(3000)
+    tracemalloc.start()
+    try:
+        got = evaluate(d, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(got.data.reshape(()) - 3000 * ctx.nu**2) < 1e-9
+    assert peak < 5 * 2**20
+
+
 @pytest.mark.parametrize("matmul_min", [1, None], ids=["all-matmul", "default"])
 def test_result_budget_refuses_wide_results(monkeypatch, matmul_min) -> None:
     # one guard for both kernels, checked before either allocates

@@ -28,6 +28,7 @@ from quditzx.generators import (
     amp_multiply,
     amp_to_json,
     eval_generator,
+    generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import compose, identity_wire, max_abs_diff, tensor_product
@@ -336,6 +337,19 @@ def test_red_is_green_conjugated_by_hplus(D):
     rhs = compose(hp_m, green)
     rhs = compose(rhs, hp)  # n = 1 output leg
     assert max_abs_diff(red, rhs) < 1e-10
+
+
+@pytest.mark.parametrize("D", DIMS)
+@pytest.mark.parametrize("nu", [None, 0.83])
+def test_legless_red_dot_matches_the_dense_red_path(D, nu):
+    # nu^2 * sum_j A(j) is the one-leg red node's entry at leg value 0, over nu
+    ctx = MeasureContext(D, nu)
+    thetas = np.linspace(0.3, 2.9, D)
+    for amp in (One(), Zero(), Char(2), Stab(1, 3), PhaseVec(tuple(thetas)), Table(tuple(np.exp(1j * thetas)))):
+        legless = generator_entries(ctx, Generator.red(amp, 0, 0))
+        one_leg = generator_entries(ctx, Generator.red(amp, 0, 1))
+        assert legless.shape == ()
+        assert abs(legless - one_leg[-ctx.lower] / ctx.nu) < 1e-12
 
 
 def test_red_point_state():

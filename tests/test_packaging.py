@@ -38,8 +38,8 @@ def test_declared_dependencies_match_imports() -> None:
 
 
 # Decorators that register what they decorate, which is a use of it:
-# click commands and catalog rules.
-REGISTERING_DECORATORS = {"command", "group", "_rule"}
+# catalog rules.
+REGISTERING_DECORATORS = {"_rule"}
 
 
 def registered(node: ast.FunctionDef | ast.ClassDef) -> bool:
