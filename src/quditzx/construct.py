@@ -52,7 +52,8 @@ from quditzx.measure import (
 from quditzx.tensor import Tensor
 
 # Coefficient cap for normal_form: one selector gadget per entry of the
-# target tensor, so D**(m+n) may not exceed this.
+# target tensor, so D**(m+n) may not exceed this.  It also caps m_mult's
+# |u|, its number of parallel wires.
 _MAX_COEFFS = 4096
 
 
@@ -234,6 +235,8 @@ def build(gid: GadgetId, ctx: MeasureContext) -> Diagram:
         _controlled(b, k, pieces(gid))
     elif name == "m_mult":
         u = _int_param(gid, "u")
+        if abs(u) > _MAX_COEFFS:
+            raise GadgetError(f"gadget 'm_mult' parameter u needs |u| <= {_MAX_COEFFS} (one wire per unit of |u|)")
         tot = b.multiedge(Generator.white(1, abs(u)), Generator.red(One(), abs(u), 1), tail=u > 0)
         if u > 0:
             _antipode_out(b, tot)

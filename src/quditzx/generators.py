@@ -25,7 +25,6 @@ red 0-leg = nu^2 * sum T, hbox 0-leg = A(1), gray 0-leg = nu^(-2).
 
 from __future__ import annotations
 
-import cmath
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -37,10 +36,7 @@ from quditzx.measure import (
     MeasureContext,
     OverflowGuardError,
     checked_i64,
-    omega_pow,
     omega_pow_arr,
-    residue,
-    tau_pow,
     tau_pow_arr,
 )
 from quditzx.tensor import Tensor, strict_int
@@ -58,29 +54,27 @@ class DomainError(ValueError):
 class AmplitudeFn:
     """Base for the closed union of amplitude functions A : Z -> C.
 
+    Each variant has one evaluation, the vectorized `eval_arr` on int64
+    arrays; the scalar `eval` derives from it, on int64 arguments.
     `residues_only` variants are defined only on the window [D]; the
-    rest accept any integer (needed by H-boxes, whose argument is a
+    rest accept any int64 (needed by H-boxes, whose argument is a
     product of leg values which can leave the window).
     """
 
     residues_only: bool = False
 
     def eval(self, ctx: MeasureContext, t: int) -> complex:
-        raise NotImplementedError
+        arg = checked_i64(int(t), f"{type(self).__name__} argument")
+        return complex(self.eval_arr(ctx, np.asarray(arg, dtype=np.int64)))
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
-        # default: scalar loop; vectorized in the hot variants
-        flat = np.array([self.eval(ctx, int(x)) for x in t.reshape(-1)])
-        return flat.reshape(t.shape)
+        raise NotImplementedError
 
     def conjugate(self) -> "AmplitudeFn":
         raise NotImplementedError
 
-    def _check_domain(self, ctx: MeasureContext, t: np.ndarray | int) -> None:
-        if not self.residues_only:
-            return
-        arr = np.asarray(t)
-        if arr.size and (arr.min() < ctx.lower or arr.max() > ctx.upper):
+    def _check_domain(self, ctx: MeasureContext, t: np.ndarray) -> None:
+        if t.size and (t.min() < ctx.lower or t.max() > ctx.upper):
             raise DomainError(
                 f"{type(self).__name__} is defined on residues only; got argument outside [{ctx.lower}, {ctx.upper}]"
             )
@@ -88,9 +82,6 @@ class AmplitudeFn:
 
 @dataclass(frozen=True)
 class One(AmplitudeFn):
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return 1.0 + 0j
-
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.ones(t.shape, dtype=complex)
 
@@ -101,9 +92,6 @@ class One(AmplitudeFn):
 @dataclass(frozen=True)
 class Zero(AmplitudeFn):
     """The constant-0 amplitude (distinct from UnitPow, which rejects 0)."""
-
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return 0j
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.zeros(t.shape, dtype=complex)
@@ -117,9 +105,6 @@ class Phase(AmplitudeFn):
     """t -> exp(i*theta*t)."""
 
     theta: float
-
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return cmath.exp(1j * self.theta * t)
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.exp(1j * self.theta * t.astype(np.float64))
@@ -135,10 +120,10 @@ class PhaseVec(AmplitudeFn):
     thetas: tuple[float, ...]
     residues_only = True
 
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
+    def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         self._check_domain(ctx, t)
         check_amp_dim(self, ctx.dim)
-        return cmath.exp(1j * self.thetas[residue(ctx, t) - ctx.lower])
+        return np.exp(1j * np.array(self.thetas)[t - ctx.lower])
 
     def conjugate(self) -> AmplitudeFn:
         return PhaseVec(tuple(-x for x in self.thetas))
@@ -151,14 +136,9 @@ class Stab(AmplitudeFn):
     a: int
     b: int
 
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        # t mod 2D preserves both 2at and b t^2 mod 2D
-        tr = checked_i64(int(t), "Stab argument") % (2 * ctx.dim)
-        return tau_pow(ctx, 2 * self.a * tr + self.b * tr * tr)
-
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
-        # 2at and bt^2 mod 2D depend only on a mod D and b mod 2D; reduced
-        # labels keep the int64 products exact
+        # t mod 2D preserves both 2at and bt^2 mod 2D, which depend only on
+        # a mod D and b mod 2D; reduced labels keep the int64 products exact
         tr = t.astype(np.int64) % (2 * ctx.dim)
         return tau_pow_arr(ctx, 2 * (self.a % ctx.dim) * tr + (self.b % (2 * ctx.dim)) * tr * tr)
 
@@ -171,9 +151,6 @@ class Char(AmplitudeFn):
     """t -> omega^(c*t); pointwise equal to Stab(c, 0)."""
 
     c: int
-
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return omega_pow(ctx, self.c * (checked_i64(int(t), "Char argument") % ctx.dim))
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return omega_pow_arr(ctx, (self.c % ctx.dim) * (t.astype(np.int64) % ctx.dim))
@@ -193,11 +170,12 @@ class UnitPow(AmplitudeFn):
             raise ValueError("UnitPow requires alpha != 0; use Indicator({0}) instead")
         object.__setattr__(self, "alpha", complex(self.alpha))
 
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return complex(self.alpha) ** int(t)
-
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
-        return np.power(complex(self.alpha), t.astype(np.int64))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.power(complex(self.alpha), t.astype(np.int64))
+        if not np.isfinite(out).all():
+            raise OverflowGuardError(f"a power of UnitPow({self.alpha}) leaves the float range")
+        return out
 
     def conjugate(self) -> AmplitudeFn:
         return UnitPow(self.alpha.conjugate())
@@ -213,10 +191,10 @@ class Table(AmplitudeFn):
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
 
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
+    def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         self._check_domain(ctx, t)
         check_amp_dim(self, ctx.dim)
-        return self.values[residue(ctx, t) - ctx.lower]
+        return np.array(self.values)[t - ctx.lower]
 
     def conjugate(self) -> AmplitudeFn:
         return Table(tuple(v.conjugate() for v in self.values))
@@ -240,9 +218,6 @@ class MBox(AmplitudeFn):
             raise OverflowGuardError(f"MBox pivot U_D^k = {ctx.upper}^k exceeds the checked 64-bit range")
         return checked_i64(ctx.upper**self.k, "MBox pivot U_D^k")
 
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return complex(self.alpha) if int(t) == self._pivot(ctx) else 1.0 + 0j
-
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.where(t == self._pivot(ctx), complex(self.alpha), 1.0 + 0j)
 
@@ -259,9 +234,6 @@ class _Members(AmplitudeFn):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(int(x) for x in self.members))
-
-    def eval(self, ctx: MeasureContext, t: int) -> complex:
-        return self.HIT if int(t) in self.members else self.MISS
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         # an int64 argument never equals a member outside int64
@@ -314,8 +286,9 @@ def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext | None = No
         raise ValueError(
             f"no closed-form product for {type(a).__name__} * {type(b).__name__}; pass ctx for the Table fallback"
         )
-    vals = tuple(a.eval(ctx, int(x)) * b.eval(ctx, int(x)) for x in ctx.residues())
-    return Table(vals)
+    window = ctx.residues()
+    # Python's complex product, which can differ from numpy's in the last bit
+    return Table(tuple(x * y for x, y in zip(a.eval_arr(ctx, window).tolist(), b.eval_arr(ctx, window).tolist())))
 
 
 def amp_reflect_conjugate(a: AmplitudeFn, dim: int) -> AmplitudeFn:
@@ -334,23 +307,14 @@ def amp_reflect_conjugate(a: AmplitudeFn, dim: int) -> AmplitudeFn:
         return a  # conj(omega^(-c t)) = omega^(c t)
     if isinstance(a, Stab):
         return Stab(a.a, -a.b)  # conj(tau^(-2at + bt^2))
-    lower = -((dim - 1) // 2)
-
-    def rho_neg(x: int) -> int:
-        return (-x - lower) % dim + lower
-
-    window = range(lower, lower + dim)
+    ctx = MeasureContext(dim)
+    reflected = (-ctx.residues() - ctx.lower) % dim + ctx.lower  # rho(-t) for t = L_D..U_D
     if isinstance(a, Phase):
-        return PhaseVec(tuple(-a.theta * rho_neg(x) for x in window))
+        return PhaseVec(tuple(-a.theta * x for x in reflected.tolist()))
     check_amp_dim(a, dim)
     if isinstance(a, PhaseVec):
-        return PhaseVec(tuple(-a.thetas[rho_neg(x) - lower] for x in window))
-    if isinstance(a, Table):
-        return Table(tuple(a.values[rho_neg(x) - lower].conjugate() for x in window))
-    if isinstance(a, UnitPow):
-        return Table(tuple((complex(a.alpha) ** rho_neg(x)).conjugate() for x in window))
-    ctx = MeasureContext(dim)
-    return Table(tuple(a.eval(ctx, rho_neg(x)).conjugate() for x in window))
+        return PhaseVec(tuple(-a.thetas[x - ctx.lower] for x in reflected.tolist()))
+    return Table(tuple(np.conj(a.eval_arr(ctx, reflected)).tolist()))
 
 
 # -- JSON encoding (format shared with the diagram file format) --------
@@ -580,7 +544,8 @@ def diagonal_weight(ctx: MeasureContext, g: Generator) -> np.ndarray:
     """
     amp = g.amp if g.kind == "green" else One()
     if g.degree == 0:
-        return np.asarray(complex(ctx.nu**2 * sum(amp.eval(ctx, int(x)) for x in ctx.residues())))
+        # Python's sum, which can differ from numpy's in the last bit
+        return np.asarray(complex(ctx.nu**2 * sum(amp.eval_arr(ctx, ctx.residues()).tolist())))
     return np.asarray(amp.eval_arr(ctx, ctx.residues()) * ctx.nu ** (2 - g.degree), dtype=complex)
 
 
@@ -602,8 +567,7 @@ def generator_entries(ctx: MeasureContext, g: Generator, prods: dict[int, np.nda
             # only s = 0 is read, where every omega^(j*s) is 1
             return np.asarray(nu**2 * g.amp.eval_arr(ctx, jv).sum())
         # w[s] for s = L_D..U_D: nu^(2+deg) * sum_j A(j) * omega^(j*s)
-        amps = np.array([g.amp.eval(ctx, int(j)) for j in jv])
-        w = nu ** (2 + deg) * (amps @ omega_pow_arr(ctx, np.outer(jv, jv)))
+        w = nu ** (2 + deg) * (g.amp.eval_arr(ctx, jv) @ omega_pow_arr(ctx, np.outer(jv, jv)))
         s = _leg_sum_array(ctx, deg)
         return w[(s - ctx.lower) % D]
     if g.kind == "gray":
@@ -617,13 +581,11 @@ def generator_entries(ctx: MeasureContext, g: Generator, prods: dict[int, np.nda
         return nu**2 * omega_pow_arr(ctx, sign * np.outer(vals, vals))
     if g.kind == "hbox":
         if deg == 0:
-            return np.asarray(complex(g.amp.eval(ctx, 1)))
+            return np.asarray(g.amp.eval_arr(ctx, np.ones((), dtype=np.int64)), dtype=complex)
         prods = {} if prods is None else prods
         p = prods.get(deg)
         if p is None:
             p = prods[deg] = _leg_prod_array(ctx, deg)
-        if g.amp.residues_only:
-            g.amp._check_domain(ctx, p)
         return nu**deg * g.amp.eval_arr(ctx, p)
     if g.kind == "not":
         s = _leg_sum_array(ctx, 2)

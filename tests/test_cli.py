@@ -424,6 +424,15 @@ def test_gadget_malformed_param_syntax_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+def test_gadget_m_mult_past_the_wire_cap_is_usage_error(runner):
+    # one parallel wire per unit of |u|: this u would ask for 10^20 wires
+    start = time.perf_counter()
+    res = runner.invoke(cli.main, ["gadget", "m_mult", "--dim", "4", "--param", "u=-99999999999999999999"])
+    assert time.perf_counter() - start < 2
+    assert res.exit_code == 2
+    assert "parameter u" in res.stderr and res.stdout == ""
+
+
 # -- normal-form --------------------------------------------------------
 
 
@@ -498,6 +507,17 @@ def test_an_entry_past_the_float_range_is_a_semantic_error(runner, tmp_path):
         res = runner.invoke(cli.main, args)
         assert res.exit_code == 3, args
         assert "a factor entry is out of range" in res.stderr
+
+
+def test_a_unit_power_past_the_float_range_is_a_semantic_error(runner, tmp_path):
+    # 10.0 to a leg product of up to 8^3 = 512 overflows a float
+    b = DiagramBuilder(16)
+    box = b.node(Generator.hbox(UnitPow(10.0), 0, 3))
+    for _ in range(3):
+        b.wire(box, "out")
+    res = runner.invoke(cli.main, ["eval", write_diagram(tmp_path / "d.json", b.build())])
+    assert res.exit_code == 3
+    assert "a factor entry is out of range" in res.stderr and res.stdout == ""
 
 
 def test_eval_result_past_size_budget_is_semantic_error(runner, tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from quditzx.generators import (
     eval_generator,
     generator_entries,
 )
-from quditzx.measure import MeasureContext, OverflowGuardError
+from quditzx.measure import MeasureContext, OverflowGuardError, omega_pow, tau_pow
 from quditzx.tensor import compose, identity_wire, max_abs_diff, tensor_product
 
 DIMS = [2, 3, 4, 5]
@@ -60,12 +60,15 @@ HUGE_LABELS = (0, 1, -7, 2**62 + 1, 2**63, -(2**63) - 5, 10**23, -(10**23) + 2)
 
 @pytest.mark.parametrize("D", range(2, 9))
 def test_label_eval_arr_matches_eval_for_huge_labels(D):
-    # eval works in Python ints; eval_arr must reduce labels before int64
+    # the reference formulas work in Python ints; eval_arr must reduce labels before int64
     ctx = MeasureContext(D)
     t = np.concatenate([ctx.residues(), [-(2**40), 3 * 2**40 + 1]])
     for x in HUGE_LABELS:
         for amp in (Char(x), Stab(x, 1), Stab(1, x), Stab(x, -x)):
-            want = np.array([amp.eval(ctx, int(v)) for v in t])
+            if isinstance(amp, Char):
+                want = np.array([omega_pow(ctx, amp.c * v) for v in t.tolist()])
+            else:
+                want = np.array([tau_pow(ctx, 2 * amp.a * v + amp.b * v * v) for v in t.tolist()])
             assert np.array_equal(amp.eval_arr(ctx, t), want), (amp, D)
         assert np.array_equal(Char(x).eval_arr(ctx, t), Char(x % D).eval_arr(ctx, t))
         assert np.array_equal(Stab(x, x).eval_arr(ctx, t), Stab(x % D, x % (2 * D)).eval_arr(ctx, t))
@@ -88,6 +91,42 @@ def test_unitpow_conjugate_negative_real_base():
         lhs = a.conjugate().eval(ctx, int(t))
         rhs = a.eval(ctx, int(t)).conjugate()
         assert abs(lhs - rhs) < 1e-12
+
+
+ALL_VARIANTS = (
+    One(),
+    Zero(),
+    Phase(0.37),
+    PhaseVec((0.0, 0.1, 0.2)),
+    Stab(2, 3),
+    Char(1),
+    UnitPow(0.3 - 1.1j),
+    Table((1, 2, 3)),
+    MBox(2, 5 - 2j),
+    Sign(frozenset({1})),
+    Indicator(frozenset({0, 1})),
+)
+
+
+@pytest.mark.parametrize("amp", ALL_VARIANTS, ids=lambda a: type(a).__name__)
+def test_scalar_eval_outside_int64_raises(amp):
+    ctx = MeasureContext(3)
+    assert isinstance(amp.eval(ctx, 1), complex)
+    for t in (2**63, -(2**63) - 1, 10**30):
+        with pytest.raises(OverflowGuardError):
+            amp.eval(ctx, t)
+
+
+@pytest.mark.parametrize("amp", [PhaseVec((0.0, 0.1, 0.2)), Table((1, 2, 3))], ids=lambda a: type(a).__name__)
+def test_residue_indexed_eval_arr_checks_window_and_length(amp):
+    ctx = MeasureContext(3)
+    assert amp.eval_arr(ctx, np.array([[-1, 0], [1, 1]])).shape == (2, 2)
+    for t in ([-1, 0, 2], [[0], [-2]], [1, 5 * 2**40]):
+        with pytest.raises(DomainError):
+            amp.eval_arr(ctx, np.array(t, dtype=np.int64))
+    for dim in (2, 4):
+        with pytest.raises(DomainError):
+            amp.eval_arr(MeasureContext(dim), np.array([0, 1]))
 
 
 def test_residues_only_domain_errors():
@@ -507,5 +546,5 @@ def test_membership_ignores_members_outside_int64(cls):
     ctx = MeasureContext(3)
     amp = cls(frozenset({10**23, -(10**30), 2**63, 1, -(2**63)}))
     t = np.array([-(2**63), -1, 0, 1, 2**63 - 1], dtype=np.int64)
-    assert list(amp.eval_arr(ctx, t)) == [amp.eval(ctx, int(x)) for x in t]
+    assert list(amp.eval_arr(ctx, t)) == [cls.HIT if x in amp.members else cls.MISS for x in t.tolist()]
     assert amp.eval(ctx, 1) != amp.eval(ctx, 0)
