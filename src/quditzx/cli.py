@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from typing import Any
 
@@ -36,6 +37,8 @@ def _parse_nu(text: str | None) -> float | None:
         value = float(text)
     except ValueError:
         raise UsageError(f"--nu must be a real number or 'well-tempered', got {text!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"--nu must be a finite number, got {text!r}")
     if value <= 0:
         raise UsageError("--nu must be positive")
     return value
@@ -129,6 +132,8 @@ def cmd_check(args: argparse.Namespace) -> None:
 
     nu = _parse_nu(args.nu)
     dims = _parse_dims(args.dim, args.dims, default=(2, 6))
+    if not math.isfinite(args.tol):
+        raise UsageError(f"--tol must be a finite number, got {args.tol!r}")
     if args.tol <= 0:
         raise UsageError("--tol must be positive")
     if args.samples < 1:

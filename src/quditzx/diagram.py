@@ -72,6 +72,23 @@ factor array from the context.  Within one call, equal parameter-free
 generators (white, gray, not, hplus, hminus) share one factor array, and
 H-boxes of one degree share one leg-product array; factors with an
 amplitude are built per node.
+
+A wide result can be had in blocks, never whole (``evaluate_blocks``).
+The plan records where its last pairwise step begins, its ``tail``.
+Every step before the tail runs once; the last pairwise step, and the
+final reorder after it, then run once per value v of the label that
+becomes boundary position 0, on operands indexed at v, and give block v,
+``evaluate(d, ctx).data[v]``.  On the matmul kernel a block has the same
+bits as that slice; on einsum it may differ by rounding, as the inner
+loops follow the operands' shapes.  ``evaluate`` runs the same step loop
+as before, to the end.  ``rewrite.check_soundness`` compares the sides
+of a rule block against block when they have more than ``_BLOCK_ABOVE``
+(2^20) entries, 16 MiB of complex128 each.  In the soundness matrix at
+D=2..9 only ZH-O and ZH-ZPL at D=7 (7^8 entries, 88 MiB a side) pass it:
+blocks cut their comparison's peak from two whole sides (176 MiB) to
+about three blocks (40 MiB).  Below it the whole path stays, since
+blocks would save at most 32 MiB and cost D more kernel calls a side
+(0.1 to 0.2 ms more per ZH-O check at D=4 and 5).
 """
 
 from __future__ import annotations
@@ -83,7 +100,7 @@ import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -110,6 +127,7 @@ _MAX_DENSE = 2_000_000  # entries; a larger dense node is refused
 _SPLIT_ABOVE = 512
 _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any array but a dense node's
 _MAX_PLAN_STEPS = 1 << 15  # steps in all cached contraction plans
+_BLOCK_ABOVE = 1 << 20  # result entries past which check_soundness compares blocks (see the notes)
 # loop entries D^u from which a pairwise step runs as matmul.  Warm,
 # matmul wins from about 2^12; but below 2^17 (a normal form's widest
 # steps at D=4 are 2^16) its operand copies cost more in fresh pages
@@ -121,6 +139,7 @@ _MATMUL_MIN = 1 << 17
 # character decomposition (red and gray dots above _SPLIT_ABOVE entries)
 _DIAGONAL, _DENSE, _SPLIT = range(3)
 _DELTA = object()  # an unbuilt boundary delta slot in ``_execute``
+_Plan = tuple[int, array, int, int, int, int]  # what ``_plan`` returns
 
 
 class DiagramError(ValueError):
@@ -342,7 +361,7 @@ def _structure(d: Diagram) -> array:
     return codes + d._ports
 
 
-def _plan(codes: array) -> tuple[int, array, int, int, int]:
+def _plan(codes: array) -> _Plan:
     """Greedy contraction plan for the shape ``codes`` (see ``_structure``).
 
     A boundary position is the open end of its wire, so it takes the
@@ -356,7 +375,7 @@ def _plan(codes: array) -> tuple[int, array, int, int, int]:
     node's factors in node order (a split node gives its coefficient
     vector, then one phase matrix per leg), then the boundary deltas, in
     boundary order (outputs, then inputs).  Returns ``(n_steps, steps,
-    top, degree, node)``.  ``top`` is the highest rank of any array held
+    tail, top, degree, node)``.  ``top`` is the highest rank of any array held
     but a dense node's, and at least 1 with any factor, since each has or
     sums over D entries; ``degree`` is the highest degree of a dense node,
     and ``node`` the index of the first node of that degree (-1 if none).
@@ -366,6 +385,8 @@ def _plan(codes: array) -> tuple[int, array, int, int, int]:
     reorders slot i alone (two sublists).  The last step leaves the
     result in its slot.  A last factor already in boundary order takes
     no reorder step, so a diagram of one such factor has no steps at all.
+    ``tail`` is the offset in ``steps`` of the last pairwise step, which
+    at most the final reorder follows, or -1 if no step is pairwise.
     """
     n_in, n_out, n_nodes = codes[:3]
     node_codes = codes[3 : 3 + n_nodes]
@@ -425,13 +446,15 @@ def _plan(codes: array) -> tuple[int, array, int, int, int]:
 
     steps = array("i")
     if not labels:
-        return 0, steps, 0, *dense
-    n_steps = 0
+        return 0, steps, -1, 0, *dense
+    n_steps, tail = 0, -1
 
     def emit(i: int, j: int, *sublists: list[int]) -> None:
-        nonlocal n_steps, top
+        nonlocal n_steps, tail, top
         n_steps += 1
         top = max(top, len(sublists[-1]))
+        if j >= 0:
+            tail = len(steps)
         steps.extend((i, j))
         for sub in sublists:
             steps.append(len(sub))
@@ -591,7 +614,7 @@ def _plan(codes: array) -> tuple[int, array, int, int, int]:
     if labs != boundary_labels:
         names = {lab: k for k, lab in enumerate(labs)}
         emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
-    return n_steps, steps, top, *dense
+    return n_steps, steps, tail, top, *dense
 
 
 class _PlanCache:
@@ -602,11 +625,11 @@ class _PlanCache:
     """
 
     def __init__(self) -> None:
-        self.plans: dict[bytes, tuple[int, array, int, int, int]] = {}
+        self.plans: dict[bytes, _Plan] = {}
         self.steps = 0
         self._lock = threading.Lock()
 
-    def put(self, key: bytes, plan: tuple[int, array, int, int, int]) -> None:
+    def put(self, key: bytes, plan: _Plan) -> None:
         size = max(plan[0], 1)
         with self._lock:
             if size > _MAX_PLAN_STEPS or key in self.plans:
@@ -673,16 +696,18 @@ def _pairwise(dim: int, a: np.ndarray, sa: list[int], b: np.ndarray, sb: list[in
     return c.transpose([order.index(l) for l in so])
 
 
-def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Build the factors of ``d`` in slot order and run the plan's steps.
+def _execute(steps: array, stop: int, node_codes: array, d: Diagram, ctx: MeasureContext) -> list[np.ndarray]:
+    """Build the factors of ``d`` in slot order and run the plan's steps before offset ``stop``.
 
-    A plan of no steps leaves its one factor, in slot 0, as the result;
-    with no factor at all the result is the scalar 1.
+    Returns the two operands of the pairwise step at ``stop``, slot i
+    then slot j; with ``stop == len(steps)``, the result alone, in
+    boundary shape.  A plan of no steps leaves its one factor, in slot 0,
+    as the result; with no factor at all the result is the scalar 1.
     """
     D = d.dim
     rank = d.n_outputs + d.n_inputs
     if not d.nodes and not rank:
-        return Tensor(D, d.n_inputs, d.n_outputs, np.asarray(1.0 + 0j))
+        return [np.asarray(1.0 + 0j)]
     # a dense factor stays its Generator until a step first needs its array.
     # Equal parameter-free generators share one array: a diagonal one for
     # the whole call, a dense one until its last slot has taken it.
@@ -736,7 +761,7 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
         pos += n + 1
         return steps[pos - n : pos].tolist()
 
-    while pos < len(steps):
+    while pos < stop:
         i, j = steps[pos], steps[pos + 1]
         pos += 2
         sa = sublist()
@@ -746,11 +771,13 @@ def _execute(steps: array, node_codes: array, d: Diagram, ctx: MeasureContext) -
             factors[i] = np.einsum(operand(i), sa, so)
         else:
             factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
-    return Tensor(D, d.n_inputs, d.n_outputs, operand(i).reshape((D,) * rank))
+    if stop < len(steps):
+        return [operand(steps[stop]), operand(steps[stop + 1])]
+    return [operand(i).reshape((D,) * rank)]
 
 
-def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``."""
+def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[array, _Plan]:
+    """The shape of ``d`` and its plan, cached; a size past a budget raises ``OverflowGuardError``."""
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
     codes = _structure(d)
@@ -759,16 +786,71 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     if plan is None:
         plan = _plan(codes)
         _PLANS.put(key, plan)
-    _, steps, top, degree, node = plan
+    _, _, _, top, degree, node = plan
     if d.dim**top > _MAX_RESULT:
         raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
     if d.dim**degree > _MAX_DENSE:
         name = list(d.nodes)[node]
         raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
+    return codes, plan
+
+
+def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
+    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``."""
+    codes, plan = _checked_plan(d, ctx)
+    steps = plan[1]
     try:
-        return _execute(steps, codes[3 : 3 + codes[2]], d, ctx)
+        (data,) = _execute(steps, len(steps), codes[3 : 3 + codes[2]], d, ctx)
     except OverflowError as exc:  # also a power of nu or of an amplitude past the float range
         raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
+    return Tensor(d.dim, d.n_inputs, d.n_outputs, data)
+
+
+def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
+    """``evaluate(d, ctx).data[v]`` for v = 0..D-1, made one block at a time.
+
+    Every step but the plan's last pairwise one runs once.  That step,
+    and the final reorder after it, then run once per value v of the
+    label that becomes boundary position 0: its operands are indexed at
+    v on that label, and the label leaves the step.  A block may differ
+    from the slice by rounding where the step runs on einsum (see the
+    module notes).  A plan with no pairwise step gives the slices of its
+    whole result.  ``d`` must have a boundary; the budgets are checked
+    as in ``evaluate``.
+    """
+    if not d.n_outputs + d.n_inputs:
+        raise DiagramError("a diagram with no boundary has no blocks")
+    codes, (_, steps, tail, *_) = _checked_plan(d, ctx)
+    if tail < 0:
+        yield from evaluate(d, ctx).data
+        return
+    try:
+        a, b = _execute(steps, tail, codes[3 : 3 + codes[2]], d, ctx)
+    except OverflowError as exc:  # also a power of nu or of an amplitude past the float range
+        raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
+    subs, pos = [], tail + 2  # the last step's three sublists, then the final reorder's two
+    while pos < len(steps):
+        pos += 2 if len(subs) == 3 else 0
+        n = steps[pos]
+        subs.append(steps[pos + 1 : pos + 1 + n].tolist())
+        pos += n + 1
+    sa, sb, so, *reorder = subs
+    ra, ro = reorder or [list(range(len(so)))] * 2
+    cut = so[ra.index(ro[0])]  # the step's label for boundary position 0
+
+    def drop(sub: list[int], name: int) -> list[int]:
+        # `sub` without `name`; the names above it move down, so a
+        # step's labels stay 0..u-1
+        return [lab - (lab > name) for lab in sub if lab != name]
+
+    def at(arr: np.ndarray, sub: list[int], v: int) -> np.ndarray:
+        return arr[(slice(None),) * sub.index(cut) + (v,)] if cut in sub else arr
+
+    sa_v, sb_v, so_v = drop(sa, cut), drop(sb, cut), drop(so, cut)
+    ra_v, ro_v = drop(ra, ro[0]), drop(ro, ro[0])
+    for v in range(d.dim):
+        # bound to no name here, so the caller holds the only reference
+        yield np.einsum(_pairwise(d.dim, at(a, sa, v), sa_v, at(b, sb, v), sb_v, so_v), ra_v, ro_v)
 
 
 # =====================================================================

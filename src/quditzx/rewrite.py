@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from quditzx.diagram import Diagram, DiagramBuilder, DiagramError, _splice, evaluate
+from quditzx.diagram import _BLOCK_ABOVE, Diagram, DiagramBuilder, DiagramError, _splice, evaluate, evaluate_blocks
 # Unused here: bench/tracer.py patches quditzx.rewrite.gamma, so the
 # traced benchmark run fails if this import goes.
 from quditzx.gauss import gamma  # noqa: F401
@@ -63,8 +63,8 @@ from quditzx.generators import (
     amp_multiply,
     amp_to_json,
 )
-from quditzx.measure import MeasureContext, residue, tau_pow
-from quditzx.tensor import max_abs_diff
+from quditzx.measure import MeasureContext, OverflowGuardError, residue, tau_pow
+from quditzx.tensor import max_abs_diff, max_abs_diff_blocks
 
 
 class RewriteError(ValueError):
@@ -1118,9 +1118,16 @@ def check_soundness(
     ctx: MeasureContext,
     tol: float = 1e-8,
 ) -> dict[str, Any]:
-    """Evaluate both sides and compare entrywise."""
+    """Evaluate both sides and compare entrywise.
+
+    Sides of more than ``_BLOCK_ABOVE`` entries are evaluated and
+    compared one block at a time (``evaluate_blocks``), never whole.
+    """
     lhs, rhs = instantiate(rule, params, ctx)
-    err = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
+    if ctx.dim ** (lhs.n_inputs + lhs.n_outputs) > _BLOCK_ABOVE:
+        err = max_abs_diff_blocks(zip(evaluate_blocks(lhs, ctx), evaluate_blocks(rhs, ctx), strict=True))
+    else:
+        err = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
     return {"max_err": err, "pass": bool(err <= tol)}
 
 
@@ -1151,7 +1158,9 @@ def check_all(
 
     Rows are ordered by rule id, then dimension, then sample index.
     Rules with no valid parameters at some D (or whose diagram family
-    outgrows its dimension cap) get a single "skip" row there.
+    outgrows its dimension cap) get a single "skip" row there.  A cell
+    refused by a size budget or the float range raises
+    ``OverflowGuardError`` with the rule id and D in front.
     """
     dims = sorted(set(int(d) for d in dims))
     if any(d < 2 for d in dims):
@@ -1181,7 +1190,10 @@ def check_all(
                          "max_err": None, "status": "skip"}
                     )
                     break
-                rep = check_soundness(spec, params, ctx, tol)
+                try:
+                    rep = check_soundness(spec, params, ctx, tol)
+                except OverflowGuardError as exc:
+                    raise OverflowGuardError(f"{rule_id} at D={D}: {exc}") from exc
                 rows.append(
                     {
                         "rule": rule_id,

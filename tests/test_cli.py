@@ -311,7 +311,36 @@ def test_check_past_a_node_size_limit_is_semantic_error(runner):
     res = runner.invoke(cli.main, ["check", "--dims", "38..38", "--samples", "1"])
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr == "check failed: node 'h0': hbox of degree 4 too large at D=38\n"
+    assert res.stderr == "check failed: ZH-UM at D=38: node 'h0': hbox of degree 4 too large at D=38\n"
+
+
+def test_check_names_the_refused_cell(runner):
+    # seed 0 draws a ZH-EC alpha whose power at D=32 leaves the float range
+    res = runner.invoke(cli.main, ["check", "--dims", "32..32", "--samples", "1"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("check failed: ZH-EC at D=32: a factor entry is out of range: a power of UnitPow(")
+
+
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+FLOAT_OPTIONS = [
+    (["check", "ZH-HM", "--dims", "2..2"], "--nu"),
+    (["check", "ZH-HM", "--dims", "2..2"], "--tol"),
+    (["eval", "missing.json"], "--nu"),
+    (["gadget", "cz", "--dim", "3"], "--nu"),
+    (["normal-form", "--tensor", "missing.json"], "--nu"),
+    (["info", "--dim", "3"], "--nu"),
+]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("args,option", FLOAT_OPTIONS, ids=[f"{a[0]}{o}" for a, o in FLOAT_OPTIONS])
+def test_non_finite_float_option_is_usage_error(runner, args, option, value):
+    # refused before any input is read or any cell runs, naming the option
+    res = runner.invoke(cli.main, [*args, f"{option}={value}"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert f"error: {option} must be a finite number" in res.stderr
 
 
 def test_check_rejects_conflicting_dim_flags(runner):

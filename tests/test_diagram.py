@@ -29,6 +29,7 @@ from quditzx.diagram import (
     compose_serial,
     dump_json,
     evaluate,
+    evaluate_blocks,
     load_json,
 )
 from quditzx.generators import (
@@ -985,6 +986,63 @@ def test_widest_rules_evaluate_byte_identically(rid) -> None:
     params = spec.sample(6, np.random.default_rng(0))
     for d in instantiate(spec, params, ctx):
         assert evaluate(d, ctx).data.tobytes() == evaluate(d, ctx).data.tobytes()
+
+
+# -- blocks ---------------------------------------------------------------
+
+
+def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0) -> None:
+    """``evaluate_blocks`` gives ``evaluate(d, ctx).data[v]`` for each v:
+    bit for bit, or with ``rel`` > 0 within ``rel`` of the largest entry (or of 1)."""
+    whole = evaluate(d, ctx).data
+    scale = max(1.0, np.max(np.abs(whole)))
+    n = 0
+    for v, block in enumerate(evaluate_blocks(d, ctx)):
+        assert block.shape == whole.shape[1:]
+        if rel:
+            assert np.max(np.abs(block - whole[v])) <= rel * scale, v
+        else:
+            assert block.tobytes() == whole[v].tobytes(), v
+        n += 1
+    assert n == d.dim
+
+
+@pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
+@pytest.mark.parametrize("dim", [6, 7])
+def test_blocks_of_widest_rules_are_slices(rid, dim) -> None:
+    # every step but the last runs once, and each block runs the last
+    # step's matmul on the same values as the whole step: the same bits
+    spec = CATALOG[rid]
+    ctx = MeasureContext(dim)
+    for d in instantiate(spec, spec.sample(dim, np.random.default_rng(0)), ctx):
+        assert_blocks_are_slices(d, ctx)
+
+
+def test_blocks_of_a_wide_random_diagram_are_slices() -> None:
+    # 3^13 entries, past _BLOCK_ABOVE, on hubs the greedy order picks
+    ctx = MeasureContext(3)
+    rng = np.random.default_rng(23)
+    assert 3**13 > dg._BLOCK_ABOVE
+    for _ in range(2):
+        assert_blocks_are_slices(hub_diagram(rng, 3, 4, 10, 6, 7), ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_diagrams(), st.booleans(), st.sampled_from([None, 1]))
+def test_random_diagram_blocks_are_slices(d: Diagram, split_all: bool, matmul_min: int | None) -> None:
+    # any boundary: the cut label on either operand or both, with or
+    # without a final reorder, on either kernel, or no pairwise step.
+    # np.einsum may round a block apart from the whole step's slice: its
+    # inner loops differ with the operands' shapes and strides
+    ctx = MeasureContext(d.dim)
+    split_above = 0 if split_all else dg._SPLIT_ABOVE
+    with mock.patch.object(dg, "_SPLIT_ABOVE", split_above), \
+            mock.patch.object(dg, "_MATMUL_MIN", matmul_min or dg._MATMUL_MIN):
+        if d.n_inputs + d.n_outputs:
+            assert_blocks_are_slices(d, ctx, rel=1e-12)
+        else:
+            with pytest.raises(DiagramError, match="no boundary"):
+                next(evaluate_blocks(d, ctx))
 
 
 # -- the plan cache -------------------------------------------------------

@@ -10,6 +10,7 @@ are frozen here so accidental edits to the rule table fail loudly.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,85 @@ def test_check_soundness_fails_a_nan_side(monkeypatch, block, side, entry):
     rep = check_soundness("ZH-O", {}, MeasureContext(5), tol=1.0)
     assert len(calls) == 2
     assert math.isnan(rep["max_err"]) and rep["pass"] is False
+
+
+@pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
+@pytest.mark.parametrize("dim,block_above", [(6, 0), (7, None)], ids=["D=6, all blocked", "D=7"])
+def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim, block_above):
+    # past _BLOCK_ABOVE entries (7^8 at D=7; 6^7 is below it) a side is
+    # never evaluated whole, and the error is bit for bit that of the
+    # two whole sides
+    if block_above is not None:
+        monkeypatch.setattr(rw, "_BLOCK_ABOVE", block_above)
+    spec = CATALOG[rid]
+    ctx = MeasureContext(dim)
+    params = spec.sample(dim, np.random.default_rng(0))
+    lhs, rhs = instantiate(spec, params, ctx)
+    want = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
+
+    def whole(d, ctx):
+        raise AssertionError("a wide side was evaluated whole")
+
+    monkeypatch.setattr(rw, "evaluate", whole)
+    rep = check_soundness(spec, params, ctx)
+    assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
+    assert rep["pass"]
+
+
+NAN, INF = float("nan"), float("inf")
+# (side, block, entry in the block, value)
+BLOCK_EDITS = [
+    [(0, 0, 0, NAN)],
+    [(1, 5, -1, NAN)],
+    [(0, 3, 7, INF), (1, 3, 7, INF)],  # inf - inf is NaN
+    [(1, 2, 11, 1e3)],
+]
+
+
+@pytest.mark.parametrize("edits", BLOCK_EDITS, ids=range(len(BLOCK_EDITS)))
+def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
+    # an edited block gives the error of the whole sides edited alike,
+    # bit for bit: NaN from a NaN anywhere or from inf - inf
+    monkeypatch.setattr(rw, "_BLOCK_ABOVE", 0)  # the 6^7-entry sides in blocks
+    ctx = MeasureContext(6)
+    real = rw.evaluate_blocks
+    sides: list = []
+
+    def poisoned(d, ctx):
+        k = len(sides)
+        sides.append(d)
+        for v, block in enumerate(real(d, ctx)):
+            block = block.copy()
+            for side, at, entry, value in edits:
+                if (side, at) == (k, v):
+                    block.flat[entry] = value
+            yield block
+
+    monkeypatch.setattr(rw, "evaluate_blocks", poisoned)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        rep = check_soundness("ZH-O", {}, ctx, tol=1.0)
+        whole = [evaluate(d, ctx) for d in instantiate("ZH-O", {}, ctx)]
+        for side, at, entry, value in edits:
+            whole[side].data[at].flat[entry] = value
+        want = max_abs_diff(*whole)
+    assert len(sides) == 2
+    assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
+    assert math.isnan(rep["max_err"]) == (edits != BLOCK_EDITS[-1])
+    assert rep["pass"] is False
+
+
+def test_wide_check_holds_no_whole_side():
+    # each side of ZH-O at D=7 is 7^8 complex entries, 88 MiB; comparing
+    # the two whole sides peaked at 176.3 MiB
+    ctx = MeasureContext(7)
+    tracemalloc.start()
+    try:
+        rep = check_soundness("ZH-O", {}, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["pass"]
+    assert peak < 88 * 2**20
 
 
 def test_check_all_matrix_default():

@@ -13,11 +13,13 @@ minimum a gain claim needs.  Pair k uses seed k and runs the two commits
 back to back, the base first in odd-numbered pairs and the head first in
 even ones, so a drift in host speed falls on both.
 
-The record, ``BENCH_<workload>.json`` at the repository root, holds both
-commits, the seeds, each pair's end-to-end metrics (the names
-``BENCHMARK.json`` lists) and operation counts, each side's quartiles
-``[q1, median, q3]``, and for each metric the number of pairs in which
-the head was better.
+The record holds both commits, the seeds, each pair's end-to-end
+metrics (the names ``BENCHMARK.json`` lists) and operation counts, each
+side's quartiles ``[q1, median, q3]``, and for each metric the number of
+pairs in which the head was better.  ``BENCH_<workload>.json`` at the
+repository root is the workload's trajectory: a list of records, oldest
+first, to which each run appends its own.  A file that still holds a
+single record becomes the list's first entry.
 """
 
 from __future__ import annotations
@@ -109,8 +111,16 @@ def main() -> int:
         "quartiles": {"base": quartiles("base"), "head": quartiles("head")},
         "head_better_pairs": {k: sum(better(p, k) for p in pairs) for k in names},
     }
-    with open(os.path.join(ROOT, f"BENCH_{args.workload}.json"), "w") as fh:
-        json.dump(record, fh, indent=1)
+    path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    trajectory = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            trajectory = json.load(fh)
+        if isinstance(trajectory, dict):  # one record, written before records were appended
+            trajectory = [trajectory]
+    trajectory.append(record)
+    with open(path, "w") as fh:
+        json.dump(trajectory, fh, indent=1)
         fh.write("\n")
     print(json.dumps({k: record[k] for k in ("quartiles", "head_better_pairs")}, indent=1))
     return 0
