@@ -9,12 +9,14 @@ Exit codes: 0 success, 1 soundness failure, 2 usage or parse error,
 3 semantic error while processing an otherwise well-formed input.
 
 Each command imports the modules it runs inside its body, so a cold
-``info`` loads only ``measure`` and never compiles the rule catalog.
+``info`` or ``gamma-table`` loads only ``measure`` (and ``gauss``),
+never imports numpy and never compiles the rule catalog.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import math
@@ -101,9 +103,12 @@ def _parse_params(pairs: list[str]) -> dict[str, Any]:
         if not sep or not key:
             raise UsageError(f"--param expects k=v, got {pair!r}")
         try:
-            out[key] = _parse_param_value(raw)
+            value = _parse_param_value(raw)
         except RecursionError:
             raise UsageError(f"--param {key}: JSON value nested too deeply")
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise UsageError(f"--param {key} must be a finite number, got {raw!r}")
+        out[key] = value
     return out
 
 
@@ -119,11 +124,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
         raise UsageError(f"cannot read diagram {args.path!r}: {exc}")
     ctx = MeasureContext(d.dim, nu)
     try:
-        result = diagram.evaluate(d, ctx)
+        text = tensor.dump_json(diagram.evaluate(d, ctx))
     except OverflowGuardError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         sys.exit(SEMANTIC_EXIT)
-    _write_output(tensor.dump_json(result), args.out)
+    _write_output(text, args.out)
 
 
 def cmd_check(args: argparse.Namespace) -> None:
@@ -183,11 +188,11 @@ def cmd_gadget(args: argparse.Namespace) -> None:
         raise UsageError(str(exc))
     if args.emit_tensor:
         try:
-            result = diagram.evaluate(d, ctx)
+            text = tensor.dump_json(diagram.evaluate(d, ctx))
         except OverflowGuardError as exc:
             print(f"evaluation failed: {exc}", file=sys.stderr)
             sys.exit(SEMANTIC_EXIT)
-        _write_output(tensor.dump_json(result), args.out)
+        _write_output(text, args.out)
     else:
         _write_output(diagram.dump_json(d), args.out)
 

@@ -25,6 +25,7 @@ per coefficient.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -492,10 +493,15 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
             b.wire(("in", w - n_out), fan)
         fans.append(fan)
 
-    scale = complex(ctx.nu) ** (-wires)
+    try:
+        scale = complex(ctx.nu) ** (-wires)
+    except (OverflowError, ZeroDivisionError):  # nu^wires past the float range, or 0
+        raise OverflowGuardError(f"nu^-{wires} = {ctx.nu!r}^-{wires} leaves the float range") from None
     flat = omega.data.reshape(-1)
     for k in range(n_coeffs):
         alpha = complex(flat[k]) * scale
+        if not cmath.isfinite(alpha):  # a diagram file holds finite numbers only
+            raise OverflowGuardError(f"entry {k} times nu^-{wires} leaves the float range: {alpha}")
         point = np.unravel_index(k, omega.data.shape)
         # a scalar's one box keeps an automatic id
         box = b.node(Generator.hbox(MBox(2 * wires, alpha), 2 * wires, 0), f"sel{k}" if wires else None)

@@ -1062,7 +1062,7 @@ def dump_json(d: Diagram) -> str:
         text = enc(name) + ': {\n   "kind": ' + enc(gen.kind) + ',\n   "legs": ' + int.__repr__(gen.degree)
         if gen.amp is not None:
             # nested three deep; a JSON string never holds a raw newline
-            text += ',\n   "amp": ' + json.dumps(amp_to_json(gen.amp), indent=1).replace("\n", "\n   ")
+            text += ',\n   "amp": ' + json.dumps(amp_to_json(gen.amp), indent=1, allow_nan=False).replace("\n", "\n   ")
         if gen.kind == "not":
             text += ',\n   "c": ' + int.__repr__(gen.c)
         nodes.append(text + "\n  }")

@@ -25,6 +25,7 @@ red 0-leg = nu^2 * sum T, hbox 0-leg = A(1), gray 0-leg = nu^(-2).
 
 from __future__ import annotations
 
+import math
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -325,10 +326,12 @@ def _pair(z: complex) -> list[float]:
 
 
 def _real(v: Any) -> float:
-    """A JSON number as a float; strings, bools and out-of-range ints raise."""
+    """A JSON number as a finite float; strings, bools, NaN, infinities and out-of-range ints raise."""
     in_range_int = isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
     if not (isinstance(v, float) or in_range_int):
         raise ValueError(f"value must be a real number, got {reprlib.repr(v)}")
+    if not math.isfinite(v):
+        raise ValueError(f"value must be a finite number, got {v!r}")
     return float(v)
 
 

@@ -19,14 +19,21 @@ Phase constants:
 All integer exponents are reduced modulo D (for omega) or 2D (for tau)
 before any floating-point exponentiation, so large labels never lose
 precision.
+
+numpy is imported on first array use (``residues``, the root tables and
+the ``*_pow`` helpers), so the scalar constants and ``integrate`` run on
+the standard library alone.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _I64_MAX = 2**63 - 1
 
@@ -92,11 +99,11 @@ class MeasureContext:
 
     @property
     def omega(self) -> complex:
-        return complex(np.exp(2j * np.pi / self.dim))
+        return cmath.exp(2j * math.pi / self.dim)
 
     @property
     def tau(self) -> complex:
-        return complex(np.exp(1j * np.pi * (self.dim**2 + 1) / self.dim))
+        return cmath.exp(1j * math.pi * (self.dim**2 + 1) / self.dim)
 
     @property
     def is_well_tempered(self) -> bool:
@@ -105,12 +112,16 @@ class MeasureContext:
 
     def residues(self) -> np.ndarray:
         """The window [D] as an int64 array, enumerated L_D..U_D."""
+        import numpy as np
+
         return np.arange(self.lower, self.upper + 1, dtype=np.int64)
 
     # root tables, built lazily once per context
     def _omega_table(self) -> np.ndarray:
         tab = getattr(self, "_omega_tab", None)
         if tab is None:
+            import numpy as np
+
             tab = np.exp(2j * np.pi * np.arange(self.dim) / self.dim)
             object.__setattr__(self, "_omega_tab", tab)
         return tab
@@ -118,6 +129,8 @@ class MeasureContext:
     def _tau_table(self) -> np.ndarray:
         tab = getattr(self, "_tau_tab", None)
         if tab is None:
+            import numpy as np
+
             e = np.arange(2 * self.dim)
             tab = np.exp(1j * np.pi * (((self.dim**2 + 1) * e) % (2 * self.dim)) / self.dim)
             object.__setattr__(self, "_tau_tab", tab)
@@ -136,7 +149,7 @@ def negate(ctx: MeasureContext, x: int) -> int:
 
 def integrate(ctx: MeasureContext, f: Callable[[int], complex]) -> complex:
     """Integrate f over [D]: nu**2 * sum of f on the window."""
-    return ctx.nu**2 * sum(complex(f(int(x))) for x in ctx.residues())
+    return ctx.nu**2 * sum(complex(f(x)) for x in range(ctx.lower, ctx.upper + 1))
 
 
 def exp_integral(ctx: MeasureContext, E: int) -> complex:
@@ -164,9 +177,13 @@ def tau_pow(ctx: MeasureContext, e: int) -> complex:
 
 def omega_pow_arr(ctx: MeasureContext, e: np.ndarray) -> np.ndarray:
     """Vectorized `omega_pow` for int64 exponent arrays."""
+    import numpy as np
+
     return ctx._omega_table()[np.asarray(e, dtype=np.int64) % ctx.dim]
 
 
 def tau_pow_arr(ctx: MeasureContext, e: np.ndarray) -> np.ndarray:
     """Vectorized `tau_pow` for int64 exponent arrays."""
+    import numpy as np
+
     return ctx._tau_table()[np.asarray(e, dtype=np.int64) % (2 * ctx.dim)]

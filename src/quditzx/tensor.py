@@ -13,16 +13,19 @@ tensors (see :mod:`quditzx.generators`).
 
 from __future__ import annotations
 
+import cmath
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
-from quditzx.measure import MeasureContext
+from quditzx.measure import MeasureContext, OverflowGuardError
 
 
 _DIFF_BLOCK = 1 << 16  # entries per sub-block in max_abs_diff_blocks
+_REAL = (int, float)  # the types of a JSON number; bool is a subclass of int, not one of these
 
 
 class ShapeError(ValueError):
@@ -199,12 +202,39 @@ def from_dump(obj: dict[str, Any]) -> Tensor:
         raise ShapeError(f"{m + n} legs need more than the {len(entries)} entries given")
     if len(entries) != dim ** (m + n):
         raise ShapeError(f"entry count {len(entries)} != {dim}^{m + n}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    try:
+        # bools and strings are dropped here, so the count below no longer matches
+        flat = np.array(
+            [complex(re, im) for re, im in entries if type(re) in _REAL and type(im) in _REAL],
+            dtype=np.complex128,
+        )
+        valid = len(flat) == len(entries) and np.isfinite(flat).all()
+    except (TypeError, ValueError, OverflowError):  # not a pair, or an int past the float range
+        valid = False
+    if not valid:
+        for k, entry in enumerate(entries):
+            if not _finite_pair(entry):
+                raise ShapeError(f"entry {k} must be a pair of finite real numbers, got {reprlib.repr(entry)}")
     return Tensor(dim, m, n, flat.reshape((dim,) * (n + m)))
 
 
+def _finite_pair(entry: Any) -> bool:
+    """Whether a dump entry is ``[re, im]`` with both parts finite JSON numbers."""
+    try:
+        re, im = entry
+        return type(re) in _REAL and type(im) in _REAL and cmath.isfinite(complex(re, im))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def dump_json(t: Tensor) -> str:
-    return json.dumps(to_dump(t))
+    """The dump as JSON text; a NaN or infinite entry raises ``OverflowGuardError``, naming it."""
+    try:
+        return json.dumps(to_dump(t), allow_nan=False)
+    except ValueError:
+        flat = t.data.reshape(-1)
+        k = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise OverflowGuardError(f"entry {k} of the tensor is not finite: {complex(flat[k])}") from None
 
 
 def load_json(text: str) -> Tensor:

@@ -125,16 +125,16 @@ def test_cli_import_leaves_heavy_modules_out():
     proc = run_fresh_python(
         "-c",
         "import sys, quditzx.cli; "
-        "print(sorted(m for m in ('sympy', 'click', 'numpy.random', 'hashlib') if m in sys.modules))",
+        "print(sorted(m for m in ('sympy', 'click', 'numpy', 'hashlib') if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def loaded_modules(*args):
-    """The ``quditzx`` modules a fresh interpreter holds after the command ``args``."""
+    """The ``quditzx`` modules, and ``numpy`` if loaded, a fresh interpreter holds after the command ``args``."""
     code = ("import atexit, sys; atexit.register(lambda: print(*("
-            "m for m in sys.modules if m.startswith('quditzx')), file=sys.stderr)); "
+            "m for m in sys.modules if m.startswith('quditzx') or m == 'numpy'), file=sys.stderr)); "
             "from quditzx.cli import main; main(sys.argv[1:])")
     proc = run_fresh_python("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
@@ -150,6 +150,7 @@ def test_package_import_loads_no_submodule():
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
+    # info and gamma-table compute scalars only, so they never import numpy
     base = {"quditzx", "quditzx.cli", "quditzx.measure"}
     assert loaded_modules("info", "--dim", "5") == base
     assert loaded_modules("gamma-table", "--dim", "3") == base | {"quditzx.gauss"}
@@ -159,10 +160,13 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
                  ("normal-form", "--tensor", str(tensor_file))):
         mods = loaded_modules(*args)
         assert "quditzx.construct" in mods and "quditzx.rewrite" not in mods, args
+        assert "numpy" in mods, args
     mods = loaded_modules("eval", str(gadget))
     assert "quditzx.diagram" in mods and not mods & {"quditzx.rewrite", "quditzx.construct"}
+    assert "numpy" in mods
     mods = loaded_modules("check", "ZX-GF", "--dim", "3")
     assert "quditzx.rewrite" in mods and "quditzx.construct" not in mods
+    assert "numpy" in mods
 
 
 def test_package_names_resolve_to_their_home_modules():
@@ -341,6 +345,71 @@ def test_non_finite_float_option_is_usage_error(runner, args, option, value):
     assert res.exit_code == 2, res.output
     assert res.stdout == ""
     assert f"error: {option} must be a finite number" in res.stderr
+
+
+@pytest.mark.parametrize("value", NON_FINITE + ["nanj", "1-infj"])
+def test_non_finite_param_is_usage_error(runner, value):
+    res = runner.invoke(cli.main, ["gadget", "scalar", "--dim", "3", "--param", f"alpha={value}", "--emit-tensor"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert f"error: --param alpha must be a finite number, got {value!r}" in res.stderr
+
+
+@pytest.mark.parametrize("amp", ['{"type": "phase", "theta": NaN}', '{"type": "unit", "re": 1e400, "im": 0}',
+                                 '{"type": "phasevec", "thetas": [0, -Infinity, 1]}'])
+def test_non_finite_param_amplitude_is_usage_error(runner, amp):
+    res = runner.invoke(cli.main, ["gadget", "diag_theta", "--dim", "3", "--param", f"amp={amp}"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert "amplitude field" in res.stderr and "value must be a finite number" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_amplitude_in_a_diagram_file_is_usage_error(runner, tmp_path, value):
+    path = tmp_path / "d.json"
+    path.write_text('{"dimension": 3, "nodes": {"p": {"kind": "green", "legs": 1, '
+                    f'"amp": {{"type": "phase", "theta": {value}}}}}}}, "outputs": ["p:0"]}}')
+    res = runner.invoke(cli.main, ["eval", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert "node 'p': phase amplitude field 'theta': value must be a finite number" in res.stderr
+
+
+@pytest.mark.parametrize("entry", ["[1e400, 0]", "[0, NaN]", "[-Infinity, 0]", '["x"]'])
+def test_non_finite_tensor_file_entry_is_usage_error(runner, tmp_path, entry):
+    src, out = tmp_path / "t.json", tmp_path / "nf.json"
+    src.write_text(f'{{"dim": 2, "in_legs": 1, "out_legs": 0, "entries": [[1, 0], {entry}]}}')
+    res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "entry 1 must be a pair of finite real numbers" in res.stderr
+    assert not out.exists()
+
+
+def test_a_non_finite_result_is_a_semantic_error(runner, tmp_path):
+    # every factor is finite; the product of the two boxes, 1e400, is not
+    res = runner.invoke(cli.main, ["eval", write_diagram(tmp_path / "d.json", scalar_box_diagram(3, 1e200, 1e200))])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("evaluation failed: entry 0 of the tensor is not finite: ")
+    # an hbox factor nu^2 * 1.7e308 overflows to inf in numpy, and the contraction makes NaN
+    amp = 'amp={"type": "unit", "re": 1.7e308, "im": 0}'
+    with np.errstate(over="ignore"):
+        res = runner.invoke(cli.main, ["gadget", "diag_a2", "--dim", "2", "--nu", "2", "--param", amp, "--emit-tensor"])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert "evaluation failed: entry 12 of the tensor is not finite: " in res.stderr
+
+
+@pytest.mark.parametrize("entry, nu, what", [("[1, 0]", "1e-200", "nu^-2 = 1e-200^-2 leaves the float range"),
+                                             ("[1.7e308, 0]", "0.1", "entry 3 times nu^-2 leaves the float range")])
+def test_normal_form_past_the_float_range_is_a_semantic_error(runner, tmp_path, entry, nu, what):
+    # a selector amplitude is entry * nu^-(m+n); the diagram file must not hold an infinity
+    src = tmp_path / "t.json"
+    src.write_text(f'{{"dim": 2, "in_legs": 1, "out_legs": 1, "entries": [[1, 0], [0, 0], [0, 0], {entry}]}}')
+    res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src), "--nu", nu])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"normal form too large: {what}")
 
 
 def test_check_rejects_conflicting_dim_flags(runner):
@@ -523,7 +592,7 @@ def test_eval_of_a_legless_red_dot_at_huge_dimension(runner, tmp_path):
 
 
 def test_an_entry_past_the_float_range_is_a_semantic_error(runner, tmp_path):
-    # a power of nu (0.001^-198) and one of an amplitude (inf^1) past the float range
+    # a power of nu (0.001^-198) and one of an amplitude (1e300^2) past the float range
     b = DiagramBuilder(2)
     w = b.node(Generator.white(1, 199))
     b.wire("in", w)
@@ -532,7 +601,8 @@ def test_an_entry_past_the_float_range_is_a_semantic_error(runner, tmp_path):
     b.wire(w, "out")
     path = write_diagram(tmp_path / "d.json", b.build())
     for args in (["eval", "--nu", "0.001", path],
-                 ["gadget", "scalar", "--dim", "6", "--param", "alpha=inf", "--emit-tensor"]):
+                 ["gadget", "diag_theta", "--dim", "4", "--param", 'amp={"type": "unit", "re": 1e300, "im": 0}',
+                  "--emit-tensor"]):
         res = runner.invoke(cli.main, args)
         assert res.exit_code == 3, args
         assert "a factor entry is out of range" in res.stderr

@@ -1309,7 +1309,7 @@ AMP_VARIANTS = [
     Phase(1.25),
     Phase(-0.0),
     # a residue-indexed amplitude holds one entry per residue at D=3
-    PhaseVec((float("nan"), float("inf"), -float("inf"))),
+    PhaseVec((5e-324, -1.7976931348623157e308, 0.1)),
     Stab(-1, 2),
     Char(3),
     UnitPow(1 - 2j),
@@ -1367,6 +1367,16 @@ def test_dump_json_is_json_dumps_with_indent_one() -> None:
         assert dump_json(load_json(text)) == text, label
         n += 1
     assert n > 150
+
+
+@pytest.mark.parametrize("amp", [Phase(float("nan")), PhaseVec((0.0, float("inf"), 1.0)),
+                                 UnitPow(complex(1, float("-inf"))), Table((1j, complex("nan"), 0j)),
+                                 MBox(1, complex(float("inf"), 0))], ids=repr)
+def test_dump_json_refuses_a_non_finite_amplitude(amp) -> None:
+    # a diagram file never holds NaN or Infinity, which are not JSON
+    d = node_diagram(3, Generator.green(amp, 0, 1))
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        dump_json(d)
 
 
 @pytest.mark.parametrize("ref", [5, None, ["in", 0], "in:x", "in:", "nocolon", ":3", "a:1.5"])
@@ -1693,6 +1703,10 @@ def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) ->
         ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": 1, "alpha": [1.0]}}},
           "edges": [["h:0", "out:0"]], "outputs": ["out:0"]},
          r"node 'h': mbox amplitude field 'alpha': value must be a \[re, im\] pair, got \[1.0\]"),
+        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 0, "amp": {"type": "phase", "theta": float("nan")}}}},
+         "node 'h': phase amplitude field 'theta': value must be a finite number, got nan"),
+        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 0, "amp": {"type": "unit", "re": 2.0, "im": float("-inf")}}}},
+         "node 'h': unit amplitude field 're/im': value must be a finite number, got -inf"),
         ({"dimension": 3, "nodes": {"g": {"kind": "green", "legs": 1, "amp": {"type": "phasevec", "thetas": []}}},
           "edges": [["g:0", "out:0"]], "outputs": ["out:0"]}, "node 'g': PhaseVec has 0 angles but D=3"),
         ({"dimension": 2, "nodes": {"r": {"kind": "red", "legs": 1,

@@ -256,6 +256,11 @@ def test_amp_json_rejects_unknown_input():
         {"type": "unit", "re": "1", "im": 0},
         {"type": "mbox", "k": 1, "alpha": [1.0, False]},
         {"type": "table", "values": [[1.0, 0.0], ["2", 0.0]]},
+        {"type": "phase", "theta": float("nan")},
+        {"type": "phasevec", "thetas": [0.0, float("inf"), 1.0]},
+        {"type": "unit", "re": 1.0, "im": float("-inf")},
+        {"type": "table", "values": [[1.0, 0.0], [float("nan"), 0.0], [0.0, 1.0]]},
+        {"type": "mbox", "k": 1, "alpha": [float("inf"), 0.0]},
     ],
 )
 def test_amp_json_rejects_bad_values(obj):

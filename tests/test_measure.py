@@ -44,6 +44,14 @@ def test_tau_squares_to_omega(D):
     assert abs(ctx.tau ** (2 * D) - 1) < 1e-12
 
 
+def test_phase_constants_are_numpys_bit_for_bit():
+    # omega and tau come from cmath, so reading them never imports numpy
+    for D in range(2, 4097):
+        ctx = MeasureContext(D)
+        assert np.complex128(ctx.omega).tobytes() == np.exp(2j * np.pi / D).tobytes(), D
+        assert np.complex128(ctx.tau).tobytes() == np.exp(1j * np.pi * (D**2 + 1) / D).tobytes(), D
+
+
 @pytest.mark.parametrize("D", DIMS)
 def test_default_weight(D):
     ctx = MeasureContext(D)
@@ -123,6 +131,19 @@ def test_integrate_linearity(D, seed):
     lhs = integrate(ctx, lambda x: a * f[x] + b * g[x])
     rhs = a * integrate(ctx, f.__getitem__) + b * integrate(ctx, g.__getitem__)
     assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 7, 12, 64])
+@pytest.mark.parametrize("nu", [None, 1.0, 0.7])
+def test_integrate_is_the_array_sum_bit_for_bit(D, nu):
+    # the window sum over range() is the sum over the int64 window it replaced
+    ctx = MeasureContext(D, nu)
+    rng = np.random.default_rng(D)
+    table = dict(zip(ctx.residues().tolist(), rng.normal(size=D) + 1j * rng.normal(size=D)))
+    for f in (lambda x: 1, lambda x: x * x - 0.5, table.__getitem__,
+              lambda x: omega_pow(ctx, 3 * x), lambda x: tau_pow(ctx, x * x + 2 * x)):
+        want = ctx.nu**2 * sum(complex(f(int(x))) for x in ctx.residues())
+        assert np.complex128(integrate(ctx, f)).tobytes() == np.complex128(want).tobytes()
 
 
 # ---------------------------------------------------------------- exp_integral

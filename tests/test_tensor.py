@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditzx.measure import MeasureContext
+from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import (
     _DIFF_BLOCK,
     ShapeError,
@@ -227,3 +227,30 @@ def test_dump_axis_order_is_outputs_major():
     t = Tensor(2, 1, 1, np.array([[1, 2], [3, 4]], dtype=complex))
     entries = [complex(re, im) for re, im in __import__("json").loads(dump_json(t))["entries"]]
     assert entries == [1, 2, 3, 4]
+
+
+BAD_ENTRIES = ['["x"]', '"ab"', "5", "[1, 2, 3]", "[1e400, 0]", "[0, -1e400]", "[NaN, 0]", "[0, Infinity]",
+               "[true, 0]", '[1, "2"]', "[null, 0]", f"[{10**400}, 0]"]
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES)
+@pytest.mark.parametrize("at", [0, 3])
+def test_load_refuses_an_entry_that_is_not_a_finite_pair(entry, at):
+    entries = ["[1, 0]"] * 4
+    entries[at] = entry
+    text = f'{{"dim": 2, "in_legs": 1, "out_legs": 1, "entries": [{", ".join(entries)}]}}'
+    with pytest.raises(ShapeError, match=rf"^entry {at} must be a pair of finite real numbers, got "):
+        load_json(text)
+
+
+def test_load_reads_integer_and_float_parts_exactly():
+    t = load_json('{"dim": 2, "in_legs": 0, "out_legs": 1, "entries": [[1, -0.0], [5e-324, 1.7976931348623157e308]]}')
+    assert t.data.tolist() == [complex(1, -0.0), complex(5e-324, 1.7976931348623157e308)]
+
+
+@pytest.mark.parametrize("value", [complex("nan"), complex(0, float("inf")), complex(float("-inf"), 1)])
+def test_dump_refuses_a_non_finite_entry(value):
+    data = np.zeros((3, 3), dtype=complex)
+    data[2, 1] = value
+    with pytest.raises(OverflowGuardError, match=r"^entry 7 of the tensor is not finite: "):
+        dump_json(Tensor(3, 1, 1, data))
