@@ -130,7 +130,11 @@ def _complex_param(gid: GadgetId, key: str) -> complex:
     v = gid.param(key)
     if isinstance(v, (str, bool)) or not isinstance(v, (int, float, complex, np.number)):
         raise GadgetError(f"gadget {gid.name!r} parameter {key}={v!r} must be a number")
-    return complex(v)
+    try:
+        return complex(v)
+    except OverflowError:  # an int past the float range
+        raise GadgetError(f"gadget {gid.name!r} parameter {key} must be a finite number, got an integer "
+                          f"of {int(v).bit_length()} bits") from None
 
 def _amp_param(gid: GadgetId) -> AmplitudeFn:
     v = gid.param("amp")

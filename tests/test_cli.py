@@ -355,6 +355,12 @@ def test_non_finite_param_is_usage_error(runner, value):
     assert f"error: --param alpha must be a finite number, got {value!r}" in res.stderr
 
 
+def test_integer_param_past_the_float_range_is_usage_error(runner):
+    res = runner.invoke(cli.main, ["gadget", "scalar", "--dim", "3", "--param", f"alpha={10**400}", "--emit-tensor"])
+    assert res.exit_code == 2, res.output
+    assert "parameter alpha must be a finite number, got an integer of 1329 bits" in res.stderr
+
+
 @pytest.mark.parametrize("amp", ['{"type": "phase", "theta": NaN}', '{"type": "unit", "re": 1e400, "im": 0}',
                                  '{"type": "phasevec", "thetas": [0, -Infinity, 1]}'])
 def test_non_finite_param_amplitude_is_usage_error(runner, amp):

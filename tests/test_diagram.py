@@ -1703,10 +1703,6 @@ def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) ->
         ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 1, "amp": {"type": "mbox", "k": 1, "alpha": [1.0]}}},
           "edges": [["h:0", "out:0"]], "outputs": ["out:0"]},
          r"node 'h': mbox amplitude field 'alpha': value must be a \[re, im\] pair, got \[1.0\]"),
-        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 0, "amp": {"type": "phase", "theta": float("nan")}}}},
-         "node 'h': phase amplitude field 'theta': value must be a finite number, got nan"),
-        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 0, "amp": {"type": "unit", "re": 2.0, "im": float("-inf")}}}},
-         "node 'h': unit amplitude field 're/im': value must be a finite number, got -inf"),
         ({"dimension": 3, "nodes": {"g": {"kind": "green", "legs": 1, "amp": {"type": "phasevec", "thetas": []}}},
           "edges": [["g:0", "out:0"]], "outputs": ["out:0"]}, "node 'g': PhaseVec has 0 angles but D=3"),
         ({"dimension": 2, "nodes": {"r": {"kind": "red", "legs": 1,
@@ -1714,6 +1710,10 @@ def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) ->
           "edges": [["r:0", "out:0"]], "outputs": ["out:0"]}, "node 'r': Table has 3 values but D=2"),
         ({"dimension": 3, "nodes": {"g": {"kind": "white", "legs": 2, "c": 4}}, "edges": [["g:0", "in:0"], ["g:1", "out:0"]],
           "inputs": ["in:0"], "outputs": ["out:0"]}, "node 'g': only a 'not' node takes a 'c'"),
+        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 0, "amp": {"type": "phase", "theta": float("nan")}}}},
+         "node 'h': phase amplitude field 'theta': value must be a finite number, got nan"),
+        ({"dimension": 3, "nodes": {"h": {"kind": "hbox", "legs": 0, "amp": {"type": "unit", "re": 2.0, "im": float("-inf")}}}},
+         "node 'h': unit amplitude field 're/im': value must be a finite number, got -inf"),
     ],
 )
 def test_json_loader_names_the_bad_field(obj, what) -> None:
