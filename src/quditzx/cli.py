@@ -143,6 +143,8 @@ def cmd_check(args: argparse.Namespace) -> None:
         raise UsageError("--tol must be positive")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be at least 0")
     if args.rule is not None and args.rule not in rewrite.CATALOG:
         raise UsageError(f"unknown rule id {args.rule!r}")
     rules = None if args.rule is None else [args.rule]
@@ -239,16 +241,20 @@ def cmd_info(args: argparse.Namespace) -> None:
     if args.dim < 2:
         raise UsageError("--dim must be at least 2")
     ctx = MeasureContext(args.dim, _parse_nu(args.nu))
-    lines = [
-        f"dim            {ctx.dim}",
-        f"window         [{ctx.lower}, {ctx.upper}]",
-        f"sigma          {ctx.sigma}",
-        f"nu             {ctx.nu!r}",
-        f"well_tempered  {ctx.is_well_tempered}",
-        f"total_measure  {ctx.total_measure!r}",
-        f"omega          {ctx.omega!r}",
-        f"tau            {ctx.tau!r}",
-    ]
+    try:
+        lines = [
+            f"dim            {ctx.dim}",
+            f"window         [{ctx.lower}, {ctx.upper}]",
+            f"sigma          {ctx.sigma}",
+            f"nu             {ctx.nu!r}",
+            f"well_tempered  {ctx.is_well_tempered}",
+            f"total_measure  {ctx.total_measure!r}",
+            f"omega          {ctx.omega!r}",
+            f"tau            {ctx.tau!r}",
+        ]
+    except OverflowError as exc:
+        print(f"info failed: {exc}", file=sys.stderr)
+        sys.exit(SEMANTIC_EXIT)
     print("\n".join(lines))
 
 
@@ -271,7 +277,7 @@ def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
     p.add_argument("--dim", type=int, help="single dimension")
     p.add_argument("--dims", help="dimension range A..B (default 2..6)")
     p.add_argument("--samples", type=int, default=5, help="draws per rule and dimension (default 5)")
-    p.add_argument("--seed", type=int, default=0, help="seed of the draws (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the draws, at least 0 (default 0)")
     p.add_argument("--tol", type=float, default=1e-8, help="comparison tolerance (default 1e-08)")
     p.add_argument("--nu", help="normalization: real or 'well-tempered'")
     p.add_argument("-o", dest="out", metavar="FILE", help="write report here")

@@ -64,31 +64,34 @@ shape and cached.  The key (``_structure``) is exact, not a hash: the
 boundary sizes, each node's degree and factor kind (diagonal, dense, or
 split, which is where D and ``_SPLIT_ABOVE`` enter) in node order, and the
 port table, which ``_structure`` reads; generator parameters, node names
-and ``nu`` are not in it.  The cache holds at most ``_MAX_PLAN_STEPS`` steps
-over all plans, dropping the oldest first, and only integers, never a
-diagram or an array.  Every call, cached plan or not, checks the plan's
-sizes against ``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any
-factor array from the context.  Within one call, equal parameter-free
+and ``nu`` are not in it.  A step is a tuple that ``_execute`` runs as
+it is: ``(i, j, sa, sb, so)`` contracts slots i and j, ``(i, -1, sa, so)``
+sums or reorders slot i, and equal sublists (tuples of ints) are stored
+once per plan.  The cache holds at most ``_MAX_PLAN_STEPS`` steps over all
+plans, dropping the oldest first, and only integers, never a diagram or
+an array.  Every call, cached plan or not, checks the plan's sizes
+against ``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any factor
+array from the context.  Within one call, equal parameter-free
 generators (white, gray, not, hplus, hminus) share one factor array, and
 H-boxes of one degree share one leg-product array; factors with an
 amplitude are built per node.
 
 A wide result can be had in blocks, never whole (``evaluate_blocks``).
-The plan records where its last pairwise step begins, its ``tail``.
-Every step before the tail runs once; the last pairwise step, and the
-final reorder after it, then run once per value v of the label that
-becomes boundary position 0, on operands indexed at v, and give block v,
-``evaluate(d, ctx).data[v]``.  On the matmul kernel a block has the same
-bits as that slice; on einsum it may differ by rounding, as the inner
-loops follow the operands' shapes.  ``evaluate`` runs the same step loop
-as before, to the end.  ``rewrite.check_soundness`` compares the sides
-of a rule block against block when they have more than ``_BLOCK_ABOVE``
-(2^20) entries, 16 MiB of complex128 each.  In the soundness matrix at
-D=2..9 only ZH-O and ZH-ZPL at D=7 (7^8 entries, 88 MiB a side) pass it:
-blocks cut their comparison's peak from two whole sides (176 MiB) to
-about three blocks (40 MiB).  Below it the whole path stays, since
-blocks would save at most 32 MiB and cost D more kernel calls a side
-(0.1 to 0.2 ms more per ZH-O check at D=4 and 5).
+At most the final reorder follows a plan's last pairwise step, so that
+step is its last or next-to-last.  Every step before it runs once; the
+last pairwise step, and the final reorder after it, then run once per
+value v of the label that becomes boundary position 0, on operands
+indexed at v, and give block v, ``evaluate(d, ctx).data[v]``.  On the
+matmul kernel a block has the same bits as that slice; on einsum it may
+differ by rounding, as the inner loops follow the operands' shapes.
+``rewrite.check_soundness`` compares the sides of a rule block against
+block when they have more than ``_BLOCK_ABOVE`` (2^20) entries, 16 MiB of
+complex128 each.  In the soundness matrix at D=2..9 only ZH-O and ZH-ZPL
+at D=7 (7^8 entries, 88 MiB a side) pass it: blocks cut their
+comparison's peak from two whole sides (176 MiB) to about three blocks
+(40 MiB).  Below it the whole path stays, since blocks would save at
+most 32 MiB and cost D more kernel calls a side (0.1 to 0.2 ms more per
+ZH-O check at D=4 and 5).
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ import threading
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,7 +142,7 @@ _MATMUL_MIN = 1 << 17
 # character decomposition (red and gray dots above _SPLIT_ABOVE entries)
 _DIAGONAL, _DENSE, _SPLIT = range(3)
 _DELTA = object()  # an unbuilt boundary delta slot in ``_execute``
-_Plan = tuple[int, array, int, int, int, int]  # what ``_plan`` returns
+_Plan = tuple[tuple[tuple, ...], int, int, int]  # what ``_plan`` returns
 
 
 class DiagramError(ValueError):
@@ -374,19 +377,18 @@ def _plan(codes: array) -> _Plan:
     Factor slots are numbered in the order ``_execute`` makes them: each
     node's factors in node order (a split node gives its coefficient
     vector, then one phase matrix per leg), then the boundary deltas, in
-    boundary order (outputs, then inputs).  Returns ``(n_steps, steps,
-    tail, top, degree, node)``.  ``top`` is the highest rank of any array held
-    but a dense node's, and at least 1 with any factor, since each has or
-    sums over D entries; ``degree`` is the highest degree of a dense node,
-    and ``node`` the index of the first node of that degree (-1 if none).
-    ``steps`` is flat: each step is ``i, j`` and its sublists, each
-    preceded by its length.  With ``j >= 0`` the step contracts slots i
-    and j into slot i (three sublists); with ``j == -1`` it sums or
-    reorders slot i alone (two sublists).  The last step leaves the
-    result in its slot.  A last factor already in boundary order takes
-    no reorder step, so a diagram of one such factor has no steps at all.
-    ``tail`` is the offset in ``steps`` of the last pairwise step, which
-    at most the final reorder follows, or -1 if no step is pairwise.
+    boundary order (outputs, then inputs).  Returns ``(steps, top, degree,
+    node)``.  ``top`` is the highest rank of any array held but a dense
+    node's, and at least 1 with any factor, since each has or sums over D
+    entries; ``degree`` is the highest degree of a dense node, and ``node``
+    the index of the first node of that degree (-1 if none).  ``steps`` is
+    a tuple of steps: ``(i, j, sa, sb, so)`` contracts slots i and j into
+    slot i, and ``(i, -1, sa, so)`` sums or reorders slot i alone.  Each
+    sublist is a tuple of ints, and equal sublists are one object.  The
+    last step leaves the result in its slot, and at most the final reorder
+    follows the last pairwise step.  A last factor already in boundary
+    order takes no reorder step, so a diagram of one such factor has no
+    steps at all.
     """
     n_in, n_out, n_nodes = codes[:3]
     node_codes = codes[3 : 3 + n_nodes]
@@ -444,21 +446,15 @@ def _plan(codes: array) -> _Plan:
             labels.append([b, w])
             carried.add(w)
 
-    steps = array("i")
     if not labels:
-        return 0, steps, -1, 0, *dense
-    n_steps, tail = 0, -1
+        return (), 0, *dense
+    steps: list[tuple] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct sublist, stored once
 
     def emit(i: int, j: int, *sublists: list[int]) -> None:
-        nonlocal n_steps, tail, top
-        n_steps += 1
+        nonlocal top
         top = max(top, len(sublists[-1]))
-        if j >= 0:
-            tail = len(steps)
-        steps.extend((i, j))
-        for sub in sublists:
-            steps.append(len(sub))
-            steps.extend(sub)
+        steps.append((i, j, *[shared.setdefault(sub, sub) for sub in map(tuple, sublists)]))
 
     required = set(boundary_labels)
     live = set(range(len(labels)))
@@ -614,14 +610,15 @@ def _plan(codes: array) -> _Plan:
     if labs != boundary_labels:
         names = {lab: k for k, lab in enumerate(labs)}
         emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
-    return n_steps, steps, tail, top, *dense
+    return tuple(steps), top, *dense
 
 
 class _PlanCache:
     """Plans by shape, oldest out first, at most ``_MAX_PLAN_STEPS`` steps in all.
 
-    A plan of no steps counts as one, so the budget also bounds the
-    number of plans.  A plan larger than the whole budget is not stored.
+    A plan's size is the length of its steps tuple; a plan of no steps
+    counts as one, so the budget also bounds the number of plans.  A plan
+    larger than the whole budget is not stored.
     """
 
     def __init__(self) -> None:
@@ -630,12 +627,12 @@ class _PlanCache:
         self._lock = threading.Lock()
 
     def put(self, key: bytes, plan: _Plan) -> None:
-        size = max(plan[0], 1)
+        size = max(len(plan[0]), 1)
         with self._lock:
             if size > _MAX_PLAN_STEPS or key in self.plans:
                 return
             while self.steps + size > _MAX_PLAN_STEPS:
-                self.steps -= max(self.plans.pop(next(iter(self.plans)))[0], 1)
+                self.steps -= max(len(self.plans.pop(next(iter(self.plans)))[0]), 1)
             self.plans[key] = plan
             self.steps += size
 
@@ -666,7 +663,7 @@ def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
     return [coeff] + [phase] * deg
 
 
-def _pairwise(dim: int, a: np.ndarray, sa: list[int], b: np.ndarray, sb: list[int], so: list[int]) -> np.ndarray:
+def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
     """``np.einsum(a, sa, b, sb, so)``, as one batched ``np.matmul`` if the step is large.
 
     The planner numbers a step's labels 0..u-1, so it loops over D^u
@@ -696,13 +693,15 @@ def _pairwise(dim: int, a: np.ndarray, sa: list[int], b: np.ndarray, sb: list[in
     return c.transpose([order.index(l) for l in so])
 
 
-def _execute(steps: array, stop: int, node_codes: array, d: Diagram, ctx: MeasureContext) -> list[np.ndarray]:
-    """Build the factors of ``d`` in slot order and run the plan's steps before offset ``stop``.
+def _execute(steps: tuple, stop: int, node_codes: array, d: Diagram, ctx: MeasureContext) -> list[np.ndarray]:
+    """Build the factors of ``d`` in slot order and run the plan's steps before step ``stop``.
 
-    Returns the two operands of the pairwise step at ``stop``, slot i
-    then slot j; with ``stop == len(steps)``, the result alone, in
-    boundary shape.  A plan of no steps leaves its one factor, in slot 0,
-    as the result; with no factor at all the result is the scalar 1.
+    Returns the two operands of the pairwise step ``stop``, slot i then
+    slot j; with ``stop == len(steps)``, the result alone, in boundary
+    shape.  A plan of no steps leaves its one factor, in slot 0, as the
+    result; with no factor at all the result is the scalar 1.  Factors are
+    built under ``np.errstate(over="raise")``, so a factor entry past the
+    float range, from Python or from numpy, raises ``OverflowGuardError``.
     """
     D = d.dim
     rank = d.n_outputs + d.n_inputs
@@ -717,24 +716,6 @@ def _execute(steps: array, stop: int, node_codes: array, d: Diagram, ctx: Measur
     shared: dict[Generator, np.ndarray] = {}
     prods: dict[int, np.ndarray] = {}
     slots_left: dict[Generator, int] = {}
-    for gen, code in zip(d.nodes.values(), node_codes):
-        mode = code % 3
-        if mode == _DIAGONAL:
-            if gen.amp is None:
-                arr = shared.get(gen)
-                if arr is None:
-                    arr = shared[gen] = diagonal_weight(ctx, gen)
-            else:
-                arr = diagonal_weight(ctx, gen)
-            factors.append(arr)
-        elif mode == _DENSE:
-            factors.append(gen)
-            if gen.amp is None:
-                slots_left[gen] = slots_left.get(gen, 0) + 1
-        else:
-            factors.extend(_split_factors(ctx, gen))
-    # room for the boundary deltas the plan may have, each built when a step reads it
-    factors.extend([_DELTA] * rank)
 
     def operand(k: int) -> np.ndarray:
         # the slot lets go, so a step's kernel holds the last reference
@@ -753,31 +734,42 @@ def _execute(steps: array, stop: int, node_codes: array, d: Diagram, ctx: Measur
             del shared[gen]
         return arr
 
-    pos = i = 0
+    try:
+        with np.errstate(over="raise"):
+            for gen, code in zip(d.nodes.values(), node_codes):
+                mode = code % 3
+                if mode == _DIAGONAL:
+                    if gen.amp is None:
+                        arr = shared.get(gen)
+                        if arr is None:
+                            arr = shared[gen] = diagonal_weight(ctx, gen)
+                    else:
+                        arr = diagonal_weight(ctx, gen)
+                    factors.append(arr)
+                elif mode == _DENSE:
+                    factors.append(gen)
+                    if gen.amp is None:
+                        slots_left[gen] = slots_left.get(gen, 0) + 1
+                else:
+                    factors.extend(_split_factors(ctx, gen))
+            # room for the boundary deltas the plan may have, each built when a step reads it
+            factors.extend([_DELTA] * rank)
+            i = 0
+            for i, j, *subs in steps[:stop]:
+                if j < 0:
+                    factors[i] = np.einsum(operand(i), *subs)
+                else:
+                    sa, sb, so = subs
+                    factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
+            if stop < len(steps):
+                return [operand(steps[stop][0]), operand(steps[stop][1])]
+            return [operand(i).reshape((D,) * rank)]
+    except (OverflowError, FloatingPointError) as exc:  # a Python power or a numpy product
+        raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
 
-    def sublist() -> list[int]:
-        nonlocal pos
-        n = steps[pos]
-        pos += n + 1
-        return steps[pos - n : pos].tolist()
 
-    while pos < stop:
-        i, j = steps[pos], steps[pos + 1]
-        pos += 2
-        sa = sublist()
-        sb = sublist() if j >= 0 else None
-        so = sublist()
-        if sb is None:
-            factors[i] = np.einsum(operand(i), sa, so)
-        else:
-            factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
-    if stop < len(steps):
-        return [operand(steps[stop]), operand(steps[stop + 1])]
-    return [operand(i).reshape((D,) * rank)]
-
-
-def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[array, _Plan]:
-    """The shape of ``d`` and its plan, cached; a size past a budget raises ``OverflowGuardError``."""
+def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[tuple, array]:
+    """The plan's steps for ``d``, cached, and its node codes; a size past a budget raises ``OverflowGuardError``."""
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
     codes = _structure(d)
@@ -786,64 +778,53 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[array, _Plan]:
     if plan is None:
         plan = _plan(codes)
         _PLANS.put(key, plan)
-    _, _, _, top, degree, node = plan
+    steps, top, degree, node = plan
     if d.dim**top > _MAX_RESULT:
         raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
     if d.dim**degree > _MAX_DENSE:
         name = list(d.nodes)[node]
         raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
-    return codes, plan
+    return steps, codes[3 : 3 + codes[2]]
 
 
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``."""
-    codes, plan = _checked_plan(d, ctx)
-    steps = plan[1]
-    try:
-        (data,) = _execute(steps, len(steps), codes[3 : 3 + codes[2]], d, ctx)
-    except OverflowError as exc:  # also a power of nu or of an amplitude past the float range
-        raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
+    steps, node_codes = _checked_plan(d, ctx)
+    (data,) = _execute(steps, len(steps), node_codes, d, ctx)
     return Tensor(d.dim, d.n_inputs, d.n_outputs, data)
 
 
 def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
     """``evaluate(d, ctx).data[v]`` for v = 0..D-1, made one block at a time.
 
-    Every step but the plan's last pairwise one runs once.  That step,
-    and the final reorder after it, then run once per value v of the
-    label that becomes boundary position 0: its operands are indexed at
-    v on that label, and the label leaves the step.  A block may differ
-    from the slice by rounding where the step runs on einsum (see the
-    module notes).  A plan with no pairwise step gives the slices of its
-    whole result.  ``d`` must have a boundary; the budgets are checked
-    as in ``evaluate``.
+    Every step but the plan's last pairwise one, found among its last two
+    steps, runs once.  That step, and the final reorder after it, then run
+    once per value v of the label that becomes boundary position 0: its
+    operands are indexed at v on that label, and the label leaves the
+    step.  A block may differ from the slice by rounding where the step
+    runs on einsum (see the module notes).  A plan with no pairwise step
+    gives the slices of its whole result.  ``d`` must have a boundary; the
+    budgets are checked as in ``evaluate``.
     """
     if not d.n_outputs + d.n_inputs:
         raise DiagramError("a diagram with no boundary has no blocks")
-    codes, (_, steps, tail, *_) = _checked_plan(d, ctx)
-    if tail < 0:
-        yield from evaluate(d, ctx).data
+    steps, node_codes = _checked_plan(d, ctx)
+    pairwise = [k for k in range(max(len(steps) - 2, 0), len(steps)) if steps[k][1] >= 0]
+    if not pairwise:
+        yield from _execute(steps, len(steps), node_codes, d, ctx)[0]
         return
-    try:
-        a, b = _execute(steps, tail, codes[3 : 3 + codes[2]], d, ctx)
-    except OverflowError as exc:  # also a power of nu or of an amplitude past the float range
-        raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
-    subs, pos = [], tail + 2  # the last step's three sublists, then the final reorder's two
-    while pos < len(steps):
-        pos += 2 if len(subs) == 3 else 0
-        n = steps[pos]
-        subs.append(steps[pos + 1 : pos + 1 + n].tolist())
-        pos += n + 1
-    sa, sb, so, *reorder = subs
-    ra, ro = reorder or [list(range(len(so)))] * 2
+    tail = pairwise[-1]
+    a, b = _execute(steps, tail, node_codes, d, ctx)
+    _, _, sa, sb, so = steps[tail]
+    ra, ro = steps[-1][2:] if tail < len(steps) - 1 else [range(len(so))] * 2
     cut = so[ra.index(ro[0])]  # the step's label for boundary position 0
 
-    def drop(sub: list[int], name: int) -> list[int]:
+    def drop(sub: tuple[int, ...], name: int) -> list[int]:
         # `sub` without `name`; the names above it move down, so a
         # step's labels stay 0..u-1
         return [lab - (lab > name) for lab in sub if lab != name]
 
-    def at(arr: np.ndarray, sub: list[int], v: int) -> np.ndarray:
+    def at(arr: np.ndarray, sub: tuple[int, ...], v: int) -> np.ndarray:
         return arr[(slice(None),) * sub.index(cut) + (v,)] if cut in sub else arr
 
     sa_v, sb_v, so_v = drop(sa, cut), drop(sb, cut), drop(so, cut)

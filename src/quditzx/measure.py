@@ -94,8 +94,14 @@ class MeasureContext:
 
     @property
     def total_measure(self) -> float:
-        """N = mu([D]) = D * nu**2."""
-        return self.dim * self.nu**2
+        """N = mu([D]) = D * nu**2; past the float range it raises ``OverflowGuardError``."""
+        try:
+            value = self.dim * self.nu**2
+        except OverflowError:  # nu**2 itself
+            value = math.inf
+        if value == math.inf:
+            raise OverflowGuardError(f"the total measure D * nu^2 leaves the float range at D={self.dim}, nu={self.nu!r}")
+        return value
 
     @property
     def omega(self) -> complex:

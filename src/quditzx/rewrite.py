@@ -243,14 +243,19 @@ def _empty(dim: int) -> Diagram:
 
 
 def _scale(b: DiagramBuilder, value: complex) -> None:
-    """Attach the closed-form balancing scalar when it is not 1."""
+    """Attach the closed-form balancing scalar when it is not 1; one that is 0 or not finite is refused."""
     value = complex(value)
+    if value == 0 or not cmath.isfinite(value):
+        raise OverflowGuardError(f"the balancing scalar {value} leaves the float range")
     if abs(value - 1.0) > 1e-12:
         b.node(Generator.hbox(UnitPow(value), 0, 0), "scale")
 
 
 def _dnu4(ctx: MeasureContext) -> float:
-    return ctx.dim * ctx.nu**4
+    value = ctx.dim * ctx.nu**4
+    if not 0 < value < math.inf:
+        raise OverflowGuardError(f"D * nu^4 = {value} leaves the float range")
+    return value
 
 
 def _chain(
@@ -1159,8 +1164,9 @@ def check_all(
     Rows are ordered by rule id, then dimension, then sample index.
     Rules with no valid parameters at some D (or whose diagram family
     outgrows its dimension cap) get a single "skip" row there.  A cell
-    refused by a size budget or the float range raises
-    ``OverflowGuardError`` with the rule id and D in front.
+    refused by a size budget or the float range (any ``OverflowError``
+    while its sides are built or checked) raises ``OverflowGuardError``
+    with the rule id and D in front.
     """
     dims = sorted(set(int(d) for d in dims))
     if any(d < 2 for d in dims):
@@ -1192,7 +1198,7 @@ def check_all(
                     break
                 try:
                     rep = check_soundness(spec, params, ctx, tol)
-                except OverflowGuardError as exc:
+                except OverflowError as exc:
                     raise OverflowGuardError(f"{rule_id} at D={D}: {exc}") from exc
                 rows.append(
                     {

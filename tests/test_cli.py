@@ -107,6 +107,13 @@ def test_info_custom_nu(runner):
     assert "well_tempered  False" in res.output
 
 
+def test_info_past_the_float_range_is_a_semantic_error(runner):
+    res = runner.invoke(cli.main, ["info", "--dim", "3", "--nu", "1e200"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "info failed: the total measure D * nu^2 leaves the float range at D=3, nu=1e+200\n"
+
+
 def test_info_rejects_small_dim(runner):
     res = runner.invoke(cli.main, ["info", "--dim", "1"])
     assert res.exit_code == 2
@@ -318,6 +325,16 @@ def test_check_past_a_node_size_limit_is_semantic_error(runner):
     assert res.stderr == "check failed: ZH-UM at D=38: node 'h0': hbox of degree 4 too large at D=38\n"
 
 
+@pytest.mark.parametrize("nu, what", [("1e-100", "D * nu^4 = 0.0 leaves the float range"),
+                                      ("1e100", "(34, 'Numerical result out of range')")])
+def test_check_at_an_extreme_nu_is_a_semantic_error(runner, nu, what):
+    # D * nu^4 underflows to 0 or overflows: the first cell to need it is named
+    res = runner.invoke(cli.main, ["check", "--dims", "2..3", "--samples", "1", "--nu", nu])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == f"check failed: ZH-DH at D=2: {what}\n"
+
+
 def test_check_names_the_refused_cell(runner):
     # seed 0 draws a ZH-EC alpha whose power at D=32 leaves the float range
     res = runner.invoke(cli.main, ["check", "--dims", "32..32", "--samples", "1"])
@@ -397,13 +414,13 @@ def test_a_non_finite_result_is_a_semantic_error(runner, tmp_path):
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
     assert res.stderr.startswith("evaluation failed: entry 0 of the tensor is not finite: ")
-    # an hbox factor nu^2 * 1.7e308 overflows to inf in numpy, and the contraction makes NaN
+    # an hbox factor nu^2 * 1.7e308 overflows in numpy: refused as it is built, with no warning
     amp = 'amp={"type": "unit", "re": 1.7e308, "im": 0}'
-    with np.errstate(over="ignore"):
-        res = runner.invoke(cli.main, ["gadget", "diag_a2", "--dim", "2", "--nu", "2", "--param", amp, "--emit-tensor"])
-    assert res.exit_code == 3, res.output
-    assert res.stdout == ""
-    assert "evaluation failed: entry 12 of the tensor is not finite: " in res.stderr
+    proc = run_fresh_python("-m", "quditzx.cli", "gadget", "diag_a2", "--dim", "2", "--nu", "2", "--param", amp,
+                            "--emit-tensor")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "evaluation failed: a factor entry is out of range: overflow encountered in multiply\n"
 
 
 @pytest.mark.parametrize("entry, nu, what", [("[1, 0]", "1e-200", "nu^-2 = 1e-200^-2 leaves the float range"),
@@ -436,6 +453,13 @@ def test_check_rejects_nonpositive_tol(runner):
 def test_check_rejects_bad_nu_text(runner):
     res = runner.invoke(cli.main, ["check", "ZX-GI", "--dim", "3", "--nu", "fast"])
     assert res.exit_code == 2
+
+
+def test_check_rejects_a_negative_seed(runner):
+    res = runner.invoke(cli.main, ["check", "ZX-GI", "--dims", "2..2", "--seed", "-1"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "--seed must be at least 0" in res.stderr
 
 
 # -- gadget -------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 from unittest import mock
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quditzx.diagram as dg
+from quditzx import construct
 from quditzx.construct import normal_form
 from quditzx.diagram import (
     Diagram,
@@ -45,11 +47,12 @@ from quditzx.generators import (
     Table,
     UnitPow,
     Zero,
+    amp_from_json,
     eval_generator,
     generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, residue
-from quditzx.rewrite import CATALOG, instantiate
+from quditzx.rewrite import CATALOG, check_all, instantiate
 from quditzx.tensor import Tensor, compose, max_abs_diff, tensor_product
 
 
@@ -583,12 +586,12 @@ KINDS = ["white", "green", "red", "gray", "hbox", "hplus", "hminus", "not"]
 
 
 @st.composite
-def small_diagrams(draw) -> Diagram:
-    """A valid diagram at D=2..4: a red or gray dot and up to four more
-    nodes, wired at random.  It can hold rank-0 nodes of every kind, red
-    and gray dots of degree 0..6, self-loops, parallel edges and
-    boundary-to-boundary wires."""
-    dim = draw(st.integers(2, 4))
+def small_diagrams(draw, dim: int | None = None) -> Diagram:
+    """A valid diagram at D=2..4 (or at ``dim``): a red or gray dot and up
+    to four more nodes, wired at random.  It can hold rank-0 nodes of
+    every kind, red and gray dots of degree 0..6, self-loops, parallel
+    edges and boundary-to-boundary wires."""
+    dim = draw(st.integers(2, 4)) if dim is None else dim
     kinds = [draw(st.sampled_from(["red", "gray"]))] + draw(st.lists(st.sampled_from(KINDS), max_size=4))
     nodes: dict = {}
     for k, kind in enumerate(kinds):
@@ -626,19 +629,31 @@ def test_random_diagrams_match_flat_einsum(d: Diagram, split_all: bool, nu: floa
     assert max_abs_diff(cold, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data)))
 
 
+def assert_close(got: Tensor, want: Tensor) -> None:
+    assert (got.in_legs, got.out_legs) == (want.in_legs, want.out_legs)
+    assert max_abs_diff(got, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_diagrams(), st.sampled_from([None, 0.8]))
+def test_random_adjoints_evaluate_to_the_adjoint(d: Diagram, nu: float | None) -> None:
+    # every kind's conjugate, red dots' reflection included
+    ctx = MeasureContext(d.dim, nu)
+    assert_close(evaluate(adjoint(d), ctx), evaluate(d, ctx).adjoint())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda dim: st.tuples(small_diagrams(dim), small_diagrams(dim))),
+       st.sampled_from([None, 0.8]))
+def test_random_parallel_compositions_evaluate_to_the_tensor_product(pair, nu: float | None) -> None:
+    a, b = pair
+    ctx = MeasureContext(a.dim, nu)
+    assert_close(evaluate(compose_parallel(a, b), ctx), tensor_product(evaluate(a, ctx), evaluate(b, ctx)))
+
+
 def plan_steps(steps) -> list:
-    """A flat plan from ``_plan`` as a list of ``(i, j, sublists)``."""
-    out, pos = [], 0
-    while pos < len(steps):
-        i, j = steps[pos], steps[pos + 1]
-        pos += 2
-        subs = []
-        for _ in range(3 if j >= 0 else 2):
-            n = steps[pos]
-            subs.append(steps[pos + 1 : pos + 1 + n].tolist())
-            pos += n + 1
-        out.append((i, j, subs))
-    return out
+    """The steps of a plan from ``_plan`` as a list of ``(i, j, sublists)``, each sublist a list."""
+    return [(i, j, [list(sub) for sub in subs]) for i, j, *subs in steps]
 
 
 def order_digest(steps) -> str:
@@ -660,9 +675,7 @@ def test_contraction_order_is_pinned() -> None:
     # the order fixes the tensor bits, so a change of order must update
     # these knowingly
     for d, digest in pinned_order_cases(MeasureContext(3)):
-        n_steps, steps, *_ = dg._plan(dg._structure(d))
-        assert len(plan_steps(steps)) == n_steps
-        assert order_digest(steps) == digest
+        assert order_digest(dg._plan(dg._structure(d))[0]) == digest
 
 
 # -- boundary positions ---------------------------------------------------
@@ -675,7 +688,7 @@ def delta_slots(d: Diagram) -> int:
     """
     modes = [dg._factor_mode(gen, d.dim) for gen in d.nodes.values()]
     node_slots = sum(1 + gen.degree if mode == dg._SPLIT else 1 for gen, mode in zip(d.nodes.values(), modes))
-    steps = plan_steps(dg._plan(dg._structure(d))[1])
+    steps = plan_steps(dg._plan(dg._structure(d))[0])
     read = {k for i, j, _ in steps for k in (i, j)} if steps else {0}
     return len({k for k in read if k >= node_slots})
 
@@ -748,7 +761,7 @@ def test_catalog_plans_take_boundary_labels() -> None:
     # integers only: the plan steps over both sides of one draw of every
     # rule at D=2..9.  One delta per boundary position made 3,741 steps,
     # and a final reorder that left its factor as it was 2,374
-    total = sum(dg._plan(dg._structure(d))[0] for _, d, _ in catalog_cases(range(2, 10)))
+    total = sum(len(dg._plan(dg._structure(d))[0]) for _, d, _ in catalog_cases(range(2, 10)))
     assert total == 1802
 
 
@@ -757,13 +770,13 @@ def test_plans_reorder_only_to_move_axes(plan_calls) -> None:
     # in boundary order is the result as it stands, with no step at all
     cases = [d for _, d, _ in catalog_cases(range(2, 7))] + [d for _, d, _ in boundary_cases(3)]
     for d in cases:
-        for i, j, subs in plan_steps(dg._plan(dg._structure(d))[1]):
+        for i, j, subs in plan_steps(dg._plan(dg._structure(d))[0]):
             assert j >= 0 or subs[0] != subs[1] or len(set(subs[0])) < len(subs[0])
     ctx = MeasureContext(3)
     lone = [boundary_cases(3)[0][1], node_diagram(3, Generator.hbox(Phase(0.4), 1, 1)),
             node_diagram(3, Generator.white(0, 0))]
     for d in lone:
-        assert dg._plan(dg._structure(d))[0] == 0
+        assert dg._plan(dg._structure(d))[0] == ()
         assert evaluate(d, ctx).data.tobytes() == flat_einsum(d, ctx).data.tobytes()
     assert len(dg._PLANS.plans) == 3 and dg._PLANS.steps == 3  # a plan of no steps costs one
 
@@ -776,7 +789,7 @@ def test_widest_rules_plan_about_their_output(rid) -> None:
     ctx = MeasureContext(7)
     for d in instantiate(spec, spec.sample(7, np.random.default_rng(0)), ctx):
         written = 0
-        for i, j, subs in plan_steps(dg._plan(dg._structure(d))[1]):
+        for i, j, subs in plan_steps(dg._plan(dg._structure(d))[0]):
             written += 7 ** len(subs[-1])
             if j >= 0:
                 low, high = sorted(map(len, subs[:2]))
@@ -1139,6 +1152,34 @@ def test_huge_dimension_is_refused_before_any_factor(monkeypatch) -> None:
     assert complex(evaluate(Diagram(10**30, {}, (), 0, 0), MeasureContext(10**30)).data) == 1
 
 
+def table_dot(dim: int, value: float, degree: int) -> Diagram:
+    """A green ``Table`` dot of all-``value`` entries with every leg an output."""
+    b = DiagramBuilder(dim)
+    g = b.node(Generator.green(Table((value,) * dim), 0, degree))
+    for _ in range(degree):
+        b.wire(g, "out")
+    return b.build()
+
+
+@pytest.mark.parametrize("case", ["hbox", "table product", "table power"])
+def test_factor_past_the_float_range_is_refused(case: str) -> None:
+    # a numpy product (nu^2 * 1.7e308, 1e300 * nu^-2) or a Python power
+    # (nu^-4) past the float range: refused, with no warning and no NaN
+    if case == "hbox":
+        ctx = MeasureContext(2, 2.0)
+        amp = amp_from_json({"type": "unit", "re": 1.7e308, "im": 0})
+        d = construct.build(construct.gadget_id("diag_a2", amp=amp), ctx)
+    else:
+        ctx = MeasureContext(3, 1e-5 if case == "table product" else 1e-100)
+        d = table_dot(3, 1e300 if case == "table product" else 1.0, 4 if case == "table product" else 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuardError, match="a factor entry is out of range"):
+            evaluate(d, ctx)
+        with pytest.raises(OverflowGuardError, match="a factor entry is out of range"):
+            next(evaluate_blocks(d, ctx))
+
+
 def test_disconnected_pieces_are_refused_before_any_factor(monkeypatch) -> None:
     # each piece's result fits the budget, their outer product does not:
     # refused from the plan's ranks, before a weight, a piece or a step exists
@@ -1229,7 +1270,7 @@ def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 24)
 
     def stored() -> int:
-        assert dg._PLANS.steps == sum(max(size, 1) for size, *_ in dg._PLANS.plans.values())
+        assert dg._PLANS.steps == sum(max(len(steps), 1) for steps, *_ in dg._PLANS.plans.values())
         return dg._PLANS.steps
 
     for d in (first, second, third):
@@ -1276,7 +1317,28 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert dg._PLANS.steps == sum(size for size, *_ in dg._PLANS.plans.values()) <= 20
+    assert dg._PLANS.steps == sum(len(steps) for steps, *_ in dg._PLANS.plans.values()) <= 20
+
+
+def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> None:
+    # the plan format: tuples of plain ints only, each distinct sublist one
+    # object within its plan, and the cache counting len(steps), at least 1
+    check_all(range(2, 6), samples=1)
+    ctx = MeasureContext(4)
+    evaluate(normal_form(random_tensor(np.random.default_rng(9), 4, 2, 2), ctx), ctx)
+
+    def ints_only(obj) -> bool:
+        return type(obj) is int or (type(obj) is tuple and all(map(ints_only, obj)))
+
+    assert len(dg._PLANS.plans) > 100
+    for plan in dg._PLANS.plans.values():
+        assert ints_only(plan)
+        seen: dict = {}
+        for i, j, *subs in plan[0]:
+            assert len(subs) == (3 if j >= 0 else 2)
+            for sub in subs:
+                assert seen.setdefault(sub, sub) is sub
+    assert dg._PLANS.steps == sum(max(len(steps), 1) for steps, *_ in dg._PLANS.plans.values())
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
