@@ -242,19 +242,20 @@ def cmd_info(args: argparse.Namespace) -> None:
         raise UsageError("--dim must be at least 2")
     ctx = MeasureContext(args.dim, _parse_nu(args.nu))
     try:
-        lines = [
-            f"dim            {ctx.dim}",
-            f"window         [{ctx.lower}, {ctx.upper}]",
-            f"sigma          {ctx.sigma}",
-            f"nu             {ctx.nu!r}",
-            f"well_tempered  {ctx.is_well_tempered}",
-            f"total_measure  {ctx.total_measure!r}",
-            f"omega          {ctx.omega!r}",
-            f"tau            {ctx.tau!r}",
-        ]
-    except OverflowError as exc:
+        total = ctx.total_measure
+    except OverflowGuardError as exc:
         print(f"info failed: {exc}", file=sys.stderr)
         sys.exit(SEMANTIC_EXIT)
+    lines = [
+        f"dim            {ctx.dim}",
+        f"window         [{ctx.lower}, {ctx.upper}]",
+        f"sigma          {ctx.sigma}",
+        f"nu             {ctx.nu!r}",
+        f"well_tempered  {ctx.is_well_tempered}",
+        f"total_measure  {total!r}",
+        f"omega          {ctx.omega!r}",
+        f"tau            {ctx.tau!r}",
+    ]
     print("\n".join(lines))
 
 

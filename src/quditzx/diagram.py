@@ -813,18 +813,18 @@ def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
     if not pairwise:
         yield from _execute(steps, len(steps), node_codes, d, ctx)[0]
         return
-    tail = pairwise[-1]
-    a, b = _execute(steps, tail, node_codes, d, ctx)
-    _, _, sa, sb, so = steps[tail]
-    ra, ro = steps[-1][2:] if tail < len(steps) - 1 else [range(len(so))] * 2
+    last = pairwise[-1]
+    a, b = _execute(steps, last, node_codes, d, ctx)
+    _, _, sa, sb, so = steps[last]
+    ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
     cut = so[ra.index(ro[0])]  # the step's label for boundary position 0
 
-    def drop(sub: tuple[int, ...], name: int) -> list[int]:
+    def drop(sub: Sequence[int], name: int) -> list[int]:
         # `sub` without `name`; the names above it move down, so a
         # step's labels stay 0..u-1
         return [lab - (lab > name) for lab in sub if lab != name]
 
-    def at(arr: np.ndarray, sub: tuple[int, ...], v: int) -> np.ndarray:
+    def at(arr: np.ndarray, sub: Sequence[int], v: int) -> np.ndarray:
         return arr[(slice(None),) * sub.index(cut) + (v,)] if cut in sub else arr
 
     sa_v, sb_v, so_v = drop(sa, cut), drop(sb, cut), drop(so, cut)
