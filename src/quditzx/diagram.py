@@ -76,6 +76,24 @@ generators (white, gray, not, hplus, hminus) share one factor array, and
 H-boxes of one degree share one leg-product array; factors with an
 amplitude are built per node.
 
+Diagrams of one shape run one plan together (``evaluate_many``).  A
+soundness cell's draws, say, change only node parameters, and running
+each alone spends most of its time on per-step Python work, not on
+arithmetic.  A node whose generator is equal (``==``) in every diagram of
+the batch keeps one factor array; any other factor is stacked on a
+leading batch axis, and so is every array made from one.  A step below
+``_MATMUL_MIN`` runs as one ``np.einsum`` with ``Ellipsis`` leading each
+sublist, so an operand without the batch axis broadcasts
+(``_batch_pairwise``).  A matmul-size step runs once per batch entry, so
+every tensor has the bits it has when its diagram runs alone.  A batch
+holds at most ``_MATMUL_MIN`` entries in any array (batch times
+D^max(top, widest dense degree)): past that the per-call overhead is
+small next to the arithmetic, and a larger batch only costs memory.  A
+batch of one has no batch axis, so the executor gives it the plain
+kernels.  ``evaluate`` runs the batch of one that ``evaluate_many`` runs
+for a single diagram, and ``evaluate_blocks`` runs the same executor on a
+batch of one.
+
 A wide result can be had in blocks, never whole (``evaluate_blocks``).
 At most the final reorder follows a plan's last pairwise step, so that
 step is its last or next-to-last.  Every step before it runs once; the
@@ -663,6 +681,12 @@ def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
     return [coeff] + [phase] * deg
 
 
+def _on_einsum(dim: int, sa: Sequence, sb: Sequence) -> bool:
+    """Whether a pairwise step on sublists ``sa`` and ``sb`` loops over fewer than ``_MATMUL_MIN`` entries."""
+    # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
+    return dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN
+
+
 def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
     """``np.einsum(a, sa, b, sb, so)``, as one batched ``np.matmul`` if the step is large.
 
@@ -677,8 +701,7 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     operand the caller has let go of is freed before the product is
     allocated.
     """
-    # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
-    if dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN:
+    if _on_einsum(dim, sa, sb):
         return np.einsum(a, sa, b, sb, so)
     in_a, in_b, keep = set(sa), set(sb), set(so)
     batch = [l for l in sa if l in in_b and l in keep]
@@ -693,25 +716,57 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     return c.transpose([order.index(l) for l in so])
 
 
-def _execute(steps: tuple, stop: int, node_codes: array, d: Diagram, ctx: MeasureContext) -> list[np.ndarray]:
-    """Build the factors of ``d`` in slot order and run the plan's steps before step ``stop``.
+def _batch_pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
+    """``_pairwise`` where an operand with one axis more than its sublist has a leading batch axis.
 
-    Returns the two operands of the pairwise step ``stop``, slot i then
-    slot j; with ``stop == len(steps)``, the result alone, in boundary
-    shape.  A plan of no steps leaves its one factor, in slot 0, as the
-    result; with no factor at all the result is the scalar 1.  Factors are
-    built under ``np.errstate(over="raise")``, so a factor entry past the
-    float range, from Python or from numpy, raises ``OverflowGuardError``.
+    The result then has the batch axis too.  A step below ``_MATMUL_MIN``
+    runs as one ``np.einsum`` over the whole batch, with ``Ellipsis``
+    leading each sublist; a larger one runs ``_pairwise`` once per batch
+    entry, so each entry has the bits of its diagram run alone.
     """
-    D = d.dim
-    rank = d.n_outputs + d.n_inputs
-    if not d.nodes and not rank:
+    in_a, in_b = a.ndim > len(sa), b.ndim > len(sb)
+    if not (in_a or in_b):
+        return _pairwise(dim, a, sa, b, sb, so)
+    if _on_einsum(dim, sa, sb):
+        return np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))
+    n = len(a) if in_a else len(b)
+    return np.array([_pairwise(dim, a[k] if in_a else a, sa, b[k] if in_b else b, sb, so) for k in range(n)])
+
+
+def _batch_einsum(x: np.ndarray, sa: Sequence, so: Sequence) -> np.ndarray:
+    """``np.einsum(x, sa, so)``, over a leading batch axis if ``x`` has one axis more than ``sa``."""
+    if x.ndim > len(sa):
+        return np.einsum(x, (..., *sa), (..., *so))
+    return np.einsum(x, sa, so)
+
+
+def _execute(
+    steps: tuple, stop: int, node_codes: array, ds: Sequence[Diagram], ctx: MeasureContext
+) -> list[np.ndarray]:
+    """Build the factors of the same-shape diagrams ``ds`` in slot order and run the plan's steps before step ``stop``.
+
+    A factor whose generator differs between the diagrams is stacked on a
+    leading batch axis, and so is every array a step makes from one (see
+    the module notes); the others are built once.  Returns the two
+    operands of the pairwise step ``stop``, slot i then slot j; with
+    ``stop == len(steps)``, the result alone, in boundary order, with the
+    batch axis in front if it has one.  A plan of no steps leaves its one
+    factor, in slot 0, as the result; with no factor at all the result is
+    the scalar 1.  Factors are built under ``np.errstate(over="raise")``,
+    so a factor entry past the float range, from Python or from numpy,
+    raises ``OverflowGuardError``.
+    """
+    D = ctx.dim
+    rank = ds[0].n_outputs + ds[0].n_inputs
+    if not ds[0].nodes and not rank:
         return [np.asarray(1.0 + 0j)]
-    # a dense factor stays its Generator until a step first needs its array.
-    # Equal parameter-free generators share one array: a diagonal one for
-    # the whole call, a dense one until its last slot has taken it.
-    # Factors with an amplitude are built per node, from one H-box
-    # leg-product array per degree (`prods`) for the whole call
+    # a dense factor stays its Generator, or its tuple of one Generator
+    # per diagram, until a step first needs its array.  np.array stacks
+    # equal-shape arrays as np.stack does, at a quarter of its cost.  Equal
+    # parameter-free generators share one array: a diagonal one for the
+    # whole call, a dense one until its last slot has taken it.  Factors
+    # with an amplitude are built per node, from one H-box leg-product
+    # array per degree (`prods`) for the whole call
     factors: list[Any] = []
     shared: dict[Generator, np.ndarray] = {}
     prods: dict[int, np.ndarray] = {}
@@ -722,8 +777,8 @@ def _execute(steps: tuple, stop: int, node_codes: array, d: Diagram, ctx: Measur
         gen, factors[k] = factors[k], None
         if gen is _DELTA:
             return np.eye(D, dtype=complex)
-        if not isinstance(gen, Generator):
-            return gen
+        if not isinstance(gen, Generator):  # an array, or one generator per diagram
+            return gen if type(gen) is not tuple else np.array([generator_entries(ctx, g, prods) for g in gen])
         if gen.amp is not None:
             return generator_entries(ctx, gen, prods)
         arr = shared.get(gen)
@@ -734,12 +789,19 @@ def _execute(steps: tuple, stop: int, node_codes: array, d: Diagram, ctx: Measur
             del shared[gen]
         return arr
 
+    single = len(ds) == 1
+    # per node, its generator in every diagram where they differ, else None
+    differing = itertools.repeat(None) if single else [
+        None if all(map(gens[0].__eq__, gens[1:])) else gens for gens in zip(*[d.nodes.values() for d in ds])
+    ]
     try:
         with np.errstate(over="raise"):
-            for gen, code in zip(d.nodes.values(), node_codes):
+            for gen, code, gens in zip(ds[0].nodes.values(), node_codes, differing):
                 mode = code % 3
                 if mode == _DIAGONAL:
-                    if gen.amp is None:
+                    if gens is not None:
+                        arr = np.array([diagonal_weight(ctx, g) for g in gens])
+                    elif gen.amp is None:
                         arr = shared.get(gen)
                         if arr is None:
                             arr = shared[gen] = diagonal_weight(ctx, gen)
@@ -747,29 +809,39 @@ def _execute(steps: tuple, stop: int, node_codes: array, d: Diagram, ctx: Measur
                         arr = diagonal_weight(ctx, gen)
                     factors.append(arr)
                 elif mode == _DENSE:
-                    factors.append(gen)
-                    if gen.amp is None:
+                    factors.append(gen if gens is None else gens)
+                    if gens is None and gen.amp is None:
                         slots_left[gen] = slots_left.get(gen, 0) + 1
                 else:
-                    factors.extend(_split_factors(ctx, gen))
+                    split = _split_factors(ctx, gen)
+                    if gens is not None:  # only the coefficient vector depends on the generator
+                        split[0] = np.array([_split_factors(ctx, g)[0] for g in gens])
+                    factors.extend(split)
             # room for the boundary deltas the plan may have, each built when a step reads it
             factors.extend([_DELTA] * rank)
+            # a batch of one has no batch axis anywhere, so it takes the plain kernels
+            pairwise, einsum = (_pairwise, np.einsum) if single else (_batch_pairwise, _batch_einsum)
             i = 0
             for i, j, *subs in steps[:stop]:
                 if j < 0:
-                    factors[i] = np.einsum(operand(i), *subs)
+                    factors[i] = einsum(operand(i), *subs)
                 else:
                     sa, sb, so = subs
-                    factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
+                    factors[i] = pairwise(D, operand(i), sa, operand(j), sb, so)
             if stop < len(steps):
                 return [operand(steps[stop][0]), operand(steps[stop][1])]
-            return [operand(i).reshape((D,) * rank)]
+            return [operand(i)]
     except (OverflowError, FloatingPointError) as exc:  # a Python power or a numpy product
         raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
 
 
-def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[tuple, array]:
-    """The plan's steps for ``d``, cached, and its node codes; a size past a budget raises ``OverflowGuardError``."""
+def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, array, int]:
+    """The shape key of ``d``, its plan's steps (cached) and node codes, and its batch size.
+
+    The batch size is how many diagrams of this shape ``evaluate_many``
+    runs together: at most ``_MATMUL_MIN`` entries in any array, and at
+    least one diagram.  A size past a budget raises ``OverflowGuardError``.
+    """
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
     codes = _structure(d)
@@ -784,14 +856,65 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[tuple, array]:
     if d.dim**degree > _MAX_DENSE:
         name = list(d.nodes)[node]
         raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
-    return steps, codes[3 : 3 + codes[2]]
+    return key, steps, codes[3 : 3 + codes[2]], max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
+
+
+def _evaluate_batch(ds: list[Diagram], steps: tuple, node_codes: array, ctx: MeasureContext) -> list[Tensor]:
+    """The tensors of the same-shape diagrams ``ds``, last first, from one run of their plan.
+
+    ``ds`` is emptied once the plan has run, so the caller, popping the
+    tensors one at a time, holds neither the diagrams nor a tensor it
+    has handed on.
+    """
+    (data,) = _execute(steps, len(steps), node_codes, ds, ctx)
+    n_in, n_out = ds[0].n_inputs, ds[0].n_outputs
+    if data.ndim > n_in + n_out:
+        out = [Tensor(ctx.dim, n_in, n_out, entry) for entry in data[::-1]]
+    else:  # every factor was shared: one tensor for the last diagram, copies for the others
+        out = [Tensor(ctx.dim, n_in, n_out, data)]
+        out += [Tensor(ctx.dim, n_in, n_out, data.copy()) for _ in ds[1:]]
+    ds.clear()
+    return out
+
+
+def _popped(items: list[Tensor]) -> Iterator[Tensor]:
+    """The items of ``items`` from its end, each dropped from the list as it is handed on."""
+    while items:
+        yield items.pop()
+
+
+def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[Tensor]:
+    """``evaluate(d, ctx)`` for each diagram, in order, with the same bits.
+
+    Consecutive diagrams of one shape are contracted together, in
+    batches of at most ``_MATMUL_MIN`` entries in any array (see the
+    module notes).  ``diagrams`` is read as the tensors are asked for, so
+    one batch of diagrams and tensors is held at a time (and, where the
+    shape changes, the next diagram), and a size past a budget raises
+    ``OverflowGuardError`` when its diagram is read.
+    """
+    batch: list[Diagram] = []  # emptied by each run
+    for d in diagrams:
+        key, steps, node_codes, size = _checked_plan(d, ctx)
+        if batch and key != run_key:
+            yield from _popped(_evaluate_batch(batch, run_steps, run_codes, ctx))
+        run_key, run_steps, run_codes = key, steps, node_codes
+        batch.append(d)
+        del d
+        if len(batch) >= size:
+            yield from _popped(_evaluate_batch(batch, steps, node_codes, ctx))
+    if batch:
+        yield from _popped(_evaluate_batch(batch, run_steps, run_codes, ctx))
 
 
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``."""
-    steps, node_codes = _checked_plan(d, ctx)
-    (data,) = _execute(steps, len(steps), node_codes, d, ctx)
-    return Tensor(d.dim, d.n_inputs, d.n_outputs, data)
+    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``.
+
+    This is ``evaluate_many`` of the one diagram: the same plan check and
+    batch run, without the generator.
+    """
+    _, steps, node_codes, _ = _checked_plan(d, ctx)
+    return _evaluate_batch([d], steps, node_codes, ctx)[0]
 
 
 def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
@@ -808,13 +931,13 @@ def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
     """
     if not d.n_outputs + d.n_inputs:
         raise DiagramError("a diagram with no boundary has no blocks")
-    steps, node_codes = _checked_plan(d, ctx)
+    _, steps, node_codes, _ = _checked_plan(d, ctx)
     pairwise = [k for k in range(max(len(steps) - 2, 0), len(steps)) if steps[k][1] >= 0]
     if not pairwise:
-        yield from _execute(steps, len(steps), node_codes, d, ctx)[0]
+        yield from _execute(steps, len(steps), node_codes, [d], ctx)[0]
         return
     last = pairwise[-1]
-    a, b = _execute(steps, last, node_codes, d, ctx)
+    a, b = _execute(steps, last, node_codes, [d], ctx)
     _, _, sa, sb, so = steps[last]
     ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
     cut = so[ra.index(ro[0])]  # the step's label for boundary position 0

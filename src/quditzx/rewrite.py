@@ -40,13 +40,24 @@ wires.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from quditzx.diagram import _BLOCK_ABOVE, Diagram, DiagramBuilder, DiagramError, _splice, evaluate, evaluate_blocks
+from quditzx.diagram import (
+    _BLOCK_ABOVE,
+    Diagram,
+    DiagramBuilder,
+    DiagramError,
+    _splice,
+    evaluate,
+    evaluate_blocks,
+    evaluate_many,
+)
 # Unused here: bench/tracer.py patches quditzx.rewrite.gamma, so the
 # traced benchmark run fails if this import goes.
 from quditzx.gauss import gamma  # noqa: F401
@@ -1123,17 +1134,83 @@ def check_soundness(
     ctx: MeasureContext,
     tol: float = 1e-8,
 ) -> dict[str, Any]:
-    """Evaluate both sides and compare entrywise.
+    """Evaluate both sides of one assignment and compare entrywise.
 
     Sides of more than ``_BLOCK_ABOVE`` entries are evaluated and
-    compared one block at a time (``evaluate_blocks``), never whole.
+    compared one block at a time (``evaluate_blocks``), never whole.  A
+    NaN entry gives a NaN ``max_err``, which no tolerance passes.
+    ``check_all`` gets the same numbers for a cell's samples from batches
+    of same-shape sides, and refuses an error that is not finite.
     """
     lhs, rhs = instantiate(rule, params, ctx)
-    if ctx.dim ** (lhs.n_inputs + lhs.n_outputs) > _BLOCK_ABOVE:
-        err = max_abs_diff_blocks(zip(evaluate_blocks(lhs, ctx), evaluate_blocks(rhs, ctx), strict=True))
+    if _wide(lhs, ctx):
+        err = _blockwise_error(lhs, rhs, ctx)
     else:
         err = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
     return {"max_err": err, "pass": bool(err <= tol)}
+
+
+def _wide(side: Diagram, ctx: MeasureContext) -> bool:
+    """Whether a rule side has more than ``_BLOCK_ABOVE`` entries, so it is compared block by block."""
+    return ctx.dim ** (side.n_inputs + side.n_outputs) > _BLOCK_ABOVE
+
+
+def _blockwise_error(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float:
+    """The largest entrywise ``|lhs - rhs|`` of two wide sides, made one block at a time."""
+    return max_abs_diff_blocks(zip(evaluate_blocks(lhs, ctx), evaluate_blocks(rhs, ctx), strict=True))
+
+
+def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) -> Iterator[float]:
+    """The error ``check_soundness`` gives for each pair of rule sides, in order.
+
+    Runs of narrow sides go through ``evaluate_many``, one stream per
+    side, so consecutive sides of one shape are evaluated together, and
+    wide ones are compared block by block.  ``pairs`` is read as the
+    errors are asked for, so one batch of sides and tensors is held at a
+    time.
+    """
+    for wide, run in itertools.groupby(pairs, key=lambda pair: _wide(pair[0], ctx)):
+        if wide:
+            for lhs, rhs in run:
+                yield _blockwise_error(lhs, rhs, ctx)
+            continue
+        left, right = _unzipped(run)
+        rhs_tensors = evaluate_many(right, ctx)
+        for tensor in evaluate_many(left, ctx):
+            err = max_abs_diff(tensor, next(rhs_tensors))
+            del tensor  # not held while the next left side is evaluated
+            yield err
+
+
+def _unzipped(pairs: Iterable[tuple[Diagram, Diagram]]) -> tuple[Iterator[Diagram], Iterator[Diagram]]:
+    """The left and the right sides of ``pairs``, each read lazily.
+
+    A side is queued only until its own iterator reads it; unlike
+    ``itertools.tee``, which frees its buffer in blocks of many items,
+    nothing else is held.
+    """
+    source = iter(pairs)
+    left: deque[Diagram] = deque()
+    right: deque[Diagram] = deque()
+
+    def side(queue: deque[Diagram]) -> Iterator[Diagram]:
+        while True:
+            if not queue:
+                pair = next(source, None)
+                if pair is None:
+                    return
+                left.append(pair[0])
+                right.append(pair[1])
+            yield queue.popleft()
+
+    return side(left), side(right)
+
+
+def _finite(err: float) -> float:
+    """``err``; NaN or inf raises ``OverflowGuardError``."""
+    if not math.isfinite(err):
+        raise OverflowGuardError("a side left the float range")
+    return err
 
 
 def params_jsonable(params: Params) -> dict[str, Any]:
@@ -1163,10 +1240,13 @@ def check_all(
 
     Rows are ordered by rule id, then dimension, then sample index.
     Rules with no valid parameters at some D (or whose diagram family
-    outgrows its dimension cap) get a single "skip" row there.  A cell
-    refused by a size budget or the float range (any ``OverflowError``
-    while its sides are built or checked) raises ``OverflowGuardError``
-    with the rule id and D in front.
+    outgrows its dimension cap) get a single "skip" row there.  A cell's
+    samples are drawn in order and their sides evaluated in batches of
+    one shape (``_pair_errors``); each row holds the numbers
+    ``check_soundness`` gives for its sample alone.  A cell refused by a
+    size budget or the float range (any ``OverflowError`` while its sides
+    are built or checked, or a comparison that is not finite) raises
+    ``OverflowGuardError`` with the rule id and D in front.
     """
     dims = sorted(set(int(d) for d in dims))
     if any(d < 2 for d in dims):
@@ -1188,28 +1268,61 @@ def check_all(
                 )
                 continue
             rng = np.random.default_rng([seed, rule_key, D])
-            for i in range(samples):
-                params = spec.sample(D, rng)
-                if params is None:
-                    rows.append(
-                        {"rule": rule_id, "dim": D, "sample": i, "params": {},
-                         "max_err": None, "status": "skip"}
-                    )
-                    break
-                try:
-                    rep = check_soundness(spec, params, ctx, tol)
-                except OverflowError as exc:
-                    raise OverflowGuardError(f"{rule_id} at D={D}: {exc}") from exc
-                rows.append(
-                    {
-                        "rule": rule_id,
-                        "dim": D,
-                        "sample": i,
-                        "params": params_jsonable(params),
-                        "max_err": rep["max_err"],
-                        "status": "pass" if rep["pass"] else "fail",
-                    }
-                )
+            try:
+                rows += _cell_rows(spec, ctx, samples, tol, rng)
+            except OverflowError as exc:
+                raise OverflowGuardError(f"{rule_id} at D={D}: {exc}") from exc
+    return rows
+
+
+def _cell_rows(
+    spec: RuleSpec, ctx: MeasureContext, samples: int, tol: float, rng: np.random.Generator
+) -> list[dict[str, Any]]:
+    """The rows of one (rule, D) cell of ``check_all``.
+
+    A cell of one sample has nothing to batch, so its sample is checked
+    alone (``check_soundness``), without the two streams' set-up.  A
+    refusal replays the samples drawn but not yet in a row one at a time,
+    so the error raised is that of the first failing sample, as when each
+    sample is checked alone.
+    """
+    rows: list[dict[str, Any]] = []
+    drawn: deque[Params] = deque()  # drawn, in sample order, and not yet in a row
+    skipped: list[int] = []
+
+    def draws() -> Iterator[Params]:
+        for i in range(samples):
+            params = spec.sample(ctx.dim, rng)
+            if params is None:
+                skipped.append(i)
+                return
+            drawn.append(params)
+            yield params
+
+    if samples == 1:
+        errs = (check_soundness(spec, params, ctx, tol)["max_err"] for params in draws())
+    else:
+        errs = _pair_errors((instantiate(spec, params, ctx) for params in draws()), ctx)
+    try:
+        for err in map(_finite, errs):
+            rows.append(
+                {
+                    "rule": spec.id,
+                    "dim": ctx.dim,
+                    "sample": len(rows),
+                    "params": params_jsonable(drawn.popleft()),
+                    "max_err": err,
+                    "status": "pass" if err <= tol else "fail",
+                }
+            )
+    except OverflowError:
+        for params in drawn:
+            _finite(check_soundness(spec, params, ctx, tol)["max_err"])
+        raise
+    rows += [
+        {"rule": spec.id, "dim": ctx.dim, "sample": i, "params": {}, "max_err": None, "status": "skip"}
+        for i in skipped
+    ]
     return rows
 
 

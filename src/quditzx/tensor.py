@@ -149,23 +149,25 @@ def max_abs_diff_blocks(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> float
     ``float(np.max(np.abs(x - y)))`` over the pairs stacked;
     ``np.maximum`` carries a NaN from any sub-block to the end.  The
     pairs are read one at a time, so they may come from generators.
+    Entries past the float range give inf or NaN with no warning.
     """
     worst = -np.inf
-    for x, y in pairs:
-        if x.shape != y.shape:
-            raise ShapeError(f"arrays differ in shape: {x.shape} != {y.shape}")
-        if x.size <= _DIFF_BLOCK:
-            worst = np.maximum(worst, np.max(np.abs(x - y)))
-        else:
-            order = sorted(range(x.ndim), key=lambda k: -abs(x.strides[k]) - abs(y.strides[k]))
-            x, y = x.transpose(order), y.transpose(order)
-            lead, size = 0, x.size
-            while size > _DIFF_BLOCK:
-                size //= x.shape[lead]
-                lead += 1
-            for idx in np.ndindex(x.shape[:lead]):
-                worst = np.maximum(worst, np.max(np.abs(x[idx] - y[idx])))
-        del x, y  # let go of this pair before the next one is made
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x, y in pairs:
+            if x.shape != y.shape:
+                raise ShapeError(f"arrays differ in shape: {x.shape} != {y.shape}")
+            if x.size <= _DIFF_BLOCK:
+                worst = np.maximum(worst, np.abs(x - y).max())
+            else:
+                order = sorted(range(x.ndim), key=lambda k: -abs(x.strides[k]) - abs(y.strides[k]))
+                x, y = x.transpose(order), y.transpose(order)
+                lead, size = 0, x.size
+                while size > _DIFF_BLOCK:
+                    size //= x.shape[lead]
+                    lead += 1
+                for idx in np.ndindex(x.shape[:lead]):
+                    worst = np.maximum(worst, np.abs(x[idx] - y[idx]).max())
+            del x, y  # let go of this pair before the next one is made
     return float(worst)
 
 

@@ -335,6 +335,17 @@ def test_check_at_an_extreme_nu_is_a_semantic_error(runner, nu, what):
     assert res.stderr == f"check failed: ZH-DH at D=2: {what}\n"
 
 
+def test_check_refuses_a_comparison_past_the_float_range():
+    # both sides of ZH-HMB at D=2 overflow inside the contraction at this
+    # nu, so their difference is NaN: a refused cell, not a failing row
+    # with "max_err": NaN (which is not JSON), and no RuntimeWarning
+    proc = run_fresh_python("-m", "quditzx.cli", "check", "ZH-HMB", "--dims", "2..3", "--samples", "1",
+                            "--nu", "1e100")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "check failed: ZH-HMB at D=2: a side left the float range\n"
+
+
 def test_check_names_the_refused_cell(runner):
     # seed 0 draws a ZH-EC alpha whose power at D=32 leaves the float range
     res = runner.invoke(cli.main, ["check", "--dims", "32..32", "--samples", "1"])

@@ -32,6 +32,7 @@ from quditzx.diagram import (
     dump_json,
     evaluate,
     evaluate_blocks,
+    evaluate_many,
     load_json,
 )
 from quditzx.generators import (
@@ -1056,6 +1057,113 @@ def test_random_diagram_blocks_are_slices(d: Diagram, split_all: bool, matmul_mi
         else:
             with pytest.raises(DiagramError, match="no boundary"):
                 next(evaluate_blocks(d, ctx))
+
+
+# -- batches --------------------------------------------------------------
+
+
+def alone(d: Diagram, ctx: MeasureContext) -> np.ndarray:
+    """The executor's result for ``d`` in a batch of its own."""
+    _, steps, node_codes, _ = dg._checked_plan(d, ctx)
+    (data,) = dg._execute(steps, len(steps), node_codes, [d], ctx)
+    return data
+
+
+@pytest.mark.parametrize("nu", [None, 1.0])
+def test_catalog_batches_are_bit_identical(monkeypatch, nu) -> None:
+    # every side of every rule at D=2..6, five draws a cell, through
+    # evaluate_many and alone; ZH-O and ZH-ZPL at D=5 take their
+    # matmul-size steps once per batch entry
+    real, sizes = dg._execute, Counter()
+
+    def counting(steps, stop, node_codes, ds, ctx):
+        sizes[len(ds) > 1] += 1
+        return real(steps, stop, node_codes, ds, ctx)
+
+    monkeypatch.setattr(dg, "_execute", counting)
+    ids = sorted(CATALOG)
+    for rid in ids:
+        spec = CATALOG[rid]
+        for dim in range(2, 7):
+            if spec.dim_cap is not None and dim > spec.dim_cap:
+                continue
+            ctx = MeasureContext(dim, nu)
+            rng = np.random.default_rng([0, ids.index(rid), dim])
+            draws = [spec.sample(dim, rng) for _ in range(5)]
+            pairs = [instantiate(spec, params, ctx) for params in draws if params is not None]
+            for sides in zip(*pairs):
+                got = list(evaluate_many(sides, ctx))
+                assert len(got) == len(sides)
+                for d, t in zip(sides, got):
+                    assert t.data.tobytes() == alone(d, ctx).tobytes(), (rid, dim)
+    assert sizes[True] > 100  # most cells ran as batches
+
+
+def test_a_batch_keeps_input_order_across_shapes() -> None:
+    ctx = MeasureContext(3)
+    rng = np.random.default_rng(5)
+    pairs = [instantiate(CATALOG[rid], CATALOG[rid].sample(3, rng), ctx) for rid in ("ZX-GFP", "ZH-HM")]
+    pairs += [instantiate("ZX-GFP", CATALOG["ZX-GFP"].sample(3, rng), ctx) for _ in range(3)]
+    # a run of two ZX-GFP left sides, then shapes that change at every step
+    mixed = [pairs[2][0], pairs[0][0], pairs[1][1], pairs[3][0], pairs[1][0], pairs[4][0], pairs[0][1]]
+    got = list(evaluate_many(iter(mixed), ctx))
+    assert [t.data.tobytes() for t in got] == [evaluate(d, ctx).data.tobytes() for d in mixed]
+
+
+def test_an_empty_batch_gives_nothing() -> None:
+    assert list(evaluate_many([], MeasureContext(3))) == []
+
+
+def test_a_batch_refuses_a_dimension_mismatch() -> None:
+    ctx = MeasureContext(3)
+    wire3 = node_diagram(3, Generator.hplus())
+    with pytest.raises(DiagramError, match="context dimension 3 != diagram dimension 4"):
+        list(evaluate_many([wire3, node_diagram(4, Generator.hplus())], ctx))
+
+
+def test_equal_diagrams_in_a_batch_get_their_own_arrays() -> None:
+    # every factor is shared, so the batch has one result; each diagram
+    # still gets an array that no other tensor shares
+    ctx = MeasureContext(3)
+    d = node_diagram(3, Generator.green(Phase(0.4), 1, 1))
+    first, second, third = evaluate_many([d, d, d], ctx)
+    want = evaluate(d, ctx).data.tobytes()
+    first.data[...] = 0
+    assert second.data.tobytes() == third.data.tobytes() == want
+    assert not np.shares_memory(second.data, third.data)
+
+
+def redrawn(draw, d: Diagram) -> Diagram:
+    """``d`` with each amplitude and each not-dot constant drawn again: same shape, new numbers."""
+    nodes = {}
+    for name, gen in d.nodes.items():
+        if gen.amp is not None:
+            gen = Generator(gen.kind, gen.m, gen.n, amp=draw(st.sampled_from(AMPS)))
+        elif gen.kind == "not":
+            gen = Generator.not_dot(draw(st.integers(0, d.dim - 1)))
+        nodes[name] = gen
+    return Diagram(d.dim, nodes, d.edges, d.n_inputs, d.n_outputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_diagrams(), st.data(), st.booleans(), st.sampled_from([None, 1]), st.sampled_from([None, 0.8]))
+def test_random_batches_match_each_diagram(d, data, split_all, matmul_min, nu) -> None:
+    # copies of one diagram with re-drawn numbers, run as one batch by the
+    # executor and by evaluate_many; with matmul_min=1 every pairwise step
+    # runs once per batch entry (and evaluate_many runs batches of one)
+    copies = [d] + [redrawn(data.draw, d) for _ in range(3)]
+    ctx = MeasureContext(d.dim, nu)
+    split_above = 0 if split_all else dg._SPLIT_ABOVE
+    with mock.patch.object(dg, "_SPLIT_ABOVE", split_above), \
+            mock.patch.object(dg, "_MATMUL_MIN", matmul_min or dg._MATMUL_MIN):
+        want = [evaluate(c, ctx) for c in copies]
+        _, steps, node_codes, _ = dg._checked_plan(d, ctx)
+        (batch,) = dg._execute(steps, len(steps), node_codes, copies, ctx)
+        streamed = list(evaluate_many(copies, ctx))
+    for k, w in enumerate(want):
+        got = Tensor(d.dim, d.n_inputs, d.n_outputs, batch[k] if batch.ndim > w.data.ndim else batch)
+        for t in (got, streamed[k]):
+            assert max_abs_diff(t, w) <= 1e-12 * max(1.0, np.max(np.abs(w.data)))
 
 
 # -- the plan cache -------------------------------------------------------

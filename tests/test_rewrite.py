@@ -11,15 +11,18 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import quditzx.diagram as dg
 import quditzx.rewrite as rw
 import quditzx.tensor as tn
 from quditzx.diagram import Diagram, DiagramBuilder, dump_json, evaluate, load_json
 from quditzx.generators import Char, Generator, One, Phase, Stab
-from quditzx.measure import MeasureContext
+from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.rewrite import (
     CATALOG,
     NU_ANY_RULES,
@@ -439,6 +442,124 @@ def test_check_all_rejects_bad_args():
         check_all([2], samples=0)
     with pytest.raises(RewriteError):
         check_all([2], rules=["ZX-NOPE"])
+
+
+def test_check_all_rows_are_each_samples_own_check():
+    # batched cells give every sample the error check_soundness gives it
+    # alone, bit for bit; ZH-O and ZH-ZPL run matmul-size steps at D=5, 6
+    rules = ["ZH-HMB", "ZH-ME", "ZH-O", "ZH-ZPL", "ZX-GFP"]
+    ids = sorted(CATALOG)
+    want = []
+    for rid in rules:
+        spec = CATALOG[rid]
+        for dim in range(2, 7):
+            rng = np.random.default_rng([3, ids.index(rid), dim])
+            for _ in range(5):
+                params = spec.sample(dim, rng)
+                if params is None:
+                    want.append((rid, dim, None))
+                    break
+                want.append((rid, dim, check_soundness(spec, params, MeasureContext(dim))["max_err"]))
+    rows = check_all(range(2, 7), samples=5, seed=3, rules=rules)
+    assert [(r["rule"], r["dim"], r["max_err"]) for r in rows] == want
+
+
+@pytest.mark.parametrize("samples", [1, 2])  # checked alone, and in batches
+def test_check_all_refuses_a_comparison_past_the_float_range(samples):
+    # at nu=1e100 both sides of ZH-HMB at D=2 overflow inside einsum, and
+    # inf - inf is NaN: a refused cell, not a failing row, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuardError, match=r"^ZH-HMB at D=2: a side left the float range$"):
+            check_all([2, 3], samples=samples, nu=1e100, rules=["ZH-HMB"])
+        # check_soundness of that one pair still reports the NaN
+        spec = CATALOG["ZH-HMB"]
+        params = spec.sample(2, np.random.default_rng([0, sorted(CATALOG).index("ZH-HMB"), 2]))
+        rep = check_soundness(spec, params, MeasureContext(2, 1e100))
+    assert math.isnan(rep["max_err"]) and rep["pass"] is False
+
+
+def test_a_refused_cell_names_its_first_failing_sample(monkeypatch):
+    # sample 3 is refused as it is built, sample 1 only when its right
+    # side is evaluated alone.  The batch builds all five sides before it
+    # evaluates any, so sample 3 fails first; the cell still reports
+    # sample 1, as when each sample is checked alone
+    spec = CATALOG["ZX-GFP"]
+    rng = np.random.default_rng([0, sorted(CATALOG).index("ZX-GFP"), 3])
+    draws = [spec.sample(3, rng) for _ in range(5)]
+    real_instantiate, real_evaluate = rw.instantiate, rw.evaluate
+    poisoned: list = []
+
+    def instantiate(rule, params, ctx):
+        if params == draws[3]:
+            raise OverflowGuardError("sample 3 is refused")
+        pair = real_instantiate(rule, params, ctx)
+        if params == draws[1]:
+            poisoned.append(pair[1])
+        return pair
+
+    def evaluate(d, ctx):
+        if any(d is p for p in poisoned):
+            raise OverflowGuardError("sample 1 is refused")
+        return real_evaluate(d, ctx)
+
+    monkeypatch.setattr(rw, "instantiate", instantiate)
+    monkeypatch.setattr(rw, "evaluate", evaluate)
+    with pytest.raises(OverflowGuardError, match=r"^ZX-GFP at D=3: sample 1 is refused$"):
+        check_all([3], samples=5, rules=["ZX-GFP"])
+
+
+def test_batched_cells_peak_like_one_sample():
+    # ZH-O and ZH-ZPL at D=6 have 6^7-entry sides, so they run in batches
+    # of one: the cells peak as their worst sample checked alone
+    rules = ["ZH-O", "ZH-ZPL"]
+    check_all([6], samples=1, rules=rules)  # plans cached, as below
+    single = 0
+    for rid in rules:
+        spec = CATALOG[rid]
+        rng = np.random.default_rng([0, sorted(CATALOG).index(rid), 6])
+        for _ in range(5):
+            params = spec.sample(6, rng)
+            tracemalloc.start()
+            try:
+                check_soundness(spec, params, MeasureContext(6))
+                single = max(single, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        check_all([6], samples=5, rules=rules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= single + 2 * 2**20
+
+
+def test_check_all_holds_one_batch_of_sides(monkeypatch):
+    # ZX-GI's sides at D=3 have 3^2-entry arrays, so a cap of 72 entries
+    # makes batches of 8; at each run no more than one batch of pairs is
+    # alive, however many samples the cell has
+    monkeypatch.setattr(dg, "_MATMUL_MIN", 8 * 9)
+    real_instantiate, real_execute = rw.instantiate, dg._execute
+    built: list = []
+    sizes, live = [], []
+
+    def instantiate(rule, params, ctx):
+        pair = real_instantiate(rule, params, ctx)
+        built.extend(weakref.ref(d) for d in pair)
+        return pair
+
+    def execute(steps, stop, node_codes, ds, ctx):
+        sizes.append(len(ds))
+        live.append(sum(ref() is not None for ref in built))
+        return real_execute(steps, stop, node_codes, ds, ctx)
+
+    monkeypatch.setattr(rw, "instantiate", instantiate)
+    monkeypatch.setattr(dg, "_execute", execute)
+    rows = check_all([3], samples=200, rules=["ZX-GI"])
+    assert [r["status"] for r in rows] == ["pass"] * 200
+    assert len(built) == 400 and sizes == [8] * 50
+    assert max(live) <= 2 * 8
 
 
 @pytest.mark.parametrize("nu", [1.0, 0.7, None])
