@@ -1242,8 +1242,9 @@ def check_all(
     Rules with no valid parameters at some D (or whose diagram family
     outgrows its dimension cap) get a single "skip" row there.  A cell's
     samples are drawn in order and their sides evaluated in batches of
-    one shape (``_pair_errors``); each row holds the numbers
-    ``check_soundness`` gives for its sample alone.  A cell refused by a
+    one shape (``_pair_errors``; a cell of one sample is checked alone);
+    each row holds the numbers ``check_soundness`` gives for its sample
+    alone.  A cell refused by a
     size budget or the float range (any ``OverflowError`` while its sides
     are built or checked, or a comparison that is not finite) raises
     ``OverflowGuardError`` with the rule id and D in front.
