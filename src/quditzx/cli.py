@@ -6,7 +6,9 @@ Gamma table, and print the numeric constants for a dimension.  Each
 command takes ``-h``/``--help``.
 
 Exit codes: 0 success, 1 soundness failure, 2 usage or parse error,
-3 semantic error while processing an otherwise well-formed input.
+3 semantic error while processing an otherwise well-formed input.  A
+command registers the words that head its semantic errors, and ``main``
+prints them before the message of any ``OverflowGuardError`` it raises.
 
 Each command imports the modules it runs inside its body, so a cold
 ``info`` or ``gamma-table`` loads only ``measure`` (and ``gauss``),
@@ -26,6 +28,8 @@ from typing import Any
 from quditzx.measure import MeasureContext, OverflowGuardError
 
 SEMANTIC_EXIT = 3
+_MAX_DIMS = 1 << 16  # dimensions in one --dims range
+_MAX_GAMMA_ROWS = 1 << 20  # rows of one Gamma table: 9 D^2 a dimension, so D <= 341 alone
 
 
 class UsageError(Exception):
@@ -63,6 +67,8 @@ def _parse_dims(dim: int | None, dims: str | None, default: tuple[int, int]) -> 
         lo, hi = default
     if lo < 2 or hi < lo:
         raise UsageError(f"bad dimension range {lo}..{hi}")
+    if hi - lo + 1 > _MAX_DIMS:
+        raise UsageError(f"dimension range {lo}..{hi} holds {hi - lo + 1} dimensions, more than {_MAX_DIMS}")
     return list(range(lo, hi + 1))
 
 
@@ -123,12 +129,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:  # bad or too deep JSON, bad diagram
         raise UsageError(f"cannot read diagram {args.path!r}: {exc}")
     ctx = MeasureContext(d.dim, nu)
-    try:
-        text = tensor.dump_json(diagram.evaluate(d, ctx))
-    except OverflowGuardError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        sys.exit(SEMANTIC_EXIT)
-    _write_output(text, args.out)
+    _write_output(tensor.dump_json(diagram.evaluate(d, ctx)), args.out)
 
 
 def cmd_check(args: argparse.Namespace) -> None:
@@ -148,11 +149,7 @@ def cmd_check(args: argparse.Namespace) -> None:
     if args.rule is not None and args.rule not in rewrite.CATALOG:
         raise UsageError(f"unknown rule id {args.rule!r}")
     rules = None if args.rule is None else [args.rule]
-    try:
-        rows = rewrite.check_all(dims, samples=args.samples, seed=args.seed, tol=args.tol, nu=nu, rules=rules)
-    except OverflowGuardError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        sys.exit(SEMANTIC_EXIT)
+    rows = rewrite.check_all(dims, samples=args.samples, seed=args.seed, tol=args.tol, nu=nu, rules=rules)
     report = {
         "dims": dims,
         "samples": args.samples,
@@ -189,12 +186,7 @@ def cmd_gadget(args: argparse.Namespace) -> None:
     except construct.GadgetError as exc:
         raise UsageError(str(exc))
     if args.emit_tensor:
-        try:
-            text = tensor.dump_json(diagram.evaluate(d, ctx))
-        except OverflowGuardError as exc:
-            print(f"evaluation failed: {exc}", file=sys.stderr)
-            sys.exit(SEMANTIC_EXIT)
-        _write_output(text, args.out)
+        _write_output(tensor.dump_json(diagram.evaluate(d, ctx)), args.out)
     else:
         _write_output(diagram.dump_json(d), args.out)
 
@@ -210,12 +202,7 @@ def cmd_normal_form(args: argparse.Namespace) -> None:
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read tensor {args.tensor!r}: {exc}")
     ctx = MeasureContext(omega.dim, nu)
-    try:
-        d = construct.normal_form(omega, ctx)
-    except OverflowGuardError as exc:
-        print(f"normal form too large: {exc}", file=sys.stderr)
-        sys.exit(SEMANTIC_EXIT)
-    _write_output(diagram.dump_json(d), args.out)
+    _write_output(diagram.dump_json(construct.normal_form(omega, ctx)), args.out)
 
 
 def cmd_gamma_table(args: argparse.Namespace) -> None:
@@ -223,6 +210,9 @@ def cmd_gamma_table(args: argparse.Namespace) -> None:
     from quditzx import gauss
 
     dims = _parse_dims(args.dim, args.dims, default=(2, 8))
+    rows = sum(9 * D * D for D in dims)  # a and b each run over 3D values
+    if rows > _MAX_GAMMA_ROWS:
+        raise UsageError(f"a Gamma table of {rows} rows is more than {_MAX_GAMMA_ROWS}")
     buf = io.StringIO()
     buf.write("a,b,D,re,im,magnitude_class\n")
     for D in dims:
@@ -241,18 +231,13 @@ def cmd_info(args: argparse.Namespace) -> None:
     if args.dim < 2:
         raise UsageError("--dim must be at least 2")
     ctx = MeasureContext(args.dim, _parse_nu(args.nu))
-    try:
-        total = ctx.total_measure
-    except OverflowGuardError as exc:
-        print(f"info failed: {exc}", file=sys.stderr)
-        sys.exit(SEMANTIC_EXIT)
     lines = [
         f"dim            {ctx.dim}",
         f"window         [{ctx.lower}, {ctx.upper}]",
         f"sigma          {ctx.sigma}",
         f"nu             {ctx.nu!r}",
         f"well_tempered  {ctx.is_well_tempered}",
-        f"total_measure  {total!r}",
+        f"total_measure  {ctx.total_measure!r}",
         f"omega          {ctx.omega!r}",
         f"tau            {ctx.tau!r}",
     ]
@@ -264,16 +249,17 @@ def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
     parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def command(name: str, func: Any) -> argparse.ArgumentParser:
+    def command(name: str, func: Any, refused: str | None = None) -> argparse.ArgumentParser:
+        # `refused` heads the message of an OverflowGuardError the command raises
         sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__, allow_abbrev=False)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, refused=refused)
         return sub
 
-    p = command("eval", cmd_eval)
+    p = command("eval", cmd_eval, "evaluation failed")
     p.add_argument("path", metavar="PATH", help="diagram file")
     p.add_argument("--nu", help="normalization: real or 'well-tempered'")
     p.add_argument("-o", dest="out", metavar="FILE", help="write result here")
-    p = command("check", cmd_check)
+    p = command("check", cmd_check, "check failed")
     p.add_argument("rule", nargs="?", metavar="RULE", help="one rule id (default: every rule)")
     p.add_argument("--dim", type=int, help="single dimension")
     p.add_argument("--dims", help="dimension range A..B (default 2..6)")
@@ -282,14 +268,14 @@ def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
     p.add_argument("--tol", type=float, default=1e-8, help="comparison tolerance (default 1e-08)")
     p.add_argument("--nu", help="normalization: real or 'well-tempered'")
     p.add_argument("-o", dest="out", metavar="FILE", help="write report here")
-    p = command("gadget", cmd_gadget)
+    p = command("gadget", cmd_gadget, "evaluation failed")
     p.add_argument("name", metavar="NAME", help="gadget name")
     p.add_argument("--dim", type=int, required=True, help="dimension D")
     p.add_argument("--nu", help="normalization: real or 'well-tempered'")
     p.add_argument("--param", action="append", default=[], metavar="K=V", help="gadget parameter (repeatable)")
     p.add_argument("--emit-tensor", action="store_true", help="write the evaluated tensor, not the diagram")
     p.add_argument("-o", dest="out", metavar="FILE", help="write result here")
-    p = command("normal-form", cmd_normal_form)
+    p = command("normal-form", cmd_normal_form, "normal form too large")
     p.add_argument("--tensor", required=True, metavar="FILE", help="tensor dump to synthesize")
     p.add_argument("--nu", help="normalization: real or 'well-tempered'")
     p.add_argument("-o", dest="out", metavar="FILE", help="write diagram here")
@@ -297,7 +283,7 @@ def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
     p.add_argument("--dim", type=int, help="single dimension")
     p.add_argument("--dims", help="dimension range A..B (default 2..8)")
     p.add_argument("-o", dest="out", metavar="FILE", help="write CSV here")
-    p = command("info", cmd_info)
+    p = command("info", cmd_info, "info failed")
     p.add_argument("--dim", type=int, required=True, help="dimension D")
     p.add_argument("--nu", help="normalization: real or 'well-tempered'")
 
@@ -306,6 +292,11 @@ def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
         ns.func(ns)
     except UsageError as exc:
         commands.choices[ns.command].error(str(exc))
+    except OverflowGuardError as exc:
+        if ns.refused is None:
+            raise
+        print(f"{ns.refused}: {exc}", file=sys.stderr)
+        sys.exit(SEMANTIC_EXIT)
 
 
 if __name__ == "__main__":

@@ -43,9 +43,9 @@ merged last, against the full-size result.  For each index the
 candidate pair is its two lowest-rank factors; an index shared by
 three or more factors (a hub, such as a fan-out dot) keeps them in a
 lazy min-heap instead of sorting its factors on every step.  The
-planner reads only ranks, so dense node factors are built only when a
-contraction first needs their array and are dropped once merged; a
-fan-out's many selector boxes never all exist at once.
+planner reads only ranks, so diagonal and dense node factors are built
+only when a contraction first needs their array and are dropped once
+merged; a fan-out's many selector boxes never all exist at once.
 
 Each pairwise step runs on one of two kernels, picked by its size; the
 order is the same for both.  A step over u distinct labels loops over
@@ -81,18 +81,20 @@ soundness cell's draws, say, change only node parameters, and running
 each alone spends most of its time on per-step Python work, not on
 arithmetic.  A node whose generator is equal (``==``) in every diagram of
 the batch keeps one factor array; any other factor is stacked on a
-leading batch axis, and so is every array made from one.  A step below
-``_MATMUL_MIN`` runs as one ``np.einsum`` with ``Ellipsis`` leading each
-sublist, so an operand without the batch axis broadcasts
-(``_batch_pairwise``).  A matmul-size step runs once per batch entry, so
-every tensor has the bits it has when its diagram runs alone.  A batch
-holds at most ``_MATMUL_MIN`` entries in any array (batch times
-D^max(top, widest dense degree)): past that the per-call overhead is
-small next to the arithmetic, and a larger batch only costs memory.  A
-batch of one has no batch axis, so the executor gives it the plain
-kernels.  ``evaluate`` runs the batch of one that ``evaluate_many`` runs
-for a single diagram, and ``evaluate_blocks`` runs the same executor on a
-batch of one.
+leading batch axis, and so is every array made from one.  The batch axis
+belongs to the arrays, not to the call: each step reads it off its
+operands, as one axis more than the step's sublist.  A step below
+``_MATMUL_MIN`` with a batched operand runs as one ``np.einsum`` with
+``Ellipsis`` leading each sublist, so an operand without the batch axis
+broadcasts; a matmul-size one runs once per batch entry (``_pairwise``),
+so every tensor has the bits it has when its diagram runs alone.  A step
+with no batched operand, as is every step of a batch of one, runs the
+plain kernels.  A batch holds at most ``_MATMUL_MIN`` entries in any
+array (batch times D^max(top, widest dense degree)): past that the
+per-call overhead is small next to the arithmetic, and a larger batch
+only costs memory.  ``evaluate`` runs the batch of one that
+``evaluate_many`` runs for a single diagram, and ``evaluate_blocks`` runs
+the same executor on a batch of one.
 
 A wide result can be had in blocks, never whole (``evaluate_blocks``).
 At most the final reorder follows a plan's last pairwise step, so that
@@ -681,19 +683,18 @@ def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
     return [coeff] + [phase] * deg
 
 
-def _on_einsum(dim: int, sa: Sequence, sb: Sequence) -> bool:
-    """Whether a pairwise step on sublists ``sa`` and ``sb`` loops over fewer than ``_MATMUL_MIN`` entries."""
-    # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
-    return dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN
-
-
 def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
     """``np.einsum(a, sa, b, sb, so)``, as one batched ``np.matmul`` if the step is large.
 
     The planner numbers a step's labels 0..u-1, so it loops over D^u
     entries; below ``_MATMUL_MIN`` of them it runs as one ``np.einsum``.
-    The matmul path needs what the planner's steps give: distinct labels
-    in each operand, and every label in ``so`` or in both operands.  The
+    An operand with one axis more than its sublist has a leading batch
+    axis, and then so has the result: a small step runs as one
+    ``np.einsum`` with ``Ellipsis`` leading each sublist, so an operand
+    without the axis broadcasts, and a large one runs once per batch
+    entry, so each entry has the bits of its diagram run alone.  The
+    matmul path needs what the planner's steps give: distinct labels in
+    each operand, and every label in ``so`` or in both operands.  The
     labels split into batch (shared, kept), summed (shared, dropped) and
     free in a or in b; a becomes ``(batch, free a, summed)``, b becomes
     ``(batch, summed, free b)``, and the product comes back as a view in
@@ -701,8 +702,16 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     operand the caller has let go of is freed before the product is
     allocated.
     """
-    if _on_einsum(dim, sa, sb):
+    stacked_a, stacked_b = a.ndim > len(sa), b.ndim > len(sb)
+    # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
+    if dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN:
+        if stacked_a or stacked_b:
+            return np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))
         return np.einsum(a, sa, b, sb, so)
+    if stacked_a or stacked_b:
+        n = len(a) if stacked_a else len(b)
+        return np.array([_pairwise(dim, a[k] if stacked_a else a, sa, b[k] if stacked_b else b, sb, so)
+                         for k in range(n)])
     in_a, in_b, keep = set(sa), set(sb), set(so)
     batch = [l for l in sa if l in in_b and l in keep]
     summed = [l for l in sa if l in in_b and l not in keep]
@@ -714,30 +723,6 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     order = batch + free_a + free_b
     c = np.matmul(a, b).reshape((dim,) * len(order))
     return c.transpose([order.index(l) for l in so])
-
-
-def _batch_pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
-    """``_pairwise`` where an operand with one axis more than its sublist has a leading batch axis.
-
-    The result then has the batch axis too.  A step below ``_MATMUL_MIN``
-    runs as one ``np.einsum`` over the whole batch, with ``Ellipsis``
-    leading each sublist; a larger one runs ``_pairwise`` once per batch
-    entry, so each entry has the bits of its diagram run alone.
-    """
-    in_a, in_b = a.ndim > len(sa), b.ndim > len(sb)
-    if not (in_a or in_b):
-        return _pairwise(dim, a, sa, b, sb, so)
-    if _on_einsum(dim, sa, sb):
-        return np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))
-    n = len(a) if in_a else len(b)
-    return np.array([_pairwise(dim, a[k] if in_a else a, sa, b[k] if in_b else b, sb, so) for k in range(n)])
-
-
-def _batch_einsum(x: np.ndarray, sa: Sequence, so: Sequence) -> np.ndarray:
-    """``np.einsum(x, sa, so)``, over a leading batch axis if ``x`` has one axis more than ``sa``."""
-    if x.ndim > len(sa):
-        return np.einsum(x, (..., *sa), (..., *so))
-    return np.einsum(x, sa, so)
 
 
 def _execute(
@@ -760,74 +745,66 @@ def _execute(
     rank = ds[0].n_outputs + ds[0].n_inputs
     if not ds[0].nodes and not rank:
         return [np.asarray(1.0 + 0j)]
-    # a dense factor stays its Generator, or its tuple of one Generator
-    # per diagram, until a step first needs its array.  np.array stacks
-    # equal-shape arrays as np.stack does, at a quarter of its cost.  Equal
-    # parameter-free generators share one array: a diagonal one for the
-    # whole call, a dense one until its last slot has taken it.  Factors
-    # with an amplitude are built per node, from one H-box leg-product
-    # array per degree (`prods`) for the whole call
+    # a diagonal or dense factor stays its Generator, or its tuple of one
+    # Generator per diagram, until a step first needs its array.  np.array
+    # stacks equal-shape arrays as np.stack does, at a quarter of its
+    # cost.  Equal parameter-free generators share one array, held in
+    # their share [generator, slots left, array] until their last slot
+    # has taken it.  Factors with an amplitude are built per node, from
+    # one H-box leg-product array per degree (`prods`) for the whole call
     factors: list[Any] = []
-    shared: dict[Generator, np.ndarray] = {}
+    shares: dict[Generator, list] = {}
     prods: dict[int, np.ndarray] = {}
-    slots_left: dict[Generator, int] = {}
+
+    def entries(gen: Generator) -> np.ndarray:
+        if gen.kind in ("green", "white"):
+            return diagonal_weight(ctx, gen)
+        return generator_entries(ctx, gen, prods)
 
     def operand(k: int) -> np.ndarray:
         # the slot lets go, so a step's kernel holds the last reference
-        gen, factors[k] = factors[k], None
-        if gen is _DELTA:
+        f, factors[k] = factors[k], None
+        if type(f) is list:  # a share
+            f[1] -= 1
+            arr = entries(f[0]) if f[2] is None else f[2]
+            f[2] = arr if f[1] else None
+            return arr
+        if f is _DELTA:
             return np.eye(D, dtype=complex)
-        if not isinstance(gen, Generator):  # an array, or one generator per diagram
-            return gen if type(gen) is not tuple else np.array([generator_entries(ctx, g, prods) for g in gen])
-        if gen.amp is not None:
-            return generator_entries(ctx, gen, prods)
-        arr = shared.get(gen)
-        if arr is None:
-            arr = shared[gen] = generator_entries(ctx, gen)
-        slots_left[gen] -= 1
-        if not slots_left[gen]:
-            del shared[gen]
-        return arr
+        if type(f) is tuple:  # one generator per diagram
+            return np.array([entries(g) for g in f])
+        return entries(f) if isinstance(f, Generator) else f
 
-    single = len(ds) == 1
     # per node, its generator in every diagram where they differ, else None
-    differing = itertools.repeat(None) if single else [
+    differing = itertools.repeat(None) if len(ds) == 1 else [
         None if all(map(gens[0].__eq__, gens[1:])) else gens for gens in zip(*[d.nodes.values() for d in ds])
     ]
     try:
         with np.errstate(over="raise"):
             for gen, code, gens in zip(ds[0].nodes.values(), node_codes, differing):
-                mode = code % 3
-                if mode == _DIAGONAL:
-                    if gens is not None:
-                        arr = np.array([diagonal_weight(ctx, g) for g in gens])
-                    elif gen.amp is None:
-                        arr = shared.get(gen)
-                        if arr is None:
-                            arr = shared[gen] = diagonal_weight(ctx, gen)
-                    else:
-                        arr = diagonal_weight(ctx, gen)
-                    factors.append(arr)
-                elif mode == _DENSE:
-                    factors.append(gen if gens is None else gens)
-                    if gens is None and gen.amp is None:
-                        slots_left[gen] = slots_left.get(gen, 0) + 1
-                else:
+                if code % 3 == _SPLIT:
                     split = _split_factors(ctx, gen)
                     if gens is not None:  # only the coefficient vector depends on the generator
                         split[0] = np.array([_split_factors(ctx, g)[0] for g in gens])
                     factors.extend(split)
+                elif gens is not None or gen.amp is not None:
+                    factors.append(gen if gens is None else gens)
+                else:
+                    share = shares.get(gen)
+                    if share is None:
+                        share = shares[gen] = [gen, 0, None]
+                    share[1] += 1
+                    factors.append(share)
             # room for the boundary deltas the plan may have, each built when a step reads it
             factors.extend([_DELTA] * rank)
-            # a batch of one has no batch axis anywhere, so it takes the plain kernels
-            pairwise, einsum = (_pairwise, np.einsum) if single else (_batch_pairwise, _batch_einsum)
             i = 0
             for i, j, *subs in steps[:stop]:
                 if j < 0:
-                    factors[i] = einsum(operand(i), *subs)
+                    x, (sa, so) = operand(i), subs
+                    factors[i] = np.einsum(x, sa, so) if x.ndim == len(sa) else np.einsum(x, (..., *sa), (..., *so))
                 else:
                     sa, sb, so = subs
-                    factors[i] = pairwise(D, operand(i), sa, operand(j), sb, so)
+                    factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
             if stop < len(steps):
                 return [operand(steps[stop][0]), operand(steps[stop][1])]
             return [operand(i)]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -51,6 +52,19 @@ def checked_i64(value: int, what: str = "value") -> int:
     return value
 
 
+def dimension(value: object) -> int:
+    """``value`` read as a dimension: a Python int, by ``operator.index``.
+
+    A bool, a float or a string raises ``TypeError``; nothing is rounded.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"a dimension must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"a dimension must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MeasureContext:
     """Dimension, measure weight, and derived constants. Immutable.
@@ -67,6 +81,7 @@ class MeasureContext:
     nu: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", dimension(self.dim))
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
         if self.nu is None:
@@ -94,12 +109,12 @@ class MeasureContext:
 
     @property
     def total_measure(self) -> float:
-        """N = mu([D]) = D * nu**2; past the float range it raises ``OverflowGuardError``."""
+        """N = mu([D]) = D * nu**2; past the float range, or 0 by underflow, it raises ``OverflowGuardError``."""
         try:
             value = self.dim * self.nu**2
         except OverflowError:  # nu**2 itself
             value = math.inf
-        if value == math.inf:
+        if not 0 < value < math.inf:
             raise OverflowGuardError(f"the total measure D * nu^2 leaves the float range at D={self.dim}, nu={self.nu!r}")
         return value
 

@@ -74,7 +74,7 @@ from quditzx.generators import (
     amp_multiply,
     amp_to_json,
 )
-from quditzx.measure import MeasureContext, OverflowGuardError, residue, tau_pow
+from quditzx.measure import MeasureContext, OverflowGuardError, dimension, residue, tau_pow
 from quditzx.tensor import max_abs_diff, max_abs_diff_blocks
 
 
@@ -1244,12 +1244,14 @@ def check_all(
     samples are drawn in order and their sides evaluated in batches of
     one shape (``_pair_errors``; a cell of one sample is checked alone);
     each row holds the numbers ``check_soundness`` gives for its sample
-    alone.  A cell refused by a
-    size budget or the float range (any ``OverflowError`` while its sides
-    are built or checked, or a comparison that is not finite) raises
-    ``OverflowGuardError`` with the rule id and D in front.
+    alone.  A cell refused by a size budget or the float range (any
+    ``OverflowError`` while its sides are built or checked, or a
+    comparison that is not finite) raises ``OverflowGuardError`` with the
+    rule id and D in front.  Each dimension is read by
+    ``measure.dimension``, so a bool, a float or a string raises
+    ``TypeError``.
     """
-    dims = sorted(set(int(d) for d in dims))
+    dims = sorted(set(map(dimension, dims)))
     if any(d < 2 for d in dims):
         raise ValueError("dimensions must be at least 2")
     if samples < 1:
@@ -1281,49 +1283,44 @@ def _cell_rows(
 ) -> list[dict[str, Any]]:
     """The rows of one (rule, D) cell of ``check_all``.
 
-    A cell of one sample has nothing to batch, so its sample is checked
-    alone (``check_soundness``), without the two streams' set-up.  A
-    refusal replays the samples drawn but not yet in a row one at a time,
-    so the error raised is that of the first failing sample, as when each
-    sample is checked alone.
+    The cell's assignments are drawn first, in sample order, up to the
+    first the rule cannot draw, which gets a skip row; only
+    ``spec.sample`` reads ``rng``.  A cell of one sample has nothing to
+    batch, so its sample is checked alone (``check_soundness``), without
+    the two streams' set-up.  A refusal replays the assignments not yet
+    in a row one at a time, so the error raised is that of the first
+    failing sample, as when each sample is checked alone.
     """
-    rows: list[dict[str, Any]] = []
-    drawn: deque[Params] = deque()  # drawn, in sample order, and not yet in a row
-    skipped: list[int] = []
-
-    def draws() -> Iterator[Params]:
-        for i in range(samples):
-            params = spec.sample(ctx.dim, rng)
-            if params is None:
-                skipped.append(i)
-                return
-            drawn.append(params)
-            yield params
-
+    drawn: list[Params] = []
+    for _ in range(samples):
+        params = spec.sample(ctx.dim, rng)
+        if params is None:
+            break
+        drawn.append(params)
     if samples == 1:
-        errs = (check_soundness(spec, params, ctx, tol)["max_err"] for params in draws())
+        errs = (check_soundness(spec, params, ctx, tol)["max_err"] for params in drawn)
     else:
-        errs = _pair_errors((instantiate(spec, params, ctx) for params in draws()), ctx)
+        errs = _pair_errors((instantiate(spec, params, ctx) for params in drawn), ctx)
+    rows: list[dict[str, Any]] = []
     try:
-        for err in map(_finite, errs):
+        for params, err in zip(drawn, map(_finite, errs)):
             rows.append(
                 {
                     "rule": spec.id,
                     "dim": ctx.dim,
                     "sample": len(rows),
-                    "params": params_jsonable(drawn.popleft()),
+                    "params": params_jsonable(params),
                     "max_err": err,
                     "status": "pass" if err <= tol else "fail",
                 }
             )
     except OverflowError:
-        for params in drawn:
+        for params in drawn[len(rows):]:
             _finite(check_soundness(spec, params, ctx, tol)["max_err"])
         raise
-    rows += [
-        {"rule": spec.id, "dim": ctx.dim, "sample": i, "params": {}, "max_err": None, "status": "skip"}
-        for i in skipped
-    ]
+    if len(drawn) < samples:
+        rows.append({"rule": spec.id, "dim": ctx.dim, "sample": len(drawn), "params": {}, "max_err": None,
+                     "status": "skip"})
     return rows
 
 

@@ -114,6 +114,14 @@ def test_info_past_the_float_range_is_a_semantic_error(runner):
     assert res.stderr == "info failed: the total measure D * nu^2 leaves the float range at D=3, nu=1e+200\n"
 
 
+def test_info_with_an_underflowed_total_measure_is_a_semantic_error(runner):
+    # D * nu^2 underflows to 0, which info used to print with exit 0
+    res = runner.invoke(cli.main, ["info", "--dim", "3", "--nu", "1e-320"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "info failed: the total measure D * nu^2 leaves the float range at D=3, nu=1e-320\n"
+
+
 def test_info_rejects_small_dim(runner):
     res = runner.invoke(cli.main, ["info", "--dim", "1"])
     assert res.exit_code == 2
@@ -454,6 +462,17 @@ def test_check_rejects_conflicting_dim_flags(runner):
 def test_check_rejects_bad_range_text(runner):
     res = runner.invoke(cli.main, ["check", "--dims", "2..x"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "gamma-table"])
+@pytest.mark.parametrize("hi", ["999999999999", "99999999999999999999"])
+def test_a_dimension_range_too_long_to_hold_is_a_usage_error(runner, command, hi):
+    # refused by its count before the list is built: it used to end in a
+    # MemoryError or an OverflowError traceback
+    res = runner.invoke(cli.main, [command, "--dims", f"2..{hi}"])
+    assert res.exit_code == 2
+    assert f"dimension range 2..{hi} holds {int(hi) - 1} dimensions, more than 65536" in res.stderr
+    assert res.stdout == ""
 
 
 def test_check_rejects_nonpositive_tol(runner):
@@ -863,6 +882,17 @@ def test_gamma_table_magnitudes_are_zero_or_sqrt_gcd(runner):
             t = int(label[len("sqrt_t("):-1])
             assert t == math.gcd(int(b_s), int(d_s))
             assert abs(mag - math.sqrt(t)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [342, 10**20])
+def test_a_gamma_table_past_its_row_cap_is_a_usage_error(runner, dim):
+    # 9 D^2 rows: D=342 is the first past the cap; D=10^20 used to run forever
+    start = time.perf_counter()
+    res = runner.invoke(cli.main, ["gamma-table", "--dim", str(dim)])
+    assert time.perf_counter() - start < 2
+    assert res.exit_code == 2
+    assert f"a Gamma table of {9 * dim * dim} rows is more than 1048576" in res.stderr
+    assert res.stdout == ""
 
 
 def test_gamma_table_deterministic(runner, tmp_path):

@@ -70,6 +70,26 @@ def test_context_validation():
         MeasureContext(3, nu=-0.5)
 
 
+@pytest.mark.parametrize("dim", [2.5, 3.0, "3", True, False])
+def test_context_refuses_a_dimension_that_is_not_an_integer(dim):
+    # MeasureContext(2.5) gave the window [-0.0, 1.0] and omega = e^(2 pi i / 2.5)
+    with pytest.raises(TypeError, match="a dimension must be an integer"):
+        MeasureContext(dim)
+
+
+def test_context_stores_a_python_int_dimension():
+    ctx = MeasureContext(np.int64(5))
+    assert type(ctx.dim) is int and ctx == MeasureContext(5)
+    assert (ctx.lower, ctx.upper) == (-2, 2)
+
+
+@pytest.mark.parametrize("nu", [1e200, 1e-320])
+def test_total_measure_refuses_a_value_past_the_float_range(nu):
+    # D * nu^2 overflows at 1e200 and underflows to 0 at 1e-320
+    with pytest.raises(OverflowGuardError, match="the total measure D \\* nu\\^2 leaves the float range"):
+        MeasureContext(3, nu).total_measure
+
+
 # ---------------------------------------------------------------- residue
 
 

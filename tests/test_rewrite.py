@@ -444,9 +444,23 @@ def test_check_all_rejects_bad_args():
         check_all([2], rules=["ZX-NOPE"])
 
 
-def test_check_all_rows_are_each_samples_own_check():
-    # batched cells give every sample the error check_soundness gives it
-    # alone, bit for bit; ZH-O and ZH-ZPL run matmul-size steps at D=5, 6
+@pytest.mark.parametrize("dim", [2.9, 3.0, "3", True])
+def test_check_all_refuses_a_dimension_that_is_not_an_integer(dim):
+    # int() would run 2.9 as D=2 and "3" as D=3
+    with pytest.raises(TypeError, match="a dimension must be an integer"):
+        check_all([dim], samples=1, rules=["ZX-GI"])
+
+
+def test_check_all_reads_numpy_integer_dimensions():
+    rows = check_all(np.arange(2, 4), samples=1, rules=["ZX-GI"])
+    assert [type(r["dim"]) for r in rows] == [int, int]
+    assert json.dumps(rows) == json.dumps(check_all([2, 3], samples=1, rules=["ZX-GI"]))
+
+
+@pytest.mark.parametrize("samples", [1, 5])  # checked alone, and in batches
+def test_check_all_rows_are_each_samples_own_check(samples):
+    # every row holds the error check_soundness gives its sample alone,
+    # bit for bit; ZH-O and ZH-ZPL run matmul-size steps at D=5, 6
     rules = ["ZH-HMB", "ZH-ME", "ZH-O", "ZH-ZPL", "ZX-GFP"]
     ids = sorted(CATALOG)
     want = []
@@ -454,13 +468,13 @@ def test_check_all_rows_are_each_samples_own_check():
         spec = CATALOG[rid]
         for dim in range(2, 7):
             rng = np.random.default_rng([3, ids.index(rid), dim])
-            for _ in range(5):
+            for _ in range(samples):
                 params = spec.sample(dim, rng)
                 if params is None:
                     want.append((rid, dim, None))
                     break
                 want.append((rid, dim, check_soundness(spec, params, MeasureContext(dim))["max_err"]))
-    rows = check_all(range(2, 7), samples=5, seed=3, rules=rules)
+    rows = check_all(range(2, 7), samples=samples, seed=3, rules=rules)
     assert [(r["rule"], r["dim"], r["max_err"]) for r in rows] == want
 
 

@@ -18,8 +18,7 @@ metrics (the names ``BENCHMARK.json`` lists) and operation counts, each
 side's quartiles ``[q1, median, q3]``, and for each metric the number of
 pairs in which the head was better.  ``BENCH_<workload>.json`` at the
 repository root is the workload's trajectory: a list of records, oldest
-first, to which each run appends its own.  A file that still holds a
-single record becomes the list's first entry.
+first, to which each run appends its own.
 """
 
 from __future__ import annotations
@@ -116,8 +115,6 @@ def main() -> int:
     if os.path.exists(path):
         with open(path) as fh:
             trajectory = json.load(fh)
-        if isinstance(trajectory, dict):  # one record, written before records were appended
-            trajectory = [trajectory]
     trajectory.append(record)
     with open(path, "w") as fh:
         json.dump(trajectory, fh, indent=1)
