@@ -72,7 +72,8 @@ class MeasureContext:
     Parameters
     ----------
     dim:
-        Qudit dimension D > 1.
+        Qudit dimension D > 1.  A D whose square leaves the float range
+        (the phase constants need it) raises ``OverflowGuardError``.
     nu:
         Positive measure weight; defaults to ``dim**(-1/4)``.
     """
@@ -84,6 +85,12 @@ class MeasureContext:
         object.__setattr__(self, "dim", dimension(self.dim))
         if self.dim < 2:
             raise ValueError(f"dimension must be at least 2, got {self.dim}")
+        try:
+            float(self.dim**2 + 1)  # tau's exponent; omega and the default nu convert D itself
+        except OverflowError:
+            raise OverflowGuardError(
+                f"D^2 for a {self.dim.bit_length()}-bit dimension D leaves the float range"
+            ) from None
         if self.nu is None:
             object.__setattr__(self, "nu", float(self.dim) ** -0.25)
         if not self.nu > 0:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -1241,15 +1242,16 @@ def check_all(
     Rows are ordered by rule id, then dimension, then sample index.
     Rules with no valid parameters at some D (or whose diagram family
     outgrows its dimension cap) get a single "skip" row there.  A cell's
-    samples are drawn in order and their sides evaluated in batches of
-    one shape (``_pair_errors``; a cell of one sample is checked alone);
-    each row holds the numbers ``check_soundness`` gives for its sample
-    alone.  A cell refused by a size budget or the float range (any
-    ``OverflowError`` while its sides are built or checked, or a
-    comparison that is not finite) raises ``OverflowGuardError`` with the
-    rule id and D in front.  Each dimension is read by
-    ``measure.dimension``, so a bool, a float or a string raises
-    ``TypeError``.
+    samples are drawn in order; a sample whose ``params`` equal an
+    earlier sample's reuses its error, and the distinct ones are
+    evaluated in batches of one shape (``_pair_errors``; a cell of one
+    distinct sample is checked alone).  Each row holds the numbers
+    ``check_soundness`` gives for its sample alone.  A cell refused by a
+    size budget or the float range (any ``OverflowError`` while its sides
+    are built or checked, or a comparison that is not finite) raises
+    ``OverflowGuardError`` with the rule id and D in front.  Each
+    dimension is read by ``measure.dimension``, so a bool, a float or a
+    string raises ``TypeError``.
     """
     dims = sorted(set(map(dimension, dims)))
     if any(d < 2 for d in dims):
@@ -1285,11 +1287,15 @@ def _cell_rows(
 
     The cell's assignments are drawn first, in sample order, up to the
     first the rule cannot draw, which gets a skip row; only
-    ``spec.sample`` reads ``rng``.  A cell of one sample has nothing to
-    batch, so its sample is checked alone (``check_soundness``), without
-    the two streams' set-up.  A refusal replays the assignments not yet
-    in a row one at a time, so the error raised is that of the first
-    failing sample, as when each sample is checked alone.
+    ``spec.sample`` reads ``rng``.  A draw whose row would print the same
+    ``params`` as an earlier draw of the cell (compared as canonical JSON
+    text, so floats by repr) builds the same sides, so it reuses that
+    draw's error and is not checked again.  A cell of one distinct draw
+    has nothing to batch, so it is checked alone (``check_soundness``),
+    without the two streams' set-up; a cell of one draw computes no key.
+    A refusal replays the distinct draws not yet checked one at a time,
+    so the error raised is that of the first failing sample, as when each
+    sample is checked alone.
     """
     drawn: list[Params] = []
     for _ in range(samples):
@@ -1297,27 +1303,36 @@ def _cell_rows(
         if params is None:
             break
         drawn.append(params)
-    if samples == 1:
-        errs = (check_soundness(spec, params, ctx, tol)["max_err"] for params in drawn)
+    shown = [params_jsonable(params) for params in drawn]
+    firsts: list[int] = list(range(len(drawn)))  # each draw's first draw with the same params
+    if len(drawn) > 1:
+        seen: dict[str, int] = {}
+        firsts = [seen.setdefault(json.dumps(p, sort_keys=True), i) for i, p in enumerate(shown)]
+    unique = list(dict.fromkeys(firsts))
+    distinct = [drawn[i] for i in unique]
+    if len(distinct) == 1:
+        errs = (check_soundness(spec, params, ctx, tol)["max_err"] for params in distinct)
     else:
-        errs = _pair_errors((instantiate(spec, params, ctx) for params in drawn), ctx)
-    rows: list[dict[str, Any]] = []
+        errs = _pair_errors((instantiate(spec, params, ctx) for params in distinct), ctx)
+    checked: list[float] = []
     try:
-        for params, err in zip(drawn, map(_finite, errs)):
-            rows.append(
-                {
-                    "rule": spec.id,
-                    "dim": ctx.dim,
-                    "sample": len(rows),
-                    "params": params_jsonable(params),
-                    "max_err": err,
-                    "status": "pass" if err <= tol else "fail",
-                }
-            )
+        checked.extend(map(_finite, errs))
     except OverflowError:
-        for params in drawn[len(rows):]:
+        for params in distinct[len(checked):]:
             _finite(check_soundness(spec, params, ctx, tol)["max_err"])
         raise
+    error = dict(zip(unique, checked))
+    rows = [
+        {
+            "rule": spec.id,
+            "dim": ctx.dim,
+            "sample": i,
+            "params": shown[i],
+            "max_err": error[first],
+            "status": "pass" if error[first] <= tol else "fail",
+        }
+        for i, first in enumerate(firsts)
+    ]
     if len(drawn) < samples:
         rows.append({"rule": spec.id, "dim": ctx.dim, "sample": len(drawn), "params": {}, "max_err": None,
                      "status": "skip"})

@@ -122,6 +122,21 @@ def test_info_with_an_underflowed_total_measure_is_a_semantic_error(runner):
     assert res.stderr == "info failed: the total measure D * nu^2 leaves the float range at D=3, nu=1e-320\n"
 
 
+_HUGE_DIM = "1" + "0" * 400  # a 1,329-bit integer, past float; its square is too
+
+
+@pytest.mark.parametrize("args, head", [(["info", "--dim", _HUGE_DIM], "info failed"),
+                                        (["check", "ZX-GI", "--dim", _HUGE_DIM, "--samples", "1"], "check failed"),
+                                        (["info", "--dim", "1" + "0" * 200], "info failed")])
+def test_a_dimension_past_the_float_range_is_a_semantic_error(runner, args, head):
+    # these used to exit 1 with "OverflowError: int too large to convert to float"
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    bits = int(args[args.index("--dim") + 1]).bit_length()
+    assert res.stderr == f"{head}: D^2 for a {bits}-bit dimension D leaves the float range\n"
+
+
 def test_info_rejects_small_dim(runner):
     res = runner.invoke(cli.main, ["info", "--dim", "1"])
     assert res.exit_code == 2

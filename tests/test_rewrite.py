@@ -523,6 +523,88 @@ def test_a_refused_cell_names_its_first_failing_sample(monkeypatch):
         check_all([3], samples=5, rules=["ZX-GFP"])
 
 
+def test_a_refused_cell_names_the_first_sample_of_a_repeated_draw(monkeypatch):
+    # ZX-GU at D=3 draws samples 1, 3 and 4 alike.  Sample 2 is refused as
+    # it is built, the repeated draw only when its right side is evaluated
+    # alone; the message names the draw object actually checked, and the
+    # cell reports sample 1, the first with those params
+    real_sample, real_instantiate, real_evaluate = rw.RuleSpec.sample, rw.instantiate, rw.evaluate
+    drawn: list = []
+    poisoned: dict = {}
+
+    def sample(self, dim, rng):
+        params = real_sample(self, dim, rng)
+        drawn.append(params)
+        return params
+
+    def instantiate(rule, params, ctx):
+        i = next(i for i, p in enumerate(drawn) if p is params)
+        if i == 2:
+            raise OverflowGuardError("sample 2 is refused")
+        pair = real_instantiate(rule, params, ctx)
+        if params == drawn[1]:
+            poisoned[id(pair[1])] = (pair[1], i)
+        return pair
+
+    def evaluate(d, ctx):
+        if id(d) in poisoned:
+            raise OverflowGuardError(f"sample {poisoned[id(d)][1]} is refused")
+        return real_evaluate(d, ctx)
+
+    monkeypatch.setattr(rw.RuleSpec, "sample", sample)
+    monkeypatch.setattr(rw, "instantiate", instantiate)
+    monkeypatch.setattr(rw, "evaluate", evaluate)
+    with pytest.raises(OverflowGuardError, match=r"^ZX-GU at D=3: sample 1 is refused$"):
+        check_all([3], samples=5, rules=["ZX-GU"])
+    assert drawn[1] == drawn[3] == drawn[4] and len({json.dumps(p, sort_keys=True) for p in drawn}) == 3
+
+
+def test_a_parameter_free_cell_is_checked_once(monkeypatch):
+    # ZH-O takes no parameter, so its five draws are one: one pair is
+    # built, and each row holds the error check_soundness gives it alone
+    real_instantiate = rw.instantiate
+    calls = []
+
+    def instantiate(rule, params, ctx):
+        calls.append(params)
+        return real_instantiate(rule, params, ctx)
+
+    monkeypatch.setattr(rw, "instantiate", instantiate)
+    rows = check_all([3], samples=5, rules=["ZH-O"])
+    assert calls == [{}]
+    alone = check_soundness("ZH-O", {}, MeasureContext(3))["max_err"]
+    assert [r["sample"] for r in rows] == [0, 1, 2, 3, 4]
+    assert [r["max_err"].hex() for r in rows] == [alone.hex()] * 5
+
+
+def test_draws_with_the_same_params_build_the_same_sides():
+    # check_all checks a draw whose row prints the params of an earlier
+    # draw of its cell only once; that is sound because the two build
+    # byte-identical sides, over the catalog at D=2..6, both nu
+    ids = sorted(CATALOG)
+    repeats = 0
+    for rule_key, rid in enumerate(ids):
+        spec = CATALOG[rid]
+        for dim in range(2, 7 if spec.dim_cap is None else min(spec.dim_cap, 6) + 1):
+            for nu in (None, 1.0):
+                ctx = MeasureContext(dim, nu)
+                for seed in range(3):
+                    rng = np.random.default_rng([seed, rule_key, dim])
+                    sides: dict[str, tuple[str, str]] = {}
+                    for _ in range(5):
+                        params = spec.sample(dim, rng)
+                        if params is None:
+                            break
+                        key = json.dumps(params_jsonable(params), sort_keys=True)
+                        lhs, rhs = instantiate(spec, params, ctx)
+                        texts = (dump_json(lhs), dump_json(rhs))
+                        if key in sides:
+                            repeats += 1
+                            assert sides[key] == texts, (rid, dim, nu, seed, key)
+                        sides[key] = texts
+    assert repeats > 1000
+
+
 def test_batched_cells_peak_like_one_sample():
     # ZH-O and ZH-ZPL at D=6 have 6^7-entry sides, so they run in batches
     # of one: the cells peak as their worst sample checked alone
@@ -550,9 +632,10 @@ def test_batched_cells_peak_like_one_sample():
 
 
 def test_check_all_holds_one_batch_of_sides(monkeypatch):
-    # ZX-GI's sides at D=3 have 3^2-entry arrays, so a cap of 72 entries
-    # makes batches of 8; at each run no more than one batch of pairs is
-    # alive, however many samples the cell has
+    # ZX-GFP draws two real angles, so its 200 draws are distinct; its
+    # sides at D=3 have 3^2-entry arrays, so a cap of 72 entries makes
+    # batches of 8; at each run no more than one batch of pairs is alive,
+    # however many samples the cell has
     monkeypatch.setattr(dg, "_MATMUL_MIN", 8 * 9)
     real_instantiate, real_execute = rw.instantiate, dg._execute
     built: list = []
@@ -570,10 +653,15 @@ def test_check_all_holds_one_batch_of_sides(monkeypatch):
 
     monkeypatch.setattr(rw, "instantiate", instantiate)
     monkeypatch.setattr(dg, "_execute", execute)
-    rows = check_all([3], samples=200, rules=["ZX-GI"])
+    rows = check_all([3], samples=200, rules=["ZX-GFP"])
     assert [r["status"] for r in rows] == ["pass"] * 200
     assert len(built) == 400 and sizes == [8] * 50
     assert max(live) <= 2 * 8
+    # ZX-GI takes no parameter: its 200 draws are one, checked once
+    built.clear()
+    rows = check_all([3], samples=200, rules=["ZX-GI"])
+    assert [r["status"] for r in rows] == ["pass"] * 200
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("nu", [1.0, 0.7, None])
