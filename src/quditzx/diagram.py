@@ -27,12 +27,26 @@ materializing a dense rank-deg tensor the evaluator unifies all wires
 incident to such a dot into a single summation index carrying the dot's
 diagonal weight.  This keeps very high-degree copy dots (the
 normal-form synthesizer builds fan-outs of degree D^(m+n)+1) cheap.
+A not dot says x_b = -x_a - c (mod D), so where it joins two classes of
+wires it is a relabelling, not a factor: one class reads the other's
+index through the map x -> -x - c.  The classes joined this way form a
+tree, one index at its root, and every other class reads the root
+through a map x -> s * x + t whose sign s the plan holds and whose
+offset t comes from each diagram's not constants.  A not dot that would
+close a cycle stays a dense factor.  Every factor is built on the
+distinct indices its legs read, from each leg's residues under its map:
+an H-box evaluates its amplitude at their product, the other dense
+kinds at their sum or product, a diagonal dot at its index's mapped
+residues, and a repeated index gives the diagonal directly.  So a
+normal form's selector box, whose 2(m+n) legs all read the m+n fan
+indices through not dots, has D^(m+n) entries, not D^(2(m+n)).
 Red and gray dots depend only on the sum of their legs mod D, so a dot
 is also a sum over one character index t: w(sum x) = sum_t c(t) prod_j
 omega^(t x_j).  A dot with more than ``_SPLIT_ABOVE`` dense entries
 enters split this way, as the vector c and one D x D phase matrix per
-leg, all on t; the planner can then merge its legs one at a time
-instead of carrying a rank-deg block through every step.
+leg, all on t, where that is smaller than its dense build; the planner
+can then merge its legs one at a time instead of carrying a rank-deg
+block through every step.
 
 Contraction order is greedy: always merge a pair of factors sharing an
 index so that the merged rank is minimal.  Scalars come first: every
@@ -54,33 +68,33 @@ D^u entries.  From ``_MATMUL_MIN`` entries on it runs as one batched
 free ones, each operand is transposed and reshaped to three axes, and
 BLAS does the sums.  A smaller step runs as one ``np.einsum`` call,
 which has a lower fixed cost and reads the operands in place, where
-matmul first copies them.  Steps on one factor (sum, trace, reorder)
+matmul first copies them.  Steps on one factor (sum, reorder)
 always use ``np.einsum``.  Both kernels get the same operands in the same
 contraction order, so their tensors differ only by rounding: BLAS sums
 in another order.
 
 The plan depends on the diagram's shape alone, so it is made once per
 shape and cached.  The key (``_structure``) is exact, not a hash: the
-boundary sizes, each node's degree and factor kind (diagonal, dense, or
-split, which is where D and ``_SPLIT_ABOVE`` enter) in node order, and the
-port table, which ``_structure`` reads; generator parameters, node names
-and ``nu`` are not in it.  A step is a tuple that ``_execute`` runs as
-it is: ``(i, j, sa, sb, so)`` contracts slots i and j, ``(i, -1, sa, so)``
-sums or reorders slot i, and equal sublists (tuples of ints) are stored
-once per plan.  The cache holds at most ``_MAX_PLAN_STEPS`` steps over all
-plans, dropping the oldest first, and only integers, never a diagram or
-an array.  Every call, cached plan or not, checks the plan's sizes
+boundary sizes, each node's degree and factor kind (diagonal, dense,
+split, which is where D and ``_SPLIT_ABOVE`` enter, or not) in node order,
+and the port table, which ``_structure`` reads; generator parameters, not
+constants, node names and ``nu`` are not in it.  A step is a tuple that
+``_execute`` runs as it is: ``(i, j, sa, sb, so)`` contracts slots i and
+j, ``(i, -1, sa, so)`` sums or reorders slot i, and equal sublists (tuples
+of ints) are stored once per plan.  The cache holds at most
+``_MAX_PLAN_STEPS`` steps over all plans, dropping the oldest first, and
+only integers, never a diagram or an array.  Every call, cached plan or not, checks the plan's sizes
 against ``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any factor
 array from the context.  Within one call, equal parameter-free
-generators (white, gray, not, hplus, hminus) share one factor array, and
-H-boxes of one degree share one leg-product array; factors with an
-amplitude are built per node.
+generators (white, gray, not, hplus, hminus) on equal legs share one
+factor array; factors with an amplitude are built per node.
 
 Diagrams of one shape run one plan together (``evaluate_many``).  A
 soundness cell's draws, say, change only node parameters, and running
 each alone spends most of its time on per-step Python work, not on
-arithmetic.  A node whose generator is equal (``==``) in every diagram of
-the batch keeps one factor array; any other factor is stacked on a
+arithmetic.  A node whose generator, and the offsets of whose legs'
+maps, are equal (``==``) in every diagram of the batch keeps one factor
+array; any other factor, a boundary delta included, is stacked on a
 leading batch axis, and so is every array made from one.  The batch axis
 belongs to the arrays, not to the call: each step reads it off its
 operands, as one axis more than the step's sublist.  A step below
@@ -129,6 +143,7 @@ import numpy as np
 
 from quditzx.generators import (
     Generator,
+    Legs,
     amp_from_json,
     amp_to_json,
     check_amp_dim,
@@ -143,7 +158,8 @@ Edge = tuple[Port, Port]
 
 _RESERVED = ("in", "out")
 _MAX_DENSE = 2_000_000  # entries; a larger dense node is refused
-# entries; a red or gray dot with more is split by characters.  From 64
+# entries; a red or gray dot with more is split by characters where
+# that is smaller (see _factor_mode).  From 64
 # to 4096 the soundness matrix at D=2..9 ran equally fast within noise;
 # from 10^5 it ran slower at D=2..6, and from 7^7 ZH-O's gray hub stays
 # dense at D=7, where it costs ten times its output
@@ -152,17 +168,22 @@ _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any array but a dense 
 _MAX_PLAN_STEPS = 1 << 15  # steps in all cached contraction plans
 _BLOCK_ABOVE = 1 << 20  # result entries past which check_soundness compares blocks (see the notes)
 # loop entries D^u from which a pairwise step runs as matmul.  Warm,
-# matmul wins from about 2^12; but below 2^17 (a normal form's widest
-# steps at D=4 are 2^16) its operand copies cost more in fresh pages
-# than BLAS saves.  In the soundness matrix at D=2..9, only the last hub
-# step of each side of ZH-O and ZH-ZPL at D=5..7 reaches it
+# matmul wins from about 2^12; but below 2^17 its operand copies cost
+# more in fresh pages than BLAS saves, as measured on normal forms when
+# their widest steps at D=4 were 2^16 (they are 2^8 since their selector
+# boxes are built on the fan labels).  In the soundness matrix at
+# D=2..9, only the last hub step of each side of ZH-O and ZH-ZPL at
+# D=5..7 reaches it
 _MATMUL_MIN = 1 << 17
 
-# how a node's factor is made: its diagonal, its dense array, or its
-# character decomposition (red and gray dots above _SPLIT_ABOVE entries)
-_DIAGONAL, _DENSE, _SPLIT = range(3)
-_DELTA = object()  # an unbuilt boundary delta slot in ``_execute``
-_Plan = tuple[tuple[tuple, ...], int, int, int]  # what ``_plan`` returns
+# how a node enters the contraction: as its diagonal, its dense array,
+# its character decomposition (red and gray dots; see ``_factor_mode``),
+# or, for a not dot, as a relabelling of a wire where it joins two
+# classes of wires and as a dense array where it closes a cycle
+_DIAGONAL, _DENSE, _SPLIT, _NOT = range(4)
+_PLAIN = ((), ())  # the layout of a node whose legs read labels of their own, in order, with no map
+_EYE = (None, _PLAIN, ())  # the recipe of a boundary delta with no map: the identity
+_Plan = tuple[tuple[tuple, ...], int, int, int, tuple, tuple, tuple]  # what ``_plan`` returns
 
 
 class DiagramError(ValueError):
@@ -200,8 +221,13 @@ class Diagram:
         if len(spans) < len(sizes):  # a node named like a boundary side
             name = next(side for side in _RESERVED if side in self.nodes)
             raise DiagramError(f"node name {name!r} is reserved for the boundary")
-        if n_ports > 1 << 29:  # port numbers and 3 * degree + mode codes must fit an array('i')
+        # port numbers and 4 * degree + mode codes must fit an array('i')
+        if n_ports > 1 << 29:
             raise DiagramError(f"the diagram has {n_ports} ports, more than {1 << 29}")
+        if n_ports == 1 << 29:  # a node may hold every port
+            for name, size in sizes[:-2]:
+                if size == n_ports:
+                    raise DiagramError(f"node {name!r} has {size} legs, more than {size - 1}")
         ports = array("i")
         for edge in self.edges:
             if len(edge) != 2:
@@ -362,53 +388,83 @@ class _UnionFind:
 
 
 def _factor_mode(gen: Generator, dim: int) -> int:
-    """How a node enters the contraction: diagonal, dense, or split by characters."""
+    """How a node enters the contraction: diagonal, dense, split by characters, or as a not dot.
+
+    A red or gray dot with more than ``_SPLIT_ABOVE`` dense entries is
+    split where its split form, D + deg * D^2 entries, is smaller than
+    what its dense build holds: the D^deg entries, and for a red dot also
+    its D x D character table and weight vector.  So a gray dot of degree
+    2 or less, or a red one of degree 2, is split only where its dense
+    form would pass ``_MAX_DENSE``.
+    """
     if gen.kind in ("green", "white"):
         return _DIAGONAL
     if gen.kind in ("red", "gray") and dim**gen.degree > _SPLIT_ABOVE:
-        return _SPLIT
-    return _DENSE
+        dense = dim**gen.degree + (dim * dim + dim if gen.kind == "red" else 0)
+        if dim + gen.degree * dim * dim < dense or dim**gen.degree > _MAX_DENSE:
+            return _SPLIT
+    return _NOT if gen.kind == "not" else _DENSE
 
 
 def _structure(d: Diagram) -> array:
     """The diagram's shape as integers: all that its contraction plan reads.
 
-    ``[n_inputs, n_outputs, n_nodes]``, then ``3 * degree + mode`` for
+    ``[n_inputs, n_outputs, n_nodes]``, then ``4 * degree + mode`` for
     each node in order, then the port table of ``d``, validated here.
     For a valid diagram this is a one-to-one encoding of its shape, so
     equal lists always mean equal plans.
     """
     d.validate()
     codes = array("i", [d.n_inputs, d.n_outputs, len(d.nodes)])
-    codes.extend([3 * gen.degree + _factor_mode(gen, d.dim) for gen in d.nodes.values()])
+    codes.extend([4 * gen.degree + _factor_mode(gen, d.dim) for gen in d.nodes.values()])
     return codes + d._ports
 
 
 def _plan(codes: array) -> _Plan:
     """Greedy contraction plan for the shape ``codes`` (see ``_structure``).
 
+    Wires are first grouped into labels.  A diagonal dot unifies its
+    wires into one class.  A not dot whose two wires lie in different
+    classes is absorbed: it says x_b = -x_a - c (mod D), so one class
+    reads the other's label through a map x -> s * x + t.  The classes
+    so joined form a tree whose root class gives the label; every other
+    class has a map, numbered in the order the tree walk reaches it.  A
+    not dot that would close a cycle of classes (a self-loop included)
+    stays a dense factor.  The root of a tree is the class of its first
+    boundary position, outputs then inputs, where it has one.
+
     A boundary position is the open end of its wire, so it takes the
-    wire's label (after diagonal dots are unified) as its final axis and
-    needs no factor of its own.  It gets a boundary delta ``[b, w]``,
-    with a fresh label ``b``, only where no factor carries the wire's
-    label ``w`` yet (a bare wire, a cup or a cap) or where an earlier
-    position already took it (a diagonal dot with two boundary legs).
+    wire's label as its final axis and needs no factor of its own.  It
+    gets a boundary delta ``[b, w]``, with a fresh label ``b``, only where
+    no factor carries the wire's label ``w`` yet (a bare wire, a cup or a
+    cap), where an earlier position already took it (a diagonal dot with
+    two boundary legs), or where its wire reads ``w`` through a map (two
+    boundary positions joined by not dots), which makes the delta a
+    permutation.
 
     Factor slots are numbered in the order ``_execute`` makes them: each
     node's factors in node order (a split node gives its coefficient
-    vector, then one phase matrix per leg), then the boundary deltas, in
-    boundary order (outputs, then inputs).  Returns ``(steps, top, degree,
-    node)``.  ``top`` is the highest rank of any array held but a dense
-    node's, and at least 1 with any factor, since each has or sums over D
-    entries; ``degree`` is the highest degree of a dense node, and ``node``
-    the index of the first node of that degree (-1 if none).  ``steps`` is
-    a tuple of steps: ``(i, j, sa, sb, so)`` contracts slots i and j into
-    slot i, and ``(i, -1, sa, so)`` sums or reorders slot i alone.  Each
-    sublist is a tuple of ints, and equal sublists are one object.  The
-    last step leaves the result in its slot, and at most the final reorder
-    follows the last pairwise step.  A last factor already in boundary
-    order takes no reorder step, so a diagram of one such factor has no
-    steps at all.
+    vector, then one phase matrix per leg; an absorbed not dot keeps an
+    empty slot), then the boundary deltas, in boundary order (outputs,
+    then inputs).  A node's factor has one axis per distinct label of its
+    legs, in the order the legs first reach them.  Returns ``(steps, top,
+    degree, node, chain, layouts, deltas)``.  ``top`` is the highest rank
+    of any array held but a dense node's, and at least 1 with any factor,
+    since each has or sums over D entries; ``degree`` is the highest
+    degree of a dense or not node, and ``node`` the index of the first
+    node of that degree (-1 if none).  ``steps`` is a tuple of steps:
+    ``(i, j, sa, sb, so)`` contracts slots i and j into slot i, and ``(i,
+    -1, sa, so)`` sums or reorders slot i alone.  Each sublist is a tuple
+    of ints, and equal sublists are one object.  The last step leaves the
+    result in its slot, and at most the final reorder follows the last
+    pairwise step.  A last factor already in boundary order takes no
+    reorder step, so a diagram of one such factor has no steps at all.
+    ``chain`` gives map i (from 1; map 0 is the identity) as ``(parent,
+    node)``: the map of the class it is reached from and the absorbed not
+    dot between them.  ``layouts`` gives each node's ``(positions,
+    maps)``: per leg, its label's axis and its map, each ``()`` where it is
+    ``range(degree)`` or all zero; it is ``()`` for an absorbed not dot.
+    ``deltas`` gives each boundary delta's map.
     """
     n_in, n_out, n_nodes = codes[:3]
     node_codes = codes[3 : 3 + n_nodes]
@@ -420,54 +476,107 @@ def _plan(codes: array) -> _Plan:
     wires: list[list[int]] = []
     port = 0
     for code in node_codes:
-        wires.append(port_edge[port : port + code // 3])
-        port += code // 3
+        wires.append(port_edge[port : port + (code >> 2)])
+        port += code >> 2
 
     # diagonal dots unify all their wires into one index
     uf = _UnionFind(E)
     for code, legs in zip(node_codes, wires):
-        if code % 3 == _DIAGONAL:
+        if code & 3 == _DIAGONAL:
             for other in legs[1:]:
                 uf.union(legs[0], other)
 
-    # each factor slot's labels; its rank is len(labels)
-    labels: list[list[int]] = []
+    # a not dot joining two classes links them; `joined` tracks the trees
+    joined = _UnionFind(E)
+    links: dict[int, list[tuple[int, int]]] = {}
+    for k, (code, legs) in enumerate(zip(node_codes, wires)):
+        if code & 3 == _NOT:
+            a, b = uf.find(legs[0]), uf.find(legs[1])
+            if joined.find(a) != joined.find(b):
+                joined.union(a, b)
+                links.setdefault(a, []).append((b, k))
+                links.setdefault(b, []).append((a, k))
+    boundary = [uf.find(port_edge[port]) for port in range(len(ports) - n_out - n_in, len(ports))]
+    roots: dict[int, int] = {}  # each tree's root class
+    for c in boundary + list(links):
+        if c in links:
+            roots.setdefault(joined.find(c), c)
+    label_of: dict[int, int] = {}  # a linked class's label: its root class
+    map_of: dict[int, int] = {}
+    chain: list[tuple[int, int]] = []
+    for root in roots.values():
+        label_of[root], map_of[root] = root, 0
+        walk = [root]
+        for c in walk:
+            for other, k in links[c]:
+                if other not in map_of:
+                    chain.append((map_of[c], k))
+                    label_of[other], map_of[other] = root, len(chain)
+                    walk.append(other)
+    absorbed = {k for _, k in chain}
+
+    def place(edge: int) -> tuple[int, int]:
+        # the label an edge reads and its map
+        c = uf.find(edge)
+        return label_of.get(c, c), map_of.get(c, 0)
+
+    # each factor slot's labels, None for an absorbed not; its rank is len(labels)
+    labels: list[list[int] | None] = []
+    layouts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     fresh = itertools.count(1)
     top = max(n_in + n_out, 1)  # the result's; a delta (rank 2) only comes with two boundary positions
     dense = (0, -1)  # degree and node
     for k, (code, legs) in enumerate(zip(node_codes, wires)):
-        mode = code % 3
+        mode = code & 3
+        if mode in (_DENSE, _NOT) and len(legs) > dense[0]:
+            dense = (len(legs), k)
+        placed = [place(w) for w in legs]
+        maps = tuple(m for _, m in placed)
+        maps = maps if any(maps) else ()
+        positions: tuple[int, ...] = ()
+        if k in absorbed:
+            labels.append(None)
+            layouts.append(())
+            continue
         if mode == _DIAGONAL:
-            labels.append([uf.find(legs[0])] if legs else [])
-        elif mode == _DENSE:
-            labels.append([uf.find(w) for w in legs])
-            if len(legs) > dense[0]:
-                dense = (len(legs), k)
-        else:
+            labels.append([placed[0][0]] if legs else [])
+            maps = maps[:1]
+        elif mode == _SPLIT:
             t_label = -next(fresh)  # negative, disjoint from wire labels
             labels.append([t_label])
-            labels.extend([t_label, uf.find(w)] for w in legs)
+            labels.extend([t_label, lab] for lab, _ in placed)
             top = max(top, 2 if legs else 1)  # its phase matrices
+        else:
+            axes: dict[int, int] = {}
+            for lab, _ in placed:
+                axes.setdefault(lab, len(axes))
+            labels.append(list(axes))
+            if len(axes) < len(legs):
+                positions = tuple(axes[lab] for lab, _ in placed)
+        layouts.append((positions, maps) if positions or maps else _PLAIN)
 
     # each output, then each input, takes its wire's label as its final
     # axis; a delta gives it a fresh one where no factor carries the
-    # wire's label or an earlier position took it
-    carried = {lab for labs in labels for lab in labs}
+    # wire's label, an earlier position took it, or the wire maps it
+    carried = {lab for labs in labels if labs for lab in labs}
     taken: set[int] = set()
     boundary_labels: list[int] = []
+    deltas: list[int] = []
     for k, port in enumerate(range(len(ports) - n_out - n_in, len(ports))):
-        w = uf.find(port_edge[port])
-        if w in carried and w not in taken:
+        w, m = place(port_edge[port])
+        if not m and w in carried and w not in taken:
             taken.add(w)
             boundary_labels.append(w)
         else:
             b = E + 1_000_000 + k
             boundary_labels.append(b)
             labels.append([b, w])
+            deltas.append(m)
             carried.add(w)
 
-    if not labels:
-        return (), 0, *dense
+    live = {k for k, labs in enumerate(labels) if labs is not None}
+    if not live:
+        return (), 0, *dense, tuple(chain), tuple(layouts), tuple(deltas)
     steps: list[tuple] = []
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct sublist, stored once
 
@@ -477,7 +586,6 @@ def _plan(codes: array) -> _Plan:
         steps.append((i, j, *[shared.setdefault(sub, sub) for sub in map(tuple, sublists)]))
 
     required = set(boundary_labels)
-    live = set(range(len(labels)))
 
     def build_index() -> dict[int, set[int]]:
         index: dict[int, set[int]] = {}
@@ -486,19 +594,15 @@ def _plan(codes: array) -> _Plan:
                 index.setdefault(lab, set()).add(i)
         return index
 
-    # trace or sum out labels that occur only inside one factor
+    # sum out labels that occur only inside one factor
     index = build_index()
     keep_global = required | {lab for lab, fids in index.items() if len(fids) >= 2}
     for i in list(live):
         labs = labels[i]
-        out_labels: list[int] = []
-        for lab in labs:
-            if lab not in out_labels and lab in keep_global:
-                out_labels.append(lab)
-        if out_labels != labs:
-            relabel = {lab: k for k, lab in enumerate(dict.fromkeys(labs))}
-            emit(i, -1, [relabel[l] for l in labs], [relabel[l] for l in out_labels])
-            labels[i] = out_labels
+        kept = [k for k, lab in enumerate(labs) if lab in keep_global]
+        if len(kept) < len(labs):
+            emit(i, -1, range(len(labs)), kept)
+            labels[i] = [labs[k] for k in kept]
     index = build_index()
 
     # fold every scalar into the lowest-rank labelled factor now: it shares
@@ -630,7 +734,7 @@ def _plan(codes: array) -> _Plan:
     if labs != boundary_labels:
         names = {lab: k for k, lab in enumerate(labs)}
         emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
-    return tuple(steps), top, *dense
+    return tuple(steps), top, *dense, tuple(chain), tuple(layouts), tuple(deltas)
 
 
 class _PlanCache:
@@ -665,13 +769,15 @@ class _PlanCache:
 _PLANS = _PlanCache()
 
 
-def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
+def _split_factors(ctx: MeasureContext, gen: Generator, legs: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
     """A red or gray node by its character decomposition.
 
     Entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j): the vector
     c, then the matrix omega^(t x) once per leg, all on one index t.
     From the generator formulas, c(t) = nu^(2+deg) * A(t) for a red dot
-    and nu^(deg-2) / D for a gray one.
+    and nu^(deg-2) / D for a gray one.  ``legs`` holds the residues x of
+    each leg over its label, the window by default; legs that hold one
+    array share one matrix.
     """
     D, deg = ctx.dim, gen.degree
     sv = ctx.residues()
@@ -679,8 +785,12 @@ def _split_factors(ctx: MeasureContext, gen: Generator) -> list[np.ndarray]:
         coeff = ctx.nu ** (2 + deg) * np.asarray(gen.amp.eval_arr(ctx, sv), dtype=complex)
     else:
         coeff = np.full(D, ctx.nu ** (deg - 2) / D, dtype=complex)
-    phase = ctx._omega_table()[np.outer(sv, sv) % D]  # [t, s] = omega^(t s)
-    return [coeff] + [phase] * deg
+    legs = [sv] * deg if legs is None else legs
+    phases: dict[int, np.ndarray] = {}
+    for x in legs:
+        if id(x) not in phases:
+            phases[id(x)] = ctx._omega_table()[np.outer(sv, x) % D]  # [t, s] = omega^(t x(s))
+    return [coeff] + [phases[id(x)] for x in legs]
 
 
 def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
@@ -725,79 +835,154 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     return c.transpose([order.index(l) for l in so])
 
 
+class _Share:
+    """One factor array for equal recipes: built when a slot first needs it, dropped once the last has it."""
+
+    __slots__ = ("recipe", "left", "array")
+
+    def __init__(self, recipe: Generator | tuple) -> None:
+        self.recipe, self.left, self.array = recipe, 0, None
+
+
 def _execute(
-    steps: tuple, stop: int, node_codes: array, ds: Sequence[Diagram], ctx: MeasureContext
+    steps: tuple, stop: int, layout: tuple, ds: Sequence[Diagram], ctx: MeasureContext
 ) -> list[np.ndarray]:
     """Build the factors of the same-shape diagrams ``ds`` in slot order and run the plan's steps before step ``stop``.
 
-    A factor whose generator differs between the diagrams is stacked on a
-    leading batch axis, and so is every array a step makes from one (see
-    the module notes); the others are built once.  Returns the two
-    operands of the pairwise step ``stop``, slot i then slot j; with
-    ``stop == len(steps)``, the result alone, in boundary order, with the
-    batch axis in front if it has one.  A plan of no steps leaves its one
-    factor, in slot 0, as the result; with no factor at all the result is
-    the scalar 1.  Factors are built under ``np.errstate(over="raise")``,
-    so a factor entry past the float range, from Python or from numpy,
-    raises ``OverflowGuardError``.
+    ``layout`` is the node codes and the plan's chain, layouts and
+    deltas (see ``_plan``).  Each diagram's not constants give each map
+    its offset t, so that a map reads the residue s * v + t (mod D) at
+    value v of its label.  A factor whose generator or offsets differ
+    between the diagrams is stacked on a leading batch axis, and so is
+    every array a step makes from one (see the module notes); the others
+    are built once.  Returns the two operands of the pairwise step
+    ``stop``, slot i then slot j; with ``stop == len(steps)``, the result
+    alone, in boundary order, with the batch axis in front if it has one.
+    A plan of no steps leaves its one factor as the result; with no
+    factor at all the result is the scalar 1.  Factors are built under
+    ``np.errstate(over="raise")``, so a factor entry past the float
+    range, from Python or from numpy, raises ``OverflowGuardError``.
     """
     D = ctx.dim
-    rank = ds[0].n_outputs + ds[0].n_inputs
-    if not ds[0].nodes and not rank:
+    if not ds[0].nodes and not ds[0].n_outputs + ds[0].n_inputs:
         return [np.asarray(1.0 + 0j)]
-    # a diagonal or dense factor stays its Generator, or its tuple of one
-    # Generator per diagram, until a step first needs its array.  np.array
-    # stacks equal-shape arrays as np.stack does, at a quarter of its
-    # cost.  Equal parameter-free generators share one array, held in
-    # their share [generator, slots left, array] until their last slot
-    # has taken it.  Factors with an amplitude are built per node, from
-    # one H-box leg-product array per degree (`prods`) for the whole call
-    factors: list[Any] = []
-    shares: dict[Generator, list] = {}
-    prods: dict[int, np.ndarray] = {}
+    node_codes, chain, layouts, deltas = layout
+    # each map's sign, and per diagram each map's offset
+    signs, offsets = [1], [[0] for _ in ds] if chain else [()] * len(ds)
+    rows = [list(d.nodes.values()) for d in ds] if chain else ()
+    for parent, k in chain:
+        signs.append(-signs[parent])
+        for row, ts in zip(rows, offsets):
+            ts.append((-ts[parent] - row[k].c) % D)
+    # the residues of each (sign, offset), and the legs of the dense
+    # factors by degree, or by layout, offsets and degree
+    built: dict[Any, Any] = {}
 
-    def entries(gen: Generator) -> np.ndarray:
+    def mapped(m: int, t: int) -> np.ndarray:
+        # the window residue of s * v + t for v = L_D..U_D, map m's sign s
+        key = (signs[m], t)
+        x = built.get(key)
+        if x is None:
+            low = ctx.lower
+            x = built[key] = ctx.residues() if key == (1, 0) else (key[0] * ctx.residues() + t - low) % D + low
+        return x
+
+    # a factor is its recipe until a step first needs its array: the
+    # generator of a node whose legs read labels of their own, in order,
+    # with no map (a white dot's weight is the same at every residue, so
+    # it is one of these), else (generator, (positions, maps), offsets),
+    # where a delta's generator is None.  np.array stacks equal-shape
+    # arrays as np.stack does, at a quarter of its cost.  Equal recipes of
+    # parameter-free generators share one array through a _Share; factors
+    # with an amplitude are built per node
+    def entries(r: Generator | tuple) -> np.ndarray:
+        gen, lay, offs = (r, _PLAIN, ()) if type(r) is Generator else r
+        if gen is None:  # a boundary delta [b, w]: 1 where b is w's residue
+            delta = np.eye(D, dtype=complex)
+            return delta[:, mapped(lay[1][0], offs[0]) - ctx.lower] if offs else delta
         if gen.kind in ("green", "white"):
-            return diagonal_weight(ctx, gen)
-        return generator_entries(ctx, gen, prods)
+            return diagonal_weight(ctx, gen, mapped(lay[1][0], offs[0])) if offs else diagonal_weight(ctx, gen)
+        deg = gen.degree
+        if not deg:
+            return generator_entries(ctx, gen)
+        key = deg if lay is _PLAIN else (lay, offs, deg)
+        legs = built.get(key)
+        if legs is None and lay is _PLAIN:
+            legs = built[key] = Legs.window(ctx, deg)
+        elif legs is None:  # each leg's residues along its label's axis
+            positions, maps = lay
+            n = max(positions) + 1 if positions else deg
+            xs = [mapped(m, t) for m, t in zip(maps, offs)] if maps else [mapped(0, 0)] * deg
+            legs = built[key] = Legs(
+                x.reshape((D,) + (1,) * (n - 1 - (positions[j] if positions else j))) for j, x in enumerate(xs)
+            )
+        return generator_entries(ctx, gen, legs)
+
+    def split(r: Generator | tuple) -> list[np.ndarray]:
+        if type(r) is Generator:
+            return _split_factors(ctx, r)
+        gen, (_, maps), offs = r
+        return _split_factors(ctx, gen, [mapped(m, t) for m, t in zip(maps, offs)])
+
+    factors: list[Any] = []
+    shares: dict[Generator | tuple, _Share] = {}
 
     def operand(k: int) -> np.ndarray:
         # the slot lets go, so a step's kernel holds the last reference
         f, factors[k] = factors[k], None
-        if type(f) is list:  # a share
-            f[1] -= 1
-            arr = entries(f[0]) if f[2] is None else f[2]
-            f[2] = arr if f[1] else None
+        if type(f) is _Share:
+            f.left -= 1
+            arr = entries(f.recipe) if f.array is None else f.array
+            f.array = arr if f.left else None
             return arr
-        if f is _DELTA:
-            return np.eye(D, dtype=complex)
-        if type(f) is tuple:  # one generator per diagram
-            return np.array([entries(g) for g in f])
-        return entries(f) if isinstance(f, Generator) else f
+        if type(f) is list:  # one recipe per diagram
+            return np.array([entries(r) for r in f])
+        return entries(f) if type(f) is tuple or type(f) is Generator else f
 
-    # per node, its generator in every diagram where they differ, else None
-    differing = itertools.repeat(None) if len(ds) == 1 else [
-        None if all(map(gens[0].__eq__, gens[1:])) else gens for gens in zip(*[d.nodes.values() for d in ds])
-    ]
+    many = len(ds) > 1
     try:
         with np.errstate(over="raise"):
-            for gen, code, gens in zip(ds[0].nodes.values(), node_codes, differing):
-                if code % 3 == _SPLIT:
-                    split = _split_factors(ctx, gen)
-                    if gens is not None:  # only the coefficient vector depends on the generator
-                        split[0] = np.array([_split_factors(ctx, g)[0] for g in gens])
-                    factors.extend(split)
-                elif gens is not None or gen.amp is not None:
-                    factors.append(gen if gens is None else gens)
+            for code, col, lay in zip(node_codes, zip(*[d.nodes.values() for d in ds]), layouts):
+                if not lay:  # an absorbed not dot
+                    factors.append(None)
+                    continue
+                gen = col[0]
+                batch = None  # one recipe per diagram where they differ
+                if lay is _PLAIN or gen.kind == "white":
+                    first = gen
+                    if many and not all(map(gen.__eq__, col[1:])):
+                        batch = list(col)
                 else:
-                    share = shares.get(gen)
+                    offs = [tuple(ts[m] for m in lay[1]) for ts in offsets]
+                    first = (gen, lay, offs[0])
+                    if many and not (all(map(gen.__eq__, col[1:])) and all(map(offs[0].__eq__, offs[1:]))):
+                        batch = list(zip(col, itertools.repeat(lay), offs))
+                if code & 3 == _SPLIT:
+                    pieces = split(first)
+                    if batch:  # the coefficient vector stacks where the generators differ, leg j's matrix where its offset does
+                        others = [split(r) for r in batch[1:]]
+                        parts = [(r,) if type(r) is Generator else (r[0], *r[2]) for r in batch]
+                        for j in range(len(pieces)):
+                            if any(p[j : j + 1] != parts[0][j : j + 1] for p in parts):
+                                pieces[j] = np.array([pieces[j]] + [o[j] for o in others])
+                    factors.extend(pieces)
+                elif batch or gen.amp is not None:
+                    factors.append(batch or first)
+                else:
+                    share = shares.get(first)
                     if share is None:
-                        share = shares[gen] = [gen, 0, None]
-                    share[1] += 1
+                        share = shares[first] = _Share(first)
+                    share.left += 1
                     factors.append(share)
-            # room for the boundary deltas the plan may have, each built when a step reads it
-            factors.extend([_DELTA] * rank)
-            i = 0
+            # the boundary deltas, each built when a step reads it
+            for m in deltas:
+                if not m:
+                    factors.append(_EYE)
+                    continue
+                batch = [(None, ((), (m,)), (ts[m],)) for ts in offsets]
+                factors.append(batch[0] if all(map(batch[0].__eq__, batch[1:])) else batch)
+            # a plan of no steps has one factor, its result
+            i = 0 if steps else next(k for k, f in enumerate(factors) if f is not None)
             for i, j, *subs in steps[:stop]:
                 if j < 0:
                     x, (sa, so) = operand(i), subs
@@ -812,8 +997,11 @@ def _execute(
         raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
 
 
-def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, array, int]:
-    """The shape key of ``d``, its plan's steps (cached) and node codes, and its batch size.
+def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple, int]:
+    """The shape key of ``d``, its plan's steps (cached) and layout, and its batch size.
+
+    The layout is what ``_execute`` reads besides the steps: the node
+    codes, then the plan's chain, node layouts and deltas.
 
     The batch size is how many diagrams of this shape ``evaluate_many``
     runs together: at most ``_MATMUL_MIN`` entries in any array, and at
@@ -827,23 +1015,23 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, array,
     if plan is None:
         plan = _plan(codes)
         _PLANS.put(key, plan)
-    steps, top, degree, node = plan
+    steps, top, degree, node, chain, layouts, deltas = plan
     if d.dim**top > _MAX_RESULT:
         raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
     if d.dim**degree > _MAX_DENSE:
         name = list(d.nodes)[node]
         raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
-    return key, steps, codes[3 : 3 + codes[2]], max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
+    return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
 
 
-def _evaluate_batch(ds: list[Diagram], steps: tuple, node_codes: array, ctx: MeasureContext) -> list[Tensor]:
+def _evaluate_batch(ds: list[Diagram], steps: tuple, layout: tuple, ctx: MeasureContext) -> list[Tensor]:
     """The tensors of the same-shape diagrams ``ds``, last first, from one run of their plan.
 
     ``ds`` is emptied once the plan has run, so the caller, popping the
     tensors one at a time, holds neither the diagrams nor a tensor it
     has handed on.
     """
-    (data,) = _execute(steps, len(steps), node_codes, ds, ctx)
+    (data,) = _execute(steps, len(steps), layout, ds, ctx)
     n_in, n_out = ds[0].n_inputs, ds[0].n_outputs
     if data.ndim > n_in + n_out:
         out = [Tensor(ctx.dim, n_in, n_out, entry) for entry in data[::-1]]
@@ -872,16 +1060,16 @@ def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[
     """
     batch: list[Diagram] = []  # emptied by each run
     for d in diagrams:
-        key, steps, node_codes, size = _checked_plan(d, ctx)
+        key, steps, layout, size = _checked_plan(d, ctx)
         if batch and key != run_key:
-            yield from _popped(_evaluate_batch(batch, run_steps, run_codes, ctx))
-        run_key, run_steps, run_codes = key, steps, node_codes
+            yield from _popped(_evaluate_batch(batch, run_steps, run_layout, ctx))
+        run_key, run_steps, run_layout = key, steps, layout
         batch.append(d)
         del d
         if len(batch) >= size:
-            yield from _popped(_evaluate_batch(batch, steps, node_codes, ctx))
+            yield from _popped(_evaluate_batch(batch, steps, layout, ctx))
     if batch:
-        yield from _popped(_evaluate_batch(batch, run_steps, run_codes, ctx))
+        yield from _popped(_evaluate_batch(batch, run_steps, run_layout, ctx))
 
 
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
@@ -890,8 +1078,8 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     This is ``evaluate_many`` of the one diagram: the same plan check and
     batch run, without the generator.
     """
-    _, steps, node_codes, _ = _checked_plan(d, ctx)
-    return _evaluate_batch([d], steps, node_codes, ctx)[0]
+    _, steps, layout, _ = _checked_plan(d, ctx)
+    return _evaluate_batch([d], steps, layout, ctx)[0]
 
 
 def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
@@ -908,13 +1096,13 @@ def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
     """
     if not d.n_outputs + d.n_inputs:
         raise DiagramError("a diagram with no boundary has no blocks")
-    _, steps, node_codes, _ = _checked_plan(d, ctx)
+    _, steps, layout, _ = _checked_plan(d, ctx)
     pairwise = [k for k in range(max(len(steps) - 2, 0), len(steps)) if steps[k][1] >= 0]
     if not pairwise:
-        yield from _execute(steps, len(steps), node_codes, [d], ctx)[0]
+        yield from _execute(steps, len(steps), layout, [d], ctx)[0]
         return
     last = pairwise[-1]
-    a, b = _execute(steps, last, node_codes, [d], ctx)
+    a, b = _execute(steps, last, layout, [d], ctx)
     _, _, sa, sb, so = steps[last]
     ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
     cut = so[ra.index(ro[0])]  # the step's label for boundary position 0

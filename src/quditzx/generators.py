@@ -25,6 +25,7 @@ red 0-leg = nu^2 * sum T, hbox 0-leg = A(1), gray 0-leg = nu^(-2).
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 import sys
@@ -519,51 +520,66 @@ class Generator:
 # ---------------------------------------------------------------- entry builders
 
 
-def _leg_sum_array(ctx: MeasureContext, deg: int) -> np.ndarray:
-    """deg-dimensional int64 array whose entry is the sum of the leg residues."""
-    vals = ctx.residues()
-    s = np.zeros((), dtype=np.int64)
-    for _ in range(deg):
-        s = s[..., None] + vals
-    return s
+class Legs(list):
+    """The legs of a factor: one int64 array per leg, holding the residue
+    the leg takes at each point of the factor's labels, all broadcastable
+    to the factor's shape.  Their product is made once, when first asked
+    for, so H-boxes on equal legs share it."""
+
+    _product: np.ndarray | None = None
+
+    @classmethod
+    def window(cls, ctx: MeasureContext, deg: int) -> "Legs":
+        """deg legs on labels of their own: leg j holds the window along axis j."""
+        vals = ctx.residues()
+        return cls(vals.reshape((-1,) + (1,) * (deg - 1 - j)) for j in range(deg))
+
+    def sum(self) -> np.ndarray:
+        return functools.reduce(np.add, self)
+
+    def product(self) -> np.ndarray:
+        if self._product is None:
+            self._product = functools.reduce(np.multiply, self)
+        return self._product
 
 
-def _leg_prod_array(ctx: MeasureContext, deg: int) -> np.ndarray:
-    """deg-dimensional int64 array of products of leg residues, overflow-guarded."""
-    bound = max(abs(ctx.lower), ctx.upper, 1) ** deg
-    checked_i64(bound, "hbox leg product bound")
-    vals = ctx.residues()
-    p = np.ones((), dtype=np.int64)
-    for _ in range(deg):
-        p = p[..., None] * vals
-    return p
+def diagonal_weight(ctx: MeasureContext, g: Generator, vals: np.ndarray | None = None) -> np.ndarray:
+    """A green or white dot's entries where all legs equal v, for v in ``vals``.
 
-
-def diagonal_weight(ctx: MeasureContext, g: Generator) -> np.ndarray:
-    """A green or white dot's entries where all legs equal v, for v = L_D..U_D.
-
-    With no legs the dot integrates out, and this is the scalar
-    nu^2 * sum_v T(v) as a 0-d array.
+    ``vals`` defaults to the window L_D..U_D; where the dot's wires are a
+    relabelling of another label, it holds the residue each value of that
+    label stands for.  With no legs the dot integrates out, and this is
+    the scalar nu^2 * sum_v T(v) as a 0-d array.
     """
     amp = g.amp if g.kind == "green" else One()
     if g.degree == 0:
         # Python's sum, which can differ from numpy's in the last bit
         return np.asarray(complex(ctx.nu**2 * sum(amp.eval_arr(ctx, ctx.residues()).tolist())))
-    return np.asarray(amp.eval_arr(ctx, ctx.residues()) * ctx.nu ** (2 - g.degree), dtype=complex)
+    vals = ctx.residues() if vals is None else vals
+    return np.asarray(amp.eval_arr(ctx, vals) * ctx.nu ** (2 - g.degree), dtype=complex)
 
 
-def generator_entries(ctx: MeasureContext, g: Generator, prods: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Dense entry array over all deg legs (order-symmetric formulas).
+def generator_entries(ctx: MeasureContext, g: Generator, legs: Legs | None = None) -> np.ndarray:
+    """Dense entry array of a generator (order-symmetric formulas).
 
-    Calls that pass one ``prods`` dict build an H-box leg-product array once per degree."""
+    ``legs`` gives each leg's residues over the factor's labels (see
+    ``Legs``).  Several legs may read one label (a repeated label gives
+    the diagonal directly), and a leg may read a label through a map, so
+    a factor is built on the labels it is contracted on.  The default,
+    ``Legs.window``, gives each leg a label of its own, which is the
+    generator's tensor over all deg legs.
+    """
     D, deg, nu = ctx.dim, g.degree, ctx.nu
+    if legs is None and deg:
+        legs = Legs.window(ctx, deg)
     if g.kind in ("green", "white"):
         w = diagonal_weight(ctx, g)
         if deg == 0:
             return w
-        arr = np.zeros((D,) * deg, dtype=complex)
-        arr[(np.arange(D),) * deg] = w
-        return arr
+        equal = True
+        for leg in legs[1:]:
+            equal = equal & (leg == legs[0])
+        return np.where(equal, w[legs[0] - ctx.lower], 0j)
     if g.kind == "red":
         jv = ctx.residues()
         if deg == 0:
@@ -571,28 +587,22 @@ def generator_entries(ctx: MeasureContext, g: Generator, prods: dict[int, np.nda
             return np.asarray(nu**2 * g.amp.eval_arr(ctx, jv).sum())
         # w[s] for s = L_D..U_D: nu^(2+deg) * sum_j A(j) * omega^(j*s)
         w = nu ** (2 + deg) * (g.amp.eval_arr(ctx, jv) @ omega_pow_arr(ctx, np.outer(jv, jv)))
-        s = _leg_sum_array(ctx, deg)
-        return w[(s - ctx.lower) % D]
+        return w[(legs.sum() - ctx.lower) % D]
     if g.kind == "gray":
         if deg == 0:
             return np.asarray(complex(nu**-2))
-        s = _leg_sum_array(ctx, deg)
-        return np.where(s % D == 0, complex(nu ** (deg - 2)), 0j)
+        return np.where(legs.sum() % D == 0, complex(nu ** (deg - 2)), 0j)
     if g.kind in ("hplus", "hminus"):
         sign = 1 if g.kind == "hplus" else -1
-        vals = ctx.residues()
-        return nu**2 * omega_pow_arr(ctx, sign * np.outer(vals, vals))
+        return nu**2 * omega_pow_arr(ctx, sign * legs.product())
     if g.kind == "hbox":
         if deg == 0:
             return np.asarray(g.amp.eval_arr(ctx, np.ones((), dtype=np.int64)), dtype=complex)
-        prods = {} if prods is None else prods
-        p = prods.get(deg)
-        if p is None:
-            p = prods[deg] = _leg_prod_array(ctx, deg)
-        return nu**deg * g.amp.eval_arr(ctx, p)
+        if legs._product is None:
+            checked_i64(max(abs(ctx.lower), ctx.upper, 1) ** deg, "hbox leg product bound")
+        return nu**deg * g.amp.eval_arr(ctx, legs.product())
     if g.kind == "not":
-        s = _leg_sum_array(ctx, 2)
-        return np.where((s + g.c % D) % D == 0, 1.0 + 0j, 0j)
+        return np.where((legs.sum() + g.c % D) % D == 0, 1.0 + 0j, 0j)
     raise ValueError(f"unknown kind {g.kind!r}")
 
 

@@ -131,7 +131,10 @@ class MeasureContext:
 
     @property
     def tau(self) -> complex:
-        return cmath.exp(1j * math.pi * (self.dim**2 + 1) / self.dim)
+        e = self.dim**2 + 1
+        if e > 2**53:  # a float would round it: reduce it mod 2D first, as tau's powers are
+            e %= 2 * self.dim
+        return cmath.exp(1j * math.pi * e / self.dim)
 
     @property
     def is_well_tempered(self) -> bool:

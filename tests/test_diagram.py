@@ -587,11 +587,11 @@ KINDS = ["white", "green", "red", "gray", "hbox", "hplus", "hminus", "not"]
 
 
 @st.composite
-def small_diagrams(draw, dim: int | None = None) -> Diagram:
+def small_diagrams(draw, dim: int | None = None, n_in: int | None = None) -> Diagram:
     """A valid diagram at D=2..4 (or at ``dim``): a red or gray dot and up
-    to four more nodes, wired at random.  It can hold rank-0 nodes of
-    every kind, red and gray dots of degree 0..6, self-loops, parallel
-    edges and boundary-to-boundary wires."""
+    to four more nodes, wired at random, with 0..2 inputs (or ``n_in``).
+    It can hold rank-0 nodes of every kind, red and gray dots of degree
+    0..6, self-loops, parallel edges and boundary-to-boundary wires."""
     dim = draw(st.integers(2, 4)) if dim is None else dim
     kinds = [draw(st.sampled_from(["red", "gray"]))] + draw(st.lists(st.sampled_from(KINDS), max_size=4))
     nodes: dict = {}
@@ -604,7 +604,7 @@ def small_diagrams(draw, dim: int | None = None) -> Diagram:
             amp = draw(st.sampled_from(AMPS)) if kind in ("green", "red", "hbox") else None
             gen = Generator(kind, m, deg - m, amp=amp)
         nodes[f"{kind}{k}"] = gen
-    n_in, n_out = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n_in, n_out = draw(st.integers(0, 2)) if n_in is None else n_in, draw(st.integers(0, 2))
     ports = [(name, leg) for name, gen in nodes.items() for leg in range(gen.degree)]
     ports += [("in", i) for i in range(n_in)] + [("out", j) for j in range(n_out)]
     if len(ports) % 2:
@@ -652,6 +652,17 @@ def test_random_parallel_compositions_evaluate_to_the_tensor_product(pair, nu: f
     assert_close(evaluate(compose_parallel(a, b), ctx), tensor_product(evaluate(a, ctx), evaluate(b, ctx)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda dim: small_diagrams(dim).flatmap(
+    lambda a: st.tuples(st.just(a), small_diagrams(dim, n_in=a.n_outputs)))), st.sampled_from([None, 0.8]))
+def test_random_serial_compositions_evaluate_to_the_composite(pair, nu: float | None) -> None:
+    # the splice joins wires through the seam, so not dots of the two
+    # sides form chains, cycles and loops
+    a, b = pair
+    ctx = MeasureContext(a.dim, nu)
+    assert_close(evaluate(compose_serial(a, b), ctx), compose(evaluate(a, ctx), evaluate(b, ctx)))
+
+
 def plan_steps(steps) -> list:
     """The steps of a plan from ``_plan`` as a list of ``(i, j, sublists)``, each sublist a list."""
     return [(i, j, [list(sub) for sub in subs]) for i, j, *subs in steps]
@@ -663,11 +674,11 @@ def order_digest(steps) -> str:
 
 def pinned_order_cases(ctx: MeasureContext) -> list:
     return [
-        (tied_hub_diagram(3), "4ab5ceb9c1ff0b7d"),
-        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "0b813eb859b66ef5"),
-        (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "2e4bf78177fe6ada"),
-        (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "992a9bf743aa9e3c"),
-        (instantiate("ZH-O", {}, ctx)[0], "e2ac29a35f198259"),  # a scalar box and a gray hub
+        (tied_hub_diagram(3), "7840c334f1f011a9"),
+        (hub_diagram(np.random.default_rng(8), 3, 3, 8, 1, 1), "492e459b47a5d045"),
+        (normal_form(Tensor(3, 2, 2, np.ones((3,) * 4)), ctx), "8286db11f0a9354a"),
+        (normal_form(Tensor(3, 1, 2, np.ones((3,) * 3)), ctx), "2593275374af5489"),
+        (instantiate("ZH-O", {}, ctx)[0], "645ad75376b093ff"),  # a scalar box and a gray hub
     ]
 
 
@@ -745,7 +756,6 @@ def test_boundary_on_node_legs_builds_no_delta(monkeypatch) -> None:
     monkeypatch.setattr(np, "eye", lambda *args, **kwargs: eyes.append(args) or real(*args, **kwargs))
     diagrams = [
         param_diagram(3, 0.1, (1, 0), 1, 1.0),
-        tied_hub_diagram(3),
         node_diagram(3, Generator.hbox(Phase(0.4), 2, 2)),
         normal_form(random_tensor(np.random.default_rng(3), 3, 1, 1), ctx),
     ]
@@ -754,6 +764,9 @@ def test_boundary_on_node_legs_builds_no_delta(monkeypatch) -> None:
         for _ in range(2):
             evaluate(d, ctx)
     assert eyes == []
+    # a not dot joins the tied hubs into one label, which out:0 takes;
+    # in:0 reads it through the not's map, so it needs a permutation delta
+    assert delta_slots(tied_hub_diagram(3)) == 1
     evaluate(boundary_cases(3)[0][1], ctx)
     assert eyes == [(3,)]  # a bare wire's delta goes through the same counter
 
@@ -761,9 +774,10 @@ def test_boundary_on_node_legs_builds_no_delta(monkeypatch) -> None:
 def test_catalog_plans_take_boundary_labels() -> None:
     # integers only: the plan steps over both sides of one draw of every
     # rule at D=2..9.  One delta per boundary position made 3,741 steps,
-    # and a final reorder that left its factor as it was 2,374
+    # a final reorder that left its factor as it was 2,374, and not dots
+    # as dense factors, with a trace step for each repeated label, 1,802
     total = sum(len(dg._plan(dg._structure(d))[0]) for _, d, _ in catalog_cases(range(2, 10)))
-    assert total == 1802
+    assert total == 1649
 
 
 def test_plans_reorder_only_to_move_axes(plan_calls) -> None:
@@ -798,10 +812,15 @@ def test_widest_rules_plan_about_their_output(rid) -> None:
         assert written <= 13_000_000
 
 
+def absorbed_nots(d: Diagram) -> set:
+    """The indices of the not dots that the plan of ``d`` reads as relabellings."""
+    return {k for _, k in dg._plan(dg._structure(d))[4]}
+
+
 def test_dense_factors_are_built_once(monkeypatch) -> None:
     # a dense node with an amplitude is built once; equal parameter-free
-    # generators (not, hplus, hminus, gray) share one array, built once
-    # per evaluation
+    # generators (not, hplus, hminus, gray) on equal legs share one
+    # array, built once per evaluation; an absorbed not dot is never built
     ctx = MeasureContext(3)
     rng = np.random.default_rng(5)
     diagrams = [
@@ -812,22 +831,28 @@ def test_dense_factors_are_built_once(monkeypatch) -> None:
     built: Counter = Counter()
     real = dg.generator_entries
 
-    def counting(ctx, gen, prods=None):
-        built[id(gen) if gen.amp is not None else gen] += 1
-        return real(ctx, gen)
+    def counting(ctx, gen, legs=None):
+        built[id(gen) if gen.amp is not None else (gen, legs and tuple((x.shape, x.tobytes()) for x in legs))] += 1
+        return real(ctx, gen, legs)
 
     monkeypatch.setattr(dg, "generator_entries", counting)
+    shared = 0
     for d in diagrams:
-        dense = [g for g in d.nodes.values() if g.kind not in ("white", "green")]
-        want = Counter(id(g) for g in dense if g.amp is not None)
-        want.update({g for g in dense if g.amp is None})
+        skip = absorbed_nots(d)
+        dense = [g for k, g in enumerate(d.nodes.values()) if g.kind not in ("white", "green") and k not in skip]
         for _ in range(2):
             built.clear()
             evaluate(d, ctx)
-            assert built == want
-    # the normal form has many equal not-dots
-    dense = [g for g in diagrams[0].nodes.values() if g.kind == "not"]
-    assert len(dense) > 3 * len(set(dense))
+            assert set(built.values()) == {1}
+            assert Counter(k for k in built if type(k) is int) == Counter(id(g) for g in dense if g.amp is not None)
+            assert {k[0] for k in built if type(k) is tuple} == {g for g in dense if g.amp is None}
+        shared += sum(g.amp is None for g in dense) - sum(type(k) is tuple for k in built)
+    assert shared > 0
+    # every not dot of the normal form is a relabelling; of the tied hubs'
+    # two, the one that closes their cycle is a factor
+    nots = [k for k, g in enumerate(diagrams[0].nodes.values()) if g.kind == "not"]
+    assert len(nots) == 36 and absorbed_nots(diagrams[0]) == set(nots)
+    assert len(absorbed_nots(diagrams[1])) == 1
 
 
 def test_equal_diagonal_dots_share_one_weight(monkeypatch) -> None:
@@ -1000,6 +1025,125 @@ def test_widest_rules_evaluate_byte_identically(rid) -> None:
     params = spec.sample(6, np.random.default_rng(0))
     for d in instantiate(spec, params, ctx):
         assert evaluate(d, ctx).data.tobytes() == evaluate(d, ctx).data.tobytes()
+
+
+# -- not dots as relabellings ---------------------------------------------
+
+
+def not_cases(dim: int, cs: tuple[int, int, int] = (1, 2, -1)) -> list:
+    """``(label, diagram, absorbed, deltas)``: not dots in each place the
+    planner tells apart, with the number of them it absorbs and of the
+    boundary deltas it plans; ``cs`` are the not constants."""
+    c1, c2, c3 = cs
+    cases = []
+
+    def case(label: str, b: DiagramBuilder, absorbed: int, deltas: int) -> None:
+        cases.append((label, b.build(), absorbed, deltas))
+
+    b = DiagramBuilder(dim)
+    b.chain([Generator.not_dot(c1), Generator.not_dot(c2), Generator.not_dot(c3)])
+    case("a chain between two boundary positions", b, 3, 2)
+    b = DiagramBuilder(dim)
+    b.chain([Generator.not_dot(c1), Generator.not_dot(c2), Generator.hbox(UnitPow(0.3 + 0.4j), 1, 1)])
+    case("a chain into an H-box", b, 2, 0)
+    b = DiagramBuilder(dim)
+    copy, total = b.node(Generator.white(1, 2)), b.node(Generator.green(Phase(0.4), 2, 1))
+    b.wire("in", copy)
+    for c in (c1, c2):
+        nd = b.node(Generator.not_dot(c))
+        b.wire(copy, nd)
+        b.wire(nd, total)
+    b.wire(total, "out")
+    case("a not closing a cycle", b, 1, 1)
+    b = DiagramBuilder(dim)
+    nd = b.node(Generator.not_dot(c1))
+    b.wire(nd, nd)
+    b.wire(b.node(Generator.green(Phase(0.3), 0, 1)), "out")
+    case("a self-looped not", b, 0, 0)
+    b = DiagramBuilder(dim)
+    for (end_a, end_b), c in ((("out", "out"), c1), (("in", "in"), c2), (("in", "out"), c3)):
+        nd = b.node(Generator.not_dot(c))
+        b.wire(end_a, nd)
+        b.wire(nd, end_b)
+    case("nots between boundary positions", b, 3, 6)
+    b = DiagramBuilder(dim)
+    nd, copy, box = b.node(Generator.not_dot(c1)), b.node(Generator.white(1, 2)), b.node(Generator.hbox(Phase(0.7), 2, 1))
+    b.wire("in", nd)
+    b.wire(nd, copy)
+    b.wire(copy, box)
+    b.wire(copy, box)
+    b.wire(box, "out")
+    case("a not feeding an H-box twice through a copy dot", b, 1, 0)
+    b = DiagramBuilder(dim)
+    hub = b.node(Generator.gray(1, 3))
+    b.wire("in", hub)
+    for gen in (Generator.not_dot(c1), Generator.hplus(), Generator.red(Stab(1, 1), 1, 1)):
+        nd, user = b.node(Generator.not_dot(c2)), b.node(gen)
+        b.wire(hub, nd)
+        b.wire(nd, user)
+        b.wire(user, "out")
+    case("nots between a gray hub and its users", b, 4, 0)
+    return cases
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("nu", [None, 0.8])
+@pytest.mark.parametrize("split_all", [False, True])
+def test_not_dots_match_flat_einsum(dim: int, nu: float | None, split_all: bool) -> None:
+    # each shape on a cold plan cache, then on the plan it cached; with
+    # the default factor modes and with every red and gray dot split
+    # where its split form is smaller
+    ctx = MeasureContext(dim, nu)
+    split_above = 0 if split_all else dg._SPLIT_ABOVE
+    with mock.patch.object(dg, "_PLANS", dg._PlanCache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
+        for label, d, absorbed, deltas in not_cases(dim):
+            assert (len(absorbed_nots(d)), delta_slots(d)) == (absorbed, deltas), label
+            cold = evaluate(d, ctx)
+            warm = evaluate(d, ctx)
+            assert warm.data.tobytes() == cold.data.tobytes(), label
+            want = flat_einsum(d, ctx)
+            assert max_abs_diff(cold, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data))), label
+
+
+@pytest.mark.parametrize("split_all", [False, True])
+def test_a_batch_with_differing_not_constants_gives_each_diagrams_bits(split_all: bool) -> None:
+    # the constants set the maps' offsets, so the factors they feed are
+    # stacked per diagram; each tensor still has the bits it has alone
+    dim = 4
+    ctx = MeasureContext(dim)
+    rng = np.random.default_rng(12)
+    draws = [tuple(int(c) for c in rng.integers(-dim, 2 * dim, size=3)) for _ in range(6)]
+    with mock.patch.object(dg, "_SPLIT_ABOVE", 0 if split_all else dg._SPLIT_ABOVE):
+        for k, (label, *_) in enumerate(not_cases(dim)):
+            ds = [not_cases(dim, cs)[k][1] for cs in draws]
+            got = [t.data.tobytes() for t in evaluate_many(ds, ctx)]
+            assert got == [evaluate(d, ctx).data.tobytes() for d in ds], label
+            assert len(set(got)) > 1, label  # the constants did reach the tensors
+            _, steps, layout, _ = dg._checked_plan(ds[0], ctx)
+            (batch,) = dg._execute(steps, len(steps), layout, ds, ctx)
+            assert batch.shape[0] == len(ds), label
+
+
+def test_a_split_form_is_used_only_where_it_is_smaller() -> None:
+    # at D=23 every dot below has more than _SPLIT_ABOVE dense entries: a
+    # gray dot of degree 2, or a red one with its 23 x 23 character table,
+    # holds no more dense than split (23 + 2 * 23^2 entries); a dot of
+    # degree 3 holds far more
+    ctx = MeasureContext(23)
+    for gen, mode in [
+        (Generator.gray(1, 1), dg._DENSE),
+        (Generator.red(Stab(1, 2), 1, 1), dg._DENSE),
+        (Generator.red(Stab(1, 2), 1, 2), dg._SPLIT),
+        (Generator.gray(2, 1), dg._SPLIT),
+    ]:
+        assert dg._factor_mode(gen, 23) == mode, gen
+        d = node_diagram(23, gen)
+        want = flat_einsum(d, ctx)
+        assert max_abs_diff(evaluate(d, ctx), want) <= 1e-10 * max(1.0, np.max(np.abs(want.data))), gen
+    # a red dot of degree 1 past _SPLIT_ABOVE holds D + D^2 entries split,
+    # and its table and weight vector as well dense
+    assert dg._factor_mode(Generator.red(Phase(0.3), 0, 1), 600) == dg._SPLIT
+    assert dg._factor_mode(Generator.gray(0, 1), 600) == dg._DENSE
 
 
 # -- blocks ---------------------------------------------------------------
@@ -1345,8 +1489,8 @@ def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
     for name in ("generator_entries", "diagonal_weight"):
         real = getattr(dg, name)
 
-        def keeping(ctx, gen, prods=None, real=real):
-            arr = real(ctx, gen)
+        def keeping(ctx, gen, *legs, real=real):
+            arr = real(ctx, gen, *legs)
             arrays.append(weakref.ref(arr))
             return arr
 
@@ -1371,11 +1515,11 @@ def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
 def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     ctx = MeasureContext(3)
     rng = np.random.default_rng(4)
-    first = normal_form(random_tensor(rng, 3, 0, 1), ctx)  # 12 steps
-    second = tied_hub_diagram(3)  # 8 steps
-    third = param_diagram(3, 0.1, (1, 0), 1, 1.0)  # 7 steps
-    big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 64 steps
-    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 24)
+    first = normal_form(random_tensor(rng, 3, 0, 1), ctx)  # 6 steps
+    second = tied_hub_diagram(3)  # 7 steps
+    third = param_diagram(3, 0.1, (1, 0), 1, 1.0)  # 5 steps
+    big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 29 steps
+    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 16)
 
     def stored() -> int:
         assert dg._PLANS.steps == sum(max(len(steps), 1) for steps, *_ in dg._PLANS.plans.values())
@@ -1383,8 +1527,8 @@ def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
 
     for d in (first, second, third):
         evaluate(d, ctx)
-        assert stored() <= 24
-    assert stored() == 15  # the third plan pushed the first out, oldest first
+        assert stored() <= 16
+    assert stored() == 12  # the third plan pushed the first out, oldest first
     evaluate(second, ctx)
     evaluate(third, ctx)
     assert len(plan_calls) == 3
@@ -1394,7 +1538,7 @@ def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     evaluate(big, ctx)
     evaluate(big, ctx)
     assert len(plan_calls) == 6  # larger than the budget: used, never stored
-    assert dg._PLANS.plans == before and stored() <= 24
+    assert dg._PLANS.plans == before and stored() <= 16
 
 
 def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
@@ -1403,7 +1547,7 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
     diagrams = [normal_form(random_tensor(rng, 3, 0, 1), ctx), tied_hub_diagram(3)]
     diagrams += [param_diagram(3, 0.2 * k, (1, k % 3), k, 1.0 + k) for k in range(3)]
     want = [evaluate(d, ctx).data.tobytes() for d in diagrams]
-    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 20)  # every round evicts
+    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 12)  # every round evicts
     dg._PLANS.clear()
     wrong: list = []
 
@@ -1425,7 +1569,7 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert dg._PLANS.steps == sum(len(steps) for steps, *_ in dg._PLANS.plans.values()) <= 20
+    assert dg._PLANS.steps == sum(len(steps) for steps, *_ in dg._PLANS.plans.values()) <= 12
 
 
 def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> None:
@@ -1750,7 +1894,7 @@ def reference_structure(d: Diagram) -> list[int]:
     for name, gen in d.nodes.items():
         first[name] = n
         n += gen.degree
-        codes.append(3 * gen.degree + dg._factor_mode(gen, d.dim))
+        codes.append(4 * gen.degree + dg._factor_mode(gen, d.dim))
     first["out"] = n
     first["in"] = n + d.n_outputs
     for a, b in d.edges:
@@ -1823,24 +1967,25 @@ def test_port_table_is_built_once_per_diagram() -> None:
     assert d._ports is table
 
 
-def test_normal_form_builds_one_leg_product_array_per_evaluation(monkeypatch) -> None:
-    import quditzx.generators as gens
-
+def test_normal_form_builds_each_box_on_its_fan_labels(monkeypatch) -> None:
+    # each selector box reads its 2w legs through not dots from the w fan
+    # labels, so it is built once per evaluation with D^w entries, not D^2w
     ctx = MeasureContext(3)
     d = normal_form(random_tensor(np.random.default_rng(75), 3, 2, 1), ctx)
     assert sum(g.kind == "hbox" for g in d.nodes.values()) == 27
     built: list = []
-    real = gens._leg_prod_array
+    real = dg.generator_entries
 
-    def counting(ctx, deg):
-        built.append(deg)
-        return real(ctx, deg)
+    def recording(ctx, gen, legs=None):
+        arr = real(ctx, gen, legs)
+        built.append((gen.degree, arr.shape))
+        return arr
 
-    monkeypatch.setattr(gens, "_leg_prod_array", counting)
+    monkeypatch.setattr(dg, "generator_entries", recording)
     for _ in range(2):
         built.clear()
         evaluate(d, ctx)
-        assert built == [6]
+        assert built == [(6, (3, 3, 3))] * 27
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,9 @@ Oracle values below were computed by independent brute force (direct
 summation over the window with Python complex arithmetic) and frozen.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +53,13 @@ def test_phase_constants_are_numpys_bit_for_bit():
         ctx = MeasureContext(D)
         assert np.complex128(ctx.omega).tobytes() == np.exp(2j * np.pi / D).tobytes(), D
         assert np.complex128(ctx.tau).tobytes() == np.exp(1j * np.pi * (D**2 + 1) / D).tobytes(), D
+
+
+@pytest.mark.parametrize("D", [100000001, 4294967297])
+def test_tau_of_a_dimension_past_the_floats_exact_integers(D):
+    # D^2 + 1 > 2^53 would round as a float; tau reduces it mod 2D first
+    assert D * D + 1 > 2**53
+    assert MeasureContext(D).tau == cmath.exp(1j * math.pi * ((D * D + 1) % (2 * D)) / D)
 
 
 @pytest.mark.parametrize("D", DIMS)
