@@ -522,7 +522,7 @@ def _plan(codes: array) -> _Plan:
 
     # each factor slot's labels, None for an absorbed not; its rank is len(labels)
     labels: list[list[int] | None] = []
-    layouts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    layouts: list[tuple] = []
     fresh = itertools.count(1)
     top = max(n_in + n_out, 1)  # the result's; a delta (rank 2) only comes with two boundary positions
     dense = (0, -1)  # degree and node
@@ -530,14 +530,14 @@ def _plan(codes: array) -> _Plan:
         mode = code & 3
         if mode in (_DENSE, _NOT) and len(legs) > dense[0]:
             dense = (len(legs), k)
-        placed = [place(w) for w in legs]
-        maps = tuple(m for _, m in placed)
-        maps = maps if any(maps) else ()
-        positions: tuple[int, ...] = ()
         if k in absorbed:
             labels.append(None)
             layouts.append(())
             continue
+        placed = [place(w) for w in legs]
+        maps = tuple(m for _, m in placed)
+        maps = maps if any(maps) else ()
+        positions: tuple[int, ...] = ()
         if mode == _DIAGONAL:
             labels.append([placed[0][0]] if legs else [])
             maps = maps[:1]
@@ -959,7 +959,9 @@ def _execute(
                         batch = list(zip(col, itertools.repeat(lay), offs))
                 if code & 3 == _SPLIT:
                     pieces = split(first)
-                    if batch:  # the coefficient vector stacks where the generators differ, leg j's matrix where its offset does
+                    # the coefficient vector stacks where the generators
+                    # differ, leg j's matrix where its offset does
+                    if batch:
                         others = [split(r) for r in batch[1:]]
                         parts = [(r,) if type(r) is Generator else (r[0], *r[2]) for r in batch]
                         for j in range(len(pieces)):
@@ -1021,7 +1023,8 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     if d.dim**degree > _MAX_DENSE:
         name = list(d.nodes)[node]
         raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
-    return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
+    size = max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
+    return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), size
 
 
 def _evaluate_batch(ds: list[Diagram], steps: tuple, layout: tuple, ctx: MeasureContext) -> list[Tensor]:

@@ -1067,7 +1067,8 @@ def not_cases(dim: int, cs: tuple[int, int, int] = (1, 2, -1)) -> list:
         b.wire(nd, end_b)
     case("nots between boundary positions", b, 3, 6)
     b = DiagramBuilder(dim)
-    nd, copy, box = b.node(Generator.not_dot(c1)), b.node(Generator.white(1, 2)), b.node(Generator.hbox(Phase(0.7), 2, 1))
+    nd, copy = b.node(Generator.not_dot(c1)), b.node(Generator.white(1, 2))
+    box = b.node(Generator.hbox(Phase(0.7), 2, 1))
     b.wire("in", nd)
     b.wire(nd, copy)
     b.wire(copy, box)
@@ -1471,9 +1472,9 @@ def test_dense_limit_change_gets_its_own_plan(monkeypatch, plan_calls) -> None:
     built: list = []
     real = dg.generator_entries
 
-    def counting(ctx, gen, prods=None):
+    def counting(ctx, gen, legs=None):
         built.append(gen)
-        return real(ctx, gen)
+        return real(ctx, gen, legs)
 
     monkeypatch.setattr(dg, "generator_entries", counting)
     monkeypatch.setattr(dg, "_SPLIT_ABOVE", 0)
