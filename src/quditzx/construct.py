@@ -20,12 +20,17 @@ Also here: the coefficient-selector gadget (``mbox_gadget``), whose
 H-box fires a chosen amplitude exactly on the all-``U_D`` basis input,
 and ``normal_form``, which writes an arbitrary small tensor as a
 diagram of copy-dot fan-outs, not-dot index shifts, and one selector
-per coefficient.
+per coefficient.  Both make each parameter-free generator (the copy
+and fan dots, each not dot) once per call and share it among the nodes
+that hold it, so a normal form's 3(m+n) D^(m+n) + m+n parameter-free
+nodes hold at most D + 3 generators.  ``diagram.load_json`` shares them the
+same way within one diagram file.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -449,19 +454,20 @@ def mbox_gadget(m: int, alpha: complex, ctx: MeasureContext) -> Diagram:
     checked_i64(ctx.upper ** (2 * m), "selector pivot U_D^(2m)")
     b = DiagramBuilder(ctx.dim)
     box = b.node(Generator.hbox(MBox(2 * m, complex(alpha)), 2 * m, 0))
+    copy, flip = Generator.white(1, 2), Generator.not_dot(1 - ctx.sigma)
     for j in range(m):
-        _selector_branch(b, ctx, ("in", j), box)
+        _selector_branch(b, copy, flip, ("in", j), box)
     return b.build()
 
 
-def _selector_branch(b: DiagramBuilder, ctx: MeasureContext, src, box: str) -> None:
-    """src into a white copy dot whose two branches meet the selector
-    box, one straight and one through a (1 - sigma)-not-dot."""
-    copy = b.node(Generator.white(1, 2))
-    nd = b.node(Generator.not_dot(1 - ctx.sigma))
-    b.wire(src, copy)
-    b.wire(copy, box)
-    b.wire(copy, nd)
+def _selector_branch(b: DiagramBuilder, copy: Generator, flip: Generator, src, box: str) -> None:
+    """src into the white copy dot ``copy``, whose two branches meet the
+    selector box, one straight and one through the (1 - sigma)-not-dot
+    ``flip``.  The caller makes each generator once per diagram."""
+    dot, nd = b.node(copy), b.node(flip)
+    b.wire(src, dot)
+    b.wire(dot, box)
+    b.wire(dot, nd)
     b.wire(nd, box)
 
 
@@ -487,10 +493,19 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
         )
     checked_i64(ctx.upper ** (2 * wires), "selector pivot U_D^(2(m+n))")
 
+    # one generator per distinct parameter-free node, shared by all the
+    # nodes that hold it: the copy and fan dots, the not dot that shifts
+    # each axis index i onto U_D, and the branches' (1 - sigma)-not-dot
+    whites = {k: Generator.white(1, k) for k in {2, n_coeffs}}
+    consts = [residue(ctx, -(ctx.lower + i) - ctx.upper) for i in range(D)]
+    nots = {c: Generator.not_dot(c) for c in {*consts, 1 - ctx.sigma}}
+    shifts = [nots[c] for c in consts]
+    copy, flip = whites[2], nots[1 - ctx.sigma]
+
     b = DiagramBuilder(D)
     fans = []
     for w in range(wires):
-        fan = b.node(Generator.white(1, n_coeffs), name=f"fan{w}")
+        fan = b.node(whites[n_coeffs], name=f"fan{w}")
         if w < n_out:
             b.wire(("out", w), fan)
         else:
@@ -502,16 +517,15 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
     except (OverflowError, ZeroDivisionError):  # nu^wires past the float range, or 0
         raise OverflowGuardError(f"nu^-{wires} = {ctx.nu!r}^-{wires} leaves the float range") from None
     flat = omega.data.reshape(-1)
-    for k in range(n_coeffs):
+    # row-major points, the order of ``flat``
+    for k, point in enumerate(itertools.product(range(D), repeat=wires)):
         alpha = complex(flat[k]) * scale
         if not cmath.isfinite(alpha):  # a diagram file holds finite numbers only
             raise OverflowGuardError(f"entry {k} times nu^-{wires} leaves the float range: {alpha}")
-        point = np.unravel_index(k, omega.data.shape)
         # a scalar's one box keeps an automatic id
         box = b.node(Generator.hbox(MBox(2 * wires, alpha), 2 * wires, 0), f"sel{k}" if wires else None)
-        for w in range(wires):
-            t_star = ctx.lower + int(point[w])
-            shift = b.node(Generator.not_dot(residue(ctx, -t_star - ctx.upper)))
-            b.wire(fans[w], shift)
-            _selector_branch(b, ctx, shift, box)
+        for fan, i in zip(fans, point):
+            shift = b.node(shifts[i])
+            b.wire(fan, shift)
+            _selector_branch(b, copy, flip, shift, box)
     return b.build()

@@ -81,8 +81,9 @@ and the port table, which ``_structure`` reads; generator parameters, not
 constants, node names and ``nu`` are not in it.  A step is a tuple that
 ``_execute`` runs as it is: ``(i, j, sa, sb, so)`` contracts slots i and
 j, ``(i, -1, sa, so)`` sums or reorders slot i, and equal sublists (tuples
-of ints) are stored once per plan.  The cache holds at most
-``_MAX_PLAN_STEPS`` steps over all plans, dropping the oldest first, and
+of ints) are stored once per plan.  The cache holds plans of at most
+``_MAX_PLAN_SIZE`` entries in all (steps, chain entries, node layouts and
+deltas, so an absorbed not dot counts too), dropping the oldest first, and
 only integers, never a diagram or an array.  Every call, cached plan or not, checks the plan's sizes
 against ``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any factor
 array from the context.  Within one call, equal parameter-free
@@ -100,13 +101,19 @@ belongs to the arrays, not to the call: each step reads it off its
 operands, as one axis more than the step's sublist.  A step below
 ``_MATMUL_MIN`` with a batched operand runs as one ``np.einsum`` with
 ``Ellipsis`` leading each sublist, so an operand without the batch axis
-broadcasts; a matmul-size one runs once per batch entry (``_pairwise``),
-so every tensor has the bits it has when its diagram runs alone.  A step
-with no batched operand, as is every step of a batch of one, runs the
-plain kernels.  A batch holds at most ``_MATMUL_MIN`` entries in any
-array (batch times D^max(top, widest dense degree)): past that the
-per-call overhead is small next to the arithmetic, and a larger batch
-only costs memory.  ``evaluate`` runs the batch of one that
+broadcasts; a matmul-size one runs once per batch entry (``_pairwise``).
+A step with no batched operand, as is every step of a batch of one, runs
+the plain kernels.  So a batched tensor equals what its diagram gives
+alone up to rounding, not always bit for bit: a pairwise ``np.einsum``
+over the batch may sum in another order than the plain call (at D=2, a
+red dot with two legs joined through an hplus and one on a white pad
+gives 0.9999999999999996+0j alone and 0.9999999999999996+1.1e-16j in a
+batch).  One-factor steps over the batch, sums and reorders, give each
+entry the plain call's bits, and every rule side of the soundness
+matrix at D=2..6 comes out bit for bit.  A batch holds at most
+``_MATMUL_MIN`` entries in any array (batch times D^max(top, widest
+dense degree)): past that the per-call overhead is small next to the
+arithmetic, and a larger batch only costs memory.  ``evaluate`` runs the batch of one that
 ``evaluate_many`` runs for a single diagram, and ``evaluate_blocks`` runs
 the same executor on a batch of one.
 
@@ -142,6 +149,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from quditzx.generators import (
+    KINDS,
     Generator,
     Legs,
     amp_from_json,
@@ -165,7 +173,7 @@ _MAX_DENSE = 2_000_000  # entries; a larger dense node is refused
 # dense at D=7, where it costs ten times its output
 _SPLIT_ABOVE = 512
 _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any array but a dense node's
-_MAX_PLAN_STEPS = 1 << 15  # steps in all cached contraction plans
+_MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cached contraction plans
 _BLOCK_ABOVE = 1 << 20  # result entries past which check_soundness compares blocks (see the notes)
 # loop entries D^u from which a pairwise step runs as matmul.  Warm,
 # matmul wins from about 2^12; but below 2^17 its operand copies cost
@@ -737,33 +745,40 @@ def _plan(codes: array) -> _Plan:
     return tuple(steps), top, *dense, tuple(chain), tuple(layouts), tuple(deltas)
 
 
-class _PlanCache:
-    """Plans by shape, oldest out first, at most ``_MAX_PLAN_STEPS`` steps in all.
+def _plan_size(plan: _Plan) -> int:
+    """What a plan holds: its steps, chain entries, node layouts and deltas, and at least one."""
+    steps, _, _, _, chain, layouts, deltas = plan
+    return max(len(steps) + len(chain) + len(layouts) + len(deltas), 1)
 
-    A plan's size is the length of its steps tuple; a plan of no steps
-    counts as one, so the budget also bounds the number of plans.  A plan
+
+class _PlanCache:
+    """Plans by shape, oldest out first, at most ``_MAX_PLAN_SIZE`` entries in all.
+
+    A plan's size is ``_plan_size``: a chain of absorbed not dots plans
+    one step but holds a chain entry and a layout per dot.  A plan counts
+    at least one, so the budget also bounds the number of plans.  A plan
     larger than the whole budget is not stored.
     """
 
     def __init__(self) -> None:
         self.plans: dict[bytes, _Plan] = {}
-        self.steps = 0
+        self.size = 0
         self._lock = threading.Lock()
 
     def put(self, key: bytes, plan: _Plan) -> None:
-        size = max(len(plan[0]), 1)
+        size = _plan_size(plan)
         with self._lock:
-            if size > _MAX_PLAN_STEPS or key in self.plans:
+            if size > _MAX_PLAN_SIZE or key in self.plans:
                 return
-            while self.steps + size > _MAX_PLAN_STEPS:
-                self.steps -= max(len(self.plans.pop(next(iter(self.plans)))[0]), 1)
+            while self.size + size > _MAX_PLAN_SIZE:
+                self.size -= _plan_size(self.plans.pop(next(iter(self.plans))))
             self.plans[key] = plan
-            self.steps += size
+            self.size += size
 
     def clear(self) -> None:
         with self._lock:
             self.plans.clear()
-            self.steps = 0
+            self.size = 0
 
 
 _PLANS = _PlanCache()
@@ -801,9 +816,9 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     An operand with one axis more than its sublist has a leading batch
     axis, and then so has the result: a small step runs as one
     ``np.einsum`` with ``Ellipsis`` leading each sublist, so an operand
-    without the axis broadcasts, and a large one runs once per batch
-    entry, so each entry has the bits of its diagram run alone.  The
-    matmul path needs what the planner's steps give: distinct labels in
+    without the axis broadcasts (and the sums may round apart from the
+    plain call's), and a large one runs the plain matmul once per batch
+    entry.  The matmul path needs what the planner's steps give: distinct labels in
     each operand, and every label in ``so`` or in both operands.  The
     labels split into batch (shared, kept), summed (shared, dropped) and
     free in a or in b; a becomes ``(batch, free a, summed)``, b becomes
@@ -1052,14 +1067,17 @@ def _popped(items: list[Tensor]) -> Iterator[Tensor]:
 
 
 def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[Tensor]:
-    """``evaluate(d, ctx)`` for each diagram, in order, with the same bits.
+    """``evaluate(d, ctx)`` for each diagram, in order, up to rounding.
 
     Consecutive diagrams of one shape are contracted together, in
     batches of at most ``_MATMUL_MIN`` entries in any array (see the
-    module notes).  ``diagrams`` is read as the tensors are asked for, so
-    one batch of diagrams and tensors is held at a time (and, where the
-    shape changes, the next diagram), and a size past a budget raises
-    ``OverflowGuardError`` when its diagram is read.
+    module notes).  A small pairwise step over a batch may round apart
+    from the same step run alone, so a tensor can differ from
+    ``evaluate``'s in the last bits; a diagram alone in its batch gets
+    ``evaluate``'s bits.  ``diagrams`` is read as the tensors are asked
+    for, so one batch of diagrams and tensors is held at a time (and,
+    where the shape changes, the next diagram), and a size past a budget
+    raises ``OverflowGuardError`` when its diagram is read.
     """
     batch: list[Diagram] = []  # emptied by each run
     for d in diagrams:
@@ -1286,6 +1304,10 @@ def from_json_obj(obj: Any) -> Diagram:
         if not isinstance(value, list):
             raise DiagramError(f"{key} must be a list")
     nodes: dict[str, Generator] = {}
+    # the generator of the first amplitude-free node of each (kind, legs, c),
+    # shared by the later ones; only a kind that passes Generator's own
+    # check (in KINDS) forms a key, so a list or dict kind fails there as before
+    shared: dict[tuple[str, int, int], Generator] = {}
     for name, entry in entries.items():
         if not isinstance(entry, dict):
             raise DiagramError(f"node {name!r} must be an object")
@@ -1301,7 +1323,12 @@ def from_json_obj(obj: Any) -> Diagram:
             amp = amp_from_json(entry["amp"]) if entry.get("amp") is not None else None
             if amp is not None:
                 check_amp_dim(amp, dim)
-            nodes[name] = Generator(kind, 0, legs, amp=amp, c=c)
+                gen = Generator(kind, 0, legs, amp=amp, c=c)
+            else:
+                gen = shared.get((kind, legs, c)) if kind in KINDS else None
+                if gen is None:
+                    gen = shared[kind, legs, c] = Generator(kind, 0, legs, c=c)
+            nodes[name] = gen
         except (TypeError, ValueError) as exc:
             raise DiagramError(f"node {name!r}: {exc}") from None
     edges: list[Edge] = []

@@ -432,6 +432,32 @@ def test_non_finite_amplitude_in_a_diagram_file_is_usage_error(runner, tmp_path,
     assert "node 'p': phase amplitude field 'theta': value must be a finite number" in res.stderr
 
 
+BAD_NODES = [
+    ({"kind": ["white"], "legs": 2}, "node 'x': unknown generator kind ['white']"),
+    ({"kind": {"white": 1}, "legs": 2}, "node 'x': unknown generator kind {'white': 1}"),
+    ({"kind": 1, "legs": 2}, "node 'x': unknown generator kind 1"),
+    ({"kind": "white", "legs": True}, "legs of node 'x' must be an integer, got True"),
+    ({"kind": "white", "legs": 2.5}, "legs of node 'x' must be an integer, got 2.5"),
+    ({"kind": "white", "legs": "2"}, "legs of node 'x' must be an integer, got '2'"),
+    ({"kind": "white", "legs": 2, "c": 1}, "node 'x': only a 'not' node takes a 'c'"),
+    ({"kind": "hplus", "legs": 2, "c": 0}, "node 'x': only a 'not' node takes a 'c'"),
+    ({"kind": ["not"], "legs": 2, "c": 1}, "node 'x': only a 'not' node takes a 'c'"),
+]
+
+
+@pytest.mark.parametrize("node,message", BAD_NODES, ids=[json.dumps(n) for n, _ in BAD_NODES])
+def test_bad_node_in_a_diagram_file_is_usage_error(runner, tmp_path, node, message):
+    # after a good amplitude-free node, so the bad one meets the loader's
+    # shared generators; an unhashable kind is refused by name, not a TypeError
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"dimension": 3, "nodes": {"w": {"kind": "white", "legs": 2}, "x": node},
+                                "edges": [["w:0", "w:1"], ["x:0", "x:1"]]}))
+    res = runner.invoke(cli.main, ["eval", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.endswith(f"d.json': {message}\n")
+
+
 @pytest.mark.parametrize("entry", ["[1e400, 0]", "[0, NaN]", "[-Infinity, 0]", '["x"]'])
 def test_non_finite_tensor_file_entry_is_usage_error(runner, tmp_path, entry):
     src, out = tmp_path / "t.json", tmp_path / "nf.json"

@@ -21,8 +21,8 @@ from quditzx.construct import (
     normal_form,
     target_tensor,
 )
-from quditzx.diagram import dump_json, evaluate
-from quditzx.generators import Char, Phase, Stab, Table, UnitPow
+from quditzx.diagram import dump_json, evaluate, load_json
+from quditzx.generators import Char, Generator, Phase, Stab, Table, UnitPow
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import Tensor, max_abs_diff
 
@@ -381,6 +381,50 @@ def test_normal_form_guards():
         normal_form(omega, ctx)
     with pytest.raises(ValueError):
         normal_form(Tensor(3, 1, 1, np.eye(3)), MeasureContext(4))
+
+
+# ---------------------------------------------------------------- shared generators
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_normal_form_shares_parameter_free_generators(D):
+    # one object per distinct amplitude-free generator, in each normal
+    # form and selector as built and as read back from its file
+    rng = np.random.default_rng(40 + D)
+    ctx = MeasureContext(D)
+    for m in range(4):
+        for n in range(4 - m):
+            shape = (D,) * (m + n)
+            omega = Tensor(D, m, n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for d in (normal_form(omega, ctx), mbox_gadget(m + n, 2.0, ctx)):
+                for built in (d, load_json(dump_json(d))):
+                    gens = [g for g in built.nodes.values() if g.amp is None]
+                    assert len({id(g) for g in gens}) == len(set(gens))
+
+
+def test_normal_form_round_trip_makes_few_generators(monkeypatch):
+    # one pass of the normal-form benchmark's ops for seed 1: D=2..4 with
+    # m+n <= 3, five tensors a shape, plus (2, 2) twice at D=3 and once at
+    # D=4, each built, written, read back and evaluated; with a generator
+    # made for every node, a pass made 57,932
+    made = []
+    real = Generator.__post_init__
+
+    def counting(self):
+        made.append(None)
+        real(self)
+
+    monkeypatch.setattr(Generator, "__post_init__", counting)
+    shapes = [(D, m, n, 5) for D in (2, 3, 4) for m in range(4) for n in range(4 - m)]
+    for D, m, n, count in shapes + [(3, 2, 2, 2), (4, 2, 2, 1)]:
+        rng = np.random.default_rng([1, D, m, n])
+        ctx = MeasureContext(D)
+        for _ in range(count):
+            size = (D,) * (m + n)
+            omega = Tensor(D, m, n, rng.normal(size=size) + 1j * rng.normal(size=size))
+            back = evaluate(load_json(dump_json(normal_form(omega, ctx))), ctx)
+            assert rel_err(back, omega) < 1e-8
+    assert len(made) <= 8000
 
 
 # ---------------------------------------------------------------- id validation

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -12,6 +13,7 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter
+from typing import Any
 from unittest import mock
 
 import numpy as np
@@ -793,7 +795,7 @@ def test_plans_reorder_only_to_move_axes(plan_calls) -> None:
     for d in lone:
         assert dg._plan(dg._structure(d))[0] == ()
         assert evaluate(d, ctx).data.tobytes() == flat_einsum(d, ctx).data.tobytes()
-    assert len(dg._PLANS.plans) == 3 and dg._PLANS.steps == 3  # a plan of no steps costs one
+    assert len(dg._PLANS.plans) == 3 and dg._PLANS.size == 3  # one layout or one delta each, no step
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
@@ -1278,6 +1280,28 @@ def test_equal_diagrams_in_a_batch_get_their_own_arrays() -> None:
     assert not np.shares_memory(second.data, third.data)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_batched_one_factor_sum_keeps_each_diagrams_bits(dim: int) -> None:
+    # a dense red dot or H-box with self-loops is summed on its own first, as one
+    # np.einsum over the stacked batch, and every tensor keeps the bits
+    # evaluate gives it (a pairwise step over a batch may round apart)
+    ctx = MeasureContext(dim)
+    for kind, legs in itertools.product(("red", "hbox"), (3, 5)):
+        def looped(amp: Any) -> Diagram:
+            b = DiagramBuilder(dim)
+            g = b.node(Generator(kind, 0, legs, amp=amp))
+            for k in range(0, legs - 1, 2):
+                b.wire((g, k), (g, k + 1))
+            b.wire((g, legs - 1), "out")
+            return b.build()
+
+        diagrams = [looped(amp) for amp in AMPS]
+        i, j, sa, so = dg._checked_plan(diagrams[0], ctx)[1][0]
+        assert j < 0 and len(so) < len(set(sa))
+        got = [t.data.tobytes() for t in evaluate_many(diagrams, ctx)]
+        assert got == [evaluate(d, ctx).data.tobytes() for d in diagrams]
+
+
 def redrawn(draw, d: Diagram) -> Diagram:
     """``d`` with each amplitude and each not-dot constant drawn again: same shape, new numbers."""
     nodes = {}
@@ -1516,20 +1540,21 @@ def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
 def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     ctx = MeasureContext(3)
     rng = np.random.default_rng(4)
-    first = normal_form(random_tensor(rng, 3, 0, 1), ctx)  # 6 steps
-    second = tied_hub_diagram(3)  # 7 steps
-    third = param_diagram(3, 0.1, (1, 0), 1, 1.0)  # 5 steps
-    big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 29 steps
-    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 16)
+    # sizes: steps + chain entries + layouts + deltas
+    first = normal_form(random_tensor(rng, 3, 0, 1), ctx)  # 6 + 6 + 13 + 0
+    second = tied_hub_diagram(3)  # 7 + 1 + 8 + 1
+    third = param_diagram(3, 0.1, (1, 0), 1, 1.0)  # 5 + 1 + 6 + 0
+    big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 29 + 36 + 65 + 0
+    monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 48)
 
     def stored() -> int:
-        assert dg._PLANS.steps == sum(max(len(steps), 1) for steps, *_ in dg._PLANS.plans.values())
-        return dg._PLANS.steps
+        assert dg._PLANS.size == sum(map(dg._plan_size, dg._PLANS.plans.values()))
+        return dg._PLANS.size
 
     for d in (first, second, third):
         evaluate(d, ctx)
-        assert stored() <= 16
-    assert stored() == 12  # the third plan pushed the first out, oldest first
+        assert stored() <= 48
+    assert stored() == 29  # the third plan pushed the first out, oldest first
     evaluate(second, ctx)
     evaluate(third, ctx)
     assert len(plan_calls) == 3
@@ -1539,7 +1564,32 @@ def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     evaluate(big, ctx)
     evaluate(big, ctx)
     assert len(plan_calls) == 6  # larger than the budget: used, never stored
-    assert dg._PLANS.plans == before and stored() <= 16
+    assert dg._PLANS.plans == before and stored() <= 48
+
+
+def test_plan_cache_counts_absorbed_not_dots(monkeypatch, plan_calls) -> None:
+    # 1,000 not dots between two boundary positions plan one step, but
+    # the plan holds a chain entry and a layout per dot, and the budget
+    # counts them: with room for 2,000 entries it is used, never stored
+    ctx = MeasureContext(3)
+    consts = [k * k % 3 for k in range(1000)]
+    b = DiagramBuilder(3)
+    b.chain([Generator.not_dot(c) for c in consts])
+    d = b.build()
+    plan = dg._plan(dg._structure(d))
+    steps, _, _, _, chain, layouts, deltas = plan
+    assert (len(steps), len(chain), len(layouts)) == (1, 1000, 1000)
+    want = np.eye(3)
+    for c in consts:
+        want = evaluate(node_diagram(3, Generator.not_dot(c)), ctx).data @ want
+    dg._PLANS.clear()
+    got = evaluate(d, ctx)
+    assert np.abs(got.data - want).max() <= 1e-12
+    assert dg._PLANS.size == dg._plan_size(plan) == 2001 + len(deltas)
+    monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 2000)
+    dg._PLANS.clear()
+    assert evaluate(d, ctx).data.tobytes() == got.data.tobytes()
+    assert not dg._PLANS.plans and dg._PLANS.size == 0
 
 
 def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
@@ -1548,7 +1598,7 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
     diagrams = [normal_form(random_tensor(rng, 3, 0, 1), ctx), tied_hub_diagram(3)]
     diagrams += [param_diagram(3, 0.2 * k, (1, k % 3), k, 1.0 + k) for k in range(3)]
     want = [evaluate(d, ctx).data.tobytes() for d in diagrams]
-    monkeypatch.setattr(dg, "_MAX_PLAN_STEPS", 12)  # every round evicts
+    monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 40)  # every round evicts: the three plans hold 25, 17 and 12
     dg._PLANS.clear()
     wrong: list = []
 
@@ -1570,12 +1620,13 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert dg._PLANS.steps == sum(len(steps) for steps, *_ in dg._PLANS.plans.values()) <= 12
+    assert dg._PLANS.size == sum(map(dg._plan_size, dg._PLANS.plans.values())) <= 40
 
 
 def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> None:
     # the plan format: tuples of plain ints only, each distinct sublist one
-    # object within its plan, and the cache counting len(steps), at least 1
+    # object within its plan, and the cache counting each plan's steps,
+    # chain entries, layouts and deltas, at least 1
     check_all(range(2, 6), samples=1)
     ctx = MeasureContext(4)
     evaluate(normal_form(random_tensor(np.random.default_rng(9), 4, 2, 2), ctx), ctx)
@@ -1591,7 +1642,9 @@ def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> Non
             assert len(subs) == (3 if j >= 0 else 2)
             for sub in subs:
                 assert seen.setdefault(sub, sub) is sub
-    assert dg._PLANS.steps == sum(max(len(steps), 1) for steps, *_ in dg._PLANS.plans.values())
+    sizes = [max(len(steps) + len(chain) + len(layouts) + len(deltas), 1)
+             for steps, _, _, _, chain, layouts, deltas in dg._PLANS.plans.values()]
+    assert dg._PLANS.size == sum(sizes)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -2035,6 +2088,29 @@ def test_normal_form_builds_each_box_on_its_fan_labels(monkeypatch) -> None:
 def test_json_loader_names_the_bad_field(obj, what) -> None:
     with pytest.raises(DiagramError, match=what):
         dg.from_json_obj(obj)
+
+
+def test_json_loader_shares_equal_amplitude_free_generators() -> None:
+    # amplitude-free nodes with equal (kind, legs, c) load as one object;
+    # a node that differs in any one of the three, a node with an
+    # amplitude, or a node of another file gets its own
+    phase = {"type": "phase", "theta": 0.3}
+    entries = {
+        "a": {"kind": "white", "legs": 2}, "b": {"kind": "white", "legs": 2},
+        "legs": {"kind": "white", "legs": 4}, "kind": {"kind": "gray", "legs": 2},
+        "n1": {"kind": "not", "legs": 2, "c": 1}, "n2": {"kind": "not", "legs": 2, "c": 1},
+        "c": {"kind": "not", "legs": 2, "c": 2}, "n0": {"kind": "not", "legs": 2}, "z": {"kind": "not", "legs": 2, "c": 0},
+        "g1": {"kind": "green", "legs": 2, "amp": phase}, "g2": {"kind": "green", "legs": 2, "amp": phase},
+    }
+    edges = [[f"{name}:{k}", f"{name}:{k + 1}"] for name, e in entries.items() for k in range(0, e["legs"], 2)]
+    obj = {"dimension": 3, "nodes": entries, "edges": edges}
+    nodes = dg.from_json_obj(obj).nodes
+    assert nodes["a"] is nodes["b"] and nodes["n1"] is nodes["n2"] and nodes["n0"] is nodes["z"]
+    for other in ("legs", "kind"):
+        assert nodes[other] is not nodes["a"]
+    assert nodes["c"] is not nodes["n1"]
+    assert nodes["g1"] == nodes["g2"] and nodes["g1"] is not nodes["g2"]
+    assert dg.from_json_obj(obj).nodes["a"] is not nodes["a"]
 
 
 def test_json_loader_keeps_colons_in_node_names() -> None:

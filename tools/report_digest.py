@@ -7,11 +7,13 @@ Usage (from the repository root)::
 Each line is ``<what> <sha256>``.  For every rule of the catalog and
 each seed s in 0..2 and nu in {None, 1.0}, the digest is of
 ``json.dumps(check_all(range(2, 10), samples=5, seed=s, nu=nu, rules=[rule]))``.
-The last line digests the tensor bytes of ``evaluate(load_json(dump_json(normal_form(t, ctx))), ctx)``
-over the normal-form benchmark's tensors: D=2, 3, 4 with m+n <= 3, five
-each, plus (m, n) = (2, 2) twice at D=3 and once at D=4, drawn as the
-benchmark draws them for seed 1.  Run it on two commits and ``diff`` the
-outputs to see which reports and tensors a change moved.
+The last two lines are over the normal-form benchmark's tensors: D=2, 3,
+4 with m+n <= 3, five each, plus (m, n) = (2, 2) twice at D=3 and once at
+D=4, drawn as the benchmark draws them for seed 1.  ``normal-form``
+digests the tensor bytes of ``evaluate(load_json(dump_json(normal_form(t, ctx))), ctx)``,
+and ``normal-form-json`` the ``dump_json`` texts of the normal forms.  Run it
+on two commits and ``diff`` the outputs to see which reports, tensors and
+diagram files a change moved.
 """
 
 from __future__ import annotations
@@ -50,12 +52,14 @@ def main() -> None:
             for nu in NUS:
                 rows = check_all(range(2, 10), samples=5, seed=seed, nu=nu, rules=[rule])
                 print(f"{rule} seed={seed} nu={nu} {hashlib.sha256(json.dumps(rows).encode()).hexdigest()}")
-    digest = hashlib.sha256()
+    digest, texts = hashlib.sha256(), hashlib.sha256()
     for t in normal_form_tensors(NF_SEED):
         ctx = MeasureContext(t.dim)
-        back = diagram.evaluate(diagram.load_json(diagram.dump_json(construct.normal_form(t, ctx))), ctx)
-        digest.update(back.data.tobytes())
+        text = diagram.dump_json(construct.normal_form(t, ctx))
+        texts.update(text.encode())
+        digest.update(diagram.evaluate(diagram.load_json(text), ctx).data.tobytes())
     print(f"normal-form {digest.hexdigest()}")
+    print(f"normal-form-json {texts.hexdigest()}")
 
 
 if __name__ == "__main__":
