@@ -106,16 +106,17 @@ A step with no batched operand, as is every step of a batch of one, runs
 the plain kernels.  So a batched tensor equals what its diagram gives
 alone up to rounding, not always bit for bit: a pairwise ``np.einsum``
 over the batch may sum in another order than the plain call (at D=2, a
-red dot with two legs joined through an hplus and one on a white pad
-gives 0.9999999999999996+0j alone and 0.9999999999999996+1.1e-16j in a
-batch).  One-factor steps over the batch, sums and reorders, give each
-entry the plain call's bits, and every rule side of the soundness
-matrix at D=2..6 comes out bit for bit.  A batch holds at most
-``_MATMUL_MIN`` entries in any array (batch times D^max(top, widest
-dense degree)): past that the per-call overhead is small next to the
-arithmetic, and a larger batch only costs memory.  ``evaluate`` runs the batch of one that
-``evaluate_many`` runs for a single diagram, and ``evaluate_blocks`` runs
-the same executor on a batch of one.
+3-leg red dot with Phase(0.7), two legs joined through an hplus and one
+on a white pad, gives 0.9999999999999996+0j alone and
+0.9999999999999996+1.1e-16j in a batch).  One-factor steps over the
+batch, sums and reorders, give each entry the plain call's bits, and
+every rule side of the soundness matrix at D=2..6 comes out bit for
+bit.  A batch holds at most ``_MATMUL_MIN`` entries in any array (batch
+times D^max(top, widest dense degree)): past that the per-call overhead
+is small next to the arithmetic, and a larger batch only costs memory.
+``evaluate`` runs the batch of one that ``evaluate_many`` runs for a
+single diagram, and ``evaluate_blocks`` runs the same executor on a
+batch of one.
 
 A wide result can be had in blocks, never whole (``evaluate_blocks``).
 At most the final reorder follows a plan's last pairwise step, so that
