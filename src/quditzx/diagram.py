@@ -819,14 +819,14 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     ``np.einsum`` with ``Ellipsis`` leading each sublist, so an operand
     without the axis broadcasts (and the sums may round apart from the
     plain call's), and a large one runs the plain matmul once per batch
-    entry.  The matmul path needs what the planner's steps give: distinct labels in
-    each operand, and every label in ``so`` or in both operands.  The
-    labels split into batch (shared, kept), summed (shared, dropped) and
-    free in a or in b; a becomes ``(batch, free a, summed)``, b becomes
-    ``(batch, summed, free b)``, and the product comes back as a view in
-    the order ``so``.  The reshaped copies replace a and b, so an
-    operand the caller has let go of is freed before the product is
-    allocated.
+    entry.  The matmul path needs what the planner's steps give: distinct
+    labels in each operand, and every label in ``so`` or in both
+    operands.  The labels split into batch (shared, kept), summed
+    (shared, dropped) and free in a or in b; a becomes ``(batch, free a,
+    summed)``, b becomes ``(batch, summed, free b)``, and the product
+    comes back as a view in the order ``so``.  The reshaped copies
+    replace a and b, so an operand the caller has let go of is freed
+    before the product is allocated.
     """
     stacked_a, stacked_b = a.ndim > len(sa), b.ndim > len(sb)
     # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
