@@ -29,7 +29,9 @@ from quditzx.measure import MeasureContext, OverflowGuardError
 
 SEMANTIC_EXIT = 3
 _MAX_DIMS = 1 << 16  # dimensions in one --dims range
-_MAX_GAMMA_ROWS = 1 << 20  # rows of one Gamma table: 9 D^2 a dimension, so D <= 341 alone
+# rows of one report: a Gamma table has 9 D^2 a dimension, so D <= 341
+# alone; a soundness report at most samples * rules * dimensions
+_MAX_ROWS = 1 << 20
 
 
 class UsageError(Exception):
@@ -149,6 +151,9 @@ def cmd_check(args: argparse.Namespace) -> None:
     if args.rule is not None and args.rule not in rewrite.CATALOG:
         raise UsageError(f"unknown rule id {args.rule!r}")
     rules = None if args.rule is None else [args.rule]
+    count = args.samples * (len(rewrite.CATALOG) if rules is None else 1) * len(dims)
+    if count > _MAX_ROWS:
+        raise UsageError(f"a report of {count} rows is more than {_MAX_ROWS}")
     rows = rewrite.check_all(dims, samples=args.samples, seed=args.seed, tol=args.tol, nu=nu, rules=rules)
     report = {
         "dims": dims,
@@ -211,8 +216,8 @@ def cmd_gamma_table(args: argparse.Namespace) -> None:
 
     dims = _parse_dims(args.dim, args.dims, default=(2, 8))
     rows = sum(9 * D * D for D in dims)  # a and b each run over 3D values
-    if rows > _MAX_GAMMA_ROWS:
-        raise UsageError(f"a Gamma table of {rows} rows is more than {_MAX_GAMMA_ROWS}")
+    if rows > _MAX_ROWS:
+        raise UsageError(f"a Gamma table of {rows} rows is more than {_MAX_ROWS}")
     buf = io.StringIO()
     buf.write("a,b,D,re,im,magnitude_class\n")
     for D in dims:

@@ -126,14 +126,11 @@ value v of the label that becomes boundary position 0, on operands
 indexed at v, and give block v, ``evaluate(d, ctx).data[v]``.  On the
 matmul kernel a block has the same bits as that slice; on einsum it may
 differ by rounding, as the inner loops follow the operands' shapes.
-``rewrite.check_soundness`` compares the sides of a rule block against
-block when they have more than ``_BLOCK_ABOVE`` (2^20) entries, 16 MiB of
-complex128 each.  In the soundness matrix at D=2..9 only ZH-O and ZH-ZPL
-at D=7 (7^8 entries, 88 MiB a side) pass it: blocks cut their
-comparison's peak from two whole sides (176 MiB) to about three blocks
-(40 MiB).  Below it the whole path stays, since blocks would save at
-most 32 MiB and cost D more kernel calls a side (0.1 to 0.2 ms more per
-ZH-O check at D=4 and 5).
+``rewrite._pair_errors``, which turns every pair of rule sides the
+soundness checker compares into an error, compares a pair block against
+block when its sides have more than ``rewrite._BLOCK_ABOVE`` (2^20)
+entries, 16 MiB of complex128 each; in the soundness matrix at D=2..9
+only ZH-O and ZH-ZPL at D=7 do.
 """
 
 from __future__ import annotations
@@ -175,7 +172,6 @@ _MAX_DENSE = 2_000_000  # entries; a larger dense node is refused
 _SPLIT_ABOVE = 512
 _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any array but a dense node's
 _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cached contraction plans
-_BLOCK_ABOVE = 1 << 20  # result entries past which check_soundness compares blocks (see the notes)
 # loop entries D^u from which a pairwise step runs as matmul.  Warm,
 # matmul wins from about 2^12; but below 2^17 its operand copies cost
 # more in fresh pages than BLAS saves, as measured on normal forms when
@@ -1043,28 +1039,22 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), size
 
 
-def _evaluate_batch(ds: list[Diagram], steps: tuple, layout: tuple, ctx: MeasureContext) -> list[Tensor]:
-    """The tensors of the same-shape diagrams ``ds``, last first, from one run of their plan.
+def _evaluate_batch(ds: list[Diagram], steps: tuple, layout: tuple, ctx: MeasureContext) -> Iterator[Tensor]:
+    """The tensors of the same-shape diagrams ``ds``, in order, from one run of their plan.
 
-    ``ds`` is emptied once the plan has run, so the caller, popping the
-    tensors one at a time, holds neither the diagrams nor a tensor it
-    has handed on.
+    ``ds`` is emptied once the plan has run, so the caller holds neither
+    the diagrams nor a tensor it has handed on.
     """
     (data,) = _execute(steps, len(steps), layout, ds, ctx)
-    n_in, n_out = ds[0].n_inputs, ds[0].n_outputs
-    if data.ndim > n_in + n_out:
-        out = [Tensor(ctx.dim, n_in, n_out, entry) for entry in data[::-1]]
-    else:  # every factor was shared: one tensor for the last diagram, copies for the others
-        out = [Tensor(ctx.dim, n_in, n_out, data)]
-        out += [Tensor(ctx.dim, n_in, n_out, data.copy()) for _ in ds[1:]]
+    n_in, n_out, count = ds[0].n_inputs, ds[0].n_outputs, len(ds)
     ds.clear()
-    return out
-
-
-def _popped(items: list[Tensor]) -> Iterator[Tensor]:
-    """The items of ``items`` from its end, each dropped from the list as it is handed on."""
-    while items:
-        yield items.pop()
+    if data.ndim > n_in + n_out:
+        for entry in data:
+            yield Tensor(ctx.dim, n_in, n_out, entry)
+    else:  # every factor was shared: copies for all diagrams but the last
+        for _ in range(count - 1):
+            yield Tensor(ctx.dim, n_in, n_out, data.copy())
+        yield Tensor(ctx.dim, n_in, n_out, data)
 
 
 def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[Tensor]:
@@ -1084,24 +1074,24 @@ def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[
     for d in diagrams:
         key, steps, layout, size = _checked_plan(d, ctx)
         if batch and key != run_key:
-            yield from _popped(_evaluate_batch(batch, run_steps, run_layout, ctx))
+            yield from _evaluate_batch(batch, run_steps, run_layout, ctx)
         run_key, run_steps, run_layout = key, steps, layout
         batch.append(d)
         del d
         if len(batch) >= size:
-            yield from _popped(_evaluate_batch(batch, steps, layout, ctx))
+            yield from _evaluate_batch(batch, steps, layout, ctx)
     if batch:
-        yield from _popped(_evaluate_batch(batch, run_steps, run_layout, ctx))
+        yield from _evaluate_batch(batch, run_steps, run_layout, ctx)
 
 
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``.
 
     This is ``evaluate_many`` of the one diagram: the same plan check and
-    batch run, without the generator.
+    batch run, without its loop over diagrams.
     """
     _, steps, layout, _ = _checked_plan(d, ctx)
-    return _evaluate_batch([d], steps, layout, ctx)[0]
+    return next(_evaluate_batch([d], steps, layout, ctx))
 
 
 def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:

@@ -50,17 +50,17 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from quditzx.diagram import (
-    _BLOCK_ABOVE,
     Diagram,
     DiagramBuilder,
     DiagramError,
     _splice,
-    evaluate,
+    evaluate,  # noqa: F401
     evaluate_blocks,
     evaluate_many,
 )
-# Unused here: bench/tracer.py patches quditzx.rewrite.gamma, so the
-# traced benchmark run fails if this import goes.
+# Unused here, as is ``evaluate`` above: bench/tracer.py patches
+# quditzx.rewrite.gamma and quditzx.rewrite.evaluate, so the traced
+# benchmark run fails if these imports go.
 from quditzx.gauss import gamma  # noqa: F401
 from quditzx.generators import (
     AmplitudeFn,
@@ -592,10 +592,18 @@ def _zx_zsp_check(p: Params, dim: int) -> None:
         raise ParamError(err)
 
 
+def _zx_zsp_pairs(dim: int) -> list[tuple[int, int]]:
+    """Every (t, tp) in ZX-ZSP's domain at D, by t, then tp, ascending.
+
+    t divides D and tp divides t, so both run over the divisors of D:
+    d(D)^2 pairs to test, not D^2.
+    """
+    divisors = [t for t in range(2, dim) if dim % t == 0]
+    return [(t, tp) for t in divisors for tp in divisors if _zx_zsp_error(t, tp, dim) is None]
+
+
 def _zx_zsp_draw(dim: int, rng: np.random.Generator) -> Params | None:
-    pairs = [
-        (t, tp) for t in range(2, dim) for tp in range(2, t) if _zx_zsp_error(t, tp, dim) is None
-    ]
+    pairs = _zx_zsp_pairs(dim)
     if not pairs:
         return None
     t, tp = pairs[int(rng.integers(len(pairs)))]
@@ -1129,6 +1137,16 @@ def instantiate(
     return lhs, rhs
 
 
+# Entries of a rule side past which its pair is compared block by block
+# (2^20, 16 MiB of complex128).  In the soundness matrix at D=2..9 only
+# ZH-O and ZH-ZPL at D=7 (7^8 entries, 88 MiB a side) pass it: blocks cut
+# their comparison's peak from two whole sides (176 MiB) to about three
+# blocks (40 MiB).  Below it the whole path stays, since blocks would save
+# at most 32 MiB and cost D more kernel calls a side (0.1 to 0.2 ms more
+# per ZH-O check at D=4 and 5).
+_BLOCK_ABOVE = 1 << 20
+
+
 def check_soundness(
     rule: RuleSpec | str,
     params: Params,
@@ -1137,43 +1155,33 @@ def check_soundness(
 ) -> dict[str, Any]:
     """Evaluate both sides of one assignment and compare entrywise.
 
-    Sides of more than ``_BLOCK_ABOVE`` entries are evaluated and
-    compared one block at a time (``evaluate_blocks``), never whole.  A
-    NaN entry gives a NaN ``max_err``, which no tolerance passes.
-    ``check_all`` gets the same numbers for a cell's samples from batches
-    of same-shape sides, and refuses an error that is not finite.
+    The error is ``_pair_errors`` of the one pair, so it is the number
+    ``check_all`` reports for the same draw.  A NaN entry gives a NaN
+    ``max_err``, which no tolerance passes; ``check_all`` refuses such a
+    cell instead.
     """
-    lhs, rhs = instantiate(rule, params, ctx)
-    if _wide(lhs, ctx):
-        err = _blockwise_error(lhs, rhs, ctx)
-    else:
-        err = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
+    (err,) = _pair_errors([instantiate(rule, params, ctx)], ctx)
     return {"max_err": err, "pass": bool(err <= tol)}
 
 
-def _wide(side: Diagram, ctx: MeasureContext) -> bool:
-    """Whether a rule side has more than ``_BLOCK_ABOVE`` entries, so it is compared block by block."""
-    return ctx.dim ** (side.n_inputs + side.n_outputs) > _BLOCK_ABOVE
-
-
-def _blockwise_error(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float:
-    """The largest entrywise ``|lhs - rhs|`` of two wide sides, made one block at a time."""
-    return max_abs_diff_blocks(zip(evaluate_blocks(lhs, ctx), evaluate_blocks(rhs, ctx), strict=True))
-
-
 def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) -> Iterator[float]:
-    """The error ``check_soundness`` gives for each pair of rule sides, in order.
+    """The largest entrywise ``|lhs - rhs|`` of each pair of rule sides, in order.
 
-    Runs of narrow sides go through ``evaluate_many``, one stream per
-    side, so consecutive sides of one shape are evaluated together, and
-    wide ones are compared block by block.  ``pairs`` is read as the
-    errors are asked for, so one batch of sides and tensors is held at a
-    time.
+    This is the one place where rule sides become an error.  Runs of
+    sides of at most ``_BLOCK_ABOVE`` entries go through
+    ``evaluate_many``, one stream per side, so consecutive sides of one
+    shape are evaluated together; a wider pair is evaluated and compared
+    one block at a time (``evaluate_blocks``), never whole.  ``pairs`` is
+    read as the errors are asked for, so one batch of sides and tensors
+    is held at a time.
     """
-    for wide, run in itertools.groupby(pairs, key=lambda pair: _wide(pair[0], ctx)):
-        if wide:
+    def wide(pair: tuple[Diagram, Diagram]) -> bool:
+        return ctx.dim ** (pair[0].n_inputs + pair[0].n_outputs) > _BLOCK_ABOVE
+
+    for blocked, run in itertools.groupby(pairs, key=wide):
+        if blocked:
             for lhs, rhs in run:
-                yield _blockwise_error(lhs, rhs, ctx)
+                yield max_abs_diff_blocks(zip(evaluate_blocks(lhs, ctx), evaluate_blocks(rhs, ctx), strict=True))
             continue
         left, right = _unzipped(run)
         rhs_tensors = evaluate_many(right, ctx)
@@ -1240,18 +1248,17 @@ def check_all(
     """Soundness matrix: every rule, every dimension, sampled parameters.
 
     Rows are ordered by rule id, then dimension, then sample index.
-    Rules with no valid parameters at some D (or whose diagram family
-    outgrows its dimension cap) get a single "skip" row there.  A cell's
-    samples are drawn in order; a sample whose ``params`` equal an
-    earlier sample's reuses its error, and the distinct ones are
-    evaluated in batches of one shape (``_pair_errors``; a cell of one
-    distinct sample is checked alone).  Each row holds the numbers
-    ``check_soundness`` gives for its sample alone.  A cell refused by a
-    size budget or the float range (any ``OverflowError`` while its sides
-    are built or checked, or a comparison that is not finite) raises
-    ``OverflowGuardError`` with the rule id and D in front.  Each
-    dimension is read by ``measure.dimension``, so a bool, a float or a
-    string raises ``TypeError``.
+    Each (rule, D) cell is ``_cell_rows``: a rule that has no valid
+    parameters at some D, or whose diagram family outgrows its dimension
+    cap there, gets a single "skip" row.  A cell's distinct samples are
+    checked through ``_pair_errors`` in batches of one shape, and each
+    row holds the numbers ``check_soundness`` gives for its sample
+    alone.  A cell refused by a size budget or the float range (any
+    ``OverflowError`` while its sides are built or checked, or a
+    comparison that is not finite) raises ``OverflowGuardError`` with the
+    rule id and D in front.  Each dimension is read by
+    ``measure.dimension``, so a bool, a float or a string raises
+    ``TypeError``.
     """
     dims = sorted(set(map(dimension, dims)))
     if any(d < 2 for d in dims):
@@ -1266,12 +1273,6 @@ def check_all(
         rule_key = all_ids.index(rule_id)
         for D in dims:
             ctx = MeasureContext(D, nu)
-            if spec.dim_cap is not None and D > spec.dim_cap:
-                rows.append(
-                    {"rule": rule_id, "dim": D, "sample": 0, "params": {},
-                     "max_err": None, "status": "skip"}
-                )
-                continue
             rng = np.random.default_rng([seed, rule_key, D])
             try:
                 rows += _cell_rows(spec, ctx, samples, tol, rng)
@@ -1287,36 +1288,32 @@ def _cell_rows(
 
     The cell's assignments are drawn first, in sample order, up to the
     first the rule cannot draw, which gets a skip row; only
-    ``spec.sample`` reads ``rng``.  A draw whose row would print the same
-    ``params`` as an earlier draw of the cell (compared as canonical JSON
-    text, so floats by repr) builds the same sides, so it reuses that
-    draw's error and is not checked again.  A cell of one distinct draw
-    has nothing to batch, so it is checked alone (``check_soundness``),
-    without the two streams' set-up; a cell of one draw computes no key.
-    A refusal replays the distinct draws not yet checked one at a time,
-    so the error raised is that of the first failing sample, as when each
-    sample is checked alone.
+    ``spec.sample`` reads ``rng``.  Past the rule's ``dim_cap`` nothing
+    is drawn, so the cell is its skip row.  A draw whose row would print
+    the same ``params`` as an earlier draw of the cell (compared as
+    canonical JSON text, so floats by repr) builds the same sides, so it
+    reuses that draw's error and is not checked again.  The distinct
+    draws are checked in order through ``_pair_errors``.  A refusal
+    replays the distinct draws not yet checked one at a time, so the
+    error raised is that of the first failing sample, as when each sample
+    is checked alone.
     """
+    capped = spec.dim_cap is not None and ctx.dim > spec.dim_cap
     drawn: list[Params] = []
-    for _ in range(samples):
+    for _ in range(0 if capped else samples):
         params = spec.sample(ctx.dim, rng)
         if params is None:
             break
         drawn.append(params)
     shown = [params_jsonable(params) for params in drawn]
-    firsts: list[int] = list(range(len(drawn)))  # each draw's first draw with the same params
-    if len(drawn) > 1:
-        seen: dict[str, int] = {}
-        firsts = [seen.setdefault(json.dumps(p, sort_keys=True), i) for i, p in enumerate(shown)]
+    seen: dict[str, int] = {}
+    # each draw's first draw with the same params
+    firsts = [seen.setdefault(json.dumps(p, sort_keys=True), i) for i, p in enumerate(shown)]
     unique = list(dict.fromkeys(firsts))
     distinct = [drawn[i] for i in unique]
-    if len(distinct) == 1:
-        errs = (check_soundness(spec, params, ctx, tol)["max_err"] for params in distinct)
-    else:
-        errs = _pair_errors((instantiate(spec, params, ctx) for params in distinct), ctx)
     checked: list[float] = []
     try:
-        checked.extend(map(_finite, errs))
+        checked.extend(map(_finite, _pair_errors((instantiate(spec, params, ctx) for params in distinct), ctx)))
     except OverflowError:
         for params in distinct[len(checked):]:
             _finite(check_soundness(spec, params, ctx, tol)["max_err"])

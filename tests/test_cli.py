@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import quditzx
-from quditzx import cli, construct, diagram, gauss, tensor
+from quditzx import cli, construct, diagram, gauss, rewrite, tensor
 from quditzx.diagram import DiagramBuilder
 from quditzx.generators import Generator, UnitPow
 from quditzx.measure import MeasureContext
@@ -933,6 +933,28 @@ def test_a_gamma_table_past_its_row_cap_is_a_usage_error(runner, dim):
     assert time.perf_counter() - start < 2
     assert res.exit_code == 2
     assert f"a Gamma table of {9 * dim * dim} rows is more than 1048576" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, rows",
+    [
+        (["ZX-GI", "--dim", "2", "--samples", "100000000"], 10**8),
+        (["ZX-GI", "--dims", "2..3", "--samples", str(2**19 + 1)], 2**20 + 2),
+        (["--dims", "2..6", "--samples", "3438"], 3438 * 61 * 5),
+    ],
+    ids=["one-cell", "two-cells", "every-rule"],
+)
+def test_a_check_report_past_its_row_cap_is_a_usage_error(runner, monkeypatch, args, rows):
+    # samples x rules x dimensions rows, refused before anything is drawn;
+    # 10^8 samples of one cell used to end in a MemoryError
+    def sample(self, dim, rng):
+        raise AssertionError("a refused report drew a sample")
+
+    monkeypatch.setattr(rewrite.RuleSpec, "sample", sample)
+    res = runner.invoke(cli.main, ["check", *args])
+    assert res.exit_code == 2
+    assert f"a report of {rows} rows is more than 1048576" in res.stderr
     assert res.stdout == ""
 
 

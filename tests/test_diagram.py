@@ -55,7 +55,7 @@ from quditzx.generators import (
     generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, residue
-from quditzx.rewrite import CATALOG, check_all, instantiate
+from quditzx.rewrite import _BLOCK_ABOVE, CATALOG, check_all, instantiate
 from quditzx.tensor import Tensor, compose, max_abs_diff, tensor_product
 
 
@@ -1183,7 +1183,7 @@ def test_blocks_of_a_wide_random_diagram_are_slices() -> None:
     # 3^13 entries, past _BLOCK_ABOVE, on hubs the greedy order picks
     ctx = MeasureContext(3)
     rng = np.random.default_rng(23)
-    assert 3**13 > dg._BLOCK_ABOVE
+    assert 3**13 > _BLOCK_ABOVE
     for _ in range(2):
         assert_blocks_are_slices(hub_diagram(rng, 3, 4, 10, 6, 7), ctx)
 
@@ -1807,8 +1807,12 @@ def test_validation_rejects_unknown_node() -> None:
         ({}, ((("in", 0), ("out", 0)),), 2, 1, "boundary port in:1 is dangling"),
         ({}, ((("in", 0), ("out", 0)),), 1, 2, "boundary port out:1 is dangling"),
         ({}, (), 1, 1, "boundary port out:0 is dangling"),
+        ({"w": (1, 1)}, ((("in", 0), ("w", 5)),), 1, 0, "leg 5 out of range for node 'w'"),
+        ({}, ((("in", 3), ("out", 0)),), 1, 1, "input position 3 out of range"),
+        ({}, ((("in", 0), ("out", 2)),), 1, 1, "output position 2 out of range"),
     ],
-    ids=["double", "leg-among-empty-nodes", "input", "second-input", "second-output", "lowest-first"],
+    ids=["double", "leg-among-empty-nodes", "input", "second-input", "second-output", "lowest-first",
+         "leg-out-of-range", "input-out-of-range", "output-out-of-range"],
 )
 def test_validation_names_the_first_bad_port(nodes, edges, n_in, n_out, message) -> None:
     gens = {name: Generator.white(m, n) for name, (m, n) in nodes.items()}
@@ -1821,13 +1825,15 @@ def test_validation_of_huge_leg_counts_is_quick() -> None:
     # naming the bad port costs what the edges cost, not what the legs
     # claim; past the port bound the diagram is refused outright
     start = time.perf_counter()
-    for legs, edges, message in [
-        (5 * 10**8, (), "leg 0 of node 'a' is dangling"),
-        (5 * 10**8, ((("a", 0), ("a", 1)),), "leg 2 of node 'a' is dangling"),
-        (10**12, (), "the diagram has 1000000000002 ports, more than 536870912"),
-        (2**31, ((("b", 0), ("out", 0)),), "the diagram has 2147483650 ports, more than 536870912"),
+    b = Generator.white(1, 0)
+    for legs, others, edges, n_out, message in [
+        (5 * 10**8, {"b": b}, (), 1, "leg 0 of node 'a' is dangling"),
+        (5 * 10**8, {"b": b}, ((("a", 0), ("a", 1)),), 1, "leg 2 of node 'a' is dangling"),
+        (10**12, {"b": b}, (), 1, "the diagram has 1000000000002 ports, more than 536870912"),
+        (2**31, {"b": b}, ((("b", 0), ("out", 0)),), 1, "the diagram has 2147483650 ports, more than 536870912"),
+        (2**29, {}, (), 0, "node 'a' has 536870912 legs, more than 536870911"),  # one node holds every port
     ]:
-        d = Diagram(3, {"a": Generator.white(0, legs), "b": Generator.white(1, 0)}, edges, 0, 1)
+        d = Diagram(3, {"a": Generator.white(0, legs), **others}, edges, 0, n_out)
         with pytest.raises(DiagramError) as err:
             d.validate()
         assert str(err.value) == message

@@ -505,7 +505,7 @@ def test_red_conjugate_reflects_through_window():
     # amplitude arguments, not just conjugate the values
     for D in [2, 4, 6]:
         ctx = MeasureContext(D)
-        for amp in [Phase(0.83), UnitPow(0.6 + 0.4j), Stab(1, 1), Char(2)]:
+        for amp in [Phase(0.83), UnitPow(0.6 + 0.4j), Stab(1, 1), Char(2), PhaseVec(tuple(np.linspace(0.3, 5.9, D)))]:
             g = Generator.red(amp, 1, 1)
             lhs = eval_generator(ctx, g.conjugate(D)).data
             rhs = np.conj(eval_generator(ctx, g).data)

@@ -10,6 +10,7 @@ are frozen here so accidental edits to the rule table fail loudly.
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -307,19 +308,20 @@ def test_check_soundness_fails_a_nan_side(monkeypatch, block, side, entry):
     # a NaN at the first or last entry of either side, compared in one
     # go or in blocks, is an error that no tolerance passes
     monkeypatch.setattr(tn, "_DIFF_BLOCK", block)
-    real = rw.evaluate
+    real = rw.evaluate_many
     calls: list = []
 
-    def poisoned(d, ctx):
-        t = real(d, ctx)
-        if len(calls) == side:
-            data = t.data.copy()
-            data.flat[entry] = np.nan
-            t = Tensor(t.dim, t.in_legs, t.out_legs, data)
-        calls.append(d)
-        return t
+    def poisoned(ds, ctx):
+        k = len(calls)  # 0 for the stream read first, the left sides'
+        calls.append(ds)
+        for t in real(ds, ctx):
+            if k == side:
+                data = t.data.copy()
+                data.flat[entry] = np.nan
+                t = Tensor(t.dim, t.in_legs, t.out_legs, data)
+            yield t
 
-    monkeypatch.setattr(rw, "evaluate", poisoned)
+    monkeypatch.setattr(rw, "evaluate_many", poisoned)
     rep = check_soundness("ZH-O", {}, MeasureContext(5), tol=1.0)
     assert len(calls) == 2
     assert math.isnan(rep["max_err"]) and rep["pass"] is False
@@ -339,10 +341,10 @@ def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim, block_abov
     lhs, rhs = instantiate(spec, params, ctx)
     want = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
 
-    def whole(d, ctx):
+    def whole(ds, ctx):
         raise AssertionError("a wide side was evaluated whole")
 
-    monkeypatch.setattr(rw, "evaluate", whole)
+    monkeypatch.setattr(rw, "evaluate_many", whole)
     rep = check_soundness(spec, params, ctx)
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
     assert rep["pass"]
@@ -388,6 +390,39 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
     assert math.isnan(rep["max_err"]) == (edits != BLOCK_EDITS[-1])
     assert rep["pass"] is False
+
+
+def test_a_cell_of_blocked_and_batched_draws(monkeypatch):
+    # with _BLOCK_ABOVE at 9, ZH-HMB's sides at D=3 are compared in blocks
+    # where m+n >= 3; seed 13 draws six distinct params whose sides
+    # alternate between blocked and batched.  Blocks on the einsum kernel
+    # may round apart from a whole evaluation
+    want = check_all([3], samples=6, seed=13, rules=["ZH-HMB"])
+    monkeypatch.setattr(rw, "_BLOCK_ABOVE", 9)
+    real_blocks, real_many = rw.evaluate_blocks, rw.evaluate_many
+    blocked: list = []
+    batched: list = []
+
+    def evaluate_blocks(d, ctx):
+        blocked.append(d.n_inputs + d.n_outputs)
+        return real_blocks(d, ctx)
+
+    def evaluate_many(ds, ctx):
+        def read():
+            for d in ds:
+                batched.append(d.n_inputs + d.n_outputs)
+                yield d
+
+        return real_many(read(), ctx)
+
+    monkeypatch.setattr(rw, "evaluate_blocks", evaluate_blocks)
+    monkeypatch.setattr(rw, "evaluate_many", evaluate_many)
+    rows = check_all([3], samples=6, seed=13, rules=["ZH-HMB"])
+    assert blocked == [4, 4, 3, 3, 4, 4] and batched == [2, 2, 0, 0, 2, 2]
+    assert [r["params"] for r in rows] == [r["params"] for r in want]
+    assert all(r["status"] == "pass" for r in rows)
+    for r, w in zip(rows, want, strict=True):
+        assert abs(r["max_err"] - w["max_err"]) <= 1e-12
 
 
 def test_wide_check_holds_no_whole_side():
@@ -495,13 +530,13 @@ def test_check_all_refuses_a_comparison_past_the_float_range(samples):
 
 def test_a_refused_cell_names_its_first_failing_sample(monkeypatch):
     # sample 3 is refused as it is built, sample 1 only when its right
-    # side is evaluated alone.  The batch builds all five sides before it
+    # side is evaluated.  The batch builds all five sides before it
     # evaluates any, so sample 3 fails first; the cell still reports
     # sample 1, as when each sample is checked alone
     spec = CATALOG["ZX-GFP"]
     rng = np.random.default_rng([0, sorted(CATALOG).index("ZX-GFP"), 3])
     draws = [spec.sample(3, rng) for _ in range(5)]
-    real_instantiate, real_evaluate = rw.instantiate, rw.evaluate
+    real_instantiate, real_execute = rw.instantiate, dg._execute
     poisoned: list = []
 
     def instantiate(rule, params, ctx):
@@ -512,23 +547,23 @@ def test_a_refused_cell_names_its_first_failing_sample(monkeypatch):
             poisoned.append(pair[1])
         return pair
 
-    def evaluate(d, ctx):
-        if any(d is p for p in poisoned):
+    def execute(steps, stop, layout, ds, ctx):
+        if any(d is p for d in ds for p in poisoned):
             raise OverflowGuardError("sample 1 is refused")
-        return real_evaluate(d, ctx)
+        return real_execute(steps, stop, layout, ds, ctx)
 
     monkeypatch.setattr(rw, "instantiate", instantiate)
-    monkeypatch.setattr(rw, "evaluate", evaluate)
+    monkeypatch.setattr(dg, "_execute", execute)
     with pytest.raises(OverflowGuardError, match=r"^ZX-GFP at D=3: sample 1 is refused$"):
         check_all([3], samples=5, rules=["ZX-GFP"])
 
 
 def test_a_refused_cell_names_the_first_sample_of_a_repeated_draw(monkeypatch):
     # ZX-GU at D=3 draws samples 1, 3 and 4 alike.  Sample 2 is refused as
-    # it is built, the repeated draw only when its right side is evaluated
-    # alone; the message names the draw object actually checked, and the
-    # cell reports sample 1, the first with those params
-    real_sample, real_instantiate, real_evaluate = rw.RuleSpec.sample, rw.instantiate, rw.evaluate
+    # it is built, the repeated draw only when its right side is evaluated;
+    # the message names the draw object actually checked, and the cell
+    # reports sample 1, the first with those params
+    real_sample, real_instantiate, real_execute = rw.RuleSpec.sample, rw.instantiate, dg._execute
     drawn: list = []
     poisoned: dict = {}
 
@@ -546,14 +581,15 @@ def test_a_refused_cell_names_the_first_sample_of_a_repeated_draw(monkeypatch):
             poisoned[id(pair[1])] = (pair[1], i)
         return pair
 
-    def evaluate(d, ctx):
-        if id(d) in poisoned:
-            raise OverflowGuardError(f"sample {poisoned[id(d)][1]} is refused")
-        return real_evaluate(d, ctx)
+    def execute(steps, stop, layout, ds, ctx):
+        for d in ds:
+            if id(d) in poisoned:
+                raise OverflowGuardError(f"sample {poisoned[id(d)][1]} is refused")
+        return real_execute(steps, stop, layout, ds, ctx)
 
     monkeypatch.setattr(rw.RuleSpec, "sample", sample)
     monkeypatch.setattr(rw, "instantiate", instantiate)
-    monkeypatch.setattr(rw, "evaluate", evaluate)
+    monkeypatch.setattr(dg, "_execute", execute)
     with pytest.raises(OverflowGuardError, match=r"^ZX-GU at D=3: sample 1 is refused$"):
         check_all([3], samples=5, rules=["ZX-GU"])
     assert drawn[1] == drawn[3] == drawn[4] and len({json.dumps(p, sort_keys=True) for p in drawn}) == 3
@@ -696,6 +732,21 @@ def test_parity_sensitive_rules(dim):
             params = spec.sample(dim, rng)
             rep = check_soundness(spec, params, ctx, tol=1e-8)
             assert rep["pass"], (rid, dim, params, rep)
+
+
+def test_zero_divisor_pairs_are_the_brute_force_list():
+    # the same pairs in the same order, so the same draws from the same rng
+    for dim in range(2, 301):
+        brute = [(t, tp) for t in range(2, dim) for tp in range(2, t) if rw._zx_zsp_error(t, tp, dim) is None]
+        assert rw._zx_zsp_pairs(dim) == brute, dim
+
+
+def test_zero_divisor_rule_checks_a_large_dimension_quickly():
+    # listing every (t, tp) below D took 0.93 s a draw at D=2000
+    start = time.perf_counter()
+    rows = check_all([20000], samples=1, rules=["ZX-ZSP"])
+    assert time.perf_counter() - start < 2
+    assert [r["status"] for r in rows] == ["pass"]
 
 
 def test_zero_divisor_rule_first_valid_dimension():

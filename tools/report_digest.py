@@ -7,6 +7,11 @@ Usage (from the repository root)::
 Each line is ``<what> <sha256>``.  For every rule of the catalog and
 each seed s in 0..2 and nu in {None, 1.0}, the digest is of
 ``json.dumps(check_all(range(2, 10), samples=5, seed=s, nu=nu, rules=[rule]))``.
+Then, for every rule, ``<rule> check_soundness`` digests the JSON list of
+``[D, max_err]`` that ``check_soundness`` gives for the first draw of
+each cell of seed 0 at D=2..min(dim_cap, 7), a cell the rule cannot
+draw giving ``[D, None]``; this covers the one-pair path, and at D=7 the
+sides of ZH-O and ZH-ZPL that are compared block by block.
 The last two lines are over the normal-form benchmark's tensors: D=2, 3,
 4 with m+n <= 3, five each, plus (m, n) = (2, 2) twice at D=3 and once at
 D=4, drawn as the benchmark draws them for seed 1.  ``normal-form``
@@ -25,10 +30,11 @@ import numpy as np
 
 from quditzx import construct, diagram
 from quditzx.measure import MeasureContext
-from quditzx.rewrite import CATALOG, check_all
+from quditzx.rewrite import CATALOG, check_all, check_soundness
 from quditzx.tensor import Tensor
 
 SEEDS = (0, 1, 2)
+SOUNDNESS_DIMS = range(2, 8)
 NUS = (None, 1.0)
 NF_SEED = 1
 
@@ -52,6 +58,15 @@ def main() -> None:
             for nu in NUS:
                 rows = check_all(range(2, 10), samples=5, seed=seed, nu=nu, rules=[rule])
                 print(f"{rule} seed={seed} nu={nu} {hashlib.sha256(json.dumps(rows).encode()).hexdigest()}")
+    for rule_key, rule in enumerate(sorted(CATALOG)):
+        spec = CATALOG[rule]
+        errs = []
+        for D in SOUNDNESS_DIMS:
+            if spec.dim_cap is not None and D > spec.dim_cap:
+                break
+            params = spec.sample(D, np.random.default_rng([SEEDS[0], rule_key, D]))
+            errs.append([D, None if params is None else check_soundness(spec, params, MeasureContext(D))["max_err"]])
+        print(f"{rule} check_soundness {hashlib.sha256(json.dumps(errs).encode()).hexdigest()}")
     digest, texts = hashlib.sha256(), hashlib.sha256()
     for t in normal_form_tensors(NF_SEED):
         ctx = MeasureContext(t.dim)
