@@ -1175,6 +1175,7 @@ def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) 
     read as the errors are asked for, so one batch of sides and tensors
     is held at a time.
     """
+
     def wide(pair: tuple[Diagram, Diagram]) -> bool:
         return ctx.dim ** (pair[0].n_inputs + pair[0].n_outputs) > _BLOCK_ABOVE
 
@@ -1273,38 +1274,38 @@ def check_all(
         rule_key = all_ids.index(rule_id)
         for D in dims:
             ctx = MeasureContext(D, nu)
-            rng = np.random.default_rng([seed, rule_key, D])
             try:
-                rows += _cell_rows(spec, ctx, samples, tol, rng)
+                rows += _cell_rows(spec, ctx, samples, tol, [seed, rule_key, D])
             except OverflowError as exc:
                 raise OverflowGuardError(f"{rule_id} at D={D}: {exc}") from exc
     return rows
 
 
 def _cell_rows(
-    spec: RuleSpec, ctx: MeasureContext, samples: int, tol: float, rng: np.random.Generator
+    spec: RuleSpec, ctx: MeasureContext, samples: int, tol: float, seed: list[int]
 ) -> list[dict[str, Any]]:
     """The rows of one (rule, D) cell of ``check_all``.
 
-    The cell's assignments are drawn first, in sample order, up to the
-    first the rule cannot draw, which gets a skip row; only
-    ``spec.sample`` reads ``rng``.  Past the rule's ``dim_cap`` nothing
-    is drawn, so the cell is its skip row.  A draw whose row would print
-    the same ``params`` as an earlier draw of the cell (compared as
-    canonical JSON text, so floats by repr) builds the same sides, so it
-    reuses that draw's error and is not checked again.  The distinct
-    draws are checked in order through ``_pair_errors``.  A refusal
-    replays the distinct draws not yet checked one at a time, so the
-    error raised is that of the first failing sample, as when each sample
-    is checked alone.
+    The cell's assignments are drawn first, in sample order, from one
+    generator seeded with ``seed`` that only ``spec.sample`` reads, up to
+    the first the rule cannot draw, which gets a skip row.  Past the
+    rule's ``dim_cap`` nothing is drawn, so the cell is its skip row.  A
+    draw whose row would print the same ``params`` as an earlier draw of
+    the cell (compared as canonical JSON text, so floats by repr) builds
+    the same sides, so it reuses that draw's error and is not checked
+    again.  The distinct draws are checked in order through
+    ``_pair_errors``.  A refusal replays the distinct draws not yet
+    checked one at a time, so the error raised is that of the first
+    failing sample, as when each sample is checked alone.
     """
-    capped = spec.dim_cap is not None and ctx.dim > spec.dim_cap
     drawn: list[Params] = []
-    for _ in range(0 if capped else samples):
-        params = spec.sample(ctx.dim, rng)
-        if params is None:
-            break
-        drawn.append(params)
+    if spec.dim_cap is None or ctx.dim <= spec.dim_cap:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            params = spec.sample(ctx.dim, rng)
+            if params is None:
+                break
+            drawn.append(params)
     shown = [params_jsonable(params) for params in drawn]
     seen: dict[str, int] = {}
     # each draw's first draw with the same params
