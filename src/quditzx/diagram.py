@@ -9,10 +9,18 @@ position.  Every generator leg and every boundary position must appear
 in exactly one edge endpoint; self-loops and parallel edges are
 allowed.
 
-Ports are numbered once, when a diagram is validated: legs node by
-node, then the outputs, then the inputs.  The diagram keeps the two
-numbers of each edge as its port table, an ``array('i')`` that
-``_structure`` reads, and is not checked again.
+Ports are numbered legs node by node, then the outputs, then the
+inputs, and a diagram's wiring is its port table: the two numbers of
+each edge, in edge order, in an ``array('i')`` that ``_structure``
+reads.  ``DiagramBuilder`` numbers each end as it wires it and the
+loader each ``"owner:index"`` as it parses it, so checking such a table
+is a count: every number is in range by construction, and the table must
+hold each port once.  Only on an anomaly do they fall back to edge
+tuples and ``validate``, which names the first bad port.  The writer
+works from the table too.  ``edges``, the ``(owner, index)`` pairs, is
+derived from the table when something first reads it (composition,
+``rewrite.apply``, tests); a diagram made directly from edges gets its
+table from ``validate``.  Either way a diagram is not checked again.
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
@@ -135,13 +143,15 @@ only ZH-O and ZH-ZPL at D=7 do.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import json
+import math
 import threading
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -195,25 +205,62 @@ class DiagramError(ValueError):
     """Malformed diagram (dangling leg, double-used port, bad reference)."""
 
 
-@dataclass(frozen=True)
 class Diagram:
-    """Immutable open graph; build with :class:`DiagramBuilder`."""
+    """Immutable open graph; build with :class:`DiagramBuilder`.
 
-    dim: int
-    nodes: dict[str, Generator]
-    edges: tuple[Edge, ...]
-    n_inputs: int
-    n_outputs: int
-    # the two port numbers of each edge, in edge order, once validated
-    _ports: array | None = field(default=None, init=False, repr=False, compare=False)
+    Its wiring is its port table ``_ports``, an ``array('i')`` of two
+    port numbers per edge, in edge order; ports are numbered legs node by
+    node, then the outputs, then the inputs.  ``DiagramBuilder.build`` and
+    ``load_json`` make the table as they wire and check it there, so such
+    a diagram is born valid and holds no edge tuples.  ``edges``, the same
+    wiring as ``(owner, index)`` pairs, is derived from the table when
+    something first reads it.  A diagram made here from ``edges`` gets its
+    table from ``validate``.
+    """
+
+    def __init__(self, dim: int, nodes: dict[str, Generator], edges: tuple[Edge, ...], n_inputs: int,
+                 n_outputs: int) -> None:
+        vars(self).update(dim=dim, nodes=nodes, _edges=edges, n_inputs=n_inputs, n_outputs=n_outputs, _ports=None)
+
+    @classmethod
+    def _wired(cls, dim: int, nodes: dict[str, Generator], ports: array, n_inputs: int, n_outputs: int) -> "Diagram":
+        """A diagram of a checked port table, with no edge tuples."""
+        d = cls(dim, nodes, None, n_inputs, n_outputs)
+        vars(d)["_ports"] = ports
+        return d
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+    __hash__ = None
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            vars(self)["_edges"] = _derive_edges(self)
+        return self._edges
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = ("dim", "nodes", "edges", "n_inputs", "n_outputs")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    def __repr__(self) -> str:
+        return (f"Diagram(dim={self.dim!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
+                f"n_inputs={self.n_inputs!r}, n_outputs={self.n_outputs!r})")
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
         """Raise ``DiagramError`` unless every leg and boundary position is wired once.
 
-        A diagram that passes keeps its port table and is not checked
-        again, so its node dict must not change after that.
+        A diagram that has its port table passed its check when the table
+        was made, by ``build``, ``load_json`` or an earlier call, and is not
+        checked again, so its node dict must not change after that.  For a
+        diagram made from edges, this numbers their ports through the
+        nodes' spans, and the first bad port in edge order names the error.
         """
         if self._ports is not None:
             return
@@ -234,7 +281,7 @@ class Diagram:
                 if size == n_ports:
                     raise DiagramError(f"node {name!r} has {size} legs, more than {size - 1}")
         ports = array("i")
-        for edge in self.edges:
+        for edge in self._edges:
             if len(edge) != 2:
                 raise DiagramError(f"edge {edge!r} does not join two ports")
             for owner, idx in edge:
@@ -247,9 +294,9 @@ class Diagram:
                     raise DiagramError(f"leg {idx} out of range for node {owner!r}")
                 ports.append(span[0] + idx)
         if len(ports) == n_ports == len(set(ports)):
-            object.__setattr__(self, "_ports", ports)
+            vars(self)["_ports"] = ports
             return
-        seen = Counter(port for edge in self.edges for port in edge)
+        seen = Counter(port for edge in self._edges for port in edge)
         for port, count in seen.items():
             if count > 1:
                 raise DiagramError(f"port {port} used {count} times")
@@ -275,14 +322,54 @@ class Diagram:
         return Diagram(self.dim, nodes, _moved(self.edges, moves), self.n_inputs, self.n_outputs)
 
 
+def _port_names(sizes: Iterable[tuple[str, int]]) -> Any:
+    """The port of each port number, for owners of the given sizes in port order."""
+    starts: list[int] = []
+    owners: list[str] = []
+    n = 0
+    for owner, size in sizes:
+        starts.append(n)
+        owners.append(owner)
+        n += size
+
+    def port(p: int) -> Port:
+        k = bisect.bisect_right(starts, p) - 1
+        return owners[k], p - starts[k]
+
+    return port
+
+
+def _derive_edges(d: Diagram) -> tuple[Edge, ...]:
+    """The edges that the port table of ``d`` holds."""
+    sizes = [(name, gen.degree) for name, gen in d.nodes.items()]
+    ends = list(map(_port_names(sizes + [("out", d.n_outputs), ("in", d.n_inputs)]), d._ports))
+    return tuple(zip(ends[::2], ends[1::2]))
+
+
+def _checked(ports: list[int], n_ports: int) -> array | None:
+    """``ports`` as a port table if it holds each of the ``n_ports`` port numbers once, else None.
+
+    The numbers must each be in range, as the builder and the loader make
+    them, so this is a count.
+    """
+    if n_ports < 1 << 29 and len(ports) == n_ports == len(set(ports)):
+        return array("i", ports)
+    return None
+
+
 class DiagramBuilder:
     """Mutable assembly surface for diagrams.
 
     Ports passed to :meth:`wire` may be explicit ``(node_id, leg)``
     pairs, a bare node id (the next unwired leg is allocated), or the
     strings ``"in"`` / ``"out"`` (the next boundary position is
-    allocated).  ``build`` validates that every leg and boundary
-    position is wired exactly once.
+    allocated).  ``wire`` writes each end's port number as it resolves
+    it; a boundary end, whose number depends on the nodes still to come,
+    or an end past its node's legs, is kept as its port, and ``build``
+    numbers the boundary ends once.  ``build`` then checks that every leg
+    and boundary position is wired exactly once, by a count; on any
+    anomaly it validates the edges as ``Diagram.validate`` does, which
+    names the first bad port.
 
     Two shapes that gadgets and rule sides share are built here:
     :meth:`chain` (every input into the first piece, one wire from each
@@ -294,8 +381,10 @@ class DiagramBuilder:
     def __init__(self, dim: int):
         self.dim = dim
         self._nodes: dict[str, Generator] = {}
-        self._edges: list[Edge] = []
-        self._next_leg: dict[str, int] = {}
+        self._legs: dict[str, list[int]] = {}  # each node's first port number, degree and next unwired leg
+        self._n_legs = 0
+        self._ends: list[int | Port] = []  # two per wire: a leg's port number, else the port
+        self._held: list[int] = []  # where _ends holds a port
         self._n_in = 0
         self._n_out = 0
         self._counter = 0
@@ -306,32 +395,41 @@ class DiagramBuilder:
             self._counter += 1
         if name in self._nodes or name in _RESERVED or ":" in name:
             raise DiagramError(f"bad or duplicate node name {name!r}")
+        deg = gen.degree
         self._nodes[name] = gen
-        self._next_leg[name] = 0
+        self._legs[name] = [self._n_legs, deg, 0]
+        self._n_legs += deg
         return name
 
-    def _resolve(self, ref) -> Port:
-        if isinstance(ref, tuple):
-            owner, idx = str(ref[0]), int(ref[1])
-            if owner == "in":
-                self._n_in = max(self._n_in, idx + 1)
-            elif owner == "out":
-                self._n_out = max(self._n_out, idx + 1)
-            return (owner, idx)
-        if ref == "in":
-            self._n_in += 1
-            return ("in", self._n_in - 1)
-        if ref == "out":
-            self._n_out += 1
-            return ("out", self._n_out - 1)
-        if ref in self._nodes:
-            leg = self._next_leg[ref]
-            self._next_leg[ref] = leg + 1
-            return (ref, leg)
-        raise DiagramError(f"unknown wire endpoint {ref!r}")
+    def _resolve(self, ref) -> int | Port:
+        if not isinstance(ref, tuple):
+            legs = self._legs.get(ref)
+            if legs is not None:  # a node id: its next unwired leg
+                first, deg, idx = legs
+                legs[2] = idx + 1
+                return first + idx if idx < deg else (ref, idx)
+            if ref == "in":
+                self._n_in += 1
+                return ("in", self._n_in - 1)
+            if ref == "out":
+                self._n_out += 1
+                return ("out", self._n_out - 1)
+            raise DiagramError(f"unknown wire endpoint {ref!r}")
+        owner, idx = str(ref[0]), int(ref[1])
+        if owner == "in":
+            self._n_in = max(self._n_in, idx + 1)
+        elif owner == "out":
+            self._n_out = max(self._n_out, idx + 1)
+        legs = self._legs.get(owner)
+        return legs[0] + idx if legs is not None and 0 <= idx < legs[1] else (owner, idx)
 
     def wire(self, a, b) -> None:
-        self._edges.append((self._resolve(a), self._resolve(b)))
+        a, b = self._resolve(a), self._resolve(b)
+        if type(a) is tuple:
+            self._held.append(len(self._ends))
+        if type(b) is tuple:
+            self._held.append(len(self._ends) + 1)
+        self._ends += a, b
 
     def chain(self, gens: list[Generator], names: Iterable[str] = ()) -> list[str]:
         """Every input into the first piece, one wire from each piece to
@@ -366,7 +464,21 @@ class DiagramBuilder:
         return r
 
     def build(self) -> Diagram:
-        d = Diagram(self.dim, dict(self._nodes), tuple(self._edges), self._n_in, self._n_out)
+        n_legs, n_in, n_out = self._n_legs, self._n_in, self._n_out
+        ports = self._ends.copy()
+        for k in self._held:  # the boundary ends, numbered now that the legs are
+            owner, idx = ports[k]
+            if owner not in _RESERVED or idx < 0:
+                break
+            ports[k] = n_legs + idx + (n_out if owner == "in" else 0)
+        else:
+            table = _checked(ports, n_legs + n_out + n_in)
+            if table is not None:
+                return Diagram._wired(self.dim, dict(self._nodes), table, n_in, n_out)
+        # an anomaly: the edges, validated, name it
+        port = _port_names((name, legs[1]) for name, legs in self._legs.items())
+        ends = [end if type(end) is tuple else port(end) for end in self._ends]
+        d = Diagram(self.dim, dict(self._nodes), tuple(zip(ends[::2], ends[1::2])), n_in, n_out)
         d.validate()
         return d
 
@@ -1278,8 +1390,51 @@ def _json_block(items: list[str], level: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}{pad[:-1]}{brackets[1]}"
 
 
+def _numbered(lists: dict[str, list], spans: dict[str, tuple[int, int]]) -> list[int] | None:
+    """The port numbers of a file's edges, then of the edges its boundary lists make.
+
+    Each ``"owner:index"`` is numbered through ``spans``, each owner's
+    first port number and port count, as it is parsed.  Returns None at
+    the first entry that is not a port in range, so that
+    ``from_json_obj`` can name it as it always has.
+    """
+    ports: list[int] = []
+    append = ports.append
+    try:
+        for pair in lists["edges"]:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            for ref in pair:
+                owner, _, idx = ref.rpartition(":")
+                start, size = spans[owner]
+                i = int(idx)
+                if not 0 <= i < size:
+                    return None
+                append(start + i)
+        for side, key in (("in", "inputs"), ("out", "outputs")):
+            first = spans[side][0]
+            for pos, ref in enumerate(lists[key]):
+                owner, _, idx = ref.rpartition(":")
+                i = int(idx)
+                if owner != side:  # a boundary position wired straight to a port
+                    start, size = spans[owner]
+                    if not 0 <= i < size:
+                        return None
+                    append(first + pos)
+                    append(start + i)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    return ports
+
+
 def from_json_obj(obj: Any) -> Diagram:
-    """The diagram a parsed diagram file holds; a malformed one raises ``DiagramError``."""
+    """The diagram a parsed diagram file holds; a malformed one raises ``DiagramError``.
+
+    The ports are numbered as they are parsed (``_numbered``), and the
+    table is checked by a count.  A file that fails either is read again
+    as edges, parsed and then validated, so the error names the first
+    bad reference, else the first bad port in edge order.
+    """
     if not isinstance(obj, dict):
         raise DiagramError("a diagram file must hold a JSON object")
     if "dimension" not in obj:
@@ -1295,6 +1450,8 @@ def from_json_obj(obj: Any) -> Diagram:
         if not isinstance(value, list):
             raise DiagramError(f"{key} must be a list")
     nodes: dict[str, Generator] = {}
+    spans: dict[str, tuple[int, int]] = {}  # each owner's first port number and port count
+    n_ports = 0
     # the generator of the first amplitude-free node of each (kind, legs, c),
     # shared by the later ones; only a kind that passes Generator's own
     # check (in KINDS) forms a key, so a list or dict kind fails there as before
@@ -1306,10 +1463,13 @@ def from_json_obj(obj: Any) -> Diagram:
             kind, legs = entry["kind"], entry["legs"]
         except KeyError as exc:
             raise DiagramError(f"node {name!r} has no {exc.args[0]!r}") from None
-        legs = strict_int(legs, f"legs of node {name!r}", DiagramError)
+        if type(legs) is not int:
+            legs = strict_int(legs, f"legs of node {name!r}", DiagramError)
         if "c" in entry and kind != "not":
             raise DiagramError(f"node {name!r}: only a 'not' node takes a 'c'")
-        c = strict_int(entry["c"], f"c of node {name!r}", DiagramError) if "c" in entry else 0
+        c = entry.get("c", 0)
+        if type(c) is not int:
+            c = strict_int(c, f"c of node {name!r}", DiagramError)
         try:
             amp = amp_from_json(entry["amp"]) if entry.get("amp") is not None else None
             if amp is not None:
@@ -1322,6 +1482,17 @@ def from_json_obj(obj: Any) -> Diagram:
             nodes[name] = gen
         except (TypeError, ValueError) as exc:
             raise DiagramError(f"node {name!r}: {exc}") from None
+        spans[name] = (n_ports, legs)
+        n_ports += legs
+    n_in, n_out = len(lists["inputs"]), len(lists["outputs"])
+    # a node named "in" or "out" would hide a boundary side's span, and
+    # one named "" would take references that _parse_port refuses
+    if {"", *_RESERVED}.isdisjoint(nodes):
+        spans["out"], spans["in"] = (n_ports, n_out), (n_ports + n_out, n_in)
+        ports = _numbered(lists, spans)
+        table = None if ports is None else _checked(ports, n_ports + n_out + n_in)
+        if table is not None:
+            return Diagram._wired(dim, nodes, table, n_in, n_out)
     edges: list[Edge] = []
     for pair in lists["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -1333,39 +1504,73 @@ def from_json_obj(obj: Any) -> Diagram:
             port = _parse_port(ref)
             if port[0] != side:
                 edges.append(((side, pos), port))
-    d = Diagram(dim, nodes, tuple(edges), len(lists["inputs"]), len(lists["outputs"]))
+    d = Diagram(dim, nodes, tuple(edges), n_in, n_out)
     d.validate()
     return d
+
+
+def _json_text(value: Any, level: int) -> str:
+    """An amplitude's JSON value as ``json.dumps(value, indent=1)`` lays it out at depth ``level``.
+
+    The values ``amp_to_json`` makes are strings, ints, floats, lists and
+    dicts; each is written as json's encoder writes it, and a NaN or
+    infinite float raises json's ``ValueError``.
+    """
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _json_block([_json_text(v, level + 1) for v in value], level)
+    if isinstance(value, dict):
+        enc = json.encoder.encode_basestring_ascii
+        return _json_block([enc(k) + ": " + _json_text(v, level + 1) for k, v in value.items()], level, "{}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dump_json(d: Diagram) -> str:
     """The diagram file: the bytes of ``json.dumps(obj, indent=1)`` for its object.
 
     An indent makes the json module use its pure-Python encoder, so the
-    fixed layout is written here; strings and amplitudes still go
-    through json.  Ints go through ``int.__repr__``, which refuses
-    non-ints as json did.
+    fixed layout is written here, amplitudes included (``_json_text``).
+    Strings go through json's ``encode_basestring_ascii``, ints through
+    ``int.__repr__``, which refuses non-ints as json did, and floats
+    through ``float.__repr__``.  The edges are written from the port
+    table, so ``d`` is validated first, with one ``"name:`` prefix per
+    node.
     """
+    d.validate()
     enc = json.encoder.encode_basestring_ascii
-    nodes = []
+    nodes: list[str] = []
+    owners: list[tuple[str, int]] = []  # each node's '"name:' prefix and degree
     for name, gen in d.nodes.items():
-        text = enc(name) + ': {\n   "kind": ' + enc(gen.kind) + ',\n   "legs": ' + int.__repr__(gen.degree)
-        if gen.amp is not None:
-            # nested three deep; a JSON string never holds a raw newline
-            text += ',\n   "amp": ' + json.dumps(amp_to_json(gen.amp), indent=1, allow_nan=False).replace("\n", "\n   ")
+        key, deg = enc(name), gen.degree
+        text = key + ': {\n   "kind": ' + enc(gen.kind) + ',\n   "legs": ' + int.__repr__(deg)
+        if gen.amp is not None:  # nested three deep
+            text += ',\n   "amp": ' + _json_text(amp_to_json(gen.amp), 4)
         if gen.kind == "not":
             text += ',\n   "c": ' + int.__repr__(gen.c)
         nodes.append(text + "\n  }")
-    edges = [
-        "[\n   " + enc(f"{a[0]}:{a[1]}") + ",\n   " + enc(f"{b[0]}:{b[1]}") + "\n  ]" for a, b in d.edges
-    ]
+        owners.append((key[:-1] + ":", deg))  # a JSON string never escapes a colon or a digit
+    outputs = [f'"out:{i}"' for i in range(d.n_outputs)]
+    inputs = [f'"in:{i}"' for i in range(d.n_inputs)]
+    # each port's text, in port order
+    tails = [f'{i}"' for i in range(max((deg for _, deg in owners), default=0))]
+    labels = [prefix + tail for prefix, deg in owners for tail in tails[:deg]] + outputs + inputs
+    ends = [labels[p] for p in d._ports]
+    edges = "[]" if not ends else "[\n  [\n   " + "\n  ],\n  [\n   ".join(
+        map(",\n   ".join, zip(ends[::2], ends[1::2]))) + "\n  ]\n ]"
     return _json_block(
         [
             '"dimension": ' + int.__repr__(d.dim),
             '"nodes": ' + _json_block(nodes, 2, "{}"),
-            '"edges": ' + _json_block(edges, 2),
-            '"inputs": ' + _json_block([f'"in:{i}"' for i in range(d.n_inputs)], 2),
-            '"outputs": ' + _json_block([f'"out:{i}"' for i in range(d.n_outputs)], 2),
+            '"edges": ' + edges,
+            '"inputs": ' + _json_block(inputs, 2),
+            '"outputs": ' + _json_block(outputs, 2),
         ],
         1,
         "{}",

@@ -91,6 +91,10 @@ class MatchError(RewriteError):
     """An anchor does not embed the rule's left side in the host."""
 
 
+class ReportSizeError(ValueError):
+    """A ``check_all`` report would hold more than ``_MAX_ROWS`` rows."""
+
+
 Params = dict[str, Any]
 PairBuilder = Callable[[Params, MeasureContext], tuple[Diagram, Diagram]]
 # A string, so that loading the module does not import numpy.random.
@@ -1145,6 +1149,7 @@ def instantiate(
 # at most 32 MiB and cost D more kernel calls a side (0.1 to 0.2 ms more
 # per ZH-O check at D=4 and 5).
 _BLOCK_ABOVE = 1 << 20
+_MAX_ROWS = 1 << 20  # rows of one check_all report: samples * rules * dimensions
 
 
 def check_soundness(
@@ -1259,7 +1264,9 @@ def check_all(
     comparison that is not finite) raises ``OverflowGuardError`` with the
     rule id and D in front.  Each dimension is read by
     ``measure.dimension``, so a bool, a float or a string raises
-    ``TypeError``.
+    ``TypeError``.  A report of more than ``_MAX_ROWS`` rows (samples
+    times distinct rules times distinct dimensions) raises
+    ``ReportSizeError`` before anything is drawn.
     """
     dims = sorted(set(map(dimension, dims)))
     if any(d < 2 for d in dims):
@@ -1267,9 +1274,12 @@ def check_all(
     if samples < 1:
         raise ValueError("need at least one sample")
     all_ids = sorted(CATALOG)
-    wanted = all_ids if rules is None else [get_rule(r).id for r in rules]
+    wanted = sorted(set(all_ids if rules is None else [get_rule(r).id for r in rules]))
+    count = samples * len(wanted) * len(dims)
+    if count > _MAX_ROWS:
+        raise ReportSizeError(f"a report of {count} rows is more than {_MAX_ROWS}")
     rows: list[dict[str, Any]] = []
-    for rule_id in sorted(set(wanted)):
+    for rule_id in wanted:
         spec = CATALOG[rule_id]
         rule_key = all_ids.index(rule_id)
         for D in dims:

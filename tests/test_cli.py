@@ -958,6 +958,16 @@ def test_a_check_report_past_its_row_cap_is_a_usage_error(runner, monkeypatch, a
     assert res.stdout == ""
 
 
+def test_the_check_row_cap_is_the_librarys(runner, monkeypatch):
+    # check keeps no count of its own: it prints check_all's refusal
+    monkeypatch.setattr(rewrite, "_MAX_ROWS", 10)
+    res = runner.invoke(cli.main, ["check", "ZX-GI", "--dims", "2..3", "--samples", "6"])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1].endswith("error: a report of 12 rows is more than 10")
+    assert res.stdout == ""
+    assert runner.invoke(cli.main, ["check", "ZX-GI", "--dims", "2..3", "--samples", "5"]).exit_code == 0
+
+
 def test_gamma_table_deterministic(runner, tmp_path):
     a = runner.invoke(cli.main, ["gamma-table", "--dims", "2..4", "-o", str(tmp_path / "a.csv")])
     b = runner.invoke(cli.main, ["gamma-table", "--dims", "2..4", "-o", str(tmp_path / "b.csv")])

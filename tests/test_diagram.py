@@ -51,6 +51,7 @@ from quditzx.generators import (
     UnitPow,
     Zero,
     amp_from_json,
+    amp_to_json,
     eval_generator,
     generator_entries,
 )
@@ -2025,6 +2026,190 @@ def test_port_table_is_built_once_per_diagram() -> None:
     assert table.typecode == "i" and list(table) == [3, 0, 1, 2]  # legs, then out:0, then in:0
     evaluate(d, MeasureContext(3))
     assert d._ports is table
+
+
+def validated_table(d: Diagram) -> list[int]:
+    """The port table ``validate`` numbers for a copy of ``d`` made from its edges."""
+    copy = Diagram(d.dim, d.nodes, d.edges, d.n_inputs, d.n_outputs)
+    copy.validate()
+    return list(copy._ports)
+
+
+def rebuilt(d: Diagram) -> Diagram:
+    """``d`` wired again through a builder, one explicit port pair per edge."""
+    b = DiagramBuilder(d.dim)
+    for name, gen in d.nodes.items():
+        b.node(gen, name)
+    for a, c in d.edges:
+        b.wire(a, c)
+    return b.build()
+
+
+def numbering_cases():
+    """Built diagrams: both sides of every rule at D=2..6, every gadget, and
+    normal forms with m + n <= 3."""
+    for label, d, _ in catalog_cases(range(2, 7)):
+        yield label, d
+    values = {"a": 2, "u": -2, "c": 1, "alpha": 1.5 - 2j, "amp": Stab(1, 2)}
+    for dim in (2, 3, 5):
+        ctx = MeasureContext(dim)
+        for name in construct.GADGET_NAMES:
+            gid = construct.gadget_id(name, **{key: values[key] for key in construct._PARAMS[name]})
+            yield f"{gid} D={dim}", construct.build(gid, ctx)
+    rng = np.random.default_rng(76)
+    for dim in (2, 3):
+        for n_in in range(4):
+            for n_out in range(4 - n_in):
+                yield f"normal form D={dim} {n_in}->{n_out}", normal_form(
+                    random_tensor(rng, dim, n_in, n_out), MeasureContext(dim))
+
+
+def test_numbered_port_tables_equal_validated_ones() -> None:
+    # build() and load_json number ports as they wire or parse; each table
+    # must be the one validate numbers from the same diagram's edges
+    n = 0
+    for label, d in numbering_cases():
+        assert d._edges is None, label  # born of its table
+        want = validated_table(d)
+        assert list(d._ports) == want, label
+        assert list(load_json(dump_json(d))._ports) == want, label
+        n += 1
+    assert n > 650
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_diagrams())
+def test_numbered_port_tables_equal_validated_ones_on_random_diagrams(d: Diagram) -> None:
+    want = validated_table(d)
+    for made in (rebuilt(d), load_json(dump_json(d))):
+        assert made._edges is None and list(made._ports) == want
+        assert made.edges == d.edges
+
+
+def test_normal_form_round_trip_never_derives_edges(monkeypatch) -> None:
+    def derive(d):
+        raise AssertionError("edges derived")
+
+    monkeypatch.setattr(dg, "_derive_edges", derive)
+    ctx = MeasureContext(3)
+    t = random_tensor(np.random.default_rng(77), 3, 1, 2)
+    back = load_json(dump_json(normal_form(t, ctx)))
+    assert max_abs_diff(evaluate(back, ctx), t) < 1e-9
+
+
+def test_a_bad_reference_is_named_before_an_unknown_node() -> None:
+    # parsing names a malformed reference anywhere in the file before
+    # validation names the first unknown owner
+    obj = {"dimension": 2, "nodes": {"a": {"kind": "white", "legs": 2}},
+           "edges": [["ghost:0", "a:0"], ["a:1.5", "a:1"]]}
+    with pytest.raises(DiagramError, match="bad port reference 'a:1.5'"):
+        dg.from_json_obj(obj)
+
+
+def test_a_loaded_port_used_twice_is_named() -> None:
+    obj = {"dimension": 3, "nodes": {"w": {"kind": "white", "legs": 2}},
+           "edges": [["w:0", "in:0"], ["w:0", "out:0"], ["w:1", "out:1"]],
+           "inputs": ["in:0"], "outputs": ["out:0", "out:1"]}
+    with pytest.raises(DiagramError) as err:
+        dg.from_json_obj(obj)
+    assert str(err.value) == "port ('w', 0) used 2 times"
+
+
+def past_degree(b: DiagramBuilder) -> None:
+    w = b.node(Generator.white(1, 1), "w")
+    b.wire("in", w)
+    b.wire(w, "out")
+    b.wire(w, "out")
+
+
+def past_degree_explicit(b: DiagramBuilder) -> None:
+    b.node(Generator.white(1, 1), "w")
+    b.wire("in", ("w", 0))
+    b.wire(("w", 1), "out")
+    b.wire(("w", -1), "out")
+
+
+def double_use(b: DiagramBuilder) -> None:
+    b.node(Generator.white(1, 1), "w")
+    b.wire(("w", 0), "in")
+    b.wire(("w", 0), "out")
+    b.wire(("w", 1), "out")
+
+
+def dangling(b: DiagramBuilder) -> None:
+    b.wire("in", b.node(Generator.white(1, 1), "w"))
+
+
+def huge_node(b: DiagramBuilder) -> None:
+    b.wire(b.node(Generator.white(0, 10**12), "a"), "out")
+
+
+def unknown_node(b: DiagramBuilder) -> None:
+    b.wire(("ghost", 0), "out")
+
+
+@pytest.mark.parametrize("wiring, message", [
+    (past_degree, "leg 2 out of range for node 'w'"),
+    (past_degree_explicit, "leg -1 out of range for node 'w'"),
+    (double_use, "port ('w', 0) used 2 times"),
+    (dangling, "leg 1 of node 'w' is dangling"),
+    (huge_node, "the diagram has 1000000000001 ports, more than 536870912"),
+    (unknown_node, "edge references unknown node 'ghost'"),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_builder_names_the_first_bad_port_at_build(wiring, message) -> None:
+    b = DiagramBuilder(3)
+    wiring(b)  # wire() takes every one of these
+    with pytest.raises(DiagramError) as err:
+        b.build()
+    assert str(err.value) == message
+
+
+def test_builder_wires_a_node_added_after_its_port() -> None:
+    # an explicit port may name a node that comes later; build() then
+    # validates the edges, as it always did
+    b = DiagramBuilder(3)
+    b.wire("in", ("h", 0))
+    b.node(Generator.hplus(), "h")
+    b.wire(("h", 1), "out")
+    d = b.build()
+    assert d.edges == ((("in", 0), ("h", 0)), (("h", 1), ("out", 0)))
+    assert list(d._ports) == [3, 0, 1, 2]
+
+
+# floats the encoder writes in every form: signed zero, the smallest
+# subnormal, exponents both ways, the largest finite values
+AMP_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+AMP_INTS = st.integers(-(2**70), 2**70)
+AMP_COMPLEXES = st.builds(complex, AMP_FLOATS, AMP_FLOATS)
+
+
+def amplitudes(dim: int):
+    """Every amplitude type, one through indicator, at dimension ``dim``."""
+    return st.one_of(
+        st.just(One()),
+        st.just(Zero()),
+        st.builds(Phase, AMP_FLOATS),
+        st.builds(PhaseVec, st.tuples(*[AMP_FLOATS] * dim)),
+        st.builds(Stab, AMP_INTS, AMP_INTS),
+        st.builds(Char, AMP_INTS),
+        st.builds(UnitPow, AMP_COMPLEXES.filter(lambda z: z != 0)),
+        st.builds(Table, st.tuples(*[AMP_COMPLEXES] * dim)),
+        st.builds(MBox, st.integers(0, 2**70), AMP_COMPLEXES),
+        st.builds(Sign, st.frozensets(AMP_INTS, max_size=4)),
+        st.builds(Indicator, st.frozensets(AMP_INTS, max_size=4)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(amplitudes(3))
+def test_amplitude_writer_is_json_dumps(amp) -> None:
+    text = dump_json(node_diagram(3, Generator.green(amp, 0, 1)))
+    nested = json.dumps(amp_to_json(amp), indent=1).replace("\n", "\n   ")
+    assert f'"amp": {nested}\n' in text
+    assert text == json.dumps(json.loads(text), indent=1)
 
 
 def test_normal_form_builds_each_box_on_its_fan_labels(monkeypatch) -> None:

@@ -479,6 +479,28 @@ def test_check_all_rejects_bad_args():
         check_all([2], rules=["ZX-NOPE"])
 
 
+def test_check_all_refuses_a_report_past_its_row_cap(monkeypatch):
+    # samples x distinct rules x distinct dimensions, refused before
+    # anything is drawn; 10^8 samples of one cell used to end in a
+    # MemoryError under an 800 MB cap
+    def sample(self, dim, rng):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(rw.RuleSpec, "sample", sample)
+    start = time.perf_counter()
+    for dims, samples, rules, rows in [
+        ([2], 10**8, ["ZX-GI"], 10**8),
+        ([2, 3, 3], 2**19 + 1, ["ZX-GI", "ZX-GI"], 2**20 + 2),
+        (range(2, 7), 3438, None, 3438 * 61 * 5),
+    ]:
+        with pytest.raises(rw.ReportSizeError) as err:
+            check_all(dims, samples=samples, rules=rules)
+        assert str(err.value) == f"a report of {rows} rows is more than 1048576"
+    assert time.perf_counter() - start < 1
+    with pytest.raises(AssertionError, match="drew a sample"):  # the cap itself is allowed
+        check_all([2], samples=2**20, rules=["ZX-GI"])
+
+
 @pytest.mark.parametrize("dim", [2.9, 3.0, "3", True])
 def test_check_all_refuses_a_dimension_that_is_not_an_integer(dim):
     # int() would run 2.9 as D=2 and "3" as D=3

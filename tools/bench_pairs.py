@@ -2,7 +2,11 @@
 
 Usage (from the repository root)::
 
-    python3 tools/bench_pairs.py --workload matrix-wide --base HEAD~1
+    python3 tools/bench_pairs.py --base HEAD~1
+    python3 tools/bench_pairs.py --workload matrix-wide --workload cli --base HEAD~1
+
+``--workload`` may be given several times; by default every workload
+that ``BENCHMARK.json`` lists runs, one after the other.
 
 Each commit is exported with ``git archive`` into a fresh directory
 (the repository's own files and ``.git`` are not touched, and
@@ -13,7 +17,7 @@ minimum a gain claim needs.  Pair k uses seed k and runs the two commits
 back to back, the base first in odd-numbered pairs and the head first in
 even ones, so a drift in host speed falls on both.
 
-The record holds both commits, the seeds, each pair's end-to-end
+Each workload's record holds both commits, the seeds, each pair's end-to-end
 metrics (the names ``BENCHMARK.json`` lists) and operation counts, each
 side's quartiles ``[q1, median, q3]``, and for each metric the number of
 pairs in which the head was better.  ``BENCH_<workload>.json`` at the
@@ -63,33 +67,18 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
             "attempted": out["attempted"], "failed": out["failed"]}
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--base", required=True, help="the commit to compare against")
-    ap.add_argument("--head", default="HEAD", help="the changed commit (default HEAD)")
-    args = ap.parse_args()
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
+def record(spec: dict, workload: str, commits: dict, trees: dict) -> dict:
+    """Ten pairs of one workload, as a trajectory record."""
     names = [m["name"] for m in spec["end_to_end"]]
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
-
-    work = tempfile.mkdtemp(prefix="bench-pairs-")
-    try:
-        trees = {side: os.path.join(work, side) for side in commits}
-        for side, commit in commits.items():
-            export(commit, trees[side])
-        pairs = []
-        for seed in range(1, PAIRS + 1):
-            order = ("base", "head") if seed % 2 else ("head", "base")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed, spec["run_seconds"])
-                print(f"seed {seed} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
-            pairs.append(pair)
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    pairs = []
+    for seed in range(1, PAIRS + 1):
+        order = ("base", "head") if seed % 2 else ("head", "base")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(trees[side], workload, seed, spec["run_seconds"])
+            print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+        pairs.append(pair)
 
     def quartiles(side: str) -> dict:
         return {k: statistics.quantiles([p[side]["metrics"][k] for p in pairs], n=4, method="inclusive")
@@ -99,9 +88,9 @@ def main() -> int:
         a, b = p["base"]["metrics"][k], p["head"]["metrics"][k]
         return b < a if lower[k] else b > a
 
-    record = {
-        "workload": args.workload,
-        "command": f"bench/run.py --workload {args.workload} --seed S --seconds {spec['run_seconds']} --trace 0",
+    return {
+        "workload": workload,
+        "command": f"bench/run.py --workload {workload} --seed S --seconds {spec['run_seconds']} --trace 0",
         "base": commits["base"],
         "head": commits["head"],
         "seeds": [p["seed"] for p in pairs],
@@ -110,16 +99,48 @@ def main() -> int:
         "quartiles": {"base": quartiles("base"), "head": quartiles("head")},
         "head_better_pairs": {k: sum(better(p, k) for p in pairs) for k in names},
     }
-    path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+
+
+def append(workload: str, rec: dict) -> None:
+    """Add ``rec`` to the end of ``BENCH_<workload>.json``."""
+    path = os.path.join(ROOT, f"BENCH_{workload}.json")
     trajectory = []
     if os.path.exists(path):
         with open(path) as fh:
             trajectory = json.load(fh)
-    trajectory.append(record)
+    trajectory.append(rec)
     with open(path, "w") as fh:
         json.dump(trajectory, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({k: record[k] for k in ("quartiles", "head_better_pairs")}, indent=1))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", action="append", help="a workload to run (repeatable; default every one)")
+    ap.add_argument("--base", required=True, help="the commit to compare against")
+    ap.add_argument("--head", default="HEAD", help="the changed commit (default HEAD)")
+    args = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or known
+    for workload in workloads:
+        if workload not in known:
+            ap.error(f"unknown workload {workload!r}; BENCHMARK.json lists {', '.join(known)}")
+    commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
+
+    work = tempfile.mkdtemp(prefix="bench-pairs-")
+    try:
+        trees = {side: os.path.join(work, side) for side in commits}
+        for side, commit in commits.items():
+            export(commit, trees[side])
+        for workload in workloads:
+            rec = record(spec, workload, commits, trees)
+            append(workload, rec)  # each workload's record is kept as soon as it is whole
+            print(json.dumps({"workload": workload, **{k: rec[k] for k in ("quartiles", "head_better_pairs")}},
+                             indent=1))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return 0
 
 
