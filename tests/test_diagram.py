@@ -2106,13 +2106,26 @@ def test_a_bad_reference_is_named_before_an_unknown_node() -> None:
         dg.from_json_obj(obj)
 
 
-def test_a_loaded_port_used_twice_is_named() -> None:
-    obj = {"dimension": 3, "nodes": {"w": {"kind": "white", "legs": 2}},
-           "edges": [["w:0", "in:0"], ["w:0", "out:0"], ["w:1", "out:1"]],
-           "inputs": ["in:0"], "outputs": ["out:0", "out:1"]}
+@pytest.mark.parametrize("legs, edges, inputs, outputs, message", [
+    # as many references as ports, so only the check for repeats sees it
+    ({"w": 2}, [["w:0", "in:0"], ["w:0", "out:0"]], ["in:0"], ["out:0"], "port ('w', 0) used 2 times"),
+    ({"w": 2}, [["w:0", "in:0"], ["w:0", "out:0"], ["w:1", "out:1"]], ["in:0"], ["out:0", "out:1"],
+     "port ('w', 0) used 2 times"),
+    # one past the last leg or position, which a numbering could take for the next owner's first port
+    ({"w": 1}, [["w:0", "w:1"]], [], ["out:0"], "leg 1 out of range for node 'w'"),
+    ({"w": 1}, [["w:0", "out:1"]], ["in:0"], ["out:0"], "output position 1 out of range"),
+    ({}, [["out:0", "in:1"]], ["in:0"], ["out:0"], "input position 1 out of range"),
+    ({"a": 1, "b": 1}, [["a:0", "out:1"]], [], ["a:1", "out:1"], "leg 1 out of range for node 'a'"),
+    # names the numbering cannot tell from a boundary side or a bad reference
+    ({"out": 0}, [], [], [], "node name 'out' is reserved for the boundary"),
+    ({"": 1}, [[":0", "out:0"]], [], ["out:0"], "bad port reference ':0'"),
+], ids=["double", "double-and-more", "leg", "output", "input", "boundary-list", "reserved", "empty-name"])
+def test_json_loader_names_the_first_bad_port(legs, edges, inputs, outputs, message) -> None:
+    obj = {"dimension": 3, "nodes": {name: {"kind": "white", "legs": k} for name, k in legs.items()},
+           "edges": edges, "inputs": inputs, "outputs": outputs}
     with pytest.raises(DiagramError) as err:
         dg.from_json_obj(obj)
-    assert str(err.value) == "port ('w', 0) used 2 times"
+    assert str(err.value) == message
 
 
 def past_degree(b: DiagramBuilder) -> None:
@@ -2130,10 +2143,10 @@ def past_degree_explicit(b: DiagramBuilder) -> None:
 
 
 def double_use(b: DiagramBuilder) -> None:
+    # as many ends as ports, so only the check for repeats sees it
     b.node(Generator.white(1, 1), "w")
     b.wire(("w", 0), "in")
     b.wire(("w", 0), "out")
-    b.wire(("w", 1), "out")
 
 
 def dangling(b: DiagramBuilder) -> None:
