@@ -1539,9 +1539,8 @@ def dump_json(d: Diagram) -> str:
     fixed layout is written here, amplitudes included (``_json_text``).
     Strings go through json's ``encode_basestring_ascii``, ints through
     ``int.__repr__``, which refuses non-ints as json did, and floats
-    through ``float.__repr__``.  The edges are written from the port
-    table, so ``d`` is validated first, with one ``"name:`` prefix per
-    node.
+    through ``float.__repr__``.  ``d`` is validated, and its edges are
+    written from its port table, with one ``"name:`` prefix per node.
     """
     d.validate()
     enc = json.encoder.encode_basestring_ascii
