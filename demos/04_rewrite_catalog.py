@@ -1,18 +1,15 @@
-"""The rewrite-rule catalog: soundness checking and anchored application.
+"""The rewrite-rule catalog and its soundness checks.
 
 Every rule in the catalog is a pair of diagram builders that denote the
-same tensor.  check_soundness instantiates both sides at random
-parameters and compares them numerically; apply() performs an anchored
-rewrite inside a larger host diagram and the result evaluates to the
-same tensor as before.
+same tensor.  check_soundness instantiates both sides at given
+parameters and compares them numerically; check_all does so over a
+matrix of rules, dimensions and random draws.  The last example builds
+both sides of one fusion rule with instantiate and compares their
+tensors, which is what the checker does for each draw.
 """
-
-import numpy as np
 
 from quditzx import (
     CATALOG,
-    DiagramBuilder,
-    Generator,
     MeasureContext,
     Phase,
     check_all,
@@ -20,7 +17,8 @@ from quditzx import (
     evaluate,
     get_rule,
 )
-from quditzx.rewrite import NU_ANY_RULES, apply
+from quditzx.rewrite import NU_ANY_RULES, instantiate
+from quditzx.tensor import max_abs_diff
 
 print(f"catalog size: {len(CATALOG)} rules")
 print(f"normalization-independent subset: {sorted(NU_ANY_RULES)}")
@@ -41,20 +39,11 @@ for row in rows:
     err = "-" if row["max_err"] is None else f"{row['max_err']:.1e}"
     print(f"  {row['rule']:7s} D={row['dim']} sample={row['sample']} {row['status']:4s} err={err}")
 
-# anchored application: fuse two phase dots inside a host diagram
+# the checker's view of one fusion: instantiate both sides of ZX-GF and
+# compare their tensors
 D = 4
 ctx = MeasureContext(D)
-b = DiagramBuilder(D)
-first = b.node(Generator.green(Phase(0.3), 1, 1), name="first")
-second = b.node(Generator.green(Phase(0.9), 1, 1), name="second")
-b.wire("in", first)
-b.wire(first, second)
-b.wire(second, "out")
-host = b.build()
-
 params = {"Theta": Phase(0.3), "Phi": Phase(0.9), "m1": 1, "n1": 0, "m2": 0, "n2": 1}
-rewritten = apply(host, get_rule("ZX-GF"), params, {"g0": "first", "g1": "second"}, ctx)
-print(f"\nbefore: nodes {sorted(host.nodes)}")
-print(f"after fusion: nodes {sorted(rewritten.nodes)}")
-err = np.max(np.abs(evaluate(host, ctx).data - evaluate(rewritten, ctx).data))
-print(f"tensor preserved to {err:.2e}")
+lhs, rhs = instantiate(get_rule("ZX-GF"), params, ctx)
+print(f"\nZX-GF at D={D}: left nodes {sorted(lhs.nodes)}, right nodes {sorted(rhs.nodes)}")
+print(f"max |lhs - rhs| = {max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx)):.2e}")

@@ -12,8 +12,8 @@ The package is organized bottom-up:
   contraction.
 - :mod:`quditzx.gauss` — quadratic Gauss sums and the normalized
   quadratic integral Gamma, in closed form with brute-force oracles.
-- :mod:`quditzx.rewrite` — the machine-checkable rewrite-rule catalog,
-  soundness checking, and anchored application.
+- :mod:`quditzx.rewrite` — the machine-checkable rewrite-rule catalog
+  and soundness checking.
 - :mod:`quditzx.construct` — named gadget builders and the normal-form
   synthesizer.
 - :mod:`quditzx.cli` — command-line interface.
@@ -40,8 +40,6 @@ _HOMES = {
     "Table": "generators",
     "Tensor": "tensor",
     "UnitPow": "generators",
-    "adjoint": "diagram",
-    "apply": "rewrite",
     "build": "construct",
     "check_all": "rewrite",
     "check_soundness": "rewrite",

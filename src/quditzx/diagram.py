@@ -18,17 +18,13 @@ is a count: every number is in range by construction, and the table must
 hold each port once.  Only on an anomaly do they fall back to edge
 tuples and ``validate``, which names the first bad port.  The writer
 works from the table too.  ``edges``, the ``(owner, index)`` pairs, is
-derived from the table when something first reads it (composition,
-``rewrite.apply``, tests); a diagram made directly from edges gets its
-table from ``validate``.  Either way a diagram is not checked again.
+derived from the table when something first reads it (``==``,
+``repr``, the benchmark's tracer, tests); a diagram made directly from
+edges gets its table from ``validate``.  Either way a diagram is not checked again.
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
 factor; all normalization lives in the generator tensors.
-
-Serial composition and anchored rewriting (``rewrite.apply``) share one
-splice, ``_splice``: both cut wires at a seam and join the pieces back
-into edges, and a closed chain of cut wires becomes a free loop worth D.
 
 Evaluation notes: white and green dots are diagonal, so instead of
 materializing a dense rank-deg tensor the evaluator unifies all wires
@@ -306,20 +302,6 @@ class Diagram:
                 if (owner, idx) not in seen:
                     what = f"leg {idx} of node {owner!r}" if k < len(self.nodes) else f"boundary port {owner}:{idx}"
                     raise DiagramError(f"{what} is dangling")
-
-    def port_edges(self) -> dict[Port, int]:
-        """Map each port to the index of the edge containing it."""
-        out: dict[Port, int] = {}
-        for i, (a, b) in enumerate(self.edges):
-            out[a] = i
-            out[b] = i
-        return out
-
-    def with_fresh_ids(self, prefix: str) -> "Diagram":
-        """Copy with every node id prefixed (disjoint-union helper)."""
-        moves = {name: (prefix + name, 0) for name in self.nodes}
-        nodes = {prefix + name: gen for name, gen in self.nodes.items()}
-        return Diagram(self.dim, nodes, _moved(self.edges, moves), self.n_inputs, self.n_outputs)
 
 
 def _port_names(sizes: Iterable[tuple[str, int]]) -> Any:
@@ -1244,126 +1226,6 @@ def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
     for v in range(d.dim):
         # bound to no name here, so the caller holds the only reference
         yield np.einsum(_pairwise(d.dim, at(a, sa, v), sa_v, at(b, sb, v), sb_v, so_v), ra_v, ro_v)
-
-
-# =====================================================================
-# Composition and adjoint
-# =====================================================================
-
-
-def _moved(edges: tuple[Edge, ...], moves: dict[str, tuple[str, int]]) -> tuple[Edge, ...]:
-    """``edges`` with the ports of each owner in ``moves`` moved: an owner
-    mapped to ``(new, shift)`` becomes ``new``, its indices shifted by ``shift``."""
-
-    def move(owner: str, idx: int) -> Port:
-        new, shift = moves.get(owner, (owner, 0))
-        return (new, idx + shift)
-
-    return tuple((move(*a), move(*b)) for a, b in edges)
-
-
-def compose_parallel(a: Diagram, b: Diagram) -> Diagram:
-    """Disjoint union; b's boundary positions follow a's."""
-    if a.dim != b.dim:
-        raise DiagramError("dimension mismatch")
-    a2, b2 = a.with_fresh_ids("a."), b.with_fresh_ids("b.")
-    edges = a2.edges + _moved(b2.edges, {"in": ("in", a.n_inputs), "out": ("out", a.n_outputs)})
-    return Diagram(
-        a.dim,
-        {**a2.nodes, **b2.nodes},
-        edges,
-        a.n_inputs + b.n_inputs,
-        a.n_outputs + b.n_outputs,
-    )
-
-
-def _splice(halves: list[tuple[Any, Any]], nodes: dict[str, Generator], loop_prefix: str) -> list[Edge]:
-    """Join half-edges through their junctions into edges.
-
-    A half-edge end is ``("T", port)``, a port that stays, or
-    ``("J", key)``, a junction where a wire was cut at a seam.  Every
-    junction must sit on exactly two half-edge ends, so each chain of
-    junctions is either a path between two ports, which becomes one
-    edge, or a closed cycle: a free wire loop, worth a scalar D.  Each
-    loop becomes a self-looped white dot (which evaluates to exactly D)
-    named ``loop_prefix`` plus a count, added to ``nodes``.
-    """
-    adj: dict[Any, list[Any]] = {}
-    for u, v in halves:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for u, nbrs in adj.items():
-        if u[0] == "J" and len(nbrs) != 2:
-            raise DiagramError(f"cut point {u[1]} is wired {len(nbrs)} times, expected 2")
-
-    visited: set[Any] = set()
-
-    def follow(cur: Any, back: Any) -> Any:
-        # walk the chain from junction `cur`, entered from `back`, to its
-        # far port, or around a cycle back to `cur`
-        start = cur
-        while True:
-            visited.add(cur)
-            nbrs = list(adj[cur])
-            nbrs.remove(back)
-            cur, back = nbrs[0], cur
-            if cur[0] != "J" or cur == start:
-                return cur
-
-    edges: list[Edge] = []
-    for u, v in halves:
-        if u[0] == "T" and v[0] == "T":
-            edges.append((u[1], v[1]))
-        for t_end, j_end in ((u, v), (v, u)):
-            if t_end[0] == "T" and j_end[0] == "J" and j_end not in visited:
-                edges.append((t_end[1], follow(j_end, t_end)[1]))
-    loops = 0
-    for u, v in halves:
-        for j_end in (u, v):
-            if j_end[0] == "J" and j_end not in visited:
-                follow(j_end, adj[j_end][1])
-                name = f"{loop_prefix}{loops}"
-                loops += 1
-                while name in nodes:
-                    name += "_"
-                nodes[name] = Generator.white(1, 1)
-                edges.append(((name, 0), (name, 1)))
-    return edges
-
-
-def compose_serial(a: Diagram, b: Diagram) -> Diagram:
-    """Run a, then b: a's outputs are fused pairwise to b's inputs."""
-    if a.dim != b.dim:
-        raise DiagramError("dimension mismatch")
-    if a.n_outputs != b.n_inputs:
-        raise DiagramError(f"cannot fuse {a.n_outputs} outputs into {b.n_inputs} inputs")
-    a2, b2 = a.with_fresh_ids("a."), b.with_fresh_ids("b.")
-
-    # terminals keep their identity; a junction glues a.out:k to b.in:k
-    def a_end(p: Port):
-        return ("J", p) if p[0] == "out" else ("T", p)
-
-    def b_end(p: Port):
-        return ("J", ("out", p[1])) if p[0] == "in" else ("T", p)
-
-    halves = [(a_end(x), a_end(y)) for x, y in a2.edges]
-    halves += [(b_end(x), b_end(y)) for x, y in b2.edges]
-    ends = {end for half in halves for end in half}
-    for k in range(a.n_outputs):
-        if ("J", ("out", k)) not in ends:
-            raise DiagramError(f"cut point {('out', k)} is wired 0 times, expected 2")
-    nodes = {**a2.nodes, **b2.nodes}
-    edges = _splice(halves, nodes, "loop")
-    out = Diagram(a.dim, nodes, tuple(edges), a.n_inputs, b.n_outputs)
-    out.validate()
-    return out
-
-
-def adjoint(d: Diagram) -> Diagram:
-    """Swap inputs with outputs and conjugate every node."""
-    nodes = {k: g.conjugate(d.dim) for k, g in d.nodes.items()}
-    edges = _moved(d.edges, {"in": ("out", 0), "out": ("in", 0)})
-    return Diagram(d.dim, nodes, edges, d.n_outputs, d.n_inputs)
 
 
 # =====================================================================

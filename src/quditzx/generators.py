@@ -72,9 +72,6 @@ class AmplitudeFn:
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def conjugate(self) -> "AmplitudeFn":
-        raise NotImplementedError
-
     def _check_domain(self, ctx: MeasureContext, t: np.ndarray) -> None:
         if t.size and (t.min() < ctx.lower or t.max() > ctx.upper):
             raise DomainError(
@@ -87,9 +84,6 @@ class One(AmplitudeFn):
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.ones(t.shape, dtype=complex)
 
-    def conjugate(self) -> AmplitudeFn:
-        return self
-
 
 @dataclass(frozen=True)
 class Zero(AmplitudeFn):
@@ -97,9 +91,6 @@ class Zero(AmplitudeFn):
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.zeros(t.shape, dtype=complex)
-
-    def conjugate(self) -> AmplitudeFn:
-        return self
 
 
 @dataclass(frozen=True)
@@ -110,9 +101,6 @@ class Phase(AmplitudeFn):
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.exp(1j * self.theta * t.astype(np.float64))
-
-    def conjugate(self) -> AmplitudeFn:
-        return Phase(-self.theta)
 
 
 @dataclass(frozen=True)
@@ -126,9 +114,6 @@ class PhaseVec(AmplitudeFn):
         self._check_domain(ctx, t)
         check_amp_dim(self, ctx.dim)
         return np.exp(1j * np.array(self.thetas)[t - ctx.lower])
-
-    def conjugate(self) -> AmplitudeFn:
-        return PhaseVec(tuple(-x for x in self.thetas))
 
 
 @dataclass(frozen=True)
@@ -144,9 +129,6 @@ class Stab(AmplitudeFn):
         tr = t.astype(np.int64) % (2 * ctx.dim)
         return tau_pow_arr(ctx, 2 * (self.a % ctx.dim) * tr + (self.b % (2 * ctx.dim)) * tr * tr)
 
-    def conjugate(self) -> AmplitudeFn:
-        return Stab(-self.a, -self.b)
-
 
 @dataclass(frozen=True)
 class Char(AmplitudeFn):
@@ -157,13 +139,10 @@ class Char(AmplitudeFn):
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return omega_pow_arr(ctx, (self.c % ctx.dim) * (t.astype(np.int64) % ctx.dim))
 
-    def conjugate(self) -> AmplitudeFn:
-        return Char(-self.c)
-
 
 @dataclass(frozen=True)
 class UnitPow(AmplitudeFn):
-    """t -> alpha^t for nonzero alpha (integer powers, so conjugation is exact)."""
+    """t -> alpha^t for nonzero alpha, at integer t."""
 
     alpha: complex
 
@@ -178,9 +157,6 @@ class UnitPow(AmplitudeFn):
         if not np.isfinite(out).all():
             raise OverflowGuardError(f"a power of UnitPow({self.alpha}) leaves the float range")
         return out
-
-    def conjugate(self) -> AmplitudeFn:
-        return UnitPow(self.alpha.conjugate())
 
 
 @dataclass(frozen=True)
@@ -197,9 +173,6 @@ class Table(AmplitudeFn):
         self._check_domain(ctx, t)
         check_amp_dim(self, ctx.dim)
         return np.array(self.values)[t - ctx.lower]
-
-    def conjugate(self) -> AmplitudeFn:
-        return Table(tuple(v.conjugate() for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -223,9 +196,6 @@ class MBox(AmplitudeFn):
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.where(t == self._pivot(ctx), complex(self.alpha), 1.0 + 0j)
 
-    def conjugate(self) -> AmplitudeFn:
-        return MBox(self.k, self.alpha.conjugate())
-
 
 @dataclass(frozen=True)
 class _Members(AmplitudeFn):
@@ -241,9 +211,6 @@ class _Members(AmplitudeFn):
         # an int64 argument never equals a member outside int64
         inside = sorted(x for x in self.members if -(1 << 63) <= x < 1 << 63)
         return np.where(np.isin(t, np.array(inside, dtype=np.int64)), self.HIT, self.MISS)
-
-    def conjugate(self) -> AmplitudeFn:
-        return self
 
 
 class Sign(_Members):
@@ -291,32 +258,6 @@ def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext | None = No
     window = ctx.residues()
     # Python's complex product, which can differ from numpy's in the last bit
     return Table(tuple(x * y for x, y in zip(a.eval_arr(ctx, window).tolist(), b.eval_arr(ctx, window).tolist())))
-
-
-def amp_reflect_conjugate(a: AmplitudeFn, dim: int) -> AmplitudeFn:
-    """t -> conj(a(rho(-t))) on the window, where rho reduces mod `dim`.
-
-    This is the amplitude transform under which a red dot's tensor is
-    entrywise conjugated: the red sum runs over the window, so negating
-    the summation variable reflects arguments through the window (which
-    is asymmetric for even D).  Closed forms exist for the D-periodic
-    variants; the rest fall back to a residues-only Table, which is
-    always legal inside a red dot.
-    """
-    if isinstance(a, (One, Zero)):
-        return a
-    if isinstance(a, Char):
-        return a  # conj(omega^(-c t)) = omega^(c t)
-    if isinstance(a, Stab):
-        return Stab(a.a, -a.b)  # conj(tau^(-2at + bt^2))
-    ctx = MeasureContext(dim)
-    reflected = (-ctx.residues() - ctx.lower) % dim + ctx.lower  # rho(-t) for t = L_D..U_D
-    if isinstance(a, Phase):
-        return PhaseVec(tuple(-a.theta * x for x in reflected.tolist()))
-    check_amp_dim(a, dim)
-    if isinstance(a, PhaseVec):
-        return PhaseVec(tuple(-a.thetas[x - ctx.lower] for x in reflected.tolist()))
-    return Table(tuple(np.conj(a.eval_arr(ctx, reflected)).tolist()))
 
 
 # -- JSON encoding (format shared with the diagram file format) --------
@@ -497,24 +438,6 @@ class Generator:
     @staticmethod
     def not_dot(c: int) -> "Generator":
         return Generator("not", 1, 1, c=c)
-
-    def conjugate(self, dim: int | None = None) -> "Generator":
-        """The generator whose tensor is the entrywise conjugate of this one's.
-
-        hplus and hminus swap; green and hbox conjugate their amplitude
-        pointwise; red reflects it through the window as well (needs
-        `dim`); white/gray/not have real entries and return themselves.
-        """
-        if self.kind == "hplus":
-            return Generator("hminus", self.m, self.n)
-        if self.kind == "hminus":
-            return Generator("hplus", self.m, self.n)
-        if self.kind == "red":
-            if dim is None:
-                raise ValueError("conjugating a red dot needs the dimension")
-            return Generator("red", self.m, self.n, amp=amp_reflect_conjugate(self.amp, dim))
-        amp = self.amp.conjugate() if self.amp is not None else None
-        return Generator(self.kind, self.m, self.n, amp=amp, c=self.c)
 
 
 # ---------------------------------------------------------------- entry builders

@@ -1,4 +1,4 @@
-"""Rule catalog, soundness checking, and anchored rewriting.
+"""Rule catalog and soundness checking.
 
 Every rule is a :class:`RuleSpec`: a pair builder for its two sides and
 its parameters, declared once in order, each with a :class:`Kind`:
@@ -29,12 +29,6 @@ it differs from 1, attach it as a degree-0 H-box named ``scale`` on the
 side that needs it.  At the default normalization those boxes vanish and
 the builders emit the plain figure form; at any other nu they emit the
 balanced form, so both sides always evaluate equal.
-
-Application is anchored: the caller names which host node plays each
-left-side node.  No pattern search happens; the anchor is validated
-(kinds, labels, arities, internal wiring) and the match is then excised
-and replaced by the right side, splicing its boundary into the cut
-wires.
 """
 
 from __future__ import annotations
@@ -52,8 +46,6 @@ import numpy as np
 from quditzx.diagram import (
     Diagram,
     DiagramBuilder,
-    DiagramError,
-    _splice,
     evaluate,  # noqa: F401
     evaluate_blocks,
     evaluate_many,
@@ -80,15 +72,11 @@ from quditzx.tensor import max_abs_diff, max_abs_diff_blocks
 
 
 class RewriteError(ValueError):
-    """Base for rule lookup, parameter, and application failures."""
+    """Base for rule lookup and parameter failures."""
 
 
 class ParamError(RewriteError):
     """A parameter assignment is outside the rule's domain."""
-
-
-class MatchError(RewriteError):
-    """An anchor does not embed the rule's left side in the host."""
 
 
 class ReportSizeError(ValueError):
@@ -1345,97 +1333,3 @@ def _cell_rows(
         rows.append({"rule": spec.id, "dim": ctx.dim, "sample": len(drawn), "params": {}, "max_err": None,
                      "status": "skip"})
     return rows
-
-
-# ---------------------------------------------------------------- application
-
-
-def apply(
-    d: Diagram,
-    rule: RuleSpec | str,
-    params: Params,
-    anchor: dict[str, str],
-    ctx: MeasureContext | None = None,
-) -> Diagram:
-    """Rewrite `d` in place of an anchored occurrence of the rule's left side.
-
-    `anchor` maps every left-side node id to a distinct host node id.
-    Matched nodes must agree in kind, label and leg count, not in their
-    input/output split: generators are flexsymmetric, and a diagram file
-    stores only legs.  Every internal left-side wire must be a host
-    wire; the left side's boundary legs locate the cut wires where the
-    right side is spliced in.  `ctx` selects the builder mode (default:
-    the well-tempered context for d's dimension).
-    """
-    spec = get_rule(rule) if isinstance(rule, str) else rule
-    if ctx is None:
-        ctx = MeasureContext(d.dim)
-    elif ctx.dim != d.dim:
-        raise MatchError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
-    lhs, rhs = instantiate(spec, params, ctx)
-
-    # -- validate the anchor ------------------------------------------------
-    missing = sorted(set(lhs.nodes) - set(anchor))
-    if missing:
-        raise MatchError(f"anchor is missing bindings for left-side node(s) {missing}")
-    extra = sorted(set(anchor) - set(lhs.nodes))
-    if extra:
-        raise MatchError(f"anchor binds unknown left-side node(s) {extra}")
-    matched = set(anchor.values())
-    if len(matched) != len(anchor):
-        raise MatchError("anchor binds two left-side nodes to the same host node")
-    for lid, hid in anchor.items():
-        if hid not in d.nodes:
-            raise MatchError(f"host has no node named {hid!r}")
-        lg, hg = lhs.nodes[lid], d.nodes[hid]
-        if lg.kind != hg.kind:
-            raise MatchError(f"node {hid!r} has kind {hg.kind}, rule wants {lg.kind}")
-        if lg.degree != hg.degree:
-            raise MatchError(f"node {hid!r} has arity {hg.degree}, rule wants {lg.degree}")
-        if (lg.amp, lg.c) != (hg.amp, hg.c):
-            raise MatchError(f"node {hid!r} does not carry the rule's label/amplitude")
-
-    # one pass over the left side's wires: an internal wire must be a host
-    # wire, which the rewrite drops; a boundary leg makes the host port it
-    # lands on a junction, keyed by the boundary position
-    host_port_edge = d.port_edges()
-    dropped: set[int] = set()
-    junction: dict[tuple, tuple] = {}  # matched host port -> lhs boundary port
-    for a, b in lhs.edges:
-        if a[0] not in anchor:
-            a, b = b, a
-        if a[0] not in anchor:
-            raise MatchError("left side has a wire not attached to any node; cannot anchor")
-        pa = (anchor[a[0]], a[1])
-        if b[0] not in anchor:
-            junction[pa] = b
-            continue
-        pb = (anchor[b[0]], b[1])
-        edge = host_port_edge.get(pa)
-        if edge is None or set(d.edges[edge]) != {pa, pb}:
-            raise MatchError(f"host is missing the rule's internal wire {pa} -- {pb}")
-        dropped.add(edge)
-
-    # -- splice -------------------------------------------------------------
-    rhs = rhs.with_fresh_ids("rw.")
-    new_nodes = {k: v for k, v in d.nodes.items() if k not in matched}
-    for k, v in rhs.nodes.items():
-        if k in new_nodes:
-            raise MatchError(f"name collision splicing replacement node {k!r}")
-        new_nodes[k] = v
-
-    # a matched node's leg on a kept wire sits behind a boundary leg, whose
-    # junction joins that wire to what the right side plugs in there
-    def end_of(port) -> tuple:
-        return ("J", junction[port]) if port[0] in matched else ("T", port)
-
-    halves = [(end_of(a), end_of(b)) for i, (a, b) in enumerate(d.edges) if i not in dropped]
-    halves += [tuple(("J", p) if p[0] in ("in", "out") else ("T", p) for p in e) for e in rhs.edges]
-    try:
-        new_edges = _splice(halves, new_nodes, "rw.loop")
-    except DiagramError as exc:
-        raise MatchError(str(exc)) from exc
-
-    out = Diagram(d.dim, new_nodes, tuple(new_edges), d.n_inputs, d.n_outputs)
-    out.validate()
-    return out

@@ -1,4 +1,4 @@
-"""Diagram construction, evaluation, composition, and serialization."""
+"""Diagram construction, evaluation, and serialization."""
 
 from __future__ import annotations
 
@@ -28,9 +28,6 @@ from quditzx.diagram import (
     Diagram,
     DiagramBuilder,
     DiagramError,
-    adjoint,
-    compose_parallel,
-    compose_serial,
     dump_json,
     evaluate,
     evaluate_blocks,
@@ -57,7 +54,7 @@ from quditzx.generators import (
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, residue
 from quditzx.rewrite import _BLOCK_ABOVE, CATALOG, check_all, instantiate
-from quditzx.tensor import Tensor, compose, max_abs_diff, tensor_product
+from quditzx.tensor import Tensor, max_abs_diff
 
 
 def node_diagram(dim: int, gen: Generator) -> Diagram:
@@ -298,102 +295,6 @@ def random_diagram(rng: np.random.Generator, dim: int, n_nodes: int, n_in: int, 
     return b.build()
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_serial_composition_is_functorial(dim: int) -> None:
-    ctx = MeasureContext(dim)
-    rng = np.random.default_rng(100 + dim)
-    for trial in range(8):
-        mid = int(rng.integers(0, 3))
-        a = random_diagram(rng, dim, int(rng.integers(1, 4)), int(rng.integers(0, 3)), mid)
-        bdiag = random_diagram(rng, dim, int(rng.integers(1, 4)), a.n_outputs, int(rng.integers(0, 3)))
-        fused = compose_serial(a, bdiag)
-        got = evaluate(fused, ctx)
-        want = compose(evaluate(a, ctx), evaluate(bdiag, ctx))
-        assert max_abs_diff(got, want) < 1e-9
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_parallel_composition_is_monoidal(dim: int) -> None:
-    ctx = MeasureContext(dim)
-    rng = np.random.default_rng(200 + dim)
-    for trial in range(6):
-        a = random_diagram(rng, dim, 2, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        c = random_diagram(rng, dim, 2, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        got = evaluate(compose_parallel(a, c), ctx)
-        want = tensor_product(evaluate(a, ctx), evaluate(c, ctx))
-        assert max_abs_diff(got, want) < 1e-9
-
-
-def test_snake_composition_gives_identity() -> None:
-    dim = 3
-    ctx = MeasureContext(dim)
-    cup = DiagramBuilder(dim)
-    cup.wire(("out", 0), ("out", 1))
-    idw = DiagramBuilder(dim)
-    idw.wire("in", "out")
-    top = compose_parallel(cup.build(), idw.build())  # 1 -> 3
-    cap = DiagramBuilder(dim)
-    cap.wire(("in", 0), ("in", 1))
-    idw2 = DiagramBuilder(dim)
-    idw2.wire("in", "out")
-    bottom = compose_parallel(idw2.build(), cap.build())  # 3 -> 1
-    snake = compose_serial(top, bottom)
-    t = evaluate(snake, ctx)
-    assert np.allclose(t.data, np.eye(dim))
-
-
-def test_cup_then_cap_makes_closed_loop() -> None:
-    dim = 5
-    cup = DiagramBuilder(dim)
-    cup.wire(("out", 0), ("out", 1))
-    cap = DiagramBuilder(dim)
-    cap.wire(("in", 0), ("in", 1))
-    loop = compose_serial(cup.build(), cap.build())
-    t = evaluate(loop, MeasureContext(dim))
-    assert abs(complex(t.data) - dim) < 1e-12
-
-
-def _side_by_side(k: int, dim: int, side: str) -> Diagram:
-    one = DiagramBuilder(dim)
-    one.wire((side, 0), (side, 1))
-    d = one.build()
-    for _ in range(k - 1):
-        d = compose_parallel(d, one.build())
-    return d
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-def test_cups_then_caps_make_k_closed_loops(dim: int, k: int) -> None:
-    loops = compose_serial(_side_by_side(k, dim, "out"), _side_by_side(k, dim, "in"))
-    assert len(loops.nodes) == k
-    for name, gen in loops.nodes.items():
-        assert gen.kind == "white" and ((name, 0), (name, 1)) in loops.edges
-    t = evaluate(loops, MeasureContext(dim))
-    assert abs(complex(t.data) - dim**k) < 1e-9
-
-
-def test_serial_composition_rejects_bad_seam() -> None:
-    b = DiagramBuilder(3)
-    b.wire("in", "out")
-    b.wire("in", "out")
-    pair = b.build()
-    # out:1 is never wired, so its seam point has one end
-    dangling = Diagram(3, {}, ((("in", 0), ("out", 0)),), 1, 2)
-    with pytest.raises(DiagramError, match="wired 1 times"):
-        compose_serial(dangling, pair)
-    # out:0 is wired twice, so its seam point has three ends
-    double = Diagram(
-        3, {}, ((("in", 0), ("out", 0)), (("in", 1), ("out", 0)), (("in", 2), ("out", 1))), 3, 2
-    )
-    with pytest.raises(DiagramError, match="wired 3 times"):
-        compose_serial(double, pair)
-    # out:1 of a and in:1 of b are both unwired, so its seam point has no end
-    half = Diagram(3, {}, ((("in", 0), ("out", 0)),), 2, 1)
-    with pytest.raises(DiagramError, match="wired 0 times"):
-        compose_serial(dangling, half)
-
-
 def test_evaluation_independent_of_node_order() -> None:
     dim = 3
     ctx = MeasureContext(dim)
@@ -475,7 +376,7 @@ def flat_einsum(d: Diagram, ctx: MeasureContext, fuse_white: bool = False) -> Te
     this keeps large normal forms under numpy's limit of 52 indices.
     """
     D = d.dim
-    port_edge = d.port_edges()
+    port_edge = {port: e for e, edge in enumerate(d.edges) for port in edge}
     parent = list(range(len(d.edges)))
 
     def find(e: int) -> int:
@@ -590,13 +491,16 @@ KINDS = ["white", "green", "red", "gray", "hbox", "hplus", "hminus", "not"]
 
 
 @st.composite
-def small_diagrams(draw, dim: int | None = None, n_in: int | None = None) -> Diagram:
+def small_diagrams(draw, dim: int | None = None, n_in: int | None = None, max_nodes: int = 4,
+                   min_nots: int = 0) -> Diagram:
     """A valid diagram at D=2..4 (or at ``dim``): a red or gray dot and up
-    to four more nodes, wired at random, with 0..2 inputs (or ``n_in``).
-    It can hold rank-0 nodes of every kind, red and gray dots of degree
-    0..6, self-loops, parallel edges and boundary-to-boundary wires."""
+    to ``max_nodes`` more nodes, ``min_nots`` of them or more not dots,
+    wired at random, with 0..2 inputs (or ``n_in``).  It can hold rank-0
+    nodes of every kind, red and gray dots of degree 0..6, self-loops,
+    parallel edges and boundary-to-boundary wires."""
     dim = draw(st.integers(2, 4)) if dim is None else dim
-    kinds = [draw(st.sampled_from(["red", "gray"]))] + draw(st.lists(st.sampled_from(KINDS), max_size=4))
+    kinds = [draw(st.sampled_from(["red", "gray"]))] + ["not"] * min_nots
+    kinds += draw(st.lists(st.sampled_from(KINDS), max_size=max_nodes - min_nots))
     nodes: dict = {}
     for k, kind in enumerate(kinds):
         if kind in ("hplus", "hminus", "not"):
@@ -633,37 +537,14 @@ def test_random_diagrams_match_flat_einsum(d: Diagram, split_all: bool, nu: floa
     assert max_abs_diff(cold, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data)))
 
 
-def assert_close(got: Tensor, want: Tensor) -> None:
-    assert (got.in_legs, got.out_legs) == (want.in_legs, want.out_legs)
-    assert max_abs_diff(got, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data)))
-
-
 @settings(max_examples=150, deadline=None)
-@given(small_diagrams(), st.sampled_from([None, 0.8]))
-def test_random_adjoints_evaluate_to_the_adjoint(d: Diagram, nu: float | None) -> None:
-    # every kind's conjugate, red dots' reflection included
-    ctx = MeasureContext(d.dim, nu)
-    assert_close(evaluate(adjoint(d), ctx), evaluate(d, ctx).adjoint())
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda dim: st.tuples(small_diagrams(dim), small_diagrams(dim))),
+@given(st.integers(2, 8).flatmap(lambda nots: small_diagrams(max_nodes=8, min_nots=nots)), st.booleans(),
        st.sampled_from([None, 0.8]))
-def test_random_parallel_compositions_evaluate_to_the_tensor_product(pair, nu: float | None) -> None:
-    a, b = pair
-    ctx = MeasureContext(a.dim, nu)
-    assert_close(evaluate(compose_parallel(a, b), ctx), tensor_product(evaluate(a, ctx), evaluate(b, ctx)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda dim: small_diagrams(dim).flatmap(
-    lambda a: st.tuples(st.just(a), small_diagrams(dim, n_in=a.n_outputs)))), st.sampled_from([None, 0.8]))
-def test_random_serial_compositions_evaluate_to_the_composite(pair, nu: float | None) -> None:
-    # the splice joins wires through the seam, so not dots of the two
-    # sides form chains, cycles and loops
-    a, b = pair
-    ctx = MeasureContext(a.dim, nu)
-    assert_close(evaluate(compose_serial(a, b), ctx), compose(evaluate(a, ctx), evaluate(b, ctx)))
+def test_random_not_chains_match_flat_einsum(d: Diagram, split_all: bool, nu: float | None) -> None:
+    # up to nine nodes, two to eight of them not dots, wired at random: not
+    # dots joined to each other make chains, which the planner absorbs as
+    # relabellings, and cycles, which stay dense factors
+    test_random_diagrams_match_flat_einsum.hypothesis.inner_test(d, split_all, nu)
 
 
 def plan_steps(steps) -> list:
@@ -1648,17 +1529,6 @@ def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> Non
     assert dg._PLANS.size == sum(sizes)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_adjoint_evaluates_to_conjugate_transpose(dim: int) -> None:
-    ctx = MeasureContext(dim)
-    rng = np.random.default_rng(300 + dim)
-    for trial in range(6):
-        d = random_diagram(rng, dim, 3, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        got = evaluate(adjoint(d), ctx)
-        want = evaluate(d, ctx).adjoint()
-        assert max_abs_diff(got, want) < 1e-9
-
-
 def test_json_round_trip_preserves_value() -> None:
     dim = 3
     ctx = MeasureContext(dim)
@@ -1865,19 +1735,6 @@ def test_invalid_diagram_fails_every_evaluation() -> None:
             evaluate(d, ctx)
         with pytest.raises(DiagramError, match="dangling"):
             d.validate()
-
-
-def test_derived_diagrams_are_validated_on_first_evaluation() -> None:
-    ctx = MeasureContext(3)
-    b = DiagramBuilder(3)
-    b.wire("in", "out")
-    good, bad = b.build(), dangling_diagram()
-    for d in (compose_parallel(good, bad), compose_parallel(bad, good), adjoint(bad), bad.with_fresh_ids("p.")):
-        for _ in range(2):
-            with pytest.raises(DiagramError, match="dangling"):
-                evaluate(d, ctx)
-    for d in (compose_parallel(good, good), adjoint(good), good.with_fresh_ids("p.")):
-        assert evaluate(d, ctx).data.shape == (3,) * (d.n_inputs + d.n_outputs)
 
 
 def test_validated_diagram_is_not_checked_again() -> None:

@@ -69,6 +69,27 @@ def test_no_module_level_definition_is_dead() -> None:
     assert dead == []
 
 
+def test_no_module_level_import_is_unused() -> None:
+    """Every name that a top-level import of the package binds is read in
+    its module, unless its line says ``# noqa: F401``."""
+    unused = []
+    for path in sorted((ROOT / "src" / "quditzx").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                bound = [(alias, alias.asname or alias.name.partition(".")[0]) for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                bound = [(alias, alias.asname or alias.name) for alias in stmt.names]
+            else:
+                continue
+            unused += [f"{path.name}:{name}" for alias, name in bound
+                       if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]]
+    assert unused == []
+
+
 def test_no_nested_function_is_dead() -> None:
     """Every function defined inside a function of the package is loaded
     by name somewhere in the function that encloses it."""

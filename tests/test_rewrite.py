@@ -1,4 +1,4 @@
-"""Rewrite catalog tests: soundness, parameter domains, and application.
+"""Rewrite catalog tests: soundness and parameter domains.
 
 Soundness is always judged the same way: build both sides, contract
 both sides, compare entrywise.  The builders and the contraction engine
@@ -21,16 +21,14 @@ import pytest
 import quditzx.diagram as dg
 import quditzx.rewrite as rw
 import quditzx.tensor as tn
-from quditzx.diagram import Diagram, DiagramBuilder, dump_json, evaluate, load_json
-from quditzx.generators import Char, Generator, One, Phase, Stab
+from quditzx.diagram import DiagramBuilder, dump_json, evaluate
+from quditzx.generators import Char, Generator, One, Stab
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.rewrite import (
     CATALOG,
     NU_ANY_RULES,
-    MatchError,
     ParamError,
     RewriteError,
-    apply,
     check_all,
     check_soundness,
     get_rule,
@@ -777,225 +775,3 @@ def test_zero_divisor_rule_first_valid_dimension():
     lhs, _ = instantiate("ZX-ZSP", {"u": 3, "t": 4, "tp": 2}, MeasureContext(8))
     val = evaluate(lhs, MeasureContext(8))
     assert abs(complex(val.data)) <= 1e-12
-
-
-# ---------------------------------------------------------------------
-# application
-# ---------------------------------------------------------------------
-
-
-def _phase_chain_host(dim=5):
-    b = DiagramBuilder(dim)
-    p1 = b.node(Generator.green(Phase(0.3), 1, 1), "p1")
-    p2 = b.node(Generator.green(Phase(0.5), 1, 1), "p2")
-    h = b.node(Generator.hplus(), "h")
-    b.wire("in", p1)
-    b.wire(p1, p2)
-    b.wire(p2, h)
-    b.wire(h, "out")
-    return b.build()
-
-
-def test_apply_phase_fusion_preserves_tensor():
-    host = _phase_chain_host()
-    ctx = MeasureContext(5)
-    out = apply(host, "ZX-GFP", {"theta": 0.3, "phi": 0.5}, {"n0": "p1", "n1": "p2"}, ctx)
-    assert "p1" not in out.nodes and "p2" not in out.nodes and "h" in out.nodes
-    fused = [g for name, g in out.nodes.items() if name.startswith("rw.")]
-    assert len(fused) == 1 and fused[0].amp == Phase(0.8)
-    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-10
-
-
-def test_apply_wire_rhs_rewires_through():
-    b = DiagramBuilder(5)
-    g = b.node(Generator.green(One(), 1, 1), "gid")
-    p = b.node(Generator.green(Phase(1.1), 1, 1), "p")
-    b.wire("in", g)
-    b.wire(g, p)
-    b.wire(p, "out")
-    host = b.build()
-    ctx = MeasureContext(5)
-    out = apply(host, "ZX-GI", {}, {"n0": "gid"}, ctx)
-    assert sorted(out.nodes) == ["p"]
-    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-12
-
-
-def test_apply_self_loop_becomes_free_loop():
-    # tracing out an identity dot leaves a scalar loop worth D
-    b = DiagramBuilder(5)
-    g = b.node(Generator.green(One(), 1, 1), "gloop")
-    b.wire((g, 0), (g, 1))
-    b.wire("in", "out")
-    host = b.build()
-    ctx = MeasureContext(5)
-    out = apply(host, "ZX-GI", {}, {"n0": "gloop"}, ctx)
-    assert any(name.startswith("rw.loop") for name in out.nodes)
-    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-12
-
-
-def test_apply_free_loop_name_avoids_host_names():
-    b = DiagramBuilder(5)
-    g = b.node(Generator.green(One(), 1, 1), "gloop")
-    b.wire((g, 0), (g, 1))
-    w = b.node(Generator.green(Phase(0.4), 1, 1), "rw.loop0")
-    b.wire("in", w)
-    b.wire(w, "out")
-    host = b.build()
-    ctx = MeasureContext(5)
-    out = apply(host, "ZX-GI", {}, {"n0": "gloop"}, ctx)
-    assert out.nodes["rw.loop0"] == host.nodes["rw.loop0"]
-    (loop,) = set(out.nodes) - {"rw.loop0"}
-    assert loop.startswith("rw.loop") and out.nodes[loop] == Generator.white(1, 1)
-    free = Diagram(5, {loop: out.nodes[loop]}, (((loop, 0), (loop, 1)),), 0, 0)
-    assert abs(complex(evaluate(free, ctx).data) - 5) < 1e-12
-    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-12
-
-
-def test_apply_disconnecting_rule():
-    # copying a char state through a branch dot splits the diagram
-    ctx = MeasureContext(3)
-    b = DiagramBuilder(3)
-    r = b.node(Generator.red(Char(1), 0, 1), "st")
-    g = b.node(Generator.green(One(), 1, 2), "br")
-    b.wire(r, (g, 0))
-    b.wire((g, 1), "out")
-    b.wire((g, 2), "out")
-    host = b.build()
-    out = apply(host, "ZX-CPY", {"a": 1, "n": 2}, {"r0": "st", "g0": "br"}, ctx)
-    assert len(out.nodes) == 2
-    assert all(g.kind == "red" for g in out.nodes.values())
-    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-12
-
-
-@pytest.mark.parametrize("nu", [None, 0.7])
-def test_apply_mode_matches_context(nu):
-    ctx = MeasureContext(4, nu)
-    b = DiagramBuilder(4)
-    h1 = b.node(Generator.hplus(), "a")
-    h2 = b.node(Generator.hminus(), "b")
-    p = b.node(Generator.green(Phase(0.9), 1, 1), "p")
-    b.wire("in", h1)
-    b.wire(h1, h2)
-    b.wire(h2, p)
-    b.wire(p, "out")
-    host = b.build()
-    out = apply(host, "ZX-HI", {}, {"n0": "a", "n1": "b"}, ctx)
-    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-10
-    has_box = any(name.endswith("scale") for name in out.nodes)
-    assert has_box == (nu is not None)
-
-
-def test_apply_inner_rule_in_larger_host():
-    # double negation collapse inside a longer chain
-    ctx = MeasureContext(6)
-    b = DiagramBuilder(6)
-    pre = b.node(Generator.hplus(), "pre")
-    n1 = b.node(Generator.not_dot(2), "x1")
-    n2 = b.node(Generator.not_dot(5), "x2")
-    post = b.node(Generator.green(Phase(0.2), 1, 1), "post")
-    b.wire("in", pre)
-    b.wire(pre, n1)
-    b.wire(n1, n2)
-    b.wire(n2, post)
-    b.wire(post, "out")
-    host = b.build()
-    out = apply(host, "ZH-ND", {"c1": 2, "c2": 5}, {"n0": "x1", "n1": "x2"}, ctx)
-    assert max_abs_diff(evaluate(host, ctx), evaluate(out, ctx)) <= 1e-10
-    kinds = sorted(g.kind for g in out.nodes.values())
-    assert "gray" in kinds and "not" in kinds
-
-
-def test_apply_error_reports_first_failure():
-    host = _phase_chain_host()
-    ctx = MeasureContext(5)
-    ok = {"theta": 0.3, "phi": 0.5}
-    with pytest.raises(MatchError, match="missing bindings"):
-        apply(host, "ZX-GFP", ok, {"n0": "p1"}, ctx)
-    with pytest.raises(MatchError, match="unknown left-side"):
-        apply(host, "ZX-GFP", ok, {"n0": "p1", "n1": "p2", "zz": "h"}, ctx)
-    with pytest.raises(MatchError, match="no node named"):
-        apply(host, "ZX-GFP", ok, {"n0": "p1", "n1": "ghost"}, ctx)
-    with pytest.raises(MatchError, match="same host node"):
-        apply(host, "ZX-GFP", ok, {"n0": "p1", "n1": "p1"}, ctx)
-    with pytest.raises(MatchError, match="kind"):
-        apply(host, "ZX-GFP", ok, {"n0": "p1", "n1": "h"}, ctx)
-    with pytest.raises(MatchError, match="label/amplitude"):
-        apply(host, "ZX-GFP", {"theta": 0.3, "phi": 0.9}, {"n0": "p1", "n1": "p2"}, ctx)
-    with pytest.raises(MatchError, match="dimension"):
-        apply(host, "ZX-GFP", ok, {"n0": "p1", "n1": "p2"}, MeasureContext(4))
-
-
-def test_apply_checks_internal_wiring():
-    # two dots with matching labels that are not actually adjacent
-    b = DiagramBuilder(5)
-    p1 = b.node(Generator.green(Phase(0.3), 1, 1), "p1")
-    h = b.node(Generator.hplus(), "h")
-    p2 = b.node(Generator.green(Phase(0.5), 1, 1), "p2")
-    b.wire("in", p1)
-    b.wire(p1, h)
-    b.wire(h, p2)
-    b.wire(p2, "out")
-    host = b.build()
-    with pytest.raises(MatchError, match="internal wire"):
-        apply(host, "ZX-GFP", {"theta": 0.3, "phi": 0.5}, {"n0": "p1", "n1": "p2"}, MeasureContext(5))
-
-
-def test_apply_checks_arity():
-    b = DiagramBuilder(5)
-    g = b.node(Generator.green(One(), 1, 2), "big")
-    b.wire("in", g)
-    b.wire(g, "out")
-    b.wire(g, "out")
-    host = b.build()
-    with pytest.raises(MatchError, match="arity"):
-        apply(host, "ZX-GI", {}, {"n0": "big"}, MeasureContext(5))
-
-
-def test_apply_rejects_extra_wire_between_matched_nodes():
-    # a second wire between the matched dots has no rule counterpart;
-    # with both dots 1->1 this shows up as an arity mismatch
-    b = DiagramBuilder(5)
-    p1 = b.node(Generator.green(Phase(0.3), 1, 2), "p1")
-    p2 = b.node(Generator.green(Phase(0.5), 2, 1), "p2")
-    b.wire("in", p1)
-    b.wire((p1, 1), (p2, 0))
-    b.wire((p1, 2), (p2, 1))
-    b.wire((p2, 2), "out")
-    host = b.build()
-    with pytest.raises(MatchError):
-        apply(host, "ZX-GFP", {"theta": 0.3, "phi": 0.5}, {"n0": "p1", "n1": "p2"}, MeasureContext(5))
-
-
-def test_apply_random_rule_instances_preserve_semantics():
-    # splice each rule's own left side into a small host, rewrite, and
-    # compare against the right side composed the same way
-    rng = np.random.default_rng(77)
-    dim = 4
-    ctx = MeasureContext(dim)
-    for rid in ("ZX-RGC", "ZH-GWC", "ZH-MF", "ZH-HWB", "ZX-NS", "ZH-GF"):
-        spec = get_rule(rid)
-        params = spec.sample(dim, rng)
-        lhs, _ = instantiate(spec, params, ctx)
-        anchor = {name: name for name in lhs.nodes}
-        out = apply(lhs, spec, params, anchor, ctx)
-        err = max_abs_diff(evaluate(lhs, ctx), evaluate(out, ctx))
-        assert err <= 1e-8, (rid, params, err)
-
-
-@pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
-def test_apply_self_anchored_built_and_loaded_hosts(rule_id):
-    # each rule's left side anchored to itself, once as built and once as
-    # read back from its diagram file, which keeps legs but no in/out split
-    spec = get_rule(rule_id)
-    for dim in (2, 3, 4):
-        params = spec.sample(dim, np.random.default_rng([ALL_RULE_IDS.index(rule_id), dim]))
-        if params is None:
-            continue
-        for nu in (None, 0.8):
-            ctx = MeasureContext(dim, nu)
-            lhs, _ = instantiate(spec, params, ctx)
-            anchor = {name: name for name in lhs.nodes}
-            for host in (lhs, load_json(dump_json(lhs))):
-                out = apply(host, spec, params, anchor, ctx)
-                err = max_abs_diff(evaluate(host, ctx), evaluate(out, ctx))
-                assert err <= 1e-8, (rule_id, dim, nu, params, err)
