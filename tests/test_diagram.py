@@ -491,14 +491,13 @@ KINDS = ["white", "green", "red", "gray", "hbox", "hplus", "hminus", "not"]
 
 
 @st.composite
-def small_diagrams(draw, dim: int | None = None, n_in: int | None = None, max_nodes: int = 4,
-                   min_nots: int = 0) -> Diagram:
-    """A valid diagram at D=2..4 (or at ``dim``): a red or gray dot and up
-    to ``max_nodes`` more nodes, ``min_nots`` of them or more not dots,
-    wired at random, with 0..2 inputs (or ``n_in``).  It can hold rank-0
-    nodes of every kind, red and gray dots of degree 0..6, self-loops,
-    parallel edges and boundary-to-boundary wires."""
-    dim = draw(st.integers(2, 4)) if dim is None else dim
+def small_diagrams(draw, max_nodes: int = 4, min_nots: int = 0) -> Diagram:
+    """A valid diagram at D=2..4: a red or gray dot and up to
+    ``max_nodes`` more nodes, ``min_nots`` of them or more not dots, wired
+    at random, with 0..2 inputs.  It can hold rank-0 nodes of every kind,
+    red and gray dots of degree 0..6, self-loops, parallel edges and
+    boundary-to-boundary wires."""
+    dim = draw(st.integers(2, 4))
     kinds = [draw(st.sampled_from(["red", "gray"]))] + ["not"] * min_nots
     kinds += draw(st.lists(st.sampled_from(KINDS), max_size=max_nodes - min_nots))
     nodes: dict = {}
@@ -511,7 +510,7 @@ def small_diagrams(draw, dim: int | None = None, n_in: int | None = None, max_no
             amp = draw(st.sampled_from(AMPS)) if kind in ("green", "red", "hbox") else None
             gen = Generator(kind, m, deg - m, amp=amp)
         nodes[f"{kind}{k}"] = gen
-    n_in, n_out = draw(st.integers(0, 2)) if n_in is None else n_in, draw(st.integers(0, 2))
+    n_in, n_out = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     ports = [(name, leg) for name, gen in nodes.items() for leg in range(gen.degree)]
     ports += [("in", i) for i in range(n_in)] + [("out", j) for j in range(n_out)]
     if len(ports) % 2:
