@@ -12,15 +12,15 @@ allowed.
 Ports are numbered legs node by node, then the outputs, then the
 inputs, and a diagram's wiring is its port table: the two numbers of
 each edge, in edge order, in an ``array('i')`` that ``_structure``
-reads.  ``DiagramBuilder`` numbers each end as it wires it and the
-loader each ``"owner:index"`` as it parses it, so checking such a table
-is a count: every number is in range by construction, and the table must
-hold each port once.  Only on an anomaly do they fall back to edge
-tuples and ``validate``, which names the first bad port.  The writer
-works from the table too.  ``edges``, the ``(owner, index)`` pairs, is
-derived from the table when something first reads it (``==``,
-``repr``, the benchmark's tracer, tests); a diagram made directly from
-edges gets its table from ``validate``.  Either way a diagram is not checked again.
+reads.  ``DiagramBuilder`` numbers each end as it wires it, the loader
+each ``"owner:index"`` as it parses it, and ``validate`` each end of a
+diagram made directly from edges.  A reference to no port is set aside
+as it is met, so the table holds only numbers in range, and
+``_port_table`` checks it by a count; only where the count fails does it
+name ports, to say which one is repeated or unwired.  The writer works
+from the table too.  ``edges``, the ``(owner, index)`` pairs, is derived
+from the table when something first reads it (``==``, ``repr``, the
+benchmark's tracer, tests).  A diagram is not checked again.
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
@@ -102,18 +102,16 @@ maps, are equal (``==``) in every diagram of the batch keeps one factor
 array; any other factor, a boundary delta included, is stacked on a
 leading batch axis, and so is every array made from one.  The batch axis
 belongs to the arrays, not to the call: each step reads it off its
-operands, as one axis more than the step's sublist.  A step below
-``_MATMUL_MIN`` with a batched operand runs as one ``np.einsum`` with
-``Ellipsis`` leading each sublist, so an operand without the batch axis
-broadcasts; a matmul-size one runs once per batch entry (``_pairwise``).
-A step with no batched operand, as is every step of a batch of one, runs
-the plain kernels.  So a batched tensor equals what its diagram gives
-alone up to rounding, not always bit for bit: a pairwise ``np.einsum``
-over the batch may sum in another order than the plain call (at D=2, a
-3-leg red dot with Phase(0.7), two legs joined through an hplus and one
-on a white pad, gives 0.9999999999999996+0j alone and
+operands, as one axis more than the step's sublist.  Every ``np.einsum``
+has ``Ellipsis`` leading each sublist, and a matmul-size step runs as
+one ``np.matmul`` (``_pairwise``), so on either kernel an operand
+without the batch axis broadcasts.  So a batched tensor equals what its
+diagram gives alone up to rounding, not always bit for bit: a pairwise
+``np.einsum`` over the batch may sum in another order than the same step
+alone (at D=2, a 3-leg red dot with Phase(0.7), two legs joined through
+an hplus and one on a white pad, gives 0.9999999999999996+0j alone and
 0.9999999999999996+1.1e-16j in a batch).  One-factor steps over the
-batch, sums and reorders, give each entry the plain call's bits, and
+batch, sums and reorders, give each entry the bits it gets alone, and
 every rule side of the soundness matrix at D=2..6 comes out bit for
 bit.  A batch holds at most ``_MATMUL_MIN`` entries in any array (batch
 times D^max(top, widest dense degree)): past that the per-call overhead
@@ -144,11 +142,12 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import threading
 from array import array
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -256,52 +255,88 @@ class Diagram:
         was made, by ``build``, ``load_json`` or an earlier call, and is not
         checked again, so its node dict must not change after that.  For a
         diagram made from edges, this numbers their ports through the
-        nodes' spans, and the first bad port in edge order names the error.
+        nodes' spans, and ``_port_table`` names the first fault.
         """
         if self._ports is not None:
             return
-        sizes = [(name, gen.degree) for name, gen in self.nodes.items()]
-        sizes += [("out", self.n_outputs), ("in", self.n_inputs)]
         spans, n_ports = {}, 0  # each owner's first port number and port count
-        for owner, size in sizes:
-            spans[owner] = (n_ports, size)
-            n_ports += size
-        if len(spans) < len(sizes):  # a node named like a boundary side
-            name = next(side for side in _RESERVED if side in self.nodes)
-            raise DiagramError(f"node name {name!r} is reserved for the boundary")
-        # port numbers and 4 * degree + mode codes must fit an array('i')
-        if n_ports > 1 << 29:
-            raise DiagramError(f"the diagram has {n_ports} ports, more than {1 << 29}")
-        if n_ports == 1 << 29:  # a node may hold every port
-            for name, size in sizes[:-2]:
-                if size == n_ports:
-                    raise DiagramError(f"node {name!r} has {size} legs, more than {size - 1}")
-        ports = array("i")
+        for name, gen in self.nodes.items():
+            spans[name] = (n_ports, gen.degree)
+            n_ports += gen.degree
+        n_out, n_in = self.n_outputs, self.n_inputs
+        spans["out"], spans["in"] = (n_ports, n_out), (n_ports + n_out, n_in)
+        ports, bad = [], []
         for edge in self._edges:
             if len(edge) != 2:
                 raise DiagramError(f"edge {edge!r} does not join two ports")
-            for owner, idx in edge:
-                span = spans.get(owner)
-                if span is None:
-                    raise DiagramError(f"edge references unknown node {owner!r}")
-                if not 0 <= idx < span[1]:
-                    if owner in _RESERVED:
-                        raise DiagramError(f"{'input' if owner == 'in' else 'output'} position {idx} out of range")
-                    raise DiagramError(f"leg {idx} out of range for node {owner!r}")
-                ports.append(span[0] + idx)
-        if len(ports) == n_ports == len(set(ports)):
-            vars(self)["_ports"] = ports
-            return
-        seen = Counter(port for edge in self._edges for port in edge)
-        for port, count in seen.items():
-            if count > 1:
-                raise DiagramError(f"port {port} used {count} times")
-        # this walk stops at the first unwired port, so it is no longer than the edges
-        for k, (owner, size) in enumerate(sizes):
-            for idx in range(size):
-                if (owner, idx) not in seen:
-                    what = f"leg {idx} of node {owner!r}" if k < len(self.nodes) else f"boundary port {owner}:{idx}"
-                    raise DiagramError(f"{what} is dangling")
+            for end in edge:
+                idx = _port_index(end)
+                span = spans.get(end[0])
+                if span is not None and 0 <= idx < span[1]:
+                    ports.append(span[0] + idx)
+                else:
+                    bad.append(_port_error(end[0], idx, spans))
+        vars(self)["_ports"] = _port_table(ports, bad, self.nodes, n_out, n_in, n_ports)
+
+
+def _port_index(ref: Any) -> int:
+    """The index of the explicit port ``ref``, an ``(owner, index)`` pair; else ``DiagramError``.
+
+    The owner must be a non-empty str and the index an int, read with
+    ``operator.index``: a float or a str is refused, and so is a bool, as
+    ``measure.dimension`` refuses one.
+    """
+    owner, idx = ref if isinstance(ref, tuple) and len(ref) == 2 else (None, None)
+    if isinstance(owner, str) and owner and hasattr(idx, "__index__") and not isinstance(idx, bool):
+        return operator.index(idx)
+    raise DiagramError(f"bad port reference {ref!r}")
+
+
+def _port_error(owner: str, idx: int, spans: Container[str]) -> DiagramError:
+    """The error for the port ``(owner, idx)``, which no owner in ``spans`` has."""
+    if owner in _RESERVED:
+        return DiagramError(f"{'input' if owner == 'in' else 'output'} position {idx} out of range")
+    if owner in spans:
+        return DiagramError(f"leg {idx} out of range for node {owner!r}")
+    return DiagramError(f"edge references unknown node {owner!r}")
+
+
+def _port_table(ports: list[int], bad: list[DiagramError], nodes: dict[str, Generator], n_outputs: int,
+                n_inputs: int, n_legs: int) -> array:
+    """``ports``, the port numbers of a diagram's references in order, as its port table.
+
+    ``bad`` holds the errors for the references to no port, which
+    ``ports`` leaves out, in reference order; ``n_legs`` is the nodes'
+    legs in all.  Faults raise ``DiagramError`` in this order: a node
+    named like a boundary side, or more ports than an ``array('i')`` of
+    port numbers and ``4 * degree + mode`` codes holds; the first of
+    ``bad``; the first repeated port; the lowest unwired port.  A valid
+    table costs a count.  Ports are named only on failure, by a walk no
+    longer than ``ports``.
+    """
+    n_ports = n_legs + n_outputs + n_inputs
+    for side in _RESERVED:
+        if side in nodes:
+            raise DiagramError(f"node name {side!r} is reserved for the boundary")
+    if n_ports > 1 << 29:
+        raise DiagramError(f"the diagram has {n_ports} ports, more than {1 << 29}")
+    if n_ports == 1 << 29:  # a node may hold every port
+        for name, gen in nodes.items():
+            if gen.degree == n_ports:
+                raise DiagramError(f"node {name!r} has {n_ports} legs, more than {n_ports - 1}")
+    if bad:
+        raise bad[0]
+    if len(ports) == n_ports == len(set(ports)):
+        return array("i", ports)
+    sizes = [(name, gen.degree) for name, gen in nodes.items()]
+    port = _port_names(sizes + [("out", n_outputs), ("in", n_inputs)])
+    seen = Counter(ports)
+    for p, count in seen.items():
+        if count > 1:
+            raise DiagramError(f"port {port(p)} used {count} times")
+    owner, idx = port(next(p for p in itertools.count() if p not in seen))
+    what = f"boundary port {owner}:{idx}" if owner in _RESERVED else f"leg {idx} of node {owner!r}"
+    raise DiagramError(f"{what} is dangling")
 
 
 def _port_names(sizes: Iterable[tuple[str, int]]) -> Any:
@@ -328,17 +363,6 @@ def _derive_edges(d: Diagram) -> tuple[Edge, ...]:
     return tuple(zip(ends[::2], ends[1::2]))
 
 
-def _checked(ports: list[int], n_ports: int) -> array | None:
-    """``ports`` as a port table if it holds each of the ``n_ports`` port numbers once, else None.
-
-    The numbers must each be in range, as the builder and the loader make
-    them, so this is a count.
-    """
-    if n_ports < 1 << 29 and len(ports) == n_ports == len(set(ports)):
-        return array("i", ports)
-    return None
-
-
 class DiagramBuilder:
     """Mutable assembly surface for diagrams.
 
@@ -347,11 +371,11 @@ class DiagramBuilder:
     strings ``"in"`` / ``"out"`` (the next boundary position is
     allocated).  ``wire`` writes each end's port number as it resolves
     it; a boundary end, whose number depends on the nodes still to come,
-    or an end past its node's legs, is kept as its port, and ``build``
-    numbers the boundary ends once.  ``build`` then checks that every leg
-    and boundary position is wired exactly once, by a count; on any
-    anomaly it validates the edges as ``Diagram.validate`` does, which
-    names the first bad port.
+    or an end whose node is not there yet or has no such leg, is kept as
+    its port, and ``build`` numbers these once.  An explicit port takes
+    an int index only, and anything else raises in ``wire``.  ``build``
+    then checks the table as ``Diagram.validate`` does (``_port_table``),
+    so the first bad port names the error.
 
     Two shapes that gadgets and rule sides share are built here:
     :meth:`chain` (every input into the first piece, one wire from each
@@ -375,7 +399,7 @@ class DiagramBuilder:
         if name is None:
             name = f"{gen.kind}{self._counter}"
             self._counter += 1
-        if name in self._nodes or name in _RESERVED or ":" in name:
+        if not name or name in self._nodes or name in _RESERVED or ":" in name:
             raise DiagramError(f"bad or duplicate node name {name!r}")
         deg = gen.degree
         self._nodes[name] = gen
@@ -397,7 +421,7 @@ class DiagramBuilder:
                 self._n_out += 1
                 return ("out", self._n_out - 1)
             raise DiagramError(f"unknown wire endpoint {ref!r}")
-        owner, idx = str(ref[0]), int(ref[1])
+        owner, idx = ref[0], _port_index(ref)
         if owner == "in":
             self._n_in = max(self._n_in, idx + 1)
         elif owner == "out":
@@ -447,22 +471,17 @@ class DiagramBuilder:
 
     def build(self) -> Diagram:
         n_legs, n_in, n_out = self._n_legs, self._n_in, self._n_out
-        ports = self._ends.copy()
-        for k in self._held:  # the boundary ends, numbered now that the legs are
+        ports, bad = self._ends.copy(), []
+        boundary = {"out": (n_legs, n_out), "in": (n_legs + n_out, n_in)}
+        for k in self._held:  # numbered now that the legs are
             owner, idx = ports[k]
-            if owner not in _RESERVED or idx < 0:
-                break
-            ports[k] = n_legs + idx + (n_out if owner == "in" else 0)
-        else:
-            table = _checked(ports, n_legs + n_out + n_in)
-            if table is not None:
-                return Diagram._wired(self.dim, dict(self._nodes), table, n_in, n_out)
-        # an anomaly: the edges, validated, name it
-        port = _port_names((name, legs[1]) for name, legs in self._legs.items())
-        ends = [end if type(end) is tuple else port(end) for end in self._ends]
-        d = Diagram(self.dim, dict(self._nodes), tuple(zip(ends[::2], ends[1::2])), n_in, n_out)
-        d.validate()
-        return d
+            span = boundary.get(owner) or self._legs.get(owner)  # else a node added after the end was wired
+            if span is not None and 0 <= idx < span[1]:
+                ports[k] = span[0] + idx
+            else:
+                bad.append(_port_error(owner, idx, self._legs))
+        table = _port_table(ports, bad, self._nodes, n_out, n_in, n_legs)
+        return Diagram._wired(self.dim, dict(self._nodes), table, n_in, n_out)
 
 
 # =====================================================================
@@ -900,45 +919,39 @@ def _split_factors(ctx: MeasureContext, gen: Generator, legs: Sequence[np.ndarra
 
 
 def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
-    """``np.einsum(a, sa, b, sb, so)``, as one batched ``np.matmul`` if the step is large.
+    """``np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))``, as one batched ``np.matmul`` if the step is large.
 
     The planner numbers a step's labels 0..u-1, so it loops over D^u
     entries; below ``_MATMUL_MIN`` of them it runs as one ``np.einsum``.
     An operand with one axis more than its sublist has a leading batch
-    axis, and then so has the result: a small step runs as one
-    ``np.einsum`` with ``Ellipsis`` leading each sublist, so an operand
-    without the axis broadcasts (and the sums may round apart from the
-    plain call's), and a large one runs the plain matmul once per batch
-    entry.  The matmul path needs what the planner's steps give: distinct
-    labels in each operand, and every label in ``so`` or in both
-    operands.  The labels split into batch (shared, kept), summed
+    axis, and then so has the result; an operand without it broadcasts,
+    on either kernel.  The matmul path needs what the planner's steps
+    give: distinct labels in each operand, and every label in ``so`` or
+    in both operands.  The labels split into batch (shared, kept), summed
     (shared, dropped) and free in a or in b; a becomes ``(batch, free a,
-    summed)``, b becomes ``(batch, summed, free b)``, and the product
-    comes back as a view in the order ``so``.  The reshaped copies
-    replace a and b, so an operand the caller has let go of is freed
-    before the product is allocated.
+    summed)``, b becomes ``(batch, summed, free b)``, each behind its
+    leading axis if it has one, and the product comes back as a view in
+    the order ``so``.  The reshaped copies replace a and b, so an operand
+    the caller has let go of is freed before the product is allocated.
     """
-    stacked_a, stacked_b = a.ndim > len(sa), b.ndim > len(sb)
     # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
     if dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN:
-        if stacked_a or stacked_b:
-            return np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))
-        return np.einsum(a, sa, b, sb, so)
-    if stacked_a or stacked_b:
-        n = len(a) if stacked_a else len(b)
-        return np.array([_pairwise(dim, a[k] if stacked_a else a, sa, b[k] if stacked_b else b, sb, so)
-                         for k in range(n)])
+        return np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))
     in_a, in_b, keep = set(sa), set(sb), set(so)
     batch = [l for l in sa if l in in_b and l in keep]
     summed = [l for l in sa if l in in_b and l not in keep]
     free_a = [l for l in sa if l not in in_b]
     free_b = [l for l in sb if l not in in_a]
     nb, ns = dim ** len(batch), dim ** len(summed)
-    a = a.transpose([sa.index(l) for l in batch + free_a + summed]).reshape(nb, -1, ns)
-    b = b.transpose([sb.index(l) for l in batch + summed + free_b]).reshape(nb, ns, -1)
+    ka, kb = a.ndim - len(sa), b.ndim - len(sb)  # 1 where the operand has a batch axis
+    a = a.transpose([*range(ka), *(ka + sa.index(l) for l in batch + free_a + summed)])
+    a = a.reshape(a.shape[:ka] + (nb, -1, ns))
+    b = b.transpose([*range(kb), *(kb + sb.index(l) for l in batch + summed + free_b)])
+    b = b.reshape(b.shape[:kb] + (nb, ns, -1))
     order = batch + free_a + free_b
-    c = np.matmul(a, b).reshape((dim,) * len(order))
-    return c.transpose([order.index(l) for l in so])
+    c = np.matmul(a, b)
+    k = c.ndim - 3
+    return c.reshape(c.shape[:k] + (dim,) * len(order)).transpose([*range(k), *(k + order.index(l) for l in so)])
 
 
 class _Share:
@@ -1094,7 +1107,7 @@ def _execute(
             for i, j, *subs in steps[:stop]:
                 if j < 0:
                     x, (sa, so) = operand(i), subs
-                    factors[i] = np.einsum(x, sa, so) if x.ndim == len(sa) else np.einsum(x, (..., *sa), (..., *so))
+                    factors[i] = np.einsum(x, (..., *sa), (..., *so))
                 else:
                     sa, sb, so = subs
                     factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
@@ -1225,23 +1238,12 @@ def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
     ra_v, ro_v = drop(ra, ro[0]), drop(ro, ro[0])
     for v in range(d.dim):
         # bound to no name here, so the caller holds the only reference
-        yield np.einsum(_pairwise(d.dim, at(a, sa, v), sa_v, at(b, sb, v), sb_v, so_v), ra_v, ro_v)
+        yield np.einsum(_pairwise(d.dim, at(a, sa, v), sa_v, at(b, sb, v), sb_v, so_v), (..., *ra_v), (..., *ro_v))
 
 
 # =====================================================================
 # JSON file format
 # =====================================================================
-
-
-def _parse_port(s: Any) -> Port:
-    """``"owner:index"`` as a port; anything else is a ``DiagramError``."""
-    owner, _, idx = s.rpartition(":") if isinstance(s, str) else ("", "", "")
-    if owner:
-        try:
-            return (owner, int(idx))
-        except ValueError:
-            pass
-    raise DiagramError(f"bad port reference {s!r}")
 
 
 def _json_block(items: list[str], level: int, brackets: str = "[]") -> str:
@@ -1252,50 +1254,31 @@ def _json_block(items: list[str], level: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}{pad[:-1]}{brackets[1]}"
 
 
-def _numbered(lists: dict[str, list], spans: dict[str, tuple[int, int]]) -> list[int] | None:
-    """The port numbers of a file's edges, then of the edges its boundary lists make.
+def _file_port(ref: Any) -> Port:
+    """A file's reference ``"owner:index"`` as a port; a malformed one raises ``DiagramError``.
 
-    Each ``"owner:index"`` is numbered through ``spans``, each owner's
-    first port number and port count, as it is parsed.  Returns None at
-    the first entry that is not a port in range, so that
-    ``from_json_obj`` can name it as it always has.
+    The owner is all before the last colon, and is never ``""``; the
+    index must be an int's text.  The loader reads the entries of inputs
+    and outputs through this, and an edge's reference only where it
+    cannot number it.
     """
-    ports: list[int] = []
-    append = ports.append
-    try:
-        for pair in lists["edges"]:
-            if type(pair) is not list or len(pair) != 2:
-                return None
-            for ref in pair:
-                owner, _, idx = ref.rpartition(":")
-                start, size = spans[owner]
-                i = int(idx)
-                if not 0 <= i < size:
-                    return None
-                append(start + i)
-        for side, key in (("in", "inputs"), ("out", "outputs")):
-            first = spans[side][0]
-            for pos, ref in enumerate(lists[key]):
-                owner, _, idx = ref.rpartition(":")
-                i = int(idx)
-                if owner != side:  # a boundary position wired straight to a port
-                    start, size = spans[owner]
-                    if not 0 <= i < size:
-                        return None
-                    append(first + pos)
-                    append(start + i)
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return None
-    return ports
+    owner, _, idx = ref.rpartition(":") if isinstance(ref, str) else ("", "", "")
+    if owner:
+        try:
+            return owner, int(idx)
+        except ValueError:
+            pass
+    raise DiagramError(f"bad port reference {ref!r}")
 
 
 def from_json_obj(obj: Any) -> Diagram:
     """The diagram a parsed diagram file holds; a malformed one raises ``DiagramError``.
 
-    The ports are numbered as they are parsed (``_numbered``), and the
-    table is checked by a count.  A file that fails either is read again
-    as edges, parsed and then validated, so the error names the first
-    bad reference, else the first bad port in edge order.
+    Each ``"owner:index"`` is numbered as it is parsed, in file order:
+    the edges, then the inputs, then the outputs, where an entry that
+    names a node port adds the edge from its position.  A malformed pair
+    or reference raises at once; the first reference to no port is set
+    aside, and ``_port_table`` names it after the layout checks.
     """
     if not isinstance(obj, dict):
         raise DiagramError("a diagram file must hold a JSON object")
@@ -1347,28 +1330,31 @@ def from_json_obj(obj: Any) -> Diagram:
         spans[name] = (n_ports, legs)
         n_ports += legs
     n_in, n_out = len(lists["inputs"]), len(lists["outputs"])
-    # a node named "in" or "out" would hide a boundary side's span, and
-    # one named "" would take references that _parse_port refuses
-    if {"", *_RESERVED}.isdisjoint(nodes):
-        spans["out"], spans["in"] = (n_ports, n_out), (n_ports + n_out, n_in)
-        ports = _numbered(lists, spans)
-        table = None if ports is None else _checked(ports, n_ports + n_out + n_in)
-        if table is not None:
-            return Diagram._wired(dim, nodes, table, n_in, n_out)
-    edges: list[Edge] = []
-    for pair in lists["edges"]:
-        if not isinstance(pair, list) or len(pair) != 2:
+    spans.pop("", None)  # "" is never an owner, so ":0" is a bad reference
+    spans["out"], spans["in"] = (n_ports, n_out), (n_ports + n_out, n_in)
+    # an entry of inputs or outputs that names a port of another owner is
+    # an edge from its position; one of its own side only counts it.  Read
+    # lazily, after the edges, so that its faults come after theirs
+    wired = ([f"{side}:{pos}", ref] for side, key in (("in", "inputs"), ("out", "outputs"))
+             for pos, ref in enumerate(lists[key]) if _file_port(ref)[0] != side)
+    ports: list[int] = []
+    append, bad = ports.append, []
+    for pair in itertools.chain(lists["edges"], wired):
+        if type(pair) is not list or len(pair) != 2:
             raise DiagramError(f"edge {pair!r} does not join two ports")
-        edges.append((_parse_port(pair[0]), _parse_port(pair[1])))
-    # boundary lists may reference node ports directly; turn those into edges
-    for side, key in (("in", "inputs"), ("out", "outputs")):
-        for pos, ref in enumerate(lists[key]):
-            port = _parse_port(ref)
-            if port[0] != side:
-                edges.append(((side, pos), port))
-    d = Diagram(dim, nodes, tuple(edges), n_in, n_out)
-    d.validate()
-    return d
+        for ref in pair:
+            try:
+                owner, _, idx = ref.rpartition(":")
+                start, size = spans[owner]
+                i = int(idx)
+                if 0 <= i < size:
+                    append(start + i)
+                    continue
+            except (AttributeError, KeyError, TypeError, ValueError):
+                pass
+            bad.append(_port_error(*_file_port(ref), spans))
+    table = _port_table(ports, bad, nodes, n_out, n_in, n_ports)
+    return Diagram._wired(dim, nodes, table, n_in, n_out)
 
 
 def _json_text(value: Any, level: int) -> str:

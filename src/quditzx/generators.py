@@ -26,6 +26,7 @@ red 0-leg = nu^2 * sum T, hbox 0-leg = A(1), gray 0-leg = nu^(-2).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import reprlib
 import sys
@@ -476,8 +477,11 @@ def diagonal_weight(ctx: MeasureContext, g: Generator, vals: np.ndarray | None =
     """
     amp = g.amp if g.kind == "green" else One()
     if g.degree == 0:
-        # Python's sum, which can differ from numpy's in the last bit
-        return np.asarray(complex(ctx.nu**2 * sum(amp.eval_arr(ctx, ctx.residues()).tolist())))
+        # Python's sum, which can differ from numpy's in the last bit, over
+        # the entries a slice at a time: no list of all D of them is made
+        w = amp.eval_arr(ctx, ctx.residues())
+        total = sum(itertools.chain.from_iterable(w[k : k + 4096].tolist() for k in range(0, len(w), 4096)))
+        return np.asarray(complex(ctx.nu**2 * total))
     vals = ctx.residues() if vals is None else vals
     return np.asarray(amp.eval_arr(ctx, vals) * ctx.nu ** (2 - g.degree), dtype=complex)
 

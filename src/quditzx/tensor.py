@@ -194,10 +194,18 @@ def strict_int(value: Any, what: str, error: type[ValueError] = ShapeError) -> i
     return int(value)
 
 
-def from_dump(obj: dict[str, Any]) -> Tensor:
+def from_dump(obj: Any) -> Tensor:
+    """The tensor a parsed dump holds; a malformed one raises ``ShapeError``, naming the bad field."""
+    if not isinstance(obj, dict):
+        raise ShapeError("a tensor dump must hold a JSON object")
+    for key in ("dim", "in_legs", "out_legs", "entries"):
+        if key not in obj:
+            raise ShapeError(f"the tensor dump has no {key!r}")
     dim = strict_int(obj["dim"], "dim")
     m, n = strict_int(obj["in_legs"], "in_legs"), strict_int(obj["out_legs"], "out_legs")
     entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise ShapeError("entries must be a list")
     # D >= 2, so more legs than this would need more entries than there
     # are; refuse them before D^(m+n) can grow into a huge integer
     if m + n > len(entries).bit_length():

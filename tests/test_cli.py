@@ -746,6 +746,19 @@ def test_normal_form_bad_input_is_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2, 3]", "a tensor dump must hold a JSON object"),
+    ('{"dim": 2, "in_legs": 0, "out_legs": 1}', "the tensor dump has no 'entries'"),
+    ('{"dim": 2, "in_legs": 0, "out_legs": 1, "entries": 5}', "entries must be a list"),
+])
+def test_normal_form_names_the_bad_tensor_field(runner, tmp_path, text, message):
+    src = tmp_path / "t.json"
+    src.write_text(text)
+    res = runner.invoke(cli.main, ["normal-form", "--tensor", str(src)])
+    assert res.exit_code == 2
+    assert f"cannot read tensor {str(src)!r}: {message}" in res.stderr
+
+
 @pytest.mark.parametrize(
     "text",
     [

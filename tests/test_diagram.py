@@ -592,7 +592,11 @@ def boundary_cases(dim: int) -> list:
     """``(label, diagram, deltas)``: the boundary's edge cases and the deltas each plans."""
 
     def wired(nodes: dict, edges: list, n_in: int, n_out: int) -> Diagram:
-        d = Diagram(dim, nodes, tuple((dg._parse_port(a), dg._parse_port(b)) for a, b in edges), n_in, n_out)
+        def port(ref: str) -> tuple:
+            owner, _, idx = ref.rpartition(":")
+            return owner, int(idx)
+
+        d = Diagram(dim, nodes, tuple((port(a), port(b)) for a, b in edges), n_in, n_out)
         d.validate()
         return d
 
@@ -899,6 +903,27 @@ def test_matmul_kernel_matches_einsum(monkeypatch, sa, sb, so) -> None:
         got = dg._pairwise(dim, x, sx, y, sy, so)
         assert got.shape == (dim,) * len(so)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("sa,sb,so", [([0, 1, 2, 3], [2, 0, 4, 1], [4, 0, 3]), ([0, 1], [2], [2, 0, 1]),
+                                      ([], [0, 1], [1, 0]), ([0, 1], [1, 0], [])])
+@pytest.mark.parametrize("stacked", ["a", "b", "ab"])
+def test_matmul_kernel_broadcasts_the_batch_axis(monkeypatch, sa, sb, so, stacked) -> None:
+    # one np.matmul over the batch gives each entry the bits of its step alone
+    monkeypatch.setattr(dg, "_MATMUL_MIN", 1)
+    rng = np.random.default_rng(4)
+    dim, n = 3, 4
+
+    def operand(rank, stack):
+        shape = (n,) * stack + (dim,) * rank
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b = operand(len(sa), "a" in stacked), operand(len(sb), "b" in stacked)
+    got = dg._pairwise(dim, a, sa, b, sb, so)
+    assert got.shape == (n,) + (dim,) * len(so)
+    for k in range(n):
+        alone = dg._pairwise(dim, a[k] if "a" in stacked else a, sa, b[k] if "b" in stacked else b, sb, so)
+        assert got[k].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
@@ -2043,6 +2068,145 @@ def test_builder_wires_a_node_added_after_its_port() -> None:
     d = b.build()
     assert d.edges == ((("in", 0), ("h", 0)), (("h", 1), ("out", 0)))
     assert list(d._ports) == [3, 0, 1, 2]
+
+
+@pytest.mark.parametrize("wiring, message", [
+    (past_degree, "leg 2 out of range for node 'w'"),
+    (double_use, "port ('w', 0) used 2 times"),
+    (dangling, "leg 1 of node 'w' is dangling"),
+    (unknown_node, "edge references unknown node 'ghost'"),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_build_and_load_name_faults_without_validate(monkeypatch, wiring, message) -> None:
+    # the builder and the loader name a fault from port numbers: no
+    # diagram of edge tuples is made and validated to word it
+    def validate(self):
+        raise AssertionError("validate called")
+
+    monkeypatch.setattr(Diagram, "validate", validate)
+    monkeypatch.setattr(dg, "_derive_edges", validate)
+    b = DiagramBuilder(3)
+    wiring(b)
+    with pytest.raises(DiagramError) as err:
+        b.build()
+    assert str(err.value) == message
+    ok = DiagramBuilder(3)
+    ok.wire("in", ok.node(Generator.white(1, 1), "w"))
+    ok.wire("w", "out")
+    obj = {"dimension": 3, "nodes": {"w": {"kind": "white", "legs": 2}}, "edges": [["in:0", "w:0"], ["w:1", "out:0"]],
+           "inputs": ["in:0"], "outputs": ["out:0"]}
+    assert list(ok.build()._ports) == list(dg.from_json_obj(obj)._ports) == [3, 0, 1, 2]
+    obj["edges"][1][1] = "out:1"
+    with pytest.raises(DiagramError, match="output position 1 out of range"):
+        dg.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("ref", [("w", 1.5), ("in", 0.9), ("w", "x"), ("w",), ("w", True), ("w", 0, 1), ("", 0),
+                                 (("w",), 0)], ids=repr)
+def test_builder_takes_a_port_index_only_as_an_int(ref) -> None:
+    # a float is never rounded into a leg or a position: wire() refuses it
+    b = DiagramBuilder(3)
+    b.node(Generator.white(1, 2), "w")
+    with pytest.raises(DiagramError) as err:
+        b.wire(ref, "out")
+    assert str(err.value) == f"bad port reference {ref!r}"
+
+
+def test_builder_reads_a_port_index_through_operator_index() -> None:
+    b = DiagramBuilder(3)
+    b.node(Generator.hplus(), "h")
+    b.wire(("in", np.int64(0)), ("h", np.int8(0)))
+    b.wire(("h", 1), ("out", np.uint16(0)))
+    d = b.build()
+    assert d.edges == ((("in", 0), ("h", 0)), (("h", 1), ("out", 0)))
+    assert all(type(idx) is int for edge in d.edges for _, idx in edge)
+
+
+def test_builder_refuses_an_empty_node_name() -> None:
+    # no reference can name it: a file's ":0" is a bad reference
+    with pytest.raises(DiagramError, match="bad or duplicate node name ''"):
+        DiagramBuilder(3).node(Generator.white(0, 1), "")
+
+
+@pytest.mark.parametrize("end", [("w", 1.0), "out", (["w"], 1), ("w", True), ("w",), ("w", 0, 0), ("", 0), None],
+                         ids=repr)
+def test_validation_takes_a_port_index_only_as_an_int(end) -> None:
+    d = Diagram(3, {"w": Generator.white(1, 1)}, ((("in", 0), ("w", 0)), (end, ("out", 0))), 1, 1)
+    with pytest.raises(DiagramError) as err:
+        d.validate()
+    assert str(err.value) == f"bad port reference {end!r}"
+
+
+@pytest.mark.parametrize("legs, edges, inputs, outputs, message", [
+    # a malformed reference anywhere comes first, the outputs' included
+    ({"w": 1}, [["ghost:0", "w:0"]], [], ["w:x"], "bad port reference 'w:x'"),
+    ({"out": 1}, [["ghost:0", "out:0"]], [], ["out:0", "out:"], "bad port reference 'out:'"),
+    # then a reserved name or the port count
+    ({"in": 1}, [["ghost:0", "in:0"]], [], [], "node name 'in' is reserved for the boundary"),
+    ({"w": 2**29}, [["ghost:0", "w:0"]], [], [], "node 'w' has 536870912 legs, more than 536870911"),
+    # then the first reference to no port, the edges' before the inputs'
+    ({"w": 2}, [["w:0", "w:0"], ["w:2", "ghost:0"]], ["w:5"], [], "leg 2 out of range for node 'w'"),
+    ({"w": 2}, [["w:0", "w:0"]], ["ghost:1"], ["w:5"], "edge references unknown node 'ghost'"),
+    # then the first repeated port, before the lowest unwired one
+    ({"w": 3}, [["w:2", "w:1"], ["w:1", "w:2"]], [], [], "port ('w', 2) used 2 times"),
+], ids=["malformed-output", "malformed-own-side", "reserved", "every-port", "edges-first", "inputs-first",
+        "repeat-first"])
+def test_json_loader_names_faults_in_order(legs, edges, inputs, outputs, message) -> None:
+    obj = {"dimension": 3, "nodes": {name: {"kind": "white", "legs": k} for name, k in legs.items()},
+           "edges": edges, "inputs": inputs, "outputs": outputs}
+    with pytest.raises(DiagramError) as err:
+        dg.from_json_obj(obj)
+    assert str(err.value) == message
+
+
+@st.composite
+def wirings(draw) -> tuple:
+    """Up to four white nodes, 0..2 inputs and outputs, and up to eight
+    reference pairs that mix ports, indices out of range, unknown owners,
+    repeats and omissions: ``(legs, n_in, n_out, pairs)``."""
+    legs = {f"w{k}": draw(st.integers(0, 3)) for k in range(draw(st.integers(0, 4)))}
+    n_in, n_out = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    sizes = {**legs, "in": n_in, "out": n_out}
+    ports = [(owner, i) for owner, size in sizes.items() for i in range(size)]
+    wrong = st.tuples(st.sampled_from([*sizes, "ghost"]), st.integers(-1, 4))
+    end = st.sampled_from(ports) | wrong if ports else wrong
+    return legs, n_in, n_out, draw(st.lists(st.tuples(end, end), max_size=8))
+
+
+def outcome(make) -> Any:
+    """The port table that ``make()`` gives, or its ``DiagramError`` text."""
+    try:
+        d = make()
+        d.validate()
+        return list(d._ports)
+    except DiagramError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wirings())
+def test_loader_validate_and_builder_name_the_same_fault(wiring) -> None:
+    # one rule, three entry points: a file, edge tuples and a builder
+    # that wires the same references in the same order agree on the table
+    # or on the error
+    legs, n_in, n_out, pairs = wiring
+    gens = {name: Generator.white(0, k) for name, k in legs.items()}
+    obj = {"dimension": 2, "nodes": {name: {"kind": "white", "legs": k} for name, k in legs.items()},
+           "edges": [[f"{o}:{i}", f"{p}:{j}"] for (o, i), (p, j) in pairs],
+           "inputs": [f"in:{k}" for k in range(n_in)], "outputs": [f"out:{k}" for k in range(n_out)]}
+    want = outcome(lambda: Diagram(2, gens, tuple(pairs), n_in, n_out))
+    assert outcome(lambda: dg.from_json_obj(obj)) == want
+    # the builder counts a boundary side up to the last position wired,
+    # so it agrees where that is the side's last position
+    ends = [end for pair in pairs for end in pair]
+    for side, n in (("in", n_in), ("out", n_out)):
+        if max((i for owner, i in ends if owner == side), default=-1) != n - 1:
+            return
+    b = DiagramBuilder(2)
+    for name, gen in gens.items():
+        b.node(gen, name)
+    for a, c in pairs:
+        b.wire(a, c)
+    assert outcome(b.build) == want
 
 
 # floats the encoder writes in every form: signed zero, the smallest

@@ -6,6 +6,7 @@ over the residue window) and frozen into the assertions.
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from quditzx.generators import (
     amp_from_json,
     amp_multiply,
     amp_to_json,
+    diagonal_weight,
     eval_generator,
     generator_entries,
 )
@@ -272,6 +274,31 @@ def test_degree_zero_green_is_sqrt_D():
     for D in DIMS:
         t = eval_generator(MeasureContext(D), Generator.green(One(), 0, 0))
         assert abs(complex(t.data) - np.sqrt(D)) < 1e-12
+
+
+@pytest.mark.parametrize("D", [2, 7, 4096, 4097, 3 * 4096 + 5])
+def test_legless_dot_weight_is_one_python_sum_of_the_entries(D):
+    # the entries are summed a slice at a time, in order, by one sum():
+    # the bits of summing the list of all of them
+    ctx = MeasureContext(D, 0.83)
+    for gen in (Generator.white(0, 0), Generator.green(Phase(0.7), 0, 0), Generator.green(Stab(1, 2), 0, 0)):
+        amp = gen.amp if gen.kind == "green" else One()
+        want = np.asarray(complex(ctx.nu**2 * sum(amp.eval_arr(ctx, ctx.residues()).tolist())))
+        got = diagonal_weight(ctx, gen)
+        assert got.shape == () and got.tobytes() == want.tobytes()
+
+
+def test_legless_dot_weight_holds_no_list_of_all_entries():
+    # a list of D complex numbers costs about 40 bytes an entry: 40 MiB here
+    ctx = MeasureContext(2**20)
+    tracemalloc.start()
+    try:
+        got = diagonal_weight(ctx, Generator.green(One(), 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert complex(got) == 2**20 * ctx.nu**2
+    assert peak < 32 * 2**20
 
 
 def test_scalar_hbox_is_alpha():

@@ -254,3 +254,19 @@ def test_dump_refuses_a_non_finite_entry(value):
     data[2, 1] = value
     with pytest.raises(OverflowGuardError, match=r"^entry 7 of the tensor is not finite: "):
         dump_json(Tensor(3, 1, 1, data))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2, 3]", "a tensor dump must hold a JSON object"),
+    ('"entries"', "a tensor dump must hold a JSON object"),
+    ('{"in_legs": 0, "out_legs": 0, "entries": [[1, 0]]}', "the tensor dump has no 'dim'"),
+    ('{"dim": 2, "out_legs": 0, "entries": [[1, 0]]}', "the tensor dump has no 'in_legs'"),
+    ('{"dim": 2, "in_legs": 0, "entries": [[1, 0]]}', "the tensor dump has no 'out_legs'"),
+    ('{"dim": 2, "in_legs": 0, "out_legs": 0}', "the tensor dump has no 'entries'"),
+    ('{"dim": 2, "in_legs": 0, "out_legs": 0, "entries": 5}', "entries must be a list"),
+    ('{"dim": 2, "in_legs": 0, "out_legs": 1, "entries": {"0": [1, 0]}}', "entries must be a list"),
+])
+def test_load_names_the_bad_field(text, message):
+    with pytest.raises(ShapeError) as err:
+        load_json(text)
+    assert str(err.value) == message

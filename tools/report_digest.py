@@ -16,9 +16,14 @@ The last two lines are over the normal-form benchmark's tensors: D=2, 3,
 4 with m+n <= 3, five each, plus (m, n) = (2, 2) twice at D=3 and once at
 D=4, drawn as the benchmark draws them for seed 1.  ``normal-form``
 digests the tensor bytes of ``evaluate(load_json(dump_json(normal_form(t, ctx))), ctx)``,
-and ``normal-form-json`` the ``dump_json`` texts of the normal forms.  Run it
-on two commits and ``diff`` the outputs to see which reports, tensors and
-diagram files a change moved.
+and ``normal-form-json`` the ``dump_json`` texts of the normal forms.
+``diagram-errors`` digests what the wiring check makes of a fixed corpus
+(seed ``ERRORS_SEED``) of diagram files and edge lists, most of them
+malformed: for each, the ``DiagramError`` text or the port table, so a
+change that moves an error's text or which fault is named first shows
+there.  The edge lists hold well-formed ``(owner, index)`` ends only.
+Run it on two commits and ``diff`` the outputs to see which reports,
+tensors, diagram files and errors a change moved.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import numpy as np
 
 from quditzx import construct, diagram
+from quditzx.generators import Generator
 from quditzx.measure import MeasureContext
 from quditzx.rewrite import CATALOG, check_all, check_soundness
 from quditzx.tensor import Tensor
@@ -37,6 +43,7 @@ SEEDS = (0, 1, 2)
 SOUNDNESS_DIMS = range(2, 8)
 NUS = (None, 1.0)
 NF_SEED = 1
+ERRORS_SEED = 33
 
 
 def normal_form_tensors(seed: int) -> list[Tensor]:
@@ -49,6 +56,82 @@ def normal_form_tensors(seed: int) -> list[Tensor]:
         for _ in range(count):
             size = (D,) * (m + n)
             out.append(Tensor(D, m, n, rng.normal(size=size) + 1j * rng.normal(size=size)))
+    return out
+
+
+def wiring_corpus(seed: int) -> list:
+    """``("file", obj)`` and ``("edges", (legs, edges, n_in, n_out))`` cases, drawn from ``seed``.
+
+    Each case starts as a valid wiring of up to three nodes and two
+    inputs and outputs, and then up to three edits each drop a reference,
+    repeat one, point one at no port, rename a node to a reserved or empty
+    name, or, in a file only, put in a malformed reference or pair, or
+    wire a boundary position through its entry.
+    """
+    rng = np.random.default_rng(seed)
+    malformed = [5, None, ["in", 0], "nocolon", "a:x", "a:1.5", "a:", ":0", "in:x", "out:"]
+
+    def pick(seq):
+        return seq[rng.integers(len(seq))]
+
+    cases = []
+    for k in range(900):
+        is_file = k < 600
+        legs = {name: int(rng.integers(0, 4)) for name in ["a", "b", "c"][: rng.integers(0, 4)]}
+        if rng.random() < 0.02:
+            legs["a"] = int(pick([2**29, 2**29 - 2, 10**12]))
+        n_in, n_out = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        ports = [(o, i) for o, n in [*legs.items(), ("in", n_in), ("out", n_out)] for i in range(min(n, 3))]
+        ends = [ports[j] for j in rng.permutation(len(ports))]
+        inputs, outputs = [f"in:{i}" for i in range(n_in)], [f"out:{i}" for i in range(n_out)]
+        bad_pairs = []
+        for _ in range(rng.integers(0, 4)):
+            edit = int(rng.integers(0, 8 if is_file else 5))
+            at = int(rng.integers(0, len(ends) + 1))
+            if edit == 0 and ends:
+                del ends[min(at, len(ends) - 1)]
+            elif edit == 1 and ends:
+                ends.insert(at, pick(ends))
+            elif edit == 2:
+                ends.insert(at, (pick(["a", "b", "in", "out", "ghost"]), int(pick([-1, 3, 4]))))
+            elif edit == 3 and legs:
+                name = pick(list(legs))
+                legs[pick(["in", "out", ""])] = legs.pop(name)
+            elif edit == 4:
+                ends.insert(at, pick(ports + [("ghost", 0)]))
+            elif edit == 5:
+                ends.insert(at, pick(malformed))
+            elif edit == 6:
+                (inputs if rng.random() < 0.5 else outputs).append(pick(malformed + [f"{o}:{i}" for o, i in ports]))
+            elif edit == 7:
+                bad_pairs.append(pick([7, ["a:0"], ["a:0", "b:0", "c:0"]]))
+        if is_file:
+            refs = [f"{e[0]}:{e[1]}" if type(e) is tuple else e for e in ends]
+            edges = [refs[j : j + 2] for j in range(0, len(refs) - 1, 2)]
+            for pair in bad_pairs:
+                edges.insert(int(rng.integers(0, len(edges) + 1)), pair)
+            cases.append(("file", {"dimension": 3, "nodes": {n: {"kind": "white", "legs": m} for n, m in legs.items()},
+                                   "edges": edges, "inputs": inputs, "outputs": outputs}))
+        else:
+            cases.append(("edges", (legs, list(zip(ends[::2], ends[1::2])), n_in, n_out)))
+    return cases
+
+
+def wiring_outcomes(seed: int) -> list:
+    """For each case of ``wiring_corpus(seed)``, its ``DiagramError`` text or its port table."""
+    out = []
+    for what, case in wiring_corpus(seed):
+        try:
+            if what == "file":
+                d = diagram.from_json_obj(case)
+            else:
+                legs, edges, n_in, n_out = case
+                gens = {n: Generator.white(0, k) for n, k in legs.items()}
+                d = diagram.Diagram(3, gens, tuple(edges), n_in, n_out)
+                d.validate()
+            out.append(list(d._ports))
+        except diagram.DiagramError as exc:
+            out.append(str(exc))
     return out
 
 
@@ -75,6 +158,7 @@ def main() -> None:
         digest.update(diagram.evaluate(diagram.load_json(text), ctx).data.tobytes())
     print(f"normal-form {digest.hexdigest()}")
     print(f"normal-form-json {texts.hexdigest()}")
+    print(f"diagram-errors {hashlib.sha256(json.dumps(wiring_outcomes(ERRORS_SEED)).encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
