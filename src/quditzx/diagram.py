@@ -475,7 +475,7 @@ class DiagramBuilder:
         boundary = {"out": (n_legs, n_out), "in": (n_legs + n_out, n_in)}
         for k in self._held:  # numbered now that the legs are
             owner, idx = ports[k]
-            span = boundary.get(owner) or self._legs.get(owner)  # else a node added after the end was wired
+            span = boundary.get(owner) or self._legs.get(owner)  # a node may come after its end
             if span is not None and 0 <= idx < span[1]:
                 ports[k] = span[0] + idx
             else:
