@@ -12,15 +12,15 @@ allowed.
 Ports are numbered legs node by node, then the outputs, then the
 inputs, and a diagram's wiring is its port table: the two numbers of
 each edge, in edge order, in an ``array('i')`` that ``_structure``
-reads.  ``DiagramBuilder`` numbers each end as it wires it, the loader
-each ``"owner:index"`` as it parses it, and ``validate`` each end of a
-diagram made directly from edges.  A reference to no port is set aside
-as it is met, so the table holds only numbers in range, and
-``_port_table`` checks it by a count; only where the count fails does it
-name ports, to say which one is repeated or unwired.  The writer works
-from the table too.  ``edges``, the ``(owner, index)`` pairs, is derived
-from the table when something first reads it (``==``, ``repr``, the
-benchmark's tracer, tests).  A diagram is not checked again.
+reads.  A diagram is made in two places only, and checked there once:
+``DiagramBuilder`` numbers each end as it wires it, and the loader
+(``from_json_obj``) each ``"owner:index"`` as it parses it.  A reference
+to no port is set aside as it is met, so the table holds only numbers in
+range, and ``_port_table`` checks it by a count; only where the count
+fails does it name ports, to say which one is repeated or unwired.  The
+writer works from the table too.  ``edges``, the ``(owner, index)``
+pairs, is derived from the table when something first reads it (``==``,
+``repr``, the benchmark's tracer, tests).
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
@@ -201,28 +201,19 @@ class DiagramError(ValueError):
 
 
 class Diagram:
-    """Immutable open graph; build with :class:`DiagramBuilder`.
+    """Immutable open graph, made by :class:`DiagramBuilder` or the loader (``load_json``, ``from_json_obj``).
 
     Its wiring is its port table ``_ports``, an ``array('i')`` of two
     port numbers per edge, in edge order; ports are numbered legs node by
-    node, then the outputs, then the inputs.  ``DiagramBuilder.build`` and
-    ``load_json`` make the table as they wire and check it there, so such
+    node, then the outputs, then the inputs.  The builder and the loader
+    make the table as they wire and check it there (``_port_table``), so
     a diagram is born valid and holds no edge tuples.  ``edges``, the same
     wiring as ``(owner, index)`` pairs, is derived from the table when
-    something first reads it.  A diagram made here from ``edges`` gets its
-    table from ``validate``.
+    something first reads it.
     """
 
-    def __init__(self, dim: int, nodes: dict[str, Generator], edges: tuple[Edge, ...], n_inputs: int,
-                 n_outputs: int) -> None:
-        vars(self).update(dim=dim, nodes=nodes, _edges=edges, n_inputs=n_inputs, n_outputs=n_outputs, _ports=None)
-
-    @classmethod
-    def _wired(cls, dim: int, nodes: dict[str, Generator], ports: array, n_inputs: int, n_outputs: int) -> "Diagram":
-        """A diagram of a checked port table, with no edge tuples."""
-        d = cls(dim, nodes, None, n_inputs, n_outputs)
-        vars(d)["_ports"] = ports
-        return d
+    def __init__(self, dim: int, nodes: dict[str, Generator], ports: array, n_inputs: int, n_outputs: int) -> None:
+        vars(self).update(dim=dim, nodes=nodes, _ports=ports, n_inputs=n_inputs, n_outputs=n_outputs, _edges=None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -246,37 +237,12 @@ class Diagram:
         return (f"Diagram(dim={self.dim!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
                 f"n_inputs={self.n_inputs!r}, n_outputs={self.n_outputs!r})")
 
-    # -- validation --------------------------------------------------------
-
     def validate(self) -> None:
-        """Raise ``DiagramError`` unless every leg and boundary position is wired once.
+        """Return at once: a diagram was checked where it was made, by the builder or the loader.
 
-        A diagram that has its port table passed its check when the table
-        was made, by ``build``, ``load_json`` or an earlier call, and is not
-        checked again, so its node dict must not change after that.  For a
-        diagram made from edges, this numbers their ports through the
-        nodes' spans, and ``_port_table`` names the first fault.
+        The name stays because the benchmark's tracer (``bench/tracer.py``)
+        patches ``Diagram.validate`` and counts its calls.
         """
-        if self._ports is not None:
-            return
-        spans, n_ports = {}, 0  # each owner's first port number and port count
-        for name, gen in self.nodes.items():
-            spans[name] = (n_ports, gen.degree)
-            n_ports += gen.degree
-        n_out, n_in = self.n_outputs, self.n_inputs
-        spans["out"], spans["in"] = (n_ports, n_out), (n_ports + n_out, n_in)
-        ports, bad = [], []
-        for edge in self._edges:
-            if len(edge) != 2:
-                raise DiagramError(f"edge {edge!r} does not join two ports")
-            for end in edge:
-                idx = _port_index(end)
-                span = spans.get(end[0])
-                if span is not None and 0 <= idx < span[1]:
-                    ports.append(span[0] + idx)
-                else:
-                    bad.append(_port_error(end[0], idx, spans))
-        vars(self)["_ports"] = _port_table(ports, bad, self.nodes, n_out, n_in, n_ports)
 
 
 def _port_index(ref: Any) -> int:
@@ -373,8 +339,9 @@ class DiagramBuilder:
     it; a boundary end, whose number depends on the nodes still to come,
     or an end whose node is not there yet or has no such leg, is kept as
     its port, and ``build`` numbers these once.  An explicit port takes
-    an int index only, and anything else raises in ``wire``.  ``build``
-    then checks the table as ``Diagram.validate`` does (``_port_table``),
+    an int index only, and anything else raises in ``wire``, which then
+    leaves the builder as it was.
+    ``build`` then checks the table as the loader does (``_port_table``),
     so the first bad port names the error.
 
     Two shapes that gadgets and rule sides share are built here:
@@ -430,6 +397,12 @@ class DiagramBuilder:
         return legs[0] + idx if legs is not None and 0 <= idx < legs[1] else (owner, idx)
 
     def wire(self, a, b) -> None:
+        # _resolve refuses an end before it moves a counter, so reading b
+        # first leaves the builder as it was when either end is refused
+        if isinstance(b, tuple):
+            _port_index(b)
+        elif b not in self._legs and b not in _RESERVED:
+            raise DiagramError(f"unknown wire endpoint {b!r}")
         a, b = self._resolve(a), self._resolve(b)
         if type(a) is tuple:
             self._held.append(len(self._ends))
@@ -481,7 +454,7 @@ class DiagramBuilder:
             else:
                 bad.append(_port_error(owner, idx, self._legs))
         table = _port_table(ports, bad, self._nodes, n_out, n_in, n_legs)
-        return Diagram._wired(self.dim, dict(self._nodes), table, n_in, n_out)
+        return Diagram(self.dim, dict(self._nodes), table, n_in, n_out)
 
 
 # =====================================================================
@@ -528,11 +501,10 @@ def _structure(d: Diagram) -> array:
     """The diagram's shape as integers: all that its contraction plan reads.
 
     ``[n_inputs, n_outputs, n_nodes]``, then ``4 * degree + mode`` for
-    each node in order, then the port table of ``d``, validated here.
-    For a valid diagram this is a one-to-one encoding of its shape, so
-    equal lists always mean equal plans.
+    each node in order, then the port table of ``d``.  This is a
+    one-to-one encoding of the diagram's shape, so equal lists always
+    mean equal plans.
     """
-    d.validate()
     codes = array("i", [d.n_inputs, d.n_outputs, len(d.nodes)])
     codes.extend([4 * gen.degree + _factor_mode(gen, d.dim) for gen in d.nodes.values()])
     return codes + d._ports
@@ -1354,7 +1326,7 @@ def from_json_obj(obj: Any) -> Diagram:
                 pass
             bad.append(_port_error(*_file_port(ref), spans))
     table = _port_table(ports, bad, nodes, n_out, n_in, n_ports)
-    return Diagram._wired(dim, nodes, table, n_in, n_out)
+    return Diagram(dim, nodes, table, n_in, n_out)
 
 
 def _json_text(value: Any, level: int) -> str:
@@ -1387,10 +1359,9 @@ def dump_json(d: Diagram) -> str:
     fixed layout is written here, amplitudes included (``_json_text``).
     Strings go through json's ``encode_basestring_ascii``, ints through
     ``int.__repr__``, which refuses non-ints as json did, and floats
-    through ``float.__repr__``.  ``d`` is validated, and its edges are
-    written from its port table, with one ``"name:`` prefix per node.
+    through ``float.__repr__``.  The edges are written from the port
+    table of ``d``, with one ``"name:`` prefix per node.
     """
-    d.validate()
     enc = json.encoder.encode_basestring_ascii
     nodes: list[str] = []
     owners: list[tuple[str, int]] = []  # each node's '"name:' prefix and degree

@@ -180,9 +180,9 @@ class RuleSpec:
     `check` if it has one.  `sample` draws each value by its kind in
     the same order, unless the rule brings its own `draw`; None means
     the rule has no valid parameters at that D.  `param_domain` is the
-    boolean form of `validate`.  `dim_cap` marks rules whose diagrams
-    grow with D (parallel-edge and branch-per-residue shapes); the
-    checker skips larger dimensions.
+    boolean form of `validate`.  `dim_cap` marks rules whose sides have
+    D+1 boundary legs, so their tensors grow as D^(D+1); the checker
+    skips larger dimensions.
     """
 
     id: str
@@ -653,7 +653,7 @@ def _meh_pair(
     return b.build(), _cut_wire(ctx.dim, copy(1, 0), total(0, 1))
 
 
-_rule("ZX-MEH", {}, dim_cap=7)(lambda p, ctx: _meh_pair(_green, _red, ctx))
+_rule("ZX-MEH", {})(lambda p, ctx: _meh_pair(_green, _red, ctx))
 
 
 @_rule("ZX-A", {})
@@ -844,7 +844,7 @@ def _zh_wgc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n), scale=_dnu4(ctx))
 
 
-_rule("ZH-MEH", {}, dim_cap=7)(lambda p, ctx: _meh_pair(Generator.white, Generator.gray, ctx))
+_rule("ZH-MEH", {})(lambda p, ctx: _meh_pair(Generator.white, Generator.gray, ctx))
 
 
 @_rule("ZH-A", {})

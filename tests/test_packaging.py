@@ -130,6 +130,19 @@ def test_bench_tracer_restores_every_target() -> None:
     assert [getattr(owner, attr) for owner, attr in owners] == before
 
 
+def test_report_digest_runs_its_wiring_corpus() -> None:
+    """``tools/report_digest.py`` calls the package's wiring check on its
+    own: each file of its corpus gives an error text or a port table."""
+    spec = importlib.util.spec_from_file_location("report_digest", ROOT / "tools" / "report_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    outcomes = digest.wiring_outcomes(digest.ERRORS_SEED)
+    assert len(outcomes) == 600
+    kinds = Counter(type(o).__name__ for o in outcomes)
+    assert set(kinds) == {"str", "list"}, kinds
+    assert all(type(p) is int for o in outcomes if type(o) is list for p in o)
+
+
 def test_package_parses_at_the_declared_python_floor() -> None:
     """Syntax newer than ``requires-python`` allows fails here, with no
     interpreter of that version needed."""

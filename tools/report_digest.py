@@ -17,11 +17,11 @@ The last two lines are over the normal-form benchmark's tensors: D=2, 3,
 D=4, drawn as the benchmark draws them for seed 1.  ``normal-form``
 digests the tensor bytes of ``evaluate(load_json(dump_json(normal_form(t, ctx))), ctx)``,
 and ``normal-form-json`` the ``dump_json`` texts of the normal forms.
-``diagram-errors`` digests what the wiring check makes of a fixed corpus
-(seed ``ERRORS_SEED``) of diagram files and edge lists, most of them
+``diagram-errors`` digests what the loader's wiring check makes of a
+fixed corpus (seed ``ERRORS_SEED``) of 600 diagram files, most of them
 malformed: for each, the ``DiagramError`` text or the port table, so a
 change that moves an error's text or which fault is named first shows
-there.  The edge lists hold well-formed ``(owner, index)`` ends only.
+there.
 Run it on two commits and ``diff`` the outputs to see which reports,
 tensors, diagram files and errors a change moved.
 """
@@ -34,7 +34,6 @@ import json
 import numpy as np
 
 from quditzx import construct, diagram
-from quditzx.generators import Generator
 from quditzx.measure import MeasureContext
 from quditzx.rewrite import CATALOG, check_all, check_soundness
 from quditzx.tensor import Tensor
@@ -60,13 +59,13 @@ def normal_form_tensors(seed: int) -> list[Tensor]:
 
 
 def wiring_corpus(seed: int) -> list:
-    """``("file", obj)`` and ``("edges", (legs, edges, n_in, n_out))`` cases, drawn from ``seed``.
+    """600 parsed diagram files, drawn from ``seed``.
 
-    Each case starts as a valid wiring of up to three nodes and two
+    Each file starts as a valid wiring of up to three nodes and two
     inputs and outputs, and then up to three edits each drop a reference,
     repeat one, point one at no port, rename a node to a reserved or empty
-    name, or, in a file only, put in a malformed reference or pair, or
-    wire a boundary position through its entry.
+    name, put in a malformed reference or pair, or wire a boundary
+    position through its entry.
     """
     rng = np.random.default_rng(seed)
     malformed = [5, None, ["in", 0], "nocolon", "a:x", "a:1.5", "a:", ":0", "in:x", "out:"]
@@ -75,8 +74,7 @@ def wiring_corpus(seed: int) -> list:
         return seq[rng.integers(len(seq))]
 
     cases = []
-    for k in range(900):
-        is_file = k < 600
+    for _ in range(600):
         legs = {name: int(rng.integers(0, 4)) for name in ["a", "b", "c"][: rng.integers(0, 4)]}
         if rng.random() < 0.02:
             legs["a"] = int(pick([2**29, 2**29 - 2, 10**12]))
@@ -86,7 +84,7 @@ def wiring_corpus(seed: int) -> list:
         inputs, outputs = [f"in:{i}" for i in range(n_in)], [f"out:{i}" for i in range(n_out)]
         bad_pairs = []
         for _ in range(rng.integers(0, 4)):
-            edit = int(rng.integers(0, 8 if is_file else 5))
+            edit = int(rng.integers(0, 8))
             at = int(rng.integers(0, len(ends) + 1))
             if edit == 0 and ends:
                 del ends[min(at, len(ends) - 1)]
@@ -105,31 +103,21 @@ def wiring_corpus(seed: int) -> list:
                 (inputs if rng.random() < 0.5 else outputs).append(pick(malformed + [f"{o}:{i}" for o, i in ports]))
             elif edit == 7:
                 bad_pairs.append(pick([7, ["a:0"], ["a:0", "b:0", "c:0"]]))
-        if is_file:
-            refs = [f"{e[0]}:{e[1]}" if type(e) is tuple else e for e in ends]
-            edges = [refs[j : j + 2] for j in range(0, len(refs) - 1, 2)]
-            for pair in bad_pairs:
-                edges.insert(int(rng.integers(0, len(edges) + 1)), pair)
-            cases.append(("file", {"dimension": 3, "nodes": {n: {"kind": "white", "legs": m} for n, m in legs.items()},
-                                   "edges": edges, "inputs": inputs, "outputs": outputs}))
-        else:
-            cases.append(("edges", (legs, list(zip(ends[::2], ends[1::2])), n_in, n_out)))
+        refs = [f"{e[0]}:{e[1]}" if type(e) is tuple else e for e in ends]
+        edges = [refs[j : j + 2] for j in range(0, len(refs) - 1, 2)]
+        for pair in bad_pairs:
+            edges.insert(int(rng.integers(0, len(edges) + 1)), pair)
+        cases.append({"dimension": 3, "nodes": {n: {"kind": "white", "legs": m} for n, m in legs.items()},
+                      "edges": edges, "inputs": inputs, "outputs": outputs})
     return cases
 
 
 def wiring_outcomes(seed: int) -> list:
-    """For each case of ``wiring_corpus(seed)``, its ``DiagramError`` text or its port table."""
+    """For each file of ``wiring_corpus(seed)``, its ``DiagramError`` text or its port table."""
     out = []
-    for what, case in wiring_corpus(seed):
+    for obj in wiring_corpus(seed):
         try:
-            if what == "file":
-                d = diagram.from_json_obj(case)
-            else:
-                legs, edges, n_in, n_out = case
-                gens = {n: Generator.white(0, k) for n, k in legs.items()}
-                d = diagram.Diagram(3, gens, tuple(edges), n_in, n_out)
-                d.validate()
-            out.append(list(d._ports))
+            out.append(list(diagram.from_json_obj(obj)._ports))
         except diagram.DiagramError as exc:
             out.append(str(exc))
     return out
