@@ -2109,11 +2109,6 @@ def test_validation_takes_a_port_index_only_as_an_int(end) -> None:
     assert str(err.value) == f"bad port reference {end!r}"
 
 
-def wire_through(b: DiagramBuilder) -> None:
-    b.wire("in", "w")
-    b.wire("w", "out")
-
-
 @pytest.mark.parametrize("ends", [("w", ("w", 1.5)), (("in", 5), ("w", "x")), ("w", "ghost"), ("out", None),
                                   ("in", ("w",))], ids=repr)
 def test_a_refused_wire_leaves_the_builder_unchanged(ends) -> None:
@@ -2124,8 +2119,9 @@ def test_a_refused_wire_leaves_the_builder_unchanged(ends) -> None:
         builder.node(Generator.white(1, 1), "w")
     with pytest.raises(DiagramError):
         b.wire(*ends)
-    wire_through(fresh)
-    wire_through(b)
+    for builder in (fresh, b):
+        builder.wire("in", "w")
+        builder.wire("w", "out")
     assert list(b.build()._ports) == list(fresh.build()._ports) == [3, 0, 1, 2]
 
 
