@@ -161,7 +161,7 @@ from quditzx.generators import (
     diagonal_weight,
     generator_entries,
 )
-from quditzx.measure import MeasureContext, OverflowGuardError
+from quditzx.measure import MeasureContext, OverflowGuardError, dimension
 from quditzx.tensor import Tensor, strict_int
 
 Port = tuple[str, int]
@@ -228,10 +228,12 @@ class Diagram:
         return self._edges
 
     def __eq__(self, other: object) -> bool:
+        """Equal by what a diagram file holds: a node's kind, degree, amplitude and ``c``, not its in/out split."""
         if type(other) is not type(self):
             return NotImplemented
-        fields = ("dim", "nodes", "edges", "n_inputs", "n_outputs")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
+        fields = ("dim", "n_inputs", "n_outputs", "edges")
+        nodes = [{name: (g.kind, g.degree, g.amp, g.c) for name, g in d.nodes.items()} for d in (self, other)]
+        return nodes[0] == nodes[1] and all(getattr(self, f) == getattr(other, f) for f in fields)
 
     def __repr__(self) -> str:
         return (f"Diagram(dim={self.dim!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
@@ -339,8 +341,11 @@ class DiagramBuilder:
     it; a boundary end, whose number depends on the nodes still to come,
     or an end whose node is not there yet or has no such leg, is kept as
     its port, and ``build`` numbers these once.  An explicit port takes
-    an int index only, and anything else raises in ``wire``, which then
-    leaves the builder as it was.
+    an int index only; anything else, or a list or dict end, raises in
+    ``wire``, which then leaves the builder as it was.  What a file
+    cannot hold is refused too, with ``DiagramError``: a dimension that
+    is not an int (read as ``MeasureContext`` reads one) or is below 2,
+    and a node name that is not a non-empty str without a colon.
     ``build`` then checks the table as the loader does (``_port_table``),
     so the first bad port names the error.
 
@@ -352,7 +357,12 @@ class DiagramBuilder:
     """
 
     def __init__(self, dim: int):
-        self.dim = dim
+        try:
+            self.dim = dimension(dim)
+        except TypeError as exc:
+            raise DiagramError(str(exc)) from None
+        if self.dim < 2:
+            raise DiagramError(f"dimension must be at least 2, got {self.dim}")
         self._nodes: dict[str, Generator] = {}
         self._legs: dict[str, list[int]] = {}  # each node's first port number, degree and next unwired leg
         self._n_legs = 0
@@ -366,7 +376,7 @@ class DiagramBuilder:
         if name is None:
             name = f"{gen.kind}{self._counter}"
             self._counter += 1
-        if not name or name in self._nodes or name in _RESERVED or ":" in name:
+        if not isinstance(name, str) or not name or name in self._nodes or name in _RESERVED or ":" in name:
             raise DiagramError(f"bad or duplicate node name {name!r}")
         deg = gen.degree
         self._nodes[name] = gen
@@ -399,11 +409,14 @@ class DiagramBuilder:
     def wire(self, a, b) -> None:
         # _resolve refuses an end before it moves a counter, so reading b
         # first leaves the builder as it was when either end is refused
-        if isinstance(b, tuple):
-            _port_index(b)
-        elif b not in self._legs and b not in _RESERVED:
-            raise DiagramError(f"unknown wire endpoint {b!r}")
-        a, b = self._resolve(a), self._resolve(b)
+        try:
+            if isinstance(b, tuple):
+                _port_index(b)
+            elif b not in self._legs and b not in _RESERVED:
+                raise DiagramError(f"unknown wire endpoint {b!r}")
+            a, b = self._resolve(a), self._resolve(b)
+        except TypeError:  # an unhashable end, b read first, is no node's id
+            raise DiagramError(f"unknown wire endpoint {b if type(b).__hash__ is None else a!r}") from None
         if type(a) is tuple:
             self._held.append(len(self._ends))
         if type(b) is tuple:
@@ -857,11 +870,6 @@ class _PlanCache:
             self.plans[key] = plan
             self.size += size
 
-    def clear(self) -> None:
-        with self._lock:
-            self.plans.clear()
-            self.size = 0
-
 
 _PLANS = _PlanCache()
 
@@ -1166,11 +1174,9 @@ def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``.
 
-    This is ``evaluate_many`` of the one diagram: the same plan check and
-    batch run, without its loop over diagrams.
+    This is ``evaluate_many`` of the one diagram, a batch of one.
     """
-    _, steps, layout, _ = _checked_plan(d, ctx)
-    return next(_evaluate_batch([d], steps, layout, ctx))
+    return next(evaluate_many([d], ctx))
 
 
 def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:

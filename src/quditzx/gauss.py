@@ -1,8 +1,8 @@
 """Quadratic Gauss sums and the normalized Gaussian integral, in closed form.
 
-Provides the Jacobi symbol, the companion unit epsilon_m, the quadratic
-Gauss sum G(r,s,N) = sum_{x=0}^{N-1} e^(2 pi i (r x^2 + s x)/N) with its
-half-exponent variant, and the measure-weighted integral
+Provides the Jacobi symbol, the quadratic Gauss sum
+G(r,s,N) = sum_{x=0}^{N-1} e^(2 pi i (r x^2 + s x)/N), and the
+measure-weighted integral
 Gamma(a,b,D) = integral of tau^(2ax + bx^2) over the residue window.
 The Jacobi symbol is computed in-house by the binary algorithm, so the
 module needs no computer-algebra package.
@@ -48,13 +48,6 @@ def jacobi(k: int, m: int) -> int:
             sign = -sign
         k %= m
     return sign if m == 1 else 0
-
-
-def epsilon(m: int) -> complex:
-    """1 for m = 1 mod 4, i for m = 3 mod 4."""
-    if m % 2 == 0:
-        raise ValueError(f"epsilon is defined for odd m, got {m}")
-    return 1j if m % 4 == 3 else 1 + 0j
 
 
 def _inv(x: int, m: int) -> int:
@@ -130,16 +123,6 @@ def gauss_sum_oracle(r: int, s: int, N: int) -> complex:
     total = 0j
     for x in range(N):
         total += cmath.exp(2j * cmath.pi * ((r * x * x + s * x) % N) / N)
-    return total
-
-
-def gauss_sum_tilde(r: int, s: int, M: int) -> complex:
-    """Half-exponent variant: sum_{x=0}^{M-1} e^(pi i (r x^2 + s x)/M)."""
-    if M < 1:
-        raise ValueError(f"modulus must be positive, got {M}")
-    total = 0j
-    for x in range(M):
-        total += cmath.exp(1j * cmath.pi * ((r * x * x + s * x) % (2 * M)) / M)
     return total
 
 

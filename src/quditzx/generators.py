@@ -473,7 +473,8 @@ def diagonal_weight(ctx: MeasureContext, g: Generator, vals: np.ndarray | None =
     ``vals`` defaults to the window L_D..U_D; where the dot's wires are a
     relabelling of another label, it holds the residue each value of that
     label stands for.  With no legs the dot integrates out, and this is
-    the scalar nu^2 * sum_v T(v) as a 0-d array.
+    the scalar nu^2 * sum_v T(v) as a 0-d array; past the float range it
+    raises ``OverflowGuardError``.
     """
     amp = g.amp if g.kind == "green" else One()
     if g.degree == 0:
@@ -481,7 +482,10 @@ def diagonal_weight(ctx: MeasureContext, g: Generator, vals: np.ndarray | None =
         # the entries a slice at a time: no list of all D of them is made
         w = amp.eval_arr(ctx, ctx.residues())
         total = sum(itertools.chain.from_iterable(w[k : k + 4096].tolist() for k in range(0, len(w), 4096)))
-        return np.asarray(complex(ctx.nu**2 * total))
+        weight = np.asarray(complex(ctx.nu**2 * total))
+        if not np.isfinite(weight):
+            raise OverflowGuardError(f"the weight of a legless {g.kind} dot leaves the float range")
+        return weight
     vals = ctx.residues() if vals is None else vals
     return np.asarray(amp.eval_arr(ctx, vals) * ctx.nu ** (2 - g.degree), dtype=complex)
 

@@ -111,7 +111,7 @@ class MeasureContext:
 
     @property
     def sigma(self) -> int:
-        """1 for even D, 0 for odd D; the fixed offset of the `negate` involution."""
+        """1 for even D, 0 for odd D: U_D + L_D, so x -> sigma - x maps the window onto itself."""
         return self.upper + self.lower
 
     @property
@@ -173,27 +173,9 @@ def residue(ctx: MeasureContext, t: int) -> int:
     return (int(t) - ctx.lower) % ctx.dim + ctx.lower
 
 
-def negate(ctx: MeasureContext, x: int) -> int:
-    """The involution x -> sigma - x on [D] (plain negation for odd D)."""
-    return residue(ctx, ctx.sigma - x)
-
-
 def integrate(ctx: MeasureContext, f: Callable[[int], complex]) -> complex:
     """Integrate f over [D]: nu**2 * sum of f on the window."""
     return ctx.nu**2 * sum(complex(f(x)) for x in range(ctx.lower, ctx.upper + 1))
-
-
-def exp_integral(ctx: MeasureContext, E: int) -> complex:
-    """Normalized exponential sum: D*nu**4 if E = 0 (mod D), else 0.
-
-    This is nu**2 times the bare integral of omega**(E*k) over the
-    measure; the extra nu**2 matches the point-mass pairing convention
-    the generator tensors use, so that at the default weight the value
-    is exactly 1 on the zero residue class.
-    """
-    if E % ctx.dim == 0:
-        return complex(ctx.dim * ctx.nu**4)
-    return 0j
 
 
 def omega_pow(ctx: MeasureContext, e: int) -> complex:

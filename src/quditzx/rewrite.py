@@ -179,10 +179,9 @@ class RuleSpec:
     its kind in declaration order, then the rule's own cross-parameter
     `check` if it has one.  `sample` draws each value by its kind in
     the same order, unless the rule brings its own `draw`; None means
-    the rule has no valid parameters at that D.  `param_domain` is the
-    boolean form of `validate`.  `dim_cap` marks rules whose sides have
-    D+1 boundary legs, so their tensors grow as D^(D+1); the checker
-    skips larger dimensions.
+    the rule has no valid parameters at that D.  `dim_cap` marks rules
+    whose sides have D+1 boundary legs, so their tensors grow as
+    D^(D+1); the checker skips larger dimensions.
     """
 
     id: str
@@ -205,13 +204,6 @@ class RuleSpec:
         if self.draw is not None:
             return self.draw(dim, rng)
         return {k: kind.draw(rng, dim) for k, kind in zip(self.params, self.kinds)}
-
-    def param_domain(self, params: Params, dim: int) -> bool:
-        try:
-            self.validate(params, dim)
-        except ParamError:
-            return False
-        return True
 
 
 _SPECS: list[RuleSpec] = []
@@ -1097,10 +1089,6 @@ def get_rule(rule_id: str) -> RuleSpec:
         return CATALOG[rule_id]
     except KeyError:
         raise RewriteError(f"unknown rule id {rule_id!r}") from None
-
-
-def rule_ids() -> tuple[str, ...]:
-    return tuple(CATALOG)
 
 
 # =====================================================================

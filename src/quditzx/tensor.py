@@ -6,7 +6,7 @@ enumerated over the signed residue window ``L_D..U_D``, so array index
 ``i`` on any axis refers to residue value ``L_D + i``.  A 0->0 tensor is
 a single complex scalar (0-dimensional array).
 
-Wires carry no measure weight: identity, swap, cup, and cap are plain
+Wires carry no measure weight: identity, cup, and cap are plain
 Kronecker deltas.  All normalization bookkeeping lives in the generator
 tensors (see :mod:`quditzx.generators`).
 """
@@ -76,15 +76,6 @@ class Tensor:
 
 def identity_wire(ctx: MeasureContext) -> Tensor:
     return Tensor(ctx.dim, 1, 1, np.eye(ctx.dim))
-
-
-def swap(ctx: MeasureContext) -> Tensor:
-    D = ctx.dim
-    data = np.zeros((D, D, D, D))
-    for x in range(D):
-        for y in range(D):
-            data[y, x, x, y] = 1.0
-    return Tensor(D, 2, 2, data)
 
 
 def cup(ctx: MeasureContext) -> Tensor:

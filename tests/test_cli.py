@@ -19,7 +19,7 @@ import pytest
 import quditzx
 from quditzx import cli, construct, diagram, gauss, rewrite, tensor
 from quditzx.diagram import DiagramBuilder
-from quditzx.generators import Generator, UnitPow
+from quditzx.generators import Generator, Table, UnitPow
 from quditzx.measure import MeasureContext
 
 
@@ -481,6 +481,17 @@ def test_a_non_finite_result_is_a_semantic_error(runner, tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "evaluation failed: a factor entry is out of range: overflow encountered in multiply\n"
+
+
+def test_eval_of_a_legless_dot_past_the_float_range_is_a_semantic_error(runner, tmp_path):
+    # each entry is finite; their sum is not
+    b = DiagramBuilder(3)
+    b.node(Generator.green(Table([1e308] * 3), 0, 0))
+    res = runner.invoke(cli.main, ["eval", write_diagram(tmp_path / "d.json", b.build())])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == ("evaluation failed: a factor entry is out of range: "
+                          "the weight of a legless green dot leaves the float range\n")
 
 
 @pytest.mark.parametrize("entry, nu, what", [("[1, 0]", "1e-200", "nu^-2 = 1e-200^-2 leaves the float range"),

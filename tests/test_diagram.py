@@ -808,6 +808,19 @@ def test_legless_red_dot_builds_no_square_table() -> None:
     assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize("gen, nu", [
+    (Generator.green(Table([1e308] * 3), 0, 0), None),
+    # the true weight is about 5.8e307, but the sum in order leaves the float range
+    (Generator.green(Table([1e308, 1e308, -1e308]), 0, 0), None),
+    (Generator.white(0, 0), 1e154),
+], ids=["green", "green-cancelling", "white"])
+def test_legless_dot_past_the_float_range_raises(gen, nu) -> None:
+    b = DiagramBuilder(3)
+    b.node(gen, "dot")
+    with pytest.raises(OverflowGuardError, match=f"the weight of a legless {gen.kind} dot leaves the float range"):
+        evaluate(b.build(), MeasureContext(3, nu))
+
+
 @pytest.mark.parametrize("matmul_min", [1, None], ids=["all-matmul", "default"])
 def test_result_budget_refuses_wide_results(monkeypatch, matmul_min) -> None:
     # one guard for both kernels, checked before either allocates
@@ -1317,7 +1330,7 @@ def param_diagram(dim: int, theta: float, stab: tuple[int, int], c: int, z: comp
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
-def test_same_shape_reuses_plan_bit_for_bit(plan_calls, dim: int) -> None:
+def test_same_shape_reuses_plan_bit_for_bit(monkeypatch, plan_calls, dim: int) -> None:
     rng = np.random.default_rng(60 + dim)
     variants = [
         (param_diagram(dim, *args), MeasureContext(dim, nu))
@@ -1330,7 +1343,7 @@ def test_same_shape_reuses_plan_bit_for_bit(plan_calls, dim: int) -> None:
     warm = [evaluate(d, ctx).data.tobytes() for d, ctx in variants]
     assert len(plan_calls) == 1  # one shape, one plan
     for (d, ctx), got in zip(variants, warm):
-        dg._PLANS.clear()
+        monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
         assert evaluate(d, ctx).data.tobytes() == got
     assert len(warm) == len(set(warm))  # the parameters did reach the tensor
 
@@ -1504,12 +1517,12 @@ def test_plan_cache_counts_absorbed_not_dots(monkeypatch, plan_calls) -> None:
     want = np.eye(3)
     for c in consts:
         want = evaluate(node_diagram(3, Generator.not_dot(c)), ctx).data @ want
-    dg._PLANS.clear()
+    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
     got = evaluate(d, ctx)
     assert np.abs(got.data - want).max() <= 1e-12
     assert dg._PLANS.size == dg._plan_size(plan) == 2001 + len(deltas)
     monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 2000)
-    dg._PLANS.clear()
+    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
     assert evaluate(d, ctx).data.tobytes() == got.data.tobytes()
     assert not dg._PLANS.plans and dg._PLANS.size == 0
 
@@ -1521,7 +1534,7 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
     diagrams += [param_diagram(3, 0.2 * k, (1, k % 3), k, 1.0 + k) for k in range(3)]
     want = [evaluate(d, ctx).data.tobytes() for d in diagrams]
     monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 40)  # every round evicts: the three plans hold 25, 17 and 12
-    dg._PLANS.clear()
+    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
     wrong: list = []
 
     def work(seed: int) -> None:
@@ -1580,6 +1593,41 @@ def test_json_round_trip_preserves_value() -> None:
         assert back.dim == d.dim
         assert back.n_inputs == d.n_inputs and back.n_outputs == d.n_outputs
         assert max_abs_diff(evaluate(back, ctx), evaluate(d, ctx)) < 1e-12
+
+
+def test_a_diagram_equals_its_file() -> None:
+    # a file keeps each node's degree, not its in/out split, and == compares what it keeps
+    sides = []
+    for dim in (2, 3, 5):
+        rng = np.random.default_rng(dim)
+        for nu in (None, 1.0):
+            ctx = MeasureContext(dim, nu)
+            for spec in CATALOG.values():
+                params = spec.sample(dim, rng)
+                if params is not None and (spec.dim_cap is None or dim <= spec.dim_cap):
+                    sides += instantiate(spec, params, ctx)
+        sides += [normal_form(random_tensor(rng, dim, m, n), MeasureContext(dim)) for m, n in ((0, 1), (1, 1))]
+    assert len(sides) == 726
+    split = sum(any(g.m for g in d.nodes.values()) for d in sides)
+    assert split > 500  # most sides hold a node with inputs, which a file drops
+    for d in sides:
+        assert load_json(dump_json(d)) == d
+    b = DiagramBuilder(3)
+    b.node(Generator.white(0, 2), "w")
+    b.wire("w", "out")
+    b.wire("w", "out")
+    assert b.build() == from_edges(3, {"w": Generator.white(2, 0)}, [(("w", 0), ("out", 0)), (("w", 1), ("out", 1))], 0, 2)
+
+
+def test_diagrams_that_differ_in_one_amplitude_or_one_edge_are_unequal() -> None:
+    def two_dots(amp, edges):
+        return from_edges(3, {"g": Generator.green(amp, 1, 1), "h": Generator.hbox(Phase(0.5), 1, 0)}, edges, 1, 0)
+
+    wiring = [(("in", 0), ("g", 0)), (("g", 1), ("h", 0))]
+    d = two_dots(Phase(0.25), wiring)
+    assert d == two_dots(Phase(0.25), wiring) == load_json(dump_json(d))
+    assert d != two_dots(Phase(0.75), wiring)
+    assert d != two_dots(Phase(0.25), [(("in", 0), ("h", 0)), (("g", 1), ("g", 0))])
 
 
 AMP_VARIANTS = [
@@ -2110,10 +2158,11 @@ def test_validation_takes_a_port_index_only_as_an_int(end) -> None:
 
 
 @pytest.mark.parametrize("ends", [("w", ("w", 1.5)), (("in", 5), ("w", "x")), ("w", "ghost"), ("out", None),
-                                  ("in", ("w",))], ids=repr)
+                                  ("in", ("w",)), ("in", ["w", 0]), (["w", 0], "out"), ("in", {"w": 0}),
+                                  ({"w": 0}, "out")], ids=repr)
 def test_a_refused_wire_leaves_the_builder_unchanged(ends) -> None:
-    # the first end is good and the second refused: no counter moves, so
-    # a valid wiring after it builds what it builds on a fresh builder
+    # one end is refused: no counter moves, so a valid wiring after it
+    # builds what it builds on a fresh builder
     fresh, b = DiagramBuilder(3), DiagramBuilder(3)
     for builder in (fresh, b):
         builder.node(Generator.white(1, 1), "w")
@@ -2123,6 +2172,48 @@ def test_a_refused_wire_leaves_the_builder_unchanged(ends) -> None:
         builder.wire("in", "w")
         builder.wire("w", "out")
     assert list(b.build()._ports) == list(fresh.build()._ports) == [3, 0, 1, 2]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("w", None), ("a b", None), ("\u00e9", None), ("in0", None),
+    (5, "bad or duplicate node name 5"), (2.5, "bad or duplicate node name 2.5"),
+    (b"x", "bad or duplicate node name b'x'"), (("a",), "bad or duplicate node name ('a',)"),
+    ("a:b", "bad or duplicate node name 'a:b'"), ("out", "bad or duplicate node name 'out'"),
+], ids=repr)
+def test_the_builder_takes_a_node_name_a_file_can_hold(name, message) -> None:
+    # a refused name leaves the builder as it was; an accepted one dumps and loads back
+    b = DiagramBuilder(3)
+    if message is not None:
+        with pytest.raises(DiagramError) as err:
+            b.node(Generator.white(1, 1), name)
+        assert str(err.value) == message
+        name = "w"
+    b.chain([Generator.white(1, 1)], [name])
+    d = b.build()
+    assert list(d.nodes) == [name] and list(d._ports) == [3, 0, 1, 2]
+    assert load_json(dump_json(d)) == d and dump_json(load_json(dump_json(d))) == dump_json(d)
+
+
+@pytest.mark.parametrize("dim, message", [
+    (2, None), (np.int64(3), None), (np.uint8(5), None), (10**30, None),
+    (1, "dimension must be at least 2, got 1"), (0, "dimension must be at least 2, got 0"),
+    (True, "a dimension must be an integer, got True"), (2.0, "a dimension must be an integer, got 2.0"),
+    ("3", "a dimension must be an integer, got '3'"), (None, "a dimension must be an integer, got None"),
+], ids=repr)
+def test_the_builder_takes_a_dimension_a_file_can_hold(dim, message) -> None:
+    # the loader's words for a dimension below 2; an accepted one is an int, written as one
+    if message is not None:
+        with pytest.raises(DiagramError) as err:
+            DiagramBuilder(dim)
+        assert str(err.value) == message
+        return
+    b = DiagramBuilder(dim)
+    b.chain([Generator.white(1, 1)])
+    d = b.build()
+    assert type(d.dim) is int and d.dim == dim
+    text = dump_json(d)
+    assert f'"dimension": {int(dim)},' in text
+    assert load_json(text) == d and dump_json(load_json(text)) == text
 
 
 @pytest.mark.parametrize("legs, edges, inputs, outputs, message", [

@@ -8,12 +8,10 @@ import pytest
 
 from quditzx.gauss import (
     GammaValue,
-    epsilon,
     gamma,
     gamma_oracle,
     gauss_sum,
     gauss_sum_oracle,
-    gauss_sum_tilde,
     jacobi,
 )
 from quditzx.measure import MeasureContext
@@ -100,16 +98,6 @@ def test_jacobi_rejects_even_or_nonpositive_modulus() -> None:
         jacobi(1, -3)
 
 
-def test_epsilon_values() -> None:
-    assert epsilon(5) == 1
-    assert epsilon(3) == 1j
-    assert epsilon(1) == 1
-    for m in (3, 5, 7, 9):
-        assert abs(epsilon(m) ** 2 - jacobi(-1, m)) < 1e-15
-    with pytest.raises(ValueError):
-        epsilon(4)
-
-
 def test_gauss_sum_examples() -> None:
     assert abs(gauss_sum(1, 0, 4) - (2 + 2j)) < 1e-12
     assert abs(gauss_sum(1, 0, 3) - 1j * math.sqrt(3)) < 1e-12
@@ -147,15 +135,6 @@ def test_twice_odd_modulus_vanishes_for_odd_combination() -> None:
             for s in range(2 * M):
                 if (M * r + s) % 2 == 1:
                     assert abs(gauss_sum_oracle(r, s, 2 * M)) < 1e-9
-
-
-def test_full_sum_splits_through_half_exponent_variant() -> None:
-    for M in range(1, 7):
-        for r in range(M):
-            for s in range(M):
-                lhs = gauss_sum_oracle(r, s, 2 * M)
-                rhs = (1 + (-1) ** ((M * r + s) % 2)) * gauss_sum_tilde(r, s, M)
-                assert abs(lhs - rhs) < 1e-9
 
 
 def test_gamma_examples() -> None:

@@ -51,22 +51,68 @@ def registered(node: ast.FunctionDef | ast.ClassDef) -> bool:
     return False
 
 
+# Test oracles: definitions the package keeps for its tests to check
+# the fast paths against, though no program path calls them.
+# ``mbox_gadget`` is the normal form's selector, checked alone.
+TEST_ORACLES = {
+    "gauss_sum_oracle", "identity_wire", "cup", "cap", "tensor_product",
+    "compose", "Tensor.adjoint", "mbox_gadget",
+}
+
+
+def definitions(tree: ast.Module):
+    """Each module-level function or class, and each method of a
+    module-level class, with its dotted name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def uses(path: Path, spelled: bool) -> list[tuple[str, int]]:
+    """Each name that ``path`` loads, by name or as an attribute, or
+    imports, with its line; with ``spelled``, each string constant too."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif spelled and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append((node.value, node.lineno))
+    return found
+
+
 def test_no_module_level_definition_is_dead() -> None:
-    """Every function or class defined at module level in the package is
-    named somewhere besides its own definition."""
+    """Every module-level function and class of the package, and every
+    method, is used outside its own body by the package, the benchmark,
+    the tools or the demos: loaded, imported, or, in the benchmark and
+    the tools, spelled as a string, as the tracer names what it patches.
+    Tests do not count.  Public names, catalog rules, dunders and the
+    test oracles are exempt."""
+    from quditzx import _HOMES
+
     package = sorted((ROOT / "src" / "quditzx").glob("*.py"))
-    others = [path for folder in ("tests", "demos", "bench")
-              for path in sorted((ROOT / folder).glob("*.py"))]
-    words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in package + others)))
-    dead = [
-        f"{path.name}:{node.name}"
-        for path in package
-        for node in ast.parse(path.read_text(), str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not registered(node)
-        and words[node.name] < 2
-    ]
-    assert dead == []
+    users = {path: uses(path, spelled=False) for path in package}
+    for folder in ("bench", "tools", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            users[path] = uses(path, spelled=folder != "demos")
+    dead = []
+    for path in package:
+        for qualname, node in definitions(ast.parse(path.read_text(), str(path))):
+            if (qualname in _HOMES or qualname in TEST_ORACLES or registered(node)
+                    or node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (user == path and line in span)
+                       for user, found in users.items() for name, line in found):
+                dead.append(qualname)
+    assert not dead, "used only by tests: " + ", ".join(sorted(dead))
 
 
 def test_no_module_level_import_is_unused() -> None:

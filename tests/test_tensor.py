@@ -19,7 +19,6 @@ from quditzx.tensor import (
     load_json,
     max_abs_diff,
     max_abs_diff_blocks,
-    swap,
     tensor_product,
 )
 
@@ -41,12 +40,6 @@ def test_cap_after_cup_is_trace_of_identity():
     loop = compose(cup(ctx), cap(ctx))
     assert loop.in_legs == loop.out_legs == 0
     assert abs(complex(loop.data) - 2.0) < 1e-12
-
-
-def test_swap_involution():
-    ctx = MeasureContext(4)
-    two = tensor_product(identity_wire(ctx), identity_wire(ctx))
-    assert max_abs_diff(compose(swap(ctx), swap(ctx)), two) < 1e-12
 
 
 @pytest.mark.parametrize("D", [2, 3, 5])
