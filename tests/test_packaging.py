@@ -98,10 +98,13 @@ def test_no_module_level_definition_is_dead() -> None:
     from quditzx import _HOMES
 
     package = sorted((ROOT / "src" / "quditzx").glob("*.py"))
-    users = {path: uses(path, spelled=False) for path in package}
-    for folder in ("bench", "tools", "demos"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            users[path] = uses(path, spelled=folder != "demos")
+    users = [(path, False) for path in package]
+    users += [(path, folder != "demos") for folder in ("bench", "tools", "demos")
+              for path in sorted((ROOT / folder).glob("*.py"))]
+    where: dict[str, list[tuple[Path, int]]] = {}  # each used name: the file and line of each use
+    for path, spelled in users:
+        for name, line in uses(path, spelled):
+            where.setdefault(name, []).append((path, line))
     dead = []
     for path in package:
         for qualname, node in definitions(ast.parse(path.read_text(), str(path))):
@@ -109,8 +112,7 @@ def test_no_module_level_definition_is_dead() -> None:
                     or node.name.startswith("__") and node.name.endswith("__")):
                 continue
             span = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and not (user == path and line in span)
-                       for user, found in users.items() for name, line in found):
+            if all(user == path and line in span for user, line in where.get(node.name, ())):
                 dead.append(qualname)
     assert not dead, "used only by tests: " + ", ".join(sorted(dead))
 
