@@ -117,22 +117,16 @@ bit.  A batch holds at most ``_MATMUL_MIN`` entries in any array (batch
 times D^max(top, widest dense degree)): past that the per-call overhead
 is small next to the arithmetic, and a larger batch only costs memory.
 ``evaluate`` runs the batch of one that ``evaluate_many`` runs for a
-single diagram, and ``evaluate_blocks`` runs the same executor on a
-batch of one.
+single diagram.
 
-A wide result can be had in blocks, never whole (``evaluate_blocks``).
-At most the final reorder follows a plan's last pairwise step, so that
-step is its last or next-to-last.  Every step before it runs once; the
-last pairwise step, and the final reorder after it, then run once per
-value v of the label that becomes boundary position 0, on operands
-indexed at v, and give block v, ``evaluate(d, ctx).data[v]``.  On the
-matmul kernel a block has the same bits as that slice; on einsum it may
-differ by rounding, as the inner loops follow the operands' shapes.
-``rewrite._pair_errors``, which turns every pair of rule sides the
-soundness checker compares into an error, compares a pair block against
-block when its sides have more than ``rewrite._BLOCK_ABOVE`` (2^20)
-entries, 16 MiB of complex128 each; in the soundness matrix at D=2..9
-only ZH-O and ZH-ZPL at D=7 do.
+A pair of wide results is compared in tiles, never whole
+(``max_abs_diff_tiled``): a tile fixes the first k boundary positions,
+k the fewest that leave at most ``_TILE`` entries.  Each side runs every
+step before its last pairwise one once, permutes that step's operands
+once, and computes each tile from slabs of them into one buffer.
+``rewrite._pair_errors`` compares a pair so when its sides have more
+than ``rewrite._BLOCK_ABOVE`` (2^20) entries; in the soundness matrix at
+D=2..9 only ZH-O and ZH-ZPL at D=7 do (7^8 entries, 88 MiB a side).
 """
 
 from __future__ import annotations
@@ -147,7 +141,7 @@ import threading
 from array import array
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from typing import Any, Container, Iterable, Iterator, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,7 +156,7 @@ from quditzx.generators import (
     generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, dimension
-from quditzx.tensor import Tensor, strict_int
+from quditzx.tensor import ShapeError, Tensor, strict_int
 
 Port = tuple[str, int]
 Edge = tuple[Port, Port]
@@ -185,6 +179,10 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 # D=2..9, only the last hub step of each side of ZH-O and ZH-ZPL at
 # D=5..7 reaches it
 _MATMUL_MIN = 1 << 17
+# entries in a tile of max_abs_diff_tiled.  Checking ZH-O at D=7 peaks
+# at 3.9 MiB of arrays with tiles of 7^5, 8.9 MiB with 7^6 (2^17), and
+# 40 MiB with one block per value of boundary position 0
+_TILE = 1 << 16
 
 # how a node enters the contraction: as its diagonal, its dense array,
 # its character decomposition (red and gray dots; see ``_factor_mode``),
@@ -345,7 +343,8 @@ class DiagramBuilder:
     ``wire``, which then leaves the builder as it was.  What a file
     cannot hold is refused too, with ``DiagramError``: a dimension that
     is not an int (read as ``MeasureContext`` reads one) or is below 2,
-    and a node name that is not a non-empty str without a colon.
+    a node that is not a ``Generator``, and a node name that is not a
+    non-empty str without a colon.
     ``build`` then checks the table as the loader does (``_port_table``),
     so the first bad port names the error.
 
@@ -373,6 +372,8 @@ class DiagramBuilder:
         self._counter = 0
 
     def node(self, gen: Generator, name: str | None = None) -> str:
+        if type(gen) is not Generator:
+            raise DiagramError(f"a node must be a Generator, got {gen!r}")
         if name is None:
             name = f"{gen.kind}{self._counter}"
             self._counter += 1
@@ -960,7 +961,9 @@ def _execute(
     A plan of no steps leaves its one factor as the result; with no
     factor at all the result is the scalar 1.  Factors are built under
     ``np.errstate(over="raise")``, so a factor entry past the float
-    range, from Python or from numpy, raises ``OverflowGuardError``.
+    range, from Python or from numpy, raises ``OverflowGuardError``; a
+    Python power, whose error says only that it left the range, is named
+    by the node (of the first diagram) whose factor it was building.
     """
     D = ctx.dim
     if not ds[0].nodes and not ds[0].n_outputs + ds[0].n_inputs:
@@ -1025,9 +1028,13 @@ def _execute(
 
     factors: list[Any] = []
     shares: dict[Generator | tuple, _Share] = {}
+    starts: list[int] = []  # each node's first slot
+    building = 0  # the last slot whose factor was asked for or built
 
     def operand(k: int) -> np.ndarray:
         # the slot lets go, so a step's kernel holds the last reference
+        nonlocal building
+        building = k
         f, factors[k] = factors[k], None
         if type(f) is _Share:
             f.left -= 1
@@ -1042,6 +1049,8 @@ def _execute(
     try:
         with np.errstate(over="raise"):
             for code, col, lay in zip(node_codes, zip(*[d.nodes.values() for d in ds]), layouts):
+                building = len(factors)
+                starts.append(building)
                 if not lay:  # an absorbed not dot
                     factors.append(None)
                     continue
@@ -1095,7 +1104,12 @@ def _execute(
                 return [operand(steps[stop][0]), operand(steps[stop][1])]
             return [operand(i)]
     except (OverflowError, FloatingPointError) as exc:  # a Python power or a numpy product
-        raise OverflowGuardError(f"a factor entry is out of range: {exc}") from exc
+        what = str(exc)
+        if type(exc) is OverflowError:  # a power in a factor's build, whose text is an errno tuple
+            name = list(ds[0].nodes)[bisect.bisect_right(starts, building) - 1]
+            gen = ds[0].nodes[name]
+            what = f"node {name!r}: {gen.kind} of degree {gen.degree} leaves the float range at D={D}"
+        raise OverflowGuardError(f"a factor entry is out of range: {what}") from exc
 
 
 def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple, int]:
@@ -1179,44 +1193,77 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     return next(evaluate_many([d], ctx))
 
 
-def evaluate_blocks(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
-    """``evaluate(d, ctx).data[v]`` for v = 0..D-1, made one block at a time.
+def _tiles(d: Diagram, ctx: MeasureContext, k: int) -> Callable[[tuple[int, ...]], np.ndarray]:
+    """A function from the values of the first k boundary positions to that tile of ``evaluate(d, ctx).data``.
 
-    Every step but the plan's last pairwise one, found among its last two
-    steps, runs once.  That step, and the final reorder after it, then run
-    once per value v of the label that becomes boundary position 0: its
-    operands are indexed at v on that label, and the label leaves the
-    step.  A block may differ from the slice by rounding where the step
-    runs on einsum (see the module notes).  A plan with no pairwise step
-    gives the slices of its whole result.  ``d`` must have a boundary; the
-    budgets are checked as in ``evaluate``.
+    Every step before the plan's last pairwise one runs here, once, and
+    that step's operands are permuted once: the cut labels each carries
+    first, the rest in matmul order (as in ``_pairwise``).  A tile is then
+    one ``np.matmul`` of slabs into a buffer, or one broadcast
+    ``np.multiply`` where the step sums no label, and comes back as a view
+    of the buffer in boundary order, which the next call overwrites.  On
+    matmul it has the bits of the whole result's slice.  A plan with no
+    pairwise step gives slices of its whole result.
     """
-    if not d.n_outputs + d.n_inputs:
-        raise DiagramError("a diagram with no boundary has no blocks")
     _, steps, layout, _ = _checked_plan(d, ctx)
-    pairwise = [k for k in range(max(len(steps) - 2, 0), len(steps)) if steps[k][1] >= 0]
-    if not pairwise:
-        yield from _execute(steps, len(steps), layout, [d], ctx)[0]
-        return
-    last = pairwise[-1]
+    last = max((s for s in range(max(len(steps) - 2, 0), len(steps)) if steps[s][1] >= 0), default=None)
+    if last is None:
+        return _execute(steps, len(steps), layout, [d], ctx)[0].__getitem__
     a, b = _execute(steps, last, layout, [d], ctx)
     _, _, sa, sb, so = steps[last]
     ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
-    cut = so[ra.index(ro[0])]  # the step's label for boundary position 0
+    labels = [so[ra.index(r)] for r in ro]  # each boundary position's label in the step
+    cut, rest = labels[:k], labels[k:]
+    batch = [l for l in sa if l in sb and l in rest]
+    summed = [l for l in sa if l not in so]
+    free_a = [l for l in sa if l not in sb and l in rest]
+    free_b = [l for l in sb if l not in sa and l in rest]
+    cut_a, cut_b = [l for l in cut if l in sa], [l for l in cut if l in sb]
+    D, nb, ns = ctx.dim, ctx.dim ** len(batch), ctx.dim ** len(summed)
+    a = np.ascontiguousarray(a.transpose([sa.index(l) for l in cut_a + batch + free_a + summed]))
+    a = a.reshape((D,) * len(cut_a) + (nb, -1, ns))
+    b = np.ascontiguousarray(b.transpose([sb.index(l) for l in cut_b + batch + summed + free_b]))
+    b = b.reshape((D,) * len(cut_b) + (nb, ns, -1))
+    out = np.empty((nb, a.shape[-2], b.shape[-1]), dtype=complex)
+    order = batch + free_a + free_b
+    view = out.reshape((D,) * len(order)).transpose([order.index(l) for l in rest])
+    kernel = np.matmul if summed else np.multiply
+    at_a, at_b = [cut.index(l) for l in cut_a], [cut.index(l) for l in cut_b]
 
-    def drop(sub: Sequence[int], name: int) -> list[int]:
-        # `sub` without `name`; the names above it move down, so a
-        # step's labels stay 0..u-1
-        return [lab - (lab > name) for lab in sub if lab != name]
+    def tile(idx: tuple[int, ...]) -> np.ndarray:
+        kernel(a[tuple(idx[p] for p in at_a)], b[tuple(idx[p] for p in at_b)], out=out)
+        return view
 
-    def at(arr: np.ndarray, sub: Sequence[int], v: int) -> np.ndarray:
-        return arr[(slice(None),) * sub.index(cut) + (v,)] if cut in sub else arr
+    return tile
 
-    sa_v, sb_v, so_v = drop(sa, cut), drop(sb, cut), drop(so, cut)
-    ra_v, ro_v = drop(ra, ro[0]), drop(ro, ro[0])
-    for v in range(d.dim):
-        # bound to no name here, so the caller holds the only reference
-        yield np.einsum(_pairwise(d.dim, at(a, sa, v), sa_v, at(b, sb, v), sb_v, so_v), (..., *ra_v), (..., *ro_v))
+
+def max_abs_diff_tiled(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float:
+    """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))``, compared one tile at a time, neither side whole.
+
+    A tile fixes the first k boundary positions, k the fewest that leave
+    at most ``_TILE`` entries (see ``_tiles``).  Two tiles are subtracted
+    into a buffer laid out as the left one, its abs goes into another, and
+    ``np.maximum`` folds in the max, carrying a NaN to the end.  The error
+    may round apart from ``max_abs_diff``'s where a whole side's last step
+    runs on einsum.  Entries past the float range give inf or NaN with no
+    warning.
+    """
+    if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs):
+        raise ShapeError("the diagrams differ in their boundary")
+    n, k = lhs.n_inputs + lhs.n_outputs, 0
+    while ctx.dim ** (n - k) > _TILE:
+        k += 1
+    left, right = _tiles(lhs, ctx, k), _tiles(rhs, ctx, k)
+    worst, diff = -np.inf, None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for idx in np.ndindex((ctx.dim,) * k):
+            x, y = left(idx), right(idx)
+            if diff is None:
+                diff = np.empty_like(x)
+                mag = np.empty_like(x, dtype=float)
+            np.abs(np.subtract(x, y, out=diff), out=mag)
+            worst = np.maximum(worst, mag.max())
+    return float(worst)
 
 
 # =====================================================================

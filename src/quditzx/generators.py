@@ -375,8 +375,8 @@ class Generator:
     """One node of the calculus: kind, arity split, and parameters.
 
     `amp` is required for green/red/hbox and forbidden elsewhere; `c`
-    is meaningful for `not` only.  hplus/hminus/not have exactly two
-    legs in total (any input/output split, by flexsymmetry).
+    is 0 but on `not`.  hplus/hminus/not have exactly two legs in total
+    (any input/output split, by flexsymmetry).
     """
 
     kind: str
@@ -397,6 +397,8 @@ class Generator:
                 raise ValueError(f"{self.kind} requires an amplitude function")
         elif self.amp is not None:
             raise ValueError(f"{self.kind} takes no amplitude function")
+        if self.c and self.kind != "not":
+            raise ValueError("only a 'not' node takes a 'c'")
         if self.kind == "hbox" and self.m + self.n > 1 and self.amp.residues_only:
             raise ValueError(
                 "an hbox with more than one leg needs an all-integers amplitude "

@@ -47,8 +47,8 @@ from quditzx.diagram import (
     Diagram,
     DiagramBuilder,
     evaluate,  # noqa: F401
-    evaluate_blocks,
     evaluate_many,
+    max_abs_diff_tiled,
 )
 # Unused here, as is ``evaluate`` above: bench/tracer.py patches
 # quditzx.rewrite.gamma and quditzx.rewrite.evaluate, so the traced
@@ -68,7 +68,7 @@ from quditzx.generators import (
     amp_to_json,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, dimension, residue, tau_pow
-from quditzx.tensor import max_abs_diff, max_abs_diff_blocks
+from quditzx.tensor import max_abs_diff
 
 
 class RewriteError(ValueError):
@@ -1117,13 +1117,12 @@ def instantiate(
     return lhs, rhs
 
 
-# Entries of a rule side past which its pair is compared block by block
+# Entries of a rule side past which its pair is compared tile by tile
 # (2^20, 16 MiB of complex128).  In the soundness matrix at D=2..9 only
-# ZH-O and ZH-ZPL at D=7 (7^8 entries, 88 MiB a side) pass it: blocks cut
-# their comparison's peak from two whole sides (176 MiB) to about three
-# blocks (40 MiB).  Below it the whole path stays, since blocks would save
-# at most 32 MiB and cost D more kernel calls a side (0.1 to 0.2 ms more
-# per ZH-O check at D=4 and 5).
+# ZH-O and ZH-ZPL at D=7 (7^8 entries, 88 MiB a side) pass it: tiles of
+# 7^5 entries cut their comparison's peak from two whole sides (176 MiB)
+# to 3.9 MiB of arrays.  Below it the whole path stays, since tiles would
+# save at most 32 MiB and cost a kernel call or more per tile and side.
 _BLOCK_ABOVE = 1 << 20
 _MAX_ROWS = 1 << 20  # rows of one check_all report: samples * rules * dimensions
 
@@ -1152,7 +1151,7 @@ def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) 
     sides of at most ``_BLOCK_ABOVE`` entries go through
     ``evaluate_many``, one stream per side, so consecutive sides of one
     shape are evaluated together; a wider pair is evaluated and compared
-    one block at a time (``evaluate_blocks``), never whole.  ``pairs`` is
+    one tile at a time (``max_abs_diff_tiled``), never whole.  ``pairs`` is
     read as the errors are asked for, so one batch of sides and tensors
     is held at a time.
     """
@@ -1160,10 +1159,10 @@ def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) 
     def wide(pair: tuple[Diagram, Diagram]) -> bool:
         return ctx.dim ** (pair[0].n_inputs + pair[0].n_outputs) > _BLOCK_ABOVE
 
-    for blocked, run in itertools.groupby(pairs, key=wide):
-        if blocked:
+    for tiled, run in itertools.groupby(pairs, key=wide):
+        if tiled:
             for lhs, rhs in run:
-                yield max_abs_diff_blocks(zip(evaluate_blocks(lhs, ctx), evaluate_blocks(rhs, ctx), strict=True))
+                yield max_abs_diff_tiled(lhs, rhs, ctx)
             continue
         left, right = _unzipped(run)
         rhs_tensors = evaluate_many(right, ctx)

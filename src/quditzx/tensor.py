@@ -17,14 +17,14 @@ import cmath
 import json
 import reprlib
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from quditzx.measure import MeasureContext, OverflowGuardError
 
 
-_DIFF_BLOCK = 1 << 16  # entries per sub-block in max_abs_diff_blocks
+_DIFF_BLOCK = 1 << 16  # entries per sub-block in max_abs_diff
 _REAL = (int, float)  # the types of a JSON number; bool is a subclass of int, not one of these
 
 
@@ -123,42 +123,32 @@ def compose(first: Tensor, second: Tensor) -> Tensor:
 
 
 def max_abs_diff(a: Tensor, b: Tensor) -> float:
-    """The largest entrywise ``|a - b|``, or NaN if any of them is NaN (see ``max_abs_diff_blocks``)."""
-    if (a.dim, a.in_legs, a.out_legs) != (b.dim, b.in_legs, b.out_legs):
-        raise ShapeError("tensors differ in dimension or leg counts")
-    return max_abs_diff_blocks([(a.data, b.data)])
-
-
-def max_abs_diff_blocks(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
-    """The largest entrywise ``|x - y|`` over pairs of equal-shape arrays, or NaN if any is NaN.
+    """The largest entrywise ``|a - b|``, or NaN if any of them is NaN.
 
     An array of more than ``_DIFF_BLOCK`` entries is compared in
     sub-blocks of at most that many, one for each index of its
     widest-strided axes, so no temporary is as large as the arrays and
     each sub-block reads short runs of memory in both.  The max of the
     same abs values is exact, so the result is bit for bit
-    ``float(np.max(np.abs(x - y)))`` over the pairs stacked;
-    ``np.maximum`` carries a NaN from any sub-block to the end.  The
-    pairs are read one at a time, so they may come from generators.
-    Entries past the float range give inf or NaN with no warning.
+    ``float(np.max(np.abs(a.data - b.data)))``; ``np.maximum`` carries a
+    NaN from any sub-block to the end.  Entries past the float range give
+    inf or NaN with no warning.
     """
-    worst = -np.inf
+    if (a.dim, a.in_legs, a.out_legs) != (b.dim, b.in_legs, b.out_legs):
+        raise ShapeError("tensors differ in dimension or leg counts")
+    x, y = a.data, b.data
     with np.errstate(invalid="ignore", over="ignore"):
-        for x, y in pairs:
-            if x.shape != y.shape:
-                raise ShapeError(f"arrays differ in shape: {x.shape} != {y.shape}")
-            if x.size <= _DIFF_BLOCK:
-                worst = np.maximum(worst, np.abs(x - y).max())
-            else:
-                order = sorted(range(x.ndim), key=lambda k: -abs(x.strides[k]) - abs(y.strides[k]))
-                x, y = x.transpose(order), y.transpose(order)
-                lead, size = 0, x.size
-                while size > _DIFF_BLOCK:
-                    size //= x.shape[lead]
-                    lead += 1
-                for idx in np.ndindex(x.shape[:lead]):
-                    worst = np.maximum(worst, np.abs(x[idx] - y[idx]).max())
-            del x, y  # let go of this pair before the next one is made
+        if x.size <= _DIFF_BLOCK:
+            return float(np.abs(x - y).max())
+        order = sorted(range(x.ndim), key=lambda k: -abs(x.strides[k]) - abs(y.strides[k]))
+        x, y = x.transpose(order), y.transpose(order)
+        lead, size = 0, x.size
+        while size > _DIFF_BLOCK:
+            size //= x.shape[lead]
+            lead += 1
+        worst = -np.inf
+        for idx in np.ndindex(x.shape[:lead]):
+            worst = np.maximum(worst, np.abs(x[idx] - y[idx]).max())
     return float(worst)
 
 

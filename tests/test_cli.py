@@ -377,6 +377,16 @@ def test_check_names_the_refused_cell(runner):
     assert res.stderr.startswith("check failed: ZH-EC at D=32: a factor entry is out of range: a power of UnitPow(")
 
 
+def test_check_names_the_node_whose_factor_leaves_the_float_range(runner):
+    # the draw at D=720 has a green dot of 572 legs whose nu^(2-572) is
+    # about 1e814: named by node, kind and degree, not by an errno tuple
+    res = runner.invoke(cli.main, ["check", "ZX-MH", "--dim", "720"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == ("check failed: ZX-MH at D=720: a factor entry is out of range: "
+                          "node 'g0': green of degree 572 leaves the float range at D=720\n")
+
+
 NON_FINITE = ["nan", "inf", "-inf", "1e400"]
 FLOAT_OPTIONS = [
     (["check", "ZH-HM", "--dims", "2..2"], "--nu"),

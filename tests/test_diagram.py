@@ -13,7 +13,7 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter
-from typing import Any
+from typing import Any, Iterable
 from unittest import mock
 
 import numpy as np
@@ -30,9 +30,9 @@ from quditzx.diagram import (
     DiagramError,
     dump_json,
     evaluate,
-    evaluate_blocks,
     evaluate_many,
     load_json,
+    max_abs_diff_tiled,
 )
 from quditzx.generators import (
     Char,
@@ -54,7 +54,7 @@ from quditzx.generators import (
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, residue
 from quditzx.rewrite import _BLOCK_ABOVE, CATALOG, check_all, instantiate
-from quditzx.tensor import Tensor, max_abs_diff
+from quditzx.tensor import ShapeError, Tensor, max_abs_diff
 
 
 def node_diagram(dim: int, gen: Generator) -> Diagram:
@@ -1084,61 +1084,99 @@ def test_a_split_form_is_used_only_where_it_is_smaller() -> None:
     assert dg._factor_mode(Generator.gray(0, 1), 600) == dg._DENSE
 
 
-# -- blocks ---------------------------------------------------------------
+# -- tiles ----------------------------------------------------------------
 
 
-def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0) -> None:
-    """``evaluate_blocks`` gives ``evaluate(d, ctx).data[v]`` for each v:
-    bit for bit, or with ``rel`` > 0 within ``rel`` of the largest entry (or of 1)."""
+def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0, cuts: Iterable[int] | None = None) -> None:
+    """Each tile of ``dg._tiles`` with k cut boundary positions, for each k
+    of ``cuts`` (every k by default), is ``evaluate(d, ctx).data[idx]`` at
+    its index ``idx``: bit for bit, or with ``rel`` > 0 within ``rel`` of
+    the largest entry (or of 1)."""
     whole = evaluate(d, ctx).data
     scale = max(1.0, np.max(np.abs(whole)))
-    n = 0
-    for v, block in enumerate(evaluate_blocks(d, ctx)):
-        assert block.shape == whole.shape[1:]
-        if rel:
-            assert np.max(np.abs(block - whole[v])) <= rel * scale, v
-        else:
-            assert block.tobytes() == whole[v].tobytes(), v
-        n += 1
-    assert n == d.dim
+    for k in range(whole.ndim + 1) if cuts is None else cuts:
+        tile = dg._tiles(d, ctx, k)
+        for idx in np.ndindex(whole.shape[:k]):
+            got = tile(idx)
+            assert got.shape == whole.shape[k:]
+            if rel:
+                assert np.max(np.abs(got - whole[idx]), initial=0.0) <= rel * scale, (k, idx)
+            else:
+                assert np.asarray(got).tobytes() == whole[idx].tobytes(), (k, idx)
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
 @pytest.mark.parametrize("dim", [6, 7])
 def test_blocks_of_widest_rules_are_slices(rid, dim) -> None:
-    # every step but the last runs once, and each block runs the last
-    # step's matmul on the same values as the whole step: the same bits
+    # every step but the last runs once, and each tile of the left side
+    # runs the last step's matmul on the same values as the whole step:
+    # the same bits, at the cut a check makes (6^6 and 7^5 entries a
+    # tile) and at D=6 at the next one.  The right side's last step sums
+    # no label, so its tiles are np.multiply's outer products, which can
+    # round apart from the whole side's matmul of inner size 1
     spec = CATALOG[rid]
     ctx = MeasureContext(dim)
-    for d in instantiate(spec, spec.sample(dim, np.random.default_rng(0)), ctx):
-        assert_blocks_are_slices(d, ctx)
+    cuts = [1, 2] if dim == 6 else [3]
+    assert all(dim ** (dim + 1 - k) <= dg._TILE for k in cuts)
+    for side, d in enumerate(instantiate(spec, spec.sample(dim, np.random.default_rng(0)), ctx)):
+        assert_blocks_are_slices(d, ctx, rel=side * 1e-15, cuts=cuts)
 
 
 def test_blocks_of_a_wide_random_diagram_are_slices() -> None:
-    # 3^13 entries, past _BLOCK_ABOVE, on hubs the greedy order picks
+    # 3^13 entries, past _BLOCK_ABOVE, on hubs the greedy order picks;
+    # its tiles at the _TILE cut (3^10 entries) and at every coarser one
     ctx = MeasureContext(3)
     rng = np.random.default_rng(23)
     assert 3**13 > _BLOCK_ABOVE
     for _ in range(2):
-        assert_blocks_are_slices(hub_diagram(rng, 3, 4, 10, 6, 7), ctx)
+        assert_blocks_are_slices(hub_diagram(rng, 3, 4, 10, 6, 7), ctx, rel=1e-12, cuts=range(4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_diagrams(), st.booleans(), st.sampled_from([None, 1]))
 def test_random_diagram_blocks_are_slices(d: Diagram, split_all: bool, matmul_min: int | None) -> None:
-    # any boundary: the cut label on either operand or both, with or
-    # without a final reorder, on either kernel, or no pairwise step.
-    # np.einsum may round a block apart from the whole step's slice: its
-    # inner loops differ with the operands' shapes and strides
+    # any boundary, no boundary included, cut at every position: the cut
+    # labels on either operand or both, with or without a final reorder,
+    # the whole side on either kernel, or no pairwise step.  A tile runs
+    # on matmul or np.multiply, so it may round apart from a slice of a
+    # whole side made on np.einsum
     ctx = MeasureContext(d.dim)
     split_above = 0 if split_all else dg._SPLIT_ABOVE
     with mock.patch.object(dg, "_SPLIT_ABOVE", split_above), \
             mock.patch.object(dg, "_MATMUL_MIN", matmul_min or dg._MATMUL_MIN):
-        if d.n_inputs + d.n_outputs:
-            assert_blocks_are_slices(d, ctx, rel=1e-12)
-        else:
-            with pytest.raises(DiagramError, match="no boundary"):
-                next(evaluate_blocks(d, ctx))
+        assert_blocks_are_slices(d, ctx, rel=1e-12)
+
+
+@st.composite
+def wide_pairs(draw) -> tuple[Diagram, Diagram]:
+    """Two diagrams of one ``small_wirings`` draw with two or more boundary
+    legs: its nodes and boundary, wired once as drawn and once at random."""
+    dim, nodes, edges, n_in, n_out = draw(small_wirings().filter(lambda w: w[3] + w[4] >= 2))
+    ends = draw(st.permutations([end for edge in edges for end in edge]))
+    return (from_edges(dim, nodes, edges, n_in, n_out),
+            from_edges(dim, nodes, tuple(zip(ends[::2], ends[1::2])), n_in, n_out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_pairs(), st.sampled_from([1, 8, None]), st.sampled_from([None, 0.8]))
+def test_random_pairs_compare_in_tiles_as_whole(pair, tile: int | None, nu: float | None) -> None:
+    # with tiles of one entry, of up to 8, or of the default size (one
+    # tile here), the tiled error is that of the two whole sides, within
+    # rounding: the sides' last steps may run on einsum when whole
+    lhs, rhs = pair
+    ctx = MeasureContext(lhs.dim, nu)
+    left, right = evaluate(lhs, ctx), evaluate(rhs, ctx)
+    want = max_abs_diff(left, right)
+    with mock.patch.object(dg, "_TILE", tile or dg._TILE):
+        got = max_abs_diff_tiled(lhs, rhs, ctx)
+    scale = max(1.0, np.max(np.abs(left.data)), np.max(np.abs(right.data)))
+    assert abs(got - want) <= 1e-12 * scale, (got, want)
+
+
+def test_tiled_comparison_refuses_pairs_of_other_boundaries() -> None:
+    ctx = MeasureContext(3)
+    with pytest.raises(ShapeError, match="differ in their boundary"):
+        max_abs_diff_tiled(node_diagram(3, Generator.white(1, 1)), node_diagram(3, Generator.white(2, 0)), ctx)
 
 
 # -- batches --------------------------------------------------------------
@@ -1384,12 +1422,14 @@ def test_factor_past_the_float_range_is_refused(case: str) -> None:
     else:
         ctx = MeasureContext(3, 1e-5 if case == "table product" else 1e-100)
         d = table_dot(3, 1e300 if case == "table product" else 1.0, 4 if case == "table product" else 6)
+    # the Python power names the node it was building
+    what = "node 'green0': green of degree 6 leaves the float range at D=3" if case == "table power" else ""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowGuardError, match="a factor entry is out of range"):
+        with pytest.raises(OverflowGuardError, match=f"^a factor entry is out of range: {what}"):
             evaluate(d, ctx)
-        with pytest.raises(OverflowGuardError, match="a factor entry is out of range"):
-            next(evaluate_blocks(d, ctx))
+        with pytest.raises(OverflowGuardError, match=f"^a factor entry is out of range: {what}"):
+            max_abs_diff_tiled(d, d, ctx)
 
 
 def test_disconnected_pieces_are_refused_before_any_factor(monkeypatch) -> None:
@@ -2192,6 +2232,17 @@ def test_the_builder_takes_a_node_name_a_file_can_hold(name, message) -> None:
     d = b.build()
     assert list(d.nodes) == [name] and list(d._ports) == [3, 0, 1, 2]
     assert load_json(dump_json(d)) == d and dump_json(load_json(dump_json(d))) == dump_json(d)
+
+
+@pytest.mark.parametrize("gen", [None, "white", 3], ids=repr)
+def test_the_builder_refuses_a_node_that_is_not_a_generator(gen) -> None:
+    # named in a DiagramError, not an AttributeError; the builder stays as it was
+    b = DiagramBuilder(3)
+    with pytest.raises(DiagramError) as err:
+        b.node(gen)
+    assert str(err.value) == f"a node must be a Generator, got {gen!r}"
+    b.chain([Generator.white(1, 1)], ["w"])
+    assert list(b.build()._ports) == [3, 0, 1, 2]
 
 
 @pytest.mark.parametrize("dim, message", [

@@ -478,6 +478,17 @@ def test_generator_validation():
     assert t.data.shape == (3,)
 
 
+@pytest.mark.parametrize("kind, amp", [("green", One()), ("red", One()), ("white", None), ("gray", None),
+                                       ("hbox", One()), ("hplus", None), ("hminus", None)])
+def test_only_a_not_dot_takes_a_nonzero_c(kind, amp):
+    # as the loader words it; a file drops the c of any other kind, so
+    # such a generator would not equal its own diagram file
+    with pytest.raises(ValueError, match=r"^only a 'not' node takes a 'c'$"):
+        Generator(kind, 1, 1, amp=amp, c=5)
+    assert Generator(kind, 1, 1, amp=amp, c=0) == Generator(kind, 1, 1, amp=amp)
+    assert Generator("not", 1, 1, c=5).c == 5
+
+
 def test_green_phase_adjoint_example():
     ctx = MeasureContext(5)
     lhs = eval_generator(ctx, Generator.green(Phase(0.9), 1, 1)).adjoint()

@@ -191,6 +191,29 @@ def test_report_digest_runs_its_wiring_corpus() -> None:
     assert all(type(p) is int for o in outcomes if type(o) is list for p in o)
 
 
+@pytest.mark.parametrize("base, head, wins, lower, want", [
+    ([80.0, 82.0, 84.0], [45.0, 46.0, 47.0], 10, True, "gain"),
+    ([80.0, 82.0, 84.0], [45.0, 46.0, 47.0], 9, True, "gain"),
+    ([80.0, 82.0, 84.0], [45.0, 46.0, 47.0], 8, True, "flat"),  # fewer than 9 of 10 pairs won
+    ([80.0, 82.0, 84.0], [77.0, 78.5, 80.0], 10, True, "flat"),  # better by 3.5, the base IQR is 4
+    ([80.0, 82.0, 84.0], [95.0, 95.0, 96.0], 0, True, "worse"),  # 13 past 82, more than 0.15 * 82
+    ([80.0, 82.0, 84.0], [93.0, 94.0, 95.0], 0, True, "flat"),  # 12 past 82, within 0.15 * 82
+    ([70.0, 82.0, 83.0], [82.0, 82.0, 82.0], 5, True, "unresolved"),  # IQR 13, more than 0.15 * 82
+    ([2.0, 3.0, 4.0], [3.5, 4.0, 4.5], 10, False, "unresolved"),  # higher is better: won, within the IQR
+    ([2.9, 3.0, 3.1], [3.5, 4.0, 4.5], 10, False, "gain"),
+    ([2.9, 3.0, 3.1], [2.0, 2.5, 3.0], 0, False, "worse"),
+])
+def test_bench_pairs_verdict(base, head, wins, lower, want) -> None:
+    """``tools/bench_pairs.py``'s rule, for a metric of bound 0.15: a gain
+    needs 9 of 10 pairs and a median past the base IQR; worse is past the
+    bound; a base IQR wider than the bound leaves it unresolved."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    assert pairs.PAIRS == 10
+    assert pairs.verdict(base, head, wins, 0.15, lower) == want
+
+
 def test_package_parses_at_the_declared_python_floor() -> None:
     """Syntax newer than ``requires-python`` allows fails here, with no
     interpreter of that version needed."""

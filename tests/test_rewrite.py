@@ -352,61 +352,65 @@ def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim, block_abov
 
 
 NAN, INF = float("nan"), float("inf")
-# (side, block, entry in the block, value)
+# (side, tile, entry in the tile, value); tile 0 is the first, -1 the last
 BLOCK_EDITS = [
     [(0, 0, 0, NAN)],
-    [(1, 5, -1, NAN)],
-    [(0, 3, 7, INF), (1, 3, 7, INF)],  # inf - inf is NaN
-    [(1, 2, 11, 1e3)],
+    [(1, -1, -1, NAN)],
+    [(0, -1, 7, INF), (1, -1, 7, INF)],  # inf - inf is NaN
+    [(1, 0, 11, 1e3)],
 ]
 
 
 @pytest.mark.parametrize("edits", BLOCK_EDITS, ids=range(len(BLOCK_EDITS)))
 def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
-    # an edited block gives the error of the whole sides edited alike,
+    # an edited tile gives the error of the whole sides edited alike,
     # bit for bit: NaN from a NaN anywhere or from inf - inf
-    monkeypatch.setattr(rw, "_BLOCK_ABOVE", 0)  # the 6^7-entry sides in blocks
+    monkeypatch.setattr(rw, "_BLOCK_ABOVE", 0)  # the 6^7-entry sides in six tiles of 6^6
     ctx = MeasureContext(6)
-    real = rw.evaluate_blocks
-    sides: list = []
+    real = dg._tiles
+    shapes: list = []
 
-    def poisoned(d, ctx):
-        k = len(sides)
-        sides.append(d)
-        for v, block in enumerate(real(d, ctx)):
-            block = block.copy()
-            for side, at, entry, value in edits:
-                if (side, at) == (k, v):
-                    block.flat[entry] = value
-            yield block
+    def poisoned(d, ctx, k):
+        side, tile = len(shapes), real(d, ctx, k)
+        shapes.append((6,) * k)
 
-    monkeypatch.setattr(rw, "evaluate_blocks", poisoned)
+        def edited(idx):
+            x = tile(idx)
+            for s, at, entry, value in edits:
+                if s == side and idx == np.unravel_index(at % 6**k, (6,) * k):
+                    x[np.unravel_index(entry % x.size, x.shape)] = value
+            return x
+
+        return edited
+
+    monkeypatch.setattr(dg, "_tiles", poisoned)
     with np.errstate(invalid="ignore"):  # inf - inf
         rep = check_soundness("ZH-O", {}, ctx, tol=1.0)
         whole = [evaluate(d, ctx) for d in instantiate("ZH-O", {}, ctx)]
         for side, at, entry, value in edits:
-            whole[side].data[at].flat[entry] = value
+            tile = whole[side].data[np.unravel_index(at % 6, (6,))]
+            tile[np.unravel_index(entry % tile.size, tile.shape)] = value
         want = max_abs_diff(*whole)
-    assert len(sides) == 2
+    assert shapes == [(6,), (6,)]
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
     assert math.isnan(rep["max_err"]) == (edits != BLOCK_EDITS[-1])
     assert rep["pass"] is False
 
 
 def test_a_cell_of_blocked_and_batched_draws(monkeypatch):
-    # with _BLOCK_ABOVE at 9, ZH-HMB's sides at D=3 are compared in blocks
-    # where m+n >= 3; seed 13 draws six distinct params whose sides
-    # alternate between blocked and batched.  Blocks on the einsum kernel
-    # may round apart from a whole evaluation
+    # with _BLOCK_ABOVE at 9, ZH-HMB's sides at D=3 are compared in tiles
+    # where m+n >= 3; seed 13 draws six distinct params whose pairs
+    # alternate between tiled and batched.  Tiles may round apart from
+    # a whole evaluation on the einsum kernel
     want = check_all([3], samples=6, seed=13, rules=["ZH-HMB"])
     monkeypatch.setattr(rw, "_BLOCK_ABOVE", 9)
-    real_blocks, real_many = rw.evaluate_blocks, rw.evaluate_many
+    real_tiled, real_many = rw.max_abs_diff_tiled, rw.evaluate_many
     blocked: list = []
     batched: list = []
 
-    def evaluate_blocks(d, ctx):
-        blocked.append(d.n_inputs + d.n_outputs)
-        return real_blocks(d, ctx)
+    def max_abs_diff_tiled(lhs, rhs, ctx):
+        blocked.append(lhs.n_inputs + lhs.n_outputs)
+        return real_tiled(lhs, rhs, ctx)
 
     def evaluate_many(ds, ctx):
         def read():
@@ -416,19 +420,44 @@ def test_a_cell_of_blocked_and_batched_draws(monkeypatch):
 
         return real_many(read(), ctx)
 
-    monkeypatch.setattr(rw, "evaluate_blocks", evaluate_blocks)
+    monkeypatch.setattr(rw, "max_abs_diff_tiled", max_abs_diff_tiled)
     monkeypatch.setattr(rw, "evaluate_many", evaluate_many)
     rows = check_all([3], samples=6, seed=13, rules=["ZH-HMB"])
-    assert blocked == [4, 4, 3, 3, 4, 4] and batched == [2, 2, 0, 0, 2, 2]
+    assert blocked == [4, 3, 4] and batched == [2, 2, 0, 0, 2, 2]
     assert [r["params"] for r in rows] == [r["params"] for r in want]
     assert all(r["status"] == "pass" for r in rows)
     for r, w in zip(rows, want, strict=True):
         assert abs(r["max_err"] - w["max_err"]) <= 1e-12
 
 
+@pytest.mark.parametrize("rid, side, edit", [
+    ("ZH-ZPL", 1, "scale"),
+    ("ZH-ZPL", 1, ("q0", "white")),
+    ("ZH-ZPL", 0, ("z0", "gray")),
+    ("ZH-O", 0, ("g0", "white")),
+], ids=["ZH-ZPL without its scale", "ZH-ZPL q0 white", "ZH-ZPL z0 gray", "ZH-O g0 white"])
+def test_a_broken_wide_pair_still_fails(rid, side, edit):
+    # at D=7 and nu=0.83 the sides are compared in tiles: a right side
+    # without its nu^2 scalar box, or a side with one node's kind swapped
+    # (gray and white), fails with the error of the whole sides
+    ctx = MeasureContext(7, 0.83)
+    sides = list(instantiate(rid, {}, ctx))
+    obj = json.loads(dump_json(sides[side]))
+    if edit == "scale":
+        del obj["nodes"]["scale"]  # a legless box: its removal leaves the wiring valid
+    else:
+        obj["nodes"][edit[0]]["kind"] = edit[1]
+    sides[side] = dg.from_json_obj(obj)
+    (err,) = rw._pair_errors([tuple(sides)], ctx)
+    whole = [evaluate(d, ctx).data for d in sides]
+    assert err == max_abs_diff(*(Tensor(7, 7, 1, data) for data in whole))
+    assert err > 1e-3 * np.max(np.abs(whole[0]))
+
+
 def test_wide_check_holds_no_whole_side():
     # each side of ZH-O at D=7 is 7^8 complex entries, 88 MiB; comparing
-    # the two whole sides peaked at 176.3 MiB
+    # the two whole sides peaked at 176.3 MiB, one block per value of the
+    # first boundary position at 40 MiB, and tiles of 7^5 at 3.9 MiB
     ctx = MeasureContext(7)
     tracemalloc.start()
     try:
@@ -437,7 +466,7 @@ def test_wide_check_holds_no_whole_side():
     finally:
         tracemalloc.stop()
     assert rep["pass"]
-    assert peak < 88 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_check_all_matrix_default():

@@ -18,7 +18,6 @@ from quditzx.tensor import (
     identity_wire,
     load_json,
     max_abs_diff,
-    max_abs_diff_blocks,
     tensor_product,
 )
 
@@ -121,9 +120,7 @@ DIFF_EDITS = [
 @pytest.mark.parametrize("edits", DIFF_EDITS, ids=range(len(DIFF_EDITS)))
 def test_max_abs_diff_is_the_one_shot_formula_bit_for_bit(rank, layouts, edits):
     # compared block by block, the result must still be the one-shot
-    # max: the same bits, and NaN wherever a NaN occurs.  So must the
-    # max over pairs of blocks along the first axis, each of them also
-    # past _DIFF_BLOCK and compared block by block
+    # max: the same bits, and NaN wherever a NaN occurs
     dim = 5
     rng = np.random.default_rng(rank)
     perm = rng.permutation(rank)
@@ -142,10 +139,8 @@ def test_max_abs_diff_is_the_one_shot_formula_bit_for_bit(rank, layouts, edits):
         assert a.data.flags.c_contiguous == (layouts[0] == "C")
     with np.errstate(invalid="ignore"):  # inf - inf
         got = max_abs_diff(a, b)
-        paired = max_abs_diff_blocks(zip(a.data, b.data)) if rank else got
         want = float(np.max(np.abs(a.data - b.data)))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    assert np.float64(paired).tobytes() == np.float64(want).tobytes()
     has_nan = any(np.isnan(complex(v)) for side in edits for _, v in side)
     assert np.isnan(got) == (has_nan or edits == DIFF_EDITS[7])
 
