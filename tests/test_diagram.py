@@ -1087,7 +1087,8 @@ def test_a_split_form_is_used_only_where_it_is_smaller() -> None:
 # -- tiles ----------------------------------------------------------------
 
 
-def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0, cuts: Iterable[int] | None = None) -> None:
+def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0,
+                             cuts: Iterable[int] | None = None) -> None:
     """Each tile of ``dg._tiles`` with k cut boundary positions, for each k
     of ``cuts`` (every k by default), is ``evaluate(d, ctx).data[idx]`` at
     its index ``idx``: bit for bit, or with ``rel`` > 0 within ``rel`` of
