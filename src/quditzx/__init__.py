@@ -4,8 +4,8 @@ The package is organized bottom-up:
 
 - :mod:`quditzx.measure` — signed residues mod D, the weighted counting
   measure, and the phase constants omega/tau.
-- :mod:`quditzx.tensor` — dense complex tensors H^m -> H^n and the wire
-  generators (identity, cup, cap).
+- :mod:`quditzx.tensor` — dense complex tensors H^m -> H^n, their
+  comparison and their dump format.
 - :mod:`quditzx.generators` — amplitude functions and the semantic map
   for the eight dot/box generators.
 - :mod:`quditzx.diagram` — open-graph diagrams and their evaluation by

@@ -123,10 +123,12 @@ A pair of wide results is compared in tiles, never whole
 (``max_abs_diff_tiled``): a tile fixes the first k boundary positions,
 k the fewest that leave at most ``_TILE`` entries.  Each side runs every
 step before its last pairwise one once, permutes that step's operands
-once, and computes each tile from slabs of them into one buffer.
+once, and computes each tile from slabs of them into one buffer; the
+size budget is checked against those arrays, not the whole result.
 ``rewrite._pair_errors`` compares a pair so when its sides have more
-than ``rewrite._BLOCK_ABOVE`` (2^20) entries; in the soundness matrix at
-D=2..9 only ZH-O and ZH-ZPL at D=7 do (7^8 entries, 88 MiB a side).
+than ``_TILE`` entries, one tile; in the soundness matrix at D=2..9 only
+ZH-O and ZH-ZPL at D=6 and D=7 do (6^7 and 7^8 entries, 4.3 and 88 MiB
+a side).
 """
 
 from __future__ import annotations
@@ -179,9 +181,11 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 # D=2..9, only the last hub step of each side of ZH-O and ZH-ZPL at
 # D=5..7 reaches it
 _MATMUL_MIN = 1 << 17
-# entries in a tile of max_abs_diff_tiled.  Checking ZH-O at D=7 peaks
-# at 3.9 MiB of arrays with tiles of 7^5, 8.9 MiB with 7^6 (2^17), and
-# 40 MiB with one block per value of boundary position 0
+# entries in a tile of max_abs_diff_tiled, and in the widest rule side
+# compared whole.  Checking ZH-O at D=7 peaks at 3.9 MiB of arrays with
+# tiles of 7^5, 8.9 MiB with 7^6 (2^17), and 40 MiB with one block per
+# value of boundary position 0; at D=6, at 2.9 MiB with tiles of 6^6,
+# and at 9.6 MiB with its two whole sides
 _TILE = 1 << 16
 
 # how a node enters the contraction: as its diagonal, its dense array,
@@ -963,7 +967,8 @@ def _execute(
     ``np.errstate(over="raise")``, so a factor entry past the float
     range, from Python or from numpy, raises ``OverflowGuardError``; a
     Python power, whose error says only that it left the range, is named
-    by the node (of the first diagram) whose factor it was building.
+    by the node (of the first diagram) whose factor it was building and
+    by that factor's power of nu.
     """
     D = ctx.dim
     if not ds[0].nodes and not ds[0].n_outputs + ds[0].n_inputs:
@@ -1108,11 +1113,17 @@ def _execute(
         if type(exc) is OverflowError:  # a power in a factor's build, whose text is an errno tuple
             name = list(ds[0].nodes)[bisect.bisect_right(starts, building) - 1]
             gen = ds[0].nodes[name]
-            what = f"node {name!r}: {gen.kind} of degree {gen.degree} leaves the float range at D={D}"
+            what = (f"node {name!r}: {gen.kind} of degree {gen.degree}, whose entries carry nu^{gen.nu_power}, "
+                    f"leaves the float range at D={D}")
         raise OverflowGuardError(f"a factor entry is out of range: {what}") from exc
 
 
-def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple, int]:
+def _last_pairwise(steps: tuple) -> int | None:
+    """The index of the plan's last pairwise step, which at most a reorder follows, or None."""
+    return max((s for s in range(max(len(steps) - 2, 0), len(steps)) if steps[s][1] >= 0), default=None)
+
+
+def _checked_plan(d: Diagram, ctx: MeasureContext, cut: int | None = None) -> tuple[bytes, tuple, tuple, int]:
     """The shape key of ``d``, its plan's steps (cached) and layout, and its batch size.
 
     The layout is what ``_execute`` reads besides the steps: the node
@@ -1121,6 +1132,8 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     The batch size is how many diagrams of this shape ``evaluate_many``
     runs together: at most ``_MATMUL_MIN`` entries in any array, and at
     least one diagram.  A size past a budget raises ``OverflowGuardError``.
+    With ``cut``, the sizes are those of ``_tiles`` with that many cut
+    boundary positions, which never builds the whole result.
     """
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
@@ -1131,6 +1144,10 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
         plan = _plan(codes)
         _PLANS.put(key, plan)
     steps, top, degree, node, chain, layouts, deltas = plan
+    last = None if cut is None else _last_pairwise(steps)
+    if last is not None:  # what _tiles builds: the steps before the last pairwise one, its operands, a tile
+        ranks = [len(sub) for step in steps[:last] for sub in step[2:]]
+        top = max(d.n_inputs + d.n_outputs - cut, len(steps[last][2]), len(steps[last][3]), *ranks)
     if d.dim**top > _MAX_RESULT:
         raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
     if d.dim**degree > _MAX_DENSE:
@@ -1203,12 +1220,15 @@ def _tiles(d: Diagram, ctx: MeasureContext, k: int) -> Callable[[tuple[int, ...]
     ``np.multiply`` where the step sums no label, and comes back as a view
     of the buffer in boundary order, which the next call overwrites.  On
     matmul it has the bits of the whole result's slice.  A plan with no
-    pairwise step gives slices of its whole result.
+    pairwise step gives copies of slices of its whole result.  Either way
+    the caller may write into a tile.  Sizes are checked as
+    ``_checked_plan`` does with the cut k.
     """
-    _, steps, layout, _ = _checked_plan(d, ctx)
-    last = max((s for s in range(max(len(steps) - 2, 0), len(steps)) if steps[s][1] >= 0), default=None)
+    _, steps, layout, _ = _checked_plan(d, ctx, k)
+    last = _last_pairwise(steps)
     if last is None:
-        return _execute(steps, len(steps), layout, [d], ctx)[0].__getitem__
+        whole = _execute(steps, len(steps), layout, [d], ctx)[0]
+        return lambda idx: np.array(whole[idx])
     a, b = _execute(steps, last, layout, [d], ctx)
     _, _, sa, sb, so = steps[last]
     ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
@@ -1241,12 +1261,12 @@ def max_abs_diff_tiled(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float
     """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))``, compared one tile at a time, neither side whole.
 
     A tile fixes the first k boundary positions, k the fewest that leave
-    at most ``_TILE`` entries (see ``_tiles``).  Two tiles are subtracted
-    into a buffer laid out as the left one, its abs goes into another, and
-    ``np.maximum`` folds in the max, carrying a NaN to the end.  The error
-    may round apart from ``max_abs_diff``'s where a whole side's last step
-    runs on einsum.  Entries past the float range give inf or NaN with no
-    warning.
+    at most ``_TILE`` entries (see ``_tiles``).  The right tile is
+    subtracted from the left one in place, its abs goes into a buffer
+    laid out as the left tile, and ``np.maximum`` folds in the max,
+    carrying a NaN to the end.  The error may round apart from
+    ``max_abs_diff``'s where a whole side's last step runs on einsum.
+    Entries past the float range give inf or NaN with no warning.
     """
     if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs):
         raise ShapeError("the diagrams differ in their boundary")
@@ -1254,15 +1274,14 @@ def max_abs_diff_tiled(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float
     while ctx.dim ** (n - k) > _TILE:
         k += 1
     left, right = _tiles(lhs, ctx, k), _tiles(rhs, ctx, k)
-    worst, diff = -np.inf, None
+    worst, mag = -np.inf, None
     with np.errstate(invalid="ignore", over="ignore"):
         for idx in np.ndindex((ctx.dim,) * k):
-            x, y = left(idx), right(idx)
-            if diff is None:
-                diff = np.empty_like(x)
+            x = left(idx)
+            np.subtract(x, right(idx), out=x)
+            if mag is None:
                 mag = np.empty_like(x, dtype=float)
-            np.abs(np.subtract(x, y, out=diff), out=mag)
-            worst = np.maximum(worst, mag.max())
+            worst = np.maximum(worst, np.abs(x, out=mag).max())
     return float(worst)
 
 

@@ -6,9 +6,10 @@ measure-weighted integral
 Gamma(a,b,D) = integral of tau^(2ax + bx^2) over the residue window.
 The Jacobi symbol is computed in-house by the binary algorithm, so the
 module needs no computer-algebra package.
-Every closed form is paired with a brute-force oracle; the oracles are
-the ground truth in the test suite, so a transcription slip in a phase
-formula is caught rather than trusted.
+Every closed form is paired with a brute-force oracle (G's, summed
+term by term, lives with the tests); the oracles are the ground truth in
+the test suite, so a transcription slip in a phase formula is caught
+rather than trusted.
 
 The closed form for G is restricted to N odd or divisible by 4.  For
 N = 2M with M odd the sum vanishes identically whenever it would be
@@ -104,7 +105,7 @@ def _coprime_gauss(r: int, s: int, N: int) -> complex:
 def gauss_sum(r: int, s: int, N: int) -> complex:
     """Closed form of sum_{x=0}^{N-1} e^(2 pi i (r x^2 + s x)/N).
 
-    N must be odd or divisible by 4; use the oracle for N = 2 mod 4.
+    N must be odd or divisible by 4; N = 2 mod 4 raises ``ValueError``.
     """
     if N < 1:
         raise ValueError(f"modulus must be positive, got {N}")
@@ -114,16 +115,6 @@ def gauss_sum(r: int, s: int, N: int) -> complex:
     if s % t:
         return 0j
     return t * _coprime_gauss(r // t, s // t, N // t)
-
-
-def gauss_sum_oracle(r: int, s: int, N: int) -> complex:
-    """Direct summation; no restriction on N."""
-    if N < 1:
-        raise ValueError(f"modulus must be positive, got {N}")
-    total = 0j
-    for x in range(N):
-        total += cmath.exp(2j * cmath.pi * ((r * x * x + s * x) % N) / N)
-    return total
 
 
 @dataclass(frozen=True)

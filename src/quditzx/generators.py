@@ -409,6 +409,13 @@ class Generator:
     def degree(self) -> int:
         return self.m + self.n
 
+    @property
+    def nu_power(self) -> int:
+        """The exponent of nu in the generator's entries (see the module table)."""
+        deg = self.degree
+        return {"green": 2 - deg, "white": 2 - deg, "red": 2 + deg, "hbox": deg, "gray": deg - 2,
+                "hplus": 2, "hminus": 2, "not": 0}[self.kind]
+
     # convenience constructors
     @staticmethod
     def green(amp: AmplitudeFn, m: int, n: int) -> "Generator":

@@ -43,6 +43,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from quditzx import diagram
 from quditzx.diagram import (
     Diagram,
     DiagramBuilder,
@@ -1117,13 +1118,6 @@ def instantiate(
     return lhs, rhs
 
 
-# Entries of a rule side past which its pair is compared tile by tile
-# (2^20, 16 MiB of complex128).  In the soundness matrix at D=2..9 only
-# ZH-O and ZH-ZPL at D=7 (7^8 entries, 88 MiB a side) pass it: tiles of
-# 7^5 entries cut their comparison's peak from two whole sides (176 MiB)
-# to 3.9 MiB of arrays.  Below it the whole path stays, since tiles would
-# save at most 32 MiB and cost a kernel call or more per tile and side.
-_BLOCK_ABOVE = 1 << 20
 _MAX_ROWS = 1 << 20  # rows of one check_all report: samples * rules * dimensions
 
 
@@ -1148,16 +1142,17 @@ def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) 
     """The largest entrywise ``|lhs - rhs|`` of each pair of rule sides, in order.
 
     This is the one place where rule sides become an error.  Runs of
-    sides of at most ``_BLOCK_ABOVE`` entries go through
+    sides of at most ``diagram._TILE`` entries, one tile, go through
     ``evaluate_many``, one stream per side, so consecutive sides of one
     shape are evaluated together; a wider pair is evaluated and compared
-    one tile at a time (``max_abs_diff_tiled``), never whole.  ``pairs`` is
-    read as the errors are asked for, so one batch of sides and tensors
-    is held at a time.
+    one tile at a time (``max_abs_diff_tiled``), never whole.  In the
+    soundness matrix at D=2..9 only ZH-O and ZH-ZPL at D=6 and D=7 are
+    that wide.  ``pairs`` is read as the errors are asked for, so one
+    batch of sides and tensors is held at a time.
     """
 
     def wide(pair: tuple[Diagram, Diagram]) -> bool:
-        return ctx.dim ** (pair[0].n_inputs + pair[0].n_outputs) > _BLOCK_ABOVE
+        return ctx.dim ** (pair[0].n_inputs + pair[0].n_outputs) > diagram._TILE
 
     for tiled, run in itertools.groupby(pairs, key=wide):
         if tiled:

@@ -6,9 +6,8 @@ enumerated over the signed residue window ``L_D..U_D``, so array index
 ``i`` on any axis refers to residue value ``L_D + i``.  A 0->0 tensor is
 a single complex scalar (0-dimensional array).
 
-Wires carry no measure weight: identity, cup, and cap are plain
-Kronecker deltas.  All normalization bookkeeping lives in the generator
-tensors (see :mod:`quditzx.generators`).
+All normalization bookkeeping lives in the generator tensors (see
+:mod:`quditzx.generators`); a bare wire is a plain Kronecker delta.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from typing import Any
 
 import numpy as np
 
-from quditzx.measure import MeasureContext, OverflowGuardError
+from quditzx.measure import OverflowGuardError
 
 
-_DIFF_BLOCK = 1 << 16  # entries per sub-block in max_abs_diff
 _REAL = (int, float)  # the types of a JSON number; bool is a subclass of int, not one of these
 
 
@@ -64,92 +62,20 @@ class Tensor:
         """Reshape to a (D^out x D^in) matrix."""
         return self.data.reshape(self.dim**self.out_legs, self.dim**self.in_legs)
 
-    def adjoint(self) -> "Tensor":
-        """Conjugate transpose: inputs and outputs swap roles."""
-        n, m = self.out_legs, self.in_legs
-        perm = tuple(range(n, n + m)) + tuple(range(n))
-        return Tensor(self.dim, n, m, np.conj(np.transpose(self.data, perm)))
-
-
-# ---------------------------------------------------------------- wires
-
-
-def identity_wire(ctx: MeasureContext) -> Tensor:
-    return Tensor(ctx.dim, 1, 1, np.eye(ctx.dim))
-
-
-def cup(ctx: MeasureContext) -> Tensor:
-    """0->2 state pairing the two outputs: sum_x |x,x>."""
-    return Tensor(ctx.dim, 0, 2, np.eye(ctx.dim))
-
-
-def cap(ctx: MeasureContext) -> Tensor:
-    """2->0 effect pairing the two inputs: sum_x <x,x|."""
-    return Tensor(ctx.dim, 2, 0, np.eye(ctx.dim))
-
-
-# ---------------------------------------------------------------- algebra
-
-
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    """Kronecker composite with a's legs before b's on both sides."""
-    if a.dim != b.dim:
-        raise ShapeError(f"dimension mismatch: {a.dim} != {b.dim}")
-    raw = np.tensordot(a.data, b.data, axes=0)
-    # raw axes: (a.out, a.in, b.out, b.in) -> want (a.out, b.out, a.in, b.in)
-    an, am, bn, bm = a.out_legs, a.in_legs, b.out_legs, b.in_legs
-    perm = (
-        tuple(range(an))
-        + tuple(range(an + am, an + am + bn))
-        + tuple(range(an, an + am))
-        + tuple(range(an + am + bn, an + am + bn + bm))
-    )
-    return Tensor(a.dim, am + bm, an + bn, np.transpose(raw, perm))
-
-
-def compose(first: Tensor, second: Tensor) -> Tensor:
-    """Run `first`, then `second`: contract first's outputs with second's inputs."""
-    if first.dim != second.dim:
-        raise ShapeError(f"dimension mismatch: {first.dim} != {second.dim}")
-    if first.out_legs != second.in_legs:
-        raise ShapeError(
-            f"leg mismatch: first has {first.out_legs} outputs, second expects {second.in_legs}"
-        )
-    n2, m2 = second.out_legs, second.in_legs
-    contracted = np.tensordot(
-        second.data, first.data, axes=(tuple(range(n2, n2 + m2)), tuple(range(first.out_legs)))
-    )
-    return Tensor(first.dim, first.in_legs, second.out_legs, contracted)
-
 
 def max_abs_diff(a: Tensor, b: Tensor) -> float:
     """The largest entrywise ``|a - b|``, or NaN if any of them is NaN.
 
-    An array of more than ``_DIFF_BLOCK`` entries is compared in
-    sub-blocks of at most that many, one for each index of its
-    widest-strided axes, so no temporary is as large as the arrays and
-    each sub-block reads short runs of memory in both.  The max of the
-    same abs values is exact, so the result is bit for bit
-    ``float(np.max(np.abs(a.data - b.data)))``; ``np.maximum`` carries a
-    NaN from any sub-block to the end.  Entries past the float range give
-    inf or NaN with no warning.
+    This is ``float(np.max(np.abs(a.data - b.data)))``, in one go: a rule
+    pair wider than ``diagram._TILE`` entries is compared tile by tile
+    (``diagram.max_abs_diff_tiled``), so the soundness matrix never
+    compares whole sides of more than that here.  Entries past the float
+    range give inf or NaN with no warning.
     """
     if (a.dim, a.in_legs, a.out_legs) != (b.dim, b.in_legs, b.out_legs):
         raise ShapeError("tensors differ in dimension or leg counts")
-    x, y = a.data, b.data
     with np.errstate(invalid="ignore", over="ignore"):
-        if x.size <= _DIFF_BLOCK:
-            return float(np.abs(x - y).max())
-        order = sorted(range(x.ndim), key=lambda k: -abs(x.strides[k]) - abs(y.strides[k]))
-        x, y = x.transpose(order), y.transpose(order)
-        lead, size = 0, x.size
-        while size > _DIFF_BLOCK:
-            size //= x.shape[lead]
-            lead += 1
-        worst = -np.inf
-        for idx in np.ndindex(x.shape[:lead]):
-            worst = np.maximum(worst, np.abs(x[idx] - y[idx]).max())
-    return float(worst)
+        return float(np.abs(a.data - b.data).max())
 
 
 # ---------------------------------------------------------------- dump format

@@ -379,12 +379,13 @@ def test_check_names_the_refused_cell(runner):
 
 def test_check_names_the_node_whose_factor_leaves_the_float_range(runner):
     # the draw at D=720 has a green dot of 572 legs whose nu^(2-572) is
-    # about 1e814: named by node, kind and degree, not by an errno tuple
+    # about 1e814: named by node, kind, degree and power of nu, not by an
+    # errno tuple
     res = runner.invoke(cli.main, ["check", "ZX-MH", "--dim", "720"])
     assert res.exit_code == 3
     assert res.stdout == ""
-    assert res.stderr == ("check failed: ZX-MH at D=720: a factor entry is out of range: "
-                          "node 'g0': green of degree 572 leaves the float range at D=720\n")
+    assert res.stderr == ("check failed: ZX-MH at D=720: a factor entry is out of range: node 'g0': "
+                          "green of degree 572, whose entries carry nu^-570, leaves the float range at D=720\n")
 
 
 NON_FINITE = ["nan", "inf", "-inf", "1e400"]

@@ -53,7 +53,7 @@ from quditzx.generators import (
     generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, residue
-from quditzx.rewrite import _BLOCK_ABOVE, CATALOG, check_all, instantiate
+from quditzx.rewrite import CATALOG, check_all, instantiate
 from quditzx.tensor import ShapeError, Tensor, max_abs_diff
 
 
@@ -1124,11 +1124,11 @@ def test_blocks_of_widest_rules_are_slices(rid, dim) -> None:
 
 
 def test_blocks_of_a_wide_random_diagram_are_slices() -> None:
-    # 3^13 entries, past _BLOCK_ABOVE, on hubs the greedy order picks;
-    # its tiles at the _TILE cut (3^10 entries) and at every coarser one
+    # 3^13 entries, past _TILE, on hubs the greedy order picks; its
+    # tiles at the _TILE cut (3^10 entries) and at every coarser one
     ctx = MeasureContext(3)
     rng = np.random.default_rng(23)
-    assert 3**13 > _BLOCK_ABOVE
+    assert 3**13 > dg._TILE
     for _ in range(2):
         assert_blocks_are_slices(hub_diagram(rng, 3, 4, 10, 6, 7), ctx, rel=1e-12, cuts=range(4))
 
@@ -1424,7 +1424,8 @@ def test_factor_past_the_float_range_is_refused(case: str) -> None:
         ctx = MeasureContext(3, 1e-5 if case == "table product" else 1e-100)
         d = table_dot(3, 1e300 if case == "table product" else 1.0, 4 if case == "table product" else 6)
     # the Python power names the node it was building
-    what = "node 'green0': green of degree 6 leaves the float range at D=3" if case == "table power" else ""
+    what = "node 'green0': green of degree 6, whose entries carry nu\\^-4, leaves the float range at D=3"
+    what = what if case == "table power" else ""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowGuardError, match=f"^a factor entry is out of range: {what}"):

@@ -11,10 +11,11 @@ from quditzx.gauss import (
     gamma,
     gamma_oracle,
     gauss_sum,
-    gauss_sum_oracle,
     jacobi,
 )
 from quditzx.measure import MeasureContext
+
+from oracles import gauss_sum_oracle
 
 CLOSED_FORM_MODULI = [1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16]
 

@@ -33,7 +33,9 @@ from quditzx.generators import (
     generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, omega_pow, tau_pow
-from quditzx.tensor import compose, identity_wire, max_abs_diff, tensor_product
+from quditzx.tensor import max_abs_diff
+
+from oracles import adjoint, compose, cup, identity_wire, tensor_product
 
 DIMS = [2, 3, 4, 5]
 
@@ -264,6 +266,21 @@ def test_amp_json_reads_integral_float_labels():
 # ---------------------------------------------------------------- generators
 
 
+NU_KINDS = [
+    ("green", Phase(0.3)), ("white", None), ("red", Phase(0.7)), ("hbox", Phase(0.4)), ("gray", None),
+    ("hplus", None), ("hminus", None), ("not", None),
+]
+
+
+@pytest.mark.parametrize("kind,amp", NU_KINDS, ids=[k for k, _ in NU_KINDS])
+def test_nu_power_is_the_power_of_nu_in_the_entries(kind, amp):
+    # at nu=2 every entry is 2^k times the entry at nu=1, exactly
+    for deg in [2] if kind in ("hplus", "hminus", "not") else range(5):
+        g = Generator(kind, deg // 2, deg - deg // 2, amp=amp, c=1 if kind == "not" else 0)
+        at_one = generator_entries(MeasureContext(3, 1.0), g)
+        assert np.array_equal(generator_entries(MeasureContext(3, 2.0), g), 2.0**g.nu_power * at_one), deg
+
+
 def test_white_dot_is_identity():
     for D in DIMS:
         t = eval_generator(MeasureContext(D), Generator.white(1, 1))
@@ -318,7 +335,7 @@ def test_hplus_is_adjoint_of_hminus():
         ctx = MeasureContext(D)
         hp = eval_generator(ctx, Generator.hplus())
         hm = eval_generator(ctx, Generator.hminus())
-        assert max_abs_diff(hp.adjoint(), hm) < 1e-12
+        assert max_abs_diff(adjoint(hp), hm) < 1e-12
 
 
 def test_hplus_compose_hminus_identity_default_nu():
@@ -453,8 +470,6 @@ def test_flexsymmetry_all_kinds(D):
 
 def test_flexsymmetry_via_explicit_cup():
     # independent check of the bending convention through real wire tensors
-    from quditzx.tensor import cup
-
     ctx = MeasureContext(3)
     g = Generator.green(Table((1, 2j, -0.5)), 1, 1)
     t = eval_generator(ctx, g)  # 1 -> 1
@@ -491,7 +506,7 @@ def test_only_a_not_dot_takes_a_nonzero_c(kind, amp):
 
 def test_green_phase_adjoint_example():
     ctx = MeasureContext(5)
-    lhs = eval_generator(ctx, Generator.green(Phase(0.9), 1, 1)).adjoint()
+    lhs = adjoint(eval_generator(ctx, Generator.green(Phase(0.9), 1, 1)))
     rhs = eval_generator(ctx, Generator.green(Phase(-0.9), 1, 1))
     assert max_abs_diff(lhs, rhs) < 1e-12
 

@@ -54,10 +54,7 @@ def registered(node: ast.FunctionDef | ast.ClassDef) -> bool:
 # Test oracles: definitions the package keeps for its tests to check
 # the fast paths against, though no program path calls them.
 # ``mbox_gadget`` is the normal form's selector, checked alone.
-TEST_ORACLES = {
-    "gauss_sum_oracle", "identity_wire", "cup", "cap", "tensor_product",
-    "compose", "Tensor.adjoint", "mbox_gadget",
-}
+TEST_ORACLES = {"mbox_gadget"}
 
 
 def definitions(tree: ast.Module):

@@ -20,7 +20,6 @@ import pytest
 
 import quditzx.diagram as dg
 import quditzx.rewrite as rw
-import quditzx.tensor as tn
 from quditzx.diagram import DiagramBuilder, dump_json, evaluate
 from quditzx.generators import Char, Generator, One, Stab
 from quditzx.measure import MeasureContext, OverflowGuardError
@@ -302,40 +301,56 @@ def test_check_soundness_honest_tolerance():
     assert rep["max_err"] > 0 and not rep["pass"]
 
 
-@pytest.mark.parametrize("block", [tn._DIFF_BLOCK, 25])
+@pytest.mark.parametrize("tile", [dg._TILE, 25])
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("entry", [0, -1])
-def test_check_soundness_fails_a_nan_side(monkeypatch, block, side, entry):
+def test_check_soundness_fails_a_nan_side(monkeypatch, tile, side, entry):
     # a NaN at the first or last entry of either side, compared in one
-    # go or in blocks, is an error that no tolerance passes
-    monkeypatch.setattr(tn, "_DIFF_BLOCK", block)
-    real = rw.evaluate_many
+    # go (5^6 entries a side, one tile) or in tiles of 25, is an error
+    # that no tolerance passes
+    monkeypatch.setattr(dg, "_TILE", tile)
+    real_many, real_tiles = rw.evaluate_many, dg._tiles
     calls: list = []
 
-    def poisoned(ds, ctx):
+    def poison(data):
+        data.flat[entry] = np.nan
+
+    def poisoned_many(ds, ctx):
         k = len(calls)  # 0 for the stream read first, the left sides'
-        calls.append(ds)
-        for t in real(ds, ctx):
+        calls.append("whole")
+        for t in real_many(ds, ctx):
             if k == side:
                 data = t.data.copy()
-                data.flat[entry] = np.nan
+                poison(data)
                 t = Tensor(t.dim, t.in_legs, t.out_legs, data)
             yield t
 
-    monkeypatch.setattr(rw, "evaluate_many", poisoned)
+    def poisoned_tiles(d, ctx, k):
+        s, tile = len(calls), real_tiles(d, ctx, k)
+        calls.append("tiled")
+        at = (entry % ctx.dim,) * k  # the first or the last tile
+
+        def edited(idx):
+            x = tile(idx)
+            if s == side and idx == at:
+                poison(x)
+            return x
+
+        return edited
+
+    monkeypatch.setattr(rw, "evaluate_many", poisoned_many)
+    monkeypatch.setattr(dg, "_tiles", poisoned_tiles)
     rep = check_soundness("ZH-O", {}, MeasureContext(5), tol=1.0)
-    assert len(calls) == 2
+    assert calls == ["tiled" if tile < 5**6 else "whole"] * 2
     assert math.isnan(rep["max_err"]) and rep["pass"] is False
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
-@pytest.mark.parametrize("dim,block_above", [(6, 0), (7, None)], ids=["D=6, all blocked", "D=7"])
-def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim, block_above):
-    # past _BLOCK_ABOVE entries (7^8 at D=7; 6^7 is below it) a side is
-    # never evaluated whole, and the error is bit for bit that of the
-    # two whole sides
-    if block_above is not None:
-        monkeypatch.setattr(rw, "_BLOCK_ABOVE", block_above)
+@pytest.mark.parametrize("dim", [6, 7], ids=["D=6, all blocked", "D=7"])
+def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim):
+    # past _TILE entries (6^7 at D=6, 7^8 at D=7) a side is never
+    # evaluated whole, and the error is bit for bit that of the two
+    # whole sides
     spec = CATALOG[rid]
     ctx = MeasureContext(dim)
     params = spec.sample(dim, np.random.default_rng(0))
@@ -364,8 +379,8 @@ BLOCK_EDITS = [
 @pytest.mark.parametrize("edits", BLOCK_EDITS, ids=range(len(BLOCK_EDITS)))
 def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
     # an edited tile gives the error of the whole sides edited alike,
-    # bit for bit: NaN from a NaN anywhere or from inf - inf
-    monkeypatch.setattr(rw, "_BLOCK_ABOVE", 0)  # the 6^7-entry sides in six tiles of 6^6
+    # bit for bit: NaN from a NaN anywhere or from inf - inf.  The
+    # 6^7-entry sides at D=6 are compared in six tiles of 6^6
     ctx = MeasureContext(6)
     real = dg._tiles
     shapes: list = []
@@ -398,12 +413,12 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
 
 
 def test_a_cell_of_blocked_and_batched_draws(monkeypatch):
-    # with _BLOCK_ABOVE at 9, ZH-HMB's sides at D=3 are compared in tiles
-    # where m+n >= 3; seed 13 draws six distinct params whose pairs
-    # alternate between tiled and batched.  Tiles may round apart from
-    # a whole evaluation on the einsum kernel
+    # with _TILE at 9, ZH-HMB's sides at D=3 are compared in tiles where
+    # m+n >= 3; seed 13 draws six distinct params whose pairs alternate
+    # between tiled and batched.  Tiles may round apart from a whole
+    # evaluation on the einsum kernel
     want = check_all([3], samples=6, seed=13, rules=["ZH-HMB"])
-    monkeypatch.setattr(rw, "_BLOCK_ABOVE", 9)
+    monkeypatch.setattr(dg, "_TILE", 9)
     real_tiled, real_many = rw.max_abs_diff_tiled, rw.evaluate_many
     blocked: list = []
     batched: list = []
@@ -455,18 +470,67 @@ def test_a_broken_wide_pair_still_fails(rid, side, edit):
 
 
 def test_wide_check_holds_no_whole_side():
-    # each side of ZH-O at D=7 is 7^8 complex entries, 88 MiB; comparing
-    # the two whole sides peaked at 176.3 MiB, one block per value of the
-    # first boundary position at 40 MiB, and tiles of 7^5 at 3.9 MiB
-    ctx = MeasureContext(7)
-    tracemalloc.start()
-    try:
-        rep = check_soundness("ZH-O", {}, ctx)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep["pass"]
-    assert peak < 16 * 2**20
+    # each side of ZH-O is 6^7 complex entries at D=6 (4.3 MiB) and 7^8
+    # at D=7 (88 MiB).  The two whole sides peaked at 9.6 and 176.3 MiB,
+    # one block per value of the first boundary position at D=7 at 40
+    # MiB, and tiles of 6^6 and 7^5 entries at 2.9 and 3.9 MiB
+    for dim in (6, 7):
+        ctx = MeasureContext(dim)
+        tracemalloc.start()
+        try:
+            rep = check_soundness("ZH-O", {}, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep["pass"]
+        assert peak <= 4 * 2**20, (dim, peak)
+
+
+def test_only_the_widest_cells_are_tiled(monkeypatch):
+    # with default constants, no side of more than one tile is evaluated
+    # whole at D=2..7, and the tiled cells are ZH-O's and ZH-ZPL's at
+    # D=6 and D=7 (6^7 and 7^8 entries a side)
+    real_tiled, real_many = rw.max_abs_diff_tiled, rw.evaluate_many
+    tiled: list = []
+    widest = [0]
+
+    def max_abs_diff_tiled(lhs, rhs, ctx):
+        tiled.append((rule, ctx.dim))
+        return real_tiled(lhs, rhs, ctx)
+
+    def evaluate_many(ds, ctx):
+        def read():
+            for d in ds:
+                widest[0] = max(widest[0], ctx.dim ** (d.n_inputs + d.n_outputs))
+                yield d
+
+        return real_many(read(), ctx)
+
+    monkeypatch.setattr(rw, "max_abs_diff_tiled", max_abs_diff_tiled)
+    monkeypatch.setattr(rw, "evaluate_many", evaluate_many)
+    for rule in sorted(CATALOG):
+        rows = check_all(range(2, 8), samples=1, rules=[rule])
+        assert all(r["status"] in ("pass", "skip") for r in rows), rule
+    assert 0 < widest[0] <= dg._TILE
+    assert tiled == [("ZH-O", 6), ("ZH-O", 7), ("ZH-ZPL", 6), ("ZH-ZPL", 7)]
+
+
+def test_tiled_check_budgets_the_arrays_its_tiles_build(monkeypatch):
+    # ZH-O at D=6 has 6^7-entry sides; its tiles build the steps before
+    # the last pairwise one, that step's operands and tiles of 6^6, so a
+    # budget of 6^6 entries passes the tiled check, with the same error,
+    # and still refuses a whole side
+    ctx = MeasureContext(6)
+    want = check_soundness("ZH-O", {}, ctx)["max_err"]
+    monkeypatch.setattr(dg, "_MAX_RESULT", 6**6)
+    rep = check_soundness("ZH-O", {}, ctx)
+    assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
+    for d in instantiate("ZH-O", {}, ctx):
+        with pytest.raises(OverflowGuardError, match="rank 7 at dimension D=6 exceeds 46656 entries"):
+            evaluate(d, ctx)
+    monkeypatch.setattr(dg, "_MAX_RESULT", 6**6 - 1)
+    with pytest.raises(OverflowGuardError, match="rank 6 at dimension D=6 exceeds 46655 entries"):
+        check_soundness("ZH-O", {}, ctx)
 
 
 def test_check_all_matrix_default():
