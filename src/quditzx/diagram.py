@@ -121,14 +121,16 @@ single diagram.
 
 A pair of wide results is compared in tiles, never whole
 (``max_abs_diff_tiled``): a tile fixes the first k boundary positions,
-k the fewest that leave at most ``_TILE`` entries.  Each side runs every
+k the fewest that leave at most ``_TILE`` entries, but takes a run of
+values of position 0, as many as fit, where k is 1.  Each side runs every
 step before its last pairwise one once, permutes that step's operands
-once, and computes each tile from slabs of them into one buffer; the
-size budget is checked against those arrays, not the whole result.
+once, and computes each tile from slabs of them into one buffer.  The
+size budget is the whole result's, so a pair past ``_MAX_RESULT``
+is refused before any tile runs, as on the whole path.
 ``rewrite._pair_errors`` compares a pair so when its sides have more
 than ``_TILE`` entries, one tile; in the soundness matrix at D=2..9 only
 ZH-O and ZH-ZPL at D=6 and D=7 do (6^7 and 7^8 entries, 4.3 and 88 MiB
-a side).
+a side); past D=9, many sides of two to five legs do.
 """
 
 from __future__ import annotations
@@ -1118,12 +1120,7 @@ def _execute(
         raise OverflowGuardError(f"a factor entry is out of range: {what}") from exc
 
 
-def _last_pairwise(steps: tuple) -> int | None:
-    """The index of the plan's last pairwise step, which at most a reorder follows, or None."""
-    return max((s for s in range(max(len(steps) - 2, 0), len(steps)) if steps[s][1] >= 0), default=None)
-
-
-def _checked_plan(d: Diagram, ctx: MeasureContext, cut: int | None = None) -> tuple[bytes, tuple, tuple, int]:
+def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple, int]:
     """The shape key of ``d``, its plan's steps (cached) and layout, and its batch size.
 
     The layout is what ``_execute`` reads besides the steps: the node
@@ -1132,8 +1129,6 @@ def _checked_plan(d: Diagram, ctx: MeasureContext, cut: int | None = None) -> tu
     The batch size is how many diagrams of this shape ``evaluate_many``
     runs together: at most ``_MATMUL_MIN`` entries in any array, and at
     least one diagram.  A size past a budget raises ``OverflowGuardError``.
-    With ``cut``, the sizes are those of ``_tiles`` with that many cut
-    boundary positions, which never builds the whole result.
     """
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
@@ -1144,10 +1139,6 @@ def _checked_plan(d: Diagram, ctx: MeasureContext, cut: int | None = None) -> tu
         plan = _plan(codes)
         _PLANS.put(key, plan)
     steps, top, degree, node, chain, layouts, deltas = plan
-    last = None if cut is None else _last_pairwise(steps)
-    if last is not None:  # what _tiles builds: the steps before the last pairwise one, its operands, a tile
-        ranks = [len(sub) for step in steps[:last] for sub in step[2:]]
-        top = max(d.n_inputs + d.n_outputs - cut, len(steps[last][2]), len(steps[last][3]), *ranks)
     if d.dim**top > _MAX_RESULT:
         raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
     if d.dim**degree > _MAX_DENSE:
@@ -1210,22 +1201,28 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     return next(evaluate_many([d], ctx))
 
 
-def _tiles(d: Diagram, ctx: MeasureContext, k: int) -> Callable[[tuple[int, ...]], np.ndarray]:
+def _tiles(d: Diagram, ctx: MeasureContext, k: int, run: int = 1) -> Callable[[tuple], np.ndarray]:
     """A function from the values of the first k boundary positions to that tile of ``evaluate(d, ctx).data``.
 
-    Every step before the plan's last pairwise one runs here, once, and
-    that step's operands are permuted once: the cut labels each carries
-    first, the rest in matmul order (as in ``_pairwise``).  A tile is then
-    one ``np.matmul`` of slabs into a buffer, or one broadcast
-    ``np.multiply`` where the step sums no label, and comes back as a view
-    of the buffer in boundary order, which the next call overwrites.  On
-    matmul it has the bits of the whole result's slice.  A plan with no
-    pairwise step gives copies of slices of its whole result.  Either way
-    the caller may write into a tile.  Sizes are checked as
-    ``_checked_plan`` does with the cut k.
+    The tile at ``idx`` is ``evaluate(d, ctx).data[idx]``.  With ``run``
+    > 1, ``idx[0]`` is instead a slice of at most ``run`` values of
+    position 0, which the tile keeps as its first axis.  Every step
+    before the plan's last pairwise one runs here, once, and that step's
+    operands are permuted once: the cut labels each carries first, the
+    rest in matmul order (as in ``_pairwise``).  With ``run`` > 1,
+    position 0's label is not cut but leads its matmul axis instead, so
+    that a run is one block of rows, columns or batches.  A tile is then
+    one ``np.matmul`` of slabs into a buffer (one per tile shape), or one
+    broadcast ``np.multiply`` where the step sums no label, and comes
+    back as a view of the buffer in boundary order, which the next call
+    of that shape overwrites.  On matmul it has the bits of the whole
+    result's slice.  A plan with no pairwise step gives copies of slices
+    of its whole result.  Either way the caller may write into a tile.
+    Sizes are checked as ``evaluate`` checks them, against the whole
+    result.
     """
-    _, steps, layout, _ = _checked_plan(d, ctx, k)
-    last = _last_pairwise(steps)
+    _, steps, layout, _ = _checked_plan(d, ctx)
+    last = max((s for s in range(max(len(steps) - 2, 0), len(steps)) if steps[s][1] >= 0), default=None)
     if last is None:
         whole = _execute(steps, len(steps), layout, [d], ctx)[0]
         return lambda idx: np.array(whole[idx])
@@ -1233,25 +1230,44 @@ def _tiles(d: Diagram, ctx: MeasureContext, k: int) -> Callable[[tuple[int, ...]
     _, _, sa, sb, so = steps[last]
     ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
     labels = [so[ra.index(r)] for r in ro]  # each boundary position's label in the step
-    cut, rest = labels[:k], labels[k:]
-    batch = [l for l in sa if l in sb and l in rest]
+    first = labels[0] if k and run > 1 else None  # position 0's label, where a tile takes a run of it
+    cut = [l for l in labels[:k] if l != first]
+    kept = [l for l in labels if l not in cut]
+
+    def lead(ls: list) -> list:  # position 0's label first
+        return sorted(ls, key=lambda l: l != first)
+
+    batch = lead([l for l in sa if l in sb and l in kept])
     summed = [l for l in sa if l not in so]
-    free_a = [l for l in sa if l not in sb and l in rest]
-    free_b = [l for l in sb if l not in sa and l in rest]
+    free_a = lead([l for l in sa if l not in sb and l in kept])
+    free_b = lead([l for l in sb if l not in sa and l in kept])
     cut_a, cut_b = [l for l in cut if l in sa], [l for l in cut if l in sb]
     D, nb, ns = ctx.dim, ctx.dim ** len(batch), ctx.dim ** len(summed)
     a = np.ascontiguousarray(a.transpose([sa.index(l) for l in cut_a + batch + free_a + summed]))
     a = a.reshape((D,) * len(cut_a) + (nb, -1, ns))
     b = np.ascontiguousarray(b.transpose([sb.index(l) for l in cut_b + batch + summed + free_b]))
     b = b.reshape((D,) * len(cut_b) + (nb, ns, -1))
-    out = np.empty((nb, a.shape[-2], b.shape[-1]), dtype=complex)
+    axis = 0 if first in batch else 1 if first in free_a else 2
+    unit = (nb, a.shape[-2], b.shape[-1])[axis] // D  # batches, rows or columns of one value of position 0
     order = batch + free_a + free_b
-    view = out.reshape((D,) * len(order)).transpose([order.index(l) for l in rest])
     kernel = np.matmul if summed else np.multiply
-    at_a, at_b = [cut.index(l) for l in cut_a], [cut.index(l) for l in cut_b]
+    at_a, at_b = [labels.index(l) for l in cut_a], [labels.index(l) for l in cut_b]
+    buffers: dict = {}
 
-    def tile(idx: tuple[int, ...]) -> np.ndarray:
-        kernel(a[tuple(idx[p] for p in at_a)], b[tuple(idx[p] for p in at_b)], out=out)
+    def tile(idx: tuple) -> np.ndarray:
+        part = [slice(None)] * 3
+        if first is not None:
+            lo, hi, _ = idx[0].indices(D)
+            part[axis] = slice(lo * unit, hi * unit)
+        x = a[tuple(idx[p] for p in at_a) + (part[0], part[1], slice(None))]
+        y = b[tuple(idx[p] for p in at_b) + (part[0], slice(None), part[2])]
+        shape = (x.shape[0], x.shape[1], y.shape[2])
+        if shape not in buffers:
+            out = np.empty(shape, dtype=complex)
+            sizes = [hi - lo if l == first else D for l in order]
+            buffers[shape] = out, out.reshape(sizes).transpose([order.index(l) for l in kept])
+        out, view = buffers[shape]
+        kernel(x, y, out=out)
         return view
 
     return tile
@@ -1261,25 +1277,34 @@ def max_abs_diff_tiled(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float
     """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))``, compared one tile at a time, neither side whole.
 
     A tile fixes the first k boundary positions, k the fewest that leave
-    at most ``_TILE`` entries (see ``_tiles``).  The right tile is
-    subtracted from the left one in place, its abs goes into a buffer
-    laid out as the left tile, and ``np.maximum`` folds in the max,
-    carrying a NaN to the end.  The error may round apart from
+    at most ``_TILE`` entries, but where k is 1 it takes a run of
+    position 0's values instead, as many as fit in ``_TILE`` (see
+    ``_tiles``): a run lets one matmul reuse an operand over many rows
+    of the other, where with one value a tile a side of two legs at
+    D=1024 would read its whole 1024 x 1024 operand once per value.  The
+    right tile is subtracted from the left one in place, its abs goes
+    into a buffer laid out as the left tile, and ``np.maximum`` folds in
+    the max, carrying a NaN to the end.  The error may round apart from
     ``max_abs_diff``'s where a whole side's last step runs on einsum.
     Entries past the float range give inf or NaN with no warning.
     """
     if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs):
         raise ShapeError("the diagrams differ in their boundary")
-    n, k = lhs.n_inputs + lhs.n_outputs, 0
-    while ctx.dim ** (n - k) > _TILE:
+    D, n, k = ctx.dim, lhs.n_inputs + lhs.n_outputs, 0
+    while D ** (n - k) > _TILE:
         k += 1
-    left, right = _tiles(lhs, ctx, k), _tiles(rhs, ctx, k)
+    run, tiles = 1, [()]
+    if k:
+        run = max(_TILE // D ** (n - 1), 1)  # values of position 0 in a tile
+        firsts = [slice(lo, min(lo + run, D)) for lo in range(0, D, run)] if run > 1 else range(D)
+        tiles = itertools.product(firsts, *[range(D)] * (k - 1))
+    left, right = _tiles(lhs, ctx, k, run), _tiles(rhs, ctx, k, run)
     worst, mag = -np.inf, None
     with np.errstate(invalid="ignore", over="ignore"):
-        for idx in np.ndindex((ctx.dim,) * k):
+        for idx in tiles:
             x = left(idx)
             np.subtract(x, right(idx), out=x)
-            if mag is None:
+            if mag is None or mag.shape != x.shape:
                 mag = np.empty_like(x, dtype=float)
             worst = np.maximum(worst, np.abs(x, out=mag).max())
     return float(worst)

@@ -1091,15 +1091,19 @@ def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0,
                              cuts: Iterable[int] | None = None) -> None:
     """Each tile of ``dg._tiles`` with k cut boundary positions, for each k
     of ``cuts`` (every k by default), is ``evaluate(d, ctx).data[idx]`` at
-    its index ``idx``: bit for bit, or with ``rel`` > 0 within ``rel`` of
-    the largest entry (or of 1)."""
+    its index ``idx``: an index of values, or, with runs of up to D
+    values, one whose position 0 is the run of its first value or of the
+    others.  Bit for bit, or with ``rel`` > 0 within ``rel`` of the
+    largest entry (or of 1)."""
     whole = evaluate(d, ctx).data
     scale = max(1.0, np.max(np.abs(whole)))
     for k in range(whole.ndim + 1) if cuts is None else cuts:
-        tile = dg._tiles(d, ctx, k)
-        for idx in np.ndindex(whole.shape[:k]):
+        by_value, by_run = dg._tiles(d, ctx, k), dg._tiles(d, ctx, k, d.dim) if k else None
+        runs = [(run,) + idx for run in (slice(0, 1), slice(1, d.dim)) for idx in np.ndindex(whole.shape[1:k])]
+        tiles = [(by_value, idx) for idx in np.ndindex(whole.shape[:k])] + [(by_run, idx) for idx in runs if k]
+        for tile, idx in tiles:
             got = tile(idx)
-            assert got.shape == whole.shape[k:]
+            assert got.shape == whole[idx].shape
             if rel:
                 assert np.max(np.abs(got - whole[idx]), initial=0.0) <= rel * scale, (k, idx)
             else:

@@ -325,8 +325,8 @@ def test_check_soundness_fails_a_nan_side(monkeypatch, tile, side, entry):
                 t = Tensor(t.dim, t.in_legs, t.out_legs, data)
             yield t
 
-    def poisoned_tiles(d, ctx, k):
-        s, tile = len(calls), real_tiles(d, ctx, k)
+    def poisoned_tiles(d, ctx, k, run):
+        s, tile = len(calls), real_tiles(d, ctx, k, run)
         calls.append("tiled")
         at = (entry % ctx.dim,) * k  # the first or the last tile
 
@@ -385,8 +385,8 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
     real = dg._tiles
     shapes: list = []
 
-    def poisoned(d, ctx, k):
-        side, tile = len(shapes), real(d, ctx, k)
+    def poisoned(d, ctx, k, run):
+        side, tile = len(shapes), real(d, ctx, k, run)
         shapes.append((6,) * k)
 
         def edited(idx):
@@ -515,21 +515,51 @@ def test_only_the_widest_cells_are_tiled(monkeypatch):
     assert tiled == [("ZH-O", 6), ("ZH-O", 7), ("ZH-ZPL", 6), ("ZH-ZPL", 7)]
 
 
-def test_tiled_check_budgets_the_arrays_its_tiles_build(monkeypatch):
-    # ZH-O at D=6 has 6^7-entry sides; its tiles build the steps before
-    # the last pairwise one, that step's operands and tiles of 6^6, so a
-    # budget of 6^6 entries passes the tiled check, with the same error,
-    # and still refuses a whole side
+def test_a_two_leg_side_past_a_tile_is_compared_in_runs(monkeypatch):
+    # at D=300 ZH-A's sides have 300^2 entries, past one tile; a tile
+    # takes a run of 218 values of position 0 (218 * 300 <= 2^16), and
+    # then the other 82, not 300 tiles of one value, and the error is the
+    # whole sides' to rounding
+    ctx = MeasureContext(300)
+    lhs, rhs = instantiate("ZH-A", {}, ctx)
+    whole = [evaluate(lhs, ctx), evaluate(rhs, ctx)]
+    want = max_abs_diff(*whole)
+    real, seen = dg._tiles, []
+
+    def tiles(d, ctx, k, run):
+        tile = real(d, ctx, k, run)
+
+        def read(idx):
+            seen.append(idx)
+            return tile(idx)
+
+        return read
+
+    monkeypatch.setattr(dg, "_tiles", tiles)
+    rep = check_soundness("ZH-A", {}, ctx)
+    assert seen == [(slice(0, 218),)] * 2 + [(slice(218, 300),)] * 2
+    assert abs(rep["max_err"] - want) <= 1e-12 * max(np.max(np.abs(t.data)) for t in whole)
+
+
+def test_tiled_check_keeps_the_whole_side_budget(monkeypatch):
+    # tiles never build a whole side, but a pair is still refused by its
+    # whole side's size, before any step runs: ZX-RGB with m = n = 2 has
+    # rank-4 sides (257^4 entries at D=257), and ZH-O at D=6 (rank 7)
+    # passes at a budget of 6^7 entries, bit for bit, and not one below
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(dg, "_execute", no_step)
+        with pytest.raises(OverflowGuardError, match="rank 4 at dimension D=257 exceeds 67108864 entries"):
+            check_soundness("ZX-RGB", {"m": 2, "n": 2}, MeasureContext(257))
     ctx = MeasureContext(6)
     want = check_soundness("ZH-O", {}, ctx)["max_err"]
-    monkeypatch.setattr(dg, "_MAX_RESULT", 6**6)
+    monkeypatch.setattr(dg, "_MAX_RESULT", 6**7)
     rep = check_soundness("ZH-O", {}, ctx)
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
-    for d in instantiate("ZH-O", {}, ctx):
-        with pytest.raises(OverflowGuardError, match="rank 7 at dimension D=6 exceeds 46656 entries"):
-            evaluate(d, ctx)
-    monkeypatch.setattr(dg, "_MAX_RESULT", 6**6 - 1)
-    with pytest.raises(OverflowGuardError, match="rank 6 at dimension D=6 exceeds 46655 entries"):
+    monkeypatch.setattr(dg, "_MAX_RESULT", 6**7 - 1)
+    with pytest.raises(OverflowGuardError, match="rank 7 at dimension D=6 exceeds 279935 entries"):
         check_soundness("ZH-O", {}, ctx)
 
 
