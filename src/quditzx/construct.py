@@ -16,15 +16,15 @@ red dot on the target, then an antipode), and
 ``DiagramBuilder.multiedge`` (``m_mult``).  Only ``ccz_pow`` is
 hand-wired, as its box precedes its copy dots.
 
-Also here: the coefficient-selector gadget (``mbox_gadget``), whose
-H-box fires a chosen amplitude exactly on the all-``U_D`` basis input,
-and ``normal_form``, which writes an arbitrary small tensor as a
-diagram of copy-dot fan-outs, not-dot index shifts, and one selector
-per coefficient.  Both make each parameter-free generator (the copy
-and fan dots, each not dot) once per call and share it among the nodes
-that hold it, so a normal form's 3(m+n) D^(m+n) + m+n parameter-free
-nodes hold at most D + 3 generators.  ``diagram.load_json`` shares them the
-same way within one diagram file.  Nothing is cached across calls.
+Also here: ``normal_form``, which writes an arbitrary small tensor as a
+diagram of copy-dot fan-outs, not-dot index shifts, and one
+coefficient selector per entry, whose H-box fires a chosen amplitude
+exactly on the all-``U_D`` basis input.  It makes each parameter-free
+generator (the copy and fan dots, each not dot) once per call and
+shares it among the nodes that hold it, so a normal form's
+3(m+n) D^(m+n) + m+n parameter-free nodes hold at most D + 3
+generators.  ``diagram.load_json`` shares them the same way within one
+diagram file.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -439,25 +439,6 @@ def target_tensor(gid: GadgetId, ctx: MeasureContext) -> Tensor:
 # =====================================================================
 # Coefficient selector and normal form
 # =====================================================================
-
-
-def mbox_gadget(m: int, alpha: complex, ctx: MeasureContext) -> Diagram:
-    """The m-input selector: all-U_D basis input maps to alpha, others to 1.
-
-    Per input, a white dot copies the wire; one branch passes through a
-    (1 - sigma)-not-dot; all 2m branches meet an H-box whose amplitude
-    fires alpha exactly at the leg product U_D**(2m).  The evaluated
-    effect carries the usual generator scaling nu**m.
-    """
-    if m < 0:
-        raise GadgetError(f"selector needs m >= 0, got {m}")
-    checked_i64(ctx.upper ** (2 * m), "selector pivot U_D^(2m)")
-    b = DiagramBuilder(ctx.dim)
-    box = b.node(Generator.hbox(MBox(2 * m, complex(alpha)), 2 * m, 0))
-    copy, flip = Generator.white(1, 2), Generator.not_dot(1 - ctx.sigma)
-    for j in range(m):
-        _selector_branch(b, copy, flip, ("in", j), box)
-    return b.build()
 
 
 def _selector_branch(b: DiagramBuilder, copy: Generator, flip: Generator, src, box: str) -> None:

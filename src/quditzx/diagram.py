@@ -120,13 +120,16 @@ is small next to the arithmetic, and a larger batch only costs memory.
 single diagram.
 
 A pair of wide results is compared in tiles, never whole
-(``max_abs_diff_tiled``): a tile fixes the first k boundary positions,
-k the fewest that leave at most ``_TILE`` entries, but takes a run of
-values of position 0, as many as fit, where k is 1.  Each side runs every
-step before its last pairwise one once, permutes that step's operands
-once, and computes each tile from slabs of them into one buffer.  The
-size budget is the whole result's, so a pair past ``_MAX_RESULT``
-is refused before any tile runs, as on the whole path.
+(``max_abs_diff_tiled``).  A tile has one shape: a run of values of
+boundary position 0, as many as fit in ``_TILE`` entries and at least
+one, then one value each of positions 1..k-1, k the fewest that leave
+at most ``_TILE`` entries a value of position 0.  ``_tiles`` works the
+cut out from a side's boundary and streams its tiles in one order, so
+the two sides' streams zip.  Each side runs every step before its last
+pairwise one once, permutes that step's operands once, and computes
+each tile from slabs of them into one buffer.  The size budget is the
+whole result's, so a pair past ``_MAX_RESULT`` is refused before any
+tile runs, as on the whole path.
 ``rewrite._pair_errors`` compares a pair so when its sides have more
 than ``_TILE`` entries, one tile; in the soundness matrix at D=2..9 only
 ZH-O and ZH-ZPL at D=6 and D=7 do (6^7 and 7^8 entries, 4.3 and 88 MiB
@@ -145,7 +148,7 @@ import threading
 from array import array
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from typing import Any, Callable, Container, Iterable, Iterator, Sequence
+from typing import Any, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,11 +186,12 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 # D=2..9, only the last hub step of each side of ZH-O and ZH-ZPL at
 # D=5..7 reaches it
 _MATMUL_MIN = 1 << 17
-# entries in a tile of max_abs_diff_tiled, and in the widest rule side
-# compared whole.  Checking ZH-O at D=7 peaks at 3.9 MiB of arrays with
-# tiles of 7^5, 8.9 MiB with 7^6 (2^17), and 40 MiB with one block per
-# value of boundary position 0; at D=6, at 2.9 MiB with tiles of 6^6,
-# and at 9.6 MiB with its two whole sides
+# entries in a tile of max_abs_diff_tiled (a run of values of boundary
+# position 0, then one value each of the next positions it cuts), and
+# in the widest rule side compared whole.  Checking ZH-O at D=7 peaks
+# at 3.9 MiB of arrays with tiles of 7^5, 8.9 MiB with 7^6 (2^17), and
+# 40 MiB with one block per value of boundary position 0; at D=6, at
+# 2.9 MiB with tiles of 6^6, and at 9.6 MiB with its two whole sides
 _TILE = 1 << 16
 
 # how a node enters the contraction: as its diagonal, its dense array,
@@ -1201,38 +1205,48 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     return next(evaluate_many([d], ctx))
 
 
-def _tiles(d: Diagram, ctx: MeasureContext, k: int, run: int = 1) -> Callable[[tuple], np.ndarray]:
-    """A function from the values of the first k boundary positions to that tile of ``evaluate(d, ctx).data``.
+def _tiles(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
+    """The tiles of ``evaluate(d, ctx).data``, for a diagram with a boundary, in one order.
 
-    The tile at ``idx`` is ``evaluate(d, ctx).data[idx]``.  With ``run``
-    > 1, ``idx[0]`` is instead a slice of at most ``run`` values of
-    position 0, which the tile keeps as its first axis.  Every step
-    before the plan's last pairwise one runs here, once, and that step's
-    operands are permuted once: the cut labels each carries first, the
-    rest in matmul order (as in ``_pairwise``).  With ``run`` > 1,
-    position 0's label is not cut but leads its matmul axis instead, so
-    that a run is one block of rows, columns or batches.  A tile is then
-    one ``np.matmul`` of slabs into a buffer (one per tile shape), or one
-    broadcast ``np.multiply`` where the step sums no label, and comes
-    back as a view of the buffer in boundary order, which the next call
-    of that shape overwrites.  On matmul it has the bits of the whole
-    result's slice.  A plan with no pairwise step gives copies of slices
-    of its whole result.  Either way the caller may write into a tile.
-    Sizes are checked as ``evaluate`` checks them, against the whole
-    result.
+    A tile is ``data[lo:lo + run, i1, ..., i(k-1)]``: k >= 1 the fewest
+    boundary positions that leave at most ``_TILE`` entries a value of
+    position 0, and ``run`` values of position 0, as many as fit and at
+    least one.  Tiles come in the row-major order of (lo, i1, ...,
+    i(k-1)), and only the last run may be shorter.  A run lets one matmul
+    reuse an operand over many rows of the other, where with one value a
+    tile a side of two legs at D=1024 would read its whole 1024 x 1024
+    operand once per value.
+
+    Every step before the plan's last pairwise one runs once, when the
+    first tile is asked for, and that step's operands are permuted once:
+    the labels of positions 1..k-1 each carries first, the rest in matmul
+    order (as in ``_pairwise``), position 0's label leading its matmul
+    axis, so that a run is one block of rows, columns or batches.  A tile
+    is then one ``np.matmul`` of slabs into a buffer (one per run
+    length), or one broadcast ``np.multiply`` where the step sums no
+    label, and comes as a view of the buffer in boundary order, which the
+    next tile of its run length overwrites.  On matmul it has the bits of
+    the whole result's slice.  A plan with no pairwise step gives copies
+    of slices of its whole result.  Either way the caller may write into
+    a tile.  Sizes are checked as ``evaluate`` checks them, against the
+    whole result.
     """
     _, steps, layout, _ = _checked_plan(d, ctx)
+    D, n = ctx.dim, d.n_inputs + d.n_outputs
+    k = next(k for k in range(1, n + 1) if D ** (n - k) <= _TILE)
+    run = max(_TILE // D ** (n - 1), 1)  # values of position 0 in a tile
+    cuts = itertools.product(range(0, D, run), *[range(D)] * (k - 1))  # each tile's lo, i1, ..., i(k-1)
     last = max((s for s in range(max(len(steps) - 2, 0), len(steps)) if steps[s][1] >= 0), default=None)
     if last is None:
         whole = _execute(steps, len(steps), layout, [d], ctx)[0]
-        return lambda idx: np.array(whole[idx])
+        for lo, *idx in cuts:
+            yield np.array(whole[(slice(lo, lo + run), *idx)])
+        return
     a, b = _execute(steps, last, layout, [d], ctx)
     _, _, sa, sb, so = steps[last]
     ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
     labels = [so[ra.index(r)] for r in ro]  # each boundary position's label in the step
-    first = labels[0] if k and run > 1 else None  # position 0's label, where a tile takes a run of it
-    cut = [l for l in labels[:k] if l != first]
-    kept = [l for l in labels if l not in cut]
+    first, cut, kept = labels[0], labels[1:k], labels[:1] + labels[k:]
 
     def lead(ls: list) -> list:  # position 0's label first
         return sorted(ls, key=lambda l: l != first)
@@ -1242,7 +1256,7 @@ def _tiles(d: Diagram, ctx: MeasureContext, k: int, run: int = 1) -> Callable[[t
     free_a = lead([l for l in sa if l not in sb and l in kept])
     free_b = lead([l for l in sb if l not in sa and l in kept])
     cut_a, cut_b = [l for l in cut if l in sa], [l for l in cut if l in sb]
-    D, nb, ns = ctx.dim, ctx.dim ** len(batch), ctx.dim ** len(summed)
+    nb, ns = D ** len(batch), D ** len(summed)
     a = np.ascontiguousarray(a.transpose([sa.index(l) for l in cut_a + batch + free_a + summed]))
     a = a.reshape((D,) * len(cut_a) + (nb, -1, ns))
     b = np.ascontiguousarray(b.transpose([sb.index(l) for l in cut_b + batch + summed + free_b]))
@@ -1251,59 +1265,40 @@ def _tiles(d: Diagram, ctx: MeasureContext, k: int, run: int = 1) -> Callable[[t
     unit = (nb, a.shape[-2], b.shape[-1])[axis] // D  # batches, rows or columns of one value of position 0
     order = batch + free_a + free_b
     kernel = np.matmul if summed else np.multiply
-    at_a, at_b = [labels.index(l) for l in cut_a], [labels.index(l) for l in cut_b]
+    at_a, at_b = [cut.index(l) for l in cut_a], [cut.index(l) for l in cut_b]
     buffers: dict = {}
-
-    def tile(idx: tuple) -> np.ndarray:
+    for lo, *idx in cuts:
+        hi = min(lo + run, D)
         part = [slice(None)] * 3
-        if first is not None:
-            lo, hi, _ = idx[0].indices(D)
-            part[axis] = slice(lo * unit, hi * unit)
+        part[axis] = slice(lo * unit, hi * unit)
         x = a[tuple(idx[p] for p in at_a) + (part[0], part[1], slice(None))]
         y = b[tuple(idx[p] for p in at_b) + (part[0], slice(None), part[2])]
-        shape = (x.shape[0], x.shape[1], y.shape[2])
-        if shape not in buffers:
-            out = np.empty(shape, dtype=complex)
+        if hi - lo not in buffers:
+            out = np.empty((x.shape[0], x.shape[1], y.shape[2]), dtype=complex)
             sizes = [hi - lo if l == first else D for l in order]
-            buffers[shape] = out, out.reshape(sizes).transpose([order.index(l) for l in kept])
-        out, view = buffers[shape]
+            buffers[hi - lo] = out, out.reshape(sizes).transpose([order.index(l) for l in kept])
+        out, view = buffers[hi - lo]
         kernel(x, y, out=out)
-        return view
-
-    return tile
+        yield view
 
 
 def max_abs_diff_tiled(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float:
     """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))``, compared one tile at a time, neither side whole.
 
-    A tile fixes the first k boundary positions, k the fewest that leave
-    at most ``_TILE`` entries, but where k is 1 it takes a run of
-    position 0's values instead, as many as fit in ``_TILE`` (see
-    ``_tiles``): a run lets one matmul reuse an operand over many rows
-    of the other, where with one value a tile a side of two legs at
-    D=1024 would read its whole 1024 x 1024 operand once per value.  The
-    right tile is subtracted from the left one in place, its abs goes
-    into a buffer laid out as the left tile, and ``np.maximum`` folds in
-    the max, carrying a NaN to the end.  The error may round apart from
-    ``max_abs_diff``'s where a whole side's last step runs on einsum.
-    Entries past the float range give inf or NaN with no warning.
+    The sides have one boundary of at least one leg, and their tiles
+    (``_tiles``) come in the same order; the right tile is subtracted from the left
+    one in place, its abs goes into a buffer laid out as the left tile,
+    and ``np.maximum`` folds in the max, carrying a NaN to the end.  The
+    error may round apart from ``max_abs_diff``'s where a whole side's
+    last step runs on einsum.  Entries past the float range give inf or
+    NaN with no warning.
     """
-    if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs):
-        raise ShapeError("the diagrams differ in their boundary")
-    D, n, k = ctx.dim, lhs.n_inputs + lhs.n_outputs, 0
-    while D ** (n - k) > _TILE:
-        k += 1
-    run, tiles = 1, [()]
-    if k:
-        run = max(_TILE // D ** (n - 1), 1)  # values of position 0 in a tile
-        firsts = [slice(lo, min(lo + run, D)) for lo in range(0, D, run)] if run > 1 else range(D)
-        tiles = itertools.product(firsts, *[range(D)] * (k - 1))
-    left, right = _tiles(lhs, ctx, k, run), _tiles(rhs, ctx, k, run)
+    if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs) or not lhs.n_inputs + lhs.n_outputs:
+        raise ShapeError("the diagrams differ in their boundary, or have none")
     worst, mag = -np.inf, None
     with np.errstate(invalid="ignore", over="ignore"):
-        for idx in tiles:
-            x = left(idx)
-            np.subtract(x, right(idx), out=x)
+        for x, y in zip(_tiles(lhs, ctx), _tiles(rhs, ctx)):
+            np.subtract(x, y, out=x)
             if mag is None or mag.shape != x.shape:
                 mag = np.empty_like(x, dtype=float)
             worst = np.maximum(worst, np.abs(x, out=mag).max())

@@ -232,11 +232,11 @@ def check_amp_dim(a: AmplitudeFn, dim: int) -> None:
         raise DomainError(f"Table has {len(a.values)} values but D={dim}")
 
 
-def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext | None = None) -> AmplitudeFn:
+def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext) -> AmplitudeFn:
     """Pointwise product, in closed form when the variants match.
 
-    Falls back to a residues-only Table built by evaluating on [D];
-    the fallback needs `ctx` to know the window.
+    Falls back to a residues-only Table built by evaluating on the
+    window of `ctx`.
     """
     if isinstance(a, One):
         return b
@@ -252,10 +252,6 @@ def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext | None = No
         return Char(a.c + b.c)
     if isinstance(a, UnitPow) and isinstance(b, UnitPow):
         return UnitPow(a.alpha * b.alpha)
-    if ctx is None:
-        raise ValueError(
-            f"no closed-form product for {type(a).__name__} * {type(b).__name__}; pass ctx for the Table fallback"
-        )
     window = ctx.residues()
     # Python's complex product, which can differ from numpy's in the last bit
     return Table(tuple(x * y for x, y in zip(a.eval_arr(ctx, window).tolist(), b.eval_arr(ctx, window).tolist())))

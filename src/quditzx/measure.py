@@ -43,7 +43,7 @@ class OverflowGuardError(OverflowError):
     """A value or size left its checked range: 64-bit integers, floats, or an evaluation budget."""
 
 
-def checked_i64(value: int, what: str = "value") -> int:
+def checked_i64(value: int, what: str) -> int:
     """Pass `value` through, raising OverflowGuardError if it exceeds 64-bit range."""
     if not -_I64_MAX - 1 <= value <= _I64_MAX:
         if isinstance(value, int) and value.bit_length() > 256:  # a long decimal trips Python's digit limit

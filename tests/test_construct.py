@@ -17,7 +17,6 @@ from quditzx.construct import (
     GadgetId,
     build,
     gadget_id,
-    mbox_gadget,
     normal_form,
     target_tensor,
 )
@@ -25,6 +24,8 @@ from quditzx.diagram import dump_json, evaluate, load_json
 from quditzx.generators import Char, Generator, Phase, Stab, Table, UnitPow
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import Tensor, max_abs_diff
+
+from oracles import mbox_gadget
 
 DIMS = [2, 3, 4, 5, 6]
 

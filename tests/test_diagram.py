@@ -13,7 +13,7 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter
-from typing import Any, Iterable
+from typing import Any, Iterator
 from unittest import mock
 
 import numpy as np
@@ -1087,27 +1087,31 @@ def test_a_split_form_is_used_only_where_it_is_smaller() -> None:
 # -- tiles ----------------------------------------------------------------
 
 
-def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0,
-                             cuts: Iterable[int] | None = None) -> None:
-    """Each tile of ``dg._tiles`` with k cut boundary positions, for each k
-    of ``cuts`` (every k by default), is ``evaluate(d, ctx).data[idx]`` at
-    its index ``idx``: an index of values, or, with runs of up to D
-    values, one whose position 0 is the run of its first value or of the
-    others.  Bit for bit, or with ``rel`` > 0 within ``rel`` of the
-    largest entry (or of 1)."""
+def tile_slices(shape: tuple) -> Iterator[tuple]:
+    """The index into a side of ``shape`` that each of its tiles stands
+    for, in stream order: the fewest k >= 1 leading positions that leave
+    at most ``_TILE`` entries a value of position 0, position 0 in runs of
+    as many values as fit (at least one), positions 1..k-1 one value each."""
+    D, n = shape[0], len(shape)
+    k = min(k for k in range(1, n + 1) if D ** (n - k) <= dg._TILE)
+    run = max(dg._TILE // D ** (n - 1), 1)
+    for lo in range(0, D, run):
+        for idx in np.ndindex(shape[1:k]):
+            yield (slice(lo, lo + run), *idx)
+
+
+def assert_tiles_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0) -> None:
+    """The n-th tile of ``dg._tiles`` is the n-th of ``tile_slices`` of
+    ``evaluate(d, ctx).data``: bit for bit, or with ``rel`` > 0 within
+    ``rel`` of the largest entry (or of 1)."""
     whole = evaluate(d, ctx).data
     scale = max(1.0, np.max(np.abs(whole)))
-    for k in range(whole.ndim + 1) if cuts is None else cuts:
-        by_value, by_run = dg._tiles(d, ctx, k), dg._tiles(d, ctx, k, d.dim) if k else None
-        runs = [(run,) + idx for run in (slice(0, 1), slice(1, d.dim)) for idx in np.ndindex(whole.shape[1:k])]
-        tiles = [(by_value, idx) for idx in np.ndindex(whole.shape[:k])] + [(by_run, idx) for idx in runs if k]
-        for tile, idx in tiles:
-            got = tile(idx)
-            assert got.shape == whole[idx].shape
-            if rel:
-                assert np.max(np.abs(got - whole[idx]), initial=0.0) <= rel * scale, (k, idx)
-            else:
-                assert np.asarray(got).tobytes() == whole[idx].tobytes(), (k, idx)
+    for number, (got, idx) in enumerate(zip(dg._tiles(d, ctx), tile_slices(whole.shape), strict=True)):
+        assert got.shape == whole[idx].shape, number
+        if rel:
+            assert np.max(np.abs(got - whole[idx]), initial=0.0) <= rel * scale, number
+        else:
+            assert np.asarray(got).tobytes() == whole[idx].tobytes(), number
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
@@ -1115,41 +1119,52 @@ def assert_blocks_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0,
 def test_blocks_of_widest_rules_are_slices(rid, dim) -> None:
     # every step but the last runs once, and each tile of the left side
     # runs the last step's matmul on the same values as the whole step:
-    # the same bits, at the cut a check makes (6^6 and 7^5 entries a
-    # tile) and at D=6 at the next one.  The right side's last step sums
-    # no label, so its tiles are np.multiply's outer products, which can
-    # round apart from the whole side's matmul of inner size 1
+    # the same bits, at the cut a check makes (one value of position 0
+    # at D=6, and of positions 0..2 at D=7) and at D=6 at the next one.
+    # The right side's last step sums no label, so its tiles are
+    # np.multiply's outer products, which can round apart from the whole
+    # side's matmul of inner size 1
     spec = CATALOG[rid]
     ctx = MeasureContext(dim)
-    cuts = [1, 2] if dim == 6 else [3]
-    assert all(dim ** (dim + 1 - k) <= dg._TILE for k in cuts)
-    for side, d in enumerate(instantiate(spec, spec.sample(dim, np.random.default_rng(0)), ctx)):
-        assert_blocks_are_slices(d, ctx, rel=side * 1e-15, cuts=cuts)
+    for tile in [dg._TILE, 6**5] if dim == 6 else [dg._TILE]:
+        with mock.patch.object(dg, "_TILE", tile):
+            for side, d in enumerate(instantiate(spec, spec.sample(dim, np.random.default_rng(0)), ctx)):
+                assert_tiles_are_slices(d, ctx, rel=side * 1e-15)
 
 
 def test_blocks_of_a_wide_random_diagram_are_slices() -> None:
-    # 3^13 entries, past _TILE, on hubs the greedy order picks; its
-    # tiles at the _TILE cut (3^10 entries) and at every coarser one
+    # 3^13 entries, past _TILE, on hubs the greedy order picks; its tiles
+    # at the _TILE cut (3^10 entries, three positions), at two positions,
+    # and at one in runs of two values
     ctx = MeasureContext(3)
     rng = np.random.default_rng(23)
     assert 3**13 > dg._TILE
     for _ in range(2):
-        assert_blocks_are_slices(hub_diagram(rng, 3, 4, 10, 6, 7), ctx, rel=1e-12, cuts=range(4))
+        d = hub_diagram(rng, 3, 4, 10, 6, 7)
+        for tile in (dg._TILE, 3**11, 2 * 3**12):
+            with mock.patch.object(dg, "_TILE", tile):
+                assert_tiles_are_slices(d, ctx, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_diagrams(), st.booleans(), st.sampled_from([None, 1]))
-def test_random_diagram_blocks_are_slices(d: Diagram, split_all: bool, matmul_min: int | None) -> None:
-    # any boundary, no boundary included, cut at every position: the cut
-    # labels on either operand or both, with or without a final reorder,
-    # the whole side on either kernel, or no pairwise step.  A tile runs
-    # on matmul or np.multiply, so it may round apart from a slice of a
-    # whole side made on np.einsum
+@given(small_diagrams().filter(lambda d: d.n_inputs + d.n_outputs >= 1), st.sampled_from([1, 2, 3, 8, 30, None]),
+       st.booleans(), st.sampled_from([None, 1]))
+def test_random_diagram_blocks_are_slices(d: Diagram, tile: int | None, split_all: bool,
+                                          matmul_min: int | None) -> None:
+    # any boundary of one leg or more, cut at any position by the tile
+    # size, in runs or one value a tile: the cut labels on either operand
+    # or both, with or without a final reorder, the whole side on either
+    # kernel, or no pairwise step.  Without one, a tile is a copy of the
+    # whole side's slice.  With one, a tile runs on matmul or np.multiply,
+    # so it may round apart from a slice of a whole side made on np.einsum,
+    # and even on matmul: a tile of few rows may run as another BLAS call
     ctx = MeasureContext(d.dim)
     split_above = 0 if split_all else dg._SPLIT_ABOVE
     with mock.patch.object(dg, "_SPLIT_ABOVE", split_above), \
-            mock.patch.object(dg, "_MATMUL_MIN", matmul_min or dg._MATMUL_MIN):
-        assert_blocks_are_slices(d, ctx, rel=1e-12)
+            mock.patch.object(dg, "_MATMUL_MIN", matmul_min or dg._MATMUL_MIN), \
+            mock.patch.object(dg, "_TILE", tile or dg._TILE):
+        copies = all(step[1] < 0 for step in dg._checked_plan(d, ctx)[1][-2:])
+        assert_tiles_are_slices(d, ctx, rel=0.0 if copies else 1e-12)
 
 
 @st.composite
@@ -1179,9 +1194,13 @@ def test_random_pairs_compare_in_tiles_as_whole(pair, tile: int | None, nu: floa
 
 
 def test_tiled_comparison_refuses_pairs_of_other_boundaries() -> None:
+    # and a pair of scalars, which has no boundary position to cut
     ctx = MeasureContext(3)
     with pytest.raises(ShapeError, match="differ in their boundary"):
         max_abs_diff_tiled(node_diagram(3, Generator.white(1, 1)), node_diagram(3, Generator.white(2, 0)), ctx)
+    scalar = node_diagram(3, Generator.white(0, 0))
+    with pytest.raises(ShapeError, match="or have none"):
+        max_abs_diff_tiled(scalar, scalar, ctx)
 
 
 # -- batches --------------------------------------------------------------

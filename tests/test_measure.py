@@ -222,9 +222,9 @@ def test_vectorized_phase_powers_agree():
 
 
 def test_checked_i64():
-    assert checked_i64(2**62) == 2**62
-    with pytest.raises(OverflowGuardError):
-        checked_i64(2**63)
+    assert checked_i64(2**62, "x") == 2**62
+    with pytest.raises(OverflowGuardError, match="^x = 9223372036854775808 exceeds"):
+        checked_i64(2**63, "x")
 
 
 def test_checked_i64_names_a_huge_value_by_its_bit_length():
@@ -232,4 +232,4 @@ def test_checked_i64_names_a_huge_value_by_its_bit_length():
     with pytest.raises(OverflowGuardError, match="a 16610-bit integer exceeds"):
         checked_i64(10**5000, "x")
     with pytest.raises(OverflowGuardError, match="= -9223372036854775809 exceeds"):
-        checked_i64(-(2**63) - 1)
+        checked_i64(-(2**63) - 1, "x")

@@ -51,12 +51,6 @@ def registered(node: ast.FunctionDef | ast.ClassDef) -> bool:
     return False
 
 
-# Test oracles: definitions the package keeps for its tests to check
-# the fast paths against, though no program path calls them.
-# ``mbox_gadget`` is the normal form's selector, checked alone.
-TEST_ORACLES = {"mbox_gadget"}
-
-
 def definitions(tree: ast.Module):
     """Each module-level function or class, and each method of a
     module-level class, with its dotted name."""
@@ -90,8 +84,8 @@ def test_no_module_level_definition_is_dead() -> None:
     method, is used outside its own body by the package, the benchmark,
     the tools or the demos: loaded, imported, or, in the benchmark and
     the tools, spelled as a string, as the tracer names what it patches.
-    Tests do not count.  Public names, catalog rules, dunders and the
-    test oracles are exempt."""
+    Tests do not count.  Public names, catalog rules and dunders are
+    exempt; test oracles live in ``tests/oracles.py``."""
     from quditzx import _HOMES
 
     package = sorted((ROOT / "src" / "quditzx").glob("*.py"))
@@ -105,7 +99,7 @@ def test_no_module_level_definition_is_dead() -> None:
     dead = []
     for path in package:
         for qualname, node in definitions(ast.parse(path.read_text(), str(path))):
-            if (qualname in _HOMES or qualname in TEST_ORACLES or registered(node)
+            if (qualname in _HOMES or registered(node)
                     or node.name.startswith("__") and node.name.endswith("__")):
                 continue
             span = range(node.lineno, node.end_lineno + 1)

@@ -306,8 +306,8 @@ def test_check_soundness_honest_tolerance():
 @pytest.mark.parametrize("entry", [0, -1])
 def test_check_soundness_fails_a_nan_side(monkeypatch, tile, side, entry):
     # a NaN at the first or last entry of either side, compared in one
-    # go (5^6 entries a side, one tile) or in tiles of 25, is an error
-    # that no tolerance passes
+    # go (5^6 entries a side, one tile) or in 625 tiles of 25, is an
+    # error that no tolerance passes
     monkeypatch.setattr(dg, "_TILE", tile)
     real_many, real_tiles = rw.evaluate_many, dg._tiles
     calls: list = []
@@ -325,18 +325,13 @@ def test_check_soundness_fails_a_nan_side(monkeypatch, tile, side, entry):
                 t = Tensor(t.dim, t.in_legs, t.out_legs, data)
             yield t
 
-    def poisoned_tiles(d, ctx, k, run):
-        s, tile = len(calls), real_tiles(d, ctx, k, run)
+    def poisoned_tiles(d, ctx):
+        s = len(calls)
         calls.append("tiled")
-        at = (entry % ctx.dim,) * k  # the first or the last tile
-
-        def edited(idx):
-            x = tile(idx)
-            if s == side and idx == at:
+        for number, x in enumerate(real_tiles(d, ctx)):
+            if s == side and number == entry % (5**6 // tile):  # the first or the last tile of 5^6 entries
                 poison(x)
-            return x
-
-        return edited
+            yield x
 
     monkeypatch.setattr(rw, "evaluate_many", poisoned_many)
     monkeypatch.setattr(dg, "_tiles", poisoned_tiles)
@@ -380,23 +375,21 @@ BLOCK_EDITS = [
 def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
     # an edited tile gives the error of the whole sides edited alike,
     # bit for bit: NaN from a NaN anywhere or from inf - inf.  The
-    # 6^7-entry sides at D=6 are compared in six tiles of 6^6
+    # 6^7-entry sides at D=6 are compared in six tiles of 6^6, one value
+    # of position 0 each
     ctx = MeasureContext(6)
     real = dg._tiles
     shapes: list = []
 
-    def poisoned(d, ctx, k, run):
-        side, tile = len(shapes), real(d, ctx, k, run)
-        shapes.append((6,) * k)
-
-        def edited(idx):
-            x = tile(idx)
+    def poisoned(d, ctx):
+        side = len(shapes)
+        shapes.append([])
+        for number, x in enumerate(real(d, ctx)):
+            shapes[side].append(x.shape)
             for s, at, entry, value in edits:
-                if s == side and idx == np.unravel_index(at % 6**k, (6,) * k):
+                if s == side and number == at % 6:
                     x[np.unravel_index(entry % x.size, x.shape)] = value
-            return x
-
-        return edited
+            yield x
 
     monkeypatch.setattr(dg, "_tiles", poisoned)
     with np.errstate(invalid="ignore"):  # inf - inf
@@ -406,7 +399,7 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
             tile = whole[side].data[np.unravel_index(at % 6, (6,))]
             tile[np.unravel_index(entry % tile.size, tile.shape)] = value
         want = max_abs_diff(*whole)
-    assert shapes == [(6,), (6,)]
+    assert shapes == [[(1,) + (6,) * 6] * 6] * 2
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
     assert math.isnan(rep["max_err"]) == (edits != BLOCK_EDITS[-1])
     assert rep["pass"] is False
@@ -526,18 +519,14 @@ def test_a_two_leg_side_past_a_tile_is_compared_in_runs(monkeypatch):
     want = max_abs_diff(*whole)
     real, seen = dg._tiles, []
 
-    def tiles(d, ctx, k, run):
-        tile = real(d, ctx, k, run)
-
-        def read(idx):
-            seen.append(idx)
-            return tile(idx)
-
-        return read
+    def tiles(d, ctx):
+        for x in real(d, ctx):
+            seen.append(x.shape)
+            yield x
 
     monkeypatch.setattr(dg, "_tiles", tiles)
     rep = check_soundness("ZH-A", {}, ctx)
-    assert seen == [(slice(0, 218),)] * 2 + [(slice(218, 300),)] * 2
+    assert seen == [(218, 300)] * 2 + [(82, 300)] * 2
     assert abs(rep["max_err"] - want) <= 1e-12 * max(np.max(np.abs(t.data)) for t in whole)
 
 

@@ -13,7 +13,7 @@ each cell of seed 0 at D=2..min(dim_cap, 7), a cell the rule cannot
 draw giving ``[D, None]``; this covers the one-pair path, and at D=6
 and D=7 the sides of ZH-O and ZH-ZPL that are compared tile by tile
 (those of more than ``diagram._TILE`` entries).
-The last two lines are over the normal-form benchmark's tensors: D=2, 3,
+The next two lines are over the normal-form benchmark's tensors: D=2, 3,
 4 with m+n <= 3, five each, plus (m, n) = (2, 2) twice at D=3 and once at
 D=4, drawn as the benchmark draws them for seed 1.  ``normal-form``
 digests the tensor bytes of ``evaluate(load_json(dump_json(normal_form(t, ctx))), ctx)``,
@@ -23,6 +23,12 @@ fixed corpus (seed ``ERRORS_SEED``) of 600 diagram files, most of them
 malformed: for each, the ``DiagramError`` text or the port table, so a
 change that moves an error's text or which fault is named first shows
 there.
+Last, ``<rule> D=<D>`` digests ``json.dumps(check_all([D], samples=2,
+seed=0, rules=[rule]))`` for D in 17, 41 and 257, or the text of the
+``OverflowGuardError`` that refuses the cell.  Past D=9 most sides wider
+than one tile are cut at one boundary position, in runs of its values,
+and some at two or three, so these lines cover the tiled comparison
+where the soundness matrix at D=2..9 does not.
 Run it on two commits and ``diff`` the outputs to see which reports,
 tensors, diagram files and errors a change moved.
 """
@@ -35,7 +41,7 @@ import json
 import numpy as np
 
 from quditzx import construct, diagram
-from quditzx.measure import MeasureContext
+from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.rewrite import CATALOG, check_all, check_soundness
 from quditzx.tensor import Tensor
 
@@ -148,6 +154,13 @@ def main() -> None:
     print(f"normal-form {digest.hexdigest()}")
     print(f"normal-form-json {texts.hexdigest()}")
     print(f"diagram-errors {hashlib.sha256(json.dumps(wiring_outcomes(ERRORS_SEED)).encode()).hexdigest()}")
+    for rule in sorted(CATALOG):
+        for D in (17, 41, 257):
+            try:
+                text = json.dumps(check_all([D], samples=2, seed=0, rules=[rule]))
+            except OverflowGuardError as exc:
+                text = str(exc)
+            print(f"{rule} D={D} {hashlib.sha256(text.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
