@@ -65,17 +65,18 @@ planner reads only ranks, so diagonal and dense node factors are built
 only when a contraction first needs their array and are dropped once
 merged; a fan-out's many selector boxes never all exist at once.
 
-Each pairwise step runs on one of two kernels, picked by its size; the
-order is the same for both.  A step over u distinct labels loops over
-D^u entries.  From ``_MATMUL_MIN`` entries on it runs as one batched
-``np.matmul`` (``_pairwise``): the labels split into batch, summed and
-free ones, each operand is transposed and reshaped to three axes, and
-BLAS does the sums.  A smaller step runs as one ``np.einsum`` call,
-which has a lower fixed cost and reads the operands in place, where
-matmul first copies them.  Steps on one factor (sum, reorder)
-always use ``np.einsum``.  Both kernels get the same operands in the same
-contraction order, so their tensors differ only by rounding: BLAS sums
-in another order.
+Each pairwise step (a merge) runs on one of two kernels, picked by its
+size; the order is the same for both.  A step over u distinct labels
+loops over D^u entries.  From ``_MATMUL_MIN`` entries on it runs as the
+one block of ``_blocks``: the labels split into batch, summed and free
+ones, each operand is laid out contiguously on three axes, and BLAS
+does the sums in one batched ``np.matmul``, or one broadcast
+``np.multiply`` forms the products where nothing is summed.  A smaller
+step runs as one ``np.einsum`` call, which has a lower fixed cost and
+reads the operands in place, where matmul first copies them.  Steps on
+one factor (sum, reorder) always use ``np.einsum``.  Both kernels get
+the same operands in the same contraction order, so their tensors
+differ only by rounding: BLAS sums in another order.
 
 The plan depends on the diagram's shape alone, so it is made once per
 shape and cached.  The key (``_structure``) is exact, not a hash: the
@@ -104,8 +105,8 @@ leading batch axis, and so is every array made from one.  The batch axis
 belongs to the arrays, not to the call: each step reads it off its
 operands, as one axis more than the step's sublist.  Every ``np.einsum``
 has ``Ellipsis`` leading each sublist, and a matmul-size step runs as
-one ``np.matmul`` (``_pairwise``), so on either kernel an operand
-without the batch axis broadcasts.  So a batched tensor equals what its
+one ``np.matmul`` or ``np.multiply`` (``_blocks``), so on either kernel
+an operand without the batch axis broadcasts.  So a batched tensor equals what its
 diagram gives alone up to rounding, not always bit for bit: a pairwise
 ``np.einsum`` over the batch may sum in another order than the same step
 alone (at D=2, a 3-leg red dot with Phase(0.7), two legs joined through
@@ -119,17 +120,19 @@ is small next to the arithmetic, and a larger batch only costs memory.
 ``evaluate`` runs the batch of one that ``evaluate_many`` runs for a
 single diagram.
 
-A pair of wide results is compared in tiles, never whole
+A pair of wide results is compared tile by tile
 (``max_abs_diff_tiled``).  A tile has one shape: a run of values of
 boundary position 0, as many as fit in ``_TILE`` entries and at least
 one, then one value each of positions 1..k-1, k the fewest that leave
 at most ``_TILE`` entries a value of position 0.  ``_tiles`` works the
 cut out from a side's boundary and streams its tiles in one order, so
-the two sides' streams zip.  Each side runs every step before its last
-pairwise one once, permutes that step's operands once, and computes
-each tile from slabs of them into one buffer.  The size budget is the
-whole result's, so a pair past ``_MAX_RESULT`` is refused before any
-tile runs, as on the whole path.
+the two sides' streams zip.  A side's plan ends in its last merge,
+which writes the boundary order, so each side runs every step before
+that merge once, and its tiles are that merge's blocks (``_blocks``,
+the same layout and kernels as a whole matmul-size step); a side with
+no merge, one dense factor, is built whole and its tiles are copies of
+slices of it.  The size budget is the whole result's, so a pair past
+``_MAX_RESULT`` is refused before any tile runs, as on the whole path.
 ``rewrite._pair_errors`` compares a pair so when its sides have more
 than ``_TILE`` entries, one tile; in the soundness matrix at D=2..9 only
 ZH-O and ZH-ZPL at D=6 and D=7 do (6^7 and 7^8 entries, 4.3 and 88 MiB
@@ -183,8 +186,9 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 # more in fresh pages than BLAS saves, as measured on normal forms when
 # their widest steps at D=4 were 2^16 (they are 2^8 since their selector
 # boxes are built on the fan labels).  In the soundness matrix at
-# D=2..9, only the last hub step of each side of ZH-O and ZH-ZPL at
-# D=5..7 reaches it
+# D=2..9 no step of a whole side reaches it (D=5's widest is 5^7, and
+# the wider sides at D=6 and 7 are tiled); sides at D >= 10 do, from a
+# few steps at D=10..16 to dozens at D=64
 _MATMUL_MIN = 1 << 17
 # entries in a tile of max_abs_diff_tiled (a run of values of boundary
 # position 0, then one value each of the next positions it cuts), and
@@ -570,9 +574,10 @@ def _plan(codes: array) -> _Plan:
     ``(i, j, sa, sb, so)`` contracts slots i and j into slot i, and ``(i,
     -1, sa, so)`` sums or reorders slot i alone.  Each sublist is a tuple
     of ints, and equal sublists are one object.  The last step leaves the
-    result in its slot, and at most the final reorder follows the last
-    pairwise step.  A last factor already in boundary order takes no
-    reorder step, so a diagram of one such factor has no steps at all.
+    result in its slot, in boundary order: a plan with a merge ends in its
+    last merge, which writes that order itself, and a plan with none ends
+    in a reorder where its factor is not in that order already, so a
+    diagram of one such factor has no steps at all.
     ``chain`` gives map i (from 1; map 0 is the identity) as ``(parent,
     node)``: the map of the class it is reached from and the absorbed not
     dot between them.  ``layouts`` gives each node's ``(positions,
@@ -843,11 +848,14 @@ def _plan(codes: array) -> _Plan:
                 seq += 1
                 heapq.heappush(heap, (entry[0], seq, lab))
 
+    # the last merge writes the result in boundary order; with no merge,
+    # a reorder of the last factor does
     (last,) = live
     labs = labels[last]
     if labs != boundary_labels:
-        names = {lab: k for k, lab in enumerate(labs)}
-        emit(last, -1, [names[l] for l in labs], [names[l] for l in boundary_labels])
+        axes = tuple(range(len(labs)))
+        i, j, *subs, so = steps.pop() if steps and steps[-1][1] >= 0 else (last, -1, axes, axes)
+        emit(i, j, *subs, [so[labs.index(l)] for l in boundary_labels])
     return tuple(steps), top, *dense, tuple(chain), tuple(layouts), tuple(deltas)
 
 
@@ -909,40 +917,85 @@ def _split_factors(ctx: MeasureContext, gen: Generator, legs: Sequence[np.ndarra
     return [coeff] + [phases[id(x)] for x in legs]
 
 
+def _blocks(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence, cut: Sequence,
+            run: int) -> Iterator[np.ndarray]:
+    """The merge ``np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))`` as batched ``np.matmul``, in blocks.
+
+    A block fixes one value of each label in ``cut`` (labels of ``so``)
+    and, with ``run`` > 0, a run of ``run`` values of ``so[0]``, the last
+    run shorter where ``run`` does not divide D; it has the axes of the
+    other labels of ``so``, in order.  Blocks come in the row-major order
+    of (run, cut values); with no cut and ``run`` 0 there is one, the
+    whole merge.  The labels split once into batch (shared, kept),
+    summed (shared, dropped) and free in a or in b, and each operand is
+    laid out contiguously once, behind its batch axis if it has one: a
+    as ``(cut, batch, free a, summed)``, b as ``(cut, batch, summed, free
+    b)``, ``so[0]`` leading its matmul axis so that a run is one block of
+    rows, columns or batches.  A block is then one ``np.matmul`` of slabs
+    into a buffer, one per run length, or one broadcast ``np.multiply``
+    where nothing is summed, and comes as a view of that buffer, which
+    the next block of its run length overwrites.  An operand with one
+    axis more than its sublist has a leading batch axis, and so then has
+    each block; one without it broadcasts.  The steps of ``_plan`` give
+    what this needs: distinct labels in each operand, and every label in
+    ``so`` or in both operands.  The copies replace a and b, so an operand
+    the caller has let go of before the first block is freed before any
+    block is allocated.
+    """
+    first = so[0] if run else None
+    kept = [l for l in so if l not in cut]
+
+    def lead(ls: list) -> list:  # so[0] first
+        return sorted(ls, key=lambda l: l != first)
+
+    batch = lead([l for l in sa if l in sb and l in kept])
+    summed = [l for l in sa if l not in so]
+    free_a = lead([l for l in sa if l not in sb and l in kept])
+    free_b = lead([l for l in sb if l not in sa and l in kept])
+    cut_a, cut_b = [l for l in cut if l in sa], [l for l in cut if l in sb]
+    nb, ns = dim ** len(batch), dim ** len(summed)
+    ka, kb = a.ndim - len(sa), b.ndim - len(sb)  # 1 where the operand has a batch axis
+    a = np.ascontiguousarray(a.transpose([*range(ka), *(ka + sa.index(l) for l in cut_a + batch + free_a + summed)]))
+    a = a.reshape(a.shape[: ka + len(cut_a)] + (nb, -1, ns))
+    b = np.ascontiguousarray(b.transpose([*range(kb), *(kb + sb.index(l) for l in cut_b + batch + summed + free_b)]))
+    b = b.reshape(b.shape[: kb + len(cut_b)] + (nb, ns, -1))
+    axis = 0 if first in batch else 1 if first in free_a else 2
+    unit = (nb, a.shape[-2], b.shape[-1])[axis] // dim  # batches, rows or columns of one value of so[0]
+    order = batch + free_a + free_b
+    kernel = np.matmul if summed else np.multiply
+    at_a, at_b = [cut.index(l) for l in cut_a], [cut.index(l) for l in cut_b]
+    part = [slice(None)] * 3
+    buffers: dict = {}
+    for lo, *idx in itertools.product(range(0, dim, run or dim), *[range(dim)] * len(cut)):
+        hi = min(lo + (run or dim), dim)
+        part[axis] = slice(lo * unit, hi * unit) if run else slice(None)
+        x = a[(..., *(idx[p] for p in at_a), part[0], part[1], slice(None))]
+        y = b[(..., *(idx[p] for p in at_b), part[0], slice(None), part[2])]
+        if hi - lo in buffers:
+            kernel(x, y, out=buffers[hi - lo][0])
+        else:
+            out = kernel(x, y)
+            k = out.ndim - 3
+            sizes = (*out.shape[:k], *(hi - lo if l == first else dim for l in order))
+            buffers[hi - lo] = out, out.reshape(sizes).transpose([*range(k), *(k + order.index(l) for l in kept)])
+        yield buffers[hi - lo][1]
+
+
 def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
-    """``np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))``, as one batched ``np.matmul`` if the step is large.
+    """``np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))``, as the one block of ``_blocks`` if the step is large.
 
     The planner numbers a step's labels 0..u-1, so it loops over D^u
     entries; below ``_MATMUL_MIN`` of them it runs as one ``np.einsum``.
     An operand with one axis more than its sublist has a leading batch
     axis, and then so has the result; an operand without it broadcasts,
-    on either kernel.  The matmul path needs what the planner's steps
-    give: distinct labels in each operand, and every label in ``so`` or
-    in both operands.  The labels split into batch (shared, kept), summed
-    (shared, dropped) and free in a or in b; a becomes ``(batch, free a,
-    summed)``, b becomes ``(batch, summed, free b)``, each behind its
-    leading axis if it has one, and the product comes back as a view in
-    the order ``so``.  The reshaped copies replace a and b, so an operand
-    the caller has let go of is freed before the product is allocated.
+    on either kernel.
     """
     # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
     if dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN:
         return np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))
-    in_a, in_b, keep = set(sa), set(sb), set(so)
-    batch = [l for l in sa if l in in_b and l in keep]
-    summed = [l for l in sa if l in in_b and l not in keep]
-    free_a = [l for l in sa if l not in in_b]
-    free_b = [l for l in sb if l not in in_a]
-    nb, ns = dim ** len(batch), dim ** len(summed)
-    ka, kb = a.ndim - len(sa), b.ndim - len(sb)  # 1 where the operand has a batch axis
-    a = a.transpose([*range(ka), *(ka + sa.index(l) for l in batch + free_a + summed)])
-    a = a.reshape(a.shape[:ka] + (nb, -1, ns))
-    b = b.transpose([*range(kb), *(kb + sb.index(l) for l in batch + summed + free_b)])
-    b = b.reshape(b.shape[:kb] + (nb, ns, -1))
-    order = batch + free_a + free_b
-    c = np.matmul(a, b)
-    k = c.ndim - 3
-    return c.reshape(c.shape[:k] + (dim,) * len(order)).transpose([*range(k), *(k + order.index(l) for l in so)])
+    blocks = _blocks(dim, a, sa, b, sb, so, (), 0)
+    del a, b
+    return next(blocks)
 
 
 class _Share:
@@ -1136,13 +1189,17 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     """
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
-    codes = _structure(d)
-    key = codes.tobytes()
-    plan = _PLANS.plans.get(key)
-    if plan is None:
-        plan = _plan(codes)
-        _PLANS.put(key, plan)
-    steps, top, degree, node, chain, layouts, deltas = plan
+    # the plan's top is never below the boundary rank, so a side whose
+    # result is too wide is refused before it is planned
+    top = d.n_inputs + d.n_outputs
+    if d.dim**top <= _MAX_RESULT:
+        codes = _structure(d)
+        key = codes.tobytes()
+        plan = _PLANS.plans.get(key)
+        if plan is None:
+            plan = _plan(codes)
+            _PLANS.put(key, plan)
+        steps, top, degree, node, chain, layouts, deltas = plan
     if d.dim**top > _MAX_RESULT:
         raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
     if d.dim**degree > _MAX_DENSE:
@@ -1217,69 +1274,29 @@ def _tiles(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
     tile a side of two legs at D=1024 would read its whole 1024 x 1024
     operand once per value.
 
-    Every step before the plan's last pairwise one runs once, when the
-    first tile is asked for, and that step's operands are permuted once:
-    the labels of positions 1..k-1 each carries first, the rest in matmul
-    order (as in ``_pairwise``), position 0's label leading its matmul
-    axis, so that a run is one block of rows, columns or batches.  A tile
-    is then one ``np.matmul`` of slabs into a buffer (one per run
-    length), or one broadcast ``np.multiply`` where the step sums no
-    label, and comes as a view of the buffer in boundary order, which the
-    next tile of its run length overwrites.  On matmul it has the bits of
-    the whole result's slice.  A plan with no pairwise step gives copies
-    of slices of its whole result.  Either way the caller may write into
-    a tile.  Sizes are checked as ``evaluate`` checks them, against the
-    whole result.
+    A plan with a merge ends in it, and that merge writes the boundary
+    order (see ``_plan``): every step before it runs once, when the first
+    tile is asked for, and the tiles are its blocks (``_blocks``), cut at
+    positions 1..k-1 in runs of position 0, so that on matmul a tile has
+    the bits of the whole result's slice.  A plan with no merge gives
+    copies of slices of its whole result.  Either way the caller may
+    write into a tile, until it asks for the next one.  Sizes are checked
+    as ``evaluate`` checks them, against the whole result.
     """
     _, steps, layout, _ = _checked_plan(d, ctx)
     D, n = ctx.dim, d.n_inputs + d.n_outputs
     k = next(k for k in range(1, n + 1) if D ** (n - k) <= _TILE)
     run = max(_TILE // D ** (n - 1), 1)  # values of position 0 in a tile
-    cuts = itertools.product(range(0, D, run), *[range(D)] * (k - 1))  # each tile's lo, i1, ..., i(k-1)
-    last = max((s for s in range(max(len(steps) - 2, 0), len(steps)) if steps[s][1] >= 0), default=None)
-    if last is None:
+    if not steps or steps[-1][1] < 0:
         whole = _execute(steps, len(steps), layout, [d], ctx)[0]
-        for lo, *idx in cuts:
+        for lo, *idx in itertools.product(range(0, D, run), *[range(D)] * (k - 1)):
             yield np.array(whole[(slice(lo, lo + run), *idx)])
         return
-    a, b = _execute(steps, last, layout, [d], ctx)
-    _, _, sa, sb, so = steps[last]
-    ra, ro = steps[-1][2:] if last < len(steps) - 1 else [range(len(so))] * 2
-    labels = [so[ra.index(r)] for r in ro]  # each boundary position's label in the step
-    first, cut, kept = labels[0], labels[1:k], labels[:1] + labels[k:]
-
-    def lead(ls: list) -> list:  # position 0's label first
-        return sorted(ls, key=lambda l: l != first)
-
-    batch = lead([l for l in sa if l in sb and l in kept])
-    summed = [l for l in sa if l not in so]
-    free_a = lead([l for l in sa if l not in sb and l in kept])
-    free_b = lead([l for l in sb if l not in sa and l in kept])
-    cut_a, cut_b = [l for l in cut if l in sa], [l for l in cut if l in sb]
-    nb, ns = D ** len(batch), D ** len(summed)
-    a = np.ascontiguousarray(a.transpose([sa.index(l) for l in cut_a + batch + free_a + summed]))
-    a = a.reshape((D,) * len(cut_a) + (nb, -1, ns))
-    b = np.ascontiguousarray(b.transpose([sb.index(l) for l in cut_b + batch + summed + free_b]))
-    b = b.reshape((D,) * len(cut_b) + (nb, ns, -1))
-    axis = 0 if first in batch else 1 if first in free_a else 2
-    unit = (nb, a.shape[-2], b.shape[-1])[axis] // D  # batches, rows or columns of one value of position 0
-    order = batch + free_a + free_b
-    kernel = np.matmul if summed else np.multiply
-    at_a, at_b = [cut.index(l) for l in cut_a], [cut.index(l) for l in cut_b]
-    buffers: dict = {}
-    for lo, *idx in cuts:
-        hi = min(lo + run, D)
-        part = [slice(None)] * 3
-        part[axis] = slice(lo * unit, hi * unit)
-        x = a[tuple(idx[p] for p in at_a) + (part[0], part[1], slice(None))]
-        y = b[tuple(idx[p] for p in at_b) + (part[0], slice(None), part[2])]
-        if hi - lo not in buffers:
-            out = np.empty((x.shape[0], x.shape[1], y.shape[2]), dtype=complex)
-            sizes = [hi - lo if l == first else D for l in order]
-            buffers[hi - lo] = out, out.reshape(sizes).transpose([order.index(l) for l in kept])
-        out, view = buffers[hi - lo]
-        kernel(x, y, out=out)
-        yield view
+    a, b = _execute(steps, len(steps) - 1, layout, [d], ctx)
+    _, _, sa, sb, so = steps[-1]
+    blocks = _blocks(D, a, sa, b, sb, so, so[1:k], run)
+    del a, b
+    yield from blocks
 
 
 def max_abs_diff_tiled(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float:

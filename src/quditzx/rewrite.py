@@ -1145,10 +1145,12 @@ def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) 
     sides of at most ``diagram._TILE`` entries, one tile, go through
     ``evaluate_many``, one stream per side, so consecutive sides of one
     shape are evaluated together; a wider pair is evaluated and compared
-    one tile at a time (``max_abs_diff_tiled``), never whole, each tile a
-    run of values of the first boundary position and one value each of
-    the next positions it cuts.  In the soundness matrix at D=2..9 only
-    ZH-O and ZH-ZPL at D=6 and D=7 are that wide.  ``pairs`` is read as the errors are asked for, so one
+    one tile at a time (``max_abs_diff_tiled``), each tile a run of
+    values of the first boundary position and one value each of the next
+    positions it cuts, computed as one block of the side's last merge; a
+    side with no merge, one dense factor, is built whole and sliced.  In
+    the soundness matrix at D=2..9 only ZH-O and ZH-ZPL at D=6 and D=7
+    are that wide.  ``pairs`` is read as the errors are asked for, so one
     batch of sides and tensors is held at a time.
     """
 

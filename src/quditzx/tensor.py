@@ -66,13 +66,8 @@ class Tensor:
 def max_abs_diff(a: Tensor, b: Tensor) -> float:
     """The largest entrywise ``|a - b|``, or NaN if any of them is NaN.
 
-    This is ``float(np.max(np.abs(a.data - b.data)))``, in one go: a rule
-    pair wider than ``diagram._TILE`` entries is compared tile by tile
-    (``diagram.max_abs_diff_tiled``, a tile being a run of values of the
-    first boundary position and one value each of the next positions it
-    cuts), so the soundness matrix never compares whole sides of more
-    than that here.  Entries past the float
-    range give inf or NaN with no warning.
+    This is ``float(np.max(np.abs(a.data - b.data)))``, in one go.
+    Entries past the float range give inf or NaN with no warning.
     """
     if (a.dim, a.in_legs, a.out_legs) != (b.dim, b.in_legs, b.out_legs):
         raise ShapeError("tensors differ in dimension or leg counts")

@@ -552,6 +552,22 @@ def test_tiled_check_keeps_the_whole_side_budget(monkeypatch):
         check_soundness("ZH-O", {}, ctx)
 
 
+def test_a_side_past_the_result_budget_is_refused_before_its_plan(monkeypatch):
+    # a plan's widest array is never below its boundary rank, so ZX-MEH at
+    # D=10^5 (rank-2 sides of 10^10 entries) is refused on its boundary
+    # alone, with the text the plan's own check gives, and no side is
+    # planned: planning its D-leg dots took seconds, twice
+    def poisoned(*args):
+        raise AssertionError("a side was planned")
+
+    monkeypatch.setattr(dg, "_structure", poisoned)
+    monkeypatch.setattr(dg, "_plan", poisoned)
+    with pytest.raises(OverflowGuardError) as exc:
+        check_all([10**5], samples=1, rules=["ZX-MEH"])
+    assert str(exc.value) == ("ZX-MEH at D=100000: an array of rank 2 at dimension D=100000 "
+                              "exceeds 67108864 entries")
+
+
 def test_check_all_matrix_default():
     rows = check_all(range(2, 7), samples=5, seed=42)
     assert {r["rule"] for r in rows} == set(ALL_RULE_IDS)
