@@ -120,23 +120,25 @@ is small next to the arithmetic, and a larger batch only costs memory.
 ``evaluate`` runs the batch of one that ``evaluate_many`` runs for a
 single diagram.
 
-A pair of wide results is compared tile by tile
-(``max_abs_diff_tiled``).  A tile has one shape: a run of values of
-boundary position 0, as many as fit in ``_TILE`` entries and at least
-one, then one value each of positions 1..k-1, k the fewest that leave
-at most ``_TILE`` entries a value of position 0.  ``_tiles`` works the
-cut out from a side's boundary and streams its tiles in one order, so
-the two sides' streams zip.  A side's plan ends in its last merge,
-which writes the boundary order, so each side runs every step before
-that merge once, and its tiles are that merge's blocks (``_blocks``,
-the same layout and kernels as a whole matmul-size step); a side with
-no merge, one dense factor, is built whole and its tiles are copies of
-slices of it.  The size budget is the whole result's, so a pair past
-``_MAX_RESULT`` is refused before any tile runs, as on the whole path.
-``rewrite._pair_errors`` compares a pair so when its sides have more
-than ``_TILE`` entries, one tile; in the soundness matrix at D=2..9 only
-ZH-O and ZH-ZPL at D=6 and D=7 do (6^7 and 7^8 entries, 4.3 and 88 MiB
-a side); past D=9, many sides of two to five legs do.
+Rule sides are compared as pairs, tile by tile, in one fold
+(``max_abs_diffs``): consecutive pairs whose left sides share a shape,
+and whose right sides do, run as one batch a side (``_runs``, the loop
+``evaluate_many`` runs too), and each side's results stream as tiles
+(``_tiles``) that the fold zips.  A result of at most ``_TILE`` entries
+is one tile, the whole result.  A wider tile has one shape: a run of
+values of boundary position 0, as many as fit in ``_TILE`` entries and
+at least one, then one value each of positions 1..k-1, k the fewest
+that leave at most ``_TILE`` entries a value of position 0 (``_cut``).
+The two sides' streams come in one order, so they zip.  A side's plan
+ends in its last merge, which writes the boundary order, so each side
+runs every step before that merge once, and its tiles are that merge's
+blocks (``_blocks``, the same layout and kernels as a whole matmul-size
+step); a side with no merge, one dense factor, is built whole and its
+tiles are views of slices of it.  The size budget is the whole
+result's, so a pair past ``_MAX_RESULT`` is refused before any tile
+runs.  In the soundness matrix at D=2..9 only ZH-O and ZH-ZPL at D=6
+and D=7 are wider than one tile (6^7 and 7^8 entries, 4.3 and 88 MiB a
+side); past D=9, many sides of two to five legs are.
 """
 
 from __future__ import annotations
@@ -190,9 +192,9 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 # the wider sides at D=6 and 7 are tiled); sides at D >= 10 do, from a
 # few steps at D=10..16 to dozens at D=64
 _MATMUL_MIN = 1 << 17
-# entries in a tile of max_abs_diff_tiled (a run of values of boundary
-# position 0, then one value each of the next positions it cuts), and
-# in the widest rule side compared whole.  Checking ZH-O at D=7 peaks
+# entries in a tile of a compared rule side (a run of values of boundary
+# position 0, then one value each of the next positions it cuts): the
+# widest side compared whole.  Checking ZH-O at D=7 peaks
 # at 3.9 MiB of arrays with tiles of 7^5, 8.9 MiB with 7^6 (2^17), and
 # 40 MiB with one block per value of boundary position 0; at D=6, at
 # 2.9 MiB with tiles of 6^6, and at 9.6 MiB with its two whole sides
@@ -1183,8 +1185,8 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     The layout is what ``_execute`` reads besides the steps: the node
     codes, then the plan's chain, node layouts and deltas.
 
-    The batch size is how many diagrams of this shape ``evaluate_many``
-    runs together: at most ``_MATMUL_MIN`` entries in any array, and at
+    The batch size is how many diagrams of this shape ``_runs`` puts in
+    one batch: at most ``_MATMUL_MIN`` entries in any array, and at
     least one diagram.  A size past a budget raises ``OverflowGuardError``.
     """
     if ctx.dim != d.dim:
@@ -1209,49 +1211,62 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), size
 
 
-def _evaluate_batch(ds: list[Diagram], steps: tuple, layout: tuple, ctx: MeasureContext) -> Iterator[Tensor]:
-    """The tensors of the same-shape diagrams ``ds``, in order, from one run of their plan.
+def _runs(items: Iterable[tuple[Diagram, ...]], ctx: MeasureContext) -> Iterator[tuple[list[list[Diagram]], list]]:
+    """Runs of consecutive tuples of diagrams whose k-th diagrams share a shape, in order, with their plans.
 
-    ``ds`` is emptied once the plan has run, so the caller holds neither
-    the diagrams nor a tensor it has handed on.
+    A run is one list per position k, of the tuples' k-th diagrams, and
+    each position's ``(steps, layout)`` (see ``_checked_plan``).  It holds
+    at most the smallest batch size of its diagrams.  The caller empties
+    the lists once it has run them, so that neither holds a diagram it has
+    handed on.  ``items`` is read as the runs are asked for, so one run is
+    held at a time (and, where a shape changes, the next tuple), and a size
+    past a budget raises ``OverflowGuardError`` when its diagram is read.
     """
-    (data,) = _execute(steps, len(steps), layout, ds, ctx)
-    n_in, n_out, count = ds[0].n_inputs, ds[0].n_outputs, len(ds)
-    ds.clear()
-    if data.ndim > n_in + n_out:
-        for entry in data:
-            yield Tensor(ctx.dim, n_in, n_out, entry)
-    else:  # every factor was shared: copies for all diagrams but the last
-        for _ in range(count - 1):
-            yield Tensor(ctx.dim, n_in, n_out, data.copy())
-        yield Tensor(ctx.dim, n_in, n_out, data)
+    columns: list[list[Diagram]] = []
+    for item in items:
+        checked = [_checked_plan(d, ctx) for d in item]
+        keys = [key for key, *_ in checked]
+        if columns and keys != run_keys:
+            yield columns, plans
+            columns = []
+        if not columns:
+            columns, run_keys = [[] for _ in item], keys
+            plans = [(steps, layout) for _, steps, layout, _ in checked]
+            size = min(batch for *_, batch in checked)
+        for column, d in zip(columns, item):
+            column.append(d)
+        del item, d
+        if len(columns[0]) >= size:
+            yield columns, plans
+            columns = []
+    if columns:
+        yield columns, plans
 
 
 def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[Tensor]:
     """``evaluate(d, ctx)`` for each diagram, in order, up to rounding.
 
-    Consecutive diagrams of one shape are contracted together, in
-    batches of at most ``_MATMUL_MIN`` entries in any array (see the
+    Consecutive diagrams of one shape are contracted together (``_runs``),
+    in batches of at most ``_MATMUL_MIN`` entries in any array (see the
     module notes).  A small pairwise step over a batch may round apart
     from the same step run alone, so a tensor can differ from
     ``evaluate``'s in the last bits; a diagram alone in its batch gets
     ``evaluate``'s bits.  ``diagrams`` is read as the tensors are asked
-    for, so one batch of diagrams and tensors is held at a time (and,
-    where the shape changes, the next diagram), and a size past a budget
-    raises ``OverflowGuardError`` when its diagram is read.
+    for, so one batch of diagrams and tensors is held at a time, and a
+    size past a budget raises ``OverflowGuardError`` when its diagram is
+    read.
     """
-    batch: list[Diagram] = []  # emptied by each run
-    for d in diagrams:
-        key, steps, layout, size = _checked_plan(d, ctx)
-        if batch and key != run_key:
-            yield from _evaluate_batch(batch, run_steps, run_layout, ctx)
-        run_key, run_steps, run_layout = key, steps, layout
-        batch.append(d)
-        del d
-        if len(batch) >= size:
-            yield from _evaluate_batch(batch, steps, layout, ctx)
-    if batch:
-        yield from _evaluate_batch(batch, run_steps, run_layout, ctx)
+    for (ds,), ((steps, layout),) in _runs(zip(diagrams), ctx):
+        (data,) = _execute(steps, len(steps), layout, ds, ctx)
+        n_in, n_out, count = ds[0].n_inputs, ds[0].n_outputs, len(ds)
+        ds.clear()
+        if data.ndim > n_in + n_out:
+            for entry in data:
+                yield Tensor(ctx.dim, n_in, n_out, entry)
+        else:  # every factor was shared: copies for all diagrams but the last
+            for _ in range(count - 1):
+                yield Tensor(ctx.dim, n_in, n_out, data.copy())
+            yield Tensor(ctx.dim, n_in, n_out, data)
 
 
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
@@ -1262,64 +1277,94 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     return next(evaluate_many([d], ctx))
 
 
-def _tiles(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
-    """The tiles of ``evaluate(d, ctx).data``, for a diagram with a boundary, in one order.
+def _cut(dim: int, n: int) -> tuple[int, int]:
+    """How a result of ``n`` boundary legs is tiled: ``(k, run)``, or ``(0, 0)`` where it is one tile.
 
-    A tile is ``data[lo:lo + run, i1, ..., i(k-1)]``: k >= 1 the fewest
-    boundary positions that leave at most ``_TILE`` entries a value of
-    position 0, and ``run`` values of position 0, as many as fit and at
-    least one.  Tiles come in the row-major order of (lo, i1, ...,
-    i(k-1)), and only the last run may be shorter.  A run lets one matmul
-    reuse an operand over many rows of the other, where with one value a
-    tile a side of two legs at D=1024 would read its whole 1024 x 1024
-    operand once per value.
+    A result of more than ``_TILE`` entries is cut at its first k >= 1
+    positions, the fewest that leave at most ``_TILE`` entries a value of
+    position 0, and takes ``run`` values of position 0 a tile, as many as
+    fit and at least one.
+    """
+    if dim**n <= _TILE:
+        return 0, 0
+    return next(k for k in range(1, n + 1) if dim ** (n - k) <= _TILE), max(_TILE // dim ** (n - 1), 1)
+
+
+def _tiles(ds: list[Diagram], plan: tuple, ctx: MeasureContext) -> Iterator[np.ndarray]:
+    """The tiles of the results of the same-shape diagrams ``ds`` under their plan ``(steps, layout)``, in one order.
+
+    A result of at most ``_TILE`` entries is one tile, the whole result,
+    as ``_execute`` gives it.  A wider one is cut as ``_cut`` says: a tile
+    is ``data[lo:lo + run, i1, ..., i(k-1)]``, and tiles come in the
+    row-major order of (lo, i1, ..., i(k-1)), only the last run shorter.
+    A run lets one matmul reuse an operand over many rows of the other,
+    where with one value a tile a side of two legs at D=1024 would read
+    its whole 1024 x 1024 operand once per value.  A tile has the batch
+    axis in front where the result has one.
 
     A plan with a merge ends in it, and that merge writes the boundary
     order (see ``_plan``): every step before it runs once, when the first
-    tile is asked for, and the tiles are its blocks (``_blocks``), cut at
-    positions 1..k-1 in runs of position 0, so that on matmul a tile has
-    the bits of the whole result's slice.  A plan with no merge gives
-    copies of slices of its whole result.  Either way the caller may
-    write into a tile, until it asks for the next one.  Sizes are checked
-    as ``evaluate`` checks them, against the whole result.
+    tile is asked for, and a wide result's tiles are its blocks
+    (``_blocks``), cut at positions 1..k-1 in runs of position 0, so that
+    on matmul a tile has the bits of the whole result's slice.  A plan
+    with no merge gives views of slices of its whole result.  Either way
+    the caller may write into a tile, until it asks for the next one.
+    Sizes are checked as ``evaluate`` checks them, against the whole
+    result.  ``ds`` is emptied once the plan has run.
     """
-    _, steps, layout, _ = _checked_plan(d, ctx)
-    D, n = ctx.dim, d.n_inputs + d.n_outputs
-    k = next(k for k in range(1, n + 1) if D ** (n - k) <= _TILE)
-    run = max(_TILE // D ** (n - 1), 1)  # values of position 0 in a tile
-    if not steps or steps[-1][1] < 0:
-        whole = _execute(steps, len(steps), layout, [d], ctx)[0]
-        for lo, *idx in itertools.product(range(0, D, run), *[range(D)] * (k - 1)):
-            yield np.array(whole[(slice(lo, lo + run), *idx)])
+    steps, layout = plan
+    D, n = ctx.dim, ds[0].n_inputs + ds[0].n_outputs
+    k, run = _cut(D, n)
+    if k and steps and steps[-1][1] >= 0:
+        a, b = _execute(steps, len(steps) - 1, layout, ds, ctx)
+        ds.clear()
+        _, _, sa, sb, so = steps[-1]
+        blocks = _blocks(D, a, sa, b, sb, so, so[1:k], run)
+        del a, b
+        yield from blocks
         return
-    a, b = _execute(steps, len(steps) - 1, layout, [d], ctx)
-    _, _, sa, sb, so = steps[-1]
-    blocks = _blocks(D, a, sa, b, sb, so, so[1:k], run)
-    del a, b
-    yield from blocks
+    (whole,) = _execute(steps, len(steps), layout, ds, ctx)
+    ds.clear()
+    if not k:
+        yield np.asarray(whole)  # np.einsum gives a legless side as a scalar
+        return
+    lead = (slice(None),) * (whole.ndim - n)  # the batch axis, where there is one
+    for lo, *idx in itertools.product(range(0, D, run), *[range(D)] * (k - 1)):
+        yield whole[(*lead, slice(lo, lo + run), *idx)]
 
 
-def max_abs_diff_tiled(lhs: Diagram, rhs: Diagram, ctx: MeasureContext) -> float:
-    """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))``, compared one tile at a time, neither side whole.
+def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) -> Iterator[float]:
+    """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))`` for each pair, in order, tile by tile.
 
-    The sides have one boundary of at least one leg, and their tiles
-    (``_tiles``) come in the same order; the right tile is subtracted from the left
-    one in place, its abs goes into a buffer laid out as the left tile,
-    and ``np.maximum`` folds in the max, carrying a NaN to the end.  The
-    error may round apart from ``max_abs_diff``'s where a whole side's
-    last step runs on einsum.  Entries past the float range give inf or
-    NaN with no warning.
+    The pairs run in batches (``_runs``), and each side's results come
+    as tiles (``_tiles``), so that no side wider than one tile is built
+    whole.  The two streams of tiles zip; each right tile is subtracted
+    from the left one in place, or the left from the right where only the
+    right has the batch axis, its abs goes into a buffer laid out as that
+    tile, and ``np.maximum`` folds in each diagram's max, carrying a NaN
+    to the end.  An error may round apart from ``max_abs_diff``'s where a
+    whole side's step runs on einsum, or where a batch sums in another
+    order.  Entries past the float range give inf or NaN with no warning.
+    A pair of two boundaries raises ``ShapeError``.  ``pairs`` is read as
+    the errors are asked for, so one batch of sides is held at a time.
     """
-    if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs) or not lhs.n_inputs + lhs.n_outputs:
-        raise ShapeError("the diagrams differ in their boundary, or have none")
-    worst, mag = -np.inf, None
-    with np.errstate(invalid="ignore", over="ignore"):
-        for x, y in zip(_tiles(lhs, ctx), _tiles(rhs, ctx)):
-            np.subtract(x, y, out=x)
-            if mag is None or mag.shape != x.shape:
-                mag = np.empty_like(x, dtype=float)
-            worst = np.maximum(worst, np.abs(x, out=mag).max())
-    return float(worst)
+    for (left, right), (lplan, rplan) in _runs(pairs, ctx):
+        d, count = left[0], len(left)
+        if (d.n_inputs, d.n_outputs) != (right[0].n_inputs, right[0].n_outputs):
+            raise ShapeError("the diagrams differ in their boundary")
+        k, _ = _cut(ctx.dim, d.n_inputs + d.n_outputs)
+        rank = d.n_inputs + d.n_outputs - max(k - 1, 0)  # a tile's axes but the batch axis
+        worst, mag = -np.inf, None
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x, y in zip(_tiles(left, lplan, ctx), _tiles(right, rplan, ctx)):
+                if y.ndim > x.ndim:
+                    x, y = y, x
+                np.subtract(x, y, out=x)
+                if mag is None or mag.shape != x.shape:
+                    mag = np.empty_like(x, dtype=float)
+                np.abs(x, out=mag)
+                worst = np.maximum(worst, mag.max(axis=tuple(range(1, mag.ndim))) if mag.ndim > rank else mag.max())
+        yield from np.broadcast_to(worst, count).tolist()
 
 
 # =====================================================================

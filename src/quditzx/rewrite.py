@@ -34,26 +34,18 @@ balanced form, so both sides always evaluate equal.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from quditzx import diagram
-from quditzx.diagram import (
-    Diagram,
-    DiagramBuilder,
-    evaluate,  # noqa: F401
-    evaluate_many,
-    max_abs_diff_tiled,
-)
-# Unused here, as is ``evaluate`` above: bench/tracer.py patches
-# quditzx.rewrite.gamma and quditzx.rewrite.evaluate, so the traced
-# benchmark run fails if these imports go.
+from quditzx.diagram import Diagram, DiagramBuilder, evaluate, max_abs_diffs  # noqa: F401
+# Unused here, as are ``evaluate`` above and ``max_abs_diff`` below:
+# bench/tracer.py patches quditzx.rewrite.gamma, quditzx.rewrite.evaluate
+# and quditzx.rewrite.max_abs_diff, so the traced benchmark run fails if
+# these imports go.
 from quditzx.gauss import gamma  # noqa: F401
 from quditzx.generators import (
     AmplitudeFn,
@@ -69,7 +61,7 @@ from quditzx.generators import (
     amp_to_json,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, dimension, residue, tau_pow
-from quditzx.tensor import max_abs_diff
+from quditzx.tensor import max_abs_diff  # noqa: F401
 
 
 class RewriteError(ValueError):
@@ -1129,69 +1121,23 @@ def check_soundness(
 ) -> dict[str, Any]:
     """Evaluate both sides of one assignment and compare entrywise.
 
-    The error is ``_pair_errors`` of the one pair, so it is the number
-    ``check_all`` reports for the same draw.  A NaN entry gives a NaN
-    ``max_err``, which no tolerance passes; ``check_all`` refuses such a
-    cell instead.
+    The error is ``diagram.max_abs_diffs`` of the one pair, so it is the
+    number ``check_all`` reports for the same draw.  A NaN entry gives a
+    NaN ``max_err``, which no tolerance passes; ``check_all`` refuses such
+    a cell instead.  A ``tol`` that is not a positive finite number raises
+    ``ValueError`` before the sides are built.
     """
-    (err,) = _pair_errors([instantiate(rule, params, ctx)], ctx)
+    _check_tol(tol)
+    (err,) = max_abs_diffs([instantiate(rule, params, ctx)], ctx)
     return {"max_err": err, "pass": bool(err <= tol)}
 
 
-def _pair_errors(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) -> Iterator[float]:
-    """The largest entrywise ``|lhs - rhs|`` of each pair of rule sides, in order.
-
-    This is the one place where rule sides become an error.  Runs of
-    sides of at most ``diagram._TILE`` entries, one tile, go through
-    ``evaluate_many``, one stream per side, so consecutive sides of one
-    shape are evaluated together; a wider pair is evaluated and compared
-    one tile at a time (``max_abs_diff_tiled``), each tile a run of
-    values of the first boundary position and one value each of the next
-    positions it cuts, computed as one block of the side's last merge; a
-    side with no merge, one dense factor, is built whole and sliced.  In
-    the soundness matrix at D=2..9 only ZH-O and ZH-ZPL at D=6 and D=7
-    are that wide.  ``pairs`` is read as the errors are asked for, so one
-    batch of sides and tensors is held at a time.
-    """
-
-    def wide(pair: tuple[Diagram, Diagram]) -> bool:
-        return ctx.dim ** (pair[0].n_inputs + pair[0].n_outputs) > diagram._TILE
-
-    for tiled, run in itertools.groupby(pairs, key=wide):
-        if tiled:
-            for lhs, rhs in run:
-                yield max_abs_diff_tiled(lhs, rhs, ctx)
-            continue
-        left, right = _unzipped(run)
-        rhs_tensors = evaluate_many(right, ctx)
-        for tensor in evaluate_many(left, ctx):
-            err = max_abs_diff(tensor, next(rhs_tensors))
-            del tensor  # not held while the next left side is evaluated
-            yield err
-
-
-def _unzipped(pairs: Iterable[tuple[Diagram, Diagram]]) -> tuple[Iterator[Diagram], Iterator[Diagram]]:
-    """The left and the right sides of ``pairs``, each read lazily.
-
-    A side is queued only until its own iterator reads it; unlike
-    ``itertools.tee``, which frees its buffer in blocks of many items,
-    nothing else is held.
-    """
-    source = iter(pairs)
-    left: deque[Diagram] = deque()
-    right: deque[Diagram] = deque()
-
-    def side(queue: deque[Diagram]) -> Iterator[Diagram]:
-        while True:
-            if not queue:
-                pair = next(source, None)
-                if pair is None:
-                    return
-                left.append(pair[0])
-                right.append(pair[1])
-            yield queue.popleft()
-
-    return side(left), side(right)
+def _check_tol(tol: Any) -> None:
+    """Refuse a tolerance that is not a positive finite number: inf passes every row, NaN or 0 fails every one."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise TypeError(f"tol must be a real number, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
 def _finite(err: float) -> float:
@@ -1230,22 +1176,30 @@ def check_all(
     Each (rule, D) cell is ``_cell_rows``: a rule that has no valid
     parameters at some D, or whose diagram family outgrows its dimension
     cap there, gets a single "skip" row.  A cell's distinct samples are
-    checked through ``_pair_errors`` in batches of one shape, and each
-    row holds the numbers ``check_soundness`` gives for its sample
-    alone.  A cell refused by a size budget or the float range (any
+    checked through ``diagram.max_abs_diffs`` in batches of one shape,
+    and each row holds the numbers ``check_soundness`` gives for its
+    sample alone.  A cell refused by a size budget or the float range (any
     ``OverflowError`` while its sides are built or checked, or a
     comparison that is not finite) raises ``OverflowGuardError`` with the
     rule id and D in front.  Each dimension is read by
     ``measure.dimension``, so a bool, a float or a string raises
     ``TypeError``.  A report of more than ``_MAX_ROWS`` rows (samples
     times distinct rules times distinct dimensions) raises
-    ``ReportSizeError`` before anything is drawn.
+    ``ReportSizeError``, and a bad argument ``ValueError`` (``TypeError``
+    for a type) that names it, both before anything is drawn: a ``tol``
+    that is not a positive finite number, a ``samples`` that is a bool or
+    not an int, or a negative ``seed``.
     """
     dims = sorted(set(map(dimension, dims)))
     if any(d < 2 for d in dims):
         raise ValueError("dimensions must be at least 2")
+    _check_tol(tol)
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise TypeError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed!r}")
     all_ids = sorted(CATALOG)
     wanted = sorted(set(all_ids if rules is None else [get_rule(r).id for r in rules]))
     count = samples * len(wanted) * len(dims)
@@ -1277,8 +1231,8 @@ def _cell_rows(
     the cell (compared as canonical JSON text, so floats by repr) builds
     the same sides, so it reuses that draw's error and is not checked
     again.  The distinct draws are checked in order through
-    ``_pair_errors``.  A refusal replays the distinct draws not yet
-    checked one at a time, so the error raised is that of the first
+    ``diagram.max_abs_diffs``.  A refusal replays the distinct draws not
+    yet checked one at a time, so the error raised is that of the first
     failing sample, as when each sample is checked alone.
     """
     drawn: list[Params] = []
@@ -1297,7 +1251,7 @@ def _cell_rows(
     distinct = [drawn[i] for i in unique]
     checked: list[float] = []
     try:
-        checked.extend(map(_finite, _pair_errors((instantiate(spec, params, ctx) for params in distinct), ctx)))
+        checked.extend(map(_finite, max_abs_diffs((instantiate(spec, params, ctx) for params in distinct), ctx)))
     except OverflowError:
         for params in distinct[len(checked):]:
             _finite(check_soundness(spec, params, ctx, tol)["max_err"])

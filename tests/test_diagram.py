@@ -32,7 +32,7 @@ from quditzx.diagram import (
     evaluate,
     evaluate_many,
     load_json,
-    max_abs_diff_tiled,
+    max_abs_diffs,
 )
 from quditzx.generators import (
     Char,
@@ -1130,13 +1130,19 @@ def tile_slices(shape: tuple) -> Iterator[tuple]:
             yield (slice(lo, lo + run), *idx)
 
 
+def side_tiles(d: Diagram, ctx: MeasureContext) -> Iterator[np.ndarray]:
+    """``dg._tiles`` of ``d`` alone, a batch of one."""
+    _, steps, layout, _ = dg._checked_plan(d, ctx)
+    return dg._tiles([d], (steps, layout), ctx)
+
+
 def assert_tiles_are_slices(d: Diagram, ctx: MeasureContext, rel: float = 0.0) -> None:
     """The n-th tile of ``dg._tiles`` is the n-th of ``tile_slices`` of
     ``evaluate(d, ctx).data``: bit for bit, or with ``rel`` > 0 within
     ``rel`` of the largest entry (or of 1)."""
     whole = evaluate(d, ctx).data
     scale = max(1.0, np.max(np.abs(whole)))
-    for number, (got, idx) in enumerate(zip(dg._tiles(d, ctx), tile_slices(whole.shape), strict=True)):
+    for number, (got, idx) in enumerate(zip(side_tiles(d, ctx), tile_slices(whole.shape), strict=True)):
         assert got.shape == whole[idx].shape, number
         if rel:
             assert np.max(np.abs(got - whole[idx]), initial=0.0) <= rel * scale, number
@@ -1208,29 +1214,64 @@ def wide_pairs(draw) -> tuple[Diagram, Diagram]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(wide_pairs(), st.sampled_from([1, 8, None]), st.sampled_from([None, 0.8]))
-def test_random_pairs_compare_in_tiles_as_whole(pair, tile: int | None, nu: float | None) -> None:
-    # with tiles of one entry, of up to 8, or of the default size (one
-    # tile here), the tiled error is that of the two whole sides, within
-    # rounding: the sides' last steps may run on einsum when whole
+@given(wide_pairs(), st.integers(1, 3), st.data(), st.sampled_from([1, 8, None]), st.sampled_from([None, 0.8]))
+def test_random_pairs_compare_in_tiles_as_whole(pair, count: int, data, tile: int | None, nu: float | None) -> None:
+    # one to three pairs, run as one batch a side: the drawn pair, then
+    # its wirings with each amplitude and not constant drawn again.  With
+    # tiles of one entry, of up to 8, or of the default size (one tile
+    # here), each error is that of its two whole sides, within rounding:
+    # the sides' last steps may run on einsum when whole, and a batch may
+    # sum in another order
     lhs, rhs = pair
+    pairs = [pair] + [(redrawn(data.draw, lhs), redrawn(data.draw, rhs)) for _ in range(count - 1)]
     ctx = MeasureContext(lhs.dim, nu)
-    left, right = evaluate(lhs, ctx), evaluate(rhs, ctx)
-    want = max_abs_diff(left, right)
     with mock.patch.object(dg, "_TILE", tile or dg._TILE):
-        got = max_abs_diff_tiled(lhs, rhs, ctx)
-    scale = max(1.0, np.max(np.abs(left.data)), np.max(np.abs(right.data)))
-    assert abs(got - want) <= 1e-12 * scale, (got, want)
+        got = list(max_abs_diffs(pairs, ctx))
+    assert len(got) == count
+    for err, sides in zip(got, pairs):
+        left, right = (evaluate(d, ctx) for d in sides)
+        want = max_abs_diff(left, right)
+        scale = max(1.0, np.max(np.abs(left.data)), np.max(np.abs(right.data)))
+        assert abs(err - want) <= 1e-12 * scale, (err, want)
 
 
 def test_tiled_comparison_refuses_pairs_of_other_boundaries() -> None:
-    # and a pair of scalars, which has no boundary position to cut
+    # a pair of legless sides has one tile, and is compared
     ctx = MeasureContext(3)
     with pytest.raises(ShapeError, match="differ in their boundary"):
-        max_abs_diff_tiled(node_diagram(3, Generator.white(1, 1)), node_diagram(3, Generator.white(2, 0)), ctx)
-    scalar = node_diagram(3, Generator.white(0, 0))
-    with pytest.raises(ShapeError, match="or have none"):
-        max_abs_diff_tiled(scalar, scalar, ctx)
+        list(max_abs_diffs([(node_diagram(3, Generator.white(1, 1)), node_diagram(3, Generator.white(2, 0)))], ctx))
+    pair = node_diagram(3, Generator.white(0, 0)), node_diagram(3, Generator.green(Phase(0.3), 0, 0))
+    (tile,) = side_tiles(pair[0], ctx)
+    assert tile.shape == ()
+    (err,) = max_abs_diffs([pair], ctx)
+    assert err > 0 and err == max_abs_diff(*(evaluate(d, ctx) for d in pair))
+
+
+def test_a_batch_whose_sides_disagree_on_the_batch_axis(monkeypatch) -> None:
+    # ZX-PU's left sides are stacked on a batch axis, its right side, the
+    # empty diagram, has none; and a run whose left side is one diagram,
+    # shared, and whose right side varies.  Each error is that of its pair
+    # alone, bit for bit
+    ctx = MeasureContext(3)
+    spec = CATALOG["ZX-PU"]
+    rng = np.random.default_rng(4)
+    pu = [instantiate(spec, spec.sample(3, rng), ctx) for _ in range(5)]
+    wire = node_diagram(3, Generator.green(Phase(0.4), 1, 1))
+    shared = [(wire, node_diagram(3, Generator.green(Phase(t), 1, 1))) for t in (0.1, 0.4, 2.0)]
+    want = [max_abs_diff(*(evaluate(d, ctx) for d in pair)) for pair in pu + shared]
+    real, streams = dg._tiles, []  # the shape of each tile, a list per stream
+
+    def tiles(ds, plan, ctx):
+        streams.append([])
+        for x in real(ds, plan, ctx):
+            streams[-1].append(x.shape)
+            yield x
+
+    monkeypatch.setattr(dg, "_tiles", tiles)
+    got = list(max_abs_diffs(pu + shared, ctx))
+    assert streams == [[(5,)], [()], [(3, 3)], [(3, 3, 3)]]
+    assert [e.hex() for e in got] == [w.hex() for w in want]
+    assert got[6] == 0 < min(got[5], got[7])  # the pair of equal sides, then the others
 
 
 # -- batches --------------------------------------------------------------
@@ -1484,7 +1525,7 @@ def test_factor_past_the_float_range_is_refused(case: str) -> None:
         with pytest.raises(OverflowGuardError, match=f"^a factor entry is out of range: {what}"):
             evaluate(d, ctx)
         with pytest.raises(OverflowGuardError, match=f"^a factor entry is out of range: {what}"):
-            max_abs_diff_tiled(d, d, ctx)
+            list(max_abs_diffs([(d, d)], ctx))
 
 
 def test_disconnected_pieces_are_refused_before_any_factor(monkeypatch) -> None:

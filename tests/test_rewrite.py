@@ -306,56 +306,46 @@ def test_check_soundness_honest_tolerance():
 @pytest.mark.parametrize("entry", [0, -1])
 def test_check_soundness_fails_a_nan_side(monkeypatch, tile, side, entry):
     # a NaN at the first or last entry of either side, compared in one
-    # go (5^6 entries a side, one tile) or in 625 tiles of 25, is an
-    # error that no tolerance passes
+    # tile (5^6 entries a side) or in 625 tiles of 25, is an error that
+    # no tolerance passes
     monkeypatch.setattr(dg, "_TILE", tile)
-    real_many, real_tiles = rw.evaluate_many, dg._tiles
-    calls: list = []
+    real_tiles = dg._tiles
+    counts: list = []
+    n_tiles = max(5**6 // tile, 1)
 
-    def poison(data):
-        data.flat[entry] = np.nan
-
-    def poisoned_many(ds, ctx):
-        k = len(calls)  # 0 for the stream read first, the left sides'
-        calls.append("whole")
-        for t in real_many(ds, ctx):
-            if k == side:
-                data = t.data.copy()
-                poison(data)
-                t = Tensor(t.dim, t.in_legs, t.out_legs, data)
-            yield t
-
-    def poisoned_tiles(d, ctx):
-        s = len(calls)
-        calls.append("tiled")
-        for number, x in enumerate(real_tiles(d, ctx)):
-            if s == side and number == entry % (5**6 // tile):  # the first or the last tile of 5^6 entries
-                poison(x)
+    def poisoned_tiles(ds, plan, ctx):
+        s = len(counts)  # 0 for the stream read first, the left sides'
+        counts.append(0)
+        for number, x in enumerate(real_tiles(ds, plan, ctx)):
+            counts[s] += 1
+            if s == side and number == entry % n_tiles:  # the first or the last tile
+                x.flat[entry] = np.nan
             yield x
 
-    monkeypatch.setattr(rw, "evaluate_many", poisoned_many)
     monkeypatch.setattr(dg, "_tiles", poisoned_tiles)
     rep = check_soundness("ZH-O", {}, MeasureContext(5), tol=1.0)
-    assert calls == ["tiled" if tile < 5**6 else "whole"] * 2
+    assert counts == [n_tiles] * 2
     assert math.isnan(rep["max_err"]) and rep["pass"] is False
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
 @pytest.mark.parametrize("dim", [6, 7], ids=["D=6, all blocked", "D=7"])
 def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim):
-    # past _TILE entries (6^7 at D=6, 7^8 at D=7) a side is never
-    # evaluated whole, and the error is bit for bit that of the two
+    # past _TILE entries (6^7 at D=6, 7^8 at D=7) a side never runs its
+    # last step whole, and the error is bit for bit that of the two
     # whole sides
     spec = CATALOG[rid]
     ctx = MeasureContext(dim)
     params = spec.sample(dim, np.random.default_rng(0))
     lhs, rhs = instantiate(spec, params, ctx)
     want = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
+    real = dg._execute
 
-    def whole(ds, ctx):
-        raise AssertionError("a wide side was evaluated whole")
+    def execute(steps, stop, layout, ds, ctx):
+        assert stop < len(steps), "a wide side was evaluated whole"
+        return real(steps, stop, layout, ds, ctx)
 
-    monkeypatch.setattr(rw, "evaluate_many", whole)
+    monkeypatch.setattr(dg, "_execute", execute)
     rep = check_soundness(spec, params, ctx)
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
     assert rep["pass"]
@@ -381,10 +371,10 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
     real = dg._tiles
     shapes: list = []
 
-    def poisoned(d, ctx):
+    def poisoned(ds, plan, ctx):
         side = len(shapes)
         shapes.append([])
-        for number, x in enumerate(real(d, ctx)):
+        for number, x in enumerate(real(ds, plan, ctx)):
             shapes[side].append(x.shape)
             for s, at, entry, value in edits:
                 if s == side and number == at % 6:
@@ -408,30 +398,23 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
 def test_a_cell_of_blocked_and_batched_draws(monkeypatch):
     # with _TILE at 9, ZH-HMB's sides at D=3 are compared in tiles where
     # m+n >= 3; seed 13 draws six distinct params whose pairs alternate
-    # between tiled and batched.  Tiles may round apart from a whole
-    # evaluation on the einsum kernel
+    # between several tiles and one, each pair a run of its own.  Tiles
+    # may round apart from a whole evaluation on the einsum kernel
     want = check_all([3], samples=6, seed=13, rules=["ZH-HMB"])
     monkeypatch.setattr(dg, "_TILE", 9)
-    real_tiled, real_many = rw.max_abs_diff_tiled, rw.evaluate_many
-    blocked: list = []
-    batched: list = []
+    real = dg._tiles
+    streams: list = []  # per stream: legs, diagrams and tiles
 
-    def max_abs_diff_tiled(lhs, rhs, ctx):
-        blocked.append(lhs.n_inputs + lhs.n_outputs)
-        return real_tiled(lhs, rhs, ctx)
+    def tiles(ds, plan, ctx):
+        stream = [ds[0].n_inputs + ds[0].n_outputs, len(ds), 0]
+        streams.append(stream)
+        for x in real(ds, plan, ctx):
+            stream[2] += 1
+            yield x
 
-    def evaluate_many(ds, ctx):
-        def read():
-            for d in ds:
-                batched.append(d.n_inputs + d.n_outputs)
-                yield d
-
-        return real_many(read(), ctx)
-
-    monkeypatch.setattr(rw, "max_abs_diff_tiled", max_abs_diff_tiled)
-    monkeypatch.setattr(rw, "evaluate_many", evaluate_many)
+    monkeypatch.setattr(dg, "_tiles", tiles)
     rows = check_all([3], samples=6, seed=13, rules=["ZH-HMB"])
-    assert blocked == [4, 3, 4] and batched == [2, 2, 0, 0, 2, 2]
+    assert streams == [[n, 1, count] for n, count in [(4, 9), (2, 1), (3, 3), (0, 1), (4, 9), (2, 1)] for _ in "lr"]
     assert [r["params"] for r in rows] == [r["params"] for r in want]
     assert all(r["status"] == "pass" for r in rows)
     for r, w in zip(rows, want, strict=True):
@@ -456,7 +439,7 @@ def test_a_broken_wide_pair_still_fails(rid, side, edit):
     else:
         obj["nodes"][edit[0]]["kind"] = edit[1]
     sides[side] = dg.from_json_obj(obj)
-    (err,) = rw._pair_errors([tuple(sides)], ctx)
+    (err,) = dg.max_abs_diffs([tuple(sides)], ctx)
     whole = [evaluate(d, ctx).data for d in sides]
     assert err == max_abs_diff(*(Tensor(7, 7, 1, data) for data in whole))
     assert err > 1e-3 * np.max(np.abs(whole[0]))
@@ -480,32 +463,28 @@ def test_wide_check_holds_no_whole_side():
 
 
 def test_only_the_widest_cells_are_tiled(monkeypatch):
-    # with default constants, no side of more than one tile is evaluated
-    # whole at D=2..7, and the tiled cells are ZH-O's and ZH-ZPL's at
-    # D=6 and D=7 (6^7 and 7^8 entries a side)
-    real_tiled, real_many = rw.max_abs_diff_tiled, rw.evaluate_many
+    # with default constants, every side of at most one tile at D=2..7
+    # comes as one tile, and the sides of more than one are ZH-O's and
+    # ZH-ZPL's at D=6 and D=7 (6^7 and 7^8 entries a side)
+    real = dg._tiles
     tiled: list = []
     widest = [0]
 
-    def max_abs_diff_tiled(lhs, rhs, ctx):
-        tiled.append((rule, ctx.dim))
-        return real_tiled(lhs, rhs, ctx)
+    def tiles(ds, plan, ctx):
+        size = ctx.dim ** (ds[0].n_inputs + ds[0].n_outputs)
+        for number, x in enumerate(real(ds, plan, ctx)):
+            if number == 1:
+                tiled.append((rule, ctx.dim))
+            yield x
+        if not number:
+            widest[0] = max(widest[0], size)
 
-    def evaluate_many(ds, ctx):
-        def read():
-            for d in ds:
-                widest[0] = max(widest[0], ctx.dim ** (d.n_inputs + d.n_outputs))
-                yield d
-
-        return real_many(read(), ctx)
-
-    monkeypatch.setattr(rw, "max_abs_diff_tiled", max_abs_diff_tiled)
-    monkeypatch.setattr(rw, "evaluate_many", evaluate_many)
+    monkeypatch.setattr(dg, "_tiles", tiles)
     for rule in sorted(CATALOG):
         rows = check_all(range(2, 8), samples=1, rules=[rule])
         assert all(r["status"] in ("pass", "skip") for r in rows), rule
     assert 0 < widest[0] <= dg._TILE
-    assert tiled == [("ZH-O", 6), ("ZH-O", 7), ("ZH-ZPL", 6), ("ZH-ZPL", 7)]
+    assert tiled == [(rid, dim) for rid in ("ZH-O", "ZH-ZPL") for dim in (6, 7) for _ in "lr"]
 
 
 def test_a_two_leg_side_past_a_tile_is_compared_in_runs(monkeypatch):
@@ -519,8 +498,8 @@ def test_a_two_leg_side_past_a_tile_is_compared_in_runs(monkeypatch):
     want = max_abs_diff(*whole)
     real, seen = dg._tiles, []
 
-    def tiles(d, ctx):
-        for x in real(d, ctx):
+    def tiles(ds, plan, ctx):
+        for x in real(ds, plan, ctx):
             seen.append(x.shape)
             yield x
 
@@ -608,6 +587,33 @@ def test_check_all_rejects_bad_args():
         check_all([2], samples=0)
     with pytest.raises(RewriteError):
         check_all([2], rules=["ZX-NOPE"])
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"tol": float("inf")}, ValueError, "^tol must be a positive finite number, got inf$"),
+    ({"tol": float("nan")}, ValueError, "^tol must be a positive finite number, got nan$"),
+    ({"tol": -1}, ValueError, "^tol must be a positive finite number, got -1$"),
+    ({"tol": 0.0}, ValueError, "^tol must be a positive finite number, got 0.0$"),
+    ({"tol": "1e-8"}, TypeError, "^tol must be a real number, got '1e-8'$"),
+    ({"tol": True}, TypeError, "^tol must be a real number, got True$"),
+    ({"samples": True}, TypeError, "^samples must be an integer, got True$"),
+    ({"samples": 2.0}, TypeError, "^samples must be an integer, got 2.0$"),
+    ({"seed": -1}, ValueError, "^seed must be at least 0, got -1$"),
+])
+def test_check_all_refuses_bad_arguments_before_anything_is_drawn(monkeypatch, kwargs, error, match):
+    # an infinite tol passed every row, a broken rule's too; a NaN, 0 or
+    # negative one failed every row; samples=True ran one sample; and
+    # seed=-1 raised numpy's own error at the first cell
+    def refused(*args):
+        raise AssertionError("drew or built a sample")
+
+    monkeypatch.setattr(rw.RuleSpec, "sample", refused)
+    monkeypatch.setattr(rw, "instantiate", refused)
+    with pytest.raises(error, match=match):
+        check_all([3], rules=["ZX-GI"], **kwargs)
+    if "tol" in kwargs:
+        with pytest.raises(error, match=match):
+            check_soundness("ZX-GI", {}, MeasureContext(3), tol=kwargs["tol"])
 
 
 def test_check_all_refuses_a_report_past_its_row_cap(monkeypatch):
