@@ -1345,16 +1345,16 @@ def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext)
     to the end.  An error may round apart from ``max_abs_diff``'s where a
     whole side's step runs on einsum, or where a batch sums in another
     order.  Entries past the float range give inf or NaN with no warning.
-    A pair of two boundaries raises ``ShapeError``.  ``pairs`` is read as
-    the errors are asked for, so one batch of sides is held at a time.
+    Sides whose boundaries differ raise ``ShapeError``.  ``pairs`` is read
+    as the errors are asked for, so one batch of sides is held at a time.
     """
     for (left, right), (lplan, rplan) in _runs(pairs, ctx):
-        d, count = left[0], len(left)
-        if (d.n_inputs, d.n_outputs) != (right[0].n_inputs, right[0].n_outputs):
+        boundary, count = (left[0].n_inputs, left[0].n_outputs), len(left)
+        if boundary != (right[0].n_inputs, right[0].n_outputs):
             raise ShapeError("the diagrams differ in their boundary")
-        k, _ = _cut(ctx.dim, d.n_inputs + d.n_outputs)
-        rank = d.n_inputs + d.n_outputs - max(k - 1, 0)  # a tile's axes but the batch axis
-        worst, mag = -np.inf, None
+        k, _ = _cut(ctx.dim, sum(boundary))
+        rank = sum(boundary) - max(k - 1, 0)  # a tile's axes but the batch axis
+        worst, mag = np.full(count, -np.inf), None
         with np.errstate(invalid="ignore", over="ignore"):
             for x, y in zip(_tiles(left, lplan, ctx), _tiles(right, rplan, ctx)):
                 if y.ndim > x.ndim:
@@ -1363,8 +1363,9 @@ def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext)
                 if mag is None or mag.shape != x.shape:
                     mag = np.empty_like(x, dtype=float)
                 np.abs(x, out=mag)
-                worst = np.maximum(worst, mag.max(axis=tuple(range(1, mag.ndim))) if mag.ndim > rank else mag.max())
-        yield from np.broadcast_to(worst, count).tolist()
+                np.maximum(worst, mag.max(axis=tuple(range(1, mag.ndim))) if mag.ndim > rank else mag.max(), out=worst)
+        del x, y, mag  # not held while the next run is evaluated
+        yield from worst.tolist()
 
 
 # =====================================================================

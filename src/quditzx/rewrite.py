@@ -41,7 +41,8 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from quditzx.diagram import Diagram, DiagramBuilder, evaluate, max_abs_diffs  # noqa: F401
+from quditzx.diagram import Diagram, DiagramBuilder, max_abs_diffs
+from quditzx.diagram import evaluate  # noqa: F401
 # Unused here, as are ``evaluate`` above and ``max_abs_diff`` below:
 # bench/tracer.py patches quditzx.rewrite.gamma, quditzx.rewrite.evaluate
 # and quditzx.rewrite.max_abs_diff, so the traced benchmark run fails if
@@ -1134,9 +1135,7 @@ def check_soundness(
 
 def _check_tol(tol: Any) -> None:
     """Refuse a tolerance that is not a positive finite number: inf passes every row, NaN or 0 fails every one."""
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-        raise TypeError(f"tol must be a real number, got {tol!r}")
-    if not 0 < tol < math.inf:
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float, np.integer, np.floating)) and 0 < tol < math.inf):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
@@ -1185,10 +1184,10 @@ def check_all(
     ``measure.dimension``, so a bool, a float or a string raises
     ``TypeError``.  A report of more than ``_MAX_ROWS`` rows (samples
     times distinct rules times distinct dimensions) raises
-    ``ReportSizeError``, and a bad argument ``ValueError`` (``TypeError``
-    for a type) that names it, both before anything is drawn: a ``tol``
-    that is not a positive finite number, a ``samples`` that is a bool or
-    not an int, or a negative ``seed``.
+    ``ReportSizeError``, and a bad argument an error that names it, both
+    before anything is drawn: a ``tol`` that is not a positive finite
+    number (``ValueError``), a ``samples`` that is a bool or not an int
+    (``TypeError``), or a negative ``seed`` (``ValueError``).
     """
     dims = sorted(set(map(dimension, dims)))
     if any(d < 2 for d in dims):

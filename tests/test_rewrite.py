@@ -594,8 +594,8 @@ def test_check_all_rejects_bad_args():
     ({"tol": float("nan")}, ValueError, "^tol must be a positive finite number, got nan$"),
     ({"tol": -1}, ValueError, "^tol must be a positive finite number, got -1$"),
     ({"tol": 0.0}, ValueError, "^tol must be a positive finite number, got 0.0$"),
-    ({"tol": "1e-8"}, TypeError, "^tol must be a real number, got '1e-8'$"),
-    ({"tol": True}, TypeError, "^tol must be a real number, got True$"),
+    ({"tol": "1e-8"}, ValueError, "^tol must be a positive finite number, got '1e-8'$"),
+    ({"tol": True}, ValueError, "^tol must be a positive finite number, got True$"),
     ({"samples": True}, TypeError, "^samples must be an integer, got True$"),
     ({"samples": 2.0}, TypeError, "^samples must be an integer, got 2.0$"),
     ({"seed": -1}, ValueError, "^seed must be at least 0, got -1$"),
