@@ -1271,7 +1271,7 @@ def test_a_batch_whose_sides_disagree_on_the_batch_axis(monkeypatch) -> None:
     got = list(max_abs_diffs(pu + shared, ctx))
     assert streams == [[(5,)], [()], [(3, 3)], [(3, 3, 3)]]
     assert [e.hex() for e in got] == [w.hex() for w in want]
-    assert got[6] == 0 < min(got[5], got[7])  # the pair of equal sides, then the others
+    assert got[6] == 0 < min(got[5], got[7])  # the shared pair at 0.4 has equal sides
 
 
 # -- batches --------------------------------------------------------------
