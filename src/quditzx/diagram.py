@@ -95,7 +95,9 @@ array from the context.  Within one call, equal parameter-free
 generators (white, gray, not, hplus, hminus) on equal legs share one
 factor array; factors with an amplitude are built per node.
 
-Diagrams of one shape run one plan together (``evaluate_many``).  A
+Rule sides are compared in one fold (``max_abs_diffs``), the only code
+that batches: consecutive pairs whose left sides share a shape, and
+whose right sides do, run one plan a side together (``_runs``).  A
 soundness cell's draws, say, change only node parameters, and running
 each alone spends most of its time on per-step Python work, not on
 arithmetic.  A node whose generator, and the offsets of whose legs'
@@ -106,29 +108,29 @@ belongs to the arrays, not to the call: each step reads it off its
 operands, as one axis more than the step's sublist.  Every ``np.einsum``
 has ``Ellipsis`` leading each sublist, and a matmul-size step runs as
 one ``np.matmul`` or ``np.multiply`` (``_blocks``), so on either kernel
-an operand without the batch axis broadcasts.  So a batched tensor equals what its
-diagram gives alone up to rounding, not always bit for bit: a pairwise
-``np.einsum`` over the batch may sum in another order than the same step
-alone (at D=2, a 3-leg red dot with Phase(0.7), two legs joined through
-an hplus and one on a white pad, gives 0.9999999999999996+0j alone and
-0.9999999999999996+1.1e-16j in a batch).  One-factor steps over the
-batch, sums and reorders, give each entry the bits it gets alone, and
-every rule side of the soundness matrix at D=2..6 comes out bit for
-bit.  A batch holds at most ``_MATMUL_MIN`` entries in any array (batch
-times D^max(top, widest dense degree)): past that the per-call overhead
-is small next to the arithmetic, and a larger batch only costs memory.
-``evaluate`` runs the batch of one that ``evaluate_many`` runs for a
-single diagram.
+an operand without the batch axis broadcasts.  So a batched result
+equals what its diagram gives alone up to rounding, not always bit for
+bit: a pairwise ``np.einsum`` over the batch may sum in another order
+than the same step alone (at D=2, a 3-leg red dot with Phase(0.7), legs
+0 and 2 joined through an hplus and leg 1 the output, gives
+0.13982567201488166-0.38305412863682975j at output 0 alone and
+0.1398256720148816-0.3830541286368297j in a batch after the same
+diagram with One()).  One-factor steps over the batch, sums and
+reorders, give each entry the bits it gets alone, and every rule side
+of the soundness matrix at D=2..6 comes out bit for bit.  A batch holds
+at most ``_MATMUL_MIN`` entries in any array (batch times
+D^max(top, widest dense degree)): past that the per-call overhead is
+small next to the arithmetic, and a larger batch only costs memory.  A
+side of more than ``_TILE`` entries runs alone.  ``evaluate`` runs one
+diagram, and ``evaluate_many`` is ``evaluate`` of each.
 
-Rule sides are compared as pairs, tile by tile, in one fold
-(``max_abs_diffs``): consecutive pairs whose left sides share a shape,
-and whose right sides do, run as one batch a side (``_runs``, the loop
-``evaluate_many`` runs too), and each side's results stream as tiles
-(``_tiles``) that the fold zips.  A result of at most ``_TILE`` entries
-is one tile, the whole result.  A wider tile has one shape: a run of
-values of boundary position 0, as many as fit in ``_TILE`` entries and
-at least one, then one value each of positions 1..k-1, k the fewest
-that leave at most ``_TILE`` entries a value of position 0 (``_cut``).
+Each side's results stream as tiles (``_tiles``) that the fold zips.  A
+result of at most ``_TILE`` entries is one tile, the whole result, with
+the batch axis in front where it has one.  A wider side runs alone, and
+its tiles have one shape: a run of values of boundary position 0, as
+many as fit in ``_TILE`` entries and at least one, then one value each
+of positions 1..k-1, k the fewest that leave at most ``_TILE`` entries a
+value of position 0 (``_cut``).
 The two sides' streams come in one order, so they zip.  A side's plan
 ends in its last merge, which writes the boundary order, so each side
 runs every step before that merge once, and its tiles are that merge's
@@ -194,10 +196,11 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 _MATMUL_MIN = 1 << 17
 # entries in a tile of a compared rule side (a run of values of boundary
 # position 0, then one value each of the next positions it cuts): the
-# widest side compared whole.  Checking ZH-O at D=7 peaks
-# at 3.9 MiB of arrays with tiles of 7^5, 8.9 MiB with 7^6 (2^17), and
-# 40 MiB with one block per value of boundary position 0; at D=6, at
-# 2.9 MiB with tiles of 6^6, and at 9.6 MiB with its two whole sides
+# widest side compared whole, and the widest that runs in a batch.
+# Checking ZH-O at D=7 peaks at 3.9 MiB of arrays with tiles of 7^5,
+# 8.9 MiB with 7^6 (2^17), and 40 MiB with one block per value of
+# boundary position 0; at D=6, at 2.9 MiB with tiles of 6^6, and at
+# 9.6 MiB with its two whole sides
 _TILE = 1 << 16
 
 # how a node enters the contraction: as its diagonal, its dense array,
@@ -1187,7 +1190,9 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
 
     The batch size is how many diagrams of this shape ``_runs`` puts in
     one batch: at most ``_MATMUL_MIN`` entries in any array, and at
-    least one diagram.  A size past a budget raises ``OverflowGuardError``.
+    least one diagram; one where the result has more than ``_TILE``
+    entries, so that only a whole result, one tile, carries a batch axis.
+    A size past a budget raises ``OverflowGuardError``.
     """
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
@@ -1207,7 +1212,7 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     if d.dim**degree > _MAX_DENSE:
         name = list(d.nodes)[node]
         raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
-    size = max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
+    size = 1 if d.dim ** (d.n_inputs + d.n_outputs) > _TILE else max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
     return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), size
 
 
@@ -1243,38 +1248,17 @@ def _runs(items: Iterable[tuple[Diagram, ...]], ctx: MeasureContext) -> Iterator
         yield columns, plans
 
 
-def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[Tensor]:
-    """``evaluate(d, ctx)`` for each diagram, in order, up to rounding.
-
-    Consecutive diagrams of one shape are contracted together (``_runs``),
-    in batches of at most ``_MATMUL_MIN`` entries in any array (see the
-    module notes).  A small pairwise step over a batch may round apart
-    from the same step run alone, so a tensor can differ from
-    ``evaluate``'s in the last bits; a diagram alone in its batch gets
-    ``evaluate``'s bits.  ``diagrams`` is read as the tensors are asked
-    for, so one batch of diagrams and tensors is held at a time, and a
-    size past a budget raises ``OverflowGuardError`` when its diagram is
-    read.
-    """
-    for (ds,), ((steps, layout),) in _runs(zip(diagrams), ctx):
-        (data,) = _execute(steps, len(steps), layout, ds, ctx)
-        n_in, n_out, count = ds[0].n_inputs, ds[0].n_outputs, len(ds)
-        ds.clear()
-        if data.ndim > n_in + n_out:
-            for entry in data:
-                yield Tensor(ctx.dim, n_in, n_out, entry)
-        else:  # every factor was shared: copies for all diagrams but the last
-            for _ in range(count - 1):
-                yield Tensor(ctx.dim, n_in, n_out, data.copy())
-            yield Tensor(ctx.dim, n_in, n_out, data)
-
-
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``.
+    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``."""
+    _, steps, layout, _ = _checked_plan(d, ctx)
+    (data,) = _execute(steps, len(steps), layout, [d], ctx)
+    return Tensor(ctx.dim, d.n_inputs, d.n_outputs, data)
 
-    This is ``evaluate_many`` of the one diagram, a batch of one.
-    """
-    return next(evaluate_many([d], ctx))
+
+def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[Tensor]:
+    """``evaluate(d, ctx)`` for each diagram, in order, bit for bit, read as the tensors are asked for."""
+    for d in diagrams:
+        yield evaluate(d, ctx)
 
 
 def _cut(dim: int, n: int) -> tuple[int, int]:
@@ -1299,8 +1283,9 @@ def _tiles(ds: list[Diagram], plan: tuple, ctx: MeasureContext) -> Iterator[np.n
     row-major order of (lo, i1, ..., i(k-1)), only the last run shorter.
     A run lets one matmul reuse an operand over many rows of the other,
     where with one value a tile a side of two legs at D=1024 would read
-    its whole 1024 x 1024 operand once per value.  A tile has the batch
-    axis in front where the result has one.
+    its whole 1024 x 1024 operand once per value.  A wide result is one
+    diagram's (see ``_checked_plan``), so only a whole result can have
+    the batch axis in front.
 
     A plan with a merge ends in it, and that merge writes the boundary
     order (see ``_plan``): every step before it runs once, when the first
@@ -1328,23 +1313,23 @@ def _tiles(ds: list[Diagram], plan: tuple, ctx: MeasureContext) -> Iterator[np.n
     if not k:
         yield np.asarray(whole)  # np.einsum gives a legless side as a scalar
         return
-    lead = (slice(None),) * (whole.ndim - n)  # the batch axis, where there is one
     for lo, *idx in itertools.product(range(0, D, run), *[range(D)] * (k - 1)):
-        yield whole[(*lead, slice(lo, lo + run), *idx)]
+        yield whole[(slice(lo, lo + run), *idx)]
 
 
 def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) -> Iterator[float]:
     """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))`` for each pair, in order, tile by tile.
 
-    The pairs run in batches (``_runs``), and each side's results come
-    as tiles (``_tiles``), so that no side wider than one tile is built
-    whole.  The two streams of tiles zip; each right tile is subtracted
-    from the left one in place, or the left from the right where only the
-    right has the batch axis, its abs goes into a buffer laid out as that
-    tile, and ``np.maximum`` folds in each diagram's max, carrying a NaN
-    to the end.  An error may round apart from ``max_abs_diff``'s where a
-    whole side's step runs on einsum, or where a batch sums in another
-    order.  Entries past the float range give inf or NaN with no warning.
+    The pairs run in batches (``_runs``), a side wider than one tile
+    alone, and each side's results come as tiles (``_tiles``), so that no
+    such side is built whole.  The two streams of tiles zip; each right
+    tile is subtracted from the left one in place, or the left from the
+    right where only the right has the batch axis, its abs goes into a
+    buffer laid out as that tile, and ``np.maximum`` folds in each
+    diagram's max (over all but the batch axis of a batched tile),
+    carrying a NaN to the end.  An error may round apart from
+    ``max_abs_diff``'s where a whole side's step runs on einsum, or where
+    a batch sums in another order.  Entries past the float range give inf or NaN with no warning.
     Sides whose boundaries differ raise ``ShapeError``.  ``pairs`` is read
     as the errors are asked for, so one batch of sides is held at a time.
     """
@@ -1352,8 +1337,6 @@ def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext)
         boundary, count = (left[0].n_inputs, left[0].n_outputs), len(left)
         if boundary != (right[0].n_inputs, right[0].n_outputs):
             raise ShapeError("the diagrams differ in their boundary")
-        k, _ = _cut(ctx.dim, sum(boundary))
-        rank = sum(boundary) - max(k - 1, 0)  # a tile's axes but the batch axis
         worst, mag = np.full(count, -np.inf), None
         with np.errstate(invalid="ignore", over="ignore"):
             for x, y in zip(_tiles(left, lplan, ctx), _tiles(right, rplan, ctx)):
@@ -1362,8 +1345,9 @@ def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext)
                 np.subtract(x, y, out=x)
                 if mag is None or mag.shape != x.shape:
                     mag = np.empty_like(x, dtype=float)
+                    axes = tuple(range(1, mag.ndim)) if mag.ndim > sum(boundary) else None
                 np.abs(x, out=mag)
-                np.maximum(worst, mag.max(axis=tuple(range(1, mag.ndim))) if mag.ndim > rank else mag.max(), out=worst)
+                np.maximum(worst, mag.max(axis=axes), out=worst)
         del x, y, mag  # not held while the next run is evaluated
         yield from worst.tolist()
 

@@ -75,7 +75,8 @@ class MeasureContext:
         Qudit dimension D > 1.  A D whose square leaves the float range
         (the phase constants need it) raises ``OverflowGuardError``.
     nu:
-        Positive measure weight; defaults to ``dim**(-1/4)``.
+        Positive finite measure weight, a real number; defaults to
+        ``dim**(-1/4)``.  A bool, a str or a complex raises ``TypeError``.
     """
 
     dim: int
@@ -93,8 +94,15 @@ class MeasureContext:
             ) from None
         if self.nu is None:
             object.__setattr__(self, "nu", float(self.dim) ** -0.25)
+        else:
+            import numbers  # here, as numpy is: a scalar command at the default weight never loads it
+
+            if isinstance(self.nu, bool) or not isinstance(self.nu, numbers.Real):
+                raise TypeError(f"nu must be a real number, got {self.nu!r}")
         if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
+        if math.isinf(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu}")
         object.__setattr__(self, "nu", float(self.nu))
 
     # -- derived constants -------------------------------------------------

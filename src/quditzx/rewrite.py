@@ -1186,8 +1186,9 @@ def check_all(
     times distinct rules times distinct dimensions) raises
     ``ReportSizeError``, and a bad argument an error that names it, both
     before anything is drawn: a ``tol`` that is not a positive finite
-    number (``ValueError``), a ``samples`` that is a bool or not an int
-    (``TypeError``), or a negative ``seed`` (``ValueError``).
+    number (``ValueError``), a ``samples`` or ``seed`` that is a bool or
+    not an int (``TypeError``), a negative ``seed`` (``ValueError``), or a
+    str for ``rules``, which would be read letter by letter (``TypeError``).
     """
     dims = sorted(set(map(dimension, dims)))
     if any(d < 2 for d in dims):
@@ -1197,8 +1198,12 @@ def check_all(
         raise TypeError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed!r}")
+    if isinstance(rules, str):
+        raise TypeError(f"rules must be a collection of rule ids, not the str {rules!r}")
     all_ids = sorted(CATALOG)
     wanted = sorted(set(all_ids if rules is None else [get_rule(r).id for r in rules]))
     count = samples * len(wanted) * len(dims)

@@ -1076,7 +1076,8 @@ def test_not_dots_match_flat_einsum(dim: int, nu: float | None, split_all: bool)
 @pytest.mark.parametrize("split_all", [False, True])
 def test_a_batch_with_differing_not_constants_gives_each_diagrams_bits(split_all: bool) -> None:
     # the constants set the maps' offsets, so the factors they feed are
-    # stacked per diagram; each tensor still has the bits it has alone
+    # stacked per diagram; each entry of the executor's batch still has
+    # the bits its diagram has alone
     dim = 4
     ctx = MeasureContext(dim)
     rng = np.random.default_rng(12)
@@ -1084,12 +1085,12 @@ def test_a_batch_with_differing_not_constants_gives_each_diagrams_bits(split_all
     with mock.patch.object(dg, "_SPLIT_ABOVE", 0 if split_all else dg._SPLIT_ABOVE):
         for k, (label, *_) in enumerate(not_cases(dim)):
             ds = [not_cases(dim, cs)[k][1] for cs in draws]
-            got = [t.data.tobytes() for t in evaluate_many(ds, ctx)]
-            assert got == [evaluate(d, ctx).data.tobytes() for d in ds], label
-            assert len(set(got)) > 1, label  # the constants did reach the tensors
             _, steps, layout, _ = dg._checked_plan(ds[0], ctx)
             (batch,) = dg._execute(steps, len(steps), layout, ds, ctx)
             assert batch.shape[0] == len(ds), label
+            got = [entry.tobytes() for entry in batch]
+            assert got == [evaluate(d, ctx).data.tobytes() for d in ds], label
+            assert len(set(got)) > 1, label  # the constants did reach the tensors
 
 
 def test_a_split_form_is_used_only_where_it_is_smaller() -> None:
@@ -1286,9 +1287,9 @@ def alone(d: Diagram, ctx: MeasureContext) -> np.ndarray:
 
 @pytest.mark.parametrize("nu", [None, 1.0])
 def test_catalog_batches_are_bit_identical(monkeypatch, nu) -> None:
-    # every side of every rule at D=2..6, five draws a cell, through
-    # evaluate_many and alone; ZH-O and ZH-ZPL at D=5 take their
-    # matmul-size steps once per batch entry
+    # every side of every rule at D=2..6, five draws a cell, in the runs
+    # that max_abs_diffs makes (dg._runs) and alone; ZH-O and ZH-ZPL at
+    # D=5 take their matmul-size steps once per batch entry
     real, sizes = dg._execute, Counter()
 
     def counting(steps, stop, node_codes, ds, ctx):
@@ -1306,11 +1307,12 @@ def test_catalog_batches_are_bit_identical(monkeypatch, nu) -> None:
             rng = np.random.default_rng([0, ids.index(rid), dim])
             draws = [spec.sample(dim, rng) for _ in range(5)]
             pairs = [instantiate(spec, params, ctx) for params in draws if params is not None]
-            for sides in zip(*pairs):
-                got = list(evaluate_many(sides, ctx))
-                assert len(got) == len(sides)
-                for d, t in zip(sides, got):
-                    assert t.data.tobytes() == alone(d, ctx).tobytes(), (rid, dim)
+            for columns, plans in dg._runs(pairs, ctx):
+                for ds, (steps, layout) in zip(columns, plans):
+                    (data,) = dg._execute(steps, len(steps), layout, ds, ctx)
+                    batched = data.ndim > ds[0].n_inputs + ds[0].n_outputs
+                    for k, d in enumerate(ds):
+                        assert (data[k] if batched else data).tobytes() == alone(d, ctx).tobytes(), (rid, dim)
     assert sizes[True] > 100  # most cells ran as batches
 
 
@@ -1337,8 +1339,7 @@ def test_a_batch_refuses_a_dimension_mismatch() -> None:
 
 
 def test_equal_diagrams_in_a_batch_get_their_own_arrays() -> None:
-    # every factor is shared, so the batch has one result; each diagram
-    # still gets an array that no other tensor shares
+    # each diagram gets an array that no other tensor shares
     ctx = MeasureContext(3)
     d = node_diagram(3, Generator.green(Phase(0.4), 1, 1))
     first, second, third = evaluate_many([d, d, d], ctx)
@@ -1351,8 +1352,8 @@ def test_equal_diagrams_in_a_batch_get_their_own_arrays() -> None:
 @pytest.mark.parametrize("dim", [2, 3])
 def test_a_batched_one_factor_sum_keeps_each_diagrams_bits(dim: int) -> None:
     # a dense red dot or H-box with self-loops is summed on its own first, as one
-    # np.einsum over the stacked batch, and every tensor keeps the bits
-    # evaluate gives it (a pairwise step over a batch may round apart)
+    # np.einsum over the executor's stacked batch, and every entry keeps
+    # the bits evaluate gives it (a pairwise step over a batch may round apart)
     ctx = MeasureContext(dim)
     for kind, legs in itertools.product(("red", "hbox"), (3, 5)):
         def looped(amp: Any) -> Diagram:
@@ -1366,8 +1367,67 @@ def test_a_batched_one_factor_sum_keeps_each_diagrams_bits(dim: int) -> None:
         diagrams = [looped(amp) for amp in AMPS]
         i, j, sa, so = dg._checked_plan(diagrams[0], ctx)[1][0]
         assert j < 0 and len(so) < len(set(sa))
-        got = [t.data.tobytes() for t in evaluate_many(diagrams, ctx)]
-        assert got == [evaluate(d, ctx).data.tobytes() for d in diagrams]
+        _, steps, layout, _ = dg._checked_plan(diagrams[0], ctx)
+        (batch,) = dg._execute(steps, len(steps), layout, diagrams, ctx)
+        assert [entry.tobytes() for entry in batch] == [evaluate(d, ctx).data.tobytes() for d in diagrams]
+
+
+def looped_red(amp: Any) -> Diagram:
+    """At D=2, a 3-leg red dot whose legs 0 and 2 are joined through an hplus, leg 1 the output."""
+    b = DiagramBuilder(2)
+    r, h = b.node(Generator.red(amp, 0, 3)), b.node(Generator.hplus())
+    b.wire((r, 2), (h, 0))
+    b.wire((h, 1), (r, 0))
+    b.wire((r, 1), "out")
+    return b.build()
+
+
+def test_evaluate_many_is_evaluate_of_each_diagram(monkeypatch) -> None:
+    # one executor call per diagram, each with evaluate's bytes; run in one
+    # batch with One(), the red dot at Phase(0.7) rounds apart from them
+    ctx = MeasureContext(2)
+    ds = [looped_red(One()), looped_red(Phase(0.7))] + [node_diagram(2, Generator.green(Phase(t), 1, 1))
+                                                        for t in (0.1, 0.2, 0.3)]
+    want = [evaluate(d, ctx).data.tobytes() for d in ds]
+    _, steps, layout, _ = dg._checked_plan(ds[0], ctx)
+    (batch,) = dg._execute(steps, len(steps), layout, ds[:2], ctx)
+    assert batch[1].tobytes() != want[1]
+    real, sizes = dg._execute, []
+
+    def counting(steps, stop, layout, ds, ctx):
+        sizes.append(len(ds))
+        return real(steps, stop, layout, ds, ctx)
+
+    monkeypatch.setattr(dg, "_execute", counting)
+    assert [t.data.tobytes() for t in evaluate_many(ds, ctx)] == want
+    assert sizes == [1] * len(ds)
+
+
+def test_a_side_wider_than_one_tile_runs_alone(monkeypatch) -> None:
+    # with tiles of 8 entries, three same-shape pairs of 27-entry sides
+    # reach the executor one diagram at a time, and each error has the
+    # bits of its pair compared alone
+    ctx = MeasureContext(3)
+
+    def side(kind: str, t: float) -> Diagram:
+        b = DiagramBuilder(3)
+        b.chain([Generator.green(Phase(t), 1, 1), Generator(kind, 1, 2, amp=Phase(t))])
+        return b.build()
+
+    pairs = [(side("red", t), side("hbox", t)) for t in (0.1, 0.4, 2.0)]
+    monkeypatch.setattr(dg, "_TILE", 8)
+    want = [e for pair in pairs for e in max_abs_diffs([pair], ctx)]
+    real, sizes = dg._execute, []
+
+    def counting(steps, stop, layout, ds, ctx):
+        sizes.append((len(ds), stop < len(steps)))
+        return real(steps, stop, layout, ds, ctx)
+
+    monkeypatch.setattr(dg, "_execute", counting)
+    got = list(max_abs_diffs(pairs, ctx))
+    assert sizes == [(1, True)] * 6  # each side stops before its last merge, whose blocks are its tiles
+    assert [e.hex() for e in got] == [w.hex() for w in want]
+    assert len(set(got)) == 3
 
 
 def redrawn(draw, d: Diagram) -> Diagram:
@@ -1386,8 +1446,8 @@ def redrawn(draw, d: Diagram) -> Diagram:
 @given(small_diagrams(), st.data(), st.booleans(), st.sampled_from([None, 1]), st.sampled_from([None, 0.8]))
 def test_random_batches_match_each_diagram(d, data, split_all, matmul_min, nu) -> None:
     # copies of one diagram with re-drawn numbers, run as one batch by the
-    # executor and by evaluate_many; with matmul_min=1 every pairwise step
-    # runs once per batch entry (and evaluate_many runs batches of one)
+    # executor, and one at a time by evaluate_many; with matmul_min=1
+    # every pairwise step runs once per batch entry
     copies = [d] + [redrawn(data.draw, d) for _ in range(3)]
     ctx = MeasureContext(d.dim, nu)
     split_above = 0 if split_all else dg._SPLIT_ABOVE

@@ -85,6 +85,25 @@ def test_context_refuses_a_dimension_that_is_not_an_integer(dim):
         MeasureContext(dim)
 
 
+@pytest.mark.parametrize("nu, error, match", [
+    (True, TypeError, "^nu must be a real number, got True$"),
+    ("0.5", TypeError, "^nu must be a real number, got '0.5'$"),
+    (1j, TypeError, "^nu must be a real number, got 1j$"),
+    (float("inf"), ValueError, "^nu must be finite, got inf$"),
+])
+def test_context_refuses_a_weight_that_is_not_a_finite_positive_real(nu, error, match):
+    # an infinite nu passed ZX-GI, ZX-GFP and ZH-AI, True gave nu = 1.0,
+    # and a str or a complex raised a bare comparison TypeError
+    with pytest.raises(error, match=match):
+        MeasureContext(3, nu)
+
+
+@pytest.mark.parametrize("nu", [2, np.int64(2), np.float32(0.5), np.float64(0.5), 1e200, 1e-320])
+def test_context_stores_a_real_weight_as_a_float(nu):
+    ctx = MeasureContext(3, nu)
+    assert type(ctx.nu) is float and ctx.nu == float(nu)
+
+
 def test_context_stores_a_python_int_dimension():
     ctx = MeasureContext(np.int64(5))
     assert type(ctx.dim) is int and ctx == MeasureContext(5)

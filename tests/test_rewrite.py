@@ -14,6 +14,7 @@ import time
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -509,6 +510,46 @@ def test_a_two_leg_side_past_a_tile_is_compared_in_runs(monkeypatch):
     assert abs(rep["max_err"] - want) <= 1e-12 * max(np.max(np.abs(t.data)) for t in whole)
 
 
+# each rule's one-sample outcome (seed 0) past D=64 where it is not a
+# pass; ZH-EC's failure at D=97 is ROADMAP item 2's
+OUTCOMES_PAST_ONE_TILE = {
+    97: {"ZH-O": "skip", "ZH-ZPL": "skip", "ZX-ZSP": "skip", "ZH-UM": "refused", "ZX-RGB": "refused",
+         "ZH-EC": "fail"},
+    128: {"ZH-O": "skip", "ZH-ZPL": "skip", "ZH-MF": "refused", "ZH-UM": "refused", "ZH-WNS": "refused",
+          "ZXH-GW": "refused"},
+    257: {"ZH-O": "skip", "ZH-ZPL": "skip", "ZX-ZSP": "skip", "ZH-HWB": "refused", "ZH-MF": "refused",
+          "ZH-UM": "refused", "ZH-WGB": "refused", "ZH-WNS": "refused", "ZX-RGB": "refused", "ZX-RGC": "refused",
+          "ZXH-GW": "refused"},
+}
+
+
+@pytest.mark.parametrize("dim", sorted(OUTCOMES_PAST_ONE_TILE))
+def test_the_catalog_past_one_tile_keeps_its_outcomes(monkeypatch, dim):
+    # three-leg sides at these D, and two-leg ones at D=257, are compared
+    # in tiles that a last merge's blocks give; at D=257 one-factor sides
+    # are built whole and their tiles are slices.  Each side wider than a
+    # tile runs alone
+    real, paths = dg._execute, Counter()
+
+    def recording(steps, stop, layout, ds, ctx):
+        out = real(steps, stop, layout, ds, ctx)
+        if stop < len(steps) or np.size(out[0]) > dg._TILE:
+            paths["blocks" if stop < len(steps) else "slices", len(ds)] += 1
+        return out
+
+    monkeypatch.setattr(dg, "_execute", recording)
+    got = {}
+    for rid in sorted(CATALOG):
+        try:
+            (row,) = check_all([dim], samples=1, seed=0, rules=[rid])
+            got[rid] = row["status"]
+        except OverflowGuardError:
+            got[rid] = "refused"
+    assert {rid: s for rid, s in got.items() if s != "pass"} == OUTCOMES_PAST_ONE_TILE[dim]
+    assert paths == {97: {("blocks", 1): 4}, 128: {("blocks", 1): 6},
+                     257: {("blocks", 1): 46, ("slices", 1): 20}}[dim]
+
+
 def test_tiled_check_keeps_the_whole_side_budget(monkeypatch):
     # tiles never build a whole side, but a pair is still refused by its
     # whole side's size, before any step runs: ZX-RGB with m = n = 2 has
@@ -599,18 +640,27 @@ def test_check_all_rejects_bad_args():
     ({"samples": True}, TypeError, "^samples must be an integer, got True$"),
     ({"samples": 2.0}, TypeError, "^samples must be an integer, got 2.0$"),
     ({"seed": -1}, ValueError, "^seed must be at least 0, got -1$"),
+    ({"seed": True}, TypeError, "^seed must be an integer, got True$"),
+    ({"seed": 1.5}, TypeError, "^seed must be an integer, got 1.5$"),
+    ({"seed": "1"}, TypeError, "^seed must be an integer, got '1'$"),
+    ({"rules": "ZX-GI"}, TypeError, "^rules must be a collection of rule ids, not the str 'ZX-GI'$"),
 ])
 def test_check_all_refuses_bad_arguments_before_anything_is_drawn(monkeypatch, kwargs, error, match):
     # an infinite tol passed every row, a broken rule's too; a NaN, 0 or
-    # negative one failed every row; samples=True ran one sample; and
-    # seed=-1 raised numpy's own error at the first cell
+    # negative one failed every row; samples=True ran one sample;
+    # seed=-1 raised numpy's own error at the first cell, seed=True ran
+    # as seed 1, seed=1.5 passed a capped cell, seed="1" raised a bare
+    # comparison error; and rules="ZX-GI" was read letter by letter
     def refused(*args):
         raise AssertionError("drew or built a sample")
 
     monkeypatch.setattr(rw.RuleSpec, "sample", refused)
     monkeypatch.setattr(rw, "instantiate", refused)
     with pytest.raises(error, match=match):
-        check_all([3], rules=["ZX-GI"], **kwargs)
+        check_all([3], **{"rules": ["ZX-GI"], **kwargs})
+    if "seed" in kwargs:  # a capped cell draws nothing, and is refused too
+        with pytest.raises(error, match=match):
+            check_all([8], rules=["ZH-O"], **kwargs)
     if "tol" in kwargs:
         with pytest.raises(error, match=match):
             check_soundness("ZX-GI", {}, MeasureContext(3), tol=kwargs["tol"])

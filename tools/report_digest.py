@@ -22,16 +22,7 @@ and ``normal-form-json`` the ``dump_json`` texts of the normal forms.
 fixed corpus (seed ``ERRORS_SEED``) of 600 diagram files, most of them
 malformed: for each, the ``DiagramError`` text or the port table, so a
 change that moves an error's text or which fault is named first shows
-there.
-Last, ``<rule> D=<D>`` digests ``json.dumps(check_all([D], samples=2,
-seed=0, rules=[rule]))`` for D in 17, 41 and 257, or the text of the
-``OverflowGuardError`` that refuses the cell.  Past D=9 most sides wider
-than one tile are cut at one boundary position, in runs of its values,
-and some at two or three, so these lines cover the tiled comparison
-where the soundness matrix at D=2..9 does not.  Then ``<rule> D=64``
-digests ``check_all([64], samples=1, seed=0, rules=[rule])`` the same
-way: at D=64 many whole-side merges are wide enough to run as one
-batched ``np.matmul`` or ``np.multiply`` (``diagram._blocks``).
+there.  Cells past D=9 are digested by ``tools/sweep.py``, one line each.
 Run it on two commits and ``diff`` the outputs to see which reports,
 tensors, diagram files and errors a change moved.
 """
@@ -44,7 +35,7 @@ import json
 import numpy as np
 
 from quditzx import construct, diagram
-from quditzx.measure import MeasureContext, OverflowGuardError
+from quditzx.measure import MeasureContext
 from quditzx.rewrite import CATALOG, check_all, check_soundness
 from quditzx.tensor import Tensor
 
@@ -133,15 +124,6 @@ def wiring_outcomes(seed: int) -> list:
     return out
 
 
-def cell_digest(rule: str, D: int, samples: int) -> str:
-    """The digest of ``check_all([D], samples, seed=0, rules=[rule])`` as JSON, or of the text refusing it."""
-    try:
-        text = json.dumps(check_all([D], samples=samples, seed=0, rules=[rule]))
-    except OverflowGuardError as exc:
-        text = str(exc)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def main() -> None:
     for rule in sorted(CATALOG):
         for seed in SEEDS:
@@ -166,11 +148,6 @@ def main() -> None:
     print(f"normal-form {digest.hexdigest()}")
     print(f"normal-form-json {texts.hexdigest()}")
     print(f"diagram-errors {hashlib.sha256(json.dumps(wiring_outcomes(ERRORS_SEED)).encode()).hexdigest()}")
-    for rule in sorted(CATALOG):
-        for D in (17, 41, 257):
-            print(f"{rule} D={D} {cell_digest(rule, D, 2)}")
-    for rule in sorted(CATALOG):
-        print(f"{rule} D=64 {cell_digest(rule, 64, 1)}")
 
 
 if __name__ == "__main__":
