@@ -45,7 +45,6 @@ _HOMES = {
     "check_soundness": "rewrite",
     "eval_generator": "generators",
     "evaluate": "diagram",
-    "evaluate_many": "diagram",
     "gadget_id": "construct",
     "gamma": "gauss",
     "gauss_sum": "gauss",

@@ -18,9 +18,9 @@ reads.  A diagram is made in two places only, and checked there once:
 to no port is set aside as it is met, so the table holds only numbers in
 range, and ``_port_table`` checks it by a count; only where the count
 fails does it name ports, to say which one is repeated or unwired.  The
-writer works from the table too.  ``edges``, the ``(owner, index)``
-pairs, is derived from the table when something first reads it (``==``,
-``repr``, the benchmark's tracer, tests).
+writer and ``==`` work from the table too.  ``edges``, the ``(owner,
+index)`` pairs, is derived from the table each time something reads it
+(``repr``, the benchmark's tracer, tests).
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
@@ -118,11 +118,12 @@ than the same step alone (at D=2, a 3-leg red dot with Phase(0.7), legs
 diagram with One()).  One-factor steps over the batch, sums and
 reorders, give each entry the bits it gets alone, and every rule side
 of the soundness matrix at D=2..6 comes out bit for bit.  A batch holds
-at most ``_MATMUL_MIN`` entries in any array (batch times
-D^max(top, widest dense degree)): past that the per-call overhead is
-small next to the arithmetic, and a larger batch only costs memory.  A
-side of more than ``_TILE`` entries runs alone.  ``evaluate`` runs one
-diagram, and ``evaluate_many`` is ``evaluate`` of each.
+at most ``_TILE`` entries in any array (batch times D^max(top, widest
+dense degree)), and at least one diagram: past that the per-call
+overhead is small next to the arithmetic, and a larger batch only costs
+memory.  So a side of more than ``_TILE`` entries runs alone, and only a
+whole result, one tile, carries a batch axis.  ``evaluate`` runs one
+diagram.
 
 Each side's results stream as tiles (``_tiles``) that the fold zips.  A
 result of at most ``_TILE`` entries is one tile, the whole result, with
@@ -192,11 +193,13 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 # boxes are built on the fan labels).  In the soundness matrix at
 # D=2..9 no step of a whole side reaches it (D=5's widest is 5^7, and
 # the wider sides at D=6 and 7 are tiled); sides at D >= 10 do, from a
-# few steps at D=10..16 to dozens at D=64
+# few steps at D=10..16 to dozens at D=64.  It picks the kernel only:
+# batches are sized by _TILE
 _MATMUL_MIN = 1 << 17
 # entries in a tile of a compared rule side (a run of values of boundary
 # position 0, then one value each of the next positions it cuts): the
-# widest side compared whole, and the widest that runs in a batch.
+# widest side compared whole, and the most entries in any array of a
+# batch (see _checked_plan), so a wider side runs alone.
 # Checking ZH-O at D=7 peaks at 3.9 MiB of arrays with tiles of 7^5,
 # 8.9 MiB with 7^6 (2^17), and 40 MiB with one block per value of
 # boundary position 0; at D=6, at 2.9 MiB with tiles of 6^6, and at
@@ -225,12 +228,12 @@ class Diagram:
     node, then the outputs, then the inputs.  The builder and the loader
     make the table as they wire and check it there (``_port_table``), so
     a diagram is born valid and holds no edge tuples.  ``edges``, the same
-    wiring as ``(owner, index)`` pairs, is derived from the table when
-    something first reads it.
+    wiring as ``(owner, index)`` pairs, is derived from the table on each
+    read, for ``repr`` and the benchmark's tracer.
     """
 
     def __init__(self, dim: int, nodes: dict[str, Generator], ports: array, n_inputs: int, n_outputs: int) -> None:
-        vars(self).update(dim=dim, nodes=nodes, _ports=ports, n_inputs=n_inputs, n_outputs=n_outputs, _edges=None)
+        vars(self).update(dim=dim, nodes=nodes, _ports=ports, n_inputs=n_inputs, n_outputs=n_outputs)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -240,17 +243,19 @@ class Diagram:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            vars(self)["_edges"] = _derive_edges(self)
-        return self._edges
+        return _derive_edges(self)
 
     def __eq__(self, other: object) -> bool:
-        """Equal by what a diagram file holds: a node's kind, degree, amplitude and ``c``, not its in/out split."""
+        """Equal by what a diagram file holds: the dimension, the boundary, the port table and the nodes in order.
+
+        A node compares by name, kind, degree, amplitude and ``c``, not by
+        its in/out split.  No edge tuples are derived.
+        """
         if type(other) is not type(self):
             return NotImplemented
-        fields = ("dim", "n_inputs", "n_outputs", "edges")
-        nodes = [{name: (g.kind, g.degree, g.amp, g.c) for name, g in d.nodes.items()} for d in (self, other)]
-        return nodes[0] == nodes[1] and all(getattr(self, f) == getattr(other, f) for f in fields)
+        held = [(d.dim, d.n_inputs, d.n_outputs, d._ports,
+                 [(name, g.kind, g.degree, g.amp, g.c) for name, g in d.nodes.items()]) for d in (self, other)]
+        return held[0] == held[1]
 
     def __repr__(self) -> str:
         return (f"Diagram(dim={self.dim!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
@@ -1027,12 +1032,13 @@ def _execute(
     ``stop``, slot i then slot j; with ``stop == len(steps)``, the result
     alone, in boundary order, with the batch axis in front if it has one.
     A plan of no steps leaves its one factor as the result; with no
-    factor at all the result is the scalar 1.  Factors are built under
-    ``np.errstate(over="raise")``, so a factor entry past the float
-    range, from Python or from numpy, raises ``OverflowGuardError``; a
-    Python power, whose error says only that it left the range, is named
-    by the node (of the first diagram) whose factor it was building and
-    by that factor's power of nu.
+    factor at all the result is the scalar 1.  Factors and steps run
+    under ``np.errstate(over="raise")``, so an entry past the float range,
+    from Python or from numpy, raises ``OverflowGuardError``.  One in a
+    factor's build, whose error says only that it left the range, is
+    named by the node (of the first diagram) whose factor it was building
+    and by that factor's power of nu; one in a step's kernel keeps numpy's
+    text, and an ``OverflowGuardError`` its own.
     """
     D = ctx.dim
     if not ds[0].nodes and not ds[0].n_outputs + ds[0].n_inputs:
@@ -1098,21 +1104,22 @@ def _execute(
     factors: list[Any] = []
     shares: dict[Generator | tuple, _Share] = {}
     starts: list[int] = []  # each node's first slot
-    building = 0  # the last slot whose factor was asked for or built
+    building = None  # the slot whose factor is being built, if any
 
     def operand(k: int) -> np.ndarray:
         # the slot lets go, so a step's kernel holds the last reference
         nonlocal building
-        building = k
-        f, factors[k] = factors[k], None
+        building, f, factors[k] = k, factors[k], None
         if type(f) is _Share:
             f.left -= 1
             arr = entries(f.recipe) if f.array is None else f.array
             f.array = arr if f.left else None
-            return arr
-        if type(f) is list:  # one recipe per diagram
-            return np.array([entries(r) for r in f])
-        return entries(f) if type(f) is tuple or type(f) is Generator else f
+        elif type(f) is list:  # one recipe per diagram
+            arr = np.array([entries(r) for r in f])
+        else:
+            arr = entries(f) if type(f) is tuple or type(f) is Generator else f
+        building = None
+        return arr
 
     many = len(ds) > 1
     try:
@@ -1174,7 +1181,7 @@ def _execute(
             return [operand(i)]
     except (OverflowError, FloatingPointError) as exc:  # a Python power or a numpy product
         what = str(exc)
-        if type(exc) is OverflowError:  # a power in a factor's build, whose text is an errno tuple
+        if building is not None and type(exc) is not OverflowGuardError:  # in a factor's build
             name = list(ds[0].nodes)[bisect.bisect_right(starts, building) - 1]
             gen = ds[0].nodes[name]
             what = (f"node {name!r}: {gen.kind} of degree {gen.degree}, whose entries carry nu^{gen.nu_power}, "
@@ -1189,10 +1196,11 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     codes, then the plan's chain, node layouts and deltas.
 
     The batch size is how many diagrams of this shape ``_runs`` puts in
-    one batch: at most ``_MATMUL_MIN`` entries in any array, and at
-    least one diagram; one where the result has more than ``_TILE``
-    entries, so that only a whole result, one tile, carries a batch axis.
-    A size past a budget raises ``OverflowGuardError``.
+    one batch: at most ``_TILE`` entries in any array, and at least one
+    diagram.  The plan's top is at least the boundary rank, so a result
+    of more than ``_TILE`` entries runs alone and only a whole result, one
+    tile, carries a batch axis.  A size past a budget raises
+    ``OverflowGuardError``.
     """
     if ctx.dim != d.dim:
         raise DiagramError(f"context dimension {ctx.dim} != diagram dimension {d.dim}")
@@ -1212,7 +1220,7 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     if d.dim**degree > _MAX_DENSE:
         name = list(d.nodes)[node]
         raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
-    size = 1 if d.dim ** (d.n_inputs + d.n_outputs) > _TILE else max(_MATMUL_MIN // d.dim ** max(top, degree), 1)
+    size = max(_TILE // d.dim ** max(top, degree), 1)
     return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), size
 
 
@@ -1253,12 +1261,6 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     _, steps, layout, _ = _checked_plan(d, ctx)
     (data,) = _execute(steps, len(steps), layout, [d], ctx)
     return Tensor(ctx.dim, d.n_inputs, d.n_outputs, data)
-
-
-def evaluate_many(diagrams: Iterable[Diagram], ctx: MeasureContext) -> Iterator[Tensor]:
-    """``evaluate(d, ctx)`` for each diagram, in order, bit for bit, read as the tensors are asked for."""
-    for d in diagrams:
-        yield evaluate(d, ctx)
 
 
 def _cut(dim: int, n: int) -> tuple[int, int]:

@@ -233,27 +233,12 @@ def check_amp_dim(a: AmplitudeFn, dim: int) -> None:
 
 
 def amp_multiply(a: AmplitudeFn, b: AmplitudeFn, ctx: MeasureContext) -> AmplitudeFn:
-    """Pointwise product, in closed form when the variants match.
+    """Pointwise product, as a residues-only Table of both amplitudes' values on the window of `ctx`.
 
-    Falls back to a residues-only Table built by evaluating on the
-    window of `ctx`.
+    Each entry is Python's complex product, which can differ from
+    numpy's in the last bit.
     """
-    if isinstance(a, One):
-        return b
-    if isinstance(b, One):
-        return a
-    if isinstance(a, Zero) or isinstance(b, Zero):
-        return Zero()
-    if isinstance(a, Phase) and isinstance(b, Phase):
-        return Phase(a.theta + b.theta)
-    if isinstance(a, Stab) and isinstance(b, Stab):
-        return Stab(a.a + b.a, a.b + b.b)
-    if isinstance(a, Char) and isinstance(b, Char):
-        return Char(a.c + b.c)
-    if isinstance(a, UnitPow) and isinstance(b, UnitPow):
-        return UnitPow(a.alpha * b.alpha)
     window = ctx.residues()
-    # Python's complex product, which can differ from numpy's in the last bit
     return Table(tuple(x * y for x, y in zip(a.eval_arr(ctx, window).tolist(), b.eval_arr(ctx, window).tolist())))
 
 

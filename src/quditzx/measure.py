@@ -101,9 +101,13 @@ class MeasureContext:
                 raise TypeError(f"nu must be a real number, got {self.nu!r}")
         if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if math.isinf(self.nu):
+        try:
+            nu = float(self.nu)
+        except OverflowError:  # an int past the float range
+            nu = math.inf
+        if math.isinf(nu):
             raise ValueError(f"nu must be finite, got {self.nu}")
-        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "nu", nu)
 
     # -- derived constants -------------------------------------------------
 

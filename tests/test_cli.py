@@ -485,13 +485,24 @@ def test_a_non_finite_result_is_a_semantic_error(runner, tmp_path):
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
     assert res.stderr.startswith("evaluation failed: entry 0 of the tensor is not finite: ")
-    # an hbox factor nu^2 * 1.7e308 overflows in numpy: refused as it is built, with no warning
+    # an hbox factor nu^2 * 1.7e308 overflows in numpy: refused as it is built, with no warning, and named
     amp = 'amp={"type": "unit", "re": 1.7e308, "im": 0}'
     proc = run_fresh_python("-m", "quditzx.cli", "gadget", "diag_a2", "--dim", "2", "--nu", "2", "--param", amp,
                             "--emit-tensor")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "evaluation failed: a factor entry is out of range: overflow encountered in multiply\n"
+    assert proc.stderr == ("evaluation failed: a factor entry is out of range: node 'hbox2': hbox of degree 2, "
+                           "whose entries carry nu^2, leaves the float range at D=2\n")
+    # so does a green dot's weight, nu^-8 * 1e308 at the default nu
+    b = DiagramBuilder(3)
+    g = b.node(Generator.green(Table([1e308, 1, 1]), 0, 10), "g")
+    for _ in range(10):
+        b.wire(g, "out")
+    res = runner.invoke(cli.main, ["eval", write_diagram(tmp_path / "g.json", b.build())])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == ("evaluation failed: a factor entry is out of range: node 'g': green of degree 10, "
+                          "whose entries carry nu^-8, leaves the float range at D=3\n")
 
 
 def test_eval_of_a_legless_dot_past_the_float_range_is_a_semantic_error(runner, tmp_path):

@@ -30,7 +30,6 @@ from quditzx.diagram import (
     DiagramError,
     dump_json,
     evaluate,
-    evaluate_many,
     load_json,
     max_abs_diffs,
 )
@@ -1317,32 +1316,33 @@ def test_catalog_batches_are_bit_identical(monkeypatch, nu) -> None:
 
 
 def test_a_batch_keeps_input_order_across_shapes() -> None:
+    # pairs of sides of other draws, so that the errors lie far apart: a
+    # run of two ZX-GFP pairs, then shapes that change at every step
     ctx = MeasureContext(3)
     rng = np.random.default_rng(5)
-    pairs = [instantiate(CATALOG[rid], CATALOG[rid].sample(3, rng), ctx) for rid in ("ZX-GFP", "ZH-HM")]
-    pairs += [instantiate("ZX-GFP", CATALOG["ZX-GFP"].sample(3, rng), ctx) for _ in range(3)]
-    # a run of two ZX-GFP left sides, then shapes that change at every step
-    mixed = [pairs[2][0], pairs[0][0], pairs[1][1], pairs[3][0], pairs[1][0], pairs[4][0], pairs[0][1]]
-    got = list(evaluate_many(iter(mixed), ctx))
-    assert [t.data.tobytes() for t in got] == [evaluate(d, ctx).data.tobytes() for d in mixed]
-
-
-def test_an_empty_batch_gives_nothing() -> None:
-    assert list(evaluate_many([], MeasureContext(3))) == []
+    gfp = [instantiate("ZX-GFP", CATALOG["ZX-GFP"].sample(3, rng), ctx) for _ in range(4)]
+    hm = [instantiate("ZH-HM", CATALOG["ZH-HM"].sample(3, rng), ctx) for _ in range(3)]
+    mixed = [(gfp[0][0], gfp[1][0]), (gfp[2][0], gfp[3][0]), (hm[0][1], hm[1][1]), (gfp[0][1], gfp[3][1]),
+             (hm[0][0], hm[2][0]), (gfp[3][0], gfp[1][0]), (gfp[2][1], gfp[0][1])]
+    got = list(max_abs_diffs(iter(mixed), ctx))
+    want = [max_abs_diff(*(evaluate(d, ctx) for d in pair)) for pair in mixed]
+    gaps = np.diff(sorted(want))
+    assert gaps.min() > 0.01
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_a_batch_refuses_a_dimension_mismatch() -> None:
     ctx = MeasureContext(3)
-    wire3 = node_diagram(3, Generator.hplus())
+    wire3, wire4 = node_diagram(3, Generator.hplus()), node_diagram(4, Generator.hplus())
     with pytest.raises(DiagramError, match="context dimension 3 != diagram dimension 4"):
-        list(evaluate_many([wire3, node_diagram(4, Generator.hplus())], ctx))
+        list(max_abs_diffs([(wire3, wire3), (wire4, wire4)], ctx))
 
 
 def test_equal_diagrams_in_a_batch_get_their_own_arrays() -> None:
-    # each diagram gets an array that no other tensor shares
+    # each evaluation of one diagram gets an array that no other tensor shares
     ctx = MeasureContext(3)
     d = node_diagram(3, Generator.green(Phase(0.4), 1, 1))
-    first, second, third = evaluate_many([d, d, d], ctx)
+    first, second, third = (evaluate(d, ctx) for _ in range(3))
     want = evaluate(d, ctx).data.tobytes()
     first.data[...] = 0
     assert second.data.tobytes() == third.data.tobytes() == want
@@ -1382,25 +1382,16 @@ def looped_red(amp: Any) -> Diagram:
     return b.build()
 
 
-def test_evaluate_many_is_evaluate_of_each_diagram(monkeypatch) -> None:
-    # one executor call per diagram, each with evaluate's bytes; run in one
-    # batch with One(), the red dot at Phase(0.7) rounds apart from them
+def test_a_batch_may_round_apart_from_each_diagram_alone() -> None:
+    # run in one batch after the same diagram with One(), the red dot at
+    # Phase(0.7) rounds apart from what evaluate gives it (the example of
+    # the module notes)
     ctx = MeasureContext(2)
-    ds = [looped_red(One()), looped_red(Phase(0.7))] + [node_diagram(2, Generator.green(Phase(t), 1, 1))
-                                                        for t in (0.1, 0.2, 0.3)]
-    want = [evaluate(d, ctx).data.tobytes() for d in ds]
+    ds = [looped_red(One()), looped_red(Phase(0.7))]
     _, steps, layout, _ = dg._checked_plan(ds[0], ctx)
-    (batch,) = dg._execute(steps, len(steps), layout, ds[:2], ctx)
-    assert batch[1].tobytes() != want[1]
-    real, sizes = dg._execute, []
-
-    def counting(steps, stop, layout, ds, ctx):
-        sizes.append(len(ds))
-        return real(steps, stop, layout, ds, ctx)
-
-    monkeypatch.setattr(dg, "_execute", counting)
-    assert [t.data.tobytes() for t in evaluate_many(ds, ctx)] == want
-    assert sizes == [1] * len(ds)
+    (batch,) = dg._execute(steps, len(steps), layout, ds, ctx)
+    assert complex(batch[1][0]) == 0.1398256720148816-0.3830541286368297j
+    assert complex(evaluate(ds[1], ctx).data[0]) == 0.13982567201488166-0.38305412863682975j
 
 
 def test_a_side_wider_than_one_tile_runs_alone(monkeypatch) -> None:
@@ -1446,8 +1437,9 @@ def redrawn(draw, d: Diagram) -> Diagram:
 @given(small_diagrams(), st.data(), st.booleans(), st.sampled_from([None, 1]), st.sampled_from([None, 0.8]))
 def test_random_batches_match_each_diagram(d, data, split_all, matmul_min, nu) -> None:
     # copies of one diagram with re-drawn numbers, run as one batch by the
-    # executor, and one at a time by evaluate_many; with matmul_min=1
-    # every pairwise step runs once per batch entry
+    # executor, each entry within rounding of the diagram alone; with
+    # matmul_min=1 every pairwise step over the batch is one broadcasting
+    # np.matmul or np.multiply (_blocks)
     copies = [d] + [redrawn(data.draw, d) for _ in range(3)]
     ctx = MeasureContext(d.dim, nu)
     split_above = 0 if split_all else dg._SPLIT_ABOVE
@@ -1456,11 +1448,9 @@ def test_random_batches_match_each_diagram(d, data, split_all, matmul_min, nu) -
         want = [evaluate(c, ctx) for c in copies]
         _, steps, node_codes, _ = dg._checked_plan(d, ctx)
         (batch,) = dg._execute(steps, len(steps), node_codes, copies, ctx)
-        streamed = list(evaluate_many(copies, ctx))
     for k, w in enumerate(want):
         got = Tensor(d.dim, d.n_inputs, d.n_outputs, batch[k] if batch.ndim > w.data.ndim else batch)
-        for t in (got, streamed[k]):
-            assert max_abs_diff(t, w) <= 1e-12 * max(1.0, np.max(np.abs(w.data)))
+        assert max_abs_diff(got, w) <= 1e-12 * max(1.0, np.max(np.abs(w.data)))
 
 
 # -- the plan cache -------------------------------------------------------
@@ -1569,23 +1559,36 @@ def table_dot(dim: int, value: float, degree: int) -> Diagram:
 @pytest.mark.parametrize("case", ["hbox", "table product", "table power"])
 def test_factor_past_the_float_range_is_refused(case: str) -> None:
     # a numpy product (nu^2 * 1.7e308, 1e300 * nu^-2) or a Python power
-    # (nu^-4) past the float range: refused, with no warning and no NaN
+    # (nu^-4) past the float range: refused, with no warning and no NaN,
+    # and named by the node whose factor it was building
     if case == "hbox":
         ctx = MeasureContext(2, 2.0)
         amp = amp_from_json({"type": "unit", "re": 1.7e308, "im": 0})
         d = construct.build(construct.gadget_id("diag_a2", amp=amp), ctx)
+        what = "node 'hbox2': hbox of degree 2, whose entries carry nu\\^2, leaves the float range at D=2$"
     else:
         ctx = MeasureContext(3, 1e-5 if case == "table product" else 1e-100)
         d = table_dot(3, 1e300 if case == "table product" else 1.0, 4 if case == "table product" else 6)
-    # the Python power names the node it was building
-    what = "node 'green0': green of degree 6, whose entries carry nu\\^-4, leaves the float range at D=3"
-    what = what if case == "table power" else ""
+        power = "-2" if case == "table product" else "-4"
+        what = (f"node 'green0': green of degree {d.nodes['green0'].degree}, whose entries carry nu\\^{power}, "
+                "leaves the float range at D=3$")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowGuardError, match=f"^a factor entry is out of range: {what}"):
             evaluate(d, ctx)
         with pytest.raises(OverflowGuardError, match=f"^a factor entry is out of range: {what}"):
             list(max_abs_diffs([(d, d)], ctx))
+
+
+def test_an_overflow_in_a_steps_kernel_names_no_node(monkeypatch) -> None:
+    # each box's factor is finite; their outer product, one np.multiply
+    # on the matmul kernel, is not
+    monkeypatch.setattr(dg, "_MATMUL_MIN", 1)
+    b = DiagramBuilder(3)
+    for name in ("x", "y"):
+        b.wire(b.node(Generator.hbox(Table([1e200] * 3), 0, 1), name), "out")
+    with pytest.raises(OverflowGuardError, match="^a factor entry is out of range: overflow encountered in multiply$"):
+        evaluate(b.build(), MeasureContext(3, 1.0))
 
 
 def test_disconnected_pieces_are_refused_before_any_factor(monkeypatch) -> None:
@@ -1824,6 +1827,30 @@ def test_diagrams_that_differ_in_one_amplitude_or_one_edge_are_unequal() -> None
     assert d == two_dots(Phase(0.25), wiring) == load_json(dump_json(d))
     assert d != two_dots(Phase(0.75), wiring)
     assert d != two_dots(Phase(0.25), [(("in", 0), ("h", 0)), (("g", 1), ("g", 0))])
+
+
+def test_diagrams_whose_nodes_come_in_another_order_are_unequal() -> None:
+    # the same nodes, wired alike, added in another order: their files
+    # list the nodes in another order, and their port tables differ
+    nodes = {"g": Generator.green(Phase(0.25), 1, 1), "h": Generator.hbox(Phase(0.5), 1, 0)}
+    wiring = [(("in", 0), ("g", 0)), (("g", 1), ("h", 0))]
+    d = from_edges(3, nodes, wiring, 1, 0)
+    swapped = from_edges(3, dict(reversed(nodes.items())), wiring, 1, 0)
+    assert d.edges == swapped.edges and dump_json(d) != dump_json(swapped)
+    assert d != swapped and swapped != d
+    assert swapped == load_json(dump_json(swapped))
+
+
+def test_equality_derives_no_edge_tuples(monkeypatch) -> None:
+    def derive(d):
+        raise AssertionError("edges derived")
+
+    rng = np.random.default_rng(12)
+    ds = [random_diagram(rng, 3, 4, 1, 1) for _ in range(3)]
+    monkeypatch.setattr(dg, "_derive_edges", derive)
+    for d in ds:
+        assert d == load_json(dump_json(d))
+    assert ds[0] != ds[1]
 
 
 AMP_VARIANTS = [
@@ -2158,12 +2185,15 @@ def numbering_cases():
                     random_tensor(rng, dim, n_in, n_out), MeasureContext(dim))
 
 
+BORN = {"dim", "nodes", "_ports", "n_inputs", "n_outputs"}  # what a built or loaded diagram holds
+
+
 def test_numbered_port_tables_equal_validated_ones() -> None:
     # build() and load_json number ports as they wire or parse; each table
     # must be the one reference_ports numbers from the same diagram's edges
     n = 0
     for label, d in numbering_cases():
-        assert d._edges is None, label  # born of its table
+        assert set(vars(d)) == BORN, label  # born of its table, holding no edge tuples
         want = reference_ports(d.nodes, d.edges, d.n_outputs)
         assert list(d._ports) == want, label
         assert list(load_json(dump_json(d))._ports) == want, label
@@ -2179,7 +2209,7 @@ def test_numbered_port_tables_equal_validated_ones_on_random_diagrams(wiring: tu
     want = reference_ports(nodes, edges, n_out)
     d = from_edges(*wiring)
     for made in (d, load_json(dump_json(d))):
-        assert made._edges is None and list(made._ports) == want
+        assert set(vars(made)) == BORN and list(made._ports) == want
         assert made.edges == edges
 
 

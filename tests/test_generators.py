@@ -143,16 +143,18 @@ def test_sign_indicator_literal_membership():
     assert ind.eval(ctx, 5) == 0
 
 
-def test_amp_multiply_closed_forms():
-    ctx = MeasureContext(4)
-    assert amp_multiply(Stab(1, 0), Stab(2, 1), ctx) == Stab(3, 1)
-    assert amp_multiply(Char(1), Char(2), ctx) == Char(3)
-    p = amp_multiply(Phase(0.5), Phase(-0.5), ctx)
-    assert isinstance(p, Phase) and abs(p.theta) < 1e-15
-    u = amp_multiply(UnitPow(2j), UnitPow(3), ctx)
-    assert isinstance(u, UnitPow) and abs(u.alpha - 6j) < 1e-15
-    assert amp_multiply(One(), Zero(), ctx) == Zero()
-    assert amp_multiply(Stab(1, 1), One(), ctx) == Stab(1, 1)
+# one of each amplitude variant that a product once took in closed form
+FUSED_AMPS = [One(), Zero(), Phase(0.7), Stab(1, 2), Char(1), UnitPow(1.1 - 0.2j)]
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_amp_multiply_is_the_table_of_pointwise_products(dim):
+    ctx = MeasureContext(dim)
+    window = [int(t) for t in ctx.residues()]
+    for a in FUSED_AMPS:
+        for b in FUSED_AMPS:
+            want = Table(tuple(a.eval(ctx, t) * b.eval(ctx, t) for t in window))
+            assert amp_multiply(a, b, ctx) == want, (a, b)
 
 
 def test_amp_multiply_fallback_table():

@@ -90,15 +90,18 @@ def test_context_refuses_a_dimension_that_is_not_an_integer(dim):
     ("0.5", TypeError, "^nu must be a real number, got '0.5'$"),
     (1j, TypeError, "^nu must be a real number, got 1j$"),
     (float("inf"), ValueError, "^nu must be finite, got inf$"),
+    pytest.param(10**400, ValueError, f"^nu must be finite, got 1{'0' * 400}$", id="10**400"),
 ])
 def test_context_refuses_a_weight_that_is_not_a_finite_positive_real(nu, error, match):
     # an infinite nu passed ZX-GI, ZX-GFP and ZH-AI, True gave nu = 1.0,
-    # and a str or a complex raised a bare comparison TypeError
+    # a str or a complex raised a bare comparison TypeError, and an int
+    # past the float range a bare OverflowError
     with pytest.raises(error, match=match):
         MeasureContext(3, nu)
 
 
-@pytest.mark.parametrize("nu", [2, np.int64(2), np.float32(0.5), np.float64(0.5), 1e200, 1e-320])
+@pytest.mark.parametrize("nu", [2, np.int64(2), np.float32(0.5), np.float64(0.5), 1e200, 1e-320,
+                                pytest.param(10**300, id="10**300")])
 def test_context_stores_a_real_weight_as_a_float(nu):
     ctx = MeasureContext(3, nu)
     assert type(ctx.nu) is float and ctx.nu == float(nu)

@@ -22,7 +22,7 @@ import pytest
 import quditzx.diagram as dg
 import quditzx.rewrite as rw
 from quditzx.diagram import DiagramBuilder, dump_json, evaluate
-from quditzx.generators import Char, Generator, One, Stab
+from quditzx.generators import Char, Generator, One, Phase, Stab, Table, UnitPow, Zero
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.rewrite import (
     CATALOG,
@@ -876,12 +876,31 @@ def test_batched_cells_peak_like_one_sample():
     assert peak <= single + 2 * 2**20
 
 
+@pytest.mark.parametrize("rid, extra", [("ZX-GF", {"m1": 1, "n1": 1, "m2": 1, "n2": 1}), ("ZH-HM", {})],
+                         ids=["ZX-GF", "ZH-HM"])
+def test_fusion_rules_pass_on_every_pair_of_explicit_amplitudes(rid, extra):
+    # the fused node's amplitude is the Table of pointwise products, and
+    # the rule holds, for each pair of the variants that a product once
+    # took in closed form
+    amps = [One(), Zero(), Phase(0.7), Stab(1, 2), Char(1), UnitPow(1.1 - 0.2j)]
+    keys = ("Theta", "Phi") if rid == "ZX-GF" else ("A", "B")
+    for dim in range(2, 7):
+        ctx = MeasureContext(dim)
+        for a in amps:
+            for b in amps:
+                params = {keys[0]: a, keys[1]: b, **extra}
+                _, rhs = instantiate(rid, params, ctx)
+                assert [type(g.amp) for g in rhs.nodes.values() if g.amp is not None] == [Table], (a, b)
+                row = check_soundness(rid, params, ctx)
+                assert row["pass"], (dim, a, b, row)
+
+
 def test_check_all_holds_one_batch_of_sides(monkeypatch):
     # ZX-GFP draws two real angles, so its 200 draws are distinct; its
     # sides at D=3 have 3^2-entry arrays, so a cap of 72 entries makes
     # batches of 8; at each run no more than one batch of pairs is alive,
     # however many samples the cell has
-    monkeypatch.setattr(dg, "_MATMUL_MIN", 8 * 9)
+    monkeypatch.setattr(dg, "_TILE", 8 * 9)
     real_instantiate, real_execute = rw.instantiate, dg._execute
     built: list = []
     sizes, live = [], []
