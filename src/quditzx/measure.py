@@ -103,8 +103,8 @@ class MeasureContext:
             raise ValueError(f"nu must be positive, got {self.nu}")
         try:
             nu = float(self.nu)
-        except OverflowError:  # an int past the float range
-            nu = math.inf
+        except OverflowError:  # an int past the float range, whose digits may be too many to print
+            raise ValueError("nu must be finite, got a value past the float range") from None
         if math.isinf(nu):
             raise ValueError(f"nu must be finite, got {self.nu}")
         object.__setattr__(self, "nu", nu)

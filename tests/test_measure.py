@@ -90,7 +90,8 @@ def test_context_refuses_a_dimension_that_is_not_an_integer(dim):
     ("0.5", TypeError, "^nu must be a real number, got '0.5'$"),
     (1j, TypeError, "^nu must be a real number, got 1j$"),
     (float("inf"), ValueError, "^nu must be finite, got inf$"),
-    pytest.param(10**400, ValueError, f"^nu must be finite, got 1{'0' * 400}$", id="10**400"),
+    pytest.param(10**400, ValueError, "^nu must be finite, got a value past the float range$", id="10**400"),
+    pytest.param(10**5000, ValueError, "^nu must be finite, got a value past the float range$", id="10**5000"),
 ])
 def test_context_refuses_a_weight_that_is_not_a_finite_positive_real(nu, error, match):
     # an infinite nu passed ZX-GI, ZX-GFP and ZH-AI, True gave nu = 1.0,
