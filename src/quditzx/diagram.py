@@ -163,7 +163,6 @@ import numpy as np
 from quditzx.generators import (
     KINDS,
     Generator,
-    Legs,
     amp_from_json,
     amp_to_json,
     check_amp_dim,
@@ -772,14 +771,15 @@ def _plan(codes: array) -> _Plan:
         heapq.heappush(heap, first)
         return first[1], second[1]
 
-    def externals(i: int, j: int) -> int:
-        # rank of the factor produced by merging i and j
-        n = 0
+    def survivors(i: int, j: int) -> list[int]:
+        # the labels of the factor made by merging i and j, in order: those
+        # of i then j that the boundary or another factor still reads
+        labs = []
         for lab in dict.fromkeys(labels[i] + labels[j]):
             fids = index[lab]
             if lab in required or len(fids) - (i in fids) - (j in fids) > 0:
-                n += 1
-        return n
+                labs.append(lab)
+        return labs
 
     def label_cost(lab: int):
         fids = index.get(lab)
@@ -798,7 +798,7 @@ def _plan(codes: array) -> _Plan:
             hub = 1
             si, sj = hub_pair(lab, fids)
             ri, rj = len(labels[si]), len(labels[sj])
-        return (hub, externals(si, sj), ri + rj), si, sj
+        return (hub, len(survivors(si, sj)), ri + rj), si, sj
 
     # pair selection via a lazy heap; stale entries are revalidated on pop
     heap: list[tuple[tuple[int, int, int], int, int]] = []
@@ -830,13 +830,8 @@ def _plan(codes: array) -> _Plan:
             i, j = choice
         la, lb = labels[i], labels[j]
         touched = list(dict.fromkeys(la + lb))
-        keep = set(required)
-        for lab in touched:
-            fids = index.get(lab, ())
-            if len(fids) - (i in fids) - (j in fids) > 0:
-                keep.add(lab)
+        labs = survivors(i, j)
         names = {lab: k for k, lab in enumerate(touched)}
-        labs = [l for l in touched if l in keep]
         emit(i, j, [names[l] for l in la], [names[l] for l in lb], [names[l] for l in labs])
         for lab in touched:
             fids = index.get(lab)
@@ -908,17 +903,18 @@ def _split_factors(ctx: MeasureContext, gen: Generator, legs: Sequence[np.ndarra
 
     Entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j): the vector
     c, then the matrix omega^(t x) once per leg, all on one index t.
-    From the generator formulas, c(t) = nu^(2+deg) * A(t) for a red dot
-    and nu^(deg-2) / D for a gray one.  ``legs`` holds the residues x of
+    From the generator formulas, c(t) = nu^k * A(t) for a red dot and
+    nu^k / D for a gray one, k the dot's ``nu_power`` (2+deg and deg-2,
+    as in the table of ``generators``).  ``legs`` holds the residues x of
     each leg over its label, the window by default; legs that hold one
     array share one matrix.
     """
     D, deg = ctx.dim, gen.degree
     sv = ctx.residues()
     if gen.kind == "red":
-        coeff = ctx.nu ** (2 + deg) * np.asarray(gen.amp.eval_arr(ctx, sv), dtype=complex)
+        coeff = ctx.nu**gen.nu_power * np.asarray(gen.amp.eval_arr(ctx, sv), dtype=complex)
     else:
-        coeff = np.full(D, ctx.nu ** (deg - 2) / D, dtype=complex)
+        coeff = np.full(D, ctx.nu**gen.nu_power / D, dtype=complex)
     legs = [sv] * deg if legs is None else legs
     phases: dict[int, np.ndarray] = {}
     for x in legs:
@@ -1013,7 +1009,7 @@ class _Share:
 
     __slots__ = ("recipe", "left", "array")
 
-    def __init__(self, recipe: Generator | tuple) -> None:
+    def __init__(self, recipe: tuple) -> None:
         self.recipe, self.left, self.array = recipe, 0, None
 
 
@@ -1065,15 +1061,15 @@ def _execute(
         return x
 
     # a factor is its recipe until a step first needs its array: the
-    # generator of a node whose legs read labels of their own, in order,
-    # with no map (a white dot's weight is the same at every residue, so
-    # it is one of these), else (generator, (positions, maps), offsets),
-    # where a delta's generator is None.  np.array stacks equal-shape
-    # arrays as np.stack does, at a quarter of its cost.  Equal recipes of
-    # parameter-free generators share one array through a _Share; factors
-    # with an amplitude are built per node
-    def entries(r: Generator | tuple) -> np.ndarray:
-        gen, lay, offs = (r, _PLAIN, ()) if type(r) is Generator else r
+    # tuple (generator, (positions, maps), offsets), where a delta's
+    # generator is None.  A node whose legs read labels of their own, in
+    # order, with no map has the layout _PLAIN and no offsets, and so has
+    # a white dot, whose weight is the same at every residue.  np.array
+    # stacks equal-shape arrays as np.stack does, at a quarter of its
+    # cost.  Equal recipes of parameter-free generators share one array
+    # through a _Share; factors with an amplitude are built per node
+    def entries(r: tuple) -> np.ndarray:
+        gen, lay, offs = r
         if gen is None:  # a boundary delta [b, w]: 1 where b is w's residue
             delta = np.eye(D, dtype=complex)
             return delta[:, mapped(lay[1][0], offs[0]) - ctx.lower] if offs else delta
@@ -1082,27 +1078,23 @@ def _execute(
         deg = gen.degree
         if not deg:
             return generator_entries(ctx, gen)
-        key = deg if lay is _PLAIN else (lay, offs, deg)
+        key = (lay, offs, deg)
         legs = built.get(key)
-        if legs is None and lay is _PLAIN:
-            legs = built[key] = Legs.window(ctx, deg)
-        elif legs is None:  # each leg's residues along its label's axis
+        if legs is None:  # each leg's residues along its label's axis
             positions, maps = lay
             n = max(positions) + 1 if positions else deg
             xs = [mapped(m, t) for m, t in zip(maps, offs)] if maps else [mapped(0, 0)] * deg
-            legs = built[key] = Legs(
+            legs = built[key] = [
                 x.reshape((D,) + (1,) * (n - 1 - (positions[j] if positions else j))) for j, x in enumerate(xs)
-            )
+            ]
         return generator_entries(ctx, gen, legs)
 
-    def split(r: Generator | tuple) -> list[np.ndarray]:
-        if type(r) is Generator:
-            return _split_factors(ctx, r)
+    def split(r: tuple) -> list[np.ndarray]:
         gen, (_, maps), offs = r
-        return _split_factors(ctx, gen, [mapped(m, t) for m, t in zip(maps, offs)])
+        return _split_factors(ctx, gen, [mapped(m, t) for m, t in zip(maps, offs)] if maps else None)
 
     factors: list[Any] = []
-    shares: dict[Generator | tuple, _Share] = {}
+    shares: dict[tuple, _Share] = {}
     starts: list[int] = []  # each node's first slot
     building = None  # the slot whose factor is being built, if any
 
@@ -1117,7 +1109,7 @@ def _execute(
         elif type(f) is list:  # one recipe per diagram
             arr = np.array([entries(r) for r in f])
         else:
-            arr = entries(f) if type(f) is tuple or type(f) is Generator else f
+            arr = entries(f) if type(f) is tuple else f
         building = None
         return arr
 
@@ -1131,23 +1123,21 @@ def _execute(
                     factors.append(None)
                     continue
                 gen = col[0]
+                if gen.kind == "white":
+                    lay = _PLAIN
+                # each diagram's offsets of the legs' maps; a plain node has none
+                offs = [()] * len(ds) if lay is _PLAIN else [tuple(ts[m] for m in lay[1]) for ts in offsets]
+                first = (gen, lay, offs[0])
                 batch = None  # one recipe per diagram where they differ
-                if lay is _PLAIN or gen.kind == "white":
-                    first = gen
-                    if many and not all(map(gen.__eq__, col[1:])):
-                        batch = list(col)
-                else:
-                    offs = [tuple(ts[m] for m in lay[1]) for ts in offsets]
-                    first = (gen, lay, offs[0])
-                    if many and not (all(map(gen.__eq__, col[1:])) and all(map(offs[0].__eq__, offs[1:]))):
-                        batch = list(zip(col, itertools.repeat(lay), offs))
+                if many and not (all(map(gen.__eq__, col[1:])) and all(map(offs[0].__eq__, offs[1:]))):
+                    batch = list(zip(col, itertools.repeat(lay), offs))
                 if code & 3 == _SPLIT:
                     pieces = split(first)
                     # the coefficient vector stacks where the generators
                     # differ, leg j's matrix where its offset does
                     if batch:
                         others = [split(r) for r in batch[1:]]
-                        parts = [(r,) if type(r) is Generator else (r[0], *r[2]) for r in batch]
+                        parts = [(r[0], *r[2]) for r in batch]
                         for j in range(len(pieces)):
                             if any(p[j : j + 1] != parts[0][j : j + 1] for p in parts):
                                 pieces[j] = np.array([pieces[j]] + [o[j] for o in others])

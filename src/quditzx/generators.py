@@ -1,7 +1,9 @@
 """Amplitude functions and the semantic map for the eight generators.
 
 Generator kinds and their tensor entries (deg = total legs, all axes
-enumerated over the residue window; nu is the measure weight):
+enumerated over the residue window; nu is the measure weight).  Each
+kind's power of nu is a + b * deg, its ``(a, b)`` in ``_NU_POWER``, and
+every entry builder reads it there, through ``Generator.nu_power``:
 
 ==========  =========================================================
 green(T)    diagonal: entry nu^(2-deg) * T(v) when every leg equals v
@@ -349,6 +351,10 @@ def amp_from_json(obj: Any) -> AmplitudeFn:
 KINDS = ("green", "red", "hplus", "hminus", "white", "hbox", "gray", "not")
 _AMP_KINDS = ("green", "red", "hbox")
 _TWO_LEG_KINDS = ("hplus", "hminus", "not")
+# each kind's power of nu as (at no legs, per leg): degree deg carries
+# nu^(at no legs + deg * per leg), as in the module table
+_NU_POWER = {"green": (2, -1), "white": (2, -1), "red": (2, 1), "hbox": (0, 1), "gray": (-2, 1),
+             "hplus": (2, 0), "hminus": (2, 0), "not": (0, 0)}
 
 
 @dataclass(frozen=True)
@@ -392,10 +398,9 @@ class Generator:
 
     @property
     def nu_power(self) -> int:
-        """The exponent of nu in the generator's entries (see the module table)."""
-        deg = self.degree
-        return {"green": 2 - deg, "white": 2 - deg, "red": 2 + deg, "hbox": deg, "gray": deg - 2,
-                "hplus": 2, "hminus": 2, "not": 0}[self.kind]
+        """The exponent of nu in the generator's entries (see ``_NU_POWER``)."""
+        at_no_legs, per_leg = _NU_POWER[self.kind]
+        return at_no_legs + per_leg * self.degree
 
     # convenience constructors
     @staticmethod
@@ -434,29 +439,6 @@ class Generator:
 # ---------------------------------------------------------------- entry builders
 
 
-class Legs(list):
-    """The legs of a factor: one int64 array per leg, holding the residue
-    the leg takes at each point of the factor's labels, all broadcastable
-    to the factor's shape.  Their product is made once, when first asked
-    for, so H-boxes on equal legs share it."""
-
-    _product: np.ndarray | None = None
-
-    @classmethod
-    def window(cls, ctx: MeasureContext, deg: int) -> "Legs":
-        """deg legs on labels of their own: leg j holds the window along axis j."""
-        vals = ctx.residues()
-        return cls(vals.reshape((-1,) + (1,) * (deg - 1 - j)) for j in range(deg))
-
-    def sum(self) -> np.ndarray:
-        return functools.reduce(np.add, self)
-
-    def product(self) -> np.ndarray:
-        if self._product is None:
-            self._product = functools.reduce(np.multiply, self)
-        return self._product
-
-
 def diagonal_weight(ctx: MeasureContext, g: Generator, vals: np.ndarray | None = None) -> np.ndarray:
     """A green or white dot's entries where all legs equal v, for v in ``vals``.
 
@@ -472,27 +454,28 @@ def diagonal_weight(ctx: MeasureContext, g: Generator, vals: np.ndarray | None =
         # the entries a slice at a time: no list of all D of them is made
         w = amp.eval_arr(ctx, ctx.residues())
         total = sum(itertools.chain.from_iterable(w[k : k + 4096].tolist() for k in range(0, len(w), 4096)))
-        weight = np.asarray(complex(ctx.nu**2 * total))
+        weight = np.asarray(complex(ctx.nu**g.nu_power * total))
         if not np.isfinite(weight):
             raise OverflowGuardError(f"the weight of a legless {g.kind} dot leaves the float range")
         return weight
     vals = ctx.residues() if vals is None else vals
-    return np.asarray(amp.eval_arr(ctx, vals) * ctx.nu ** (2 - g.degree), dtype=complex)
+    return np.asarray(amp.eval_arr(ctx, vals) * ctx.nu**g.nu_power, dtype=complex)
 
 
-def generator_entries(ctx: MeasureContext, g: Generator, legs: Legs | None = None) -> np.ndarray:
+def generator_entries(ctx: MeasureContext, g: Generator, legs: list[np.ndarray] | None = None) -> np.ndarray:
     """Dense entry array of a generator (order-symmetric formulas).
 
-    ``legs`` gives each leg's residues over the factor's labels (see
-    ``Legs``).  Several legs may read one label (a repeated label gives
-    the diagonal directly), and a leg may read a label through a map, so
-    a factor is built on the labels it is contracted on.  The default,
-    ``Legs.window``, gives each leg a label of its own, which is the
-    generator's tensor over all deg legs.
+    ``legs`` holds one int64 array per leg: the residue the leg takes at
+    each point of the factor's labels, all broadcastable to the factor's
+    shape.  Several legs may read one label (a repeated label gives the
+    diagonal directly), and a leg may read a label through a map, so a
+    factor is built on the labels it is contracted on.  By default each
+    leg has a label of its own, axis j holding leg j's window, which gives
+    the generator's tensor over all deg legs.
     """
     D, deg, nu = ctx.dim, g.degree, ctx.nu
-    if legs is None and deg:
-        legs = Legs.window(ctx, deg)
+    if legs is None:
+        legs = [ctx.residues().reshape((-1,) + (1,) * (deg - 1 - j)) for j in range(deg)]
     if g.kind in ("green", "white"):
         w = diagonal_weight(ctx, g)
         if deg == 0:
@@ -505,25 +488,25 @@ def generator_entries(ctx: MeasureContext, g: Generator, legs: Legs | None = Non
         jv = ctx.residues()
         if deg == 0:
             # only s = 0 is read, where every omega^(j*s) is 1
-            return np.asarray(nu**2 * g.amp.eval_arr(ctx, jv).sum())
+            return np.asarray(nu**g.nu_power * g.amp.eval_arr(ctx, jv).sum())
         # w[s] for s = L_D..U_D: nu^(2+deg) * sum_j A(j) * omega^(j*s)
-        w = nu ** (2 + deg) * (g.amp.eval_arr(ctx, jv) @ omega_pow_arr(ctx, np.outer(jv, jv)))
-        return w[(legs.sum() - ctx.lower) % D]
+        w = nu**g.nu_power * (g.amp.eval_arr(ctx, jv) @ omega_pow_arr(ctx, np.outer(jv, jv)))
+        return w[(functools.reduce(np.add, legs) - ctx.lower) % D]
     if g.kind == "gray":
+        weight = complex(nu**g.nu_power)
         if deg == 0:
-            return np.asarray(complex(nu**-2))
-        return np.where(legs.sum() % D == 0, complex(nu ** (deg - 2)), 0j)
+            return np.asarray(weight)
+        return np.where(functools.reduce(np.add, legs) % D == 0, weight, 0j)
     if g.kind in ("hplus", "hminus"):
         sign = 1 if g.kind == "hplus" else -1
-        return nu**2 * omega_pow_arr(ctx, sign * legs.product())
+        return nu**g.nu_power * omega_pow_arr(ctx, sign * functools.reduce(np.multiply, legs))
     if g.kind == "hbox":
         if deg == 0:
             return np.asarray(g.amp.eval_arr(ctx, np.ones((), dtype=np.int64)), dtype=complex)
-        if legs._product is None:
-            checked_i64(max(abs(ctx.lower), ctx.upper, 1) ** deg, "hbox leg product bound")
-        return nu**deg * g.amp.eval_arr(ctx, legs.product())
+        checked_i64(max(abs(ctx.lower), ctx.upper, 1) ** deg, "hbox leg product bound")
+        return nu**g.nu_power * g.amp.eval_arr(ctx, functools.reduce(np.multiply, legs))
     if g.kind == "not":
-        return np.where((legs.sum() + g.c % D) % D == 0, 1.0 + 0j, 0j)
+        return np.where((functools.reduce(np.add, legs) + g.c % D) % D == 0, 1.0 + 0j, 0j)
     raise ValueError(f"unknown kind {g.kind!r}")
 
 

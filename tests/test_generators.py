@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quditzx.diagram as dg
 from quditzx.generators import (
     Char,
     DomainError,
@@ -275,11 +276,32 @@ NU_KINDS = [
 
 @pytest.mark.parametrize("kind,amp", NU_KINDS, ids=[k for k, _ in NU_KINDS])
 def test_nu_power_is_the_power_of_nu_in_the_entries(kind, amp):
-    # at nu=2 every entry is 2^k times the entry at nu=1, exactly
-    for deg in [2] if kind in ("hplus", "hminus", "not") else range(5):
-        g = Generator(kind, deg // 2, deg - deg // 2, amp=amp, c=1 if kind == "not" else 0)
-        at_one = generator_entries(MeasureContext(3, 1.0), g)
-        assert np.array_equal(generator_entries(MeasureContext(3, 2.0), g), 2.0**g.nu_power * at_one), deg
+    # at nu=2 every entry is 2^k times the entry at nu=1, bit for bit: the
+    # dense entries, a red or gray dot's character coefficients (whose
+    # phase matrices carry no nu), and a diagonal dot's weight, on the
+    # window and on mapped residues
+    def same(a, b) -> bool:
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    for D in (3, 4, 7):
+        one, two = MeasureContext(D, 1.0), MeasureContext(D, 2.0)
+        v = one.residues()
+        # leg j reads s * v + t for the j-th (s, t); legs 0 and 3 share one array
+        mapped = [(s * v + t - one.lower) % D + one.lower for s, t in [(-1, 1), (1, 2), (-1, 0)]]
+        mapped.append(mapped[0])
+        for deg in [2] if kind in ("hplus", "hminus", "not") else range(5):
+            g = Generator(kind, deg // 2, deg - deg // 2, amp=amp, c=1 if kind == "not" else 0)
+            scale = 2.0**g.nu_power
+            assert same(generator_entries(two, g), scale * generator_entries(one, g)), (D, deg)
+            if kind in ("red", "gray"):
+                for legs in (None, mapped[:deg]):
+                    (c1, *m1), (c2, *m2) = dg._split_factors(one, g, legs), dg._split_factors(two, g, legs)
+                    assert same(c2, scale * c1), (D, deg, legs is None)
+                    assert len(m1) == len(m2) == deg and all(map(same, m1, m2)), (D, deg)
+            if kind in ("green", "white") and deg:
+                for vals in (None, mapped[0], mapped[1]):
+                    assert same(diagonal_weight(two, g, vals), scale * diagonal_weight(one, g, vals)), (D, deg)
 
 
 def test_white_dot_is_identity():

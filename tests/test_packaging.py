@@ -204,6 +204,18 @@ def test_bench_pairs_verdict(base, head, wins, lower, want) -> None:
     assert pairs.verdict(base, head, wins, 0.15, lower) == want
 
 
+def test_bench_pairs_claims_no_gain_where_the_head_failed_more_ops() -> None:
+    """A head that failed more ops than the base gets no ``gain``; the
+    other verdicts do not read the failures."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    won = ([80.0, 82.0, 84.0], [45.0, 46.0, 47.0], 10, 0.15, True)
+    assert pairs.verdict(*won, more_failed=False) == "gain"
+    assert pairs.verdict(*won, more_failed=True) == "flat"
+    assert pairs.verdict([80.0, 82.0, 84.0], [95.0, 95.0, 96.0], 0, 0.15, True, more_failed=True) == "worse"
+
+
 def test_package_parses_at_the_declared_python_floor() -> None:
     """Syntax newer than ``requires-python`` allows fails here, with no
     interpreter of that version needed."""

@@ -24,9 +24,11 @@ pairs in which the head was better.  ``BENCH_<workload>.json`` at the
 repository root is the workload's trajectory: a list of records, oldest
 first, to which each run appends its own.
 
-After each workload's record it prints one verdict per end-to-end metric
-(see ``verdict``): ``gain``, ``worse``, ``unresolved`` or ``flat``.  The
-record does not hold them.
+After each workload's record it prints the failed ops of each side,
+summed over the pairs, and one verdict per end-to-end metric (see
+``verdict``): ``gain``, ``worse``, ``unresolved`` or ``flat``.  A metric
+reads ``gain`` only where the head failed no more ops than the base.  The
+record does not hold the verdicts.
 """
 
 from __future__ import annotations
@@ -105,20 +107,23 @@ def record(spec: dict, workload: str, commits: dict, trees: dict) -> dict:
     }
 
 
-def verdict(base: list[float], head: list[float], wins: int, bound: float, lower: bool) -> str:
+def verdict(base: list[float], head: list[float], wins: int, bound: float, lower: bool, *,
+            more_failed: bool = False) -> str:
     """One metric's verdict from each side's quartiles ``[q1, median, q3]``.
 
     ``wins`` is the number of pairs the head won, and ``bound`` the
-    relative bound ``BENCHMARK.json`` gives the metric.  In this order:
-    ``gain`` if the head won all pairs but at most one and its median is
-    better than the base's by more than the base's IQR; ``worse`` if its
+    relative bound ``BENCHMARK.json`` gives the metric, and
+    ``more_failed`` whether the head failed more ops than the base.  In
+    this order: ``gain`` if the head failed no more ops, won all pairs
+    but at most one and its median is better than the base's by more
+    than the base's IQR; ``worse`` if its
     median is worse by more than ``bound`` of the base median;
     ``unresolved`` if the base's IQR is more than ``bound`` of its median;
     else ``flat``.
     """
     (b1, bm, b3), hm = base, head[1]
     better = bm - hm if lower else hm - bm
-    if wins >= PAIRS - 1 and better > b3 - b1:
+    if not more_failed and wins >= PAIRS - 1 and better > b3 - b1:
         return "gain"
     if -better > bound * abs(bm):
         return "worse"
@@ -165,10 +170,14 @@ def main() -> int:
             append(workload, rec)  # each workload's record is kept as soon as it is whole
             print(json.dumps({"workload": workload, **{k: rec[k] for k in ("quartiles", "head_better_pairs")}},
                              indent=1))
+            failed = {side: sum(p[side]["failed"] for p in rec["pairs"]) for side in commits}
+            print(f"{workload} failed ops: {failed['base']} -> {failed['head']} (summed over {PAIRS} pairs)")
+            more_failed = failed["head"] > failed["base"]
             for m in spec["end_to_end"]:
                 k, wins = m["name"], rec["head_better_pairs"][m["name"]]
                 base, head = rec["quartiles"]["base"][k], rec["quartiles"]["head"][k]
-                print(f"{workload} {k}: {verdict(base, head, wins, m['bound'], m['better'] == 'lower')} "
+                said = verdict(base, head, wins, m["bound"], m["better"] == "lower", more_failed=more_failed)
+                print(f"{workload} {k}: {said} "
                       f"(median {base[1]:.4g} -> {head[1]:.4g}, head better in {wins}/{PAIRS} pairs)")
     finally:
         shutil.rmtree(work, ignore_errors=True)
