@@ -61,9 +61,9 @@ merged last, against the full-size result.  For each index the
 candidate pair is its two lowest-rank factors; an index shared by
 three or more factors (a hub, such as a fan-out dot) keeps them in a
 lazy min-heap instead of sorting its factors on every step.  The
-planner reads only ranks, so diagonal and dense node factors are built
-only when a contraction first needs their array and are dropped once
-merged; a fan-out's many selector boxes never all exist at once.
+planner reads only ranks, so a factor with an amplitude is built only
+when a contraction first needs its array and is dropped once merged; a
+fan-out's many selector boxes never all exist at once.
 
 Each pairwise step (a merge) runs on one of two kernels, picked by its
 size; the order is the same for both.  A step over u distinct labels
@@ -93,7 +93,10 @@ only integers, never a diagram or an array.  Every call, cached plan or not, che
 against ``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any factor
 array from the context.  Within one call, equal parameter-free
 generators (white, gray, not, hplus, hminus) on equal legs share one
-factor array; factors with an amplitude are built per node.
+factor array: it is built once, as the first node that holds it is set
+up, every slot that holds it refers to it, and reference counting frees
+it when the last slot lets go.  Factors with an amplitude are built per
+node.
 
 Rule sides are compared in one fold (``max_abs_diffs``), the only code
 that batches: consecutive pairs whose left sides share a shape, and
@@ -170,7 +173,7 @@ from quditzx.generators import (
     generator_entries,
 )
 from quditzx.measure import MeasureContext, OverflowGuardError, dimension
-from quditzx.tensor import ShapeError, Tensor, strict_int
+from quditzx.tensor import ShapeError, Tensor, finite, strict_int
 
 Port = tuple[str, int]
 Edge = tuple[Port, Port]
@@ -722,7 +725,8 @@ def _plan(codes: array) -> _Plan:
                 index.setdefault(lab, set()).add(i)
         return index
 
-    # sum out labels that occur only inside one factor
+    # sum out labels that occur only inside one factor first: _blocks
+    # needs every label of a merge to be in its output or in both operands
     index = build_index()
     keep_global = required | {lab for lab, fids in index.items() if len(fids) >= 2}
     for i in list(live):
@@ -1004,15 +1008,6 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
     return next(blocks)
 
 
-class _Share:
-    """One factor array for equal recipes: built when a slot first needs it, dropped once the last has it."""
-
-    __slots__ = ("recipe", "left", "array")
-
-    def __init__(self, recipe: tuple) -> None:
-        self.recipe, self.left, self.array = recipe, 0, None
-
-
 def _execute(
     steps: tuple, stop: int, layout: tuple, ds: Sequence[Diagram], ctx: MeasureContext
 ) -> list[np.ndarray]:
@@ -1028,13 +1023,20 @@ def _execute(
     ``stop``, slot i then slot j; with ``stop == len(steps)``, the result
     alone, in boundary order, with the batch axis in front if it has one.
     A plan of no steps leaves its one factor as the result; with no
-    factor at all the result is the scalar 1.  Factors and steps run
-    under ``np.errstate(over="raise")``, so an entry past the float range,
-    from Python or from numpy, raises ``OverflowGuardError``.  One in a
-    factor's build, whose error says only that it left the range, is
-    named by the node (of the first diagram) whose factor it was building
-    and by that factor's power of nu; one in a step's kernel keeps numpy's
-    text, and an ``OverflowGuardError`` its own.
+    factor at all the result is the scalar 1.  Parameter-free factors
+    are built as their first node is set up, one array for each equal
+    recipe, which every slot holding it refers to; it is freed when the
+    last of them lets go.  Other factors are built when a step first
+    reads them.  Factors and steps run under ``np.errstate(over="raise")``,
+    so an entry past the float range, from Python or from a numpy ufunc
+    or ``np.matmul``, raises ``OverflowGuardError``; ``np.einsum`` ignores
+    that setting, so an einsum step gives inf or NaN instead, which the
+    callers catch (``tensor.finite`` in ``evaluate``, a non-finite error
+    in ``rewrite.check_all``).  One in a factor's build, whose error says
+    only that it left the range, is named by the node (of the first
+    diagram) whose factor it was building, the first in node order that
+    holds it, and by that factor's power of nu; one in a step's kernel
+    keeps numpy's text, and an ``OverflowGuardError`` its own.
     """
     D = ctx.dim
     if not ds[0].nodes and not ds[0].n_outputs + ds[0].n_inputs:
@@ -1066,8 +1068,9 @@ def _execute(
     # order, with no map has the layout _PLAIN and no offsets, and so has
     # a white dot, whose weight is the same at every residue.  np.array
     # stacks equal-shape arrays as np.stack does, at a quarter of its
-    # cost.  Equal recipes of parameter-free generators share one array
-    # through a _Share; factors with an amplitude are built per node
+    # cost.  Equal recipes of parameter-free generators share one array,
+    # built as the first node that holds it is set up; factors with an
+    # amplitude are built per node
     def entries(r: tuple) -> np.ndarray:
         gen, lay, offs = r
         if gen is None:  # a boundary delta [b, w]: 1 where b is w's residue
@@ -1094,7 +1097,7 @@ def _execute(
         return _split_factors(ctx, gen, [mapped(m, t) for m, t in zip(maps, offs)] if maps else None)
 
     factors: list[Any] = []
-    shares: dict[tuple, _Share] = {}
+    shares: dict[tuple, np.ndarray] = {}
     starts: list[int] = []  # each node's first slot
     building = None  # the slot whose factor is being built, if any
 
@@ -1102,11 +1105,7 @@ def _execute(
         # the slot lets go, so a step's kernel holds the last reference
         nonlocal building
         building, f, factors[k] = k, factors[k], None
-        if type(f) is _Share:
-            f.left -= 1
-            arr = entries(f.recipe) if f.array is None else f.array
-            f.array = arr if f.left else None
-        elif type(f) is list:  # one recipe per diagram
+        if type(f) is list:  # one recipe per diagram
             arr = np.array([entries(r) for r in f])
         else:
             arr = entries(f) if type(f) is tuple else f
@@ -1147,9 +1146,10 @@ def _execute(
                 else:
                     share = shares.get(first)
                     if share is None:
-                        share = shares[first] = _Share(first)
-                    share.left += 1
+                        share = shares[first] = entries(first)
                     factors.append(share)
+            # each slot now holds its shared array, which is freed when the last lets go
+            shares.clear()
             # the boundary deltas, each built when a step reads it
             for m in deltas:
                 if not m:
@@ -1247,10 +1247,15 @@ def _runs(items: Iterable[tuple[Diagram, ...]], ctx: MeasureContext) -> Iterator
 
 
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
-    """Contract the diagram to its tensor, in boundary order; a size past a budget raises ``OverflowGuardError``."""
+    """Contract the diagram to its tensor, in boundary order.
+
+    A size past a budget raises ``OverflowGuardError``, and so does a
+    NaN or infinite entry of the result (``tensor.finite``): numpy's
+    einsum does not trap an overflow, so a step can give inf or NaN.
+    """
     _, steps, layout, _ = _checked_plan(d, ctx)
     (data,) = _execute(steps, len(steps), layout, [d], ctx)
-    return Tensor(ctx.dim, d.n_inputs, d.n_outputs, data)
+    return finite(Tensor(ctx.dim, d.n_inputs, d.n_outputs, data))
 
 
 def _cut(dim: int, n: int) -> tuple[int, int]:

@@ -6,10 +6,14 @@ its parameters, declared once in order, each with a :class:`Kind`:
 angle), ``AMP`` (an amplitude function) or ``NAT(hi)`` (an arity).  A
 kind pairs the domain check with the draw the soundness matrix samples
 from, so a rule's validator and sampler both follow from that one
-declaration.  Only ZX-ZCP and ZX-ZSP, whose domains are not a product
-of kinds, add a hand-written check and draw; ZH-EC declares one kind of
-its own, a nonzero complex alpha.  Rule ids follow the standard short
-names (ZX-*, ZXH-*, ZH-*).
+declaration.  The check also parses the value, once: an ``int`` for
+``INT``, ``UNIT`` and ``NAT``, a ``float`` for ``REAL``, the amplitude
+itself for ``AMP``.  A pair builder takes the context, then each
+parameter as a keyword of its declared name, already of that type.
+Only ZX-ZCP and ZX-ZSP, whose domains are not a product of kinds, add a
+hand-written check (on the parsed values) and draw; ZH-EC declares one
+kind of its own, a nonzero complex alpha, parsed as a ``complex``.  Rule
+ids follow the standard short names (ZX-*, ZXH-*, ZH-*).
 
 The ZX and ZH fragments state many rules as one diagram shape over
 different generators, so rule sides are built from shared shapes:
@@ -78,7 +82,7 @@ class ReportSizeError(ValueError):
 
 
 Params = dict[str, Any]
-PairBuilder = Callable[[Params, MeasureContext], tuple[Diagram, Diagram]]
+PairBuilder = Callable[..., tuple[Diagram, Diagram]]
 # A string, so that loading the module does not import numpy.random.
 Sampler = Callable[[int, "np.random.Generator"], Params | None]
 Validator = Callable[[Params, int], None]
@@ -90,10 +94,11 @@ Validator = Callable[[Params, int], None]
 
 
 class Kind(NamedTuple):
-    """What one parameter may be: `check(params, key, dim)` raises
+    """What one parameter may be: `check(value, key, dim)` returns the
+    value parsed (an int, a float, the amplitude itself) and raises
     ParamError outside the domain, `draw(rng, dim)` samples inside it."""
 
-    check: Callable[[Params, str, int], Any]
+    check: Callable[[Any, str, int], Any]
     draw: Callable[["np.random.Generator", int], Any]
 
 
@@ -109,29 +114,31 @@ def _need_keys(p: Params, names: tuple[str, ...]) -> None:
     _need(not extra, f"unexpected parameter(s): {', '.join(extra)}")
 
 
-def _need_int(p: Params, k: str, dim: int) -> int:
-    v = p[k]
+def _need_int(v: Any, k: str, dim: int) -> int:
     _need(isinstance(v, (int, np.integer)) and not isinstance(v, bool), f"{k} must be an integer")
     return int(v)
 
 
-def _need_nat(p: Params, k: str, dim: int) -> None:
-    v = _need_int(p, k, dim)
+def _need_nat(v: Any, k: str, dim: int) -> int:
+    v = _need_int(v, k, dim)
     _need(v >= 0, f"{k} must be nonnegative, got {v}")
+    return v
 
 
-def _need_unit(p: Params, k: str, dim: int) -> None:
-    v = _need_int(p, k, dim)
+def _need_unit(v: Any, k: str, dim: int) -> int:
+    v = _need_int(v, k, dim)
     _need(math.gcd(v % dim, dim) == 1, f"{k}={v} is not a unit mod {dim}")
+    return v
 
 
-def _need_real(p: Params, k: str, dim: int) -> None:
-    v = p[k]
+def _need_real(v: Any, k: str, dim: int) -> float:
     _need(isinstance(v, (int, float, np.floating)) and not isinstance(v, bool), f"{k} must be real")
+    return float(v)
 
 
-def _need_amp(p: Params, k: str, dim: int) -> None:
-    _need(isinstance(p[k], AmplitudeFn), f"{k} must be an amplitude function")
+def _need_amp(v: Any, k: str, dim: int) -> AmplitudeFn:
+    _need(isinstance(v, AmplitudeFn), f"{k} must be an amplitude function")
+    return v
 
 
 def _draw_unit(rng: np.random.Generator, dim: int) -> int:
@@ -168,14 +175,17 @@ def NAT(hi: int | Callable[[int], int]) -> Kind:
 class RuleSpec:
     """One rewrite rule: both sides, parameter kinds, domain, and sampling.
 
-    `build` makes both sides of a valid assignment (`instantiate`
-    validates first).  `validate` checks the key set against `params`, then each value by
-    its kind in declaration order, then the rule's own cross-parameter
-    `check` if it has one.  `sample` draws each value by its kind in
-    the same order, unless the rule brings its own `draw`; None means
-    the rule has no valid parameters at that D.  `dim_cap` marks rules
-    whose sides have D+1 boundary legs, so their tensors grow as
-    D^(D+1); the checker skips larger dimensions.
+    `build(ctx, **parsed)` makes both sides of a valid assignment, each
+    parameter a keyword named as declared and typed as its kind parses
+    it (`instantiate` validates first).  `validate` checks the key set
+    against `params`, then parses each value by its kind in declaration
+    order, then runs the rule's own cross-parameter `check`, if it has
+    one, on the parsed assignment, which it returns.  `sample` draws
+    each value by its kind in the same order, unless the rule brings its
+    own `draw`; None means the rule has no valid parameters at that D.
+    Reports print the drawn values, not the parsed ones.  `dim_cap`
+    marks rules whose sides have D+1 boundary legs, so their tensors
+    grow as D^(D+1); the checker skips larger dimensions.
     """
 
     id: str
@@ -187,12 +197,12 @@ class RuleSpec:
     draw: Sampler | None = None
     dim_cap: int | None = None
 
-    def validate(self, params: Params, dim: int) -> None:
+    def validate(self, params: Params, dim: int) -> Params:
         _need_keys(params, self.params)
-        for k, kind in zip(self.params, self.kinds):
-            kind.check(params, k, dim)
+        parsed = {k: kind.check(params[k], k, dim) for k, kind in zip(self.params, self.kinds)}
         if self.check is not None:
-            self.check(params, dim)
+            self.check(parsed, dim)
+        return parsed
 
     def sample(self, dim: int, rng: np.random.Generator) -> Params | None:
         if self.draw is not None:
@@ -427,18 +437,18 @@ def _oracle(
 
 
 @_rule("ZX-GI", {})
-def _zx_gi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zx_gi(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.green(One(), 1, 1)]), _chain(ctx.dim, [])
 
 
 @_rule("ZX-RI", {})
-def _zx_ri(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zx_ri(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.red(One(), 1, 1), Generator.red(One(), 1, 1)])
     return lhs, _chain(ctx.dim, [], _dnu4(ctx) ** 2)
 
 
 @_rule("ZX-HI", {})
-def _zx_hi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zx_hi(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.hplus(), Generator.hminus()])
     return lhs, _chain(ctx.dim, [], _dnu4(ctx))
 
@@ -448,48 +458,44 @@ def _zx_hi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     {"Theta": AMP, "Phi": AMP, "m1": NAT(1), "n1": NAT(1), "m2": NAT(1), "n2": NAT(1)},
     nu="any",
 )
-def _zx_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    m1, n1, m2, n2 = (int(p[k]) for k in ("m1", "n1", "m2", "n2"))
-    g1 = Generator.green(p["Theta"], m1, n1 + 1)
-    g2 = Generator.green(p["Phi"], m2 + 1, n2)
-    fused = Generator.green(amp_multiply(p["Theta"], p["Phi"], ctx), m1 + m2, n1 + n2)
+def _zx_gf(
+    ctx: MeasureContext, Theta: AmplitudeFn, Phi: AmplitudeFn, m1: int, n1: int, m2: int, n2: int
+) -> tuple[Diagram, Diagram]:
+    g1 = Generator.green(Theta, m1, n1 + 1)
+    g2 = Generator.green(Phi, m2 + 1, n2)
+    fused = Generator.green(amp_multiply(Theta, Phi, ctx), m1 + m2, n1 + n2)
     return _joined(ctx.dim, g1, g2), _dressed_spider(ctx.dim, fused)
 
 
 @_rule("ZX-GFP", {"theta": REAL, "phi": REAL})
-def _zx_gfp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    th, ph = float(p["theta"]), float(p["phi"])
-    lhs = _chain(ctx.dim, [Generator.green(Phase(th), 1, 1), Generator.green(Phase(ph), 1, 1)])
-    rhs = _chain(ctx.dim, [Generator.green(Phase(th + ph), 1, 1)])
+def _zx_gfp(ctx: MeasureContext, theta: float, phi: float) -> tuple[Diagram, Diagram]:
+    lhs = _chain(ctx.dim, [Generator.green(Phase(theta), 1, 1), Generator.green(Phase(phi), 1, 1)])
+    rhs = _chain(ctx.dim, [Generator.green(Phase(theta + phi), 1, 1)])
     return lhs, rhs
 
 
 @_rule("ZX-GFS", {"a1": INT, "b1": INT, "a2": INT, "b2": INT})
-def _zx_gfs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a1, b1, a2, b2 = (int(p[k]) for k in ("a1", "b1", "a2", "b2"))
+def _zx_gfs(ctx: MeasureContext, a1: int, b1: int, a2: int, b2: int) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.green(Stab(a1, b1), 1, 1), Generator.green(Stab(a2, b2), 1, 1)])
     rhs = _chain(ctx.dim, [Generator.green(Stab(a1 + a2, b1 + b2), 1, 1)])
     return lhs, rhs
 
 
 @_rule("ZX-RGC", {"Theta": AMP, "m": NAT(2), "n": NAT(2)})
-def _zx_rgc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    m, n = int(p["m"]), int(p["n"])
-    lhs = _dressed_spider(ctx.dim, Generator.red(p["Theta"], m, n))
-    rhs = _dressed_spider(ctx.dim, Generator.green(p["Theta"], m, n), Generator.hplus())
+def _zx_rgc(ctx: MeasureContext, Theta: AmplitudeFn, m: int, n: int) -> tuple[Diagram, Diagram]:
+    lhs = _dressed_spider(ctx.dim, Generator.red(Theta, m, n))
+    rhs = _dressed_spider(ctx.dim, Generator.green(Theta, m, n), Generator.hplus())
     return lhs, rhs
 
 
 @_rule("ZX-RGB", {"m": NAT(2), "n": NAT(2)})
-def _zx_rgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    m, n = int(p["m"]), int(p["n"])
+def _zx_rgb(ctx: MeasureContext, m: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _bipartite(ctx.dim, _green(1, n), _red(m, 1))
     return lhs, _chain(ctx.dim, [_red(m, 1), _green(1, n)], _dnu4(ctx) ** (n - 1), ("r0", "g0"))
 
 
 @_rule("ZX-CPY", {"a": INT, "n": NAT(2)}, nu="any")
-def _zx_cpy(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a, n = int(p["a"]), int(p["n"])
+def _zx_cpy(ctx: MeasureContext, a: int, n: int) -> tuple[Diagram, Diagram]:
     copied = [Generator.red(Char(a), 0, 1), _green(1, n)]
     lhs = _chain(ctx.dim, copied, _dnu4(ctx) ** (n - 1), ("r0", "g0"))
     b2 = DiagramBuilder(ctx.dim)
@@ -500,17 +506,15 @@ def _zx_cpy(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZX-NS", {"theta": REAL, "m": NAT(2), "n": NAT(2)})
-def _zx_ns(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    th, m, n = float(p["theta"]), int(p["m"]), int(p["n"])
+def _zx_ns(ctx: MeasureContext, theta: float, m: int, n: int) -> tuple[Diagram, Diagram]:
     neg = Generator.red(Char(-ctx.sigma), 1, 1)
-    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(th), m, n), neg)
-    scale = cmath.exp(1j * th * ctx.sigma) * _dnu4(ctx) ** (m + n)
-    return lhs, _dressed_spider(ctx.dim, Generator.green(Phase(-th), m, n), scale=scale)
+    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(theta), m, n), neg)
+    scale = cmath.exp(1j * theta * ctx.sigma) * _dnu4(ctx) ** (m + n)
+    return lhs, _dressed_spider(ctx.dim, Generator.green(Phase(-theta), m, n), scale=scale)
 
 
 @_rule("ZX-RS", {"a": INT, "b": INT, "c": INT})
-def _zx_rs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a, b, c = int(p["a"]), int(p["b"]), int(p["c"])
+def _zx_rs(ctx: MeasureContext, a: int, b: int, c: int) -> tuple[Diagram, Diagram]:
     lhs = _chain(
         ctx.dim,
         [
@@ -524,8 +528,7 @@ def _zx_rs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZX-Z", {"n": NAT(3)})
-def _zx_z(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    n = int(p["n"])
+def _zx_z(ctx: MeasureContext, n: int) -> tuple[Diagram, Diagram]:
     green, red = (
         _dressed_spider(ctx.dim, Generator(kind, 0, n, amp=Zero()), name="z0")
         for kind in ("green", "red")
@@ -534,7 +537,7 @@ def _zx_z(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 def _zx_zcp_check(p: Params, dim: int) -> None:
-    a = int(p["a"])
+    a = p["a"]
     _need(a % dim != 0, f"a={a} must not be a multiple of {dim}")
 
 
@@ -546,8 +549,8 @@ def _zx_zcp_draw(dim: int, rng: np.random.Generator) -> Params:
 
 
 @_rule("ZX-ZCP", {"a": INT}, check=_zx_zcp_check, draw=_zx_zcp_draw)
-def _zx_zcp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    lhs = _dressed_spider(ctx.dim, Generator.green(Char(int(p["a"])), 0, 0), name="z0")
+def _zx_zcp(ctx: MeasureContext, a: int) -> tuple[Diagram, Diagram]:
+    lhs = _dressed_spider(ctx.dim, Generator.green(Char(a), 0, 0), name="z0")
     return lhs, _dressed_spider(ctx.dim, Generator.green(Zero(), 0, 0), name="z0")
 
 
@@ -565,7 +568,7 @@ def _zx_zsp_error(t: int, tp: int, dim: int) -> str | None:
 
 
 def _zx_zsp_check(p: Params, dim: int) -> None:
-    err = _zx_zsp_error(int(p["t"]), int(p["tp"]), dim)
+    err = _zx_zsp_error(p["t"], p["tp"], dim)
     if err is not None:
         raise ParamError(err)
 
@@ -589,15 +592,13 @@ def _zx_zsp_draw(dim: int, rng: np.random.Generator) -> Params | None:
 
 
 @_rule("ZX-ZSP", {"u": UNIT, "t": INT, "tp": INT}, check=_zx_zsp_check, draw=_zx_zsp_draw)
-def _zx_zsp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u, t, tp = int(p["u"]), int(p["t"]), int(p["tp"])
+def _zx_zsp(ctx: MeasureContext, u: int, t: int, tp: int) -> tuple[Diagram, Diagram]:
     lhs = _dressed_spider(ctx.dim, Generator.green(Stab(u * tp, t), 0, 0), name="z0")
     return lhs, _dressed_spider(ctx.dim, Generator.green(Zero(), 0, 0), name="z0")
 
 
 @_rule("ZX-MH", {"u": UNIT})
-def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u = int(p["u"])
+def _zx_mh(ctx: MeasureContext, u: int) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     b.multiedge(_green(1, u), _red(u, 1), ("g0", "r0"))
     _scale(b, _dnu4(ctx))
@@ -615,16 +616,15 @@ def _zx_mh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZX-ME", {"a": INT, "b": INT, "u": UNIT})
-def _zx_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a, bb, u = int(p["a"]), int(p["b"]), int(p["u"])
-    b = DiagramBuilder(ctx.dim)
-    r = b.multiedge(_green(1, u), _red(u, 1), ("g0", "r0"), tail=True)
-    lolly = b.node(Generator.red(Stab(a, bb), 1, 0), "q0")
-    b.wire((r, u), (lolly, 0))
-    lhs = b.build()
+def _zx_me(ctx: MeasureContext, a: int, b: int, u: int) -> tuple[Diagram, Diagram]:
+    bd = DiagramBuilder(ctx.dim)
+    r = bd.multiedge(_green(1, u), _red(u, 1), ("g0", "r0"), tail=True)
+    lolly = bd.node(Generator.red(Stab(a, b), 1, 0), "q0")
+    bd.wire((r, u), (lolly, 0))
+    lhs = bd.build()
 
     ui = _uinv(u, ctx.dim)
-    lolly2 = Generator.red(Stab(-a * ui, bb * ui * ui), 1, 0)
+    lolly2 = Generator.red(Stab(-a * ui, b * ui * ui), 1, 0)
     return lhs, _dressed_spider(ctx.dim, lolly2, scale=_dnu4(ctx), name="q0")
 
 
@@ -639,11 +639,11 @@ def _meh_pair(
     return b.build(), _cut_wire(ctx.dim, copy(1, 0), total(0, 1))
 
 
-_rule("ZX-MEH", {})(lambda p, ctx: _meh_pair(_green, _red, ctx))
+_rule("ZX-MEH", {})(lambda ctx: _meh_pair(_green, _red, ctx))
 
 
 @_rule("ZX-A", {})
-def _zx_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zx_a(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _antipode_loop(ctx.dim, _green(1, 2), _red(1, 1), _red(2, 1))
     return lhs, _cut_wire(ctx.dim, _green(1, 0), _red(0, 1), _dnu4(ctx))
 
@@ -654,13 +654,12 @@ def _unit_pair(amp: AmplitudeFn, ctx: MeasureContext) -> tuple[Diagram, Diagram]
     return lhs, _empty(ctx.dim)
 
 
-_rule("ZX-PU", {"theta": REAL}, nu="any")(lambda p, ctx: _unit_pair(Phase(float(p["theta"])), ctx))
-_rule("ZX-SU", {"a": INT, "b": INT})(lambda p, ctx: _unit_pair(Stab(int(p["a"]), int(p["b"])), ctx))
+_rule("ZX-PU", {"theta": REAL}, nu="any")(lambda ctx, theta: _unit_pair(Phase(theta), ctx))
+_rule("ZX-SU", {"a": INT, "b": INT})(lambda ctx, a, b: _unit_pair(Stab(a, b), ctx))
 
 
 @_rule("ZX-GU", {"a": INT, "u": UNIT})
-def _zx_gu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a, u = int(p["a"]), int(p["u"])
+def _zx_gu(ctx: MeasureContext, a: int, u: int) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     b.node(Generator.green(Stab(a, u), 0, 0), "g0")
     b.node(Generator.green(Stab(-a, -u), 0, 0), "g1")
@@ -672,52 +671,48 @@ def _zx_gu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZXH-GW", {"m": NAT(2), "n": NAT(2)})
-def _zxh_gw(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    m, n = int(p["m"]), int(p["n"])
+def _zxh_gw(ctx: MeasureContext, m: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _dressed_spider(ctx.dim, Generator.green(One(), m, n))
     return lhs, _dressed_spider(ctx.dim, Generator.white(m, n))
 
 
 @_rule("ZXH-RG", {"m": NAT(2), "n": NAT(2)})
-def _zxh_rg(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    m, n = int(p["m"]), int(p["n"])
+def _zxh_rg(ctx: MeasureContext, m: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _dressed_spider(ctx.dim, Generator.red(One(), m, n))
     return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n), scale=_dnu4(ctx))
 
 
 @_rule("ZXH-GP", {"theta": REAL, "m": NAT(2), "n": NAT(2)})
-def _zxh_gp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    th, m, n = float(p["theta"]), int(p["m"]), int(p["n"])
-    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(th), m, n))
-    return lhs, _capped(ctx.dim, Generator.white(m, n + 1), Generator.hbox(Phase(th), 1, 0), "h0")
+def _zxh_gp(ctx: MeasureContext, theta: float, m: int, n: int) -> tuple[Diagram, Diagram]:
+    lhs = _dressed_spider(ctx.dim, Generator.green(Phase(theta), m, n))
+    return lhs, _capped(ctx.dim, Generator.white(m, n + 1), Generator.hbox(Phase(theta), 1, 0), "h0")
 
 
 @_rule("ZXH-WH", {"Theta": AMP})
-def _zxh_wh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    lhs = _dressed_spider(ctx.dim, Generator.green(p["Theta"], 0, 1))
-    return lhs, _dressed_spider(ctx.dim, Generator.hbox(p["Theta"], 0, 1), name="h0")
+def _zxh_wh(ctx: MeasureContext, Theta: AmplitudeFn) -> tuple[Diagram, Diagram]:
+    lhs = _dressed_spider(ctx.dim, Generator.green(Theta, 0, 1))
+    return lhs, _dressed_spider(ctx.dim, Generator.hbox(Theta, 0, 1), name="h0")
 
 
 @_rule("ZXH-RN", {"c": INT})
-def _zxh_rn(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    c = int(p["c"])
+def _zxh_rn(ctx: MeasureContext, c: int) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.red(Char(c), 1, 1)])
     return lhs, _chain(ctx.dim, [Generator.not_dot(c)], _dnu4(ctx))
 
 
 @_rule("ZXH-RA", {})
-def _zxh_ra(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zxh_ra(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.red(One(), 1, 1)])
     return lhs, _dressed_spider(ctx.dim, Generator.gray(1, 1), scale=_dnu4(ctx))
 
 
 @_rule("ZXH-HP", {})
-def _zxh_hp(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zxh_hp(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.hplus()]), _chain(ctx.dim, [Generator.hbox(Char(1), 1, 1)])
 
 
 @_rule("ZXH-HM", {})
-def _zxh_hm(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zxh_hm(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.hminus()]), _chain(ctx.dim, [Generator.hbox(Char(-1), 1, 1)])
 
 
@@ -726,8 +721,8 @@ def _gh_pair(amp: AmplitudeFn, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _dressed_spider(ctx.dim, Generator.green(amp, 0, 0)), rhs
 
 
-_rule("ZXH-GH0", {})(lambda p, ctx: _gh_pair(One(), ctx))
-_rule("ZXH-GH", {"Theta": AMP})(lambda p, ctx: _gh_pair(p["Theta"], ctx))
+_rule("ZXH-GH0", {})(lambda ctx: _gh_pair(One(), ctx))
+_rule("ZXH-GH", {"Theta": AMP})(lambda ctx, Theta: _gh_pair(Theta, ctx))
 
 
 def _scalar_gadget_pair(
@@ -750,22 +745,20 @@ def _scalar_gadget_pair(
     return lhs, b.build()
 
 
-_rule("ZXH-S0", {"Theta": AMP})(lambda p, ctx: _scalar_gadget_pair(p["Theta"], None, ctx))
-_rule("ZXH-S", {"Theta": AMP, "c": INT})(
-    lambda p, ctx: _scalar_gadget_pair(p["Theta"], int(p["c"]), ctx)
-)
+_rule("ZXH-S0", {"Theta": AMP})(lambda ctx, Theta: _scalar_gadget_pair(Theta, None, ctx))
+_rule("ZXH-S", {"Theta": AMP, "c": INT})(lambda ctx, Theta, c: _scalar_gadget_pair(Theta, c, ctx))
 
 
 # ----------------------------------------------------------------- ZH
 
 
 @_rule("ZH-WI", {})
-def _zh_wi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_wi(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.white(1, 1)]), _chain(ctx.dim, [])
 
 
 @_rule("ZH-WQS", {})
-def _zh_wqs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_wqs(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     b.multiedge(Generator.white(1, 2), Generator.white(2, 1), ("w0", "w1"))
     _scale(b, ctx.nu**2)
@@ -773,106 +766,98 @@ def _zh_wqs(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZH-AI", {}, nu="any")
-def _zh_ai(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_ai(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.gray(1, 1), Generator.gray(1, 1)])
     return lhs, _chain(ctx.dim, [])
 
 
 @_rule("ZH-HI", {"u": UNIT})
-def _zh_hi(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u = int(p["u"])
+def _zh_hi(ctx: MeasureContext, u: int) -> tuple[Diagram, Diagram]:
     boxes = [Generator.hbox(Char(u), 1, 1), Generator.hbox(Char(-u), 1, 1)]
     return _chain(ctx.dim, boxes, 1.0 / _dnu4(ctx)), _chain(ctx.dim, [])
 
 
 @_rule("ZH-WF", {"k": NAT(1), "m": NAT(1), "l": NAT(1), "n": NAT(1)})
-def _zh_wf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    k, m, l, n = (int(p[x]) for x in ("k", "m", "l", "n"))
+def _zh_wf(ctx: MeasureContext, k: int, m: int, l: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _joined(ctx.dim, Generator.white(k, m + 1), Generator.white(l + 1, n))
     return lhs, _dressed_spider(ctx.dim, Generator.white(k + l, m + n), name="w0")
 
 
 @_rule("ZH-GWC", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
-def _zh_gwc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
+def _zh_gwc(ctx: MeasureContext, u: int, m: int, n: int) -> tuple[Diagram, Diagram]:
     box = Generator.hbox(Char(u), 1, 1)
     lhs = _dressed_spider(ctx.dim, Generator.gray(m, n), box)
     return lhs, _dressed_spider(ctx.dim, Generator.white(m, n), scale=_dnu4(ctx) ** (m + n - 1))
 
 
 @_rule("ZH-WNS", {"c": INT, "m": NAT(2), "n": NAT(2)}, nu="any")
-def _zh_wns(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    c, m, n = int(p["c"]), int(p["m"]), int(p["n"])
+def _zh_wns(ctx: MeasureContext, c: int, m: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _dressed_spider(ctx.dim, Generator.white(m, n), Generator.not_dot(c))
     return lhs, _dressed_spider(ctx.dim, Generator.white(m, n))
 
 
 @_rule("ZH-GF", {"a1": NAT(1), "a2": NAT(1), "b1": NAT(1), "b2": NAT(1)})
-def _zh_gf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    a1, a2, b1, b2 = (int(p[k]) for k in ("a1", "a2", "b1", "b2"))
+def _zh_gf(ctx: MeasureContext, a1: int, a2: int, b1: int, b2: int) -> tuple[Diagram, Diagram]:
     anti = ("s0", Generator.gray(1, 1))
     lhs = _joined(ctx.dim, Generator.gray(a1, a2 + 1), Generator.gray(b1 + 1, b2), anti)
     return lhs, _dressed_spider(ctx.dim, Generator.gray(a1 + b1, a2 + b2))
 
 
 @_rule("ZH-GL", {"m": NAT(2), "n": NAT(2)})
-def _zh_gl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    m, n = int(p["m"]), int(p["n"])
+def _zh_gl(ctx: MeasureContext, m: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _capped(ctx.dim, Generator.gray(m, n + 1), Generator.gray(1, 0), "q0")
     return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n))
 
 
 @_rule("ZH-WGC", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
-def _zh_wgc(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
+def _zh_wgc(ctx: MeasureContext, u: int, m: int, n: int) -> tuple[Diagram, Diagram]:
     box = Generator.hbox(Char(u), 1, 1)
     lhs = _dressed_spider(ctx.dim, Generator.white(m, n), box)
     return lhs, _dressed_spider(ctx.dim, Generator.gray(m, n), scale=_dnu4(ctx))
 
 
-_rule("ZH-MEH", {})(lambda p, ctx: _meh_pair(Generator.white, Generator.gray, ctx))
+_rule("ZH-MEH", {})(lambda ctx: _meh_pair(Generator.white, Generator.gray, ctx))
 
 
 @_rule("ZH-A", {})
-def _zh_a(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_a(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _antipode_loop(ctx.dim, Generator.white(1, 2), Generator.gray(1, 1), Generator.gray(2, 1))
     return lhs, _cut_wire(ctx.dim, Generator.white(1, 0), Generator.gray(0, 1))
 
 
 @_rule("ZH-WGB", {"m": NAT(2), "n": NAT(2)}, nu="any")
-def _zh_wgb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    m, n = int(p["m"]), int(p["n"])
+def _zh_wgb(ctx: MeasureContext, m: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _bipartite(ctx.dim, Generator.white(1, n), Generator.gray(m, 1))
     return lhs, _chain(ctx.dim, [Generator.gray(m, 1), Generator.white(1, n)], names=("g0", "w0"))
 
 
 @_rule("ZH-HM", {"A": AMP, "B": AMP}, nu="any")
-def _zh_hm(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_hm(ctx: MeasureContext, A: AmplitudeFn, B: AmplitudeFn) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
-    ha = b.node(Generator.hbox(p["A"], 0, 1), "h0")
-    hb = b.node(Generator.hbox(p["B"], 0, 1), "h1")
+    ha = b.node(Generator.hbox(A, 0, 1), "h0")
+    hb = b.node(Generator.hbox(B, 0, 1), "h1")
     w = b.node(Generator.white(2, 1), "w0")
     b.wire(ha, (w, 0))
     b.wire(hb, (w, 1))
     b.wire((w, 2), "out")
-    product = Generator.hbox(amp_multiply(p["A"], p["B"], ctx), 0, 1)
+    product = Generator.hbox(amp_multiply(A, B, ctx), 0, 1)
     return b.build(), _dressed_spider(ctx.dim, product, name="h0")
 
 
 @_rule("ZH-HU", {})
-def _zh_hu(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_hu(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     lhs = _dressed_spider(ctx.dim, Generator.hbox(Char(0), 0, 1), name="h0")
     return lhs, _dressed_spider(ctx.dim, Generator.white(0, 1), name="w0")
 
 
-def _need_nonzero_complex(p: Params, k: str, dim: int) -> None:
-    v = p[k]
+def _need_nonzero_complex(v: Any, k: str, dim: int) -> complex:
     _need(
         isinstance(v, (int, float, complex, np.integer, np.floating, np.complexfloating))
         and not isinstance(v, bool)
         and complex(v) != 0,
         f"{k} must be a nonzero complex number",
     )
+    return complex(v)
 
 
 def _draw_alpha(rng: np.random.Generator, dim: int) -> complex:
@@ -883,8 +868,7 @@ def _draw_alpha(rng: np.random.Generator, dim: int) -> complex:
 
 
 @_rule("ZH-EC", {"alpha": Kind(_need_nonzero_complex, _draw_alpha), "m": NAT(2)})
-def _zh_ec(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    alpha, m = complex(p["alpha"]), int(p["m"])
+def _zh_ec(ctx: MeasureContext, alpha: complex, m: int) -> tuple[Diagram, Diagram]:
     sg = ctx.sigma
     lhs = _chain(ctx.dim, [Generator.hbox(UnitPow(alpha), m, 1), Generator.not_dot(-sg)], names=("h0", "n0"))
 
@@ -905,9 +889,9 @@ def _zh_ec(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     "ZH-MF",
     {"c1": INT, "c2": INT, "u": UNIT, "k": NAT(1), "l": NAT(1), "m": NAT(1), "n": NAT(1)},
 )
-def _zh_mf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    c1, c2, u = int(p["c1"]), int(p["c2"]), int(p["u"])
-    k, l, m, n = (int(p[x]) for x in ("k", "l", "m", "n"))
+def _zh_mf(
+    ctx: MeasureContext, c1: int, c2: int, u: int, k: int, l: int, m: int, n: int
+) -> tuple[Diagram, Diagram]:
     h1, h2 = Generator.hbox(Char(c1), k, m + 1), Generator.hbox(Char(c2), l + 1, n)
     lhs = _joined(ctx.dim, h1, h2, ("n0", Generator.hbox(Char(-u), 1, 1)))
     ui = pow(u % ctx.dim, -1, ctx.dim)
@@ -916,8 +900,7 @@ def _zh_mf(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZH-MCA", {"c1": INT, "c2": INT, "m": NAT(2)})
-def _zh_mca(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    c1, c2, m = int(p["c1"]), int(p["c2"]), int(p["m"])
+def _zh_mca(ctx: MeasureContext, c1: int, c2: int, m: int) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     w = b.node(Generator.white(0, m + 2), "w0")
     h1 = b.node(Generator.hbox(Char(c1), 1, 0), "h0")
@@ -948,7 +931,7 @@ def _unit_test_gadget(b: DiagramBuilder, tag: str, in_port) -> None:
 
 
 @_rule("ZH-UM", {})
-def _zh_um(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_um(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     _unit_test_gadget(b, "0", ("in", 0))
     _unit_test_gadget(b, "1", ("in", 1))
@@ -967,15 +950,14 @@ def _zh_um(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZH-O", {}, dim_cap=7)
-def _zh_o(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_o(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     D = ctx.dim
     lhs = _oracle(D, None, ("g0", Generator.gray(D, 0)), D * ctx.nu**2)
     return lhs, _oracle(D, None, Generator.white(1, 0))
 
 
 @_rule("ZH-HWB", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
-def _zh_hwb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
+def _zh_hwb(ctx: MeasureContext, u: int, m: int, n: int) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     whites = [b.node(Generator.white(1, n), f"w{i}") for i in range(m)]
     for w in whites:
@@ -994,16 +976,14 @@ def _zh_hwb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZH-HMB", {"u": UNIT, "m": NAT(2), "n": NAT(2)})
-def _zh_hmb(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u, m, n = int(p["u"]), int(p["m"]), int(p["n"])
+def _zh_hmb(ctx: MeasureContext, u: int, m: int, n: int) -> tuple[Diagram, Diagram]:
     lhs = _bipartite(ctx.dim, Generator.white(1, n), Generator.hbox(Char(u), m, 1))
     funnel = [Generator.hbox(Char(-u), m, 1), Generator.gray(1, n)]
     return lhs, _chain(ctx.dim, funnel, names=("h0", "g0"))
 
 
 @_rule("ZH-ME", {"k": NAT(lambda dim: dim + 1), "u": UNIT})
-def _zh_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    k, u = int(p["k"]), int(p["u"])
+def _zh_me(ctx: MeasureContext, k: int, u: int) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     r = b.multiedge(Generator.white(1, k), Generator.gray(k, 1), ("g0", "r0"), tail=True)
     anti = b.node(Generator.gray(1, 1), "s0")
@@ -1023,16 +1003,14 @@ def _zh_me(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZH-ND", {"c1": INT, "c2": INT})
-def _zh_nd(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    c1, c2 = int(p["c1"]), int(p["c2"])
+def _zh_nd(ctx: MeasureContext, c1: int, c2: int) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.not_dot(c1), Generator.not_dot(c2)])
     rhs = _chain(ctx.dim, [Generator.gray(1, 1), Generator.not_dot(residue(ctx, c2 - c1))])
     return lhs, rhs
 
 
 @_rule("ZH-NH", {"u": UNIT, "c": INT})
-def _zh_nh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u, c = int(p["u"]), int(p["c"])
+def _zh_nh(ctx: MeasureContext, u: int, c: int) -> tuple[Diagram, Diagram]:
     b = DiagramBuilder(ctx.dim)
     h1 = b.node(Generator.hbox(Char(u), 1, 1), "h0")
     w = b.node(Generator.white(1, 2), "w0")
@@ -1050,19 +1028,18 @@ def _zh_nh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 @_rule("ZH-NA", {})
-def _zh_na(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_na(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     return _chain(ctx.dim, [Generator.not_dot(0)]), _chain(ctx.dim, [Generator.gray(1, 1)])
 
 
 @_rule("ZH-DH", {"u": UNIT})
-def _zh_dh(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
-    u = int(p["u"])
+def _zh_dh(ctx: MeasureContext, u: int) -> tuple[Diagram, Diagram]:
     lhs = _chain(ctx.dim, [Generator.hbox(Char(u), 1, 1), Generator.hbox(Char(u), 1, 1)])
     return lhs, _dressed_spider(ctx.dim, Generator.gray(1, 1), scale=_dnu4(ctx))
 
 
 @_rule("ZH-ZPL", {}, dim_cap=7)
-def _zh_zpl(p: Params, ctx: MeasureContext) -> tuple[Diagram, Diagram]:
+def _zh_zpl(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
     D, minus = ctx.dim, Generator.hbox(Char(-1), 1, 1)
     lhs = _oracle(D, minus, ("z0", Generator.white(D, 0)))
     return lhs, _oracle(D, minus, Generator.gray(1, 0), ctx.nu**2)
@@ -1101,8 +1078,7 @@ def instantiate(
     scalar boxes appear.
     """
     spec = get_rule(rule) if isinstance(rule, str) else rule
-    spec.validate(params, ctx.dim)
-    lhs, rhs = spec.build(params, ctx)
+    lhs, rhs = spec.build(ctx, **spec.validate(params, ctx.dim))
     if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs):
         raise RewriteError(
             f"{spec.id}: boundary mismatch "

@@ -141,14 +141,19 @@ def _finite_pair(entry: Any) -> bool:
         return False
 
 
+def finite(t: Tensor) -> Tensor:
+    """``t``; a NaN or infinite entry raises ``OverflowGuardError``, naming the first."""
+    flat = t.data.reshape(-1)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise OverflowGuardError(f"entry {k} of the tensor is not finite: {complex(flat[k])}")
+    return t
+
+
 def dump_json(t: Tensor) -> str:
     """The dump as JSON text; a NaN or infinite entry raises ``OverflowGuardError``, naming it."""
-    try:
-        return json.dumps(to_dump(t), allow_nan=False)
-    except ValueError:
-        flat = t.data.reshape(-1)
-        k = int(np.flatnonzero(~np.isfinite(flat))[0])
-        raise OverflowGuardError(f"entry {k} of the tensor is not finite: {complex(flat[k])}") from None
+    return json.dumps(to_dump(finite(t)))
 
 
 def load_json(text: str) -> Tensor:

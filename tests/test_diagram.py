@@ -1581,16 +1581,26 @@ def table_dot(dim: int, value: float, degree: int) -> Diagram:
     return b.build()
 
 
-@pytest.mark.parametrize("case", ["hbox", "table product", "table power"])
+@pytest.mark.parametrize("case", ["hbox", "table product", "table power", "shared gray"])
 def test_factor_past_the_float_range_is_refused(case: str) -> None:
     # a numpy product (nu^2 * 1.7e308, 1e300 * nu^-2) or a Python power
-    # (nu^-4) past the float range: refused, with no warning and no NaN,
-    # and named by the node whose factor it was building
+    # (nu^-4, nu^-2) past the float range: refused, with no warning and no
+    # NaN, and named by the node whose factor it was building.  Two legless
+    # gray dots share one array, built as the first of them is set up, so
+    # that is the node named
     if case == "hbox":
         ctx = MeasureContext(2, 2.0)
         amp = amp_from_json({"type": "unit", "re": 1.7e308, "im": 0})
         d = construct.build(construct.gadget_id("diag_a2", amp=amp), ctx)
         what = "node 'hbox2': hbox of degree 2, whose entries carry nu\\^2, leaves the float range at D=2$"
+    elif case == "shared gray":
+        ctx = MeasureContext(3, 1e-160)
+        b = DiagramBuilder(3)
+        b.chain([Generator.hplus()], ["h"])
+        for name in ("g1", "g2"):
+            b.node(Generator.gray(0, 0), name)
+        d = b.build()
+        what = "node 'g1': gray of degree 0, whose entries carry nu\\^-2, leaves the float range at D=3$"
     else:
         ctx = MeasureContext(3, 1e-5 if case == "table product" else 1e-100)
         d = table_dot(3, 1e300 if case == "table product" else 1.0, 4 if case == "table product" else 6)
@@ -1614,6 +1624,20 @@ def test_an_overflow_in_a_steps_kernel_names_no_node(monkeypatch) -> None:
         b.wire(b.node(Generator.hbox(Table([1e200] * 3), 0, 1), name), "out")
     with pytest.raises(OverflowGuardError, match="^a factor entry is out of range: overflow encountered in multiply$"):
         evaluate(b.build(), MeasureContext(3, 1.0))
+    # np.einsum does not trap an overflow: the result is refused for its
+    # first entry that is not finite.  Two scalar boxes of 1e200 give inf;
+    # the normal form of a (3, 3) tensor at D=3 overflows in its steps,
+    # and every entry came out NaN with no error
+    monkeypatch.undo()
+    b = DiagramBuilder(3)
+    for _ in range(2):
+        b.node(Generator.hbox(UnitPow(1e200), 0, 0))
+    with pytest.raises(OverflowGuardError, match=r"^entry 0 of the tensor is not finite: \(inf\+0j\)$"):
+        evaluate(b.build(), MeasureContext(3))
+    ctx = MeasureContext(3)
+    t = Tensor(3, 3, 3, np.random.default_rng(0).normal(size=(3,) * 6))
+    with pytest.raises(OverflowGuardError, match=r"^entry 0 of the tensor is not finite: \(nan\+nanj\)$"):
+        evaluate(normal_form(t, ctx), ctx)
 
 
 def test_disconnected_pieces_are_refused_before_any_factor(monkeypatch) -> None:
