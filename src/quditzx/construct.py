@@ -49,7 +49,6 @@ from quditzx.generators import (
 from quditzx.measure import (
     MeasureContext,
     OverflowGuardError,
-    checked_i64,
     omega_pow,
     omega_pow_arr,
     residue,
@@ -58,8 +57,9 @@ from quditzx.measure import (
 from quditzx.tensor import Tensor
 
 # Coefficient cap for normal_form: one selector gadget per entry of the
-# target tensor, so D**(m+n) may not exceed this.  It also caps m_mult's
-# |u|, its number of parallel wires.
+# target tensor, so D**(m+n) may not exceed this, which keeps a
+# selector's pivot U_D**(2(m+n)) <= D**(2(m+n)) inside 64 bits.  It also
+# caps m_mult's |u|, its number of parallel wires.
 _MAX_COEFFS = 4096
 
 
@@ -441,17 +441,6 @@ def target_tensor(gid: GadgetId, ctx: MeasureContext) -> Tensor:
 # =====================================================================
 
 
-def _selector_branch(b: DiagramBuilder, copy: Generator, flip: Generator, src, box: str) -> None:
-    """src into the white copy dot ``copy``, whose two branches meet the
-    selector box, one straight and one through the (1 - sigma)-not-dot
-    ``flip``.  The caller makes each generator once per diagram."""
-    dot, nd = b.node(copy), b.node(flip)
-    b.wire(src, dot)
-    b.wire(dot, box)
-    b.wire(dot, nd)
-    b.wire(nd, box)
-
-
 def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
     """A diagram evaluating exactly to `omega`, one selector per entry.
 
@@ -472,7 +461,6 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
         raise OverflowGuardError(
             f"normal form needs D^(m+n) = {n_coeffs} selector gadgets (cap {_MAX_COEFFS})"
         )
-    checked_i64(ctx.upper ** (2 * wires), "selector pivot U_D^(2(m+n))")
 
     # one generator per distinct parameter-free node, shared by all the
     # nodes that hold it: the copy and fan dots, the not dot that shifts
@@ -506,7 +494,12 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
         # a scalar's one box keeps an automatic id
         box = b.node(Generator.hbox(MBox(2 * wires, alpha), 2 * wires, 0), f"sel{k}" if wires else None)
         for fan, i in zip(fans, point):
-            shift = b.node(shifts[i])
+            # the shifted wire into a copy dot whose two branches meet
+            # the box, one straight and one through the (1 - sigma)-not-dot
+            shift, dot, nd = b.node(shifts[i]), b.node(copy), b.node(flip)
             b.wire(fan, shift)
-            _selector_branch(b, copy, flip, shift, box)
+            b.wire(shift, dot)
+            b.wire(dot, box)
+            b.wire(dot, nd)
+            b.wire(nd, box)
     return b.build()

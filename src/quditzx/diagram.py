@@ -240,7 +240,9 @@ class Diagram:
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     __hash__ = None
 
     @property
@@ -581,7 +583,8 @@ def _plan(codes: array) -> _Plan:
     degree, node, chain, layouts, deltas)``.  ``top`` is the highest rank
     of any array held but a dense node's, and at least 1 with any factor,
     since each has or sums over D entries; ``degree`` is the highest
-    degree of a dense or not node, and ``node`` the index of the first
+    degree of a node kept as a dense factor (a dense node, or a not dot
+    the plan does not absorb), and ``node`` the index of the first such
     node of that degree (-1 if none).  ``steps`` is a tuple of steps:
     ``(i, j, sa, sb, so)`` contracts slots i and j into slot i, and ``(i,
     -1, sa, so)`` sums or reorders slot i alone.  Each sublist is a tuple
@@ -659,12 +662,12 @@ def _plan(codes: array) -> _Plan:
     dense = (0, -1)  # degree and node
     for k, (code, legs) in enumerate(zip(node_codes, wires)):
         mode = code & 3
-        if mode in (_DENSE, _NOT) and len(legs) > dense[0]:
-            dense = (len(legs), k)
         if k in absorbed:
             labels.append(None)
             layouts.append(())
             continue
+        if mode in (_DENSE, _NOT) and len(legs) > dense[0]:
+            dense = (len(legs), k)
         placed = [place(w) for w in legs]
         maps = tuple(m for _, m in placed)
         maps = maps if any(maps) else ()

@@ -7,12 +7,12 @@ angle), ``AMP`` (an amplitude function) or ``NAT(hi)`` (an arity).  A
 kind pairs the domain check with the draw the soundness matrix samples
 from, so a rule's validator and sampler both follow from that one
 declaration.  The check also parses the value, once: an ``int`` for
-``INT``, ``UNIT`` and ``NAT``, a ``float`` for ``REAL``, the amplitude
-itself for ``AMP``.  A pair builder takes the context, then each
+``INT``, ``UNIT`` and ``NAT``, a finite ``float`` for ``REAL``, the
+amplitude itself for ``AMP``.  A pair builder takes the context, then each
 parameter as a keyword of its declared name, already of that type.
 Only ZX-ZCP and ZX-ZSP, whose domains are not a product of kinds, add a
 hand-written check (on the parsed values) and draw; ZH-EC declares one
-kind of its own, a nonzero complex alpha, parsed as a ``complex``.  Rule
+kind of its own, a nonzero complex alpha, parsed as a finite ``complex``.  Rule
 ids follow the standard short names (ZX-*, ZXH-*, ZH-*).
 
 The ZX and ZH fragments state many rules as one diagram shape over
@@ -22,9 +22,9 @@ chain, every output from a last piece: a wire, a chain of two-leg
 pieces, or a bialgebra's funnel), `_dressed_spider`,
 ``DiagramBuilder.multiedge`` (copy and sum joined by k parallel wires),
 `_cut_wire`, `_antipode_loop`, `_joined` (two spiders fused by one
-wire), `_bipartite`, `_capped` (a spider with one leg into a cap) and
-`_oracle` (ZH-O and ZH-ZPL's D-branch diagram).  A shape with one user
-stays hand-wired.
+wire), `_bipartite`, `_capped` (a spider with one leg into a cap),
+`_charged_copy` (both sides of ZH-MCA) and `_oracle` (ZH-O and ZH-ZPL's
+D-branch diagram).  A shape with one user stays hand-wired.
 
 Scalar bookkeeping: many rules balance only up to a closed-form scalar
 (typically an integer power of D*nu^4, which is 1 at the default
@@ -131,9 +131,19 @@ def _need_unit(v: Any, k: str, dim: int) -> int:
     return v
 
 
+def _need_finite(v: Any, k: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse(v)``; an int past the float range, inf or NaN raises ParamError."""
+    try:
+        x = parse(v)
+    except OverflowError:
+        raise ParamError(f"{k} must be finite, got an integer of {int(v).bit_length()} bits") from None
+    _need(cmath.isfinite(x), f"{k} must be finite, got {x}")
+    return x
+
+
 def _need_real(v: Any, k: str, dim: int) -> float:
     _need(isinstance(v, (int, float, np.floating)) and not isinstance(v, bool), f"{k} must be real")
-    return float(v)
+    return _need_finite(v, k, float)
 
 
 def _need_amp(v: Any, k: str, dim: int) -> AmplitudeFn:
@@ -210,7 +220,7 @@ class RuleSpec:
         return {k: kind.draw(rng, dim) for k, kind in zip(self.params, self.kinds)}
 
 
-_SPECS: list[RuleSpec] = []
+CATALOG: dict[str, RuleSpec] = {}
 
 
 def _rule(
@@ -221,13 +231,14 @@ def _rule(
     check: Validator | None = None,
     draw: Sampler | None = None,
 ) -> Callable[[PairBuilder], PairBuilder]:
-    """Register the decorated pair builder as rule `rule_id` whose
-    parameters, in order, are the keys of `kinds`."""
+    """Register the decorated pair builder in `CATALOG` as rule `rule_id`
+    whose parameters, in order, are the keys of `kinds`; an id already
+    there raises ``RewriteError``."""
 
     def register(pair: PairBuilder) -> PairBuilder:
-        _SPECS.append(
-            RuleSpec(rule_id, tuple(kinds), tuple(kinds.values()), nu, pair, check, draw, dim_cap)
-        )
+        if rule_id in CATALOG:
+            raise RewriteError(f"duplicate rule id {rule_id!r} in catalog")
+        CATALOG[rule_id] = RuleSpec(rule_id, tuple(kinds), tuple(kinds.values()), nu, pair, check, draw, dim_cap)
         return pair
 
     return register
@@ -851,13 +862,11 @@ def _zh_hu(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 
 
 def _need_nonzero_complex(v: Any, k: str, dim: int) -> complex:
-    _need(
-        isinstance(v, (int, float, complex, np.integer, np.floating, np.complexfloating))
-        and not isinstance(v, bool)
-        and complex(v) != 0,
-        f"{k} must be a nonzero complex number",
-    )
-    return complex(v)
+    number = isinstance(v, (int, float, complex, np.integer, np.floating, np.complexfloating))
+    _need(number and not isinstance(v, bool), f"{k} must be a nonzero complex number")
+    v = _need_finite(v, k, complex)
+    _need(v != 0, f"{k} must be a nonzero complex number")
+    return v
 
 
 def _draw_alpha(rng: np.random.Generator, dim: int) -> complex:
@@ -899,24 +908,21 @@ def _zh_mf(
     return lhs, _dressed_spider(ctx.dim, merged, scale=_dnu4(ctx), name="h0")
 
 
+def _charged_copy(dim: int, charges: list[int], m: int) -> Diagram:
+    """A copy dot w0 whose first legs end in one-leg ``Char`` H-boxes h0,
+    h1, ..., one per charge, and whose other m legs are the outputs."""
+    b = DiagramBuilder(dim)
+    w = b.node(Generator.white(0, len(charges) + m), "w0")
+    for i, c in enumerate(charges):
+        b.wire((w, i), b.node(Generator.hbox(Char(c), 1, 0), f"h{i}"))
+    for j in range(len(charges), len(charges) + m):
+        b.wire((w, j), "out")
+    return b.build()
+
+
 @_rule("ZH-MCA", {"c1": INT, "c2": INT, "m": NAT(2)})
 def _zh_mca(ctx: MeasureContext, c1: int, c2: int, m: int) -> tuple[Diagram, Diagram]:
-    b = DiagramBuilder(ctx.dim)
-    w = b.node(Generator.white(0, m + 2), "w0")
-    h1 = b.node(Generator.hbox(Char(c1), 1, 0), "h0")
-    h2 = b.node(Generator.hbox(Char(c2), 1, 0), "h1")
-    b.wire((w, 0), h1)
-    b.wire((w, 1), h2)
-    for j in range(m):
-        b.wire((w, 2 + j), "out")
-    lhs = b.build()
-    b2 = DiagramBuilder(ctx.dim)
-    w2 = b2.node(Generator.white(0, m + 1), "w0")
-    h = b2.node(Generator.hbox(Char(c1 + c2), 1, 0), "h0")
-    b2.wire((w2, 0), h)
-    for j in range(m):
-        b2.wire((w2, 1 + j), "out")
-    return lhs, b2.build()
+    return _charged_copy(ctx.dim, [c1, c2], m), _charged_copy(ctx.dim, [c1 + c2], m)
 
 
 def _unit_test_gadget(b: DiagramBuilder, tag: str, in_port) -> None:
@@ -1049,10 +1055,7 @@ def _zh_zpl(ctx: MeasureContext) -> tuple[Diagram, Diagram]:
 # Catalog access
 # =====================================================================
 
-CATALOG: dict[str, RuleSpec] = {spec.id: spec for spec in _SPECS}
-assert len(CATALOG) == len(_SPECS), "duplicate rule id in catalog"
-
-NU_ANY_RULES = tuple(spec.id for spec in _SPECS if spec.nu_requirement == "any")
+NU_ANY_RULES = tuple(spec.id for spec in CATALOG.values() if spec.nu_requirement == "any")
 
 
 def get_rule(rule_id: str) -> RuleSpec:
@@ -1075,10 +1078,17 @@ def instantiate(
     Raises ParamError when the assignment is outside the rule's domain.
     The builders consult ctx.nu, so the returned pair always evaluates
     equal; away from the default normalization this means balancing
-    scalar boxes appear.
+    scalar boxes appear.  A balancing scalar past the float range raises
+    ``OverflowGuardError`` naming nu.
     """
     spec = get_rule(rule) if isinstance(rule, str) else rule
-    lhs, rhs = spec.build(ctx, **spec.validate(params, ctx.dim))
+    parsed = spec.validate(params, ctx.dim)
+    try:
+        lhs, rhs = spec.build(ctx, **parsed)
+    except OverflowGuardError:
+        raise
+    except OverflowError as exc:  # a float power of nu, bare
+        raise OverflowGuardError(f"a balancing scalar, a power of nu, leaves the float range at nu={ctx.nu!r}") from exc
     if (lhs.n_inputs, lhs.n_outputs) != (rhs.n_inputs, rhs.n_outputs):
         raise RewriteError(
             f"{spec.id}: boundary mismatch "

@@ -1,9 +1,8 @@
 """Slow, direct forms that the tests check the package against.
 
 The wire tensors and the tensor algebra build a diagram's meaning by
-hand, ``gauss_sum_oracle`` sums a Gauss sum term by term, and
-``mbox_gadget`` is the normal form's coefficient selector built alone;
-the package itself needs none of them.
+hand, and ``gauss_sum_oracle`` sums a Gauss sum term by term; the
+package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -12,10 +11,7 @@ import cmath
 
 import numpy as np
 
-from quditzx.construct import GadgetError, _selector_branch
-from quditzx.diagram import Diagram, DiagramBuilder
-from quditzx.generators import Generator, MBox
-from quditzx.measure import MeasureContext, checked_i64
+from quditzx.measure import MeasureContext
 from quditzx.tensor import ShapeError, Tensor
 
 
@@ -88,25 +84,3 @@ def gauss_sum_oracle(r: int, s: int, N: int) -> complex:
     for x in range(N):
         total += cmath.exp(2j * cmath.pi * ((r * x * x + s * x) % N) / N)
     return total
-
-
-# ---------------------------------------------------------------- selector
-
-
-def mbox_gadget(m: int, alpha: complex, ctx: MeasureContext) -> Diagram:
-    """The m-input selector: all-U_D basis input maps to alpha, others to 1.
-
-    Per input, a white dot copies the wire; one branch passes through a
-    (1 - sigma)-not-dot; all 2m branches meet an H-box whose amplitude
-    fires alpha exactly at the leg product U_D**(2m).  The evaluated
-    effect carries the usual generator scaling nu**m.
-    """
-    if m < 0:
-        raise GadgetError(f"selector needs m >= 0, got {m}")
-    checked_i64(ctx.upper ** (2 * m), "selector pivot U_D^(2m)")
-    b = DiagramBuilder(ctx.dim)
-    box = b.node(Generator.hbox(MBox(2 * m, complex(alpha)), 2 * m, 0))
-    copy, flip = Generator.white(1, 2), Generator.not_dot(1 - ctx.sigma)
-    for j in range(m):
-        _selector_branch(b, copy, flip, ("in", j), box)
-    return b.build()

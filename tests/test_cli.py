@@ -348,14 +348,30 @@ def test_check_past_a_node_size_limit_is_semantic_error(runner):
     assert res.stderr == "check failed: ZH-UM at D=38: node 'h0': hbox of degree 4 too large at D=38\n"
 
 
-@pytest.mark.parametrize("nu, what", [("1e-100", "D * nu^4 = 0.0 leaves the float range"),
-                                      ("1e100", "(34, 'Numerical result out of range')")])
+@pytest.mark.parametrize("nu, what", [
+    ("1e-100", "D * nu^4 = 0.0 leaves the float range"),
+    ("1e100", "a balancing scalar, a power of nu, leaves the float range at nu=1e+100"),
+])
 def test_check_at_an_extreme_nu_is_a_semantic_error(runner, nu, what):
     # D * nu^4 underflows to 0 or overflows: the first cell to need it is named
     res = runner.invoke(cli.main, ["check", "--dims", "2..3", "--samples", "1", "--nu", nu])
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
     assert res.stderr == f"check failed: ZH-DH at D=2: {what}\n"
+
+
+@pytest.mark.parametrize("args, what", [
+    (["--dims", "2..3", "--samples", "1", "--nu", "1e50"],
+     "ZH-GWC at D=3: a balancing scalar, a power of nu, leaves the float range at nu=1e+50"),
+    (["ZH-WQS", "--dim", "3", "--nu", "1e-200"], "ZH-WQS at D=3: the balancing scalar 0j leaves the float range"),
+])
+def test_check_names_a_balancing_scalar_past_the_float_range(runner, args, what):
+    # D * nu^4 is finite at nu=1e50, but its square is not; ZH-WQS's
+    # nu^2 is 0 at nu=1e-200
+    res = runner.invoke(cli.main, ["check", *args])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == f"check failed: {what}\n"
 
 
 def test_check_refuses_a_comparison_past_the_float_range():
@@ -421,6 +437,13 @@ def test_integer_param_past_the_float_range_is_usage_error(runner):
     res = runner.invoke(cli.main, ["gadget", "scalar", "--dim", "3", "--param", f"alpha={10**400}", "--emit-tensor"])
     assert res.exit_code == 2, res.output
     assert "parameter alpha must be a finite number, got an integer of 1329 bits" in res.stderr
+
+
+def test_gadget_amplitude_param_that_is_a_number_is_usage_error(runner):
+    res = runner.invoke(cli.main, ["gadget", "diag_theta", "--dim", "3", "--param", "amp=5"])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert "error: gadget 'diag_theta' parameter amp=5 must be an amplitude function" in res.stderr
 
 
 @pytest.mark.parametrize("amp", ['{"type": "phase", "theta": NaN}', '{"type": "unit", "re": 1e400, "im": 0}',

@@ -7,6 +7,7 @@ window.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -21,11 +22,9 @@ from quditzx.construct import (
     target_tensor,
 )
 from quditzx.diagram import dump_json, evaluate, load_json
-from quditzx.generators import Char, Generator, Phase, Stab, Table, UnitPow
+from quditzx.generators import Char, Generator, MBox, Phase, Stab, Table, UnitPow
 from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.tensor import Tensor, max_abs_diff
-
-from oracles import mbox_gadget
 
 DIMS = [2, 3, 4, 5, 6]
 
@@ -270,52 +269,34 @@ def test_unitary_gadgets(D):
         assert err < 1e-9, f"{gid} at D={D}"
 
 
-# ---------------------------------------------------------------- selector gadget
-
-
-def selector_expected(ctx, m, alpha):
-    D = ctx.dim
-    data = np.full((D,) * m, ctx.nu**m, dtype=complex)
-    data[(D - 1,) * m] = ctx.nu**m * alpha  # all-U_D corner is the last index
-    return Tensor(D, m, 0, data)
+# ---------------------------------------------------------------- selector
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_mbox_gadget_brute(D, m):
+    # normal_form's selector (its MBox gadget) over m boundary wires,
+    # through normal forms of one-entry tensors: alpha at one basis
+    # point and 0 elsewhere, at every point, comes back
     ctx = MeasureContext(D)
-    for alpha in [5.0, 0.0, 1.0, 0.25 - 2j]:
-        got = evaluate(mbox_gadget(m, alpha, ctx), ctx)
-        assert max_abs_diff(got, selector_expected(ctx, m, alpha)) < 1e-9
-
-
-def test_mbox_gadget_examples():
-    # m=1, alpha=5, D=3: the U_D component is 5x the (equal) others
-    ctx = MeasureContext(3)
-    got = evaluate(mbox_gadget(1, 5, ctx), ctx).data
-    assert abs(got[2] - 5 * got[0]) < 1e-12
-    assert abs(got[0] - got[1]) < 1e-12
-
-    # m=2, alpha=1, D=4: constant over all basis inputs
-    ctx = MeasureContext(4)
-    got = evaluate(mbox_gadget(2, 1, ctx), ctx).data
-    assert np.max(np.abs(got - got[0, 0])) < 1e-12
-
-    # m=1, alpha=0, D=5: kills exactly the U_D component
-    ctx = MeasureContext(5)
-    got = evaluate(mbox_gadget(1, 0, ctx), ctx).data
-    assert abs(got[4]) < 1e-12
-    assert np.min(np.abs(got[:4])) > 0.1
+    for k, point in enumerate(itertools.product(range(D), repeat=m)):
+        data = np.zeros((D,) * m, dtype=complex)
+        data[point] = (5.0, 0.25 - 2j)[k % 2]
+        omega = Tensor(D, m // 2, m - m // 2, data)
+        assert max_abs_diff(evaluate(normal_form(omega, ctx), ctx), omega) < 1e-12, point
 
 
 def test_mbox_gadget_degenerate_and_errors():
+    # the selector's amplitude: alpha at U_D^k, 1 elsewhere; at k = 0
+    # the pivot is 1; a negative k, or a pivot past 64 bits, is refused
     ctx = MeasureContext(3)
-    got = evaluate(mbox_gadget(0, 2.5j, ctx), ctx)
-    assert abs(complex(got.data) - 2.5j) < 1e-12
-    with pytest.raises(GadgetError):
-        mbox_gadget(-1, 1.0, ctx)
-    with pytest.raises(OverflowGuardError):
-        mbox_gadget(40, 1.0, MeasureContext(7))  # 3**80 leaves 64-bit range
+    assert [MBox(0, 2.5j).eval(ctx, t) for t in (-1, 0, 1)] == [1, 1, 2.5j]
+    with pytest.raises(ValueError, match="^MBox field 'k' must be at least 0, got -1$"):
+        MBox(-1, 1.0)
+    ctx = MeasureContext(7)  # U_D = 3
+    assert MBox(39, 2.0).eval(ctx, 3**39) == 2.0
+    with pytest.raises(OverflowGuardError, match="64-bit range"):
+        MBox(40, 2.0).eval(ctx, 0)  # 3**80 leaves the 64-bit range
 
 
 # ---------------------------------------------------------------- normal form
@@ -390,17 +371,17 @@ def test_normal_form_guards():
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_normal_form_shares_parameter_free_generators(D):
     # one object per distinct amplitude-free generator, in each normal
-    # form and selector as built and as read back from its file
+    # form as built and as read back from its file
     rng = np.random.default_rng(40 + D)
     ctx = MeasureContext(D)
     for m in range(4):
         for n in range(4 - m):
             shape = (D,) * (m + n)
             omega = Tensor(D, m, n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for d in (normal_form(omega, ctx), mbox_gadget(m + n, 2.0, ctx)):
-                for built in (d, load_json(dump_json(d))):
-                    gens = [g for g in built.nodes.values() if g.amp is None]
-                    assert len({id(g) for g in gens}) == len(set(gens))
+            d = normal_form(omega, ctx)
+            for built in (d, load_json(dump_json(d))):
+                gens = [g for g in built.nodes.values() if g.amp is None]
+                assert len({id(g) for g in gens}) == len(set(gens))
 
 
 def test_normal_form_round_trip_makes_few_generators(monkeypatch):
@@ -465,13 +446,13 @@ PIN_PLAIN = {"pauli_x", "pauli_z", "s_gate", "fourier", "cx", "cz"}
 
 
 def test_gadget_diagrams_are_pinned():
-    """Every gadget, selector and normal form, byte for byte.
+    """Every gadget and normal form, byte for byte.
 
     Each gadget runs over PIN_GRID for its parameter, D=2..6,
-    well-tempered and nu=0.83; then the selectors for m=0..2 and the
-    normal forms of seeded random tensors.  The digest was recorded
-    from the hand-wired builders, before gadgets were built from
-    shared shapes.
+    well-tempered and nu=0.83; then the normal forms of seeded random
+    tensors.  The digest was recorded from the hand-wired builders,
+    before gadgets were built from shared shapes, and recorded again
+    from those builders when the stand-alone selectors left the inputs.
     """
     h = hashlib.sha256()
     count = 0
@@ -487,12 +468,10 @@ def test_gadget_diagrams_are_pinned():
                 for gid in gids:
                     h.update(dump_json(build(gid, ctx)).encode())
                     count += 1
-            for m in range(3):
-                h.update(dump_json(mbox_gadget(m, 1.5 - 2j, ctx)).encode())
             rng = np.random.default_rng([7, D])
             for m, n in ((0, 0), (0, 1), (1, 1), (2, 0)):
                 shape = (D,) * (m + n)
                 data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 h.update(dump_json(normal_form(Tensor(D, m, n, data), ctx)).encode())
     assert count == 520
-    assert h.hexdigest() == "a657860588c323e967cc2dd6e51cc1c924b62cab37d047f6f93a73daa3cf6c52"
+    assert h.hexdigest() == "ccd76abce8f239a33e3efc6e6752c68cf0938239e596de8203a5ca92a03942fc"

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from typing import Any, Iterator
 from unittest import mock
 
@@ -1078,6 +1079,24 @@ def not_cases(dim: int, cs: tuple[int, int, int] = (1, 2, -1)) -> list:
     return cases
 
 
+def test_only_a_not_dot_kept_as_a_factor_counts_toward_the_dense_budget() -> None:
+    # a lone not dot between an input and an output is a relabelling and
+    # builds no array; a self-looped one is a D x D factor, refused past
+    # _MAX_DENSE entries
+    dim = 2000
+    b = DiagramBuilder(dim)
+    b.chain([Generator.not_dot(3)])
+    lone = b.build()
+    assert dg._plan(dg._structure(lone))[2:4] == (0, -1)
+    got = evaluate(lone, MeasureContext(dim)).data
+    assert got.shape == (dim, dim) and np.count_nonzero(got) == dim
+    b = DiagramBuilder(dim)
+    nd = b.node(Generator.not_dot(3))
+    b.wire(nd, nd)
+    with pytest.raises(OverflowGuardError, match=f"^node 'not0': not of degree 2 too large at D={dim}$"):
+        evaluate(b.build(), MeasureContext(dim))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("nu", [None, 0.8])
 @pytest.mark.parametrize("split_all", [False, True])
@@ -1878,6 +1897,21 @@ def test_diagrams_that_differ_in_one_amplitude_or_one_edge_are_unequal() -> None
     assert d != two_dots(Phase(0.25), [(("in", 0), ("h", 0)), (("g", 1), ("g", 0))])
 
 
+def test_a_diagram_is_frozen_and_unequal_to_what_is_no_diagram() -> None:
+    b = DiagramBuilder(3)
+    b.chain([Generator.not_dot(1)], ["n"])
+    d = b.build()
+    for field in ("dim", "nodes", "_ports", "n_inputs", "n_outputs", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+            setattr(d, field, 4)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+            delattr(d, field)
+    assert d.dim == 3 and d.n_inputs == d.n_outputs == 1 and list(d.nodes) == ["n"]
+    assert d != "x" and not d == "x"
+    assert repr(d) == ("Diagram(dim=3, nodes={'n': Generator(kind='not', m=1, n=1, amp=None, c=1)}, "
+                       "edges=((('in', 0), ('n', 0)), (('n', 1), ('out', 0))), n_inputs=1, n_outputs=1)")
+
+
 def test_diagrams_whose_nodes_come_in_another_order_are_unequal() -> None:
     # the same nodes, wired alike, added in another order: their files
     # list the nodes in another order, and their port tables differ
@@ -2432,7 +2466,7 @@ def test_validation_takes_a_port_index_only_as_an_int(end) -> None:
     assert str(err.value) == f"bad port reference {end!r}"
 
 
-@pytest.mark.parametrize("ends", [("w", ("w", 1.5)), (("in", 5), ("w", "x")), ("w", "ghost"), ("out", None),
+@pytest.mark.parametrize("ends", [("w", ("w", 1.5)), (("in", 5), ("w", "x")), ("w", "ghost"), ("ghost", "out"), ("out", None),
                                   ("in", ("w",)), ("in", ["w", 0]), (["w", 0], "out"), ("in", {"w": 0}),
                                   ({"w": 0}, "out")], ids=repr)
 def test_a_refused_wire_leaves_the_builder_unchanged(ends) -> None:

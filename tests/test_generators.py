@@ -505,6 +505,8 @@ def test_flexsymmetry_via_explicit_cup():
 def test_generator_validation():
     with pytest.raises(ValueError):
         Generator("hplus", 1, 2)
+    with pytest.raises(ValueError, match="^leg counts must be nonnegative$"):
+        Generator("green", -1, 1, amp=One())
     with pytest.raises(ValueError):
         Generator("white", 1, 1, amp=One())
     with pytest.raises(ValueError):

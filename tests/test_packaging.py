@@ -181,6 +181,19 @@ def test_report_digest_runs_its_wiring_corpus() -> None:
     assert all(type(p) is int for o in outcomes if type(o) is list for p in o)
 
 
+def test_report_digest_prints_one_line_per_cli_run() -> None:
+    """``tools/report_digest.py`` runs ``quditzx check`` in-process and
+    prints its arguments, exit code and the sha256 of its stdout."""
+    spec = importlib.util.spec_from_file_location("report_digest", ROOT / "tools" / "report_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    line = digest.cli_line(("ZX-GI", "--dim", "2", "--samples", "1"))
+    assert re.fullmatch(r"cli check ZX-GI --dim 2 --samples 1 exit=0 [0-9a-f]{64}", line), line
+    assert line == digest.cli_line(("ZX-GI", "--dim", "2", "--samples", "1"))
+    assert digest.cli_line(("ZX-GI", "--dim", "1")).startswith("cli check ZX-GI --dim 1 exit=2 ")
+    assert len(digest.CLI_RUNS) == 3
+
+
 @pytest.mark.parametrize("base, head, wins, lower, want", [
     ([80.0, 82.0, 84.0], [45.0, 46.0, 47.0], 10, True, "gain"),
     ([80.0, 82.0, 84.0], [45.0, 46.0, 47.0], 9, True, "gain"),

@@ -182,6 +182,44 @@ def test_param_errors_misc():
                 instantiate(spec, {j: v for j, v in valid.items() if j != k}, ctx8)
 
 
+@pytest.mark.parametrize("rule, params, message", [
+    ("ZX-GFP", {"theta": 10**400, "phi": 0.0}, "theta must be finite, got an integer of 1329 bits"),
+    ("ZX-GFP", {"theta": 10**400, "phi": "x"}, "theta must be finite, got an integer of 1329 bits"),
+    ("ZX-GFP", {"theta": math.inf, "phi": 0.0}, "theta must be finite, got inf"),
+    ("ZX-GFP", {"theta": 0.0, "phi": np.float64(-math.inf)}, "phi must be finite, got -inf"),
+    ("ZX-GFP", {"theta": math.nan, "phi": 0.0}, "theta must be finite, got nan"),
+    ("ZH-EC", {"alpha": 10**400, "m": 1}, "alpha must be finite, got an integer of 1329 bits"),
+    ("ZH-EC", {"alpha": math.inf, "m": 1}, r"alpha must be finite, got \(inf\+0j\)"),
+    ("ZH-EC", {"alpha": complex(1, math.nan), "m": 1}, r"alpha must be finite, got \(1\+nanj\)"),
+])
+def test_a_real_or_complex_parameter_must_be_finite(rule, params, message):
+    # an int past the float range, inf or NaN is refused by name, the
+    # first declared parameter first, before any side is built
+    with pytest.raises(ParamError, match=f"^{message}$"):
+        check_soundness(rule, params, MeasureContext(3))
+
+
+def test_a_repeated_rule_id_is_refused():
+    before = dict(CATALOG)
+    with pytest.raises(RewriteError, match="^duplicate rule id 'ZX-GFP' in catalog$"):
+        rw._rule("ZX-GFP", {})(lambda ctx: (None, None))
+    assert CATALOG == before
+
+
+@pytest.mark.parametrize("nu", [1e50, 1e100])
+def test_a_balancing_scalar_past_the_float_range_names_nu(nu):
+    # a power of nu that overflows in a builder is named, never a bare errno tuple
+    named = 0
+    for rule in ALL_RULE_IDS:
+        for D in range(2, 10):
+            try:
+                check_all([D], samples=1, nu=nu, rules=[rule])
+            except OverflowGuardError as exc:
+                assert "Numerical result out of range" not in str(exc), str(exc)
+                named += str(exc).endswith(f"a balancing scalar, a power of nu, leaves the float range at nu={nu!r}")
+    assert named == {1e50: 16, 1e100: 200}[nu]
+
+
 def test_zh_ec_alpha_accepts_numpy_numbers():
     # like INT and REAL, alpha takes numpy scalars; booleans stay out
     spec = get_rule("ZH-EC")
@@ -521,6 +559,14 @@ OUTCOMES_PAST_ONE_TILE = {
           "ZH-UM": "refused", "ZH-WGB": "refused", "ZH-WNS": "refused", "ZX-RGB": "refused", "ZX-RGC": "refused",
           "ZXH-GW": "refused"},
 }
+
+
+def test_an_absorbed_not_dot_is_past_no_dense_budget():
+    # ZH-NA's left side is one not dot between the boundary: a
+    # relabelling, which builds no D x D array, so D=1415 (D^2 past
+    # _MAX_DENSE) passes as D=1414 does
+    rows = check_all([1415], samples=1, rules=["ZH-NA"])
+    assert [r["status"] for r in rows] == ["pass"]
 
 
 @pytest.mark.parametrize("dim", sorted(OUTCOMES_PAST_ONE_TILE))

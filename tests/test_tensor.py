@@ -86,6 +86,8 @@ def test_shape_errors():
         tensor_product(b, c)
     with pytest.raises(ShapeError):
         max_abs_diff(a, b)
+    with pytest.raises(ShapeError, match=r"^entries shape \(3,\) != expected \(2, 2\)$"):
+        Tensor(2, 1, 1, np.zeros(3))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -241,6 +243,7 @@ def test_dump_refuses_a_non_finite_entry(value):
     ('{"dim": 2, "in_legs": 0, "out_legs": 0}', "the tensor dump has no 'entries'"),
     ('{"dim": 2, "in_legs": 0, "out_legs": 0, "entries": 5}', "entries must be a list"),
     ('{"dim": 2, "in_legs": 0, "out_legs": 1, "entries": {"0": [1, 0]}}', "entries must be a list"),
+    ('{"dim": 2, "in_legs": 1, "out_legs": 0, "entries": [[0, 0]]}', "entry count 1 != 2^1"),
 ])
 def test_load_names_the_bad_field(text, message):
     with pytest.raises(ShapeError) as err:

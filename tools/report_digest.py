@@ -1,11 +1,12 @@
-"""Print digests of the soundness reports and of the normal-form round trips.
+"""Print digests of the soundness reports, the normal-form round trips,
+the soundness matrix past D=9 and three ``quditzx check`` reports.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python3 tools/report_digest.py > digests.txt
 
-Each line is ``<what> <sha256>``.  For every rule of the catalog and
-each seed s in 0..2 and nu in {None, 1.0}, the digest is of
+Each line up to the sweep is ``<what> <sha256>``.  For every rule of the
+catalog and each seed s in 0..2 and nu in {None, 1.0}, the digest is of
 ``json.dumps(check_all(range(2, 10), samples=5, seed=s, nu=nu, rules=[rule]))``.
 Then, for every rule, ``<rule> check_soundness`` digests the JSON list of
 ``[D, max_err]`` that ``check_soundness`` gives for the first draw of
@@ -22,20 +23,41 @@ and ``normal-form-json`` the ``dump_json`` texts of the normal forms.
 fixed corpus (seed ``ERRORS_SEED``) of 600 diagram files, most of them
 malformed: for each, the ``DiagramError`` text or the port table, so a
 change that moves an error's text or which fault is named first shows
-there.  Cells past D=9 are digested by ``tools/sweep.py``, one line each.
+there.
+
+The sweep past D=9 follows, one ``check_all`` call per (rule, D): first
+one line per (rule, D) for D=10..64, from ``check_all([D], samples=2,
+seed=0, rules=[rule])``; then one line per (rule, D) over a grid of
+dimensions to 1024 (primes, prime powers and highly composite numbers)
+with ``samples=1``.  A line is ``<rule> D=<D> pass=<n> fail=<n> skip=<n>
+<sha256>``, the counts of the cell's row statuses and the digest of
+``json.dumps`` of its rows, or ``<rule> D=<D> refused: <text>`` for a
+cell that raises ``OverflowGuardError``.  Each cell is its own call, so a
+refused cell costs no other cell its rows.  After each part a ``total``
+line sums its cells, rows and refusals, and a ``total all`` line sums
+both parts.  The sweep takes a few minutes, the lines before it a few
+seconds.
+
+The last lines are ``cli check <args> exit=<code> <sha256>``, one per
+run of ``CLI_RUNS``: ``quditzx check`` run in-process through
+``cli.main``, its exit code and the digest of its stdout.
+
 Run it on two commits and ``diff`` the outputs to see which reports,
-tensors, diagram files and errors a change moved.
+tensors, diagram files, errors, cells and CLI reports a change moved.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+from collections import Counter
 
 import numpy as np
 
-from quditzx import construct, diagram
-from quditzx.measure import MeasureContext
+from quditzx import cli, construct, diagram
+from quditzx.measure import MeasureContext, OverflowGuardError
 from quditzx.rewrite import CATALOG, check_all, check_soundness
 from quditzx.tensor import Tensor
 
@@ -44,6 +66,15 @@ SOUNDNESS_DIMS = range(2, 8)
 NUS = (None, 1.0)
 NF_SEED = 1
 ERRORS_SEED = 33
+NEAR = range(10, 65)
+# primes, prime powers, highly composite numbers
+GRID = (67, 97, 127, 257, 509, 1021, 81, 125, 128, 243, 256, 343, 512, 729, 1024, 72, 120, 210, 360, 720, 840)
+CLI_RUNS = ((), ("--dims", "7..9", "--samples", "1"), ("--dims", "2..6", "--nu", "1.0", "--seed", "3"))
+
+
+def json_digest(obj) -> str:
+    """The sha256 of ``json.dumps(obj)``."""
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
 def normal_form_tensors(seed: int) -> list[Tensor]:
@@ -124,12 +155,48 @@ def wiring_outcomes(seed: int) -> list:
     return out
 
 
+def sweep(name: str, dims: range | tuple, samples: int, totals: Counter) -> None:
+    """Print one line per (rule, D) of ``dims``, then this part's total; add its counts to ``totals``."""
+    part: Counter = Counter()
+    for rule in sorted(CATALOG):
+        for D in dims:
+            part["cells"] += 1
+            try:
+                rows = check_all([D], samples=samples, seed=0, rules=[rule])
+            except OverflowGuardError as exc:
+                part["refused"] += 1
+                print(f"{rule} D={D} refused: {exc}", flush=True)
+                continue
+            counts = Counter(r["status"] for r in rows)
+            part.update(counts)
+            print(f"{rule} D={D} pass={counts['pass']} fail={counts['fail']} skip={counts['skip']} "
+                  f"{json_digest(rows)}", flush=True)
+    print(f"total {name} {line(part)}", flush=True)
+    totals.update(part)
+
+
+def line(counts: Counter) -> str:
+    return " ".join(f"{k}={counts[k]}" for k in ("cells", "pass", "fail", "skip", "refused"))
+
+
+def cli_line(args: tuple[str, ...]) -> str:
+    """``cli check <args> exit=<code> <sha256>``: ``quditzx check`` run
+    in-process, its exit code and the digest of its stdout."""
+    out, code = io.StringIO(), 0
+    with contextlib.redirect_stdout(out):
+        try:
+            cli.main(["check", *args])
+        except SystemExit as exc:
+            code = exc.code
+    return " ".join(["cli", "check", *args, f"exit={code}", hashlib.sha256(out.getvalue().encode()).hexdigest()])
+
+
 def main() -> None:
     for rule in sorted(CATALOG):
         for seed in SEEDS:
             for nu in NUS:
                 rows = check_all(range(2, 10), samples=5, seed=seed, nu=nu, rules=[rule])
-                print(f"{rule} seed={seed} nu={nu} {hashlib.sha256(json.dumps(rows).encode()).hexdigest()}")
+                print(f"{rule} seed={seed} nu={nu} {json_digest(rows)}")
     for rule_key, rule in enumerate(sorted(CATALOG)):
         spec = CATALOG[rule]
         errs = []
@@ -138,7 +205,7 @@ def main() -> None:
                 break
             params = spec.sample(D, np.random.default_rng([SEEDS[0], rule_key, D]))
             errs.append([D, None if params is None else check_soundness(spec, params, MeasureContext(D))["max_err"]])
-        print(f"{rule} check_soundness {hashlib.sha256(json.dumps(errs).encode()).hexdigest()}")
+        print(f"{rule} check_soundness {json_digest(errs)}")
     digest, texts = hashlib.sha256(), hashlib.sha256()
     for t in normal_form_tensors(NF_SEED):
         ctx = MeasureContext(t.dim)
@@ -147,7 +214,13 @@ def main() -> None:
         digest.update(diagram.evaluate(diagram.load_json(text), ctx).data.tobytes())
     print(f"normal-form {digest.hexdigest()}")
     print(f"normal-form-json {texts.hexdigest()}")
-    print(f"diagram-errors {hashlib.sha256(json.dumps(wiring_outcomes(ERRORS_SEED)).encode()).hexdigest()}")
+    print(f"diagram-errors {json_digest(wiring_outcomes(ERRORS_SEED))}", flush=True)
+    totals: Counter = Counter()
+    sweep("D=10..64", NEAR, 2, totals)
+    sweep("grid", GRID, 1, totals)
+    print(f"total all {line(totals)}", flush=True)
+    for args in CLI_RUNS:
+        print(cli_line(args), flush=True)
 
 
 if __name__ == "__main__":
