@@ -451,8 +451,9 @@ def test_gadget_diagrams_are_pinned():
     Each gadget runs over PIN_GRID for its parameter, D=2..6,
     well-tempered and nu=0.83; then the normal forms of seeded random
     tensors.  The digest was recorded from the hand-wired builders,
-    before gadgets were built from shared shapes, and recorded again
-    from those builders when the stand-alone selectors left the inputs.
+    before gadgets were built from shared shapes, and recorded again,
+    with the stand-alone selectors' inputs left out, on the last commit
+    that had them.
     """
     h = hashlib.sha256()
     count = 0

@@ -2466,8 +2466,8 @@ def test_validation_takes_a_port_index_only_as_an_int(end) -> None:
     assert str(err.value) == f"bad port reference {end!r}"
 
 
-@pytest.mark.parametrize("ends", [("w", ("w", 1.5)), (("in", 5), ("w", "x")), ("w", "ghost"), ("ghost", "out"), ("out", None),
-                                  ("in", ("w",)), ("in", ["w", 0]), (["w", 0], "out"), ("in", {"w": 0}),
+@pytest.mark.parametrize("ends", [("w", ("w", 1.5)), (("in", 5), ("w", "x")), ("w", "ghost"), ("ghost", "out"),
+                                  ("out", None), ("in", ("w",)), ("in", ["w", 0]), (["w", 0], "out"), ("in", {"w": 0}),
                                   ({"w": 0}, "out")], ids=repr)
 def test_a_refused_wire_leaves_the_builder_unchanged(ends) -> None:
     # one end is refused: no counter moves, so a valid wiring after it

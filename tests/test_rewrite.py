@@ -561,7 +561,7 @@ OUTCOMES_PAST_ONE_TILE = {
 }
 
 
-def test_an_absorbed_not_dot_is_past_no_dense_budget():
+def test_zh_na_passes_where_a_dense_not_dot_would_be_refused():
     # ZH-NA's left side is one not dot between the boundary: a
     # relabelling, which builds no D x D array, so D=1415 (D^2 past
     # _MAX_DENSE) passes as D=1414 does
