@@ -19,12 +19,14 @@ hand-wired, as its box precedes its copy dots.
 Also here: ``normal_form``, which writes an arbitrary small tensor as a
 diagram of copy-dot fan-outs, not-dot index shifts, and one
 coefficient selector per entry, whose H-box fires a chosen amplitude
-exactly on the all-``U_D`` basis input.  It makes each parameter-free
-generator (the copy and fan dots, each not dot) once per call and
-shares it among the nodes that hold it, so a normal form's
-3(m+n) D^(m+n) + m+n parameter-free nodes hold at most D + 3
-generators.  ``diagram.load_json`` shares them the same way within one
-diagram file.  Nothing is cached across calls.
+exactly on the all-``U_D`` basis input.  Each wire's shift, copy and
+flip for a value is shared by the selectors of every entry with that
+value there, so a normal form has 4(m+n) D + m+n parameter-free nodes
+(3D + 1 for one wire) beside its D^(m+n) selectors.  It makes each
+parameter-free generator (the fan and copy dots by degree, each not
+dot) once per call and shares it among the nodes that hold it, so they
+hold at most D + 4 generators.  ``diagram.load_json`` shares them the
+same way within one diagram file.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -444,11 +446,16 @@ def target_tensor(gid: GadgetId, ctx: MeasureContext) -> Tensor:
 def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
     """A diagram evaluating exactly to `omega`, one selector per entry.
 
-    Every boundary wire gets a single white fan-out dot of degree
-    D**(m+n) + 1.  Each tensor entry, enumerated in row-major order
-    with output axes first, receives its own selector gadget; a
-    not-dot on each branch shifts that entry's basis point onto the
-    all-U_D input the selector fires on.  The fan-out, shift, and
+    Every boundary wire gets a white fan-out dot of degree D + 1, with
+    one branch per value i: a not dot shifts i onto U_D, and a copy dot
+    of degree D**(m+n-1) + 2 sends it straight to the selector of each
+    entry whose point has value i on that wire, and through the
+    (1 - sigma)-not-dot to a copy dot of degree D**(m+n-1) + 1 that
+    sends it flipped to the same selectors.  With one wire, the flip
+    meets its one selector directly.  Each tensor entry, enumerated in
+    row-major order with output axes first, gets its own selector H-box,
+    which fires on the all-U_D input; it takes each wire's straight leg,
+    then its flipped leg, in wire order.  The fan-out, copy and
     selector scalings cancel, so the construction is exact at any nu.
     """
     if omega.dim != ctx.dim:
@@ -463,23 +470,37 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
         )
 
     # one generator per distinct parameter-free node, shared by all the
-    # nodes that hold it: the copy and fan dots, the not dot that shifts
-    # each axis index i onto U_D, and the branches' (1 - sigma)-not-dot
-    whites = {k: Generator.white(1, k) for k in {2, n_coeffs}}
+    # nodes that hold it: the fan and copy dots by degree, the not dot
+    # that shifts each axis index i onto U_D, and the (1 - sigma)-not-dot
+    per = n_coeffs // D  # the selectors that read one value of a wire
+    whites = {k: Generator.white(1, k) for k in {D, per + 1, per}}
     consts = [residue(ctx, -(ctx.lower + i) - ctx.upper) for i in range(D)]
     nots = {c: Generator.not_dot(c) for c in {*consts, 1 - ctx.sigma}}
-    shifts = [nots[c] for c in consts]
-    copy, flip = whites[2], nots[1 - ctx.sigma]
+    flip = nots[1 - ctx.sigma]
 
+    # each wire's fan feeds one branch per value i: the shift onto U_D,
+    # a copy dot whose legs go straight to the selectors of points with
+    # value i there, and one through the flip, copied for them in turn
     b = DiagramBuilder(D)
-    fans = []
+    branches = []  # per wire, per value: the straight and the flipped copy
     for w in range(wires):
-        fan = b.node(whites[n_coeffs], name=f"fan{w}")
+        fan = b.node(whites[D], name=f"fan{w}")
         if w < n_out:
             b.wire(("out", w), fan)
         else:
             b.wire(("in", w - n_out), fan)
-        fans.append(fan)
+        values = []
+        for c in consts:
+            shift, dot, nd = b.node(nots[c]), b.node(whites[per + 1]), b.node(flip)
+            b.wire(fan, shift)
+            b.wire(shift, dot)
+            b.wire(dot, nd)
+            if per > 1:  # a lone selector takes the flip itself
+                flipped = b.node(whites[per])
+                b.wire(nd, flipped)
+                nd = flipped
+            values.append((dot, nd))
+        branches.append(values)
 
     try:
         scale = complex(ctx.nu) ** (-wires)
@@ -493,13 +514,8 @@ def normal_form(omega: Tensor, ctx: MeasureContext) -> Diagram:
             raise OverflowGuardError(f"entry {k} times nu^-{wires} leaves the float range: {alpha}")
         # a scalar's one box keeps an automatic id
         box = b.node(Generator.hbox(MBox(2 * wires, alpha), 2 * wires, 0), f"sel{k}" if wires else None)
-        for fan, i in zip(fans, point):
-            # the shifted wire into a copy dot whose two branches meet
-            # the box, one straight and one through the (1 - sigma)-not-dot
-            shift, dot, nd = b.node(shifts[i]), b.node(copy), b.node(flip)
-            b.wire(fan, shift)
-            b.wire(shift, dot)
-            b.wire(dot, box)
-            b.wire(dot, nd)
-            b.wire(nd, box)
+        for values, i in zip(branches, point):
+            # the straight leg, then the flipped one, of the branch of value i
+            for end in values[i]:
+                b.wire(end, box)
     return b.build()

@@ -30,7 +30,7 @@ Evaluation notes: white and green dots are diagonal, so instead of
 materializing a dense rank-deg tensor the evaluator unifies all wires
 incident to such a dot into a single summation index carrying the dot's
 diagonal weight.  This keeps very high-degree copy dots (the
-normal-form synthesizer builds fan-outs of degree D^(m+n)+1) cheap.
+normal-form synthesizer builds copy dots of degree D^(m+n-1)+2) cheap.
 A not dot says x_b = -x_a - c (mod D), so where it joins two classes of
 wires it is a relabelling, not a factor: one class reads the other's
 index through the map x -> -x - c.  The classes joined this way form a
@@ -121,8 +121,8 @@ than the same step alone (at D=2, a 3-leg red dot with Phase(0.7), legs
 diagram with One()).  One-factor steps over the batch, sums and
 reorders, give each entry the bits it gets alone, and every rule side
 of the soundness matrix at D=2..6 comes out bit for bit.  A batch holds
-at most ``_TILE`` entries in any array (batch times D^max(top, widest
-dense degree)), and at least one diagram: past that the per-call
+at most ``_TILE`` entries in any array (batch times D^max(top, rank of the
+widest dense factor)), and at least one diagram: past that the per-call
 overhead is small next to the arithmetic, and a larger batch only costs
 memory.  So a side of more than ``_TILE`` entries runs alone, and only a
 whole result, one tile, carries a batch axis.  ``evaluate`` runs one
@@ -179,7 +179,7 @@ Port = tuple[str, int]
 Edge = tuple[Port, Port]
 
 _RESERVED = ("in", "out")
-_MAX_DENSE = 2_000_000  # entries; a larger dense node is refused
+_MAX_DENSE = 2_000_000  # entries; a node whose dense factor has more is refused
 # entries; a red or gray dot with more is split by characters where
 # that is smaller (see _factor_mode).  From 64
 # to 4096 the soundness matrix at D=2..9 ran equally fast within noise;
@@ -580,12 +580,13 @@ def _plan(codes: array) -> _Plan:
     empty slot), then the boundary deltas, in boundary order (outputs,
     then inputs).  A node's factor has one axis per distinct label of its
     legs, in the order the legs first reach them.  Returns ``(steps, top,
-    degree, node, chain, layouts, deltas)``.  ``top`` is the highest rank
+    dense, node, chain, layouts, deltas)``.  ``top`` is the highest rank
     of any array held but a dense node's, and at least 1 with any factor,
-    since each has or sums over D entries; ``degree`` is the highest
-    degree of a node kept as a dense factor (a dense node, or a not dot
-    the plan does not absorb), and ``node`` the index of the first such
-    node of that degree (-1 if none).  ``steps`` is a tuple of steps:
+    since each has or sums over D entries; ``dense`` is the rank of the
+    widest factor of a node kept dense (a dense node, or a not dot the
+    plan does not absorb), the number of distinct labels it is built on,
+    and ``node`` the index of the first such node of that rank (-1 if
+    none).  ``steps`` is a tuple of steps:
     ``(i, j, sa, sb, so)`` contracts slots i and j into slot i, and ``(i,
     -1, sa, so)`` sums or reorders slot i alone.  Each sublist is a tuple
     of ints, and equal sublists are one object.  The last step leaves the
@@ -659,15 +660,13 @@ def _plan(codes: array) -> _Plan:
     layouts: list[tuple] = []
     fresh = itertools.count(1)
     top = max(n_in + n_out, 1)  # the result's; a delta (rank 2) only comes with two boundary positions
-    dense = (0, -1)  # degree and node
+    dense = (0, -1)  # distinct labels and node
     for k, (code, legs) in enumerate(zip(node_codes, wires)):
         mode = code & 3
         if k in absorbed:
             labels.append(None)
             layouts.append(())
             continue
-        if mode in (_DENSE, _NOT) and len(legs) > dense[0]:
-            dense = (len(legs), k)
         placed = [place(w) for w in legs]
         maps = tuple(m for _, m in placed)
         maps = maps if any(maps) else ()
@@ -685,6 +684,8 @@ def _plan(codes: array) -> _Plan:
             for lab, _ in placed:
                 axes.setdefault(lab, len(axes))
             labels.append(list(axes))
+            if len(axes) > dense[0]:
+                dense = (len(axes), k)
             if len(axes) < len(legs):
                 positions = tuple(axes[lab] for lab, _ in placed)
         layouts.append((positions, maps) if positions or maps else _PLAIN)
@@ -1207,13 +1208,15 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
         if plan is None:
             plan = _plan(codes)
             _PLANS.put(key, plan)
-        steps, top, degree, node, chain, layouts, deltas = plan
+        steps, top, dense, node, chain, layouts, deltas = plan
     if d.dim**top > _MAX_RESULT:
         raise OverflowGuardError(f"an array of rank {top} at dimension D={d.dim} exceeds {_MAX_RESULT} entries")
-    if d.dim**degree > _MAX_DENSE:
+    if d.dim**dense > _MAX_DENSE:
         name = list(d.nodes)[node]
-        raise OverflowGuardError(f"node {name!r}: {d.nodes[name].kind} of degree {degree} too large at D={d.dim}")
-    size = max(_TILE // d.dim ** max(top, degree), 1)
+        gen = d.nodes[name]
+        on = f" on {dense} label{'s' * (dense > 1)}" if dense < gen.degree else ""
+        raise OverflowGuardError(f"node {name!r}: {gen.kind} of degree {gen.degree}{on} too large at D={d.dim}")
+    size = max(_TILE // d.dim ** max(top, dense), 1)
     return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), size
 
 

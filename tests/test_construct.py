@@ -8,6 +8,7 @@ window.
 
 import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -346,14 +347,62 @@ def test_normal_form_exact_off_tempered_nu():
     assert rel_err(got, omega) < 1e-8
 
 
-def test_normal_form_structure():
-    ctx = MeasureContext(2)
-    omega = Tensor(2, 1, 1, np.eye(2))
-    d = normal_form(omega, ctx)
-    n_coeffs = 2**2
-    assert sum(1 for g in d.nodes.values() if g.kind == "white" and g.degree == n_coeffs + 1) == 2
-    assert sum(1 for g in d.nodes.values() if g.kind == "hbox") == n_coeffs
-    assert len(d.nodes) == 2 + n_coeffs * (1 + 3 * 2)
+@pytest.mark.parametrize("D,m,n", [(3, 0, 0), (2, 0, 1), (5, 1, 0), (2, 1, 1), (3, 2, 1), (2, 2, 2), (4, 1, 2)])
+def test_normal_form_structure(D, m, n):
+    # per wire: a fan of degree D + 1, and per value a shift, a straight
+    # copy, a flip and a flipped copy, the last left out where a value
+    # has one selector (m + n = 1); then one selector per coefficient
+    ctx = MeasureContext(D)
+    w, n_coeffs = m + n, D ** (m + n)
+    d = normal_form(Tensor(D, m, n, np.ones((D,) * w)), ctx)
+    flipped = w * D if w > 1 else 0
+    assert len(d.nodes) == w + 3 * w * D + flipped + n_coeffs
+    assert len(d._ports) // 2 == w * (D + 1) + 2 * w * D + flipped + 2 * w * n_coeffs
+    assert [d.nodes[f"fan{k}"].degree for k in range(w)] == [D + 1] * w
+    whites = Counter(g.degree for name, g in d.nodes.items() if g.kind == "white" and not name.startswith("fan"))
+    per = n_coeffs // D
+    assert whites == (Counter({per + 2: w * D, per + 1: flipped}) if w else Counter())
+    assert sum(g.kind == "not" for g in d.nodes.values()) == 2 * w * D
+    boxes = [g for g in d.nodes.values() if g.kind == "hbox"]
+    assert len(boxes) == n_coeffs and {g.degree for g in boxes} == {2 * w}
+    if w <= 1:  # the count of one shift, copy and flip per coefficient
+        assert len(d.nodes) == w + n_coeffs * (1 + 3 * w)
+        assert len(d._ports) // 2 == w + 5 * w * n_coeffs
+
+
+def small_domain() -> list:
+    """Every (D, m, n) with D^(m+n) <= 256 and D <= 64: 305 shapes."""
+    shapes = []
+    for D in range(2, 65):
+        w = 0
+        while D ** (w + 1) <= 256:
+            w += 1
+        shapes += [(D, m, k - m) for k in range(w + 1) for m in range(k + 1)]
+    return shapes
+
+
+def test_normal_form_round_trips_over_the_small_domain():
+    # one seeded tensor per shape: bit for bit at nu = 1, and to a
+    # relative 1e-12 at the well-tempered nu
+    shapes = small_domain()
+    assert len(shapes) == 305
+    for D, m, n in shapes:
+        rng = np.random.default_rng([D, m, n])
+        shape = (D,) * (m + n)
+        omega = Tensor(D, m, n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        exact = MeasureContext(D, 1.0)
+        assert rel_err(evaluate(normal_form(omega, exact), exact), omega) == 0.0, (D, m, n)
+        ctx = MeasureContext(D)
+        assert rel_err(evaluate(normal_form(omega, ctx), ctx), omega) <= 1e-12, (D, m, n)
+
+
+def test_normal_form_of_4096_coefficients_round_trips_at_nu_one():
+    # each selector box has 4 legs on the 2 fan labels: 64^2 entries,
+    # inside the dense budget, which counts a factor's labels, not its legs
+    rng = np.random.default_rng(25)
+    omega = Tensor(64, 1, 1, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    ctx = MeasureContext(64, 1.0)
+    assert rel_err(evaluate(normal_form(omega, ctx), ctx), omega) == 0.0
 
 
 def test_normal_form_guards():
@@ -453,7 +502,9 @@ def test_gadget_diagrams_are_pinned():
     tensors.  The digest was recorded from the hand-wired builders,
     before gadgets were built from shared shapes, and recorded again,
     with the stand-alone selectors' inputs left out, on the last commit
-    that had them.
+    that had them; then again when the selectors of a normal form came
+    to share each wire's shift, copy and flip, which moved only the
+    normal forms' bytes.
     """
     h = hashlib.sha256()
     count = 0
@@ -475,4 +526,4 @@ def test_gadget_diagrams_are_pinned():
                 data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 h.update(dump_json(normal_form(Tensor(D, m, n, data), ctx)).encode())
     assert count == 520
-    assert h.hexdigest() == "ccd76abce8f239a33e3efc6e6752c68cf0938239e596de8203a5ca92a03942fc"
+    assert h.hexdigest() == "d8202cfc74e910debd6df3eca18069a3a543a4c200fde3db2f574c22e34275a1"

@@ -14,11 +14,13 @@ each cell of seed 0 at D=2..min(dim_cap, 7), a cell the rule cannot
 draw giving ``[D, None]``; this covers the one-pair path, and at D=6
 and D=7 the sides of ZH-O and ZH-ZPL that are compared tile by tile
 (those of more than ``diagram._TILE`` entries).
-The next two lines are over the normal-form benchmark's tensors: D=2, 3,
+The next three lines are over the normal-form benchmark's tensors: D=2, 3,
 4 with m+n <= 3, five each, plus (m, n) = (2, 2) twice at D=3 and once at
 D=4, drawn as the benchmark draws them for seed 1.  ``normal-form``
 digests the tensor bytes of ``evaluate(load_json(dump_json(normal_form(t, ctx))), ctx)``,
 and ``normal-form-json`` the ``dump_json`` texts of the normal forms.
+``normal-form-size`` then gives their total nodes, edges and ``dump_json``
+bytes, as ``normal-form-size nodes=<n> edges=<n> bytes=<n>``.
 ``diagram-errors`` digests what the loader's wiring check makes of a
 fixed corpus (seed ``ERRORS_SEED``) of 600 diagram files, most of them
 malformed: for each, the ``DiagramError`` text or the port table, so a
@@ -206,14 +208,17 @@ def main() -> None:
             params = spec.sample(D, np.random.default_rng([SEEDS[0], rule_key, D]))
             errs.append([D, None if params is None else check_soundness(spec, params, MeasureContext(D))["max_err"]])
         print(f"{rule} check_soundness {json_digest(errs)}")
-    digest, texts = hashlib.sha256(), hashlib.sha256()
+    digest, texts, size = hashlib.sha256(), hashlib.sha256(), Counter()
     for t in normal_form_tensors(NF_SEED):
         ctx = MeasureContext(t.dim)
-        text = diagram.dump_json(construct.normal_form(t, ctx))
+        d = construct.normal_form(t, ctx)
+        text = diagram.dump_json(d)
         texts.update(text.encode())
+        size.update(nodes=len(d.nodes), edges=len(d._ports) // 2, bytes=len(text.encode()))
         digest.update(diagram.evaluate(diagram.load_json(text), ctx).data.tobytes())
     print(f"normal-form {digest.hexdigest()}")
     print(f"normal-form-json {texts.hexdigest()}")
+    print(f"normal-form-size nodes={size['nodes']} edges={size['edges']} bytes={size['bytes']}")
     print(f"diagram-errors {json_digest(wiring_outcomes(ERRORS_SEED))}", flush=True)
     totals: Counter = Counter()
     sweep("D=10..64", NEAR, 2, totals)
