@@ -347,44 +347,33 @@ def test_normal_form_exact_off_tempered_nu():
     assert rel_err(got, omega) < 1e-8
 
 
-@pytest.mark.parametrize("D,m,n", [(3, 0, 0), (2, 0, 1), (5, 1, 0), (2, 1, 1), (3, 2, 1), (2, 2, 2), (4, 1, 2)])
-def test_normal_form_structure(D, m, n):
+def test_normal_form_structure():
     # per wire: a fan of degree D + 1, and per value a shift, a straight
     # copy, a flip and a flipped copy, the last left out where a value
     # has one selector (m + n = 1); then one selector per coefficient
-    ctx = MeasureContext(D)
-    w, n_coeffs = m + n, D ** (m + n)
-    d = normal_form(Tensor(D, m, n, np.ones((D,) * w)), ctx)
-    flipped = w * D if w > 1 else 0
-    assert len(d.nodes) == w + 3 * w * D + flipped + n_coeffs
-    assert len(d._ports) // 2 == w * (D + 1) + 2 * w * D + flipped + 2 * w * n_coeffs
-    assert [d.nodes[f"fan{k}"].degree for k in range(w)] == [D + 1] * w
-    whites = Counter(g.degree for name, g in d.nodes.items() if g.kind == "white" and not name.startswith("fan"))
-    per = n_coeffs // D
-    assert whites == (Counter({per + 2: w * D, per + 1: flipped}) if w else Counter())
-    assert sum(g.kind == "not" for g in d.nodes.values()) == 2 * w * D
-    boxes = [g for g in d.nodes.values() if g.kind == "hbox"]
-    assert len(boxes) == n_coeffs and {g.degree for g in boxes} == {2 * w}
-    if w <= 1:  # the count of one shift, copy and flip per coefficient
-        assert len(d.nodes) == w + n_coeffs * (1 + 3 * w)
-        assert len(d._ports) // 2 == w + 5 * w * n_coeffs
-
-
-def small_domain() -> list:
-    """Every (D, m, n) with D^(m+n) <= 256 and D <= 64: 305 shapes."""
-    shapes = []
-    for D in range(2, 65):
-        w = 0
-        while D ** (w + 1) <= 256:
-            w += 1
-        shapes += [(D, m, k - m) for k in range(w + 1) for m in range(k + 1)]
-    return shapes
+    for D, m, n in [(3, 0, 0), (2, 0, 1), (5, 1, 0), (2, 1, 1), (3, 2, 1), (2, 2, 2), (4, 1, 2)]:
+        w, n_coeffs = m + n, D ** (m + n)
+        d = normal_form(Tensor(D, m, n, np.ones((D,) * w)), MeasureContext(D))
+        flipped = w * D if w > 1 else 0
+        assert len(d.nodes) == w + 3 * w * D + flipped + n_coeffs
+        assert len(d._ports) // 2 == w * (D + 1) + 2 * w * D + flipped + 2 * w * n_coeffs
+        assert [d.nodes[f"fan{k}"].degree for k in range(w)] == [D + 1] * w
+        copies = Counter(g.degree for name, g in d.nodes.items() if g.kind == "white" and not name.startswith("fan"))
+        per = n_coeffs // D
+        assert copies == (Counter({per + 2: w * D, per + 1: flipped}) if w else Counter())
+        assert sum(g.kind == "not" for g in d.nodes.values()) == 2 * w * D
+        boxes = [g for g in d.nodes.values() if g.kind == "hbox"]
+        assert len(boxes) == n_coeffs and {g.degree for g in boxes} == {2 * w}
+        if w <= 1:  # the count of one shift, copy and flip per coefficient
+            assert len(d.nodes) == w + n_coeffs * (1 + 3 * w)
+            assert len(d._ports) // 2 == w + 5 * w * n_coeffs
 
 
 def test_normal_form_round_trips_over_the_small_domain():
-    # one seeded tensor per shape: bit for bit at nu = 1, and to a
-    # relative 1e-12 at the well-tempered nu
-    shapes = small_domain()
+    # one seeded tensor for every (D, m, n) with D^(m+n) <= 256 and
+    # D <= 64: bit for bit at nu = 1, and to a relative 1e-12 at the
+    # well-tempered nu
+    shapes = [(D, m, k - m) for D in range(2, 65) for k in range(9) if D**k <= 256 for m in range(k + 1)]
     assert len(shapes) == 305
     for D, m, n in shapes:
         rng = np.random.default_rng([D, m, n])
