@@ -24,7 +24,17 @@ index)`` pairs, is derived from the table each time something reads it
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
-factor; all normalization lives in the generator tensors.
+factor; all normalization lives in the generator tensors.  Each
+generator's entries carry a fixed power nu^k of the measure weight (see
+``generators``), so a diagram's tensor is its tensor at nu = 1 times
+nu^K, K the sum of its nodes' powers.  Every factor is built at nu = 1,
+and nu^K is multiplied in once, into one operand of the last merge (the
+one with fewer labels, or one with the batch axis where a batch's K
+differ), or into the result of a plan with no merge.  So powers that
+cancel over a side never leave the float range one factor at a time; a
+wide side pays one multiply over an operand, not one per tile; and a
+batch entry and its diagram alone scale the same operand, as a wide
+side's tiles and its whole result do.
 
 Evaluation notes: white and green dots are diagonal, so instead of
 materializing a dense rank-deg tensor the evaluator unifies all wires
@@ -116,8 +126,8 @@ equals what its diagram gives alone up to rounding, not always bit for
 bit: a pairwise ``np.einsum`` over the batch may sum in another order
 than the same step alone (at D=2, a 3-leg red dot with Phase(0.7), legs
 0 and 2 joined through an hplus and leg 1 the output, gives
-0.13982567201488166-0.38305412863682975j at output 0 alone and
-0.1398256720148816-0.3830541286368297j in a batch after the same
+0.13982567201488166-0.38305412863682964j at output 0 alone and
+0.1398256720148816-0.38305412863682964j in a batch after the same
 diagram with One()).  One-factor steps over the batch, sums and
 reorders, give each entry the bits it gets alone, and every rule side
 of the soundness matrix at D=2..6 comes out bit for bit.  A batch holds
@@ -909,20 +919,16 @@ _PLANS = _PlanCache()
 def _split_factors(ctx: MeasureContext, gen: Generator, legs: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
     """A red or gray node by its character decomposition.
 
-    Entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j): the vector
-    c, then the matrix omega^(t x) once per leg, all on one index t.
-    From the generator formulas, c(t) = nu^k * A(t) for a red dot and
-    nu^k / D for a gray one, k the dot's ``nu_power`` (2+deg and deg-2,
-    as in the table of ``generators``).  ``legs`` holds the residues x of
-    each leg over its label, the window by default; legs that hold one
-    array share one matrix.
+    Unit entry w(sum of legs) = sum_t c(t) prod_j omega^(t x_j): the
+    vector c, then the matrix omega^(t x) once per leg, all on one index
+    t.  From the generator formulas, c(t) = A(t) for a red dot and 1 / D
+    for a gray one.  ``legs`` holds the residues x of each leg over its
+    label, the window by default; legs that hold one array share one
+    matrix.
     """
     D, deg = ctx.dim, gen.degree
     sv = ctx.residues()
-    if gen.kind == "red":
-        coeff = ctx.nu**gen.nu_power * np.asarray(gen.amp.eval_arr(ctx, sv), dtype=complex)
-    else:
-        coeff = np.full(D, ctx.nu**gen.nu_power / D, dtype=complex)
+    coeff = gen.amp.eval_arr(ctx, sv) if gen.kind == "red" else np.full(D, 1 / D, dtype=complex)
     legs = [sv] * deg if legs is None else legs
     phases: dict[int, np.ndarray] = {}
     for x in legs:
@@ -1023,11 +1029,19 @@ def _execute(
     value v of its label.  A factor whose generator or offsets differ
     between the diagrams is stacked on a leading batch axis, and so is
     every array a step makes from one (see the module notes); the others
-    are built once.  Returns the two operands of the pairwise step
-    ``stop``, slot i then slot j; with ``stop == len(steps)``, the result
-    alone, in boundary order, with the batch axis in front if it has one.
-    A plan of no steps leaves its one factor as the result; with no
-    factor at all the result is the scalar 1.  Parameter-free factors
+    are built once.  ``stop`` is ``len(steps)``, or the plan's last
+    merge, where it ends in one (see ``_plan``).  Returns the two operands
+    of the pairwise step ``stop``, slot i then slot j; with ``stop ==
+    len(steps)``, the result alone, in boundary order, with the batch axis
+    in front if it has one.  A plan of no steps leaves its one factor as
+    the result; with no factor at all the result is the scalar 1.
+
+    Factors are built at nu = 1 (see ``generators``).  Each diagram's
+    nu^K, K the sum of its nodes' powers of nu, is multiplied once into
+    one operand of the last merge, before it runs: the one with fewer
+    labels, or one with the batch axis where the batch's K differ; with
+    no merge, into the result.  A nu^K past the float range raises
+    ``OverflowGuardError`` naming K and nu.  Parameter-free factors
     are built as their first node is set up, one array for each equal
     recipe, which every slot holding it refers to; it is freed when the
     last of them lets go.  Other factors are built when a step first
@@ -1039,12 +1053,18 @@ def _execute(
     in ``rewrite.check_all``).  One in a factor's build, whose error says
     only that it left the range, is named by the node (of the first
     diagram) whose factor it was building, the first in node order that
-    holds it, and by that factor's power of nu; one in a step's kernel
-    keeps numpy's text, and an ``OverflowGuardError`` its own.
+    holds it; one in a step's kernel or in the product with nu^K keeps
+    numpy's text, and an ``OverflowGuardError`` its own.
     """
     D = ctx.dim
     if not ds[0].nodes and not ds[0].n_outputs + ds[0].n_inputs:
         return [np.asarray(1.0 + 0j)]
+    powers = [sum(gen.nu_power for gen in d.nodes.values()) for d in ds]  # each diagram's K
+    try:
+        scales = [ctx.nu**k for k in powers]
+    except OverflowError:  # the K that overflows: the least for nu < 1, else the greatest
+        k = min(powers) if ctx.nu < 1 else max(powers)
+        raise OverflowGuardError(f"a side's power of nu, nu^{k} at nu={ctx.nu!r}, leaves the float range") from None
     node_codes, chain, layouts, deltas = layout
     # each map's sign, and per diagram each map's offset
     signs, offsets = [1], [[0] for _ in ds] if chain else [()] * len(ds)
@@ -1083,8 +1103,6 @@ def _execute(
         if gen.kind in ("green", "white"):
             return diagonal_weight(ctx, gen, mapped(lay[1][0], offs[0])) if offs else diagonal_weight(ctx, gen)
         deg = gen.degree
-        if not deg:
-            return generator_entries(ctx, gen)
         key = (lay, offs, deg)
         legs = built.get(key)
         if legs is None:  # each leg's residues along its label's axis
@@ -1163,23 +1181,30 @@ def _execute(
                 factors.append(batch[0] if all(map(batch[0].__eq__, batch[1:])) else batch)
             # a plan of no steps has one factor, its result
             i = 0 if steps else next(k for k, f in enumerate(factors) if f is not None)
-            for i, j, *subs in steps[:stop]:
+            end = len(steps) - (bool(steps) and steps[-1][1] >= 0)  # the last merge, where the plan ends in one
+            for i, j, *subs in steps[:end]:
                 if j < 0:
                     x, (sa, so) = operand(i), subs
                     factors[i] = np.einsum(x, (..., *sa), (..., *so))
                 else:
                     sa, sb, so = subs
                     factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
-            if stop < len(steps):
-                return [operand(steps[stop][0]), operand(steps[stop][1])]
-            return [operand(i)]
+            out = [operand(i)] if end == len(steps) else [operand(steps[end][0]), operand(steps[end][1])]
+            if any(s != 1 for s in scales):
+                ranks = [len(sub) for sub in steps[end][2:4]] if out[1:] else [ds[0].n_inputs + ds[0].n_outputs]
+                differ = len(set(scales)) > 1
+                k = min(range(len(out)), key=lambda k: (differ and out[k].ndim == ranks[k], ranks[k]))
+                out[k] = out[k] * (np.reshape(scales, (-1,) + (1,) * ranks[k]) if differ else scales[0])
+            if stop > end:  # the last merge too
+                _, _, sa, sb, so = steps[end]
+                out = [_pairwise(D, out.pop(0), sa, out.pop(), sb, so)]
+            return out
     except (OverflowError, FloatingPointError) as exc:  # a Python power or a numpy product
         what = str(exc)
         if building is not None and type(exc) is not OverflowGuardError:  # in a factor's build
             name = list(ds[0].nodes)[bisect.bisect_right(starts, building) - 1]
             gen = ds[0].nodes[name]
-            what = (f"node {name!r}: {gen.kind} of degree {gen.degree}, whose entries carry nu^{gen.nu_power}, "
-                    f"leaves the float range at D={D}")
+            what = f"node {name!r}: {gen.kind} of degree {gen.degree} leaves the float range at D={D}"
         raise OverflowGuardError(f"a factor entry is out of range: {what}") from exc
 
 
@@ -1303,16 +1328,13 @@ def _tiles(ds: list[Diagram], plan: tuple, ctx: MeasureContext) -> Iterator[np.n
     steps, layout = plan
     D, n = ctx.dim, ds[0].n_inputs + ds[0].n_outputs
     k, run = _cut(D, n)
-    if k and steps and steps[-1][1] >= 0:
-        a, b = _execute(steps, len(steps) - 1, layout, ds, ctx)
-        ds.clear()
-        _, _, sa, sb, so = steps[-1]
-        blocks = _blocks(D, a, sa, b, sb, so, so[1:k], run)
-        del a, b
-        yield from blocks
-        return
-    (whole,) = _execute(steps, len(steps), layout, ds, ctx)
+    out = _execute(steps, len(steps) - bool(k and steps and steps[-1][1] >= 0), layout, ds, ctx)
     ds.clear()
+    if len(out) == 2:  # a wide result's last merge
+        _, _, sa, sb, so = steps[-1]
+        yield from _blocks(D, out.pop(0), sa, out.pop(), sb, so, so[1:k], run)
+        return
+    whole = out.pop()
     if not k:
         yield np.asarray(whole)  # np.einsum gives a legless side as a scalar
         return

@@ -2,27 +2,35 @@
 
 Generator kinds and their tensor entries (deg = total legs, all axes
 enumerated over the residue window; nu is the measure weight).  Each
-kind's power of nu is a + b * deg, its ``(a, b)`` in ``_NU_POWER``, and
-every entry builder reads it there, through ``Generator.nu_power``:
+entry is a unit entry, the one at nu = 1, times nu^k, with k = a + b *
+deg the kind's power of nu, its ``(a, b)`` in ``_NU_POWER``, read
+through ``Generator.nu_power``.  The entry builders (``generator_entries``,
+``diagonal_weight``) give the unit entries alone, and nu^k is applied
+once: by ``eval_generator`` to one generator, and by the evaluator to a
+whole diagram, as nu^K with K the sum of its nodes' powers (see
+``diagram``).
 
-==========  =========================================================
-green(T)    diagonal: entry nu^(2-deg) * T(v) when every leg equals v
-white       green with the constant-1 amplitude
-red(T)      entry nu^(2+deg) * sum_j T(j) omega^(j * sum of legs)
-hplus       2 legs: entry nu^2 * omega^(v1*v2)
-hminus      2 legs: entry nu^2 * omega^(-v1*v2)
-hbox(A)     entry nu^deg * A(product of legs, as integers)
-gray        entry nu^(deg-2) when the legs sum to 0 mod D, else 0
-not(c)      2 legs: entry 1 when v1 + v2 + c = 0 mod D, else 0
-==========  =========================================================
+==========  ===========  ============================================
+kind        nu^k         unit entry
+==========  ===========  ============================================
+green(T)    nu^(2-deg)   diagonal: T(v) when every leg equals v
+white       nu^(2-deg)   green with the constant-1 amplitude
+red(T)      nu^(2+deg)   sum_j T(j) omega^(j * sum of legs)
+hplus       nu^2         2 legs: omega^(v1*v2)
+hminus      nu^2         2 legs: omega^(-v1*v2)
+hbox(A)     nu^deg       A(product of legs, as integers)
+gray        nu^(deg-2)   1 when the legs sum to 0 mod D, else 0
+not(c)      1            2 legs: 1 when v1 + v2 + c = 0 mod D, else 0
+==========  ===========  ============================================
 
 Every formula is symmetric under permuting legs, so a generator's
 meaning does not depend on which legs face the input or output side
 ("flexsymmetry"); the input/output split only fixes the returned
-Tensor's axis layout.
+Tensor's axis layout.  A gray dot is a not dot's formula with c = 0.
 
 Degree-0 cases integrate out completely: green 0-leg = nu^2 * sum T,
-red 0-leg = nu^2 * sum T, hbox 0-leg = A(1), gray 0-leg = nu^(-2).
+red 0-leg = nu^2 * sum T, hbox 0-leg = A(1) (the empty product), gray
+0-leg = nu^(-2) (the empty sum is 0).
 """
 
 from __future__ import annotations
@@ -440,30 +448,29 @@ class Generator:
 
 
 def diagonal_weight(ctx: MeasureContext, g: Generator, vals: np.ndarray | None = None) -> np.ndarray:
-    """A green or white dot's entries where all legs equal v, for v in ``vals``.
+    """A green or white dot's unit entries where all legs equal v, for v in ``vals``.
 
     ``vals`` defaults to the window L_D..U_D; where the dot's wires are a
     relabelling of another label, it holds the residue each value of that
     label stands for.  With no legs the dot integrates out, and this is
-    the scalar nu^2 * sum_v T(v) as a 0-d array; past the float range it
-    raises ``OverflowGuardError``.
+    the scalar sum_v T(v) as a 0-d array; past the float range it raises
+    ``OverflowGuardError``.
     """
     amp = g.amp if g.kind == "green" else One()
     if g.degree == 0:
         # Python's sum, which can differ from numpy's in the last bit, over
         # the entries a slice at a time: no list of all D of them is made
         w = amp.eval_arr(ctx, ctx.residues())
-        total = sum(itertools.chain.from_iterable(w[k : k + 4096].tolist() for k in range(0, len(w), 4096)))
-        weight = np.asarray(complex(ctx.nu**g.nu_power * total))
+        weight = np.asarray(complex(sum(itertools.chain.from_iterable(
+            w[k : k + 4096].tolist() for k in range(0, len(w), 4096)))))
         if not np.isfinite(weight):
             raise OverflowGuardError(f"the weight of a legless {g.kind} dot leaves the float range")
         return weight
-    vals = ctx.residues() if vals is None else vals
-    return np.asarray(amp.eval_arr(ctx, vals) * ctx.nu**g.nu_power, dtype=complex)
+    return amp.eval_arr(ctx, ctx.residues() if vals is None else vals)
 
 
 def generator_entries(ctx: MeasureContext, g: Generator, legs: list[np.ndarray] | None = None) -> np.ndarray:
-    """Dense entry array of a generator (order-symmetric formulas).
+    """Dense unit entry array of a generator, its entries at nu = 1 (order-symmetric formulas).
 
     ``legs`` holds one int64 array per leg: the residue the leg takes at
     each point of the factor's labels, all broadcastable to the factor's
@@ -473,43 +480,44 @@ def generator_entries(ctx: MeasureContext, g: Generator, legs: list[np.ndarray] 
     leg has a label of its own, axis j holding leg j's window, which gives
     the generator's tensor over all deg legs.
     """
-    D, deg, nu = ctx.dim, g.degree, ctx.nu
+    D, deg = ctx.dim, g.degree
     if legs is None:
         legs = [ctx.residues().reshape((-1,) + (1,) * (deg - 1 - j)) for j in range(deg)]
     if g.kind in ("green", "white"):
         w = diagonal_weight(ctx, g)
         if deg == 0:
             return w
-        equal = True
-        for leg in legs[1:]:
-            equal = equal & (leg == legs[0])
+        equal = functools.reduce(np.logical_and, [leg == legs[0] for leg in legs[1:]], True)
         return np.where(equal, w[legs[0] - ctx.lower], 0j)
     if g.kind == "red":
         jv = ctx.residues()
         if deg == 0:
             # only s = 0 is read, where every omega^(j*s) is 1
-            return np.asarray(nu**g.nu_power * g.amp.eval_arr(ctx, jv).sum())
-        # w[s] for s = L_D..U_D: nu^(2+deg) * sum_j A(j) * omega^(j*s)
-        w = nu**g.nu_power * (g.amp.eval_arr(ctx, jv) @ omega_pow_arr(ctx, np.outer(jv, jv)))
+            return np.asarray(g.amp.eval_arr(ctx, jv).sum())
+        # w[s] for s = L_D..U_D: sum_j A(j) * omega^(j*s)
+        w = g.amp.eval_arr(ctx, jv) @ omega_pow_arr(ctx, np.outer(jv, jv))
         return w[(functools.reduce(np.add, legs) - ctx.lower) % D]
-    if g.kind == "gray":
-        weight = complex(nu**g.nu_power)
-        if deg == 0:
-            return np.asarray(weight)
-        return np.where(functools.reduce(np.add, legs) % D == 0, weight, 0j)
+    if g.kind in ("gray", "not"):  # a gray dot has c = 0
+        return np.where(functools.reduce(np.add, legs, g.c % D) % D == 0, 1.0 + 0j, 0j)
     if g.kind in ("hplus", "hminus"):
-        sign = 1 if g.kind == "hplus" else -1
-        return nu**g.nu_power * omega_pow_arr(ctx, sign * functools.reduce(np.multiply, legs))
-    if g.kind == "hbox":
-        if deg == 0:
-            return np.asarray(g.amp.eval_arr(ctx, np.ones((), dtype=np.int64)), dtype=complex)
-        checked_i64(max(abs(ctx.lower), ctx.upper, 1) ** deg, "hbox leg product bound")
-        return nu**g.nu_power * g.amp.eval_arr(ctx, functools.reduce(np.multiply, legs))
-    if g.kind == "not":
-        return np.where((functools.reduce(np.add, legs) + g.c % D) % D == 0, 1.0 + 0j, 0j)
-    raise ValueError(f"unknown kind {g.kind!r}")
+        return omega_pow_arr(ctx, (1 if g.kind == "hplus" else -1) * functools.reduce(np.multiply, legs))
+    # an hbox
+    checked_i64(max(abs(ctx.lower), ctx.upper, 1) ** deg, "hbox leg product bound")
+    return g.amp.eval_arr(ctx, functools.reduce(np.multiply, legs, np.ones((), dtype=np.int64)))
 
 
 def eval_generator(ctx: MeasureContext, g: Generator) -> Tensor:
-    """The generator's tensor, with output axes first then input axes."""
-    return Tensor(ctx.dim, g.m, g.n, generator_entries(ctx, g))
+    """The generator's tensor, its unit entries times nu^k, with output axes first then input axes.
+
+    nu^k is taken before the entries are built.  Where it, an entry, or
+    an entry times it leaves the float range, this raises
+    ``OverflowGuardError`` naming the generator and nu^k.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return Tensor(ctx.dim, g.m, g.n, ctx.nu**g.nu_power * generator_entries(ctx, g))
+    except (OverflowError, FloatingPointError) as exc:
+        if isinstance(exc, OverflowGuardError):
+            raise
+        raise OverflowGuardError(f"{g.kind} of degree {g.degree}, whose entries carry nu^{g.nu_power}, "
+                                 f"leaves the float range at nu={ctx.nu!r}") from None

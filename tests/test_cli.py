@@ -375,14 +375,15 @@ def test_check_names_a_balancing_scalar_past_the_float_range(runner, args, what)
 
 
 def test_check_refuses_a_comparison_past_the_float_range():
-    # both sides of ZH-HMB at D=2 overflow inside the contraction at this
-    # nu, so their difference is NaN: a refused cell, not a failing row
-    # with "max_err": NaN (which is not JSON), and no RuntimeWarning
+    # each side of ZH-HMB at D=2 carries nu^4, which is past the float
+    # range at this nu: a refused cell, not a failing row with "max_err":
+    # NaN (which is not JSON), and no RuntimeWarning
     proc = run_fresh_python("-m", "quditzx.cli", "check", "ZH-HMB", "--dims", "2..3", "--samples", "1",
                             "--nu", "1e100")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "check failed: ZH-HMB at D=2: a side left the float range\n"
+    assert proc.stderr == ("check failed: ZH-HMB at D=2: a side's power of nu, nu^4 at nu=1e+100, "
+                           "leaves the float range\n")
 
 
 def test_check_names_the_refused_cell(runner):
@@ -393,15 +394,17 @@ def test_check_names_the_refused_cell(runner):
     assert res.stderr.startswith("check failed: ZH-EC at D=32: a factor entry is out of range: a power of UnitPow(")
 
 
-def test_check_names_the_node_whose_factor_leaves_the_float_range(runner):
+def test_check_passes_a_cell_whose_factor_once_left_the_float_range(runner):
     # the draw at D=720 has a green dot of 572 legs whose nu^(2-572) is
-    # about 1e814: named by node, kind, degree and power of nu, not by an
-    # errno tuple
+    # about 1e814, which was refused while each factor carried its own
+    # power of nu; built at nu=1, each side carries nu^4 in all, and the
+    # cell passes
     res = runner.invoke(cli.main, ["check", "ZX-MH", "--dim", "720"])
-    assert res.exit_code == 3
-    assert res.stdout == ""
-    assert res.stderr == ("check failed: ZX-MH at D=720: a factor entry is out of range: node 'g0': "
-                          "green of degree 572, whose entries carry nu^-570, leaves the float range at D=720\n")
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+    report = json.loads(res.stdout)
+    assert report["failures"] == 0
+    assert [(r["sample"], r["status"]) for r in report["rows"]] == [(k, "pass") for k in range(5)]
 
 
 NON_FINITE = ["nan", "inf", "-inf", "1e400"]
@@ -508,24 +511,23 @@ def test_a_non_finite_result_is_a_semantic_error(runner, tmp_path):
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
     assert res.stderr.startswith("evaluation failed: entry 0 of the tensor is not finite: ")
-    # an hbox factor nu^2 * 1.7e308 overflows in numpy: refused as it is built, with no warning, and named
+    # the hbox of 1.7e308 times nu^2 was refused as it was built, but the
+    # gadget's nu powers cancel (two white dots' nu^-1, the box's nu^2):
+    # built at nu=1, its tensor is in range, with no warning
     amp = 'amp={"type": "unit", "re": 1.7e308, "im": 0}'
     proc = run_fresh_python("-m", "quditzx.cli", "gadget", "diag_a2", "--dim", "2", "--nu", "2", "--param", amp,
                             "--emit-tensor")
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == ("evaluation failed: a factor entry is out of range: node 'hbox2': hbox of degree 2, "
-                           "whose entries carry nu^2, leaves the float range at D=2\n")
-    # so does a green dot's weight, nu^-8 * 1e308 at the default nu
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["entries"][-1] == [1.7e308, 0.0]
+    # a factor entry past the float range, a red dot's weight 3e308, is refused as it is built, and named
     b = DiagramBuilder(3)
-    g = b.node(Generator.green(Table([1e308, 1, 1]), 0, 10), "g")
-    for _ in range(10):
-        b.wire(g, "out")
-    res = runner.invoke(cli.main, ["eval", write_diagram(tmp_path / "g.json", b.build())])
+    b.wire(b.node(Generator.red(Table([1e308] * 3), 0, 1), "r"), "out")
+    res = runner.invoke(cli.main, ["eval", write_diagram(tmp_path / "r.json", b.build())])
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
-    assert res.stderr == ("evaluation failed: a factor entry is out of range: node 'g': green of degree 10, "
-                          "whose entries carry nu^-8, leaves the float range at D=3\n")
+    assert res.stderr == ("evaluation failed: a factor entry is out of range: node 'r': red of degree 1 "
+                          "leaves the float range at D=3\n")
 
 
 def test_eval_of_a_legless_dot_past_the_float_range_is_a_semantic_error(runner, tmp_path):
@@ -749,7 +751,7 @@ def test_eval_of_a_legless_red_dot_at_huge_dimension(runner, tmp_path):
 
 
 def test_an_entry_past_the_float_range_is_a_semantic_error(runner, tmp_path):
-    # a power of nu (0.001^-198) and one of an amplitude (1e300^2) past the float range
+    # a side's power of nu (0.001^-198) and one of an amplitude (1e300^2) past the float range
     b = DiagramBuilder(2)
     w = b.node(Generator.white(1, 199))
     b.wire("in", w)
@@ -757,12 +759,13 @@ def test_an_entry_past_the_float_range_is_a_semantic_error(runner, tmp_path):
         b.wire(w, w)
     b.wire(w, "out")
     path = write_diagram(tmp_path / "d.json", b.build())
-    for args in (["eval", "--nu", "0.001", path],
-                 ["gadget", "diag_theta", "--dim", "4", "--param", 'amp={"type": "unit", "re": 1e300, "im": 0}',
-                  "--emit-tensor"]):
+    for args, what in [(["eval", "--nu", "0.001", path], "a side's power of nu, nu^-198 at nu=0.001"),
+                       (["gadget", "diag_theta", "--dim", "4", "--param",
+                         'amp={"type": "unit", "re": 1e300, "im": 0}', "--emit-tensor"],
+                        "a factor entry is out of range")]:
         res = runner.invoke(cli.main, args)
         assert res.exit_code == 3, args
-        assert "a factor entry is out of range" in res.stderr
+        assert what in res.stderr
 
 
 def test_a_unit_power_past_the_float_range_is_a_semantic_error(runner, tmp_path):

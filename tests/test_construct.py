@@ -394,6 +394,19 @@ def test_normal_form_of_4096_coefficients_round_trips_at_nu_one():
     assert rel_err(evaluate(normal_form(omega, ctx), ctx), omega) == 0.0
 
 
+@pytest.mark.parametrize("D, m, n", [(17, 1, 1), (7, 1, 2), (2, 4, 5), (64, 1, 1), (4, 3, 3)])
+def test_normal_form_past_256_coefficients_round_trips_at_the_default_nu(D, m, n):
+    # the smallest shapes of two, three and nine wires whose selector
+    # boxes' powers of nu, one factor at a time, multiplied to 0.0 and gave
+    # NaN, and two of the largest forms: built at nu = 1, each side
+    # carries nu^(m+n) once
+    rng = np.random.default_rng([D, m, n])
+    shape = (D,) * (m + n)
+    omega = Tensor(D, m, n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    ctx = MeasureContext(D)
+    assert rel_err(evaluate(normal_form(omega, ctx), ctx), omega) <= 1e-12
+
+
 def test_normal_form_guards():
     ctx = MeasureContext(8)
     omega = Tensor(8, 2, 3, np.zeros((8,) * 5))

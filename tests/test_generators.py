@@ -7,6 +7,7 @@ over the residue window) and frozen into the assertions.
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -276,10 +277,11 @@ NU_KINDS = [
 
 @pytest.mark.parametrize("kind,amp", NU_KINDS, ids=[k for k, _ in NU_KINDS])
 def test_nu_power_is_the_power_of_nu_in_the_entries(kind, amp):
-    # at nu=2 every entry is 2^k times the entry at nu=1, bit for bit: the
-    # dense entries, a red or gray dot's character coefficients (whose
-    # phase matrices carry no nu), and a diagonal dot's weight, on the
-    # window and on mapped residues
+    # the builders read no nu: at nu=2 they give the bits they give at
+    # nu=1, the dense entries, a red or gray dot's character factors and a
+    # diagonal dot's weight, on the window and on mapped residues; and
+    # eval_generator's tensor at nu=2 is 2^k times those unit entries, bit
+    # for bit
     def same(a, b) -> bool:
         a, b = np.asarray(a), np.asarray(b)
         return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -292,16 +294,32 @@ def test_nu_power_is_the_power_of_nu_in_the_entries(kind, amp):
         mapped.append(mapped[0])
         for deg in [2] if kind in ("hplus", "hminus", "not") else range(5):
             g = Generator(kind, deg // 2, deg - deg // 2, amp=amp, c=1 if kind == "not" else 0)
-            scale = 2.0**g.nu_power
-            assert same(generator_entries(two, g), scale * generator_entries(one, g)), (D, deg)
+            unit = generator_entries(one, g)
+            assert same(generator_entries(two, g), unit), (D, deg)
+            assert same(eval_generator(two, g).data, 2.0**g.nu_power * unit), (D, deg)
+            assert same(eval_generator(one, g).data, unit), (D, deg)
             if kind in ("red", "gray"):
                 for legs in (None, mapped[:deg]):
-                    (c1, *m1), (c2, *m2) = dg._split_factors(one, g, legs), dg._split_factors(two, g, legs)
-                    assert same(c2, scale * c1), (D, deg, legs is None)
-                    assert len(m1) == len(m2) == deg and all(map(same, m1, m2)), (D, deg)
+                    one_split, two_split = dg._split_factors(one, g, legs), dg._split_factors(two, g, legs)
+                    assert len(one_split) == deg + 1 and all(map(same, one_split, two_split)), (D, deg)
             if kind in ("green", "white") and deg:
                 for vals in (None, mapped[0], mapped[1]):
-                    assert same(diagonal_weight(two, g, vals), scale * diagonal_weight(one, g, vals)), (D, deg)
+                    assert same(diagonal_weight(two, g, vals), diagonal_weight(one, g, vals)), (D, deg)
+
+
+@pytest.mark.parametrize("gen, nu, power", [
+    (Generator.green(One(), 0, 30), 1e-15, -28),  # nu^-28 itself
+    (Generator.gray(0, 0), 1e-160, -2),
+    (Generator.hbox(UnitPow(1.7e308), 1, 1), 2.0, 2),  # an entry times nu^2
+    (Generator.red(Table([1e308] * 3), 0, 1), 1.0, 3),  # an entry, 3e308
+], ids=["green", "gray", "hbox", "red"])
+def test_a_generator_past_the_float_range_is_refused_by_name(gen, nu, power):
+    # nu^k is taken first: the green dot's 3^30 dense entries are never built
+    what = f"^{gen.kind} of degree {gen.degree}, whose entries carry nu\\^{power}, leaves the float range at nu={nu!r}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuardError, match=what):
+            eval_generator(MeasureContext(3, nu), gen)
 
 
 def test_white_dot_is_identity():
@@ -324,7 +342,7 @@ def test_legless_dot_weight_is_one_python_sum_of_the_entries(D):
     for gen in (Generator.white(0, 0), Generator.green(Phase(0.7), 0, 0), Generator.green(Stab(1, 2), 0, 0)):
         amp = gen.amp if gen.kind == "green" else One()
         want = np.asarray(complex(ctx.nu**2 * sum(amp.eval_arr(ctx, ctx.residues()).tolist())))
-        got = diagonal_weight(ctx, gen)
+        got = eval_generator(ctx, gen).data
         assert got.shape == () and got.tobytes() == want.tobytes()
 
 
@@ -333,7 +351,7 @@ def test_legless_dot_weight_holds_no_list_of_all_entries():
     ctx = MeasureContext(2**20)
     tracemalloc.start()
     try:
-        got = diagonal_weight(ctx, Generator.green(One(), 0, 0))
+        got = eval_generator(ctx, Generator.green(One(), 0, 0)).data
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -426,8 +444,8 @@ def test_legless_red_dot_matches_the_dense_red_path(D, nu):
     ctx = MeasureContext(D, nu)
     thetas = np.linspace(0.3, 2.9, D)
     for amp in (One(), Zero(), Char(2), Stab(1, 3), PhaseVec(tuple(thetas)), Table(tuple(np.exp(1j * thetas)))):
-        legless = generator_entries(ctx, Generator.red(amp, 0, 0))
-        one_leg = generator_entries(ctx, Generator.red(amp, 0, 1))
+        legless = eval_generator(ctx, Generator.red(amp, 0, 0)).data
+        one_leg = eval_generator(ctx, Generator.red(amp, 0, 1)).data
         assert legless.shape == ()
         assert abs(legless - one_leg[-ctx.lower] / ctx.nu) < 1e-12
 

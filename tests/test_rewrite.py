@@ -769,18 +769,30 @@ def test_check_all_rows_are_each_samples_own_check(samples):
 
 
 @pytest.mark.parametrize("samples", [1, 2])  # checked alone, and in batches
-def test_check_all_refuses_a_comparison_past_the_float_range(samples):
-    # at nu=1e100 both sides of ZH-HMB at D=2 overflow inside einsum, and
-    # inf - inf is NaN: a refused cell, not a failing row, and no warning
+def test_check_all_refuses_a_comparison_past_the_float_range(monkeypatch, samples):
+    # at nu=1e100 each side of ZH-HMB at D=2 carries nu^4, past the float
+    # range: a refused cell, not a failing row, and no warning; so is
+    # check_soundness of that one pair
+    what = r"a side's power of nu, nu\^4 at nu=1e\+100, leaves the float range$"
+    spec = CATALOG["ZH-HMB"]
+    params = spec.sample(2, np.random.default_rng([0, sorted(CATALOG).index("ZH-HMB"), 2]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowGuardError, match=r"^ZH-HMB at D=2: a side left the float range$"):
+        with pytest.raises(OverflowGuardError, match=f"^ZH-HMB at D=2: {what}"):
             check_all([2, 3], samples=samples, nu=1e100, rules=["ZH-HMB"])
-        # check_soundness of that one pair still reports the NaN
-        spec = CATALOG["ZH-HMB"]
-        params = spec.sample(2, np.random.default_rng([0, sorted(CATALOG).index("ZH-HMB"), 2]))
-        rep = check_soundness(spec, params, MeasureContext(2, 1e100))
-    assert math.isnan(rep["max_err"]) and rep["pass"] is False
+        with pytest.raises(OverflowGuardError, match=f"^{what}"):
+            check_soundness(spec, params, MeasureContext(2, 1e100))
+    # sides whose entries are inf give inf - inf, NaN: refused too
+    real = dg._tiles
+
+    def infinite(ds, plan, ctx):
+        for x in real(ds, plan, ctx):
+            x.flat[0] = np.inf
+            yield x
+
+    monkeypatch.setattr(dg, "_tiles", infinite)
+    with pytest.raises(OverflowGuardError, match=r"^ZH-HMB at D=2: a side left the float range$"):
+        check_all([2, 3], samples=samples, rules=["ZH-HMB"])
 
 
 def test_a_refused_cell_names_its_first_failing_sample(monkeypatch):
