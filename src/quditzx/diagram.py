@@ -28,13 +28,14 @@ factor; all normalization lives in the generator tensors.  Each
 generator's entries carry a fixed power nu^k of the measure weight (see
 ``generators``), so a diagram's tensor is its tensor at nu = 1 times
 nu^K, K the sum of its nodes' powers.  Every factor is built at nu = 1,
-and nu^K is multiplied in once, into one operand of the last merge (the
-one with fewer labels, or one with the batch axis where a batch's K
-differ), or into the result of a plan with no merge.  So powers that
-cancel over a side never leave the float range one factor at a time; a
-wide side pays one multiply over an operand, not one per tile; and a
-batch entry and its diagram alone scale the same operand, as a wide
-side's tiles and its whole result do.
+and nu^K is multiplied in once: into the operand with fewer labels of
+a last merge that runs on matmul, and else into the result, where
+np.einsum, which traps no overflow, has made it.  So powers that cancel
+over a side never leave the float range one factor at a time, and a
+product with nu^K past it is refused, not carried on as inf; a wide side
+pays one multiply over an operand, not one per tile.  The diagrams of
+a batch share K (``_runs``), so a batch entry and its diagram alone scale
+the same array, as a wide side's tiles and its whole result on matmul do.
 
 Evaluation notes: white and green dots are diagonal, so instead of
 materializing a dense rank-deg tensor the evaluator unifies all wires
@@ -124,10 +125,10 @@ one ``np.matmul`` or ``np.multiply`` (``_blocks``), so on either kernel
 an operand without the batch axis broadcasts.  So a batched result
 equals what its diagram gives alone up to rounding, not always bit for
 bit: a pairwise ``np.einsum`` over the batch may sum in another order
-than the same step alone (at D=2, a 3-leg red dot with Phase(0.7), legs
+than the same step alone (at D=2, a 3-leg red dot with Phase(0.6), legs
 0 and 2 joined through an hplus and leg 1 the output, gives
-0.13982567201488166-0.38305412863682964j at output 0 alone and
-0.1398256720148816-0.38305412863682964j in a batch after the same
+0.10385606474349275-0.3357384233970552j at output 0 alone and
+0.10385606474349275-0.33573842339705506j in a batch after the same
 diagram with One()).  One-factor steps over the batch, sums and
 reorders, give each entry the bits it gets alone, and every rule side
 of the soundness matrix at D=2..6 comes out bit for bit.  A batch holds
@@ -1001,17 +1002,25 @@ def _blocks(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, 
         yield buffers[hi - lo][1]
 
 
+def _on_einsum(dim: int, sa: Sequence, sb: Sequence) -> bool:
+    """Whether a merge of the sublists ``sa`` and ``sb`` runs as one ``np.einsum``: below ``_MATMUL_MIN`` entries.
+
+    The planner numbers a step's labels 0..u-1, so a merge loops over
+    D^u entries.
+    """
+    # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
+    return dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN
+
+
 def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence) -> np.ndarray:
     """``np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))``, as the one block of ``_blocks`` if the step is large.
 
-    The planner numbers a step's labels 0..u-1, so it loops over D^u
-    entries; below ``_MATMUL_MIN`` of them it runs as one ``np.einsum``.
-    An operand with one axis more than its sublist has a leading batch
+    A step below ``_MATMUL_MIN`` entries runs as one ``np.einsum``
+    (``_on_einsum``).  An operand with one axis more than its sublist has a leading batch
     axis, and then so has the result; an operand without it broadcasts,
     on either kernel.
     """
-    # D^(len(sa) + len(sb)) >= D^u is cheaper to get and settles most small steps
-    if dim ** (len(sa) + len(sb)) < _MATMUL_MIN or dim ** (max(sa + sb, default=-1) + 1) < _MATMUL_MIN:
+    if _on_einsum(dim, sa, sb):
         return np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))
     blocks = _blocks(dim, a, sa, b, sb, so, (), 0)
     del a, b
@@ -1019,29 +1028,30 @@ def _pairwise(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence
 
 
 def _execute(
-    steps: tuple, stop: int, layout: tuple, ds: Sequence[Diagram], ctx: MeasureContext
+    steps: tuple, layout: tuple, ds: Sequence[Diagram], ctx: MeasureContext, split_last: bool = False
 ) -> list[np.ndarray]:
-    """Build the factors of the same-shape diagrams ``ds`` in slot order and run the plan's steps before step ``stop``.
+    """Build the factors of the same-shape diagrams ``ds`` in slot order and run the plan's steps.
 
-    ``layout`` is the node codes and the plan's chain, layouts and
-    deltas (see ``_plan``).  Each diagram's not constants give each map
+    ``layout`` is the node codes, the plan's chain, layouts and deltas
+    (see ``_plan``), and K, the sum of the nodes' powers of nu, which the
+    diagrams share (see ``_checked_plan``).  Each diagram's not constants give each map
     its offset t, so that a map reads the residue s * v + t (mod D) at
     value v of its label.  A factor whose generator or offsets differ
     between the diagrams is stacked on a leading batch axis, and so is
     every array a step makes from one (see the module notes); the others
-    are built once.  ``stop`` is ``len(steps)``, or the plan's last
-    merge, where it ends in one (see ``_plan``).  Returns the two operands
-    of the pairwise step ``stop``, slot i then slot j; with ``stop ==
-    len(steps)``, the result alone, in boundary order, with the batch axis
-    in front if it has one.  A plan of no steps leaves its one factor as
-    the result; with no factor at all the result is the scalar 1.
+    are built once.  Returns the result alone, in boundary order, with
+    the batch axis in front if it has one; with ``split_last``, where the
+    plan ends in a merge (see ``_plan``), the two operands of that merge
+    instead, slot i then slot j.  A plan of no steps leaves its one factor
+    as the result; with no factor at all the result is the scalar 1.
 
-    Factors are built at nu = 1 (see ``generators``).  Each diagram's
-    nu^K, K the sum of its nodes' powers of nu, is multiplied once into
-    one operand of the last merge, before it runs: the one with fewer
-    labels, or one with the batch axis where the batch's K differ; with
-    no merge, into the result.  A nu^K past the float range raises
-    ``OverflowGuardError`` naming K and nu.  Parameter-free factors
+    Factors are built at nu = 1 (see ``generators``), and nu^K is
+    multiplied in once: into the operand with fewer labels of a last
+    merge that runs on matmul (``_blocks``), as it does with
+    ``split_last``, and else into the result, so that np.einsum, which
+    traps no overflow, never meets the product.  A nu^K past the float
+    range, or a product with it, raises ``OverflowGuardError`` naming K
+    and nu.  Parameter-free factors
     are built as their first node is set up, one array for each equal
     recipe, which every slot holding it refers to; it is freed when the
     last of them lets go.  Other factors are built when a step first
@@ -1053,19 +1063,17 @@ def _execute(
     in ``rewrite.check_all``).  One in a factor's build, whose error says
     only that it left the range, is named by the node (of the first
     diagram) whose factor it was building, the first in node order that
-    holds it; one in a step's kernel or in the product with nu^K keeps
-    numpy's text, and an ``OverflowGuardError`` its own.
+    holds it; one in a step's kernel keeps numpy's text, and an
+    ``OverflowGuardError`` its own.
     """
     D = ctx.dim
     if not ds[0].nodes and not ds[0].n_outputs + ds[0].n_inputs:
         return [np.asarray(1.0 + 0j)]
-    powers = [sum(gen.nu_power for gen in d.nodes.values()) for d in ds]  # each diagram's K
+    node_codes, chain, layouts, deltas, power = layout
     try:
-        scales = [ctx.nu**k for k in powers]
-    except OverflowError:  # the K that overflows: the least for nu < 1, else the greatest
-        k = min(powers) if ctx.nu < 1 else max(powers)
-        raise OverflowGuardError(f"a side's power of nu, nu^{k} at nu={ctx.nu!r}, leaves the float range") from None
-    node_codes, chain, layouts, deltas = layout
+        scale = ctx.nu**power
+    except OverflowError:
+        raise OverflowGuardError(f"a side's power of nu, nu^{power} at nu={ctx.nu!r}, leaves the float range") from None
     # each map's sign, and per diagram each map's offset
     signs, offsets = [1], [[0] for _ in ds] if chain else [()] * len(ds)
     rows = [list(d.nodes.values()) for d in ds] if chain else ()
@@ -1127,14 +1135,17 @@ def _execute(
         # the slot lets go, so a step's kernel holds the last reference
         nonlocal building
         building, f, factors[k] = k, factors[k], None
-        if type(f) is list:  # one recipe per diagram
-            arr = np.array([entries(r) for r in f])
-        else:
-            arr = entries(f) if type(f) is tuple else f
+        # a list holds one recipe per diagram, a tuple is one recipe
+        arr = np.array([entries(r) for r in f]) if type(f) is list else entries(f) if type(f) is tuple else f
         building = None
         return arr
 
-    many = len(ds) > 1
+    def scaled(x: np.ndarray) -> np.ndarray:
+        try:
+            return x * scale if scale != 1 else x
+        except FloatingPointError:
+            raise OverflowGuardError(f"a side times nu^{power} at nu={ctx.nu!r} leaves the float range") from None
+
     try:
         with np.errstate(over="raise"):
             for code, col, lay in zip(node_codes, zip(*[d.nodes.values() for d in ds]), layouts):
@@ -1150,7 +1161,7 @@ def _execute(
                 offs = [()] * len(ds) if lay is _PLAIN else [tuple(ts[m] for m in lay[1]) for ts in offsets]
                 first = (gen, lay, offs[0])
                 batch = None  # one recipe per diagram where they differ
-                if many and not (all(map(gen.__eq__, col[1:])) and all(map(offs[0].__eq__, offs[1:]))):
+                if ds[1:] and not (all(map(gen.__eq__, col[1:])) and all(map(offs[0].__eq__, offs[1:]))):
                     batch = list(zip(col, itertools.repeat(lay), offs))
                 if code & 3 == _SPLIT:
                     pieces = split(first)
@@ -1189,21 +1200,20 @@ def _execute(
                 else:
                     sa, sb, so = subs
                     factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
-            out = [operand(i)] if end == len(steps) else [operand(steps[end][0]), operand(steps[end][1])]
-            if any(s != 1 for s in scales):
-                ranks = [len(sub) for sub in steps[end][2:4]] if out[1:] else [ds[0].n_inputs + ds[0].n_outputs]
-                differ = len(set(scales)) > 1
-                k = min(range(len(out)), key=lambda k: (differ and out[k].ndim == ranks[k], ranks[k]))
-                out[k] = out[k] * (np.reshape(scales, (-1,) + (1,) * ranks[k]) if differ else scales[0])
-            if stop > end:  # the last merge too
-                _, _, sa, sb, so = steps[end]
-                out = [_pairwise(D, out.pop(0), sa, out.pop(), sb, so)]
-            return out
+            if end == len(steps):
+                return [scaled(operand(i))]
+            i, j, sa, sb, so = steps[end]
+            out = [operand(i), operand(j)]
+            if split_last or not _on_einsum(D, sa, sb):  # into the operand with fewer labels
+                out[len(sb) < len(sa)] = scaled(out[len(sb) < len(sa)])
+                return out if split_last else [_pairwise(D, out.pop(0), sa, out.pop(), sb, so)]
+            return [scaled(_pairwise(D, out.pop(0), sa, out.pop(), sb, so))]
     except (OverflowError, FloatingPointError) as exc:  # a Python power or a numpy product
+        if building is None and type(exc) is OverflowGuardError:  # a side times its nu^K
+            raise
         what = str(exc)
         if building is not None and type(exc) is not OverflowGuardError:  # in a factor's build
-            name = list(ds[0].nodes)[bisect.bisect_right(starts, building) - 1]
-            gen = ds[0].nodes[name]
+            name, gen = list(ds[0].nodes.items())[bisect.bisect_right(starts, building) - 1]
             what = f"node {name!r}: {gen.kind} of degree {gen.degree} leaves the float range at D={D}"
         raise OverflowGuardError(f"a factor entry is out of range: {what}") from exc
 
@@ -1212,7 +1222,8 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     """The shape key of ``d``, its plan's steps (cached) and layout, and its batch size.
 
     The layout is what ``_execute`` reads besides the steps: the node
-    codes, then the plan's chain, node layouts and deltas.
+    codes, then the plan's chain, node layouts and deltas, then K, the
+    sum of the nodes' powers of nu.
 
     The batch size is how many diagrams of this shape ``_runs`` puts in
     one batch: at most ``_TILE`` entries in any array, and at least one
@@ -1242,14 +1253,16 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
         on = f" on {dense} label{'s' * (dense > 1)}" if dense < gen.degree else ""
         raise OverflowGuardError(f"node {name!r}: {gen.kind} of degree {gen.degree}{on} too large at D={d.dim}")
     size = max(_TILE // d.dim ** max(top, dense), 1)
-    return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas), size
+    power = sum(gen.nu_power for gen in d.nodes.values())
+    return key, steps, (codes[3 : 3 + codes[2]], chain, layouts, deltas, power), size
 
 
 def _runs(items: Iterable[tuple[Diagram, ...]], ctx: MeasureContext) -> Iterator[tuple[list[list[Diagram]], list]]:
-    """Runs of consecutive tuples of diagrams whose k-th diagrams share a shape, in order, with their plans.
+    """Runs of consecutive tuples of diagrams whose k-th diagrams share a shape and a K, in order, with their plans.
 
     A run is one list per position k, of the tuples' k-th diagrams, and
-    each position's ``(steps, layout)`` (see ``_checked_plan``).  It holds
+    each position's ``(steps, layout)`` (see ``_checked_plan``), so that
+    one nu^K scales each batch (see ``_execute``).  It holds
     at most the smallest batch size of its diagrams.  The caller empties
     the lists once it has run them, so that neither holds a diagram it has
     handed on.  ``items`` is read as the runs are asked for, so one run is
@@ -1259,7 +1272,7 @@ def _runs(items: Iterable[tuple[Diagram, ...]], ctx: MeasureContext) -> Iterator
     columns: list[list[Diagram]] = []
     for item in items:
         checked = [_checked_plan(d, ctx) for d in item]
-        keys = [key for key, *_ in checked]
+        keys = [(key, layout[-1]) for key, _, layout, _ in checked]  # the shape and K
         if columns and keys != run_keys:
             yield columns, plans
             columns = []
@@ -1285,7 +1298,7 @@ def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     einsum does not trap an overflow, so a step can give inf or NaN.
     """
     _, steps, layout, _ = _checked_plan(d, ctx)
-    (data,) = _execute(steps, len(steps), layout, [d], ctx)
+    (data,) = _execute(steps, layout, [d], ctx)
     return finite(Tensor(ctx.dim, d.n_inputs, d.n_outputs, data))
 
 
@@ -1328,7 +1341,7 @@ def _tiles(ds: list[Diagram], plan: tuple, ctx: MeasureContext) -> Iterator[np.n
     steps, layout = plan
     D, n = ctx.dim, ds[0].n_inputs + ds[0].n_outputs
     k, run = _cut(D, n)
-    out = _execute(steps, len(steps) - bool(k and steps and steps[-1][1] >= 0), layout, ds, ctx)
+    out = _execute(steps, layout, ds, ctx, split_last=bool(k))
     ds.clear()
     if len(out) == 2:  # a wide result's last merge
         _, _, sa, sb, so = steps[-1]

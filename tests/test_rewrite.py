@@ -380,9 +380,10 @@ def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim):
     want = max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))
     real = dg._execute
 
-    def execute(steps, stop, layout, ds, ctx):
-        assert stop < len(steps), "a wide side was evaluated whole"
-        return real(steps, stop, layout, ds, ctx)
+    def execute(steps, layout, ds, ctx, split_last=False):
+        out = real(steps, layout, ds, ctx, split_last)
+        assert len(out) == 2, "a wide side was evaluated whole"
+        return out
 
     monkeypatch.setattr(dg, "_execute", execute)
     rep = check_soundness(spec, params, ctx)
@@ -577,10 +578,10 @@ def test_the_catalog_past_one_tile_keeps_its_outcomes(monkeypatch, dim):
     # tile runs alone
     real, paths = dg._execute, Counter()
 
-    def recording(steps, stop, layout, ds, ctx):
-        out = real(steps, stop, layout, ds, ctx)
-        if stop < len(steps) or np.size(out[0]) > dg._TILE:
-            paths["blocks" if stop < len(steps) else "slices", len(ds)] += 1
+    def recording(steps, layout, ds, ctx, split_last=False):
+        out = real(steps, layout, ds, ctx, split_last)
+        if len(out) == 2 or np.size(out[0]) > dg._TILE:
+            paths["blocks" if len(out) == 2 else "slices", len(ds)] += 1
         return out
 
     monkeypatch.setattr(dg, "_execute", recording)
@@ -814,10 +815,10 @@ def test_a_refused_cell_names_its_first_failing_sample(monkeypatch):
             poisoned.append(pair[1])
         return pair
 
-    def execute(steps, stop, layout, ds, ctx):
+    def execute(steps, layout, ds, ctx, split_last=False):
         if any(d is p for d in ds for p in poisoned):
             raise OverflowGuardError("sample 1 is refused")
-        return real_execute(steps, stop, layout, ds, ctx)
+        return real_execute(steps, layout, ds, ctx, split_last)
 
     monkeypatch.setattr(rw, "instantiate", instantiate)
     monkeypatch.setattr(dg, "_execute", execute)
@@ -848,11 +849,11 @@ def test_a_refused_cell_names_the_first_sample_of_a_repeated_draw(monkeypatch):
             poisoned[id(pair[1])] = (pair[1], i)
         return pair
 
-    def execute(steps, stop, layout, ds, ctx):
+    def execute(steps, layout, ds, ctx, split_last=False):
         for d in ds:
             if id(d) in poisoned:
                 raise OverflowGuardError(f"sample {poisoned[id(d)][1]} is refused")
-        return real_execute(steps, stop, layout, ds, ctx)
+        return real_execute(steps, layout, ds, ctx, split_last)
 
     monkeypatch.setattr(rw.RuleSpec, "sample", sample)
     monkeypatch.setattr(rw, "instantiate", instantiate)
@@ -968,10 +969,10 @@ def test_check_all_holds_one_batch_of_sides(monkeypatch):
         built.extend(weakref.ref(d) for d in pair)
         return pair
 
-    def execute(steps, stop, node_codes, ds, ctx):
+    def execute(steps, node_codes, ds, ctx, split_last=False):
         sizes.append(len(ds))
         live.append(sum(ref() is not None for ref in built))
-        return real_execute(steps, stop, node_codes, ds, ctx)
+        return real_execute(steps, node_codes, ds, ctx, split_last)
 
     monkeypatch.setattr(rw, "instantiate", instantiate)
     monkeypatch.setattr(dg, "_execute", execute)
