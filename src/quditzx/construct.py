@@ -138,10 +138,13 @@ def _complex_param(gid: GadgetId, key: str) -> complex:
     if isinstance(v, (str, bool)) or not isinstance(v, (int, float, complex, np.number)):
         raise GadgetError(f"gadget {gid.name!r} parameter {key}={v!r} must be a number")
     try:
-        return complex(v)
+        z = complex(v)
     except OverflowError:  # an int past the float range
         raise GadgetError(f"gadget {gid.name!r} parameter {key} must be a finite number, got an integer "
                           f"of {int(v).bit_length()} bits") from None
+    if not cmath.isfinite(z):
+        raise GadgetError(f"gadget {gid.name!r} parameter {key} must be a finite number, got {z}")
+    return z
 
 def _amp_param(gid: GadgetId) -> AmplitudeFn:
     v = gid.param("amp")

@@ -18,9 +18,11 @@ reads.  A diagram is made in two places only, and checked there once:
 to no port is set aside as it is met, so the table holds only numbers in
 range, and ``_port_table`` checks it by a count; only where the count
 fails does it name ports, to say which one is repeated or unwired.  The
-writer and ``==`` work from the table too.  ``edges``, the ``(owner,
-index)`` pairs, is derived from the table each time something reads it
-(``repr``, the benchmark's tracer, tests).
+writer (``dump_json``, which hands the file's object to ``json.dumps``
+as ``tensor.dump_json`` does, so a file is one line) and ``==`` work
+from the table too.  ``edges``, the ``(owner, index)`` pairs, is derived
+from the table each time something reads it (``repr``, the benchmark's
+tracer, tests).
 
 Wires carry no weight (they are plain deltas), so evaluation sums every
 internal wire index over the residue window with no extra measure
@@ -164,7 +166,6 @@ import bisect
 import heapq
 import itertools
 import json
-import math
 import operator
 import threading
 from array import array
@@ -175,6 +176,7 @@ from typing import Any, Container, Iterable, Iterator, Sequence
 import numpy as np
 
 from quditzx.generators import (
+    _MAX_DENSE,
     KINDS,
     Generator,
     amp_from_json,
@@ -190,7 +192,6 @@ Port = tuple[str, int]
 Edge = tuple[Port, Port]
 
 _RESERVED = ("in", "out")
-_MAX_DENSE = 2_000_000  # entries; a node whose dense factor has more is refused
 # entries; a red or gray dot with more is split by characters where
 # that is smaller (see _factor_mode).  From 64
 # to 4096 the soundness matrix at D=2..9 ran equally fast within noise;
@@ -1395,14 +1396,6 @@ def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext)
 # =====================================================================
 
 
-def _json_block(items: list[str], level: int, brackets: str = "[]") -> str:
-    """Encoded items as ``json.dumps(..., indent=1)`` lays out a container at depth ``level``."""
-    if not items:
-        return brackets
-    pad = "\n" + " " * level
-    return f"{brackets[0]}{pad}{(',' + pad).join(items)}{pad[:-1]}{brackets[1]}"
-
-
 def _file_port(ref: Any) -> Port:
     """A file's reference ``"owner:index"`` as a port; a malformed one raises ``DiagramError``.
 
@@ -1506,70 +1499,29 @@ def from_json_obj(obj: Any) -> Diagram:
     return Diagram(dim, nodes, table, n_in, n_out)
 
 
-def _json_text(value: Any, level: int) -> str:
-    """An amplitude's JSON value as ``json.dumps(value, indent=1)`` lays it out at depth ``level``.
-
-    The values ``amp_to_json`` makes are strings, ints, floats, lists and
-    dicts; each is written as json's encoder writes it, and a NaN or
-    infinite float raises json's ``ValueError``.
-    """
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return _json_block([_json_text(v, level + 1) for v in value], level)
-    if isinstance(value, dict):
-        enc = json.encoder.encode_basestring_ascii
-        return _json_block([enc(k) + ": " + _json_text(v, level + 1) for k, v in value.items()], level, "{}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def dump_json(d: Diagram) -> str:
-    """The diagram file: the bytes of ``json.dumps(obj, indent=1)`` for its object.
+    """The diagram file: ``json.dumps`` of its object, on one line.
 
-    An indent makes the json module use its pure-Python encoder, so the
-    fixed layout is written here, amplitudes included (``_json_text``).
-    Strings go through json's ``encode_basestring_ascii``, ints through
-    ``int.__repr__``, which refuses non-ints as json did, and floats
-    through ``float.__repr__``.  The edges are written from the port
-    table of ``d``, with one ``"name:`` prefix per node.
+    The edges are read from the port table of ``d`` through one list of
+    port labels, each ``"owner:index"``, in port order.  A NaN or
+    infinite amplitude raises json's ``ValueError``.
     """
-    enc = json.encoder.encode_basestring_ascii
-    nodes: list[str] = []
-    owners: list[tuple[str, int]] = []  # each node's '"name:' prefix and degree
+    nodes: dict[str, dict[str, Any]] = {}
+    labels: list[str] = []  # each port's label, in port order
     for name, gen in d.nodes.items():
-        key, deg = enc(name), gen.degree
-        text = key + ': {\n   "kind": ' + enc(gen.kind) + ',\n   "legs": ' + int.__repr__(deg)
-        if gen.amp is not None:  # nested three deep
-            text += ',\n   "amp": ' + _json_text(amp_to_json(gen.amp), 4)
+        entry: dict[str, Any] = {"kind": gen.kind, "legs": gen.degree}
+        if gen.amp is not None:
+            entry["amp"] = amp_to_json(gen.amp)
         if gen.kind == "not":
-            text += ',\n   "c": ' + int.__repr__(gen.c)
-        nodes.append(text + "\n  }")
-        owners.append((key[:-1] + ":", deg))  # a JSON string never escapes a colon or a digit
-    outputs = [f'"out:{i}"' for i in range(d.n_outputs)]
-    inputs = [f'"in:{i}"' for i in range(d.n_inputs)]
-    # each port's text, in port order
-    tails = [f'{i}"' for i in range(max((deg for _, deg in owners), default=0))]
-    labels = [prefix + tail for prefix, deg in owners for tail in tails[:deg]] + outputs + inputs
-    ends = [labels[p] for p in d._ports]
-    edges = "[]" if not ends else "[\n  [\n   " + "\n  ],\n  [\n   ".join(
-        map(",\n   ".join, zip(ends[::2], ends[1::2]))) + "\n  ]\n ]"
-    return _json_block(
-        [
-            '"dimension": ' + int.__repr__(d.dim),
-            '"nodes": ' + _json_block(nodes, 2, "{}"),
-            '"edges": ' + edges,
-            '"inputs": ' + _json_block(inputs, 2),
-            '"outputs": ' + _json_block(outputs, 2),
-        ],
-        1,
-        "{}",
-    )
+            entry["c"] = gen.c
+        nodes[name] = entry
+        labels += [f"{name}:{i}" for i in range(gen.degree)]
+    outputs = [f"out:{i}" for i in range(d.n_outputs)]
+    inputs = [f"in:{i}" for i in range(d.n_inputs)]
+    labels += outputs + inputs
+    ends = iter([labels[p] for p in d._ports])
+    obj = {"dimension": d.dim, "nodes": nodes, "edges": list(zip(ends, ends)), "inputs": inputs, "outputs": outputs}
+    return json.dumps(obj, allow_nan=False)
 
 
 def load_json(text: str) -> Diagram:

@@ -55,6 +55,9 @@ from quditzx.measure import (
 from quditzx.tensor import Tensor, strict_int
 
 
+_MAX_DENSE = 2_000_000  # entries; a generator or diagram node whose dense tensor has more is refused
+
+
 class DomainError(ValueError):
     """An amplitude function was queried outside its domain."""
 
@@ -511,11 +514,16 @@ def eval_generator(ctx: MeasureContext, g: Generator) -> Tensor:
 
     nu^k is taken before the entries are built.  Where it, an entry, or
     an entry times it leaves the float range, this raises
-    ``OverflowGuardError`` naming the generator and nu^k.
+    ``OverflowGuardError`` naming the generator and nu^k; so does a
+    generator of more than ``_MAX_DENSE`` entries, before any is built.
     """
     try:
         with np.errstate(over="raise"):
-            return Tensor(ctx.dim, g.m, g.n, ctx.nu**g.nu_power * generator_entries(ctx, g))
+            scale = ctx.nu**g.nu_power
+            if ctx.dim**g.degree > _MAX_DENSE:
+                raise OverflowGuardError(f"{g.kind} of degree {g.degree} has {ctx.dim}^{g.degree} entries "
+                                         f"at D={ctx.dim}, more than {_MAX_DENSE}")
+            return Tensor(ctx.dim, g.m, g.n, scale * generator_entries(ctx, g))
     except (OverflowError, FloatingPointError) as exc:
         if isinstance(exc, OverflowGuardError):
             raise

@@ -480,6 +480,17 @@ def test_gadget_id_validation():
     assert GadgetId("cx").params == ()
 
 
+@pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan"), complex(1, float("inf")),
+                                   complex(float("nan"), 0), np.float64("inf"), np.complex128(complex(0, float("nan")))],
+                         ids=repr)
+def test_non_finite_gadget_param_is_refused(alpha):
+    # the library refuses what the CLI's --param parser refuses, naming the gadget and parameter
+    gid = gadget_id("scalar", alpha=alpha)
+    for make in (build, target_tensor):
+        with pytest.raises(GadgetError, match=r"^gadget 'scalar' parameter alpha must be a finite number, got "):
+            make(gid, MeasureContext(3))
+
+
 # ---------------------------------------------------------------- pinned diagrams
 
 
@@ -506,7 +517,9 @@ def test_gadget_diagrams_are_pinned():
     with the stand-alone selectors' inputs left out, on the last commit
     that had them; then again when the selectors of a normal form came
     to share each wire's shift, copy and flip, which moved only the
-    normal forms' bytes.
+    normal forms' bytes; then again when diagram files came to be written
+    on one line by ``json.dumps``, a digest that the last indented writer
+    gave for its texts re-encoded by ``json.dumps(json.loads(text))``.
     """
     h = hashlib.sha256()
     count = 0
@@ -528,4 +541,4 @@ def test_gadget_diagrams_are_pinned():
                 data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 h.update(dump_json(normal_form(Tensor(D, m, n, data), ctx)).encode())
     assert count == 520
-    assert h.hexdigest() == "d8202cfc74e910debd6df3eca18069a3a543a4c200fde3db2f574c22e34275a1"
+    assert h.hexdigest() == "fbb755821113709ea86ab9134cbc7576563280f26da7505acdb0f8b641e6d170"

@@ -14,6 +14,7 @@ import warnings
 import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 from typing import Any, Iterator
 from unittest import mock
 
@@ -2036,15 +2037,40 @@ def dump_cases():
     yield "every kind and amplitude", b.build()
 
 
-def test_dump_json_is_json_dumps_with_indent_one() -> None:
-    # the file is written by hand; it must be the bytes json.dumps writes
+def test_dump_json_is_json_dumps() -> None:
+    # the file is json.dumps of its object, one line, and loads back to the diagram
     n = 0
     for label, d in dump_cases():
         text = dump_json(d)
-        assert text == json.dumps(json.loads(text), indent=1), label
+        assert text == json.dumps(json.loads(text)), label
+        assert "\n" not in text, label
+        assert load_json(text) == d, label
         assert dump_json(load_json(text)) == text, label
         n += 1
     assert n > 150
+
+
+def readme_diagram_example() -> str:
+    """The hand-indented JSON example of README's "Diagram files" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Diagram files"):]
+    start = section.index("```json\n") + 8
+    return section[start:section.index("\n```", start)]
+
+
+def test_files_in_any_layout_load() -> None:
+    # files written indented, as json.dumps(obj, indent=1) lays them out,
+    # and README's hand-indented example load to the diagram of the one-line text
+    for label, d in dump_cases():
+        text = dump_json(d)
+        assert load_json(json.dumps(json.loads(text), indent=1)) == load_json(text) == d, label
+    example = readme_diagram_example()
+    assert "\n " in example
+    d = load_json(example)
+    assert load_json(dump_json(d)) == d
+    assert json.loads(dump_json(d)) == {**json.loads(example), "edges": [["in:0", "g:0"], ["g:1", "x:0"],
+                                                                         ["out:0", "x:1"]],
+                                        "outputs": ["out:0"]}
 
 
 @pytest.mark.parametrize("amp", [Phase(float("nan")), PhaseVec((0.0, float("inf"), 1.0)),
@@ -2703,9 +2729,9 @@ def amplitudes(dim: int):
 @given(amplitudes(3))
 def test_amplitude_writer_is_json_dumps(amp) -> None:
     text = dump_json(node_diagram(3, Generator.green(amp, 0, 1)))
-    nested = json.dumps(amp_to_json(amp), indent=1).replace("\n", "\n   ")
-    assert f'"amp": {nested}\n' in text
-    assert text == json.dumps(json.loads(text), indent=1)
+    (entry,) = json.loads(text)["nodes"].values()
+    assert entry["amp"] == amp_to_json(amp)
+    assert text == json.dumps(json.loads(text))
 
 
 def test_normal_form_builds_each_box_on_its_fan_labels(monkeypatch) -> None:

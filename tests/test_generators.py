@@ -8,11 +8,13 @@ import json
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import quditzx.diagram as dg
+import quditzx.generators as generators
 from quditzx.generators import (
     Char,
     DomainError,
@@ -320,6 +322,21 @@ def test_a_generator_past_the_float_range_is_refused_by_name(gen, nu, power):
         warnings.simplefilter("error")
         with pytest.raises(OverflowGuardError, match=what):
             eval_generator(MeasureContext(3, nu), gen)
+
+
+@pytest.mark.parametrize("gen, dim", [
+    (Generator.green(One(), 0, 14), 3),  # 3^14, about 4.8 M entries
+    (Generator.red(One(), 2, 1), 127),
+    (Generator.hbox(One(), 1, 1), 1415),
+    (Generator.gray(3, 4), 8),
+], ids=["green", "red", "hbox", "gray"])
+def test_a_generator_past_the_dense_budget_is_refused_by_name(gen, dim):
+    # the budget is the evaluator's, checked before any entry is built
+    assert dim**gen.degree > dg._MAX_DENSE >= dim ** (gen.degree - 1)
+    what = f"^{gen.kind} of degree {gen.degree} has {dim}\\^{gen.degree} entries at D={dim}, more than {dg._MAX_DENSE}$"
+    with mock.patch.object(generators, "generator_entries", side_effect=AssertionError("built")):
+        with pytest.raises(OverflowGuardError, match=what):
+            eval_generator(MeasureContext(dim), gen)
 
 
 def test_white_dot_is_identity():
