@@ -514,8 +514,9 @@ def eval_generator(ctx: MeasureContext, g: Generator) -> Tensor:
 
     nu^k is taken before the entries are built.  Where it, an entry, or
     an entry times it leaves the float range, this raises
-    ``OverflowGuardError`` naming the generator and nu^k; so does a
-    generator of more than ``_MAX_DENSE`` entries, before any is built.
+    ``OverflowGuardError`` naming the generator and nu^k.  A generator
+    of more than ``_MAX_DENSE`` entries raises it too, naming its kind,
+    degree and D, before any entry is built.
     """
     try:
         with np.errstate(over="raise"):
