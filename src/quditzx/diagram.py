@@ -939,6 +939,35 @@ def _split_factors(ctx: MeasureContext, gen: Generator, legs: Sequence[np.ndarra
     return [coeff] + [phases[id(x)] for x in legs]
 
 
+def _split(sa: Sequence, sb: Sequence, so: Sequence, cut: Sequence, order: Any) -> tuple[list, list, list, list]:
+    """The labels of the merge of ``sa`` and ``sb`` into ``so``: ``(batch, summed, free_a, free_b)``.
+
+    Batch labels are in both operands and in ``so``, summed ones in both
+    and not in ``so``, and free ones in one operand and in ``so``; labels
+    of ``cut`` are none of these.  Summed labels come in a's order, and
+    the others sorted by the key ``order``, ties in their operand's order.
+    """
+    kept = [l for l in so if l not in cut]
+    batch = sorted([l for l in sa if l in sb and l in kept], key=order)
+    summed = [l for l in sa if l not in so]
+    free_a = sorted([l for l in sa if l not in sb and l in kept], key=order)
+    free_b = sorted([l for l in sb if l not in sa and l in kept], key=order)
+    return batch, summed, free_a, free_b
+
+
+def _laid_out(x: np.ndarray, sx: Sequence, labels: list, lead: int, shape: tuple) -> np.ndarray:
+    """The operand ``x`` (sublist ``sx``) with its axes in the order of ``labels``, contiguous.
+
+    Axes past the batch axis, if ``x`` has one, and the first ``lead``
+    labels are reshaped to ``shape``.  The copy is made before the
+    caller lets go of ``x``, so ``x`` and its copy are held at once only
+    while it is made.
+    """
+    k = x.ndim - len(sx)  # 1 where the operand has a batch axis
+    x = np.ascontiguousarray(x.transpose([*range(k), *(k + sx.index(l) for l in labels)]))
+    return x.reshape(x.shape[: k + lead] + shape)
+
+
 def _blocks(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, so: Sequence, cut: Sequence,
             run: int) -> Iterator[np.ndarray]:
     """The merge ``np.einsum(a, (..., *sa), b, (..., *sb), (..., *so))`` as batched ``np.matmul``, in blocks.
@@ -965,22 +994,11 @@ def _blocks(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, 
     block is allocated.
     """
     first = so[0] if run else None
-    kept = [l for l in so if l not in cut]
-
-    def lead(ls: list) -> list:  # so[0] first
-        return sorted(ls, key=lambda l: l != first)
-
-    batch = lead([l for l in sa if l in sb and l in kept])
-    summed = [l for l in sa if l not in so]
-    free_a = lead([l for l in sa if l not in sb and l in kept])
-    free_b = lead([l for l in sb if l not in sa and l in kept])
+    batch, summed, free_a, free_b = _split(sa, sb, so, cut, lambda l: l != first)  # so[0] first
     cut_a, cut_b = [l for l in cut if l in sa], [l for l in cut if l in sb]
     nb, ns = dim ** len(batch), dim ** len(summed)
-    ka, kb = a.ndim - len(sa), b.ndim - len(sb)  # 1 where the operand has a batch axis
-    a = np.ascontiguousarray(a.transpose([*range(ka), *(ka + sa.index(l) for l in cut_a + batch + free_a + summed)]))
-    a = a.reshape(a.shape[: ka + len(cut_a)] + (nb, -1, ns))
-    b = np.ascontiguousarray(b.transpose([*range(kb), *(kb + sb.index(l) for l in cut_b + batch + summed + free_b)]))
-    b = b.reshape(b.shape[: kb + len(cut_b)] + (nb, ns, -1))
+    a = _laid_out(a, sa, cut_a + batch + free_a + summed, len(cut_a), (nb, -1, ns))
+    b = _laid_out(b, sb, cut_b + batch + summed + free_b, len(cut_b), (nb, ns, -1))
     axis = 0 if first in batch else 1 if first in free_a else 2
     unit = (nb, a.shape[-2], b.shape[-1])[axis] // dim  # batches, rows or columns of one value of so[0]
     order = batch + free_a + free_b
@@ -999,7 +1017,8 @@ def _blocks(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, 
             out = kernel(x, y)
             k = out.ndim - 3
             sizes = (*out.shape[:k], *(hi - lo if l == first else dim for l in order))
-            buffers[hi - lo] = out, out.reshape(sizes).transpose([*range(k), *(k + order.index(l) for l in kept)])
+            axes = [*range(k), *(k + order.index(l) for l in so if l not in cut)]
+            buffers[hi - lo] = out, out.reshape(sizes).transpose(axes)
         yield buffers[hi - lo][1]
 
 
@@ -1356,6 +1375,93 @@ def _tiles(ds: list[Diagram], plan: tuple, ctx: MeasureContext) -> Iterator[np.n
         yield whole[(slice(lo, lo + run), *idx)]
 
 
+def _alike(lsteps: tuple, rsteps: tuple, dim: int) -> list | None:
+    """How ``_stacked`` lays out two sides' last merges where they split the boundary alike; else None.
+
+    Both plans must end in a merge (see ``_plan``), and the merges must
+    have the same batch positions of the boundary and the same free
+    positions in each operand (``_split``), up to swapping the right
+    side's two operands; their summed labels may differ.  Returns per
+    side ``(swap, a labels, a shape, b labels, b shape)``: a as (batch,
+    free, summed) and b as (batch, summed, free), batch and free labels
+    in boundary order, so that the two sides' rows and columns agree.
+    """
+    sides = []
+    for steps in (lsteps, rsteps):
+        if not steps or steps[-1][1] < 0:
+            return None
+        _, _, sa, sb, so = steps[-1]
+        sides.append((*_split(sa, sb, so, (), so.index), so))
+
+    def positions(side: tuple, swap: bool) -> list:
+        batch, _, free_a, free_b, so = side
+        return [[so.index(l) for l in ls] for ls in (batch, *((free_b, free_a) if swap else (free_a, free_b)))]
+
+    want = positions(sides[0], False)
+    swap = positions(sides[1], False) != want
+    if positions(sides[1], swap) != want:
+        return None
+    layouts = []
+    for (batch, summed, free_a, free_b, _), flip in zip(sides, (False, swap)):
+        if flip:
+            free_a, free_b = free_b, free_a
+        nb, ns = dim ** len(batch), dim ** len(summed)
+        layouts.append((flip, batch + free_a + summed, (nb, -1, ns), batch + summed + free_b, (nb, ns, -1)))
+    return layouts
+
+
+def _stacked(runs: list, lay: list, ctx: MeasureContext) -> float:
+    """max |L - R| over a wide pair whose last merges split alike (``_alike``), as one product a block.
+
+    ``runs`` is each side's one diagram, in a list, with its plan.  Each
+    side runs every step before its last merge (``_execute``), and lays
+    out that merge's operands as ``_blocks`` does, A as (batch, rows,
+    summed) and B as (batch, summed, columns).  A block of L - R is then
+    one ``np.matmul`` of ``[A_l | -A_r]`` against ``[B_l ; B_r]``, stacked
+    along the summed axis, so neither side's result is made and no
+    subtraction runs.  A block has at most ``_TILE`` entries, and at least
+    one column: a run of batch values where one value's rows and columns
+    fit, else a run of columns of one batch value.  The stacked A is made
+    once a run of batch values and the stacked B once a block, so neither
+    is held whole.  ``np.maximum`` folds each block's max of ``|.|``,
+    carrying a NaN to the end.  The stacked product sums in another
+    order than L and R made whole, so the error may round apart from
+    theirs.
+    """
+    ops = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for (ds, (steps, layout)), (swap, la, shape_a, lb, shape_b) in zip(runs, lay):
+            a, b = _execute(steps, layout, ds, ctx, split_last=True)
+            ds.clear()
+            _, _, sa, sb, _ = steps[-1]
+            if swap:
+                a, b, sa, sb = b, a, sb, sa
+            a = _laid_out(a, sa, la, 0, shape_a)
+            b = _laid_out(b, sb, lb, 0, shape_b)
+            ops.append((a, b))
+        (a_l, b_l), (a_r, b_r) = ops
+        nb, rows, sl = a_l.shape
+        cols = b_l.shape[2]
+        run, width = (_TILE // (rows * cols), cols) if rows * cols <= _TILE else (1, max(_TILE // rows, 1))
+        # one buffer for the widest block, of which each block is a prefix,
+        # and |.| half a block at a time: a whole block's magnitudes beside
+        # it took ZH-O's check at D=7 past 4 MiB
+        block = np.empty(min(run, nb) * rows * width, complex)
+        mag = np.empty(-(-block.size // 2))
+        worst = np.float64(-np.inf)
+        for lo in range(0, nb, run):
+            x = np.concatenate((a_l[lo : lo + run], np.negative(a_r[lo : lo + run])), axis=2)
+            for c in range(0, cols, width):
+                y = np.concatenate((b_l[lo : lo + run, :, c : c + width], b_r[lo : lo + run, :, c : c + width]), axis=1)
+                size = y.shape[0] * rows * y.shape[2]
+                np.matmul(x, y, out=block[:size].reshape(y.shape[0], rows, -1))
+                half = -(-size // 2)
+                for piece in (block[:half], block[half:size]):
+                    np.abs(piece, out=mag[: piece.size])
+                    worst = np.maximum(worst, mag[: piece.size].max(initial=-np.inf))
+    return float(worst)
+
+
 def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) -> Iterator[float]:
     """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))`` for each pair, in order, tile by tile.
 
@@ -1376,6 +1482,10 @@ def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext)
         boundary, count = (left[0].n_inputs, left[0].n_outputs), len(left)
         if boundary != (right[0].n_inputs, right[0].n_outputs):
             raise ShapeError("the diagrams differ in their boundary")
+        lay = _cut(ctx.dim, sum(boundary))[0] and _alike(lplan[0], rplan[0], ctx.dim)
+        if lay:
+            yield _stacked([(left, lplan), (right, rplan)], lay, ctx)
+            continue
         worst, mag = np.full(count, -np.inf), None
         with np.errstate(invalid="ignore", over="ignore"):
             for x, y in zip(_tiles(left, lplan, ctx), _tiles(right, rplan, ctx)):
