@@ -5,8 +5,10 @@ rule soundness matrix, build gadgets, synthesize normal forms, emit a
 Gamma table, and print the numeric constants for a dimension.  Each
 command takes ``-h``/``--help``.
 
-Exit codes: 0 success, 1 soundness failure, 2 usage or parse error,
-3 semantic error while processing an otherwise well-formed input.  A
+Exit codes: 0 success, 1 soundness failure, 2 usage or parse error
+or output that cannot be written, 3 semantic error while processing an
+otherwise well-formed input; a closed stdout pipe ends the output
+quietly, with the command's own exit code.  A
 command registers the words that head its semantic errors, and ``main``
 prints them before the message of any ``OverflowGuardError`` it raises.
 
@@ -22,6 +24,7 @@ import cmath
 import io
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -74,12 +77,35 @@ def _parse_dims(dim: int | None, dims: str | None, default: tuple[int, int]) -> 
     return list(range(lo, hi + 1))
 
 
+class OutputError(Exception):
+    """Output that cannot be written: ``main`` prints one line naming it and exits 2."""
+
+
 def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        print(text, end="" if text.endswith("\n") else "\n")
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    """Write ``text`` to the file ``out_path``, or to stdout ending in a newline.
+
+    A file that cannot be opened or written raises ``OutputError``, and
+    so does a stdout write error other than a closed pipe.  A closed pipe
+    ends the output quietly and the command goes on to its own exit code.
+    After any stdout error, stdout is pointed at the null device, so that
+    the flush at shutdown neither fails again nor prints.
+    """
+    if out_path is not None:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {out_path!r}: {exc}") from None
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        if not isinstance(exc, BrokenPipeError):
+            raise OutputError(f"cannot write to stdout: {exc}") from None
 
 
 def _parse_param_value(raw: str) -> Any:
@@ -246,7 +272,7 @@ def cmd_info(args: argparse.Namespace) -> None:
         f"omega          {ctx.omega!r}",
         f"tau            {ctx.tau!r}",
     ]
-    print("\n".join(lines))
+    _write_output("\n".join(lines), None)
 
 
 def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
@@ -297,6 +323,9 @@ def main(args: list[str] | None = None, prog_name: str = "quditzx") -> None:
         ns.func(ns)
     except UsageError as exc:
         commands.choices[ns.command].error(str(exc))
+    except OutputError as exc:
+        print(f"{commands.choices[ns.command].prog}: error: {exc}", file=sys.stderr)
+        sys.exit(2)
     except OverflowGuardError as exc:
         if ns.refused is None:
             raise

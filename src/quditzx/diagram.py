@@ -141,23 +141,36 @@ memory.  So a side of more than ``_TILE`` entries runs alone, and only a
 whole result, one tile, carries a batch axis.  ``evaluate`` runs one
 diagram.
 
-Each side's results stream as tiles (``_tiles``) that the fold zips.  A
-result of at most ``_TILE`` entries is one tile, the whole result, with
-the batch axis in front where it has one.  A wider side runs alone, and
-its tiles have one shape: a run of values of boundary position 0, as
-many as fit in ``_TILE`` entries and at least one, then one value each
-of positions 1..k-1, k the fewest that leave at most ``_TILE`` entries a
-value of position 0 (``_cut``).
-The two sides' streams come in one order, so they zip.  A side's plan
-ends in its last merge, which writes the boundary order, so each side
-runs every step before that merge once, and its tiles are that merge's
-blocks (``_blocks``, the same layout and kernels as a whole matmul-size
-step); a side with no merge, one dense factor, is built whole and its
-tiles are views of slices of it.  The size budget is the whole
-result's, so a pair past ``_MAX_RESULT`` is refused before any tile
-runs.  In the soundness matrix at D=2..9 only ZH-O and ZH-ZPL at D=6
-and D=7 are wider than one tile (6^7 and 7^8 entries, 4.3 and 88 MiB a
-side); past D=9, many sides of two to five legs are.
+A wide pair, one of sides of more than ``_TILE`` entries, is compared
+without building either side: each side runs every step before its last
+merge once (see ``_plan``: a plan with a merge ends in it, and that
+merge writes the boundary order), and the fold takes one of two paths.
+Where both sides end in a merge, and the two merges split the boundary
+alike (``_alike``: the same batch positions and the same free positions
+in each operand, up to swapping the right side's operands; the summed
+labels may differ), each merge is laid out as ``_blocks`` lays it out,
+A as (batch, rows, summed) and B as (batch, summed, columns), and a
+block of L - R is one ``np.matmul`` of ``[A_l | -A_r]`` against ``[B_l ;
+B_r]``, stacked along the summed axis (``_stacked``): neither side's
+result is written and no subtraction runs.  Its error may round apart
+from the whole sides' in the last bits, as the stacked product sums in
+another order.  Any other pair streams each side's results as tiles
+(``_tiles``) that the fold zips and subtracts.  A result of at most
+``_TILE`` entries is one tile, the whole result, with the batch axis in
+front where it has one.  A wider side runs alone, and its tiles have one
+shape: a run of values of boundary position 0, as many as fit in
+``_TILE`` entries and at least one, then one value each of positions
+1..k-1, k the fewest that leave at most ``_TILE`` entries a value of
+position 0 (``_cut``).  The two sides' streams come in one order, so
+they zip.  A wide side's tiles are its last merge's blocks (``_blocks``,
+the same layout and kernels as a whole matmul-size step); a side with no
+merge, one dense factor, is built whole and its tiles are views of
+slices of it.  On either path the size budget is the whole result's, so
+a pair past ``_MAX_RESULT`` is refused before any step runs.  In the
+soundness matrix at D=2..9 only ZH-O and ZH-ZPL at D=6 and D=7 are wider
+than one tile (6^7 and 7^8 entries, 4.3 and 88 MiB a side), and their
+last merges split alike; past D=9, many sides of two to five legs are
+wide, on either path.
 """
 
 from __future__ import annotations
@@ -211,13 +224,14 @@ _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cach
 # batches are sized by _TILE
 _MATMUL_MIN = 1 << 17
 # entries in a tile of a compared rule side (a run of values of boundary
-# position 0, then one value each of the next positions it cuts): the
-# widest side compared whole, and the most entries in any array of a
-# batch (see _checked_plan), so a wider side runs alone.
-# Checking ZH-O at D=7 peaks at 3.9 MiB of arrays with tiles of 7^5,
-# 8.9 MiB with 7^6 (2^17), and 40 MiB with one block per value of
-# boundary position 0; at D=6, at 2.9 MiB with tiles of 6^6, and at
-# 9.6 MiB with its two whole sides
+# position 0, then one value each of the next positions it cuts) and in
+# a block of a stacked comparison: the widest side compared whole, and
+# the most entries in any array of a batch (see _checked_plan), so a
+# wider side runs alone.  Zipped, checking ZH-O at D=7 peaked at 3.9 MiB
+# of arrays with tiles of 7^5, 8.9 MiB with 7^6 (2^17), and 40 MiB with
+# one block per value of boundary position 0; at D=6, at 2.9 MiB with
+# tiles of 6^6, and at 9.6 MiB with its two whole sides.  Stacked, it
+# peaks at 3.9 and 2.0 MiB
 _TILE = 1 << 16
 
 # how a node enters the contraction: as its diagonal, its dense array,
@@ -991,7 +1005,9 @@ def _blocks(dim: int, a: np.ndarray, sa: Sequence, b: np.ndarray, sb: Sequence, 
     what this needs: distinct labels in each operand, and every label in
     ``so`` or in both operands.  The copies replace a and b, so an operand
     the caller has let go of before the first block is freed before any
-    block is allocated.
+    block is allocated.  The split of the labels (``_split``) and the
+    layout (``_laid_out``) are those ``_stacked`` uses, there with no cut,
+    batch and free labels in boundary order.
     """
     first = so[0] if run else None
     batch, summed, free_a, free_b = _split(sa, sb, so, cut, lambda l: l != first)  # so[0] first
@@ -1338,6 +1354,8 @@ def _cut(dim: int, n: int) -> tuple[int, int]:
 def _tiles(ds: list[Diagram], plan: tuple, ctx: MeasureContext) -> Iterator[np.ndarray]:
     """The tiles of the results of the same-shape diagrams ``ds`` under their plan ``(steps, layout)``, in one order.
 
+    The fold reads tiles for every pair but a wide one whose last merges
+    split alike, which ``_stacked`` compares without them.
     A result of at most ``_TILE`` entries is one tile, the whole result,
     as ``_execute`` gives it.  A wider one is cut as ``_cut`` says: a tile
     is ``data[lo:lo + run, i1, ..., i(k-1)]``, and tiles come in the
@@ -1463,20 +1481,24 @@ def _stacked(runs: list, lay: list, ctx: MeasureContext) -> float:
 
 
 def max_abs_diffs(pairs: Iterable[tuple[Diagram, Diagram]], ctx: MeasureContext) -> Iterator[float]:
-    """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))`` for each pair, in order, tile by tile.
+    """``max_abs_diff(evaluate(lhs, ctx), evaluate(rhs, ctx))`` for each pair, in order, block by block.
 
     The pairs run in batches (``_runs``), a side wider than one tile
-    alone, and each side's results come as tiles (``_tiles``), so that no
-    such side is built whole.  The two streams of tiles zip; each right
-    tile is subtracted from the left one in place, or the left from the
-    right where only the right has the batch axis, its abs goes into a
-    buffer laid out as that tile, and ``np.maximum`` folds in each
-    diagram's max (over all but the batch axis of a batched tile),
-    carrying a NaN to the end.  An error may round apart from
-    ``max_abs_diff``'s where a whole side's step runs on einsum, or where
-    a batch sums in another order.  Entries past the float range give inf or NaN with no warning.
-    Sides whose boundaries differ raise ``ShapeError``.  ``pairs`` is read
-    as the errors are asked for, so one batch of sides is held at a time.
+    alone, so that no such side is built whole.  A wide pair whose sides'
+    last merges split the boundary alike (``_alike``) is compared as one
+    stacked product a block (``_stacked``), which writes neither side's
+    result.  Every other batch streams each side's results as tiles
+    (``_tiles``), and the two streams zip; each right tile is subtracted
+    from the left one in place, or the left from the right where only the
+    right has the batch axis, its abs goes into a buffer laid out as that
+    tile, and ``np.maximum`` folds in each diagram's max (over all but
+    the batch axis of a batched tile).  Both paths carry a NaN to the
+    end.  An error may round apart from ``max_abs_diff``'s where a whole
+    side's step runs on einsum, where a batch sums in another order, or
+    where the stacked product does.  Entries past the float range give
+    inf or NaN with no warning.  Sides whose boundaries differ raise
+    ``ShapeError``.  ``pairs`` is read as the errors are asked for, so one
+    batch of sides is held at a time.
     """
     for (left, right), (lplan, rplan) in _runs(pairs, ctx):
         boundary, count = (left[0].n_inputs, left[0].n_outputs), len(left)

@@ -1124,3 +1124,61 @@ def test_eval_of_a_node_with_huge_legs_is_a_quick_file_error(runner, tmp_path, l
     assert time.perf_counter() - start < 2  # a walk over the legs takes minutes
     assert res.exit_code == 2
     assert what in res.output
+
+
+# -- output that cannot be written ----------------------------------------
+
+
+@pytest.mark.parametrize("args", [["gadget", "cz", "--dim", "3", "-o"], ["gamma-table", "--dims", "2..3", "-o"]],
+                         ids=["gadget", "gamma-table"])
+def test_an_output_path_that_cannot_be_written_exits_2(runner, tmp_path, args):
+    # -o naming a directory used to end in an IsADirectoryError traceback
+    # and exit 1, which reads as a soundness failure
+    out = f"{tmp_path}{os.sep}"
+    res = runner.invoke(cli.main, args + [out])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"quditzx {args[0]}: error: cannot write {out!r}: [Errno 21] Is a directory: {out!r}\n"
+
+
+def run_cli(args, **kwargs):
+    """``python -m quditzx.cli ARGS`` in a new interpreter, on this checkout's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "quditzx.cli", *args], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [["info", "--dim", "3"], ["normal-form", "--tensor"]], ids=["info", "normal-form"])
+def test_a_stdout_write_error_exits_2(tmp_path, command):
+    # a full device used to end in an OSError traceback and exit 1, or in
+    # an "Exception ignored" line at shutdown
+    path = tmp_path / "cz.json"
+    ctx = MeasureContext(3)
+    path.write_text(tensor.dump_json(diagram.evaluate(construct.build(construct.gadget_id("cz"), ctx), ctx)))
+    args = command + [str(path)] * (command[0] == "normal-form")
+    with open("/dev/full", "w") as full:
+        proc = run_cli(args, stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == f"quditzx {command[0]}: error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("args, code", [(["eval"], 0), (["gamma-table", "--dims", "2..12"], 0),
+                                        (["check", "--dims", "2..4", "--tol", "1e-300"], 1)],
+                         ids=["eval", "gamma-table", "check with failures"])
+def test_a_closed_pipe_ends_quietly_with_the_commands_exit_code(tmp_path, args, code):
+    # each writes past a pipe's 64 KiB, and the reader leaves after 200
+    # bytes: eval (a 16^4-entry tensor) used to end in a BrokenPipeError
+    # traceback and exit 1
+    if args == ["eval"]:
+        b = DiagramBuilder(16)
+        b.wire("in", "out")
+        b.wire("in", "out")
+        args = args + [write_diagram(tmp_path / "wires.json", b.build())]
+    proc = run_cli(args, stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(200)) == 200
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert err == b""

@@ -347,13 +347,14 @@ def test_check_soundness_honest_tolerance():
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("entry", [0, -1])
 def test_check_soundness_fails_a_nan_side(monkeypatch, tile, side, entry):
-    # a NaN at the first or last entry of either side, compared in one
-    # tile (5^6 entries a side) or in 625 tiles of 25, is an error that
-    # no tolerance passes
+    # a NaN at the first or last entry of either side of ZH-O, compared in
+    # one tile (5^6 entries a side at D=5) or, with tiles of 25, in 64
+    # tiles of 16 at D=4, where its last merges split apart and the tiles
+    # zip, is an error that no tolerance passes
     monkeypatch.setattr(dg, "_TILE", tile)
+    dim, n_tiles = (4, 64) if tile == 25 else (5, 1)
     real_tiles = dg._tiles
     counts: list = []
-    n_tiles = max(5**6 // tile, 1)
 
     def poisoned_tiles(ds, plan, ctx):
         s = len(counts)  # 0 for the stream read first, the left sides'
@@ -365,17 +366,64 @@ def test_check_soundness_fails_a_nan_side(monkeypatch, tile, side, entry):
             yield x
 
     monkeypatch.setattr(dg, "_tiles", poisoned_tiles)
-    rep = check_soundness("ZH-O", {}, MeasureContext(5), tol=1.0)
+    rep = check_soundness("ZH-O", {}, MeasureContext(dim), tol=1.0)
     assert counts == [n_tiles] * 2
     assert math.isnan(rep["max_err"]) and rep["pass"] is False
+
+
+def whole_bound(sides) -> float:
+    """The bound on a stacked error's rounding: 1e-12 times the largest entry of either whole side."""
+    return 1e-12 * max(np.max(np.abs(t.data)) for t in sides)
+
+
+def stacked_calls(monkeypatch) -> list:
+    """Record each call of ``dg._stacked``, the comparison of a wide pair whose last merges split alike."""
+    real, calls = dg._stacked, []
+
+    def stacked(runs, lay, ctx):
+        calls.append(ctx.dim)
+        return real(runs, lay, ctx)
+
+    monkeypatch.setattr(dg, "_stacked", stacked)
+    return calls
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
 @pytest.mark.parametrize("dim", [6, 7], ids=["D=6, all blocked", "D=7"])
 def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim):
     # past _TILE entries (6^7 at D=6, 7^8 at D=7) a side never runs its
-    # last step whole, and the error is bit for bit that of the two
-    # whole sides
+    # last step whole: both sides' last merges split the boundary alike,
+    # so L - R is one stacked product a block, and the error is that of
+    # the two whole sides within rounding (the stacked product sums in
+    # another order)
+    spec = CATALOG[rid]
+    ctx = MeasureContext(dim)
+    params = spec.sample(dim, np.random.default_rng(0))
+    lhs, rhs = instantiate(spec, params, ctx)
+    whole = [evaluate(lhs, ctx), evaluate(rhs, ctx)]
+    want = max_abs_diff(*whole)
+    real = dg._execute
+
+    def execute(steps, layout, ds, ctx, split_last=False):
+        out = real(steps, layout, ds, ctx, split_last)
+        assert len(out) == 2, "a wide side was evaluated whole"
+        return out
+
+    monkeypatch.setattr(dg, "_execute", execute)
+    calls = stacked_calls(monkeypatch)
+    rep = check_soundness(spec, params, ctx)
+    assert calls == [dim]
+    assert abs(rep["max_err"] - want) <= whole_bound(whole)
+    assert rep["pass"]
+
+
+@pytest.mark.parametrize("rid, dim, tile", [("ZH-O", 4, 25), ("ZH-GWC", 257, None)], ids=["ZH-O D=4", "ZH-GWC D=257"])
+def test_a_zipped_check_is_the_whole_comparison(monkeypatch, rid, dim, tile):
+    # a wide pair whose last merges split the boundary apart (ZH-O at D=4
+    # with tiles of 25 entries, ZH-GWC at D=257) is compared tile by tile,
+    # each side stopping before its last merge, and the error is bit for
+    # bit that of the two whole sides
+    monkeypatch.setattr(dg, "_TILE", tile or dg._TILE)
     spec = CATALOG[rid]
     ctx = MeasureContext(dim)
     params = spec.sample(dim, np.random.default_rng(0))
@@ -389,7 +437,9 @@ def test_blocked_check_is_the_whole_comparison(monkeypatch, rid, dim):
         return out
 
     monkeypatch.setattr(dg, "_execute", execute)
+    calls = stacked_calls(monkeypatch)
     rep = check_soundness(spec, params, ctx)
+    assert calls == []
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
     assert rep["pass"]
 
@@ -407,10 +457,12 @@ BLOCK_EDITS = [
 @pytest.mark.parametrize("edits", BLOCK_EDITS, ids=range(len(BLOCK_EDITS)))
 def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
     # an edited tile gives the error of the whole sides edited alike,
-    # bit for bit: NaN from a NaN anywhere or from inf - inf.  The
-    # 6^7-entry sides at D=6 are compared in six tiles of 6^6, one value
-    # of position 0 each
-    ctx = MeasureContext(6)
+    # bit for bit: NaN from a NaN anywhere or from inf - inf.  With tiles
+    # of 25 entries, ZH-O's 4^5-entry sides at D=4, whose last merges
+    # split apart, are compared in 64 tiles of 4^2, one value each of
+    # positions 0..2
+    monkeypatch.setattr(dg, "_TILE", 25)
+    ctx = MeasureContext(4)
     real = dg._tiles
     shapes: list = []
 
@@ -420,7 +472,7 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
         for number, x in enumerate(real(ds, plan, ctx)):
             shapes[side].append(x.shape)
             for s, at, entry, value in edits:
-                if s == side and number == at % 6:
+                if s == side and number == at % 64:
                     x[np.unravel_index(entry % x.size, x.shape)] = value
             yield x
 
@@ -429,12 +481,57 @@ def test_blocked_check_carries_nan_and_inf(monkeypatch, edits):
         rep = check_soundness("ZH-O", {}, ctx, tol=1.0)
         whole = [evaluate(d, ctx) for d in instantiate("ZH-O", {}, ctx)]
         for side, at, entry, value in edits:
-            tile = whole[side].data[np.unravel_index(at % 6, (6,))]
+            lo, i1, i2 = np.unravel_index(at % 64, (4, 4, 4))
+            tile = whole[side].data[lo : lo + 1, i1, i2]
             tile[np.unravel_index(entry % tile.size, tile.shape)] = value
         want = max_abs_diff(*whole)
-    assert shapes == [[(1,) + (6,) * 6] * 6] * 2
+    assert shapes == [[(1, 4, 4)] * 64] * 2
     assert np.float64(rep["max_err"]).tobytes() == np.float64(want).tobytes()
     assert math.isnan(rep["max_err"]) == (edits != BLOCK_EDITS[-1])
+    assert rep["pass"] is False
+
+
+# (side, operand of its last merge, entry, value); -1 is the last entry
+OPERAND_EDITS = [
+    [(0, 0, 0, NAN)],
+    [(1, 1, -1, NAN)],
+    [(0, 0, 7, INF), (1, 0, 7, INF)],  # inf - inf is NaN
+    [(1, 0, 11, 1e3)],
+]
+
+
+@pytest.mark.parametrize("edits", OPERAND_EDITS, ids=range(len(OPERAND_EDITS)))
+@pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
+def test_a_stacked_check_carries_nan_and_inf(monkeypatch, rid, edits):
+    # the sides of ZH-O and ZH-ZPL at D=6 are compared as one stacked
+    # product a block, so an edit goes into an operand of a side's last
+    # merge: NaN from a NaN anywhere or from inf - inf, and a finite edit
+    # the error of the whole sides made from the same edited operands,
+    # within rounding
+    ctx = MeasureContext(6)
+    real = dg._execute
+    operands: list = []  # each side's edited last-merge operands
+
+    def execute(steps, layout, ds, ctx, split_last=False):
+        out = real(steps, layout, ds, ctx, split_last)
+        side = len(operands)
+        for s, k, entry, value in edits:
+            if s == side:
+                out[k] = out[k].copy()
+                out[k].flat[entry % out[k].size] = value
+        operands.append((steps[-1][2:], list(out)))
+        return out
+
+    monkeypatch.setattr(dg, "_execute", execute)
+    calls = stacked_calls(monkeypatch)
+    rep = check_soundness(rid, {}, ctx, tol=1.0)
+    assert calls == [6]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        whole = [np.einsum(a, sa, b, sb, so) for (sa, sb, so), (a, b) in operands]
+        want = np.max(np.abs(whole[0] - whole[1]))
+    assert math.isnan(rep["max_err"]) == math.isnan(want) == (edits != OPERAND_EDITS[-1])
+    if edits == OPERAND_EDITS[-1]:
+        assert abs(rep["max_err"] - want) <= 1e-12 * max(np.max(np.abs(w)) for w in whole)
     assert rep["pass"] is False
 
 
@@ -464,17 +561,8 @@ def test_a_cell_of_blocked_and_batched_draws(monkeypatch):
         assert abs(r["max_err"] - w["max_err"]) <= 1e-12
 
 
-@pytest.mark.parametrize("rid, side, edit", [
-    ("ZH-ZPL", 1, "scale"),
-    ("ZH-ZPL", 1, ("q0", "white")),
-    ("ZH-ZPL", 0, ("z0", "gray")),
-    ("ZH-O", 0, ("g0", "white")),
-], ids=["ZH-ZPL without its scale", "ZH-ZPL q0 white", "ZH-ZPL z0 gray", "ZH-O g0 white"])
-def test_a_broken_wide_pair_still_fails(rid, side, edit):
-    # at D=7 and nu=0.83 the sides are compared in tiles: a right side
-    # without its nu^2 scalar box, or a side with one node's kind swapped
-    # (gray and white), fails with the error of the whole sides
-    ctx = MeasureContext(7, 0.83)
+def broken(rid: str, side: int, edit, ctx: MeasureContext) -> list:
+    """The sides of ``rid`` with side ``side`` edited through its file: ``"scale"`` drops that box, ``(node, kind)`` swaps a kind."""
     sides = list(instantiate(rid, {}, ctx))
     obj = json.loads(dump_json(sides[side]))
     if edit == "scale":
@@ -482,61 +570,113 @@ def test_a_broken_wide_pair_still_fails(rid, side, edit):
     else:
         obj["nodes"][edit[0]]["kind"] = edit[1]
     sides[side] = dg.from_json_obj(obj)
+    return sides
+
+
+@pytest.mark.parametrize("rid, side, edit", [
+    ("ZH-ZPL", 1, "scale"),
+    ("ZH-ZPL", 1, ("q0", "white")),
+    ("ZH-ZPL", 0, ("z0", "gray")),
+    ("ZH-O", 0, ("g0", "white")),
+], ids=["ZH-ZPL without its scale", "ZH-ZPL q0 white", "ZH-ZPL z0 gray", "ZH-O g0 white"])
+def test_a_broken_wide_pair_still_fails(monkeypatch, rid, side, edit):
+    # at D=7 and nu=0.83 the sides are compared as one stacked product a
+    # block: a right side without its nu^2 scalar box, or a side with one
+    # node's kind swapped (gray and white), fails with the error of the
+    # whole sides, within rounding
+    ctx = MeasureContext(7, 0.83)
+    sides = broken(rid, side, edit, ctx)
+    calls = stacked_calls(monkeypatch)
     (err,) = dg.max_abs_diffs([tuple(sides)], ctx)
-    whole = [evaluate(d, ctx).data for d in sides]
-    assert err == max_abs_diff(*(Tensor(7, 7, 1, data) for data in whole))
-    assert err > 1e-3 * np.max(np.abs(whole[0]))
+    whole = [evaluate(d, ctx) for d in sides]
+    assert calls == [7]
+    assert abs(err - max_abs_diff(*whole)) <= whole_bound(whole)
+    assert err > 1e-3 * np.max(np.abs(whole[0].data))
+
+
+@pytest.mark.parametrize("rid, side, edit", [
+    ("ZH-O", 0, "scale"),
+    ("ZH-O", 1, ("q0", "gray")),
+    ("ZH-ZPL", 0, ("z0", "gray")),
+    ("ZH-ZPL", 1, ("w0", "gray")),
+], ids=["ZH-O without its scale", "ZH-O q0 gray", "ZH-ZPL z0 gray", "ZH-ZPL w0 gray"])
+def test_a_broken_zipped_pair_still_fails(monkeypatch, rid, side, edit):
+    # at D=4 and nu=0.83 with tiles of 25 entries, these edits leave the
+    # two sides' last merges split apart, so the sides are compared in
+    # tiles, and the pair fails with the error of the whole sides, bit
+    # for bit
+    monkeypatch.setattr(dg, "_TILE", 25)
+    ctx = MeasureContext(4, 0.83)
+    sides = broken(rid, side, edit, ctx)
+    calls = stacked_calls(monkeypatch)
+    (err,) = dg.max_abs_diffs([tuple(sides)], ctx)
+    whole = [evaluate(d, ctx) for d in sides]
+    assert calls == []
+    assert err == max_abs_diff(*whole)
+    assert err > 1e-3 * np.max(np.abs(whole[0].data))
 
 
 def test_wide_check_holds_no_whole_side():
-    # each side of ZH-O is 6^7 complex entries at D=6 (4.3 MiB) and 7^8
-    # at D=7 (88 MiB).  The two whole sides peaked at 9.6 and 176.3 MiB,
-    # one block per value of the first boundary position at D=7 at 40
-    # MiB, and tiles of 6^6 and 7^5 entries at 2.9 and 3.9 MiB
-    for dim in (6, 7):
-        ctx = MeasureContext(dim)
-        tracemalloc.start()
-        try:
-            rep = check_soundness("ZH-O", {}, ctx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert rep["pass"]
-        assert peak <= 4 * 2**20, (dim, peak)
+    # each side of ZH-O and ZH-ZPL is 6^7 complex entries at D=6 (4.3
+    # MiB) and 7^8 at D=7 (88 MiB).  ZH-O's two whole sides peaked at 9.6
+    # and 176.3 MiB, one block per value of the first boundary position
+    # at D=7 at 40 MiB, and zipped tiles of 6^6 and 7^5 entries at 2.9
+    # and 3.9 MiB.  The stacked product peaks at 2.0 and 3.9 MiB, the
+    # latter as the left side lays out its 7^6-entry operand
+    for rid in ("ZH-O", "ZH-ZPL"):
+        for dim in (6, 7):
+            ctx = MeasureContext(dim)
+            tracemalloc.start()
+            try:
+                rep = check_soundness(rid, {}, ctx)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rep["pass"]
+            assert peak <= 4 * 2**20, (rid, dim, peak)
 
 
 def test_only_the_widest_cells_are_tiled(monkeypatch):
-    # with default constants, every side of at most one tile at D=2..7
-    # comes as one tile, and the sides of more than one are ZH-O's and
-    # ZH-ZPL's at D=6 and D=7 (6^7 and 7^8 entries a side)
+    # with default constants, each cell at D=2..7 is compared as one
+    # tile a side, but ZH-O's and ZH-ZPL's at D=6 and D=7 (6^7 and 7^8
+    # entries a side), whose last merges split alike and which are
+    # compared as one stacked product a block; no cell zips tiles
     real = dg._tiles
-    tiled: list = []
+    paths: dict = {}
     widest = [0]
 
     def tiles(ds, plan, ctx):
         size = ctx.dim ** (ds[0].n_inputs + ds[0].n_outputs)
         for number, x in enumerate(real(ds, plan, ctx)):
-            if number == 1:
-                tiled.append((rule, ctx.dim))
             yield x
-        if not number:
-            widest[0] = max(widest[0], size)
+        paths[rule, ctx.dim] = "tiles" if number else paths.get((rule, ctx.dim), "one tile")
+        widest[0] = max(widest[0], size)
 
+    calls = stacked_calls(monkeypatch)
     monkeypatch.setattr(dg, "_tiles", tiles)
     for rule in sorted(CATALOG):
-        rows = check_all(range(2, 8), samples=1, rules=[rule])
-        assert all(r["status"] in ("pass", "skip") for r in rows), rule
+        for dim in range(2, 8):
+            before = len(calls)
+            rows = check_all([dim], samples=1, rules=[rule])
+            assert all(r["status"] in ("pass", "skip") for r in rows), rule
+            if len(calls) > before:
+                paths[rule, dim] = "stacked"
     assert 0 < widest[0] <= dg._TILE
-    assert tiled == [(rid, dim) for rid in ("ZH-O", "ZH-ZPL") for dim in (6, 7) for _ in "lr"]
+    assert {cell: path for cell, path in paths.items() if path != "one tile"} == {
+        (rid, dim): "stacked" for rid in ("ZH-O", "ZH-ZPL") for dim in (6, 7)}
+    assert len(paths) > 300
 
 
 def test_a_two_leg_side_past_a_tile_is_compared_in_runs(monkeypatch):
-    # at D=300 ZH-A's sides have 300^2 entries, past one tile; a tile
-    # takes a run of 218 values of position 0 (218 * 300 <= 2^16), and
-    # then the other 82, not 300 tiles of one value, and the error is the
-    # whole sides' to rounding
+    # at D=300 the sides of ZX-NS with m = n = 1 have 300^2 entries, past
+    # one tile, and their last merges split apart; a tile takes a run of
+    # 218 values of position 0 (218 * 300 <= 2^16), and then the other
+    # 82, not 300 tiles of one value, and the error is the whole sides'
+    # to rounding.  ZH-A's sides, whose last merges split alike, are
+    # compared in blocks of 218 and then 82 columns, within the same bound
     ctx = MeasureContext(300)
-    lhs, rhs = instantiate("ZH-A", {}, ctx)
+    params = {"theta": 0.5, "m": 1, "n": 1}
+    lhs, rhs = instantiate("ZX-NS", params, ctx)
     whole = [evaluate(lhs, ctx), evaluate(rhs, ctx)]
     want = max_abs_diff(*whole)
     real, seen = dg._tiles, []
@@ -547,9 +687,54 @@ def test_a_two_leg_side_past_a_tile_is_compared_in_runs(monkeypatch):
             yield x
 
     monkeypatch.setattr(dg, "_tiles", tiles)
-    rep = check_soundness("ZH-A", {}, ctx)
+    rep = check_soundness("ZX-NS", params, ctx)
     assert seen == [(218, 300)] * 2 + [(82, 300)] * 2
     assert abs(rep["max_err"] - want) <= 1e-12 * max(np.max(np.abs(t.data)) for t in whole)
+    seen.clear()
+    calls = stacked_calls(monkeypatch)
+    whole = [evaluate(d, ctx) for d in instantiate("ZH-A", {}, ctx)]
+    rep = check_soundness("ZH-A", {}, ctx)
+    assert seen == [] and calls == [300]
+    assert abs(rep["max_err"] - max_abs_diff(*whole)) <= whole_bound(whole)
+
+
+@pytest.mark.parametrize("nu", [None, 0.83])
+def test_stacked_pairs_give_the_whole_sides_error(monkeypatch, nu):
+    # the pairs whose last merges split alike, compared as one stacked
+    # product a block: among each rule's first draw (seeded as check_all
+    # seeds seed 0) at D=3..5 with tiles of 25 entries, ZH-O and ZH-ZPL at
+    # D=6 and 7, ZH-NH at D=257, whose right side's operands swap, and
+    # ZH-A at D=300, in blocks of columns.  Each error is the whole sides'
+    # within 1e-12 times their largest entry, with the same status
+    calls = stacked_calls(monkeypatch)
+    ids = sorted(CATALOG)
+    cells = [(rid, dim, 25) for rid in ids for dim in (3, 4, 5)]
+    cells += [(rid, dim, None) for rid in ("ZH-O", "ZH-ZPL") for dim in (6, 7)] + [("ZH-NH", 257, None),
+                                                                                    ("ZH-A", 300, None)]
+    stacked = []
+    for rid, dim, tile in cells:
+        spec = CATALOG[rid]
+        params = spec.sample(dim, np.random.default_rng([0, ids.index(rid), dim]))
+        if params is None:
+            continue
+        ctx = MeasureContext(dim, nu)
+        pair = instantiate(spec, params, ctx)
+        with monkeypatch.context() as m:
+            m.setattr(dg, "_TILE", tile or dg._TILE)
+            before = len(calls)
+            (err,) = dg.max_abs_diffs([pair], ctx)
+        if len(calls) == before:
+            continue
+        stacked.append((rid, dim))
+        whole = [evaluate(d, ctx) for d in pair]
+        want = max_abs_diff(*whole)
+        assert abs(err - want) <= whole_bound(whole), (rid, dim)
+        assert (err <= 1e-8) == (want <= 1e-8), (rid, dim)
+    assert len(stacked) == 16 and stacked[-2:] == [("ZH-NH", 257), ("ZH-A", 300)]
+    ctx = MeasureContext(257)
+    plans = [dg._checked_plan(d, ctx)[1] for d in instantiate("ZH-NH", CATALOG["ZH-NH"].sample(
+        257, np.random.default_rng([0, ids.index("ZH-NH"), 257])), ctx)]
+    assert [side[0] for side in dg._alike(*plans, 257)] == [False, True]
 
 
 # each rule's one-sample outcome (seed 0) past D=64 where it is not a

@@ -12,8 +12,9 @@ Then, for every rule, ``<rule> check_soundness`` digests the JSON list of
 ``[D, max_err]`` that ``check_soundness`` gives for the first draw of
 each cell of seed 0 at D=2..min(dim_cap, 7), a cell the rule cannot
 draw giving ``[D, None]``; this covers the one-pair path, and at D=6
-and D=7 the sides of ZH-O and ZH-ZPL that are compared tile by tile
-(those of more than ``diagram._TILE`` entries).
+and D=7 the sides of ZH-O and ZH-ZPL (those of more than
+``diagram._TILE`` entries), whose last merges split the boundary alike
+and which are compared as one stacked product a block.
 The next three lines are over the normal-form benchmark's tensors: D=2, 3,
 4 with m+n <= 3, five each, plus (m, n) = (2, 2) twice at D=3 and once at
 D=4, drawn as the benchmark draws them for seed 1.  ``normal-form``
