@@ -99,17 +99,37 @@ and the port table, which ``_structure`` reads; generator parameters, not
 constants, node names and ``nu`` are not in it.  A step is a tuple that
 ``_execute`` runs as it is: ``(i, j, sa, sb, so)`` contracts slots i and
 j, ``(i, -1, sa, so)`` sums or reorders slot i, and equal sublists (tuples
-of ints) are stored once per plan.  The cache holds plans of at most
-``_MAX_PLAN_SIZE`` entries in all (steps, chain entries, node layouts and
-deltas, so an absorbed not dot counts too), dropping the oldest first, and
-only integers, never a diagram or an array.  Every call, cached plan or not, checks the plan's sizes
-against ``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any factor
-array from the context.  Within one call, equal parameter-free
-generators (white, gray, not, hplus, hminus) on equal legs share one
-factor array: it is built once, as the first node that holds it is set
-up, every slot that holds it refers to it, and reference counting frees
-it when the last slot lets go.  Factors with an amplitude are built per
-node.
+of ints) are stored once per plan.  The plan cache (``_PLANS``) holds at
+most ``_MAX_PLAN_SIZE`` entries in all (steps, chain entries, node
+layouts and deltas, so an absorbed not dot counts too), dropping the
+oldest first, and a plan holds only integers, never a diagram or an
+array.  Every call, cached plan or not, checks the plan's sizes against
+``_MAX_RESULT`` and ``_MAX_DENSE`` before it builds any factor array
+from the context.
+
+Built at nu = 1, a factor depends only on D and its recipe: the
+generator's kind, degree, amplitude and not constant, the labels its
+legs read, and each leg's map sign and offset.  A boundary delta, and a
+node whose generator has no amplitude or one of integer parameters only
+(``AmplitudeFn.integer_params``: ``One``, ``Zero``, ``Char``, ``Stab``,
+``Sign``, ``Indicator``), recurs across the draws of a soundness cell and
+across cells, so its array is kept across calls in a second cache of the
+same class (``_FACTORS``), keyed by those values: at most
+``_MAX_FACTOR_SIZE`` entries in all, none of more than a sixteenth of
+that, oldest out first.  Its arrays are read-only, and a result that is
+one of them or a view of one is copied before it is handed on, so no
+caller writes into the cache.  Its keys hold no diagram and no
+generator, so those are freed with their diagram.  A factor whose
+amplitude has a real or complex parameter (``Phase``, ``PhaseVec``,
+``Table``, ``UnitPow``, ``MBox``) repeats little outside its own pair,
+and a normal form's selector boxes, thousands of them, would only churn
+the cache, so such factors are built every time, node by node.  Within
+one call, equal parameter-free generators (white, gray, not, hplus,
+hminus) on equal legs share one factor array, one too large for the
+cache too: it is taken, from the cache or built, as the first node that
+holds it is set up, every slot that holds it refers to it, and reference
+counting frees it, where the cache does not keep it, when the last slot
+lets go.
 
 Rule sides are compared in one fold (``max_abs_diffs``), the only code
 that batches: consecutive pairs whose left sides share a shape, and
@@ -182,9 +202,9 @@ import json
 import operator
 import threading
 from array import array
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import FrozenInstanceError
-from typing import Any, Container, Iterable, Iterator, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -213,6 +233,10 @@ _RESERVED = ("in", "out")
 _SPLIT_ABOVE = 512
 _MAX_RESULT = 1 << 26  # entries (1 GiB of complex128) in any array but a dense node's
 _MAX_PLAN_SIZE = 1 << 15  # steps, chain entries, layouts and deltas in all cached contraction plans
+# entries (1 MiB of complex128) in all cached factor arrays.  A default
+# check at D=2..6 stores 678 arrays of 15,832 entries in all, none of
+# more than 6^4; ten seeds of it at two nu store 2,101 arrays of 33,000
+_MAX_FACTOR_SIZE = 1 << 16
 # loop entries D^u from which a pairwise step runs as matmul.  Warm,
 # matmul wins from about 2^12; but below 2^17 its operand copies cost
 # more in fresh pages than BLAS saves, as measured on normal forms when
@@ -904,32 +928,39 @@ def _plan_size(plan: _Plan) -> int:
     return max(len(steps) + len(chain) + len(layouts) + len(deltas), 1)
 
 
-class _PlanCache:
-    """Plans by shape, oldest out first, at most ``_MAX_PLAN_SIZE`` entries in all.
+class _Cache:
+    """Values by key, oldest out first, at most ``budget`` entries in all as ``size`` counts them.
 
-    A plan's size is ``_plan_size``: a chain of absorbed not dots plans
-    one step but holds a chain entry and a layout per dot.  A plan counts
-    at least one, so the budget also bounds the number of plans.  A plan
-    larger than the whole budget is not stored.
+    ``size`` counts every value as at least one, so the budget also
+    bounds the number of values.  A value of more than ``largest`` entries, the whole budget
+    unless given, is not stored.  ``held`` is an ``OrderedDict``, so the
+    oldest value goes at once, with no scan past the slots that earlier
+    evictions left.  A reader looks up ``held`` with no lock; ``put``
+    holds one.
     """
 
-    def __init__(self) -> None:
-        self.plans: dict[bytes, _Plan] = {}
+    def __init__(self, budget: int, size: Callable[[Any], int], largest: int | None = None) -> None:
+        self.held: OrderedDict = OrderedDict()
         self.size = 0
+        self.budget, self.largest, self._size = budget, budget if largest is None else largest, size
         self._lock = threading.Lock()
 
-    def put(self, key: bytes, plan: _Plan) -> None:
-        size = _plan_size(plan)
+    def put(self, key: Any, value: Any) -> None:
+        size = self._size(value)
         with self._lock:
-            if size > _MAX_PLAN_SIZE or key in self.plans:
+            if size > self.largest or key in self.held:
                 return
-            while self.size + size > _MAX_PLAN_SIZE:
-                self.size -= _plan_size(self.plans.pop(next(iter(self.plans))))
-            self.plans[key] = plan
+            while self.size + size > self.budget:
+                self.size -= self._size(self.held.popitem(last=False)[1])
+            self.held[key] = value
             self.size += size
 
 
-_PLANS = _PlanCache()
+# plans by shape (``_structure``), each counting ``_plan_size``
+_PLANS = _Cache(_MAX_PLAN_SIZE, _plan_size)
+# read-only factor arrays by recipe (see ``_execute``), each counting its
+# entries, none of more than a sixteenth of the budget
+_FACTORS = _Cache(_MAX_FACTOR_SIZE, np.size, _MAX_FACTOR_SIZE // 16)
 
 
 def _split_factors(ctx: MeasureContext, gen: Generator, legs: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
@@ -1078,8 +1109,9 @@ def _execute(
     are built once.  Returns the result alone, in boundary order, with
     the batch axis in front if it has one; with ``split_last``, where the
     plan ends in a merge (see ``_plan``), the two operands of that merge
-    instead, slot i then slot j.  A plan of no steps leaves its one factor
-    as the result; with no factor at all the result is the scalar 1.
+    instead, slot i then slot j, which may be read-only cached factors.
+    A plan of no steps leaves its one factor as the result; with no
+    factor at all the result is the scalar 1.
 
     Factors are built at nu = 1 (see ``generators``), and nu^K is
     multiplied in once: into the operand with fewer labels of a last
@@ -1087,13 +1119,18 @@ def _execute(
     ``split_last``, and else into the result, so that np.einsum, which
     traps no overflow, never meets the product.  A nu^K past the float
     range, or a product with it, raises ``OverflowGuardError`` naming K
-    and nu.  Parameter-free factors
-    are built as their first node is set up, one array for each equal
-    recipe, which every slot holding it refers to; it is freed when the
-    last of them lets go.  Other factors are built when a step first
-    reads them.  Factors and steps run under ``np.errstate(over="raise")``,
-    so an entry past the float range, from Python or from a numpy ufunc
-    or ``np.matmul``, raises ``OverflowGuardError``; ``np.einsum`` ignores
+    and nu.  A recipe with no amplitude or one of integer parameters, and
+    a boundary delta, is first looked up by value in ``_FACTORS``, and
+    its array, once built, is stored there read-only; a result that is
+    such an array or a view of one (a plan of no steps, or one whose
+    steps only permute it) is copied.  Parameter-free factors are taken
+    as their first node is set up, one array for each equal recipe, which
+    every slot holding it refers to; where the cache does not keep it, it
+    is freed when the last of them lets go.  Other factors are built (or
+    read from the cache) when a step first reads them.  Factors and
+    steps run under ``np.errstate(over="raise")``, so an entry past the
+    float range, from Python or from a numpy ufunc or ``np.matmul``,
+    raises ``OverflowGuardError``; ``np.einsum`` ignores
     that setting, so an einsum step gives inf or NaN instead, which the
     callers catch (``tensor.finite`` in ``evaluate``, a non-finite error
     in ``rewrite.check_all``).  One in a factor's build, whose error says
@@ -1136,10 +1173,23 @@ def _execute(
     # order, with no map has the layout _PLAIN and no offsets, and so has
     # a white dot, whose weight is the same at every residue.  np.array
     # stacks equal-shape arrays as np.stack does, at a quarter of its
-    # cost.  Equal recipes of parameter-free generators share one array,
-    # built as the first node that holds it is set up; factors with an
-    # amplitude are built per node
+    # cost.  A recipe with no amplitude, or one of integer parameters,
+    # is looked up in _FACTORS by value, and its array is stored there
+    # read-only once built; the others are built each time
     def entries(r: tuple) -> np.ndarray:
+        gen, lay, offs = r
+        if gen is not None and gen.amp is not None and not gen.amp.integer_params:
+            return build(r)
+        what = None if gen is None else (gen.kind, gen.degree, gen.amp, gen.c)  # None for a delta
+        key = (D, what, lay[0], tuple(signs[m] for m in lay[1]), offs)
+        arr = _FACTORS.held.get(key)
+        if arr is None:
+            arr = np.asarray(build(r))  # a 0-d index of a table gives a numpy scalar
+            arr.flags.writeable = False
+            _FACTORS.put(key, arr)
+        return arr
+
+    def build(r: tuple) -> np.ndarray:
         gen, lay, offs = r
         if gen is None:  # a boundary delta [b, w]: 1 where b is w's residue
             delta = np.eye(D, dtype=complex)
@@ -1236,8 +1286,9 @@ def _execute(
                 else:
                     sa, sb, so = subs
                     factors[i] = _pairwise(D, operand(i), sa, operand(j), sb, so)
-            if end == len(steps):
-                return [scaled(operand(i))]
+            if end == len(steps):  # a copy where the result is a cached factor or a view of one
+                result = scaled(operand(i))
+                return [result if result.flags.writeable else result.copy()]
             i, j, sa, sb, so = steps[end]
             out = [operand(i), operand(j)]
             if split_last or not _on_einsum(D, sa, sb):  # into the operand with fewer labels
@@ -1276,7 +1327,7 @@ def _checked_plan(d: Diagram, ctx: MeasureContext) -> tuple[bytes, tuple, tuple,
     if d.dim**top <= _MAX_RESULT:
         codes = _structure(d)
         key = codes.tobytes()
-        plan = _PLANS.plans.get(key)
+        plan = _PLANS.held.get(key)
         if plan is None:
             plan = _plan(codes)
             _PLANS.put(key, plan)
@@ -1329,13 +1380,16 @@ def _runs(items: Iterable[tuple[Diagram, ...]], ctx: MeasureContext) -> Iterator
 def evaluate(d: Diagram, ctx: MeasureContext) -> Tensor:
     """Contract the diagram to its tensor, in boundary order.
 
-    A size past a budget raises ``OverflowGuardError``, and so does a
-    NaN or infinite entry of the result (``tensor.finite``): numpy's
-    einsum does not trap an overflow, so a step can give inf or NaN.
+    The tensor's entries are a C-contiguous, writable array of its own:
+    a last step that only permutes axes gives a view of its operand,
+    which is copied in boundary order here.  A size past a budget raises
+    ``OverflowGuardError``, and so does a NaN or infinite entry of the
+    result (``tensor.finite``): numpy's einsum does not trap an overflow,
+    so a step can give inf or NaN.
     """
     _, steps, layout, _ = _checked_plan(d, ctx)
     (data,) = _execute(steps, layout, [d], ctx)
-    return finite(Tensor(ctx.dim, d.n_inputs, d.n_outputs, data))
+    return finite(Tensor(ctx.dim, d.n_inputs, d.n_outputs, np.require(data, requirements="COW")))
 
 
 def _cut(dim: int, n: int) -> tuple[int, int]:

@@ -75,9 +75,14 @@ class AmplitudeFn:
     `residues_only` variants are defined only on the window [D]; the
     rest accept any int64 (needed by H-boxes, whose argument is a
     product of leg values which can leave the window).
+    `integer_params` variants have integer parameters or none, so a
+    random draw repeats one often; the evaluator keeps the factors built
+    from them across calls (see ``diagram``), and never those of a
+    variant with a real or complex parameter.
     """
 
     residues_only: bool = False
+    integer_params: bool = False
 
     def eval(self, ctx: MeasureContext, t: int) -> complex:
         arg = checked_i64(int(t), f"{type(self).__name__} argument")
@@ -95,6 +100,8 @@ class AmplitudeFn:
 
 @dataclass(frozen=True)
 class One(AmplitudeFn):
+    integer_params = True
+
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.ones(t.shape, dtype=complex)
 
@@ -102,6 +109,8 @@ class One(AmplitudeFn):
 @dataclass(frozen=True)
 class Zero(AmplitudeFn):
     """The constant-0 amplitude (distinct from UnitPow, which rejects 0)."""
+
+    integer_params = True
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return np.zeros(t.shape, dtype=complex)
@@ -136,6 +145,7 @@ class Stab(AmplitudeFn):
 
     a: int
     b: int
+    integer_params = True
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         # t mod 2D preserves both 2at and bt^2 mod 2D, which depend only on
@@ -149,6 +159,7 @@ class Char(AmplitudeFn):
     """t -> omega^(c*t); pointwise equal to Stab(c, 0)."""
 
     c: int
+    integer_params = True
 
     def eval_arr(self, ctx: MeasureContext, t: np.ndarray) -> np.ndarray:
         return omega_pow_arr(ctx, (self.c % ctx.dim) * (t.astype(np.int64) % ctx.dim))
@@ -217,6 +228,7 @@ class _Members(AmplitudeFn):
 
     members: frozenset[int]
     HIT, MISS = 1.0 + 0j, 0j
+    integer_params = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(int(x) for x in self.members))

@@ -81,6 +81,33 @@ def from_edges(dim: int, nodes: dict, edges, n_in: int, n_out: int) -> Diagram:
     return d
 
 
+def plan_cache(budget: int = dg._MAX_PLAN_SIZE) -> dg._Cache:
+    """An empty cache of plans, as ``dg._PLANS`` is made, of ``budget`` entries."""
+    return dg._Cache(budget, dg._plan_size)
+
+
+def factor_cache(budget: int = dg._MAX_FACTOR_SIZE, largest: int | None = None) -> dg._Cache:
+    """An empty cache of factor arrays, as ``dg._FACTORS`` is made, of ``budget`` entries.
+
+    It stores no array of more than ``largest`` entries, by default a
+    sixteenth of the budget.
+    """
+    return dg._Cache(budget, np.size, budget // 16 if largest is None else largest)
+
+
+@pytest.fixture()
+def empty_factors(monkeypatch):
+    """An empty factor cache for the test, and a function that empties it again."""
+    cache = factor_cache()
+    monkeypatch.setattr(dg, "_FACTORS", cache)
+
+    def empty() -> None:
+        cache.held.clear()
+        cache.size = 0
+
+    return empty
+
+
 SINGLE_NODE_CASES = [
     Generator.white(1, 1),
     Generator.white(2, 1),
@@ -546,9 +573,9 @@ def test_random_diagrams_match_flat_einsum(d: Diagram, split_all: bool, nu: floa
     ctx = MeasureContext(d.dim, nu)
     want = flat_einsum(d, ctx)
     split_above = 0 if split_all else dg._SPLIT_ABOVE
-    with mock.patch.object(dg, "_PLANS", dg._PlanCache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
+    with mock.patch.object(dg, "_PLANS", plan_cache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
         cold = evaluate(d, ctx)
-        assert len(dg._PLANS.plans) == 1
+        assert len(dg._PLANS.held) == 1
         warm = evaluate(d, ctx)
     assert warm.data.tobytes() == cold.data.tobytes()
     assert max_abs_diff(cold, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data)))
@@ -667,7 +694,7 @@ def test_boundary_edge_cases_match_flat_einsum(dim: int, split_all: bool) -> Non
     ctx = MeasureContext(dim)
     split_above = 0 if split_all else dg._SPLIT_ABOVE
     cases = boundary_cases(dim)
-    with mock.patch.object(dg, "_PLANS", dg._PlanCache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
+    with mock.patch.object(dg, "_PLANS", plan_cache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
         for label, d, deltas in cases:
             assert delta_slots(d) == deltas, label
             cold = evaluate(d, ctx)
@@ -675,12 +702,13 @@ def test_boundary_edge_cases_match_flat_einsum(dim: int, split_all: bool) -> Non
             assert warm.data.tobytes() == cold.data.tobytes(), label
             want = flat_einsum(d, ctx)
             assert max_abs_diff(cold, want) <= 1e-10 * max(1.0, np.max(np.abs(want.data))), label
-        assert len(dg._PLANS.plans) == len(cases)
+        assert len(dg._PLANS.held) == len(cases)
 
 
-def test_boundary_on_node_legs_builds_no_delta(monkeypatch) -> None:
+def test_boundary_on_node_legs_builds_no_delta(monkeypatch, empty_factors) -> None:
     # each boundary position lands on a wire of its own that a node
-    # carries, so no plan has a delta slot and no evaluation builds one
+    # carries, so no plan has a delta slot and no evaluation builds one;
+    # on an empty factor cache, the bare wire's delta is built once
     ctx = MeasureContext(3)
     eyes: list = []
     real = np.eye
@@ -734,7 +762,7 @@ def test_plans_reorder_only_to_move_axes(plan_calls) -> None:
     for d in lone:
         assert dg._plan(dg._structure(d))[0] == ()
         assert evaluate(d, ctx).data.tobytes() == flat_einsum(d, ctx).data.tobytes()
-    assert len(dg._PLANS.plans) == 3 and dg._PLANS.size == 3  # one layout or one delta each, no step
+    assert len(dg._PLANS.held) == 3 and dg._PLANS.size == 3  # one layout or one delta each, no step
 
 
 @pytest.mark.parametrize("rid", ["ZH-O", "ZH-ZPL"])
@@ -758,10 +786,13 @@ def absorbed_nots(d: Diagram) -> set:
     return {k for _, k in dg._plan(dg._structure(d))[4]}
 
 
-def test_dense_factors_are_built_once(monkeypatch) -> None:
-    # a dense node with an amplitude is built once; equal parameter-free
-    # generators (not, hplus, hminus, gray) on equal legs share one
-    # array, built once per evaluation; an absorbed not dot is never built
+def test_dense_factors_are_built_once(monkeypatch, empty_factors) -> None:
+    # on an empty factor cache, each recipe is built once: equal
+    # parameter-free generators (not, hplus, hminus, gray) and equal
+    # integer-parameter ones (Stab) on equal legs share one array, a node
+    # with a real or complex amplitude is built for itself, and an
+    # absorbed not dot is never built.  A second evaluation builds the
+    # latter again, and nothing that the factor cache holds
     ctx = MeasureContext(3)
     rng = np.random.default_rng(5)
     diagrams = [
@@ -772,22 +803,27 @@ def test_dense_factors_are_built_once(monkeypatch) -> None:
     built: Counter = Counter()
     real = dg.generator_entries
 
+    def per_node(gen: Generator) -> bool:
+        return gen.amp is not None and not gen.amp.integer_params
+
     def counting(ctx, gen, legs=None):
-        built[id(gen) if gen.amp is not None else (gen, legs and tuple((x.shape, x.tobytes()) for x in legs))] += 1
+        built[id(gen) if per_node(gen) else (gen, legs and tuple((x.shape, x.tobytes()) for x in legs))] += 1
         return real(ctx, gen, legs)
 
     monkeypatch.setattr(dg, "generator_entries", counting)
     shared = 0
     for d in diagrams:
+        empty_factors()
         skip = absorbed_nots(d)
         dense = [g for k, g in enumerate(d.nodes.values()) if g.kind not in ("white", "green") and k not in skip]
-        for _ in range(2):
+        for cold in (True, False):
             built.clear()
             evaluate(d, ctx)
-            assert set(built.values()) == {1}
-            assert Counter(k for k in built if type(k) is int) == Counter(id(g) for g in dense if g.amp is not None)
-            assert {k[0] for k in built if type(k) is tuple} == {g for g in dense if g.amp is None}
-        shared += sum(g.amp is None for g in dense) - sum(type(k) is tuple for k in built)
+            assert set(built.values()) <= {1}
+            assert Counter(k for k in built if type(k) is int) == Counter(id(g) for g in dense if per_node(g))
+            assert {k[0] for k in built if type(k) is tuple} == ({g for g in dense if not per_node(g)} if cold else set())
+            if cold:
+                shared += sum(not per_node(g) for g in dense) - sum(type(k) is tuple for k in built)
     assert shared > 0
     # every not dot of the normal form is a relabelling; of the tied hubs'
     # two, the one that closes their cycle is a factor
@@ -796,10 +832,13 @@ def test_dense_factors_are_built_once(monkeypatch) -> None:
     assert len(absorbed_nots(diagrams[1])) == 1
 
 
-def test_equal_diagonal_dots_share_one_weight(monkeypatch) -> None:
+def test_equal_diagonal_dots_share_one_weight(monkeypatch, empty_factors) -> None:
+    # on an empty factor cache, equal white dots share one weight, built
+    # once; a second evaluation builds none
     ctx = MeasureContext(3)
     d = normal_form(random_tensor(np.random.default_rng(6), 3, 1, 1), ctx)
     want = evaluate(d, ctx)
+    empty_factors()
     built: Counter = Counter()
     real = dg.diagonal_weight
 
@@ -812,6 +851,9 @@ def test_equal_diagonal_dots_share_one_weight(monkeypatch) -> None:
     assert np.array_equal(got.data, want.data)
     whites = [g for g in d.nodes.values() if g.kind == "white"]
     assert built == Counter(set(whites)) and len(whites) > len(set(whites))
+    built.clear()
+    assert evaluate(d, ctx).data.tobytes() == got.data.tobytes()
+    assert built == Counter()
 
 
 def test_normal_form_evaluation_memory_stays_small() -> None:
@@ -1120,7 +1162,7 @@ def test_not_dots_match_flat_einsum(dim: int, nu: float | None, split_all: bool)
     # where its split form is smaller
     ctx = MeasureContext(dim, nu)
     split_above = 0 if split_all else dg._SPLIT_ABOVE
-    with mock.patch.object(dg, "_PLANS", dg._PlanCache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
+    with mock.patch.object(dg, "_PLANS", plan_cache()), mock.patch.object(dg, "_SPLIT_ABOVE", split_above):
         for label, d, absorbed, deltas in not_cases(dim):
             assert (len(absorbed_nots(d)), delta_slots(d)) == (absorbed, deltas), label
             cold = evaluate(d, ctx)
@@ -1536,7 +1578,7 @@ def test_random_batches_match_each_diagram(d, data, split_all, matmul_min, nu) -
 @pytest.fixture()
 def plan_calls(monkeypatch) -> list:
     """An empty plan cache for the test, and a list that grows per plan made."""
-    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
+    monkeypatch.setattr(dg, "_PLANS", plan_cache())
     calls: list = []
     real = dg._plan
 
@@ -1603,7 +1645,7 @@ def test_same_shape_reuses_plan_bit_for_bit(monkeypatch, plan_calls, dim: int) -
     warm = [evaluate(d, ctx).data.tobytes() for d, ctx in variants]
     assert len(plan_calls) == 1  # one shape, one plan
     for (d, ctx), got in zip(variants, warm):
-        monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
+        monkeypatch.setattr(dg, "_PLANS", plan_cache())
         assert evaluate(d, ctx).data.tobytes() == got
     assert len(warm) == len(set(warm))  # the parameters did reach the tensor
 
@@ -1754,7 +1796,10 @@ def test_dense_limit_change_gets_its_own_plan(monkeypatch, plan_calls) -> None:
     assert max_abs_diff(split, dense) < 1e-10
 
 
-def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
+def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls, empty_factors) -> None:
+    # the diagram and its generators are freed with it; an array that
+    # outlives the evaluation is one the factor cache holds, and none
+    # outlives the cache
     ctx = MeasureContext(3)
     arrays: list = []
     for name in ("generator_entries", "diagonal_weight"):
@@ -1777,10 +1822,17 @@ def test_plan_cache_holds_no_diagram_or_array(monkeypatch, plan_calls) -> None:
     d = normal_form(random_tensor(np.random.default_rng(2), 3, 1, 1), ctx)
     evaluate(d, ctx)
     refs = [weakref.ref(d)] + [weakref.ref(g) for g in d.nodes.values()]
-    assert dg._PLANS.plans and arrays
+    assert dg._PLANS.held and arrays
     del d
     gc.collect()
-    assert all(ref() is None for ref in refs + arrays)
+    assert all(ref() is None for ref in refs)
+    held = [id(arr) for arr in dg._FACTORS.held.values()]
+    alive = [ref() for ref in arrays if ref() is not None]
+    assert alive and all(id(arr) in held for arr in alive)
+    del alive
+    empty_factors()
+    gc.collect()
+    assert all(ref() is None for ref in arrays)
 
 
 def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
@@ -1791,10 +1843,10 @@ def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     second = tied_hub_diagram(3)  # 7 + 1 + 8 + 1
     third = param_diagram(3, 0.1, (1, 0), 1, 1.0)  # 4 + 1 + 6 + 0
     big = normal_form(random_tensor(rng, 3, 1, 1), ctx)  # 22 + 12 + 35 + 0
-    monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 48)
+    monkeypatch.setattr(dg, "_PLANS", plan_cache(48))
 
     def stored() -> int:
-        assert dg._PLANS.size == sum(map(dg._plan_size, dg._PLANS.plans.values()))
+        assert dg._PLANS.size == sum(map(dg._plan_size, dg._PLANS.held.values()))
         return dg._PLANS.size
 
     for d in (first, second, third):
@@ -1806,11 +1858,11 @@ def test_plan_cache_keeps_to_its_step_budget(monkeypatch, plan_calls) -> None:
     assert len(plan_calls) == 3
     evaluate(first, ctx)
     assert len(plan_calls) == 4
-    before = dict(dg._PLANS.plans)
+    before = dict(dg._PLANS.held)
     evaluate(big, ctx)
     evaluate(big, ctx)
     assert len(plan_calls) == 6  # larger than the budget: used, never stored
-    assert dg._PLANS.plans == before and stored() <= 48
+    assert dg._PLANS.held == before and stored() <= 48
 
 
 def test_plan_cache_counts_absorbed_not_dots(monkeypatch, plan_calls) -> None:
@@ -1828,14 +1880,13 @@ def test_plan_cache_counts_absorbed_not_dots(monkeypatch, plan_calls) -> None:
     want = np.eye(3)
     for c in consts:
         want = evaluate(node_diagram(3, Generator.not_dot(c)), ctx).data @ want
-    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
+    monkeypatch.setattr(dg, "_PLANS", plan_cache())
     got = evaluate(d, ctx)
     assert np.abs(got.data - want).max() <= 1e-12
     assert dg._PLANS.size == dg._plan_size(plan) == 2001 + len(deltas)
-    monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 2000)
-    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
+    monkeypatch.setattr(dg, "_PLANS", plan_cache(2000))
     assert evaluate(d, ctx).data.tobytes() == got.data.tobytes()
-    assert not dg._PLANS.plans and dg._PLANS.size == 0
+    assert not dg._PLANS.held and dg._PLANS.size == 0
 
 
 def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
@@ -1844,8 +1895,7 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
     diagrams = [normal_form(random_tensor(rng, 3, 0, 1), ctx), tied_hub_diagram(3)]
     diagrams += [param_diagram(3, 0.2 * k, (1, k % 3), k, 1.0 + k) for k in range(3)]
     want = [evaluate(d, ctx).data.tobytes() for d in diagrams]
-    monkeypatch.setattr(dg, "_MAX_PLAN_SIZE", 40)  # every round evicts: the three plans hold 25, 17 and 12
-    monkeypatch.setattr(dg, "_PLANS", dg._PlanCache())
+    monkeypatch.setattr(dg, "_PLANS", plan_cache(40))  # every round evicts: the three plans hold 25, 17 and 12
     wrong: list = []
 
     def work(seed: int) -> None:
@@ -1866,7 +1916,7 @@ def test_plan_cache_under_threads(monkeypatch, plan_calls) -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert dg._PLANS.size == sum(map(dg._plan_size, dg._PLANS.plans.values())) <= 40
+    assert dg._PLANS.size == sum(map(dg._plan_size, dg._PLANS.held.values())) <= 40
 
 
 def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> None:
@@ -1880,8 +1930,8 @@ def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> Non
     def ints_only(obj) -> bool:
         return type(obj) is int or (type(obj) is tuple and all(map(ints_only, obj)))
 
-    assert len(dg._PLANS.plans) > 100
-    for plan in dg._PLANS.plans.values():
+    assert len(dg._PLANS.held) > 100
+    for plan in dg._PLANS.held.values():
         assert ints_only(plan)
         seen: dict = {}
         for i, j, *subs in plan[0]:
@@ -1889,8 +1939,121 @@ def test_cached_plans_are_tuples_of_ints_with_shared_sublists(plan_calls) -> Non
             for sub in subs:
                 assert seen.setdefault(sub, sub) is sub
     sizes = [max(len(steps) + len(chain) + len(layouts) + len(deltas), 1)
-             for steps, _, _, _, chain, layouts, deltas in dg._PLANS.plans.values()]
+             for steps, _, _, _, chain, layouts, deltas in dg._PLANS.held.values()]
     assert dg._PLANS.size == sum(sizes)
+
+
+# -- the factor cache -----------------------------------------------------
+
+
+def test_factor_cache_keeps_rows_bit_for_bit(monkeypatch, empty_factors) -> None:
+    # every catalog cell at D=2..7 gives the same bytes with the factor
+    # cache emptied before the cell as with it warm from all the cells
+    # before it
+    cells = [(rule, D, nu) for nu in (None, 1.0, 0.83) for D in range(2, 8) for rule in sorted(CATALOG)]
+
+    def rows(rule: str, D: int, nu: float | None) -> str:
+        return repr(check_all([D], samples=2, seed=3, rules=[rule], nu=nu))
+
+    built: list = []
+    real = dg.generator_entries
+    monkeypatch.setattr(dg, "generator_entries", lambda *args: built.append(1) or real(*args))
+    cold = []
+    for cell in cells:
+        empty_factors()
+        cold.append(rows(*cell))
+    cold_builds = len(built)
+    empty_factors()
+    built.clear()
+    assert [rows(*cell) for cell in cells] == cold
+    assert len(built) < cold_builds / 2  # the warm pass did read the cache
+
+
+@pytest.mark.parametrize("nu", [None, 1.0])
+def test_a_stepless_result_is_no_cached_array(empty_factors, nu: float | None) -> None:
+    # a side of one bare node has a plan of no steps: its factor is its
+    # result, and at nu = 1 (or any nu^K = 1) no multiply copies it.  A
+    # write into what evaluate gives, or into the tiles that max_abs_diffs
+    # subtracts in place, must not reach the factor cache
+    ctx = MeasureContext(3, nu)
+    plus, minus = node_diagram(3, Generator.hplus()), node_diagram(3, Generator.hminus())
+    gray = node_diagram(3, Generator.gray(1, 2))
+    for d in (plus, gray):
+        assert dg._plan(dg._structure(d))[0] == ()
+        first = evaluate(d, ctx)
+        want = first.data.tobytes()
+        first.data[...] = 7
+        assert evaluate(d, ctx).data.tobytes() == want
+    want = max_abs_diff(evaluate(plus, ctx), evaluate(minus, ctx))
+    assert want > 0.5
+    for _ in range(2):  # one pair a call, so that no batch stacks the factors into an array of its own
+        assert [next(max_abs_diffs([pair], ctx)) for pair in ((plus, minus), (minus, plus))] == [want, want]
+    assert dg._FACTORS.held
+    assert not any(arr.flags.writeable for arr in dg._FACTORS.held.values())
+
+
+def test_factor_cache_keeps_to_its_budget(empty_factors) -> None:
+    # after the soundness matrix at D=2..9, the cache holds at most its
+    # budget, no array past its largest, and no recipe of a real or
+    # complex parameter; its count of entries is the sum of its arrays'
+    check_all(range(2, 10), samples=1, seed=0)
+    cache = dg._FACTORS
+    assert (cache.budget, cache.largest) == (dg._MAX_FACTOR_SIZE, dg._MAX_FACTOR_SIZE // 16) == (1 << 16, 4096)
+    arrays = list(cache.held.values())
+    assert len(arrays) > 100
+    assert cache.size == sum(arr.size for arr in arrays) <= cache.budget
+    assert max(arr.size for arr in arrays) <= cache.largest
+    for key in cache.held:
+        recipe = key[1]
+        assert recipe is None or recipe[2] is None or recipe[2].integer_params, key
+        assert not any(isinstance(part, (Diagram, Generator)) for part in key)
+
+
+def test_factor_cache_under_threads(monkeypatch) -> None:
+    # as test_plan_cache_under_threads, with a factor budget that every
+    # round overruns: the five diagrams' recurring factors hold 93 entries
+    ctx = MeasureContext(3)
+    rng = np.random.default_rng(6)
+    diagrams = [normal_form(random_tensor(rng, 3, 0, 1), ctx), tied_hub_diagram(3)]
+    diagrams += [param_diagram(3, 0.2 * k, (1, k % 3), k, 1.0 + k) for k in range(3)]
+    monkeypatch.setattr(dg, "_FACTORS", factor_cache())
+    want = [evaluate(d, ctx).data.tobytes() for d in diagrams]
+    assert dg._FACTORS.size == 93
+    monkeypatch.setattr(dg, "_FACTORS", factor_cache(40, 27))
+    wrong: list = []
+
+    def work(seed: int) -> None:
+        order = np.random.default_rng(seed).permutation(len(diagrams) * 20) % len(diagrams)
+        for k in order:
+            if evaluate(diagrams[k], ctx).data.tobytes() != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert dg._FACTORS.size == sum(arr.size for arr in dg._FACTORS.held.values()) <= 40
+
+
+def test_evaluate_gives_contiguous_arrays_of_their_own() -> None:
+    # a last step that only permutes axes gives a view of its operand
+    # (ZH-A's left side at D=3 had strides (16, 48)); evaluate copies it
+    # in boundary order, so every tensor reads in order and a write into
+    # one reaches nothing else
+    count = 0
+    for label, d, ctx in catalog_cases(range(2, 6)):
+        data = evaluate(d, ctx).data
+        assert data.flags.c_contiguous and data.flags.owndata and data.flags.writeable, label
+        count += 1
+    assert count == 480
 
 
 def test_json_round_trip_preserves_value() -> None:
