@@ -929,29 +929,29 @@ def _plan_size(plan: _Plan) -> int:
 
 
 class _Cache:
-    """Values by key, oldest out first, at most ``budget`` entries in all as ``size`` counts them.
+    """Values by key, oldest out first, at most ``budget`` entries in all as ``size_of`` counts them.
 
-    ``size`` counts every value as at least one, so the budget also
-    bounds the number of values.  A value of more than ``largest`` entries, the whole budget
-    unless given, is not stored.  ``held`` is an ``OrderedDict``, so the
-    oldest value goes at once, with no scan past the slots that earlier
-    evictions left.  A reader looks up ``held`` with no lock; ``put``
-    holds one.
+    ``size_of`` counts every value as at least one, so the budget also
+    bounds the number of values.  A value of more than ``largest``
+    entries, the whole budget unless given, is not stored.  ``held`` is
+    an ``OrderedDict``, so the oldest value goes at once, with no scan
+    past the slots that earlier evictions left.  A reader looks up
+    ``held`` with no lock; ``put`` holds one.
     """
 
-    def __init__(self, budget: int, size: Callable[[Any], int], largest: int | None = None) -> None:
+    def __init__(self, budget: int, size_of: Callable[[Any], int], largest: int | None = None) -> None:
         self.held: OrderedDict = OrderedDict()
         self.size = 0
-        self.budget, self.largest, self._size = budget, budget if largest is None else largest, size
+        self.budget, self.largest, self._size_of = budget, budget if largest is None else largest, size_of
         self._lock = threading.Lock()
 
     def put(self, key: Any, value: Any) -> None:
-        size = self._size(value)
+        size = self._size_of(value)
         with self._lock:
             if size > self.largest or key in self.held:
                 return
             while self.size + size > self.budget:
-                self.size -= self._size(self.held.popitem(last=False)[1])
+                self.size -= self._size_of(self.held.popitem(last=False)[1])
             self.held[key] = value
             self.size += size
 
@@ -1185,8 +1185,9 @@ def _execute(
         arr = _FACTORS.held.get(key)
         if arr is None:
             arr = np.asarray(build(r))  # a 0-d index of a table gives a numpy scalar
-            arr.flags.writeable = False
-            _FACTORS.put(key, arr)
+            if arr.size <= _FACTORS.largest:  # one too large to keep stays writable, and is not copied
+                arr.flags.writeable = False
+                _FACTORS.put(key, arr)
         return arr
 
     def build(r: tuple) -> np.ndarray:

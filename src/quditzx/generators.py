@@ -75,10 +75,10 @@ class AmplitudeFn:
     `residues_only` variants are defined only on the window [D]; the
     rest accept any int64 (needed by H-boxes, whose argument is a
     product of leg values which can leave the window).
-    `integer_params` variants have integer parameters or none, so a
-    random draw repeats one often; the evaluator keeps the factors built
-    from them across calls (see ``diagram``), and never those of a
-    variant with a real or complex parameter.
+    `integer_params` variants have integer parameters or none, so their
+    random draws repeat often; the evaluator keeps the factors built from
+    them across calls (see ``diagram``), and never those of a variant
+    with a real or complex parameter.
     """
 
     residues_only: bool = False
