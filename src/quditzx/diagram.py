@@ -1178,36 +1178,37 @@ def _execute(
     # read-only once built; the others are built each time
     def entries(r: tuple) -> np.ndarray:
         gen, lay, offs = r
-        if gen is not None and gen.amp is not None and not gen.amp.integer_params:
-            return build(r)
-        what = None if gen is None else (gen.kind, gen.degree, gen.amp, gen.c)  # None for a delta
-        key = (D, what, lay[0], tuple(signs[m] for m in lay[1]), offs)
-        arr = _FACTORS.held.get(key)
-        if arr is None:
-            arr = np.asarray(build(r))  # a 0-d index of a table gives a numpy scalar
+        key = None
+        if gen is None or gen.amp is None or gen.amp.integer_params:
+            what = None if gen is None else (gen.kind, gen.degree, gen.amp, gen.c)  # None for a delta
+            key = (D, what, lay[0], tuple(signs[m] for m in lay[1]), offs)
+            arr = _FACTORS.held.get(key)
+            if arr is not None:
+                return arr
+        if gen is None:  # a boundary delta [b, w]: 1 where b is w's residue
+            arr = np.eye(D, dtype=complex)
+            if offs:
+                arr = arr[:, mapped(lay[1][0], offs[0]) - ctx.lower]
+        elif gen.kind in ("green", "white"):
+            arr = diagonal_weight(ctx, gen, mapped(lay[1][0], offs[0])) if offs else diagonal_weight(ctx, gen)
+        else:
+            deg = gen.degree
+            at = (lay, offs, deg)
+            legs = built.get(at)
+            if legs is None:  # each leg's residues along its label's axis
+                positions, maps = lay
+                n = max(positions) + 1 if positions else deg
+                xs = [mapped(m, t) for m, t in zip(maps, offs)] if maps else [mapped(0, 0)] * deg
+                legs = built[at] = [
+                    x.reshape((D,) + (1,) * (n - 1 - (positions[j] if positions else j))) for j, x in enumerate(xs)
+                ]
+            arr = generator_entries(ctx, gen, legs)
+        if key is not None:
+            arr = np.asarray(arr)  # a 0-d index of a table gives a numpy scalar
             if arr.size <= _FACTORS.largest:  # one too large to keep stays writable, and is not copied
                 arr.flags.writeable = False
                 _FACTORS.put(key, arr)
         return arr
-
-    def build(r: tuple) -> np.ndarray:
-        gen, lay, offs = r
-        if gen is None:  # a boundary delta [b, w]: 1 where b is w's residue
-            delta = np.eye(D, dtype=complex)
-            return delta[:, mapped(lay[1][0], offs[0]) - ctx.lower] if offs else delta
-        if gen.kind in ("green", "white"):
-            return diagonal_weight(ctx, gen, mapped(lay[1][0], offs[0])) if offs else diagonal_weight(ctx, gen)
-        deg = gen.degree
-        key = (lay, offs, deg)
-        legs = built.get(key)
-        if legs is None:  # each leg's residues along its label's axis
-            positions, maps = lay
-            n = max(positions) + 1 if positions else deg
-            xs = [mapped(m, t) for m, t in zip(maps, offs)] if maps else [mapped(0, 0)] * deg
-            legs = built[key] = [
-                x.reshape((D,) + (1,) * (n - 1 - (positions[j] if positions else j))) for j, x in enumerate(xs)
-            ]
-        return generator_entries(ctx, gen, legs)
 
     def split(r: tuple) -> list[np.ndarray]:
         gen, (_, maps), offs = r
